@@ -10,6 +10,7 @@ import argparse
 import logging
 import sys
 from collections import Counter
+from dataclasses import replace
 
 from . import embed as embed_mod
 from . import evaluate as eval_mod
@@ -85,25 +86,11 @@ def cmd_train(args, parser: _Parser) -> int:
     seq = encode_file(args.corpus, seps, opts)
     original_len = len(seq)
     merger = PairMerger(seq)
-
-    def exhausted() -> bool:
-        if args.max_merges is not None and merger.merges >= args.max_merges:
-            return True
-        if args.max_vocab is not None and merger.vocab_size + 1 > args.max_vocab:
-            return True
-        return False
-
-    pending = list(checkpoints)
-    done = False
-    while pending:
-        k = pending.pop(0)
-        while merger.merges < k and not done:
-            if exhausted() or merger.merge_once(args.min_freq) is None:
-                done = True
+    for k in checkpoints:
+        cap = k if stop.max_merges is None else min(k, stop.max_merges)
+        merger.run(replace(stop, max_merges=cap))
         print(f"checkpoint\t{k}\t{merger.merges}\t{_dump80(merger)}")
-    while not done:
-        if exhausted() or merger.merge_once(args.min_freq) is None:
-            done = True
+    merger.run(stop)
 
     g = merger.grammar()
     grammar_mod.save(g, args.grammar_out)
@@ -188,6 +175,8 @@ def cmd_stats(args, parser: _Parser) -> int:
         parser.error("--grammar and --checkpoints are mutually exclusive")
     if args.segmented and (args.grammar or args.checkpoints):
         parser.error("--segmented takes neither --grammar nor --checkpoints")
+    if args.top < 0:
+        parser.error("--top must be >= 0")
 
     if args.segmented:
         counts: Counter[str] = Counter()
@@ -257,7 +246,9 @@ def cmd_embed(args, parser: _Parser) -> int:
     return 0
 
 
-def cmd_eval_neighbors(args, _parser: _Parser) -> int:
+def cmd_eval_neighbors(args, parser: _Parser) -> int:
+    if args.k < 0:
+        parser.error("--k must be >= 0")
     vs = embed_mod.import_vectors(args.vectors)
     query = grammar_mod.unescape_token(args.query)
     hits = eval_mod.nearest_neighbors(vs, query, k=args.k)

@@ -110,15 +110,12 @@ class SymbolTable:
 class BoundedSequence:
     """Symbol ids plus boundary positions (each in [0, len(symbols)]).
 
-    doc_ids tags each boundary with the ingestion document it came from;
-    single-document encodes leave them all zero. alphabet resolves terminal
-    ids back to characters; compressed sequences keep the terminal alphabet
-    and carry rule ids above it.
+    alphabet resolves terminal ids back to characters; compressed sequences
+    keep the terminal alphabet and carry rule ids above it.
     """
 
     symbols: array | list[int]
     boundaries: list[int] = field(default_factory=list)
-    doc_ids: list[int] = field(default_factory=list)
     alphabet: SymbolTable = field(default_factory=SymbolTable)
 
     def __len__(self) -> int:
@@ -126,8 +123,6 @@ class BoundedSequence:
 
     def validate(self) -> None:
         n = len(self.symbols)
-        if len(self.doc_ids) != len(self.boundaries):
-            raise DomainError("doc_ids and boundaries lengths differ")
         prev = -1
         for b in self.boundaries:
             if not 0 <= b <= n:
@@ -151,15 +146,13 @@ class ChunkEncoder:
     Chunk splits never change the result; separator-run state carries over.
     """
 
-    def __init__(self, separators: frozenset[str] = DEFAULT_SEPARATORS, doc_id: int = 0):
+    def __init__(self, separators: frozenset[str] = DEFAULT_SEPARATORS):
         self._seps = np.sort(np.array([ord(c) for c in separators], dtype=np.uint32))
         self._table = SymbolTable()
         self._parts: list[np.ndarray] = []
         self._boundaries: list[int] = []
-        self._doc_ids: list[int] = []
         self._count = 0
         self._in_sep_run = False
-        self._doc_id = doc_id
 
     def feed(self, text: str) -> None:
         if not text:
@@ -175,7 +168,6 @@ class ChunkEncoder:
             kept_before = np.concatenate(([0], np.cumsum(keep)))
             for i in starts:
                 self._boundaries.append(self._count + int(kept_before[i]))
-                self._doc_ids.append(self._doc_id)
             self._in_sep_run = bool(mask[-1])
             cps = cps[keep]
         else:
@@ -195,7 +187,7 @@ class ChunkEncoder:
         symbols = array("i")
         if self._parts:
             symbols.frombytes(np.concatenate(self._parts).astype(np.int32).tobytes())
-        return BoundedSequence(symbols, self._boundaries, self._doc_ids, self._table)
+        return BoundedSequence(symbols, self._boundaries, self._table)
 
 
 def encode(text: str, separators: frozenset[str] = DEFAULT_SEPARATORS) -> BoundedSequence:

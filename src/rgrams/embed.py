@@ -259,13 +259,8 @@ def train_skipgram(
         [normalize_token(t) for t in sent] for sent in _sentences(corpus) if sent
     ]
     if vocab is None:
-        counts: dict[str, int] = {}
-        for sent in sents_raw:
-            for t in sent:
-                counts[t] = counts.get(t, 0) + 1
-        kept = [(t, c) for t, c in counts.items() if c >= config.min_token_count]
-        kept.sort(key=lambda tc: (-tc[1], tc[0]))
-        vocab = EmbedVocab([t for t, _ in kept], [c for _, c in kept])
+        # normalize_token is idempotent, so re-normalizing here is harmless
+        vocab = build_vocab(sents_raw, config.min_token_count)
     V = len(vocab)
     if V == 0:
         raise DomainError("empty vocabulary")
@@ -426,7 +421,8 @@ def import_vectors(path: str) -> VectorSet:
         if count < 0 or dim < 1:
             raise VectorFileError(1, "invalid header values")
         tokens: list[str] = []
-        matrix = np.empty((count, dim), dtype=np.float64)
+        # rows grow as they are read: the header alone must not size an allocation
+        rows: list[list[float]] = []
         seen: set[str] = set()
         for r in range(count):
             lineno = r + 2
@@ -445,10 +441,14 @@ def import_vectors(path: str) -> VectorSet:
             seen.add(tok)
             tokens.append(tok)
             try:
-                matrix[r] = [float(x) for x in cols[1:]]
+                rows.append([float(x) for x in cols[1:]])
             except ValueError:
                 raise VectorFileError(lineno, "malformed float") from None
         extra = f.readline()
         if extra.strip():
             raise VectorFileError(count + 2, "trailing content after declared rows")
+    matrix = np.array(rows, dtype=np.float64).reshape(count, dim)
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise VectorFileError(int(bad[0]) + 2, "non-finite component")
     return VectorSet(tokens, matrix)

@@ -147,7 +147,7 @@ def apply_with_report(g: Grammar, seq: BoundedSequence) -> tuple[BoundedSequence
     into the grammar's id space first. Unknown characters become untouchable
     pass-through symbols and are tallied in the report.
     """
-    from .repair import SENT, PairMerger  # deferred: repair imports this module
+    from .repair import PairMerger, engine_array  # deferred: repair imports this module
 
     alphabet = seq.alphabet
     terminals = g.terminals
@@ -162,30 +162,13 @@ def apply_with_report(g: Grammar, seq: BoundedSequence) -> tuple[BoundedSequence
         else:
             lut[sid] = gid
 
-    syms = np.asarray(seq.symbols, dtype=np.int64)
-    if syms.size and (syms.min() < 0 or syms.max() >= len(alphabet)):
-        raise DomainError("sequence contains non-terminal symbols")
-    mapped = lut[syms] if syms.size else syms
-    bnd = np.asarray(seq.boundaries, dtype=np.int64)
-    full = np.empty(syms.size + bnd.size, dtype=np.int64)
-    if bnd.size:
-        spots = bnd + np.arange(bnd.size)
-        keep = np.ones(full.size, bool)
-        keep[spots] = False
-        full[spots] = SENT
-        full[keep] = mapped
-    else:
-        full[:] = mapped
-
-    merger = PairMerger.for_replay(full, terminals.clone(), list(seq.doc_ids), g.vocab_size)
+    merger = PairMerger.for_replay(engine_array(seq, lut), terminals.clone(), g.vocab_size)
     merger.replay(g.rules)
     out = merger.sequence()
 
     unknown_chars: dict[str, int] = {}
     if unknown_sids:
-        counts = np.bincount(syms, minlength=len(alphabet)) if syms.size else np.zeros(
-            len(alphabet), dtype=np.int64
-        )
+        counts = np.bincount(np.asarray(seq.symbols, dtype=np.int64), minlength=len(alphabet))
         for sid in unknown_sids:
             c = int(counts[sid])
             if c:
@@ -298,6 +281,8 @@ def load(path: str) -> Grammar:
             raise GrammarFileError(lineno, f"rule ids must be consecutive; got {rid}")
         if not (0 <= left < rid and 0 <= right < rid):
             raise GrammarFileError(lineno, f"rule {rid} references a later or negative symbol")
+        if freq < 0:
+            raise GrammarFileError(lineno, f"rule {rid} has negative frequency {freq}")
         rules.append(Rule(rid, left, right, freq))
     return Grammar(table, rules)
 

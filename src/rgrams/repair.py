@@ -58,12 +58,27 @@ class MergeEvent:
     count: int
 
 
-@dataclass(frozen=True)
-class PairRecord:
-    left: int
-    right: int
-    count: int
-    first_pos: int  # engine coordinate; orders occurrences, not a text offset
+def engine_array(seq: BoundedSequence, lut: np.ndarray | None = None) -> np.ndarray:
+    """int64 engine input: seq's terminal ids with SENT spliced in at each boundary.
+
+    lut, when given, maps every terminal id first (apply moves ids into a
+    grammar's id space with it); without one no mapped copy is made.
+    """
+    syms = np.asarray(seq.symbols, dtype=np.int64)
+    if syms.size and (syms.min() < 0 or syms.max() >= len(seq.alphabet)):
+        raise DomainError("sequence contains non-terminal symbols")
+    if lut is not None:
+        syms = lut[syms]
+    bnd = np.asarray(seq.boundaries, dtype=np.int64)
+    if not bnd.size:
+        return syms
+    full = np.empty(syms.size + bnd.size, dtype=np.int64)
+    spots = bnd + np.arange(bnd.size)
+    keep = np.ones(full.size, bool)
+    keep[spots] = False
+    full[spots] = SENT
+    full[keep] = syms
+    return full
 
 
 class PairMerger:
@@ -78,41 +93,21 @@ class PairMerger:
 
     def __init__(self, seq: BoundedSequence):
         alphabet = seq.alphabet
-        syms = np.asarray(seq.symbols, dtype=np.int64)
-        if syms.size and (syms.min() < 0 or syms.max() >= len(alphabet)):
-            raise DomainError("sequence contains non-terminal symbols")
-        bnd = np.asarray(seq.boundaries, dtype=np.int64)
-        full = np.empty(syms.size + bnd.size, dtype=np.int64)
-        if bnd.size:
-            spots = bnd + np.arange(bnd.size)
-            keep = np.ones(full.size, bool)
-            keep[spots] = False
-            full[spots] = SENT
-            full[keep] = syms
-        else:
-            full[:] = syms
-        self._init_from_array(full, alphabet, list(seq.doc_ids), len(alphabet))
+        self._init_from_array(engine_array(seq), alphabet, len(alphabet))
 
     @classmethod
     def for_replay(
-        cls,
-        engine_symbols: np.ndarray,
-        alphabet: SymbolTable,
-        doc_ids: list[int],
-        next_id: int,
+        cls, engine_symbols: np.ndarray, alphabet: SymbolTable, next_id: int
     ) -> "PairMerger":
-        """Build from a pre-assembled engine array (sentinels/negatives included)."""
+        """Build from an int64 array made by engine_array (negatives never pair)."""
         self = cls.__new__(cls)
-        self._init_from_array(engine_symbols.astype(np.int64), alphabet, doc_ids, next_id)
+        self._init_from_array(engine_symbols, alphabet, next_id)
         return self
 
-    def _init_from_array(
-        self, a: np.ndarray, alphabet: SymbolTable, doc_ids: list[int], next_id: int
-    ) -> None:
+    def _init_from_array(self, a: np.ndarray, alphabet: SymbolTable, next_id: int) -> None:
         n = int(a.size)
         self._n = n
         self._alphabet = alphabet
-        self._doc_ids = doc_ids
         self._next_id = next_id
         self._terminal_count = len(alphabet)
         self._rules: list[Rule] = []
@@ -226,7 +221,7 @@ class PairMerger:
             else:
                 append(OOV_BASE + (-s - 2))  # fresh pass-through terminal
             pos = nxt[pos]
-        return BoundedSequence(out, boundaries, list(self._doc_ids), self._alphabet)
+        return BoundedSequence(out, boundaries, self._alphabet)
 
     # -- selection ---------------------------------------------------------
 
@@ -279,14 +274,6 @@ class PairMerger:
         self._cur_max = cm if cm >= 1 else 1
         return None
 
-    def best_pair(self, min_frequency: int = 2) -> PairRecord | None:
-        sel = self._select(min_frequency)
-        if sel is None:
-            return None
-        key, rec = sel
-        heappush(self._buckets.setdefault(rec[0], []), (rec[1], key))
-        return PairRecord(key >> SHIFT, key & _MASK, rec[0], rec[1])
-
     def merge_once(self, min_frequency: int = 2) -> MergeEvent | None:
         """Perform one merge of the current best pair; None when exhausted."""
         sel = self._select(min_frequency)
@@ -312,6 +299,20 @@ class PairMerger:
             if r is not None and r[0] >= 2:
                 heappush(buckets.setdefault(r[0], []), (r[1], k))
         return event
+
+    def run(self, stop: StopCriteria) -> None:
+        """Merge until max_merges or max_vocabulary is hit or no pair is left.
+
+        Resumable: a later call with a larger max_merges continues the same
+        run, so checkpoints never restart training. stop is not validated.
+        """
+        max_m = stop.max_merges
+        max_v = stop.max_vocabulary
+        while (max_m is None or self.merges < max_m) and (
+            max_v is None or self.vocab_size < max_v
+        ):
+            if self.merge_once(stop.min_frequency) is None:
+                return
 
     def replay(self, rules: Iterable[Rule]) -> None:
         """Re-apply recorded merges in order, ignoring frequencies."""
@@ -600,15 +601,7 @@ def train(
     """
     stop.validate()
     merger = PairMerger(seq)
-    max_m = stop.max_merges
-    max_v = stop.max_vocabulary
-    while True:
-        if max_m is not None and merger.merges >= max_m:
-            break
-        if max_v is not None and merger.vocab_size + 1 > max_v:
-            break
-        if merger.merge_once(stop.min_frequency) is None:
-            break
+    merger.run(stop)
     return merger.grammar(), merger.sequence(), merger.events
 
 
@@ -622,19 +615,7 @@ def train_naive(
     stop.validate()
     table = seq.alphabet
     T = len(table)
-    s: list[int] = []
-    bi = 0
-    bnd = seq.boundaries
-    for i, v in enumerate(seq.symbols):
-        if not 0 <= v < T:
-            raise DomainError("sequence contains non-terminal symbols")
-        while bi < len(bnd) and bnd[bi] == i:
-            s.append(SENT)
-            bi += 1
-        s.append(v)
-    while bi < len(bnd):
-        s.append(SENT)
-        bi += 1
+    s: list[int] = engine_array(seq).tolist()
 
     rules: list[Rule] = []
     events: list[MergeEvent] = []
@@ -694,7 +675,7 @@ def train_naive(
             boundaries.append(len(symbols))
         else:
             symbols.append(v)
-    compressed = BoundedSequence(symbols, boundaries, list(seq.doc_ids), table)
+    compressed = BoundedSequence(symbols, boundaries, table)
     return Grammar(table.clone(), rules), compressed, events
 
 

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .corpus import BoundedSequence
 from .errors import DomainError
-from .repair import PairMerger
+from .repair import PairMerger, StopCriteria
 
 
 @dataclass(frozen=True)
@@ -103,9 +103,7 @@ def checkpoint_curves(
     rows: list[CurveRow] = []
     achieved: dict[int, int] = {}
     for k in merge_checkpoints:
-        while merger.merges < k:
-            if merger.merge_once(min_frequency) is None:
-                break
+        merger.run(StopCriteria(min_frequency=min_frequency, max_merges=k))
         achieved[k] = merger.merges
         dist = rank_frequency(merger.sequence().symbols)
         for rank, (tok, cnt) in enumerate(dist.entries[:top], start=1):

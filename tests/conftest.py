@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, settings
 import corpus_gen
 from rgrams.corpus import encode, normalize
 from rgrams.grammar import Grammar, write_segmented
-from rgrams.repair import PairMerger
+from rgrams.repair import PairMerger, StopCriteria
 
 settings.register_profile(
     "suite",
@@ -70,12 +70,12 @@ def big_run(sample_text_10mb, tmp_path_factory) -> BigRun:
     rank1: dict[int, int] = {}
     monotone = True
     prev_max = current_max()
+    seen = 0
     t0 = time.perf_counter()
     for ck in CHECKPOINTS:
-        while merger.merges < ck:
-            ev = merger.merge_once(2)
-            if ev is None:
-                break
+        merger.run(StopCriteria(max_merges=ck))
+        # replay this stretch's merges so the max is checked after every one
+        for ev in merger.events[seen:]:
             m = ev.count
             if ev.left == ev.right:
                 counts[ev.left] -= 2 * m
@@ -90,6 +90,7 @@ def big_run(sample_text_10mb, tmp_path_factory) -> BigRun:
             if cur > prev_max:
                 monotone = False
             prev_max = cur
+        seen = len(merger.events)
         rank1[ck] = current_max()
     train_seconds = time.perf_counter() - t0
 

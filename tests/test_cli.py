@@ -76,6 +76,11 @@ class TestExitCodes:
         assert rc == 3
         assert "line" in capsys.readouterr().err
 
+    def test_negative_top_is_usage_error(self, corpus, capsys):
+        rc = main(["stats", "--raw", str(corpus), "--checkpoints", "0", "--top", "-1"])
+        assert rc == 1
+        assert "--top" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert main(["train", "--help"]) == 0
@@ -135,6 +140,23 @@ class TestTrain:
         rows = [l for l in out.splitlines() if l.startswith("checkpoint\t")]
         assert len(rows) == 2
         assert rows[0].split("\t")[1] == "0"
+
+    @pytest.mark.parametrize(
+        "stop",
+        [[], ["--max-merges", "7"], ["--max-vocab", "20"], ["--min-freq", "3"]],
+    )
+    def test_checkpoints_do_not_change_result(self, tmp_path, corpus, capsys, stop):
+        # 1000 lies past every stop; 7 equals --max-merges in one case
+        outs = []
+        for extra in ([], ["--checkpoints", "0,3,7,1000"]):
+            g, s = tmp_path / f"g{len(extra)}", tmp_path / f"s{len(extra)}"
+            args = ["train", str(corpus), "--grammar-out", str(g), "--segmented-out", str(s)]
+            assert main(args + stop + extra) == 0
+            outs.append((g.read_bytes(), s.read_bytes()))
+        assert outs[0] == outs[1]
+        dumps = [l.split("\t") for l in capsys.readouterr().out.splitlines()]
+        assert [d[1] for d in dumps] == ["0", "3", "7", "1000"]
+        assert int(dumps[-1][2]) == outs[0][0].count(b"\nr\t")
 
     def test_custom_separator_escape(self, tmp_path, capsys):
         src = tmp_path / "pipes.txt"
@@ -316,6 +338,17 @@ class TestEmbedEval:
         assert rc == 0
         out = capsys.readouterr().out
         assert len([l for l in out.splitlines() if l]) == 3
+
+    def test_negative_k_is_usage_error(self, vectors, capsys):
+        rc = main(["eval", "neighbors", str(vectors), "the", "--k", "-2"])
+        assert rc == 1
+        assert "--k" in capsys.readouterr().err
+
+    def test_non_finite_vectors_are_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.vec"
+        bad.write_text("2 2\nthe nan inf\ncat 1 0\n", encoding="utf-8")
+        assert main(["eval", "neighbors", str(bad), "cat"]) == 3
+        assert "line 2" in capsys.readouterr().err
 
     def test_neighbors_oov(self, vectors, capsys):
         rc = main(["eval", "neighbors", str(vectors), "zzzzz"])

@@ -84,7 +84,6 @@ class TestEncode:
 
     def test_doc_ids_parallel_boundaries(self):
         seq = encode("a\nb\nc")
-        assert seq.doc_ids == [0, 0]
         seq.validate()
 
     def test_chunking_does_not_change_result(self):
@@ -143,7 +142,6 @@ class TestValidate:
     def test_boundary_out_of_range(self):
         seq = encode("ab", NL)
         seq.boundaries = [5]
-        seq.doc_ids = [0]
         with pytest.raises(DomainError):
             seq.validate()
 

@@ -304,3 +304,13 @@ class TestVectorFiles:
     def test_bad_float(self, tmp_path):
         e = self._attempt(tmp_path, "1 2\na one 2\n")
         assert e.line == 2
+
+    @pytest.mark.parametrize("row", ["nan 1", "1 inf", "-inf nan"])
+    def test_non_finite_component(self, tmp_path, row):
+        e = self._attempt(tmp_path, f"2 2\na 1 2\nb {row}\n")
+        assert e.line == 3
+
+    def test_header_count_beyond_file(self, tmp_path):
+        # would need terabytes if the header sized an allocation up front
+        e = self._attempt(tmp_path, "999999999999 100\na " + "0 " * 99 + "0\n")
+        assert e.line == 3

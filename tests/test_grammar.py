@@ -224,6 +224,12 @@ class TestSaveLoad:
             load(self._write(tmp_path, body))
         assert info.value.line == 3
 
+    def test_negative_frequency(self, tmp_path):
+        body = "RGRAM\t1\nT\t1\nt\t0\t97\nr\t1\t0\t0\t2\nr\t2\t1\t1\t-7\n"
+        with pytest.raises(GrammarFileError) as info:
+            load(self._write(tmp_path, body))
+        assert info.value.line == 5
+
 
 class TestEscaping:
     CASES = ["ab", "a b", "_", "a_b", "\\", "a\\_b", " ", "", "嗯 哼"]

@@ -177,6 +177,24 @@ class TestNaiveEquivalence:
     def test_binary_alphabet_property(self, text, mf):
         self.assert_same(text, StopCriteria(min_frequency=mf))
 
+    @settings(max_examples=40)
+    @given(
+        st.lists(st.sampled_from(["a", "b", "ab", "abb", "\n"]), min_size=12, max_size=60),
+        st.lists(st.integers(0, 12), max_size=5),
+        st.one_of(st.none(), st.integers(0, 6)),
+    )
+    def test_resumed_run_matches_oracle(self, words, checkpoints, headroom):
+        # each resumed stretch ends where a fresh oracle run to that point ends
+        seq = encode("".join(words), NL)
+        max_vocab = None if headroom is None else len(seq.alphabet) + headroom
+        merger = PairMerger(seq)
+        for k in sorted(set(checkpoints)) + [None]:
+            stop = StopCriteria(max_vocabulary=max_vocab, max_merges=k)
+            merger.run(stop)
+            _, out, events = train_naive(seq, stop)
+            assert merger.events == events
+            assert list(merger.sequence().symbols) == list(out.symbols)
+
     def test_invariants_hold_during_training(self):
         rng = random.Random(3)
         for _ in range(15):

@@ -4,6 +4,7 @@ import pytest
 
 from rgrams.corpus import encode
 from rgrams.errors import DomainError
+from rgrams.repair import StopCriteria, train
 from rgrams.stats import (
     RankedDistribution,
     checkpoint_curves,
@@ -100,6 +101,11 @@ class TestCheckpointCurves:
         rows, achieved, _ = checkpoint_curves(seq, [0, 3, 10, 30])
         tops = [max(r.count for r in rows if r.checkpoint == k) for k in (0, 3, 10, 30)]
         assert tops == sorted(tops, reverse=True)
+
+    def test_final_grammar_matches_train(self):
+        seq = encode("she sells sea shells by the sea shore " * 20, NL)
+        _, _, g = checkpoint_curves(seq, [0, 3, 10, 30])
+        assert g == train(seq, StopCriteria(max_merges=30))[0]
 
     def test_top_limits_rows(self):
         seq = encode("abcdefgh")
