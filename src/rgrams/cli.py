@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from collections import Counter
 from dataclasses import replace
 
 from . import embed as embed_mod
@@ -147,16 +146,11 @@ def cmd_decode(args, parser: _Parser) -> int:
     return 0
 
 
-def _print_rows(rows) -> None:
-    for checkpoint, rank, token, count in rows:
-        print(f"{checkpoint}\t{rank}\t{token}\t{count}")
-
-
-def _flatness_stderr(entries: list[tuple[int, int]], total: int) -> None:
-    if not entries:
+def _flatness_stderr(dist: RankedDistribution) -> None:
+    if not dist.entries:
         print("empty distribution", file=sys.stderr)
         return
-    rep = flatness(RankedDistribution(tuple(entries), total))
+    rep = flatness(dist)
     print(
         f"vocab {rep.vocab_size}  tokens {rep.token_count}  "
         f"top1_share {rep.top1_share:.6f}  top1/median {rep.top1_over_median:.2f}  "
@@ -177,15 +171,18 @@ def cmd_stats(args, parser: _Parser) -> int:
         parser.error("--segmented takes neither --grammar nor --checkpoints")
     if args.top < 0:
         parser.error("--top must be >= 0")
+    try:
+        StopCriteria(min_frequency=args.min_freq).validate()
+    except ToolError as exc:
+        parser.error(str(exc))
 
     if args.segmented:
-        counts: Counter[str] = Counter()
-        for sent in grammar_mod.read_segmented(args.segmented):
-            counts.update(sent)
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        for rank, (tok, cnt) in enumerate(ranked[: args.top], start=1):
+        dist = rank_frequency(
+            tok for sent in grammar_mod.read_segmented(args.segmented) for tok in sent
+        )
+        for rank, (tok, cnt) in enumerate(dist.entries[: args.top], start=1):
             print(f"-\t{rank}\t{grammar_mod.escape_token(tok)}\t{cnt}")
-        _flatness_stderr([(i, c) for i, (_, c) in enumerate(ranked)], sum(counts.values()))
+        _flatness_stderr(dist)
         return 0
 
     seps = _separators(args.separators, parser)
@@ -198,7 +195,7 @@ def cmd_stats(args, parser: _Parser) -> int:
         dist = rank_frequency(out.symbols)
         for rank, (tok, cnt) in enumerate(dist.entries[: args.top], start=1):
             print(f"-\t{rank}\t{grammar_mod.escape_token(g.expand(tok))}\t{cnt}")
-        _flatness_stderr(list(dist.entries), dist.total)
+        _flatness_stderr(dist)
         return 0
 
     checkpoints = _checkpoint_list(args.checkpoints, parser)
@@ -249,8 +246,11 @@ def cmd_embed(args, parser: _Parser) -> int:
 def cmd_eval_neighbors(args, parser: _Parser) -> int:
     if args.k < 0:
         parser.error("--k must be >= 0")
+    try:
+        query = grammar_mod.unescape_token(args.query)
+    except ValueError as exc:
+        parser.error(f"bad QUERY {args.query!r}: {exc}")
     vs = embed_mod.import_vectors(args.vectors)
-    query = grammar_mod.unescape_token(args.query)
     hits = eval_mod.nearest_neighbors(vs, query, k=args.k)
     if hits is None:
         print(f"token {query!r} not in vocabulary", file=sys.stderr)

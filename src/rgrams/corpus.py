@@ -211,19 +211,7 @@ def decode_terminals(seq: BoundedSequence, separator: str = "\n") -> str:
             chars.append(table.char_of(s))
         else:
             raise DomainError(f"symbol {s} is not a terminal of this sequence")
-    out = []
-    bi = 0
-    bnd = seq.boundaries
-    nb = len(bnd)
-    for i, ch in enumerate(chars):
-        while bi < nb and bnd[bi] == i:
-            out.append(separator)
-            bi += 1
-        out.append(ch)
-    while bi < nb:
-        out.append(separator)
-        bi += 1
-    return "".join(out)
+    return separator.join("".join(chars[lo:hi]) for lo, hi in seq.segments())
 
 
 def read_text_chunks(path, chunk_bytes: int = 1 << 20) -> Iterator[str]:

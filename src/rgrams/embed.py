@@ -14,14 +14,15 @@ pair_gradients exactly, which is what the finite-difference check verifies.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .corpus import substitute_digits
+from .corpus import read_text_chunks, substitute_digits
 from .errors import DomainError, VectorFileError
-from .grammar import escape_token, read_segmented, unescape_token
+from .grammar import _raw_lines, escape_token, read_segmented, unescape_token
 
 log = logging.getLogger(__name__)
 
@@ -52,10 +53,10 @@ class TrainConfig:
             raise DomainError("negatives must be >= 1")
         if self.dim < 1 or self.epochs < 1:
             raise DomainError("dim and epochs must be >= 1")
-        if self.initial_lr <= 0:
-            raise DomainError("initial_lr must be positive")
-        if self.subsample_threshold < 0:
-            raise DomainError("subsample_threshold must be >= 0")
+        if not (math.isfinite(self.initial_lr) and self.initial_lr > 0):
+            raise DomainError("initial_lr must be finite and positive")
+        if not (math.isfinite(self.subsample_threshold) and self.subsample_threshold >= 0):
+            raise DomainError("subsample_threshold must be finite and >= 0")
         if self.subword_ngrams is not None:
             lo, hi = self.subword_ngrams
             if not 1 <= lo <= hi:
@@ -210,31 +211,40 @@ class VectorSet:
         return None if i is None else self.matrix[i]
 
 
-def pair_loss(u: np.ndarray, v_pos: np.ndarray, v_negs: np.ndarray) -> float:
-    """-log sigmoid(u.v_pos) - sum log sigmoid(-u.v_neg); numerically stable."""
+def _pair_terms(
+    u: np.ndarray, v_pos: np.ndarray, v_negs: np.ndarray
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """One SGNS pair at fixed parameters: (loss, g_pos, g_negs, gu).
+
+    g_pos and g_negs are the loss derivatives w.r.t. the scores u.v_pos and
+    u.v_neg; gu is the gradient w.r.t. u. Training and pair_loss /
+    pair_gradients all go through here.
+    """
     s = float(u @ v_pos)
+    g_pos = _sigmoid(s) - 1.0
+    gu = g_pos * v_pos
     loss = float(np.logaddexp(0.0, -s))
     if len(v_negs):
-        sn = np.asarray(v_negs) @ u
+        sn = v_negs @ u
+        g_negs = _sigmoid(sn)
+        gu = gu + g_negs @ v_negs
         loss += float(np.logaddexp(0.0, sn).sum())
-    return loss
+    else:
+        g_negs = np.zeros(0)
+    return loss, g_pos, g_negs, gu
+
+
+def pair_loss(u: np.ndarray, v_pos: np.ndarray, v_negs: np.ndarray) -> float:
+    """-log sigmoid(u.v_pos) - sum log sigmoid(-u.v_neg); numerically stable."""
+    return _pair_terms(u, v_pos, np.asarray(v_negs))[0]
 
 
 def pair_gradients(
     u: np.ndarray, v_pos: np.ndarray, v_negs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analytic gradients of pair_loss w.r.t. (u, v_pos, each v_neg)."""
-    v_negs = np.asarray(v_negs)
-    s = float(u @ v_pos)
-    g_pos = _sigmoid(s) - 1.0
-    gu = g_pos * v_pos
-    if len(v_negs):
-        g_negs = _sigmoid(v_negs @ u)
-        gu = gu + g_negs @ v_negs
-        gv_negs = np.outer(g_negs, u)
-    else:
-        gv_negs = np.zeros((0, len(u)))
-    return gu, g_pos * u, gv_negs
+    _, g_pos, g_negs, gu = _pair_terms(u, v_pos, np.asarray(v_negs))
+    return gu, g_pos * u, np.outer(g_negs, u)
 
 
 def _sigmoid(x):
@@ -354,20 +364,10 @@ def train_skipgram(
                         if cand != ctx:
                             negs.append(cand)
                     vpos = out[ctx]
-                    spos = float(h @ vpos)
-                    gpos = _sigmoid(spos) - 1.0
+                    loss, gpos, gn, gu = _pair_terms(h, vpos, out[negs])
+                    ep_loss += loss
                     if negs:
-                        Vn = out[negs]
-                        sn = Vn @ h
-                        gn = _sigmoid(sn)
-                        gu = gpos * vpos + gn @ Vn
-                        ep_loss += float(np.logaddexp(0.0, -spos)) + float(
-                            np.logaddexp(0.0, sn).sum()
-                        )
                         np.add.at(out, negs, np.outer(-alpha * gn, h))
-                    else:
-                        gu = gpos * vpos
-                        ep_loss += float(np.logaddexp(0.0, -spos))
                     out[ctx] = vpos - alpha * gpos * h
                     if rows_for is not None:
                         # repeated n-gram rows must accumulate their share
@@ -382,6 +382,8 @@ def train_skipgram(
             alpha,
             ep_loss / ep_pairs if ep_pairs else float("nan"),
         )
+        if not math.isfinite(ep_loss):
+            raise DomainError(f"epoch {epoch + 1} loss is not finite; lower the learning rate")
 
     return EmbeddingMatrix(
         input=inp,
@@ -399,6 +401,8 @@ def export_vectors(m: EmbeddingMatrix | VectorSet, path: str) -> None:
     """Text format: header '<count> <dim>', then token + 9-significant-digit
     components per line; token escaped as in the segmented format."""
     vs = m.to_vectors() if isinstance(m, EmbeddingMatrix) else m
+    if not np.isfinite(vs.matrix).all():
+        raise DomainError("vectors have non-finite components; nothing written")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"{len(vs.tokens)} {vs.matrix.shape[1]}\n")
         for tok, row in zip(vs.tokens, vs.matrix):
@@ -409,45 +413,47 @@ def export_vectors(m: EmbeddingMatrix | VectorSet, path: str) -> None:
 
 
 def import_vectors(path: str) -> VectorSet:
-    with open(path, "r", encoding="utf-8", newline="\n") as f:
-        header = f.readline()
-        parts = header.split()
-        if len(parts) != 2:
-            raise VectorFileError(1, "header must be '<count> <dim>'")
+    """Read an export_vectors file; bad bytes raise CorpusDecodeError."""
+    lines = _raw_lines(read_text_chunks(path))
+    parts = next(lines, "").split()
+    if len(parts) != 2:
+        raise VectorFileError(1, "header must be '<count> <dim>'")
+    try:
+        count, dim = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise VectorFileError(1, "non-integer header") from None
+    if count < 0 or dim < 1:
+        raise VectorFileError(1, "invalid header values")
+    tokens: list[str] = []
+    # rows grow as they are read: the header alone must not size an allocation
+    rows: list[list[float]] = []
+    seen: set[str] = set()
+    for r in range(count):
+        lineno = r + 2
+        line = next(lines, None)
+        if line is None:
+            raise VectorFileError(lineno, "truncated file")
+        cols = line.split(" ")
+        if len(cols) != dim + 1:
+            raise VectorFileError(lineno, f"expected {dim + 1} fields, got {len(cols)}")
         try:
-            count, dim = int(parts[0]), int(parts[1])
+            tok = unescape_token(cols[0])
+        except ValueError as exc:
+            raise VectorFileError(lineno, str(exc)) from None
+        if tok in seen:
+            raise VectorFileError(lineno, f"duplicate token {tok!r}")
+        seen.add(tok)
+        tokens.append(tok)
+        try:
+            rows.append([float(x) for x in cols[1:]])
         except ValueError:
-            raise VectorFileError(1, "non-integer header") from None
-        if count < 0 or dim < 1:
-            raise VectorFileError(1, "invalid header values")
-        tokens: list[str] = []
-        # rows grow as they are read: the header alone must not size an allocation
-        rows: list[list[float]] = []
-        seen: set[str] = set()
-        for r in range(count):
-            lineno = r + 2
-            line = f.readline()
-            if not line:
-                raise VectorFileError(lineno, "truncated file")
-            cols = line.rstrip("\n").split(" ")
-            if len(cols) != dim + 1:
-                raise VectorFileError(lineno, f"expected {dim + 1} fields, got {len(cols)}")
-            try:
-                tok = unescape_token(cols[0])
-            except ValueError as exc:
-                raise VectorFileError(lineno, str(exc)) from None
-            if tok in seen:
-                raise VectorFileError(lineno, f"duplicate token {tok!r}")
-            seen.add(tok)
-            tokens.append(tok)
-            try:
-                rows.append([float(x) for x in cols[1:]])
-            except ValueError:
-                raise VectorFileError(lineno, "malformed float") from None
-        extra = f.readline()
-        if extra.strip():
-            raise VectorFileError(count + 2, "trailing content after declared rows")
-    matrix = np.array(rows, dtype=np.float64).reshape(count, dim)
+            raise VectorFileError(lineno, "malformed float") from None
+    if next(lines, "").strip():
+        raise VectorFileError(count + 2, "trailing content after declared rows")
+    try:
+        matrix = np.array(rows, dtype=np.float64).reshape(count, dim)
+    except ValueError:  # only an empty file can declare a dim numpy cannot shape
+        raise VectorFileError(1, "invalid header values") from None
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
         raise VectorFileError(int(bad[0]) + 2, "non-finite component")

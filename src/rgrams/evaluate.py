@@ -8,11 +8,13 @@ terms excluded from the candidates.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from .corpus import read_text_chunks
 from .embed import VectorSet
 from .errors import DomainError
 from .grammar import unescape_token
@@ -191,6 +193,19 @@ def similarity_suite(
 # -- suite files ---------------------------------------------------------------
 
 
+def _suite_lines(path: str) -> Iterator[tuple[int, str]]:
+    """Numbered lines of a UTF-8 suite file, universal newlines; bad bytes
+    raise CorpusDecodeError."""
+    return enumerate(io.StringIO("".join(read_text_chunks(path)), newline=None), start=1)
+
+
+def _unescape_fields(fields: Sequence[str], path: str, lineno: int) -> list[str]:
+    try:
+        return [unescape_token(t) for t in fields]
+    except ValueError as exc:
+        raise DomainError(f"{path}:{lineno}: {exc}") from None
+
+
 def read_analogies(path: str) -> tuple[list[AnalogyQuery], list[str]]:
     """Four whitespace-separated (escaped) tokens per line.
 
@@ -199,36 +214,34 @@ def read_analogies(path: str) -> tuple[list[AnalogyQuery], list[str]]:
     """
     queries: list[AnalogyQuery] = []
     sections: list[str] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            s = line.strip()
-            if not s:
-                continue
-            if s.startswith(":"):
-                sections.append(s[1:].strip())
-                continue
-            parts = s.split()
-            if len(parts) != 4:
-                raise DomainError(f"{path}:{lineno}: expected 4 tokens, got {len(parts)}")
-            a, b, c, gold = (unescape_token(p) for p in parts)
-            queries.append(AnalogyQuery(a, b, c, gold))
+    for lineno, line in _suite_lines(path):
+        s = line.strip()
+        if not s:
+            continue
+        if s.startswith(":"):
+            sections.append(s[1:].strip())
+            continue
+        parts = s.split()
+        if len(parts) != 4:
+            raise DomainError(f"{path}:{lineno}: expected 4 tokens, got {len(parts)}")
+        queries.append(AnalogyQuery(*_unescape_fields(parts, path, lineno)))
     return queries, sections
 
 
 def read_similarity(path: str) -> list[tuple[str, str, float]]:
     """TSV: token1<TAB>token2<TAB>gold-score, tokens escaped."""
     pairs: list[tuple[str, str, float]] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            s = line.rstrip("\n")
-            if not s.strip():
-                continue
-            parts = s.split("\t")
-            if len(parts) != 3:
-                raise DomainError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            try:
-                gold = float(parts[2])
-            except ValueError:
-                raise DomainError(f"{path}:{lineno}: malformed score") from None
-            pairs.append((unescape_token(parts[0]), unescape_token(parts[1]), gold))
+    for lineno, line in _suite_lines(path):
+        s = line.rstrip("\n")
+        if not s.strip():
+            continue
+        parts = s.split("\t")
+        if len(parts) != 3:
+            raise DomainError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        try:
+            gold = float(parts[2])
+        except ValueError:
+            raise DomainError(f"{path}:{lineno}: malformed score") from None
+        t1, t2 = _unescape_fields(parts[:2], path, lineno)
+        pairs.append((t1, t2, gold))
     return pairs

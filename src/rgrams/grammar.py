@@ -13,11 +13,11 @@ ids OOV_BASE + codepoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .corpus import BoundedSequence, SymbolTable
+from .corpus import BoundedSequence, SymbolTable, read_text_chunks
 from .errors import (
     DomainError,
     GrammarFileError,
@@ -187,19 +187,8 @@ def decode(g: Grammar, seq: BoundedSequence, separator: str = "\n") -> str:
     if len(separator) != 1:
         raise DomainError("separator must be a single character")
     exp = g.expand
-    out: list[str] = []
-    bi = 0
-    bnd = seq.boundaries
-    nb = len(bnd)
-    for i, s in enumerate(seq.symbols):
-        while bi < nb and bnd[bi] == i:
-            out.append(separator)
-            bi += 1
-        out.append(exp(s))
-    while bi < nb:
-        out.append(separator)
-        bi += 1
-    return "".join(out)
+    syms = seq.symbols
+    return separator.join("".join(map(exp, syms[lo:hi])) for lo, hi in seq.segments())
 
 
 # -- grammar files -----------------------------------------------------------
@@ -225,9 +214,7 @@ def _int_field(parts: list[str], idx: int, lineno: int, what: str) -> int:
 
 
 def load(path: str) -> Grammar:
-    with open(path, "r", encoding="utf-8", newline="\n") as f:
-        text = f.read()
-    lines = text.split("\n")
+    lines = "".join(read_text_chunks(path)).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -235,7 +222,8 @@ def load(path: str) -> Grammar:
     head = lines[0].split("\t")
     if head[0] != MAGIC:
         raise GrammarFileError(1, f"bad magic {lines[0]!r}")
-    if len(head) != 2 or not head[1].isdigit():
+    # isdecimal, not isdigit: "²" is a digit that int() rejects
+    if len(head) != 2 or not head[1].isdecimal():
         raise GrammarFileError(1, "malformed version field")
     if int(head[1]) != VERSION:
         raise GrammarVersionError(int(head[1]), VERSION)
@@ -326,23 +314,18 @@ def write_segmented(g: Grammar, seq: BoundedSequence, dest: str | TextIO) -> Non
     exp = g.expand
 
     def lines() -> Iterator[str]:
-        bi = 0
-        bnd = seq.boundaries
-        nb = len(bnd)
-        for i, s in enumerate(seq.symbols):
-            while bi < nb and bnd[bi] == i:
+        syms = seq.symbols
+        for k, (lo, hi) in enumerate(seq.segments()):
+            if k:
                 yield ""
-                bi += 1
-            t = exp(s)
-            if "\n" in t:
-                raise DomainError(
-                    "token expansion contains a newline; it cannot be written "
-                    "one-token-per-line (use a different separator set)"
-                )
-            yield escape_token(t)
-        while bi < nb:
-            yield ""
-            bi += 1
+            for s in syms[lo:hi]:
+                t = exp(s)
+                if "\n" in t:
+                    raise DomainError(
+                        "token expansion contains a newline; it cannot be written "
+                        "one-token-per-line (use a different separator set)"
+                    )
+                yield escape_token(t)
 
     own = isinstance(dest, str)
     f = open(dest, "w", encoding="utf-8", newline="\n") if own else dest
@@ -360,13 +343,10 @@ def write_segmented(g: Grammar, seq: BoundedSequence, dest: str | TextIO) -> Non
             f.close()
 
 
-def _raw_lines(f: TextIO) -> Iterator[str]:
-    """Split on '\\n' only; tolerate a missing final newline."""
+def _raw_lines(chunks: Iterable[str]) -> Iterator[str]:
+    """Split text chunks on '\\n' only; tolerate a missing final newline."""
     buf = ""
-    while True:
-        chunk = f.read(1 << 20)
-        if not chunk:
-            break
+    for chunk in chunks:
         buf += chunk
         parts = buf.split("\n")
         buf = parts.pop()
@@ -376,23 +356,22 @@ def _raw_lines(f: TextIO) -> Iterator[str]:
 
 
 def read_segmented(src: str | TextIO) -> Iterator[list[str]]:
-    """Yield one list of tokens per segment; k boundaries give k+1 lists."""
-    own = isinstance(src, str)
-    f = open(src, "r", encoding="utf-8", newline="") if own else src
-    try:
-        sentence: list[str] = []
-        lineno = 0
-        for raw in _raw_lines(f):
-            lineno += 1
-            if raw == "":
-                yield sentence
-                sentence = []
-            else:
-                try:
-                    sentence.append(unescape_token(raw))
-                except ValueError as exc:
-                    raise SegmentedFileError(lineno, str(exc)) from None
-        yield sentence
-    finally:
-        if own:
-            f.close()
+    """Yield one list of tokens per segment; k boundaries give k+1 lists.
+
+    A path is read as UTF-8; bad bytes raise CorpusDecodeError.
+    """
+    if isinstance(src, str):
+        chunks = read_text_chunks(src)
+    else:
+        chunks = iter(lambda: src.read(1 << 20), "")
+    sentence: list[str] = []
+    for lineno, raw in enumerate(_raw_lines(chunks), start=1):
+        if raw == "":
+            yield sentence
+            sentence = []
+        else:
+            try:
+                sentence.append(unescape_token(raw))
+            except ValueError as exc:
+                raise SegmentedFileError(lineno, str(exc)) from None
+    yield sentence

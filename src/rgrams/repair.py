@@ -1,11 +1,11 @@
 """Iterated most-frequent-pair replacement over a bounded symbol sequence.
 
 Two trainers live here. train() drives an incremental pair index (linked
-sequence, per-pair occurrence lists threaded through position arrays, bucket
-queue by count) and runs in amortized near-linear time. train_naive() is a
-literal rescan-and-replace reference with the same observable behaviour; it
-exists so the fast path can be checked against it and stays deliberately
-simple.
+sequence, per-pair occurrence lists threaded through position arrays, one
+lazy max-heap keyed by count, then first position) and runs in amortized
+near-linear time. train_naive() is a literal rescan-and-replace reference
+with the same observable behaviour; it exists so the fast path can be
+checked against it and stays deliberately simple.
 
 Counting convention: a pair's count is the number of replacements a single
 left-to-right pass would perform, i.e. greedy non-overlapping occurrences.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Iterable
 
 import numpy as np
@@ -82,7 +82,7 @@ def engine_array(seq: BoundedSequence, lut: np.ndarray | None = None) -> np.ndar
 
 
 class PairMerger:
-    """Incremental merge state: sequence, pair index, priority buckets.
+    """Incremental merge state: sequence, pair index, lazy selection heap.
 
     The invariant carried through every mutation: for each active pair, the
     indexed occurrences are exactly the greedy left-to-right non-overlapping
@@ -113,69 +113,57 @@ class PairMerger:
         self._rules: list[Rule] = []
         self._events: list[MergeEvent] = []
         self._replacements = 0
-        self._buckets: dict[int, list[tuple[int, int]]] | None = None
-        self._cur_max = 0
+        self._heap: list[tuple[int, int, int]] | None = None  # built by _select
 
         self._sym = array("i")
-        self._nxt = array("i")
-        self._prv = array("i")
-        if n == 0:
-            self._nocc = array("i")
-            self._pocc = array("i")
-            self._is_head = bytearray()
-            self._pairs: dict[int, list[int]] = {}
-            return
         self._sym.frombytes(a.astype(np.int32).tobytes())
         nxt = np.arange(1, n + 1, dtype=np.int32)
-        nxt[-1] = NIL
+        nxt[-1:] = NIL
         prv = np.arange(-1, n - 1, dtype=np.int32)
+        self._nxt = array("i")
         self._nxt.frombytes(nxt.tobytes())
+        self._prv = array("i")
         self._prv.frombytes(prv.tobytes())
 
         # Greedy head mask. Distinct-symbol pairs never overlap themselves;
         # for same-symbol runs the heads sit at even offsets from the run start.
         valid = a >= 0
-        if n == 1:
-            head = np.zeros(0, bool)
-        else:
-            pairv = valid[:-1] & valid[1:]
-            eq = pairv & (a[:-1] == a[1:])
-            newrun = np.empty(n, bool)
-            newrun[0] = True
-            newrun[1:] = (a[1:] != a[:-1]) | ~valid[1:] | ~valid[:-1]
-            idx = np.arange(n)
-            runstart = np.maximum.accumulate(np.where(newrun, idx, 0))
-            offset = idx - runstart
-            head = (pairv & ~eq) | (eq & (offset[:-1] % 2 == 0))
+        pairv = valid[:-1] & valid[1:]
+        eq = pairv & (a[:-1] == a[1:])
+        newrun = np.empty(n, bool)
+        newrun[:1] = True
+        newrun[1:] = (a[1:] != a[:-1]) | ~valid[1:] | ~valid[:-1]
+        idx = np.arange(n)
+        runstart = np.maximum.accumulate(np.where(newrun, idx, 0))
+        offset = idx - runstart
+        head = (pairv & ~eq) | (eq & (offset[:-1] % 2 == 0))
 
         nocc = np.full(n, NIL, dtype=np.int32)
         pocc = np.full(n, NIL, dtype=np.int32)
         pairs: dict[int, list[int]] = {}
         hp = np.nonzero(head)[0]
-        if hp.size:
-            keys = (a[hp] << SHIFT) | a[hp + 1]
-            order = np.argsort(keys, kind="stable")
-            sp = hp[order]
-            sk = keys[order]
-            samegrp = np.empty(len(sk), bool)
-            samegrp[0] = False
-            samegrp[1:] = sk[1:] == sk[:-1]
-            link = samegrp[1:]
-            src = sp[:-1][link]
-            dst = sp[1:][link]
-            nocc[src] = dst
-            pocc[dst] = src
-            gstart = np.nonzero(~samegrp)[0]
-            gend = np.append(gstart[1:], len(sk))
-            for s_, e_ in zip(gstart, gend):
-                pairs[int(sk[s_])] = [int(e_ - s_), int(sp[s_]), int(sp[e_ - 1])]
+        keys = (a[hp] << SHIFT) | a[hp + 1]
+        order = np.argsort(keys, kind="stable")
+        sp = hp[order]
+        sk = keys[order]
+        samegrp = np.empty(len(sk), bool)
+        samegrp[:1] = False
+        samegrp[1:] = sk[1:] == sk[:-1]
+        link = samegrp[1:]
+        src = sp[:-1][link]
+        dst = sp[1:][link]
+        nocc[src] = dst
+        pocc[dst] = src
+        gstart = np.nonzero(~samegrp)[0]
+        gend = np.append(gstart[1:], len(sk))
+        for s_, e_ in zip(gstart, gend):
+            pairs[int(sk[s_])] = [int(e_ - s_), int(sp[s_]), int(sp[e_ - 1])]
         self._nocc = array("i")
         self._nocc.frombytes(nocc.tobytes())
         self._pocc = array("i")
         self._pocc.frombytes(pocc.tobytes())
         ism = np.zeros(n, dtype=np.uint8)
-        if hp.size:
-            ism[hp] = 1
+        ism[hp] = 1
         self._is_head = bytearray(ism.tobytes())
         self._pairs = pairs
 
@@ -225,53 +213,33 @@ class PairMerger:
 
     # -- selection ---------------------------------------------------------
 
-    def _ensure_buckets(self) -> None:
-        if self._buckets is not None:
-            return
-        buckets: dict[int, list[tuple[int, int]]] = {}
-        for key, rec in self._pairs.items():
-            if rec[0] >= 2:
-                buckets.setdefault(rec[0], []).append((rec[1], key))
-        for heap in buckets.values():
-            heapify(heap)
-        self._buckets = buckets
-        self._cur_max = max(buckets) if buckets else 1
-
     def _select(self, min_frequency: int) -> tuple[int, list[int]] | None:
         """Pop the best mergeable pair, lazily repairing stale heap entries.
 
-        Entry staleness: a pair's count only decreases after its creation
-        pass, and its first position only moves right, so entries migrate
-        down-bucket / right-in-heap the first time they are examined.
+        The heap holds (-count, first position, key). A pair's count only
+        falls after its creation pass and its first position only moves
+        right, so a stale entry ranks too high and is fixed when it reaches
+        the top. No two live pairs share a first position, so the key never
+        decides between two up-to-date entries.
         """
-        self._ensure_buckets()
-        buckets = self._buckets
+        heap = self._heap
         pairs = self._pairs
-        cm = self._cur_max
-        while cm >= min_frequency:
-            heap = buckets.get(cm)
-            if not heap:
-                buckets.pop(cm, None)
-                cm -= 1
-                continue
-            fp, key = heap[0]
+        if heap is None:
+            heap = [(-rec[0], rec[1], key) for key, rec in pairs.items() if rec[0] >= 2]
+            heapify(heap)
+            self._heap = heap
+        while heap:
+            negc, fp, key = heap[0]
+            if -negc < min_frequency:
+                break
             rec = pairs.get(key)
             if rec is None or rec[0] < 2:
                 heappop(heap)
-                continue
-            c = rec[0]
-            if c != cm:
+            elif rec[0] != -negc or rec[1] != fp:
+                heapreplace(heap, (-rec[0], rec[1], key))
+            else:
                 heappop(heap)
-                heappush(buckets.setdefault(c, []), (rec[1], key))
-                continue
-            if rec[1] != fp:
-                heappop(heap)
-                heappush(heap, (rec[1], key))
-                continue
-            heappop(heap)
-            self._cur_max = cm
-            return key, rec
-        self._cur_max = cm if cm >= 1 else 1
+                return key, rec
         return None
 
     def merge_once(self, min_frequency: int = 2) -> MergeEvent | None:
@@ -291,13 +259,12 @@ class PairMerger:
         self._rules.append(Rule(new_id, left, right, count))
         event = MergeEvent(new_id, left, right, count)
         self._events.append(event)
-        self._cur_max = count
-        buckets = self._buckets
+        heap = self._heap
         pairs = self._pairs
         for k in created:
             r = pairs.get(k)
             if r is not None and r[0] >= 2:
-                heappush(buckets.setdefault(r[0], []), (r[1], k))
+                heappush(heap, (-r[0], r[1], k))
         return event
 
     def run(self, stop: StopCriteria) -> None:
@@ -412,42 +379,26 @@ class PairMerger:
             nrep += 1
             if reidx != NIL:
                 self._reindex_run(right, reidx, reidx_after)
-            # fresh pair on the left
-            if xs >= 0:
-                if xs == new_id:
-                    w = prv[x]
-                    if not (w != NIL and sym[w] == new_id and is_head[w]):
-                        kn = (new_id << S) | new_id
-                        rn = pairs.get(kn)
-                        if rn is None:
-                            pairs[kn] = [1, x, x]
-                            pocc[x] = NIL
-                            nocc[x] = NIL
-                        else:
-                            t = rn[2]
-                            nocc[t] = x
-                            pocc[x] = t
-                            nocc[x] = NIL
-                            rn[2] = x
-                            rn[0] += 1
-                        is_head[x] = 1
-                        created[kn] = None
+            # fresh pair on the left, unless x is the second half of a
+            # (new_id, new_id) occurrence that already heads at w
+            if xs >= 0 and not (
+                xs == new_id and (w := prv[x]) != NIL and sym[w] == new_id and is_head[w]
+            ):
+                kn = (xs << S) | new_id
+                rn = pairs.get(kn)
+                if rn is None:
+                    pairs[kn] = [1, x, x]
+                    pocc[x] = NIL
+                    nocc[x] = NIL
                 else:
-                    kn = (xs << S) | new_id
-                    rn = pairs.get(kn)
-                    if rn is None:
-                        pairs[kn] = [1, x, x]
-                        pocc[x] = NIL
-                        nocc[x] = NIL
-                    else:
-                        t = rn[2]
-                        nocc[t] = x
-                        pocc[x] = t
-                        nocc[x] = NIL
-                        rn[2] = x
-                        rn[0] += 1
-                    is_head[x] = 1
-                    created[kn] = None
+                    t = rn[2]
+                    nocc[t] = x
+                    pocc[x] = t
+                    nocc[x] = NIL
+                    rn[2] = x
+                    rn[0] += 1
+                is_head[x] = 1
+                created[kn] = None
             # fresh pair on the right
             if y != NIL:
                 ys = sym[y]
@@ -597,7 +548,8 @@ def train(
     """Learn a merge grammar; returns (grammar, compressed sequence, log).
 
     An empty sequence yields an empty grammar and empty output. The full
-    input sequence is held in memory (about 18 bytes per symbol).
+    input sequence is held in memory: about 18 bytes per symbol in steady
+    state, with a higher peak while the engine is built.
     """
     stop.validate()
     merger = PairMerger(seq)

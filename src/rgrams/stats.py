@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .corpus import BoundedSequence
@@ -19,7 +19,10 @@ from .repair import PairMerger, StopCriteria
 
 @dataclass(frozen=True)
 class RankedDistribution:
-    """(token id, count) entries, count descending, id ascending on ties."""
+    """(token, count) entries, count descending, token ascending on ties.
+
+    Tokens are symbol ids, or strings when counting a segmented file.
+    """
 
     entries: tuple[tuple[int, int], ...]
     total: int
@@ -99,11 +102,13 @@ def checkpoint_curves(
         raise DomainError("checkpoints must be strictly ascending")
     if any(k < 0 for k in merge_checkpoints):
         raise DomainError("checkpoints must be non-negative")
+    stop = StopCriteria(min_frequency=min_frequency)
+    stop.validate()
     merger = PairMerger(seq)
     rows: list[CurveRow] = []
     achieved: dict[int, int] = {}
     for k in merge_checkpoints:
-        merger.run(StopCriteria(min_frequency=min_frequency, max_merges=k))
+        merger.run(replace(stop, max_merges=k))
         achieved[k] = merger.merges
         dist = rank_frequency(merger.sequence().symbols)
         for rank, (tok, cnt) in enumerate(dist.entries[:top], start=1):

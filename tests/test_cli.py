@@ -76,6 +76,12 @@ class TestExitCodes:
         assert rc == 3
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mf", ["1", "0", "-3"])
+    def test_stats_bad_min_freq_is_usage_error(self, corpus, capsys, mf):
+        rc = main(["stats", "--raw", str(corpus), "--checkpoints", "0,3", "--min-freq", mf])
+        assert rc == 1
+        assert "min_frequency" in capsys.readouterr().err
+
     def test_negative_top_is_usage_error(self, corpus, capsys):
         rc = main(["stats", "--raw", str(corpus), "--checkpoints", "0", "--top", "-1"])
         assert rc == 1
@@ -379,6 +385,31 @@ class TestEmbedEval:
         assert rc == 0
         out = capsys.readouterr().out
         assert "spearman" in out and "coverage\t1.0" in out
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--lr", "nan"), ("--lr", "inf"), ("--subsample", "nan")]
+    )
+    def test_non_finite_rate_is_usage_error(self, trained, tmp_path, capsys, flag, value):
+        _, s = trained
+        v = tmp_path / "v.vec"
+        assert main(["embed", str(s), "--vectors-out", str(v), flag, value]) == 1
+        assert not v.exists()
+        capsys.readouterr()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "extra",
+        # without subsampling the loss overflows first; with it (the default)
+        # the loss stays finite while the last updates overflow the vectors
+        [["--subsample", "0"], []],
+    )
+    def test_diverging_training_writes_nothing(self, trained, tmp_path, capsys, extra):
+        _, s = trained
+        v = tmp_path / "v.vec"
+        rc = main(["embed", str(s), "--vectors-out", str(v), "--lr", "1e308", *extra])
+        assert rc == 3
+        assert not v.exists()
+        assert "finite" in capsys.readouterr().err
 
     def test_bad_subword_spec(self, trained, tmp_path, capsys):
         _, s = trained

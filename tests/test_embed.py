@@ -9,6 +9,7 @@ from rgrams.embed import (
     EmbedVocab,
     NegativeSampler,
     TrainConfig,
+    VectorSet,
     build_vocab,
     export_vectors,
     import_vectors,
@@ -211,6 +212,37 @@ class TestTraining:
         ):
             with pytest.raises(DomainError):
                 tiny_config(**bad).validate()
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(initial_lr=math.nan),
+            dict(initial_lr=math.inf),
+            dict(subsample_threshold=math.nan),
+            dict(subsample_threshold=math.inf),
+        ],
+    )
+    def test_config_rejects(self, bad):
+        with pytest.raises(DomainError):
+            tiny_config(**bad).validate()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_epoch_raises(self):
+        with pytest.raises(DomainError, match="loss is not finite"):
+            train_skipgram(SENTS, tiny_config(initial_lr=1e308))
+
+    def test_epoch_without_pairs_passes(self):
+        m = train_skipgram([["the"], ["cat"]], tiny_config(initial_lr=1e308))
+        assert np.isfinite(m.input).all()
+
+    def test_export_refuses_and_writes_nothing(self, tmp_path):
+        path = tmp_path / "v.vec"
+        vs = VectorSet(["a", "b"], np.array([[1.0, 2.0], [math.nan, 0.0]]))
+        with pytest.raises(DomainError):
+            export_vectors(vs, str(path))
+        assert not path.exists()
 
 
 class TestSubword:

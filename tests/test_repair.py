@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rgrams.corpus import encode
+from rgrams.corpus import decode_terminals, encode
 from rgrams.errors import DomainError
+from rgrams.grammar import apply, decode
 from rgrams.repair import (
     MergeEvent,
     PairMerger,
@@ -195,6 +196,23 @@ class TestNaiveEquivalence:
             assert merger.events == events
             assert list(merger.sequence().symbols) == list(out.symbols)
 
+    @settings(max_examples=40)
+    @given(
+        st.lists(st.sampled_from(["a", "b", "ab", "abb", "ba", "\n"]), min_size=12, max_size=80),
+        st.integers(3, 6),
+    )
+    def test_lower_min_frequency_resumes(self, words, k):
+        # a min-frequency stop leaves heap entries behind; a later run with a
+        # lower floor must continue exactly where a fresh oracle run would
+        seq = encode("".join(words), NL)
+        merger = PairMerger(seq)
+        merger.run(StopCriteria(min_frequency=k))
+        assert merger.events == train_naive(seq, StopCriteria(min_frequency=k))[2]
+        merger.run(StopCriteria(min_frequency=2))
+        _, out, events = train_naive(seq, StopCriteria())
+        assert merger.events == events
+        assert list(merger.sequence().symbols) == list(out.symbols)
+
     def test_invariants_hold_during_training(self):
         rng = random.Random(3)
         for _ in range(15):
@@ -204,6 +222,25 @@ class TestNaiveEquivalence:
             m.check_invariants()
             while m.merge_once() is not None:
                 m.check_invariants()
+
+
+class TestSizeEdges:
+    """Both engine paths (training and replay) on the smallest inputs."""
+
+    @pytest.mark.parametrize("text", ["", "\n", "\n\n", "a", "aa", "\u00e9\u00e9\u00e9\n\u00e9"])
+    def test_train_and_apply(self, text):
+        seq = encode(text, NL)
+        g, out, ev = train(seq)
+        g2, out2, ev2 = train_naive(encode(text, NL))
+        assert (g, ev) == (g2, ev2)
+        assert (list(out.symbols), out.boundaries) == (list(out2.symbols), out2.boundaries)
+        assert decode(g, out) == decode_terminals(seq)
+        replayed = apply(g, encode(text, NL))
+        assert list(replayed.symbols) == list(out.symbols)
+        assert replayed.boundaries == out.boundaries
+        # no input character is in this grammar's alphabet
+        other, _, _ = train(encode("zzzz"))
+        assert decode(other, apply(other, seq)) == decode_terminals(seq)
 
 
 class TestDeterminism:

@@ -66,6 +66,11 @@ class TestFlatness:
 
 
 class TestCheckpointCurves:
+    @pytest.mark.parametrize("mf", [1, 0, -3])
+    def test_min_frequency_below_two_rejected(self, mf):
+        with pytest.raises(DomainError, match="min_frequency"):
+            checkpoint_curves(encode("abab"), [0, 3], min_frequency=mf)
+
     def test_zero_checkpoint_is_raw_distribution(self):
         seq = encode("aaaa")
         rows, achieved, g = checkpoint_curves(seq, [0])
