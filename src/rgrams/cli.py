@@ -119,7 +119,6 @@ def cmd_apply(args, parser: _Parser) -> int:
     opts = NormalizationOptions(lowercase=args.lowercase, digits_to_N=args.digits_to_n)
     seq = encode_file(args.input, seps, opts)
     out, report = grammar_mod.apply_with_report(g, seq)
-    grammar_mod.write_segmented(g, out, args.output)
     if report.unknown_total:
         chars = ", ".join(repr(c) for c in sorted(report.unknown_chars))
         print(
@@ -127,7 +126,8 @@ def cmd_apply(args, parser: _Parser) -> int:
             file=sys.stderr,
         )
         if args.strict:
-            return 3
+            return 3  # before writing: a data error leaves no output file
+    grammar_mod.write_segmented(g, out, args.output)
     return 0
 
 
@@ -136,13 +136,10 @@ def cmd_decode(args, parser: _Parser) -> int:
     sep = _unescape_arg(args.separator)
     if len(sep) != 1:
         parser.error("--separator must be exactly one character")
+    # read all of the input first: a data error leaves no output file
+    text = sep.join("".join(segment) for segment in grammar_mod.read_segmented(args.input))
     with open(args.output, "w", encoding="utf-8", newline="") as out:
-        first = True
-        for segment in grammar_mod.read_segmented(args.input):
-            if not first:
-                out.write(sep)
-            out.write("".join(segment))
-            first = False
+        out.write(text)
     return 0
 
 

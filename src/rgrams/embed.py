@@ -263,6 +263,8 @@ def train_skipgram(
     lists. Tokens below min_token_count are dropped from sentences before
     windowing; so are tokens removed by subsampling. pair_log, if given,
     collects every (center, context) token pair actually trained on.
+    DomainError when an epoch's loss is not finite or when the whole run
+    trains no pair, which would leave the vectors untrained.
     """
     config.validate()
     sents_raw: list[list[str]] = [
@@ -322,6 +324,7 @@ def train_skipgram(
     denom = config.epochs * train_words + 1
     tokens = vocab.tokens
     processed = 0
+    total_pairs = 0
     alpha = lr0
 
     for epoch in range(config.epochs):
@@ -375,15 +378,16 @@ def train_skipgram(
                     else:
                         inp[c] = h - alpha * gu
                     ep_pairs += 1
-        log.info(
-            "epoch %d/%d lr %.6f mean pair loss %.6f",
-            epoch + 1,
-            config.epochs,
-            alpha,
-            ep_loss / ep_pairs if ep_pairs else float("nan"),
-        )
+        summary = f"mean pair loss {ep_loss / ep_pairs:.6f}" if ep_pairs else "0 pairs"
+        log.info("epoch %d/%d lr %.6f %s", epoch + 1, config.epochs, alpha, summary)
         if not math.isfinite(ep_loss):
             raise DomainError(f"epoch {epoch + 1} loss is not finite; lower the learning rate")
+        total_pairs += ep_pairs
+    if not total_pairs:
+        raise DomainError(
+            "no (center, context) pairs were trained: no segment kept two tokens "
+            "after subsampling; lower --subsample or use longer segments"
+        )
 
     return EmbeddingMatrix(
         input=inp,

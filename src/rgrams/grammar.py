@@ -7,12 +7,17 @@ and every symbol denotes a fixed terminal string.
 Application replays the rules over new text in creation order (the usual
 BPE convention) instead of re-ranking pairs by frequency; characters the
 grammar has never seen pass through as fresh single-character symbols with
-ids OOV_BASE + codepoint.
+ids OOV_BASE + codepoint. apply() does this by rule rank: a per-grammar
+table maps each rule's pair to its id, and a small heap per segment pops
+the pairs that are rule keys in (rule id, position) order. apply_naive()
+is the literal rule-by-rule replay that apply() is checked against.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -27,6 +32,16 @@ from .errors import (
 )
 
 OOV_BASE = 1 << 32  # ids at OOV_BASE + cp are pass-through single characters
+
+# apply's engine: pair keys (left << _SHIFT) | right and heap entries
+# (rule id << _SHIFT) | position; ids and positions fit in int32.
+_SHIFT = 32
+SENT = -1  # boundary sentinel inside engine arrays (repair.engine_array); never pairable
+_DEAD = -(1 << 31)  # a merged-away slot; no unknown character encodes to it
+_KEY_END = np.iinfo(np.int64).max  # above every pair key
+
+# Grammar._rank_table: (rank, keys, ids, left, right)
+_RankTable = tuple[dict[int, int], np.ndarray, np.ndarray, list[int], list[int]]
 
 MAGIC = "RGRAM"
 VERSION = 1
@@ -53,7 +68,7 @@ class ApplyReport:
 class Grammar:
     """Immutable after construction; safe to share across threads."""
 
-    __slots__ = ("terminals", "rules", "_exp", "_depth")
+    __slots__ = ("terminals", "rules", "_exp", "_depth", "_rank")
 
     def __init__(self, terminals: SymbolTable, rules: list[Rule]):
         T = len(terminals)
@@ -66,6 +81,7 @@ class Grammar:
         self.rules = tuple(rules)
         self._exp: list[str | None] = [None] * (T + len(rules))
         self._depth: list[int] = []
+        self._rank: _RankTable | None = None
 
     @property
     def terminal_count(self) -> int:
@@ -135,19 +151,44 @@ class Grammar:
             self._depth = d
         return self._depth[s]
 
+    def _rank_table(self) -> _RankTable:
+        """apply's lookups, built once: (rank, keys, ids, left, right).
+
+        rank maps a pair key (left << _SHIFT) | right to its rule id; a key
+        repeated in several rules maps to its lowest id, because in-order
+        replay leaves no occurrence of the pair for a later copy to merge.
+        keys holds the same keys sorted, ids their rule ids; keys ends in
+        _KEY_END so that searchsorted always returns a valid index. left[k]
+        and right[k] are rule k's pair (terminal slots hold SENT).
+        """
+        if self._rank is None:
+            rank = {(r.left << _SHIFT) | r.right: r.id for r in reversed(self.rules)}
+            keys = np.fromiter(rank, dtype=np.int64, count=len(rank))
+            ids = np.fromiter(rank.values(), dtype=np.int64, count=len(rank))
+            order = np.argsort(keys)
+            pad = [SENT] * len(self.terminals)
+            self._rank = (
+                rank,
+                np.append(keys[order], _KEY_END),
+                np.append(ids[order], 0),
+                pad + [r.left for r in self.rules],
+                pad + [r.right for r in self.rules],
+            )
+        return self._rank
+
 
 def apply(g: Grammar, seq: BoundedSequence) -> BoundedSequence:
     return apply_with_report(g, seq)[0]
 
 
-def apply_with_report(g: Grammar, seq: BoundedSequence) -> tuple[BoundedSequence, ApplyReport]:
-    """Segment new text with a trained grammar, replaying merges in order.
+def _engine_input(g: Grammar, seq: BoundedSequence) -> tuple[np.ndarray, dict[str, int]]:
+    """seq as an int64 engine array in g's id space, and the count of each
+    character g has never seen.
 
-    seq is a terminal encoding under its own alphabet; symbols are remapped
-    into the grammar's id space first. Unknown characters become untouchable
-    pass-through symbols and are tallied in the report.
+    Such a character becomes -(codepoint + 2): negative, so it never pairs,
+    and distinct from the boundary sentinel SENT.
     """
-    from .repair import PairMerger, engine_array  # deferred: repair imports this module
+    from .repair import engine_array  # deferred: repair imports this module
 
     alphabet = seq.alphabet
     terminals = g.terminals
@@ -157,14 +198,10 @@ def apply_with_report(g: Grammar, seq: BoundedSequence) -> tuple[BoundedSequence
         ch = alphabet.char_of(sid)
         gid = terminals.id_of(ch)
         if gid is None:
-            lut[sid] = -(ord(ch) + 2)  # negative: never pairable in the engine
+            lut[sid] = -(ord(ch) + 2)
             unknown_sids.append(sid)
         else:
             lut[sid] = gid
-
-    merger = PairMerger.for_replay(engine_array(seq, lut), terminals.clone(), g.vocab_size)
-    merger.replay(g.rules)
-    out = merger.sequence()
 
     unknown_chars: dict[str, int] = {}
     if unknown_sids:
@@ -173,6 +210,94 @@ def apply_with_report(g: Grammar, seq: BoundedSequence) -> tuple[BoundedSequence
             c = int(counts[sid])
             if c:
                 unknown_chars[alphabet.char_of(sid)] = c
+    return engine_array(seq, lut), unknown_chars
+
+
+def _output(g: Grammar, a: list[int] | np.ndarray) -> BoundedSequence:
+    """Engine symbols (dead slots already dropped) back to a BoundedSequence."""
+    a = np.asarray(a, dtype=np.int64)
+    sent = a == SENT
+    bpos = np.flatnonzero(sent)
+    a = a[~sent]
+    oov = a < 0
+    a[oov] = OOV_BASE - 2 - a[oov]
+    return BoundedSequence(a.tolist(), (bpos - np.arange(bpos.size)).tolist(), g.terminals.clone())
+
+
+def _int32_array(x: np.ndarray) -> array:
+    out = array("i")
+    out.frombytes(x.astype(np.int32).view(np.uint8))
+    return out
+
+
+def apply_with_report(g: Grammar, seq: BoundedSequence) -> tuple[BoundedSequence, ApplyReport]:
+    """Segment new text with a trained grammar, replaying merges in order.
+
+    seq is a terminal encoding under its own alphabet; symbols are remapped
+    into the grammar's id space first. Unknown characters become untouchable
+    pass-through symbols and are tallied in the report.
+
+    Replay goes by rule rank. Only adjacent pairs that are rule keys enter
+    a heap, one heap per segment, popped in (rule id, position) order. A pop
+    whose pair has changed since the push is skipped; a merge pushes the at
+    most two new neighbour pairs that are rule keys. A merge only creates
+    pairs that contain its new id, and only later rules use that id, so this
+    is in-order replay with one greedy left-to-right pass per rule
+    (apply_naive), same-symbol runs included ("aaa" gives "Xa").
+    """
+    rank, rank_keys, rank_ids, left, right = g._rank_table()
+    a, unknown_chars = _engine_input(g, seq)
+    # A trailing sentinel: the right neighbour of the last symbol, and what
+    # index -1 (the left neighbour of the first) reads, so neighbour lookups
+    # need no bounds test.
+    a = np.append(a, SENT)
+    S = _SHIFT
+
+    # Seed entries (rule id << S) | position, one per rule-key pair. A pair
+    # with a boundary or an unknown character in it has a negative key.
+    keys = (a[:-1] << S) | a[1:]
+    at = np.searchsorted(rank_keys, keys)
+    pos = np.flatnonzero(rank_keys[at] == keys)
+    entries = (rank_ids[at[pos]] << S) | pos
+    del keys, at
+    # entries[lo:hi] of consecutive cuts are one segment's; the last cut is
+    # the trailing sentinel's, len(entries)
+    cuts = np.searchsorted(pos, np.flatnonzero(a == SENT)).tolist()
+    del pos
+
+    sym = _int32_array(a)
+    nxt = _int32_array(np.arange(1, a.size + 1))
+    prv = _int32_array(np.arange(-1, a.size - 1))
+    del a
+    get = rank.get
+    mask = (1 << S) - 1
+    for lo, hi in zip([0, *cuts], cuts):
+        heap = entries[lo:hi].tolist()
+        heapify(heap)
+        while heap:
+            e = heappop(heap)
+            k = e >> S
+            p = e & mask
+            if sym[p] != left[k]:
+                continue  # the pair changed since this entry was pushed
+            q = nxt[p]
+            if sym[q] != right[k]:
+                continue
+            y = nxt[q]
+            nxt[p] = y
+            prv[y] = p
+            sym[q] = _DEAD
+            sym[p] = k
+            x = prv[p]
+            r = get((sym[x] << S) | k)
+            if r is not None:
+                heappush(heap, (r << S) | x)
+            r = get((k << S) | sym[y])
+            if r is not None:
+                heappush(heap, (r << S) | p)
+
+    live = np.frombuffer(sym, dtype=np.int32)[:-1]
+    out = _output(g, live[live != _DEAD])
     report = ApplyReport(
         unknown_chars=unknown_chars,
         unknown_total=sum(unknown_chars.values()),
@@ -180,6 +305,27 @@ def apply_with_report(g: Grammar, seq: BoundedSequence) -> tuple[BoundedSequence
         output_len=len(out),
     )
     return out, report
+
+
+def apply_naive(g: Grammar, seq: BoundedSequence) -> BoundedSequence:
+    """Reference apply: each rule in id order, one greedy left-to-right pass.
+
+    O(rules x length); exists as the behavioural oracle for apply().
+    """
+    s = _engine_input(g, seq)[0].tolist()
+    for rule in g.rules:
+        out: list[int] = []
+        i = 0
+        n = len(s)
+        while i < n:
+            if i + 1 < n and s[i] == rule.left and s[i + 1] == rule.right:
+                out.append(rule.id)
+                i += 2
+            else:
+                out.append(s[i])
+                i += 1
+        s = out
+    return _output(g, s)
 
 
 def decode(g: Grammar, seq: BoundedSequence, separator: str = "\n") -> str:

@@ -19,15 +19,13 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
-from typing import Iterable
 
 import numpy as np
 
-from .corpus import BoundedSequence, SymbolTable
+from .corpus import BoundedSequence
 from .errors import DomainError
-from .grammar import OOV_BASE, Grammar, Rule
+from .grammar import SENT, Grammar, Rule
 
-SENT = -1  # boundary sentinel inside the engine array; never pairable
 NIL = -1
 SHIFT = 25  # pair key packing: key = (left << SHIFT) | right
 _MASK = (1 << SHIFT) - 1
@@ -82,7 +80,7 @@ def engine_array(seq: BoundedSequence, lut: np.ndarray | None = None) -> np.ndar
 
 
 class PairMerger:
-    """Incremental merge state: sequence, pair index, lazy selection heap.
+    """Incremental training state: sequence, pair index, lazy selection heap.
 
     The invariant carried through every mutation: for each active pair, the
     indexed occurrences are exactly the greedy left-to-right non-overlapping
@@ -92,23 +90,12 @@ class PairMerger:
     """
 
     def __init__(self, seq: BoundedSequence):
+        a = engine_array(seq)
         alphabet = seq.alphabet
-        self._init_from_array(engine_array(seq), alphabet, len(alphabet))
-
-    @classmethod
-    def for_replay(
-        cls, engine_symbols: np.ndarray, alphabet: SymbolTable, next_id: int
-    ) -> "PairMerger":
-        """Build from an int64 array made by engine_array (negatives never pair)."""
-        self = cls.__new__(cls)
-        self._init_from_array(engine_symbols, alphabet, next_id)
-        return self
-
-    def _init_from_array(self, a: np.ndarray, alphabet: SymbolTable, next_id: int) -> None:
         n = int(a.size)
         self._n = n
         self._alphabet = alphabet
-        self._next_id = next_id
+        self._next_id = len(alphabet)
         self._terminal_count = len(alphabet)
         self._rules: list[Rule] = []
         self._events: list[MergeEvent] = []
@@ -204,10 +191,8 @@ class PairMerger:
             s = sym[pos]
             if s >= 0:
                 append(s)
-            elif s == SENT:
-                boundaries.append(len(out))
             else:
-                append(OOV_BASE + (-s - 2))  # fresh pass-through terminal
+                boundaries.append(len(out))
             pos = nxt[pos]
         return BoundedSequence(out, boundaries, self._alphabet)
 
@@ -280,14 +265,6 @@ class PairMerger:
         ):
             if self.merge_once(stop.min_frequency) is None:
                 return
-
-    def replay(self, rules: Iterable[Rule]) -> None:
-        """Re-apply recorded merges in order, ignoring frequencies."""
-        pairs = self._pairs
-        for rule in rules:
-            key = (rule.left << SHIFT) | rule.right
-            if key in pairs:
-                self._replace_all(rule.left, rule.right, rule.id)
 
     # -- mutation ----------------------------------------------------------
 

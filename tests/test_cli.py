@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from rgrams.cli import main
@@ -91,6 +96,15 @@ class TestExitCodes:
         assert main(["--help"]) == 0
         assert main(["train", "--help"]) == 0
         capsys.readouterr()
+
+    def test_module_entry_point(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        run = subprocess.run(
+            [sys.executable, "-m", "rgrams", "--help"], env=env, capture_output=True, timeout=60
+        )
+        assert run.returncode == 0
+        assert b"usage: rgrams" in run.stdout
 
 
 class TestTrain:
@@ -218,9 +232,10 @@ class TestApplyDecode:
         src = tmp_path / "new.txt"
         src.write_text("unmapped ¤ character\n", encoding="utf-8")
         rc = main(
-            ["apply", str(g), str(src), str(tmp_path / "seg.txt"), "--lowercase", "--strict"]
+            ["apply", str(g), str(src), str(tmp_path / "strict.seg"), "--lowercase", "--strict"]
         )
         assert rc == 3
+        assert not (tmp_path / "strict.seg").exists()
         capsys.readouterr()
 
     def test_apply_default_keeps_case(self, tmp_path, trained, capsys):
@@ -410,6 +425,15 @@ class TestEmbedEval:
         assert rc == 3
         assert not v.exists()
         assert "finite" in capsys.readouterr().err
+
+    def test_no_pairs_writes_nothing(self, tmp_path, capsys):
+        s = tmp_path / "one_token_segments.seg"
+        s.write_text("the\n\ncat\n\nthe\n\ndog\n", encoding="utf-8")
+        v = tmp_path / "v.vec"
+        rc = main(["embed", str(s), "--vectors-out", str(v), "--subsample", "0"])
+        assert rc == 3
+        assert not v.exists()
+        assert "no (center, context) pairs" in capsys.readouterr().err
 
     def test_bad_subword_spec(self, trained, tmp_path, capsys):
         _, s = trained

@@ -1,4 +1,5 @@
 import io
+import logging
 import math
 
 import numpy as np
@@ -233,9 +234,13 @@ class TestNonFinite:
         with pytest.raises(DomainError, match="loss is not finite"):
             train_skipgram(SENTS, tiny_config(initial_lr=1e308))
 
-    def test_epoch_without_pairs_passes(self):
-        m = train_skipgram([["the"], ["cat"]], tiny_config(initial_lr=1e308))
-        assert np.isfinite(m.input).all()
+    def test_run_without_pairs_raises(self, caplog):
+        # an epoch with no pairs sums to a finite 0.0; the run then fails
+        # because nothing was trained, not because the loss diverged
+        caplog.set_level(logging.INFO, logger="rgrams.embed")
+        with pytest.raises(DomainError, match="no \\(center, context\\) pairs"):
+            train_skipgram([["the"], ["cat"]], tiny_config(initial_lr=1e308))
+        assert "0 pairs" in caplog.text and "nan" not in caplog.text
 
     def test_export_refuses_and_writes_nothing(self, tmp_path):
         path = tmp_path / "v.vec"

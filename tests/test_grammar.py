@@ -1,7 +1,7 @@
 import io
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rgrams.corpus import SymbolTable, encode
 from rgrams.errors import (
@@ -16,6 +16,7 @@ from rgrams.grammar import (
     Grammar,
     Rule,
     apply,
+    apply_naive,
     apply_with_report,
     decode,
     escape_token,
@@ -40,6 +41,33 @@ def abab_grammar():
     t.intern("a")
     t.intern("b")
     return Grammar(t, [Rule(2, 0, 1, 4), Rule(3, 2, 2, 2)])
+
+
+def repeated_rule_grammar(tmp_path):
+    """A grammar file whose rule 4 repeats rule 2's (a, b); training never writes one."""
+    path = tmp_path / "repeated.rgram"
+    rules = [Rule(2, 0, 1, 4), Rule(3, 2, 2, 2), Rule(4, 0, 1, 2)]
+    save(Grammar(SymbolTable("ab"), rules), str(path))
+    return load(str(path))
+
+
+def run_grammar():
+    """Rules over one terminal: aa, (aa)a, (aa)(aa)."""
+    return Grammar(SymbolTable("a"), [Rule(1, 0, 0, 2), Rule(2, 1, 0, 2), Rule(3, 1, 1, 2)])
+
+
+GRAMMARS = {
+    "abab": lambda tmp_path: abab_grammar(),
+    "repeated_rule": repeated_rule_grammar,
+    "runs": lambda tmp_path: run_grammar(),
+    "other_corpus": lambda tmp_path: trained("the cat sat on the mat\nthe dog ran\n")[0],
+}
+
+
+# texts built from overlapping pieces, so that rules compete for positions
+PIECES = st.lists(
+    st.sampled_from(["a", "ab", "bc", "abc", "ca", "aa", " ", "\n", "z"]), max_size=25
+).map("".join)
 
 
 class TestExpand:
@@ -155,6 +183,34 @@ class TestApply:
         g = abab_grammar()
         out = apply(g, encode("aQba"))
         assert decode(g, out) == "aQba"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "\n\n", "QZ!", "a", "aa", "aaa", "aaaa", "aaaaa", "abab", "ab\nba\n\nabb", "the cat"],
+    )
+    @pytest.mark.parametrize("grammar", list(GRAMMARS))
+    def test_matches_naive(self, tmp_path, grammar, text):
+        g = GRAMMARS[grammar](tmp_path)
+        seq = encode(text, NL)
+        assert apply(g, seq) == apply_naive(g, seq)
+
+    def test_repeated_rule_is_a_no_op(self, tmp_path):
+        g = repeated_rule_grammar(tmp_path)
+        assert list(apply(g, encode("abab")).symbols) == [3]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        corpus=PIECES.filter(lambda t: "z" not in t),
+        text=PIECES,
+        same=st.booleans(),
+        merges=st.integers(0, 25),
+    )
+    def test_matches_naive_property(self, corpus, text, same, merges):
+        """Grammars from the text itself or from another corpus; 'z' is
+        outside every other corpus's alphabet."""
+        g, _ = trained(text if same else corpus, max_merges=merges)
+        seq = encode(text, NL)
+        assert apply(g, seq) == apply_naive(g, seq)
 
 
 class TestSaveLoad:

@@ -28,8 +28,12 @@ def files(tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text(TEXT, encoding="utf-8")
     g, seg, vec = tmp_path / "g.rgram", tmp_path / "c.seg", tmp_path / "v.vec"
-    assert main(["train", str(corpus), "--grammar-out", str(g), "--segmented-out", str(seg)]) == 0
-    assert main(["embed", str(seg), "--vectors-out", str(vec), "--dim", "4", "--epochs", "1"]) == 0
+    # embed needs segments of two or more tokens: trained to exhaustion, every
+    # sentence of TEXT is one token, and default subsampling drops most tokens
+    train = ["train", str(corpus), "--grammar-out", str(g), "--segmented-out", str(seg)]
+    assert main([*train, "--max-merges", "10"]) == 0
+    embed = ["embed", str(seg), "--vectors-out", str(vec), "--dim", "4", "--epochs", "1"]
+    assert main([*embed, "--subsample", "0"]) == 0
     capsys.readouterr()
     return corpus, g, seg, vec
 
@@ -56,6 +60,7 @@ class TestInvalidUtf8IsDataError:
         args = [a.format(g=g, seg=seg, out=out) for a in argv]
         assert main(args) == 3
         assert "byte offset 5" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_grammar_reader(self, files, tmp_path, capsys):
         corpus, g, _, _ = files
