@@ -92,10 +92,10 @@ def cmd_train(args, parser: _Parser) -> int:
     merger.run(stop)
 
     g = merger.grammar()
-    grammar_mod.save(g, args.grammar_out)
     compressed = merger.sequence()
-    if args.segmented_out:
+    if args.segmented_out:  # first: it checks every token before writing a file
         grammar_mod.write_segmented(g, compressed, args.segmented_out)
+    grammar_mod.save(g, args.grammar_out)
     if args.events_out:
         with open(args.events_out, "w", encoding="utf-8", newline="\n") as f:
             f.write("id\tleft\tright\tcount\n")
@@ -157,9 +157,6 @@ def _flatness_stderr(dist: RankedDistribution) -> None:
 
 
 def cmd_stats(args, parser: _Parser) -> int:
-    modes = sum(1 for m in (args.segmented, args.raw) if m)
-    if modes != 1:
-        parser.error("exactly one of --segmented or --raw is required")
     if args.raw and not (args.grammar or args.checkpoints):
         parser.error("--raw needs --grammar (segment first) or --checkpoints (train)")
     if args.raw and args.grammar and args.checkpoints:
@@ -317,8 +314,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("stats", help="rank/frequency tables (TSV to stdout)")
-    p.add_argument("--segmented", help="segmented corpus to count")
-    p.add_argument("--raw", help="raw text; needs --grammar or --checkpoints")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--segmented", help="segmented corpus to count")
+    mode.add_argument("--raw", help="raw text; needs --grammar or --checkpoints")
     p.add_argument("--grammar")
     p.add_argument("--checkpoints", help="comma list of merge counts")
     p.add_argument("--min-freq", type=int, default=2)

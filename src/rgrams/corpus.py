@@ -94,7 +94,10 @@ class SymbolTable:
         return tuple(self._chars)
 
     def clone(self) -> "SymbolTable":
-        return SymbolTable(self._chars)
+        t = SymbolTable()
+        t._chars = self._chars.copy()
+        t._ids = self._ids.copy()
+        return t
 
     def __len__(self) -> int:
         return len(self._chars)

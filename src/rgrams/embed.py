@@ -121,11 +121,10 @@ def subword_hashes(token: str, nmin: int, nmax: int, buckets: int) -> list[int]:
     marked = "<" + token + ">"
     out: list[int] = []
     # n-grams over characters, hashed over their UTF-8 bytes
-    chars = marked
     for n in range(nmin, nmax + 1):
-        for i in range(len(chars) - n + 1):
+        for i in range(len(marked) - n + 1):
             h = _FNV_OFFSET
-            for b in chars[i : i + n].encode("utf-8"):
+            for b in marked[i : i + n].encode("utf-8"):
                 h = ((h ^ b) * _FNV_PRIME) & _MASK64
             out.append(h % buckets)
     return out
@@ -134,8 +133,8 @@ def subword_hashes(token: str, nmin: int, nmax: int, buckets: int) -> list[int]:
 class NegativeSampler:
     """Draws token indices with probability proportional to count^0.75."""
 
-    def __init__(self, counts: np.ndarray, rng: np.random.Generator, power: float = 0.75):
-        w = np.asarray(counts, dtype=np.float64) ** power
+    def __init__(self, counts: np.ndarray, rng: np.random.Generator):
+        w = np.asarray(counts, dtype=np.float64) ** 0.75
         total = float(w.sum())
         if total <= 0:
             raise DomainError("negative sampler needs positive counts")
@@ -166,6 +165,7 @@ class EmbeddingMatrix:
     subword_buckets: int = 0
 
     def _rows(self, i: int) -> list[int]:
+        """Input rows whose mean is token i's vector; training updates these rows."""
         rows = [i]
         if self.subword_ngrams is not None:
             lo, hi = self.subword_ngrams
@@ -254,7 +254,6 @@ def _sigmoid(x):
 def train_skipgram(
     corpus: str | TextIO | Iterable[list[str]],
     config: TrainConfig = TrainConfig(),
-    vocab: EmbedVocab | None = None,
     pair_log: list | None = None,
 ) -> EmbeddingMatrix:
     """Train embeddings; deterministic for a given (corpus, config).
@@ -270,9 +269,8 @@ def train_skipgram(
     sents_raw: list[list[str]] = [
         [normalize_token(t) for t in sent] for sent in _sentences(corpus) if sent
     ]
-    if vocab is None:
-        # normalize_token is idempotent, so re-normalizing here is harmless
-        vocab = build_vocab(sents_raw, config.min_token_count)
+    # normalize_token is idempotent, so re-normalizing here is harmless
+    vocab = build_vocab(sents_raw, config.min_token_count)
     V = len(vocab)
     if V == 0:
         raise DomainError("empty vocabulary")
@@ -298,17 +296,12 @@ def train_skipgram(
     dim = config.dim
     inp = (rng.random((V + B, dim)) - 0.5) / dim
     out = np.zeros((V, dim), dtype=np.float64)
+    # training updates inp and out in place
+    matrix = EmbeddingMatrix(inp, out, vocab, config.subword_ngrams, B)
 
     rows_for: list[np.ndarray] | None = None
     if config.subword_ngrams is not None:
-        lo, hi = config.subword_ngrams
-        rows_for = [
-            np.asarray(
-                [i] + [V + h for h in subword_hashes(vocab.tokens[i], lo, hi, B)],
-                dtype=np.int64,
-            )
-            for i in range(V)
-        ]
+        rows_for = [np.asarray(matrix._rows(i), dtype=np.int64) for i in range(V)]
 
     keep_prob: np.ndarray | None = None
     t = config.subsample_threshold
@@ -388,14 +381,7 @@ def train_skipgram(
             "no (center, context) pairs were trained: no segment kept two tokens "
             "after subsampling; lower --subsample or use longer segments"
         )
-
-    return EmbeddingMatrix(
-        input=inp,
-        output=out,
-        vocab=vocab,
-        subword_ngrams=config.subword_ngrams,
-        subword_buckets=B,
-    )
+    return matrix
 
 
 # -- vector files --------------------------------------------------------------

@@ -33,11 +33,17 @@ from .errors import (
 
 OOV_BASE = 1 << 32  # ids at OOV_BASE + cp are pass-through single characters
 
-# apply's engine: pair keys (left << _SHIFT) | right and heap entries
-# (rule id << _SHIFT) | position; ids and positions fit in int32.
-_SHIFT = 32
-SENT = -1  # boundary sentinel inside engine arrays (repair.engine_array); never pairable
-_DEAD = -(1 << 31)  # a merged-away slot; no unknown character encodes to it
+# The engine format, shared by training (repair.PairMerger) and apply. An
+# engine array holds a sequence's symbol ids with SENT at every boundary and
+# one more SENT at the end; linked() threads int32 sym/nxt/prv lists through
+# it. The trailing SENT is the right neighbour of the last symbol and what
+# index -1 (the left neighbour of the first) reads, so neighbour lookups need
+# no bounds test. A merge marks the slot it removes DEAD. Pair keys are
+# (left << SHIFT) | right and apply's heap entries (rule id << SHIFT) |
+# position; ids and positions fit in int32.
+SHIFT = 32
+SENT = -1  # boundary sentinel; never pairable
+DEAD = -(1 << 31)  # a merged-away slot; no unknown character encodes to it
 _KEY_END = np.iinfo(np.int64).max  # above every pair key
 
 # Grammar._rank_table: (rank, keys, ids, left, right)
@@ -154,7 +160,7 @@ class Grammar:
     def _rank_table(self) -> _RankTable:
         """apply's lookups, built once: (rank, keys, ids, left, right).
 
-        rank maps a pair key (left << _SHIFT) | right to its rule id; a key
+        rank maps a pair key (left << SHIFT) | right to its rule id; a key
         repeated in several rules maps to its lowest id, because in-order
         replay leaves no occurrence of the pair for a later copy to merge.
         keys holds the same keys sorted, ids their rule ids; keys ends in
@@ -162,7 +168,7 @@ class Grammar:
         and right[k] are rule k's pair (terminal slots hold SENT).
         """
         if self._rank is None:
-            rank = {(r.left << _SHIFT) | r.right: r.id for r in reversed(self.rules)}
+            rank = {(r.left << SHIFT) | r.right: r.id for r in reversed(self.rules)}
             keys = np.fromiter(rank, dtype=np.int64, count=len(rank))
             ids = np.fromiter(rank.values(), dtype=np.int64, count=len(rank))
             order = np.argsort(keys)
@@ -177,19 +183,65 @@ class Grammar:
         return self._rank
 
 
+def engine_array(seq: BoundedSequence, lut: np.ndarray | None = None) -> np.ndarray:
+    """int64 engine array of seq: its terminal ids, SENT at each boundary, SENT last.
+
+    lut, when given, maps every terminal id first (apply moves ids into a
+    grammar's id space with it).
+    """
+    syms = np.asarray(seq.symbols, dtype=np.int64)
+    if syms.size and (syms.min() < 0 or syms.max() >= len(seq.alphabet)):
+        raise DomainError("sequence contains non-terminal symbols")
+    if lut is not None:
+        syms = lut[syms]
+    return np.insert(syms, [*seq.boundaries, syms.size], SENT)
+
+
+def _int32_array(x: np.ndarray) -> array:
+    out = array("i")
+    out.frombytes(np.asarray(x, dtype=np.int32).view(np.uint8))
+    return out
+
+
+def linked(a: np.ndarray) -> tuple[array, array, array]:
+    """int32 (sym, nxt, prv) lists over engine array a, each slot linked to
+    its neighbours; the trailing SENT's nxt, len(a), is never followed."""
+    n = a.size
+    return (
+        _int32_array(a),
+        _int32_array(np.arange(1, n + 1, dtype=np.int32)),
+        _int32_array(np.arange(-1, n - 1, dtype=np.int32)),
+    )
+
+
+def from_engine(symbols: array | list[int] | np.ndarray, alphabet: SymbolTable) -> BoundedSequence:
+    """Engine symbols, DEAD slots and trailing SENT included, back to a
+    BoundedSequence over alphabet.
+
+    Every other SENT becomes a boundary and an unknown character
+    -(codepoint + 2) (see _engine_input) becomes OOV_BASE + codepoint.
+    """
+    a = np.asarray(symbols, dtype=np.int64)
+    a = a[a != DEAD][:-1]
+    sent = a == SENT
+    bpos = np.flatnonzero(sent)
+    a = a[~sent]
+    oov = a < 0
+    a[oov] = OOV_BASE - 2 - a[oov]
+    return BoundedSequence(a.tolist(), (bpos - np.arange(bpos.size)).tolist(), alphabet)
+
+
 def apply(g: Grammar, seq: BoundedSequence) -> BoundedSequence:
     return apply_with_report(g, seq)[0]
 
 
 def _engine_input(g: Grammar, seq: BoundedSequence) -> tuple[np.ndarray, dict[str, int]]:
-    """seq as an int64 engine array in g's id space, and the count of each
+    """seq as an engine array in g's id space, and the count of each
     character g has never seen.
 
     Such a character becomes -(codepoint + 2): negative, so it never pairs,
-    and distinct from the boundary sentinel SENT.
+    and distinct from SENT and DEAD.
     """
-    from .repair import engine_array  # deferred: repair imports this module
-
     alphabet = seq.alphabet
     terminals = g.terminals
     lut = np.empty(max(len(alphabet), 1), dtype=np.int64)
@@ -213,23 +265,6 @@ def _engine_input(g: Grammar, seq: BoundedSequence) -> tuple[np.ndarray, dict[st
     return engine_array(seq, lut), unknown_chars
 
 
-def _output(g: Grammar, a: list[int] | np.ndarray) -> BoundedSequence:
-    """Engine symbols (dead slots already dropped) back to a BoundedSequence."""
-    a = np.asarray(a, dtype=np.int64)
-    sent = a == SENT
-    bpos = np.flatnonzero(sent)
-    a = a[~sent]
-    oov = a < 0
-    a[oov] = OOV_BASE - 2 - a[oov]
-    return BoundedSequence(a.tolist(), (bpos - np.arange(bpos.size)).tolist(), g.terminals.clone())
-
-
-def _int32_array(x: np.ndarray) -> array:
-    out = array("i")
-    out.frombytes(x.astype(np.int32).view(np.uint8))
-    return out
-
-
 def apply_with_report(g: Grammar, seq: BoundedSequence) -> tuple[BoundedSequence, ApplyReport]:
     """Segment new text with a trained grammar, replaying merges in order.
 
@@ -247,11 +282,7 @@ def apply_with_report(g: Grammar, seq: BoundedSequence) -> tuple[BoundedSequence
     """
     rank, rank_keys, rank_ids, left, right = g._rank_table()
     a, unknown_chars = _engine_input(g, seq)
-    # A trailing sentinel: the right neighbour of the last symbol, and what
-    # index -1 (the left neighbour of the first) reads, so neighbour lookups
-    # need no bounds test.
-    a = np.append(a, SENT)
-    S = _SHIFT
+    S = SHIFT
 
     # Seed entries (rule id << S) | position, one per rule-key pair. A pair
     # with a boundary or an unknown character in it has a negative key.
@@ -265,9 +296,7 @@ def apply_with_report(g: Grammar, seq: BoundedSequence) -> tuple[BoundedSequence
     cuts = np.searchsorted(pos, np.flatnonzero(a == SENT)).tolist()
     del pos
 
-    sym = _int32_array(a)
-    nxt = _int32_array(np.arange(1, a.size + 1))
-    prv = _int32_array(np.arange(-1, a.size - 1))
+    sym, nxt, prv = linked(a)
     del a
     get = rank.get
     mask = (1 << S) - 1
@@ -286,7 +315,7 @@ def apply_with_report(g: Grammar, seq: BoundedSequence) -> tuple[BoundedSequence
             y = nxt[q]
             nxt[p] = y
             prv[y] = p
-            sym[q] = _DEAD
+            sym[q] = DEAD
             sym[p] = k
             x = prv[p]
             r = get((sym[x] << S) | k)
@@ -296,8 +325,7 @@ def apply_with_report(g: Grammar, seq: BoundedSequence) -> tuple[BoundedSequence
             if r is not None:
                 heappush(heap, (r << S) | p)
 
-    live = np.frombuffer(sym, dtype=np.int32)[:-1]
-    out = _output(g, live[live != _DEAD])
+    out = from_engine(sym, g.terminals.clone())
     report = ApplyReport(
         unknown_chars=unknown_chars,
         unknown_total=sum(unknown_chars.values()),
@@ -325,7 +353,7 @@ def apply_naive(g: Grammar, seq: BoundedSequence) -> BoundedSequence:
                 out.append(s[i])
                 i += 1
         s = out
-    return _output(g, s)
+    return from_engine(s, g.terminals.clone())
 
 
 def decode(g: Grammar, seq: BoundedSequence, separator: str = "\n") -> str:
@@ -456,22 +484,27 @@ def unescape_token(token: str) -> str:
 
 
 def write_segmented(g: Grammar, seq: BoundedSequence, dest: str | TextIO) -> None:
-    """One expanded token per line, blank line per boundary."""
-    exp = g.expand
+    """One expanded token per line, blank line per boundary.
+
+    Every distinct symbol is expanded and checked before dest is opened, so
+    a token that cannot be written leaves no file behind.
+    """
+    syms = seq.symbols
+    tokens: dict[int, str] = {}
+    for s in set(syms):
+        t = g.expand(s)
+        if "\n" in t:
+            raise DomainError(
+                "token expansion contains a newline; it cannot be written "
+                "one-token-per-line (use a different separator set)"
+            )
+        tokens[s] = escape_token(t)
 
     def lines() -> Iterator[str]:
-        syms = seq.symbols
         for k, (lo, hi) in enumerate(seq.segments()):
             if k:
                 yield ""
-            for s in syms[lo:hi]:
-                t = exp(s)
-                if "\n" in t:
-                    raise DomainError(
-                        "token expansion contains a newline; it cannot be written "
-                        "one-token-per-line (use a different separator set)"
-                    )
-                yield escape_token(t)
+            yield from map(tokens.__getitem__, syms[lo:hi])
 
     own = isinstance(dest, str)
     f = open(dest, "w", encoding="utf-8", newline="\n") if own else dest

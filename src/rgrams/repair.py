@@ -24,10 +24,9 @@ import numpy as np
 
 from .corpus import BoundedSequence
 from .errors import DomainError
-from .grammar import SENT, Grammar, Rule
+from .grammar import DEAD, SHIFT, Grammar, Rule, engine_array, from_engine, linked
 
-NIL = -1
-SHIFT = 25  # pair key packing: key = (left << SHIFT) | right
+NIL = -1  # end of an occurrence list
 _MASK = (1 << SHIFT) - 1
 
 
@@ -56,61 +55,31 @@ class MergeEvent:
     count: int
 
 
-def engine_array(seq: BoundedSequence, lut: np.ndarray | None = None) -> np.ndarray:
-    """int64 engine input: seq's terminal ids with SENT spliced in at each boundary.
-
-    lut, when given, maps every terminal id first (apply moves ids into a
-    grammar's id space with it); without one no mapped copy is made.
-    """
-    syms = np.asarray(seq.symbols, dtype=np.int64)
-    if syms.size and (syms.min() < 0 or syms.max() >= len(seq.alphabet)):
-        raise DomainError("sequence contains non-terminal symbols")
-    if lut is not None:
-        syms = lut[syms]
-    bnd = np.asarray(seq.boundaries, dtype=np.int64)
-    if not bnd.size:
-        return syms
-    full = np.empty(syms.size + bnd.size, dtype=np.int64)
-    spots = bnd + np.arange(bnd.size)
-    keep = np.ones(full.size, bool)
-    keep[spots] = False
-    full[spots] = SENT
-    full[keep] = syms
-    return full
-
-
 class PairMerger:
     """Incremental training state: sequence, pair index, lazy selection heap.
 
-    The invariant carried through every mutation: for each active pair, the
-    indexed occurrences are exactly the greedy left-to-right non-overlapping
-    occurrences in the current sequence, kept in position order. A position
-    heads at most one indexed occurrence (of the pair it starts), recorded in
-    a per-position flag, so membership tests are O(1).
+    The sequence is in the engine format of grammar.engine_array and
+    grammar.linked. The invariant carried through every mutation: for each
+    active pair, the indexed occurrences are exactly the greedy left-to-right
+    non-overlapping occurrences in the current sequence, kept in position
+    order. A position heads at most one indexed occurrence (of the pair it
+    starts), recorded in a per-position flag, so membership tests are O(1).
+
+    The occurrence-list splices stay inline in _replace_all and _reindex_run
+    rather than in link/unlink helpers: a call per splice costs about a
+    quarter more bytecode per replacement, and this loop is where training
+    spends its time.
     """
 
     def __init__(self, seq: BoundedSequence):
         a = engine_array(seq)
-        alphabet = seq.alphabet
         n = int(a.size)
-        self._n = n
-        self._alphabet = alphabet
-        self._next_id = len(alphabet)
-        self._terminal_count = len(alphabet)
-        self._rules: list[Rule] = []
+        self._alphabet = seq.alphabet
+        self._terminal_count = len(seq.alphabet)
         self._events: list[MergeEvent] = []
         self._replacements = 0
         self._heap: list[tuple[int, int, int]] | None = None  # built by _select
-
-        self._sym = array("i")
-        self._sym.frombytes(a.astype(np.int32).tobytes())
-        nxt = np.arange(1, n + 1, dtype=np.int32)
-        nxt[-1:] = NIL
-        prv = np.arange(-1, n - 1, dtype=np.int32)
-        self._nxt = array("i")
-        self._nxt.frombytes(nxt.tobytes())
-        self._prv = array("i")
-        self._prv.frombytes(prv.tobytes())
+        self._sym, self._nxt, self._prv = linked(a)
 
         # Greedy head mask. Distinct-symbol pairs never overlap themselves;
         # for same-symbol runs the heads sit at even offsets from the run start.
@@ -145,10 +114,8 @@ class PairMerger:
         gend = np.append(gstart[1:], len(sk))
         for s_, e_ in zip(gstart, gend):
             pairs[int(sk[s_])] = [int(e_ - s_), int(sp[s_]), int(sp[e_ - 1])]
-        self._nocc = array("i")
-        self._nocc.frombytes(nocc.tobytes())
-        self._pocc = array("i")
-        self._pocc.frombytes(pocc.tobytes())
+        self._nocc = array("i", nocc.tobytes())
+        self._pocc = array("i", pocc.tobytes())
         ism = np.zeros(n, dtype=np.uint8)
         ism[hp] = 1
         self._is_head = bytearray(ism.tobytes())
@@ -158,11 +125,11 @@ class PairMerger:
 
     @property
     def merges(self) -> int:
-        return len(self._rules)
+        return len(self._events)
 
     @property
     def vocab_size(self) -> int:
-        return self._terminal_count + len(self._rules)
+        return self._terminal_count + len(self._events)
 
     @property
     def replacements(self) -> int:
@@ -172,29 +139,13 @@ class PairMerger:
     def events(self) -> list[MergeEvent]:
         return self._events
 
-    @property
-    def rules(self) -> list[Rule]:
-        return self._rules
-
     def grammar(self) -> Grammar:
-        return Grammar(self._alphabet.clone(), list(self._rules))
+        rules = [Rule(e.new_id, e.left, e.right, e.count) for e in self._events]
+        return Grammar(self._alphabet.clone(), rules)
 
     def sequence(self) -> BoundedSequence:
         """Snapshot of the current sequence as a BoundedSequence."""
-        sym = self._sym
-        nxt = self._nxt
-        out: list[int] = []
-        boundaries: list[int] = []
-        pos = 0 if self._n else NIL
-        append = out.append
-        while pos != NIL:
-            s = sym[pos]
-            if s >= 0:
-                append(s)
-            else:
-                boundaries.append(len(out))
-            pos = nxt[pos]
-        return BoundedSequence(out, boundaries, self._alphabet)
+        return from_engine(self._sym, self._alphabet)
 
     # -- selection ---------------------------------------------------------
 
@@ -235,14 +186,9 @@ class PairMerger:
         key, rec = sel
         left = key >> SHIFT
         right = key & _MASK
-        new_id = self._next_id
-        if new_id >= 1 << SHIFT:
-            raise DomainError("symbol id space exhausted")
-        count = rec[0]
+        new_id = self.vocab_size
         created = self._replace_all(left, right, new_id)
-        self._next_id = new_id + 1
-        self._rules.append(Rule(new_id, left, right, count))
-        event = MergeEvent(new_id, left, right, count)
+        event = MergeEvent(new_id, left, right, rec[0])
         self._events.append(event)
         heap = self._heap
         pairs = self._pairs
@@ -298,7 +244,7 @@ class PairMerger:
             p = pos
             q = nxt[p]
             x = prv[p]
-            xs = sym[x] if x != NIL else SENT
+            xs = sym[x]
             # pair (xs, left) ending at p dies with p's symbol
             if xs >= 0 and is_head[x]:
                 kx = (xs << S) | left
@@ -323,7 +269,7 @@ class PairMerger:
             y = nxt[q]
             reidx = NIL
             reidx_after = NIL
-            if y != NIL and is_head[q]:
+            if is_head[q]:
                 ys = sym[y]
                 kq = (right << S) | ys
                 rq = pairs[kq]
@@ -349,8 +295,8 @@ class PairMerger:
                     reidx_after = insafter
             # splice out q, rewrite p
             nxt[p] = y
-            if y != NIL:
-                prv[y] = p
+            prv[y] = p
+            sym[q] = DEAD
             sym[p] = new_id
             is_head[p] = 0
             nrep += 1
@@ -359,7 +305,7 @@ class PairMerger:
             # fresh pair on the left, unless x is the second half of a
             # (new_id, new_id) occurrence that already heads at w
             if xs >= 0 and not (
-                xs == new_id and (w := prv[x]) != NIL and sym[w] == new_id and is_head[w]
+                xs == new_id and sym[w := prv[x]] == new_id and is_head[w]
             ):
                 kn = (xs << S) | new_id
                 rn = pairs.get(kn)
@@ -377,24 +323,23 @@ class PairMerger:
                 is_head[x] = 1
                 created[kn] = None
             # fresh pair on the right
-            if y != NIL:
-                ys = sym[y]
-                if ys >= 0:
-                    kn = (new_id << S) | ys
-                    rn = pairs.get(kn)
-                    if rn is None:
-                        pairs[kn] = [1, p, p]
-                        pocc[p] = NIL
-                        nocc[p] = NIL
-                    else:
-                        t = rn[2]
-                        nocc[t] = p
-                        pocc[p] = t
-                        nocc[p] = NIL
-                        rn[2] = p
-                        rn[0] += 1
-                    is_head[p] = 1
-                    created[kn] = None
+            ys = sym[y]
+            if ys >= 0:
+                kn = (new_id << S) | ys
+                rn = pairs.get(kn)
+                if rn is None:
+                    pairs[kn] = [1, p, p]
+                    pocc[p] = NIL
+                    nocc[p] = NIL
+                else:
+                    t = rn[2]
+                    nocc[t] = p
+                    pocc[p] = t
+                    nocc[p] = NIL
+                    rn[2] = p
+                    rn[0] += 1
+                is_head[p] = 1
+                created[kn] = None
             pos = nextpos
         self._replacements += nrep
         return created
@@ -416,9 +361,9 @@ class PairMerger:
         cursor = ins_after
         r = start
         free = True
-        while r != NIL and sym[r] == u:
+        while sym[r] == u:
             s = nxt[r]
-            paired = s != NIL and sym[s] == u
+            paired = sym[s] == u
             if paired and free:
                 if not is_head[r]:
                     rec = pairs.get(key)
@@ -475,16 +420,21 @@ class PairMerger:
     def check_invariants(self) -> None:
         """Recompute the greedy index from the live sequence and compare.
 
+        Also checks that DEAD marks exactly the slots off the live walk.
         O(n + pairs); meant for tests on small inputs after each merge.
         """
         sym = self._sym
         nxt = self._nxt
-        # walk the linked list, collecting live positions
+        end = len(sym) - 1  # the trailing SENT
         live: list[int] = []
-        pos = 0 if self._n else NIL
-        while pos != NIL:
+        pos = 0
+        while pos != end:
             live.append(pos)
             pos = nxt[pos]
+        alive = set(live)
+        for z in range(end):
+            if (sym[z] == DEAD) == (z in alive):
+                raise AssertionError(f"slot {z}: DEAD must mark exactly the slots off the live walk")
         expected: dict[int, list[int]] = {}
         lastused: dict[int, int] = {}
         for i in range(len(live) - 1):
@@ -525,8 +475,10 @@ def train(
     """Learn a merge grammar; returns (grammar, compressed sequence, log).
 
     An empty sequence yields an empty grammar and empty output. The full
-    input sequence is held in memory: about 18 bytes per symbol in steady
-    state, with a higher peak while the engine is built.
+    input sequence is held in memory: about 22 bytes per symbol once the
+    engine is built, growing with the pair index as merges run (about 45
+    after 4000 merges on 1 MB of text), with a peak near 126 while it is
+    built.
     """
     stop.validate()
     merger = PairMerger(seq)
@@ -597,15 +549,7 @@ def train_naive(
         events.append(MergeEvent(next_id, l, r, count))
         next_id += 1
 
-    symbols: list[int] = []
-    boundaries: list[int] = []
-    for v in s:
-        if v == SENT:
-            boundaries.append(len(symbols))
-        else:
-            symbols.append(v)
-    compressed = BoundedSequence(symbols, boundaries, table)
-    return Grammar(table.clone(), rules), compressed, events
+    return Grammar(table.clone(), rules), from_engine(s, table), events
 
 
 def pair_count(seq: BoundedSequence, left: int, right: int) -> int:

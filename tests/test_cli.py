@@ -200,6 +200,14 @@ class TestTrain:
         assert s.read_text(encoding="utf-8").count("\n\n") == 2
         capsys.readouterr()
 
+    def test_newline_token_writes_nothing(self, tmp_path, corpus, capsys):
+        g = tmp_path / "g.rgram"
+        s = tmp_path / "s.seg"
+        args = ["--grammar-out", str(g), "--segmented-out", str(s), "--separators", "|"]
+        assert main(["train", str(corpus), *args]) == 3
+        assert "newline" in capsys.readouterr().err
+        assert not g.exists() and not s.exists()
+
 
 class TestApplyDecode:
     def test_round_trip(self, tmp_path, corpus, trained, capsys):
@@ -237,6 +245,14 @@ class TestApplyDecode:
         assert rc == 3
         assert not (tmp_path / "strict.seg").exists()
         capsys.readouterr()
+
+    def test_apply_newline_token_writes_nothing(self, tmp_path, corpus, capsys):
+        g = tmp_path / "pipes.rgram"
+        assert main(["train", str(corpus), "--grammar-out", str(g), "--separators", "|"]) == 0
+        out = tmp_path / "out.seg"
+        assert main(["apply", str(g), str(corpus), str(out), "--separators", "|"]) == 3
+        assert "newline" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_apply_default_keeps_case(self, tmp_path, trained, capsys):
         g, _ = trained

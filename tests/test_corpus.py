@@ -99,6 +99,17 @@ class TestEncode:
             assert got.alphabet == whole.alphabet
 
 
+class TestSymbolTable:
+    def test_clone_is_independent(self):
+        table = encode("abc").alphabet
+        copy = table.clone()
+        assert copy == table
+        assert [copy.id_of(ch) for ch in "abc"] == [0, 1, 2]
+        assert copy.intern("z") == 3
+        assert table.id_of("z") is None
+        assert table.chars() == ("a", "b", "c")
+
+
 class TestDecodeTerminals:
     def test_boundary_restored(self):
         seq = encode("a\nb", NL)

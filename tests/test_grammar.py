@@ -1,7 +1,7 @@
 import io
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rgrams.corpus import SymbolTable, encode
 from rgrams.errors import (
@@ -19,7 +19,9 @@ from rgrams.grammar import (
     apply_naive,
     apply_with_report,
     decode,
+    engine_array,
     escape_token,
+    from_engine,
     load,
     read_segmented,
     save,
@@ -211,6 +213,18 @@ class TestApply:
         g, _ = trained(text if same else corpus, max_merges=merges)
         seq = encode(text, NL)
         assert apply(g, seq) == apply_naive(g, seq)
+
+
+class TestEngineFormat:
+    @given(st.text(alphabet="ab\n", max_size=40))
+    @example("")
+    @example("\n")
+    @example("\nab\n\nba\n")
+    def test_from_engine_inverts_engine_array(self, text):
+        seq = encode(text, NL)
+        back = from_engine(engine_array(seq), seq.alphabet)
+        assert list(back.symbols) == list(seq.symbols)
+        assert back.boundaries == seq.boundaries
 
 
 class TestSaveLoad:

@@ -213,6 +213,14 @@ class TestNaiveEquivalence:
         assert merger.events == events
         assert list(merger.sequence().symbols) == list(out.symbols)
 
+    def test_invariants_catch_a_live_removed_slot(self):
+        m = PairMerger(encode("abab", NL))
+        m.merge_once()
+        m.check_invariants()
+        m._sym[1] = 0  # slot 1 was merged away
+        with pytest.raises(AssertionError, match="DEAD"):
+            m.check_invariants()
+
     def test_invariants_hold_during_training(self):
         rng = random.Random(3)
         for _ in range(15):
