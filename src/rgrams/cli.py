@@ -29,13 +29,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _unescape_arg(s: str) -> str:
+def _unescape_arg(s: str, flag: str, parser: _Parser) -> str:
     # robust \n, \t, \uXXXX handling without corrupting non-latin text
-    return s.encode("latin-1", "backslashreplace").decode("unicode_escape")
+    try:
+        return s.encode("latin-1", "backslashreplace").decode("unicode_escape")
+    except UnicodeDecodeError as exc:
+        parser.error(f"bad escape in {flag} {s!r}: {exc.reason}")
 
 
 def _separators(arg: str, parser: _Parser) -> frozenset[str]:
-    s = _unescape_arg(arg)
+    s = _unescape_arg(arg, "--separators", parser)
     if not s:
         parser.error("--separators must name at least one character")
     return frozenset(s)
@@ -99,8 +102,8 @@ def cmd_train(args, parser: _Parser) -> int:
     if args.events_out:
         with open(args.events_out, "w", encoding="utf-8", newline="\n") as f:
             f.write("id\tleft\tright\tcount\n")
-            for e in merger.events:
-                f.write(f"{e.new_id}\t{e.left}\t{e.right}\t{e.count}\n")
+            for r in g.rules:
+                f.write(f"{r.id}\t{r.left}\t{r.right}\t{r.freq_at_merge}\n")
     seq_ratio, net_ratio = compression_ratio(
         max(original_len, 1), len(compressed), len(g.rules)
     )
@@ -133,7 +136,7 @@ def cmd_apply(args, parser: _Parser) -> int:
 
 def cmd_decode(args, parser: _Parser) -> int:
     grammar_mod.load(args.grammar)  # validates the file; tokens carry the text
-    sep = _unescape_arg(args.separator)
+    sep = _unescape_arg(args.separator, "--separator", parser)
     if len(sep) != 1:
         parser.error("--separator must be exactly one character")
     # read all of the input first: a data error leaves no output file

@@ -9,6 +9,7 @@ terms excluded from the candidates.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -56,6 +57,20 @@ def _unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m / safe[:, None], ok
 
 
+def _top_k(
+    vs: VectorSet, unit: np.ndarray, ok: np.ndarray, target: np.ndarray, banned: set[int], k: int
+) -> list[tuple[str, float]]:
+    """The k best (token, cosine) against unit-length target, banned rows
+    excluded, by cosine descending then token; zero rows (~ok) rank last."""
+    sims = np.clip(unit @ target, -1.0, 1.0)
+    sims[~ok] = -np.inf  # zero rows have no defined similarity
+    order = sorted(
+        (i for i in range(len(vs.tokens)) if i not in banned),
+        key=lambda i: (-sims[i], vs.tokens[i]),
+    )
+    return [(vs.tokens[i], float(sims[i])) for i in order[:k]]
+
+
 def nearest_neighbors(
     vs: VectorSet, query: str, k: int = 5
 ) -> list[tuple[str, float]] | None:
@@ -68,14 +83,7 @@ def nearest_neighbors(
     if qn == 0.0:
         raise DomainError("query vector has zero norm")
     unit, ok = _unit_rows(vs.matrix)
-    sims = unit @ (q / qn)
-    sims = np.clip(sims, -1.0, 1.0)
-    sims[~ok] = -np.inf  # zero rows have no defined similarity; rank last
-    order = sorted(
-        (i for i in range(len(vs.tokens)) if i != qi),
-        key=lambda i: (-sims[i], vs.tokens[i]),
-    )
-    return [(vs.tokens[i], float(sims[i])) for i in order[:k]]
+    return _top_k(vs, unit, ok, q / qn, {qi}, k)
 
 
 def analogy(vs: VectorSet, q: AnalogyQuery, k: int = 5) -> list[tuple[str, float]] | None:
@@ -92,14 +100,7 @@ def analogy(vs: VectorSet, q: AnalogyQuery, k: int = 5) -> list[tuple[str, float
     tn = float(np.linalg.norm(target))
     if tn == 0.0:
         return []
-    sims = np.clip(unit @ (target / tn), -1.0, 1.0)
-    sims[~ok] = -np.inf
-    banned = {ia, ib, ic}
-    order = sorted(
-        (i for i in range(len(vs.tokens)) if i not in banned),
-        key=lambda i: (-sims[i], vs.tokens[i]),
-    )
-    return [(vs.tokens[i], float(sims[i])) for i in order[:k]]
+    return _top_k(vs, unit, ok, target / tn, {ia, ib, ic}, k)
 
 
 def analogy_suite(vs: VectorSet, queries: Sequence[AnalogyQuery]) -> SuiteResult:
@@ -159,6 +160,8 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
         raise DomainError("length mismatch")
     if len(xa) < 2:
         raise DomainError("correlation needs at least 2 points")
+    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+        raise DomainError("correlation undefined for non-finite input")
     rx = average_ranks(xa)
     ry = average_ranks(ya)
     rx -= rx.mean()
@@ -229,7 +232,7 @@ def read_analogies(path: str) -> tuple[list[AnalogyQuery], list[str]]:
 
 
 def read_similarity(path: str) -> list[tuple[str, str, float]]:
-    """TSV: token1<TAB>token2<TAB>gold-score, tokens escaped."""
+    """TSV: token1<TAB>token2<TAB>gold-score, tokens escaped; scores finite."""
     pairs: list[tuple[str, str, float]] = []
     for lineno, line in _suite_lines(path):
         s = line.rstrip("\n")
@@ -242,6 +245,8 @@ def read_similarity(path: str) -> list[tuple[str, str, float]]:
             gold = float(parts[2])
         except ValueError:
             raise DomainError(f"{path}:{lineno}: malformed score") from None
+        if not math.isfinite(gold):
+            raise DomainError(f"{path}:{lineno}: non-finite score")
         t1, t2 = _unescape_fields(parts[:2], path, lineno)
         pairs.append((t1, t2, gold))
     return pairs

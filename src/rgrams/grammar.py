@@ -90,10 +90,6 @@ class Grammar:
         self._rank: _RankTable | None = None
 
     @property
-    def terminal_count(self) -> int:
-        return len(self.terminals)
-
-    @property
     def vocab_size(self) -> int:
         return len(self.terminals) + len(self.rules)
 
@@ -342,18 +338,25 @@ def apply_naive(g: Grammar, seq: BoundedSequence) -> BoundedSequence:
     """
     s = _engine_input(g, seq)[0].tolist()
     for rule in g.rules:
-        out: list[int] = []
-        i = 0
-        n = len(s)
-        while i < n:
-            if i + 1 < n and s[i] == rule.left and s[i + 1] == rule.right:
-                out.append(rule.id)
-                i += 2
-            else:
-                out.append(s[i])
-                i += 1
-        s = out
+        s = greedy_replace(s, rule)
     return from_engine(s, g.terminals.clone())
+
+
+def greedy_replace(s: list[int], rule: Rule) -> list[int]:
+    """The literal replace pass: one left-to-right scan rewriting each
+    greedy (rule.left, rule.right) as rule.id; apply_naive and train_naive
+    step by it."""
+    out: list[int] = []
+    i = 0
+    n = len(s)
+    while i < n:
+        if i + 1 < n and s[i] == rule.left and s[i + 1] == rule.right:
+            out.append(rule.id)
+            i += 2
+        else:
+            out.append(s[i])
+            i += 1
+    return out
 
 
 def decode(g: Grammar, seq: BoundedSequence, separator: str = "\n") -> str:

@@ -9,9 +9,9 @@ checked against it and stays deliberately simple.
 
 Counting convention: a pair's count is the number of replacements a single
 left-to-right pass would perform, i.e. greedy non-overlapping occurrences.
-"aaa" contains (a,a) once. Ties between equal-count pairs go to the pair
-whose earliest current occurrence is leftmost, then to the smaller
-(left, right) id pair.
+"aaa" contains (a,a) once; greedy_pairs() states it literally. Ties between
+equal-count pairs go to the pair whose earliest current occurrence is
+leftmost, then to the smaller (left, right) id pair.
 """
 
 from __future__ import annotations
@@ -19,12 +19,13 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import BoundedSequence
 from .errors import DomainError
-from .grammar import DEAD, SHIFT, Grammar, Rule, engine_array, from_engine, linked
+from .grammar import DEAD, SHIFT, Grammar, Rule, engine_array, from_engine, greedy_replace, linked
 
 NIL = -1  # end of an occurrence list
 _MASK = (1 << SHIFT) - 1
@@ -45,14 +46,6 @@ class StopCriteria:
             raise DomainError("max_vocabulary must be >= 0")
         if self.max_merges is not None and self.max_merges < 0:
             raise DomainError("max_merges must be >= 0")
-
-
-@dataclass(frozen=True)
-class MergeEvent:
-    new_id: int
-    left: int
-    right: int
-    count: int
 
 
 class PairMerger:
@@ -76,7 +69,7 @@ class PairMerger:
         n = int(a.size)
         self._alphabet = seq.alphabet
         self._terminal_count = len(seq.alphabet)
-        self._events: list[MergeEvent] = []
+        self._rules: list[Rule] = []  # the merge log
         self._replacements = 0
         self._heap: list[tuple[int, int, int]] | None = None  # built by _select
         self._sym, self._nxt, self._prv = linked(a)
@@ -125,23 +118,18 @@ class PairMerger:
 
     @property
     def merges(self) -> int:
-        return len(self._events)
+        return len(self._rules)
 
     @property
     def vocab_size(self) -> int:
-        return self._terminal_count + len(self._events)
+        return self._terminal_count + len(self._rules)
 
     @property
     def replacements(self) -> int:
         return self._replacements
 
-    @property
-    def events(self) -> list[MergeEvent]:
-        return self._events
-
     def grammar(self) -> Grammar:
-        rules = [Rule(e.new_id, e.left, e.right, e.count) for e in self._events]
-        return Grammar(self._alphabet.clone(), rules)
+        return Grammar(self._alphabet.clone(), self._rules)
 
     def sequence(self) -> BoundedSequence:
         """Snapshot of the current sequence as a BoundedSequence."""
@@ -178,25 +166,23 @@ class PairMerger:
                 return key, rec
         return None
 
-    def merge_once(self, min_frequency: int = 2) -> MergeEvent | None:
-        """Perform one merge of the current best pair; None when exhausted."""
+    def merge_once(self, min_frequency: int = 2) -> Rule | None:
+        """Merge the best pair and return its Rule, the merge log entry;
+        None when no pair reaches min_frequency."""
         sel = self._select(min_frequency)
         if sel is None:
             return None
         key, rec = sel
-        left = key >> SHIFT
-        right = key & _MASK
-        new_id = self.vocab_size
-        created = self._replace_all(left, right, new_id)
-        event = MergeEvent(new_id, left, right, rec[0])
-        self._events.append(event)
+        rule = Rule(self.vocab_size, key >> SHIFT, key & _MASK, rec[0])
+        created = self._replace_all(rule.left, rule.right, rule.id)
+        self._rules.append(rule)
         heap = self._heap
         pairs = self._pairs
         for k in created:
             r = pairs.get(k)
             if r is not None and r[0] >= 2:
                 heappush(heap, (-r[0], r[1], k))
-        return event
+        return rule
 
     def run(self, stop: StopCriteria) -> None:
         """Merge until max_merges or max_vocabulary is hit or no pair is left.
@@ -435,18 +421,10 @@ class PairMerger:
         for z in range(end):
             if (sym[z] == DEAD) == (z in alive):
                 raise AssertionError(f"slot {z}: DEAD must mark exactly the slots off the live walk")
-        expected: dict[int, list[int]] = {}
-        lastused: dict[int, int] = {}
-        for i in range(len(live) - 1):
-            a = sym[live[i]]
-            b = sym[live[i + 1]]
-            if a < 0 or b < 0:
-                continue
-            k = (a << SHIFT) | b
-            if lastused.get(k) == i:
-                continue
-            expected.setdefault(k, []).append(live[i])
-            lastused[k] = i + 1
+        expected = {
+            (a << SHIFT) | b: [live[i] for i in occ]
+            for (a, b), occ in greedy_pairs([sym[z] for z in live]).items()
+        }
         actual: dict[int, list[int]] = {}
         for k, rec in self._pairs.items():
             occ = []
@@ -471,25 +449,44 @@ class PairMerger:
 
 def train(
     seq: BoundedSequence, stop: StopCriteria = StopCriteria()
-) -> tuple[Grammar, BoundedSequence, list[MergeEvent]]:
-    """Learn a merge grammar; returns (grammar, compressed sequence, log).
+) -> tuple[Grammar, BoundedSequence]:
+    """Learn a merge grammar; returns (grammar, compressed sequence).
 
-    An empty sequence yields an empty grammar and empty output. The full
-    input sequence is held in memory: about 22 bytes per symbol once the
-    engine is built, growing with the pair index as merges run (about 45
-    after 4000 merges on 1 MB of text), with a peak near 126 while it is
-    built.
+    grammar.rules is the merge log. An empty sequence yields an empty grammar
+    and empty output. The full input sequence is held in memory: about 22
+    bytes per symbol once the engine is built, growing with the pair index as
+    merges run (about 45 after 4000 merges on 1 MB of text), with a peak near
+    126 while it is built.
     """
     stop.validate()
     merger = PairMerger(seq)
     merger.run(stop)
-    return merger.grammar(), merger.sequence(), merger.events
+    return merger.grammar(), merger.sequence()
+
+
+def greedy_pairs(s: Sequence[int]) -> dict[tuple[int, int], list[int]]:
+    """The counting convention, literally: each pair (s[i], s[i + 1]) of an
+    engine-format list mapped to the indices i of its greedy left-to-right
+    non-overlapping occurrences. Negative symbols never pair. The one
+    definition that train_naive, check_invariants and pair_count count by.
+    """
+    occ: dict[tuple[int, int], list[int]] = {}
+    for i in range(len(s) - 1):
+        a = s[i]
+        b = s[i + 1]
+        if a < 0 or b < 0:
+            continue
+        at = occ.setdefault((a, b), [])
+        if not at or at[-1] != i - 1:  # else (a, b) at i - 1 took s[i]
+            at.append(i)
+    return occ
 
 
 def train_naive(
     seq: BoundedSequence, stop: StopCriteria = StopCriteria()
-) -> tuple[Grammar, BoundedSequence, list[MergeEvent]]:
-    """Reference trainer: full rescan each round, literal replacement pass.
+) -> tuple[Grammar, BoundedSequence]:
+    """Reference trainer: greedy_pairs recount and greedy_replace pass each
+    round; returns what train() returns.
 
     Quadratic; exists as the behavioural oracle for train().
     """
@@ -497,71 +494,24 @@ def train_naive(
     table = seq.alphabet
     T = len(table)
     s: list[int] = engine_array(seq).tolist()
-
     rules: list[Rule] = []
-    events: list[MergeEvent] = []
-    next_id = T
-    minf = stop.min_frequency
-    while True:
-        if stop.max_merges is not None and len(rules) >= stop.max_merges:
+    while (stop.max_merges is None or len(rules) < stop.max_merges) and (
+        stop.max_vocabulary is None or T + len(rules) < stop.max_vocabulary
+    ):
+        best = min(((-len(v), v[0], k) for k, v in greedy_pairs(s).items()), default=None)
+        if best is None or -best[0] < stop.min_frequency:
             break
-        if stop.max_vocabulary is not None and T + len(rules) + 1 > stop.max_vocabulary:
-            break
-        counts: dict[tuple[int, int], int] = {}
-        first: dict[tuple[int, int], int] = {}
-        lastused: dict[tuple[int, int], int] = {}
-        for i in range(len(s) - 1):
-            a = s[i]
-            b = s[i + 1]
-            if a < 0 or b < 0:
-                continue
-            k = (a, b)
-            if lastused.get(k) == i:
-                continue
-            c = counts.get(k, 0) + 1
-            counts[k] = c
-            if c == 1:
-                first[k] = i
-            lastused[k] = i + 1
-        best = None
-        for k, c in counts.items():
-            if c < minf:
-                continue
-            cand = (-c, first[k], k)
-            if best is None or cand < best:
-                best = cand
-        if best is None:
-            break
-        count = -best[0]
-        l, r = best[2]
-        out: list[int] = []
-        i = 0
-        n = len(s)
-        while i < n:
-            if i + 1 < n and s[i] == l and s[i + 1] == r:
-                out.append(next_id)
-                i += 2
-            else:
-                out.append(s[i])
-                i += 1
-        s = out
-        rules.append(Rule(next_id, l, r, count))
-        events.append(MergeEvent(next_id, l, r, count))
-        next_id += 1
-
-    return Grammar(table.clone(), rules), from_engine(s, table), events
+        rule = Rule(T + len(rules), *best[2], -best[0])
+        s = greedy_replace(s, rule)
+        rules.append(rule)
+    return Grammar(table.clone(), rules), from_engine(s, table)
 
 
 def pair_count(seq: BoundedSequence, left: int, right: int) -> int:
-    """Greedy non-overlapping occurrences of (left, right), per segment."""
-    syms = seq.symbols
-    total = 0
-    for lo, hi in seq.segments():
-        i = lo
-        while i + 1 < hi:
-            if syms[i] == left and syms[i + 1] == right:
-                total += 1
-                i += 2
-            else:
-                i += 1
-    return total
+    """Greedy non-overlapping occurrences of (left, right), per segment.
+
+    A reader of greedy_pairs; the tests use it as the counting convention's
+    oracle.
+    """
+    key = (left, right)
+    return sum(len(greedy_pairs(seq.symbols[lo:hi]).get(key, ())) for lo, hi in seq.segments())

@@ -75,22 +75,22 @@ def big_run(sample_text_10mb, tmp_path_factory) -> BigRun:
     for ck in CHECKPOINTS:
         merger.run(StopCriteria(max_merges=ck))
         # replay this stretch's merges so the max is checked after every one
-        for ev in merger.events[seen:]:
-            m = ev.count
+        for ev in merger.grammar().rules[seen:]:
+            m = ev.freq_at_merge
             if ev.left == ev.right:
                 counts[ev.left] -= 2 * m
             else:
                 counts[ev.left] -= m
                 counts[ev.right] -= m
-            counts[ev.new_id] = m
+            counts[ev.id] = m
             heapq.heappush(heap, (-counts[ev.left], ev.left))
             heapq.heappush(heap, (-counts[ev.right], ev.right))
-            heapq.heappush(heap, (-m, ev.new_id))
+            heapq.heappush(heap, (-m, ev.id))
             cur = current_max()
             if cur > prev_max:
                 monotone = False
             prev_max = cur
-        seen = len(merger.events)
+        seen = merger.merges
         rank1[ck] = current_max()
     train_seconds = time.perf_counter() - t0
 
@@ -102,7 +102,7 @@ def big_run(sample_text_10mb, tmp_path_factory) -> BigRun:
         text=sample_text_10mb,
         grammar=g,
         merges=merger.merges,
-        event_counts=[e.count for e in merger.events],
+        event_counts=[e.freq_at_merge for e in g.rules],
         rank1=rank1,
         max_monotone=monotone,
         segmented_path=seg_path,

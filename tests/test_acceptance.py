@@ -72,8 +72,8 @@ def big_vectors(big_run):
 def test_criterion_01_worked_example():
     with criterion(1, "worked compression example reproduced exactly"):
         seq = encode("βββαβββαβββ")
-        g, out, events = train(seq, StopCriteria(min_frequency=2, max_merges=2))
-        assert [(e.new_id, e.left, e.right, e.count) for e in events] == [
+        g, out = train(seq, StopCriteria(min_frequency=2, max_merges=2))
+        assert [(e.id, e.left, e.right, e.freq_at_merge) for e in g.rules] == [
             (2, 0, 0, 3),
             (3, 2, 0, 3),
         ]
@@ -95,9 +95,9 @@ def test_criterion_02_engine_matches_oracle():
             alphabet = "abcdefghijklmnop"[:k] + ("\n" if rng.random() < 0.25 else "")
             text = "".join(rng.choice(alphabet) for _ in range(n))
             stop = StopCriteria(min_frequency=rng.choice([2, 3, 4]))
-            g1, o1, e1 = train(encode(text, NL), stop)
-            g2, o2, e2 = train_naive(encode(text, NL), stop)
-            assert e1 == e2, f"event mismatch on {text!r}"
+            g1, o1 = train(encode(text, NL), stop)
+            g2, o2 = train_naive(encode(text, NL), stop)
+            assert g1.rules == g2.rules, f"event mismatch on {text!r}"
             assert list(o1.symbols) == list(o2.symbols)
             assert o1.boundaries == o2.boundaries
             assert g1 == g2
@@ -108,9 +108,9 @@ def test_criterion_02_engine_matches_oracle():
             alphabet = "abcdefghijklmnop"[:k]
             text = "".join(rng.choice(alphabet) for _ in range(n))
             stop = StopCriteria(min_frequency=rng.choice([2, 3, 4]))
-            g1, o1, e1 = train(encode(text, NL), stop)
-            g2, o2, e2 = train_naive(encode(text, NL), stop)
-            assert e1 == e2
+            g1, o1 = train(encode(text, NL), stop)
+            g2, o2 = train_naive(encode(text, NL), stop)
+            assert g1.rules == g2.rules
             assert list(o1.symbols) == list(o2.symbols)
             assert g1 == g2
             trials += 1
@@ -134,11 +134,11 @@ def test_criterion_03_round_trips(sample_text_10mb, tmp_path):
             else:
                 a = rng.choice(alphabets)
                 text = "".join(rng.choice(a) for _ in range(rng.randint(0, 200)))
-            g, out, _ = train(encode(text, NL))
+            g, out = train(encode(text, NL))
             assert decode(g, out) == text, f"trial {i} lost data"
         sample = normalize(sample_text_10mb)[:1_200_000]
         seq = encode(sample, NL)
-        g, out, _ = train(seq, StopCriteria(max_merges=3000))
+        g, out = train(seq, StopCriteria(max_merges=3000))
         assert decode(g, out) == sample
         seg = tmp_path / "mb.seg"
         write_segmented(g, out, str(seg))

@@ -92,6 +92,22 @@ class TestExitCodes:
         assert rc == 1
         assert "--top" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("escape", ["\\", "\\x4"])
+    @pytest.mark.parametrize("command", ["train", "apply", "stats", "decode"])
+    def test_bad_escape_is_usage_error(self, tmp_path, corpus, trained, capsys, command, escape):
+        g, s = trained
+        out = tmp_path / "out.txt"
+        argv = {
+            "train": ["train", str(corpus), "--grammar-out", str(out), "--separators", escape],
+            "apply": ["apply", str(g), str(corpus), str(out), "--separators", escape],
+            "stats": ["stats", "--raw", str(corpus), "--grammar", str(g), "--separators", escape],
+            "decode": ["decode", str(g), str(s), str(out), "--separator", escape],
+        }[command]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "bad escape" in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert main(["train", "--help"]) == 0
@@ -416,6 +432,20 @@ class TestEmbedEval:
         assert rc == 0
         out = capsys.readouterr().out
         assert "spearman" in out and "coverage\t1.0" in out
+
+    def test_similarity_non_finite_gold_is_data_error(self, tmp_path, vectors, capsys):
+        toks = [
+            line.split(" ", 1)[0]
+            for line in vectors.read_text(encoding="utf-8").splitlines()[1:5]
+        ]
+        suite = tmp_path / "sim.tsv"
+        suite.write_text(
+            f"{toks[0]}\t{toks[1]}\tnan\n{toks[2]}\t{toks[3]}\tnan\n", encoding="utf-8"
+        )
+        assert main(["eval", "similarity", str(vectors), str(suite)]) == 3
+        captured = capsys.readouterr()
+        assert f"{suite}:1: non-finite score" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "flag, value", [("--lr", "nan"), ("--lr", "inf"), ("--subsample", "nan")]

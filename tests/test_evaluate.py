@@ -228,6 +228,13 @@ class TestSpearman:
         with pytest.raises(DomainError):
             spearman([1], [2])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError, match="non-finite"):
+            spearman([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+        with pytest.raises(DomainError, match="non-finite"):
+            spearman([1.0, 2.0, 3.0], [bad, bad, bad])
+
     def test_average_ranks(self):
         got = average_ranks(np.array([10.0, 20.0, 20.0, 30.0]))
         assert got.tolist() == [1.0, 2.5, 2.5, 4.0]
@@ -290,6 +297,13 @@ class TestReaders:
         p = tmp_path / "s.tsv"
         p.write_text("a\tb\thigh\n", encoding="utf-8")
         with pytest.raises(DomainError):
+            read_similarity(str(p))
+
+    @pytest.mark.parametrize("score", ["nan", "NaN", "inf", "-Infinity"])
+    def test_similarity_non_finite_score(self, tmp_path, score):
+        p = tmp_path / "s.tsv"
+        p.write_text(f"a\tb\t1.5\nc\td\t{score}\n", encoding="utf-8")
+        with pytest.raises(DomainError, match=r"s\.tsv:2: non-finite score"):
             read_similarity(str(p))
 
     def test_similarity_wrong_field_count(self, tmp_path):

@@ -34,7 +34,7 @@ NL = frozenset("\n")
 
 
 def trained(text, **stop):
-    g, out, _ = train(encode(text, NL), StopCriteria(**stop))
+    g, out = train(encode(text, NL), StopCriteria(**stop))
     return g, out
 
 

@@ -144,7 +144,7 @@ def mutate(data: bytes, ops) -> bytes:
 
 def _valid_files(d):
     seq = encode(TEXT)
-    g, out, _ = train(seq)
+    g, out = train(seq)
     save(g, str(d / "g.rgram"))
     write_segmented(g, out, str(d / "c.seg"))
     tokens = ["the", "c_at", "\\x", " "]

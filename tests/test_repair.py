@@ -7,7 +7,6 @@ from rgrams.corpus import decode_terminals, encode
 from rgrams.errors import DomainError
 from rgrams.grammar import apply, decode
 from rgrams.repair import (
-    MergeEvent,
     PairMerger,
     StopCriteria,
     pair_count,
@@ -19,8 +18,8 @@ NL = frozenset("\n")
 
 
 def events_of(text, **stop):
-    _, _, ev = train(encode(text, NL), StopCriteria(**stop))
-    return ev
+    g, _ = train(encode(text, NL), StopCriteria(**stop))
+    return list(g.rules)
 
 
 class TestPairCount:
@@ -50,45 +49,46 @@ class TestSmallGrammars:
         # but the final ββ has no α after it, so the second merge pairs
         # γ=ββ with α at count 2... worked through by hand below.
         seq = encode("ββαββαββ")
-        g, out, ev = train(seq, StopCriteria(min_frequency=2))
-        assert [(e.left, e.right, e.count) for e in ev][0] == (0, 0, 3)
+        g, out = train(seq, StopCriteria(min_frequency=2))
+        ev = g.rules
+        assert [(e.left, e.right, e.freq_at_merge) for e in ev][0] == (0, 0, 3)
         joined = "".join(g.expand(s) for s in out.symbols)
         assert joined == "ββαββαββ"
 
     def test_abababab(self):
         seq = encode("abababab")
-        g, out, ev = train(seq, StopCriteria(min_frequency=2))
+        g, out = train(seq, StopCriteria(min_frequency=2))
+        ev = g.rules
         # (a,b) x4 -> X; (X,X) x2 -> Y; leaves YY
         assert len(ev) == 2
-        assert ev[0].count == 4 and ev[1].count == 2
-        assert list(out.symbols) == [ev[1].new_id] * 2
-        assert g.expand(ev[1].new_id) == "abab"
+        assert ev[0].freq_at_merge == 4 and ev[1].freq_at_merge == 2
+        assert list(out.symbols) == [ev[1].id] * 2
+        assert g.expand(ev[1].id) == "abab"
 
     def test_no_repeats_is_identity(self):
         seq = encode("abc")
-        g, out, ev = train(seq)
-        assert ev == []
+        g, out = train(seq)
         assert list(out.symbols) == list(seq.symbols)
         assert g.rules == ()
 
     def test_empty_input(self):
-        g, out, ev = train(encode(""))
-        assert ev == [] and len(out) == 0 and g.vocab_size == 0
+        g, out = train(encode(""))
+        assert g.rules == () and len(out) == 0 and g.vocab_size == 0
 
     def test_single_symbol(self):
-        g, out, ev = train(encode("a"))
-        assert ev == [] and list(out.symbols) == [0]
+        g, out = train(encode("a"))
+        assert g.rules == () and list(out.symbols) == [0]
 
     def test_tie_breaks_by_earliest_occurrence(self):
         # "cdcd abab abab": (a,b) and (c,d) both appear twice; (c,d) first.
         seq = encode("cdcdabab")
-        _, _, ev = train(seq, StopCriteria(min_frequency=2, max_merges=1))
+        ev = train(seq, StopCriteria(min_frequency=2, max_merges=1))[0].rules
         c, d = seq.symbols[0], seq.symbols[1]
         assert (ev[0].left, ev[0].right) == (c, d)
 
     def test_boundaries_survive(self):
         seq = encode("abab\nabab", NL)
-        g, out, ev = train(seq)
+        g, out = train(seq)
         assert out.boundaries == [len(out.symbols) // 2]
         out.validate()
 
@@ -110,14 +110,14 @@ class TestStopCriteria:
     def test_min_frequency_respected(self):
         for mf in (2, 3, 4):
             for e in events_of("ababab" * 3, min_frequency=mf):
-                assert e.count >= mf
+                assert e.freq_at_merge >= mf
 
     def test_max_vocabulary(self):
         seq = encode("abababababab")
-        g, _, _ = train(seq, StopCriteria(max_vocabulary=3))
+        g, _ = train(seq, StopCriteria(max_vocabulary=3))
         # 2 terminals + 1 rule + sentinel == 4 > 3 stops before the 2nd merge
         assert g.vocab_size <= 3
-        g2, _, _ = train(seq, StopCriteria(max_vocabulary=2))
+        g2, _ = train(seq, StopCriteria(max_vocabulary=2))
         assert len(g2.rules) == 0
 
     def test_bad_fields(self):
@@ -132,28 +132,29 @@ class TestEventProperties:
         text = ("the cat sat on the mat " * 40) + "a rat sat on a hat " * 25
         ev = events_of(text)
         for prev, cur in zip(ev, ev[1:]):
-            assert cur.count <= prev.count
+            assert cur.freq_at_merge <= prev.freq_at_merge
 
     def test_new_ids_consecutive(self):
         seq = encode("abcabcabc xyxyxy")
-        g, _, ev = train(seq)
+        g, _ = train(seq)
+        ev = g.rules
         nt = len(seq.alphabet)
-        assert [e.new_id for e in ev] == list(range(nt, nt + len(ev)))
+        assert [e.id for e in ev] == list(range(nt, nt + len(ev)))
 
     def test_replacements_reported(self):
         seq = encode("abababab")
         m = PairMerger(seq)
         ev = m.merge_once()
-        assert ev is not None and ev.count == 4
+        assert ev is not None and ev.freq_at_merge == 4
         assert m.replacements == 4
 
 
 class TestNaiveEquivalence:
     def assert_same(self, text, stop):
         seq = encode(text, NL)
-        g1, o1, e1 = train(seq, stop)
-        g2, o2, e2 = train_naive(encode(text, NL), stop)
-        assert e1 == e2
+        g1, o1 = train(seq, stop)
+        g2, o2 = train_naive(encode(text, NL), stop)
+        assert g1.rules == g2.rules
         assert list(o1.symbols) == list(o2.symbols)
         assert o1.boundaries == o2.boundaries
         assert g1 == g2
@@ -192,8 +193,8 @@ class TestNaiveEquivalence:
         for k in sorted(set(checkpoints)) + [None]:
             stop = StopCriteria(max_vocabulary=max_vocab, max_merges=k)
             merger.run(stop)
-            _, out, events = train_naive(seq, stop)
-            assert merger.events == events
+            g, out = train_naive(seq, stop)
+            assert merger.grammar().rules == g.rules
             assert list(merger.sequence().symbols) == list(out.symbols)
 
     @settings(max_examples=40)
@@ -207,10 +208,10 @@ class TestNaiveEquivalence:
         seq = encode("".join(words), NL)
         merger = PairMerger(seq)
         merger.run(StopCriteria(min_frequency=k))
-        assert merger.events == train_naive(seq, StopCriteria(min_frequency=k))[2]
+        assert merger.grammar().rules == train_naive(seq, StopCriteria(min_frequency=k))[0].rules
         merger.run(StopCriteria(min_frequency=2))
-        _, out, events = train_naive(seq, StopCriteria())
-        assert merger.events == events
+        g, out = train_naive(seq, StopCriteria())
+        assert merger.grammar().rules == g.rules
         assert list(merger.sequence().symbols) == list(out.symbols)
 
     def test_invariants_catch_a_live_removed_slot(self):
@@ -238,16 +239,16 @@ class TestSizeEdges:
     @pytest.mark.parametrize("text", ["", "\n", "\n\n", "a", "aa", "\u00e9\u00e9\u00e9\n\u00e9"])
     def test_train_and_apply(self, text):
         seq = encode(text, NL)
-        g, out, ev = train(seq)
-        g2, out2, ev2 = train_naive(encode(text, NL))
-        assert (g, ev) == (g2, ev2)
+        g, out = train(seq)
+        g2, out2 = train_naive(encode(text, NL))
+        assert g == g2
         assert (list(out.symbols), out.boundaries) == (list(out2.symbols), out2.boundaries)
         assert decode(g, out) == decode_terminals(seq)
         replayed = apply(g, encode(text, NL))
         assert list(replayed.symbols) == list(out.symbols)
         assert replayed.boundaries == out.boundaries
         # no input character is in this grammar's alphabet
-        other, _, _ = train(encode("zzzz"))
+        other, _ = train(encode("zzzz"))
         assert decode(other, apply(other, seq)) == decode_terminals(seq)
 
 
@@ -257,7 +258,3 @@ class TestDeterminism:
         a = events_of(text)
         b = events_of(text)
         assert a == b
-
-    def test_events_are_plain_data(self):
-        e = MergeEvent(new_id=5, left=1, right=2, count=9)
-        assert e == MergeEvent(5, 1, 2, 9)
