@@ -9,13 +9,15 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import warnings
 from dataclasses import replace
+from itertools import chain
 
 from . import embed as embed_mod
 from . import evaluate as eval_mod
 from . import grammar as grammar_mod
 from . import stats as stats_mod
-from .corpus import NormalizationOptions, encode_file
+from .corpus import NormalizationOptions, encode_file, write_lines
 from .errors import ToolError
 from .repair import PairMerger, StopCriteria
 from .stats import RankedDistribution, compression_ratio, flatness, rank_frequency
@@ -30,11 +32,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _unescape_arg(s: str, flag: str, parser: _Parser) -> str:
-    # robust \n, \t, \uXXXX handling without corrupting non-latin text
-    try:
-        return s.encode("latin-1", "backslashreplace").decode("unicode_escape")
-    except UnicodeDecodeError as exc:
-        parser.error(f"bad escape in {flag} {s!r}: {exc.reason}")
+    # robust \n, \t, \uXXXX handling without corrupting non-latin text; the
+    # codec keeps an unknown escape such as \q and only warns, so the warning
+    # is made an error too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return s.encode("latin-1", "backslashreplace").decode("unicode_escape")
+        except UnicodeDecodeError as exc:
+            parser.error(f"bad escape in {flag} {s!r}: {exc.reason}")
+        except DeprecationWarning as exc:  # the codec chains the warning as __cause__
+            parser.error(f"bad escape in {flag} {s!r}: {exc.__cause__ or exc}")
 
 
 def _separators(arg: str, parser: _Parser) -> frozenset[str]:
@@ -100,10 +108,8 @@ def cmd_train(args, parser: _Parser) -> int:
         grammar_mod.write_segmented(g, compressed, args.segmented_out)
     grammar_mod.save(g, args.grammar_out)
     if args.events_out:
-        with open(args.events_out, "w", encoding="utf-8", newline="\n") as f:
-            f.write("id\tleft\tright\tcount\n")
-            for r in g.rules:
-                f.write(f"{r.id}\t{r.left}\t{r.right}\t{r.freq_at_merge}\n")
+        events = (f"{r.id}\t{r.left}\t{r.right}\t{r.freq_at_merge}" for r in g.rules)
+        write_lines(args.events_out, chain(["id\tleft\tright\tcount"], events))
     seq_ratio, net_ratio = compression_ratio(
         max(original_len, 1), len(compressed), len(g.rules)
     )

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import codecs
 from array import array
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -235,6 +237,31 @@ def read_text_chunks(path, chunk_bytes: int = 1 << 20) -> Iterator[str]:
                 yield text
             if final:
                 return
+
+
+def read_lines(src: str | TextIO) -> Iterator[tuple[int, str]]:
+    """Yield (lineno, line), numbered from 1, from a UTF-8 file path or a text
+    handle. Lines split on '\n' only; a missing final newline is accepted;
+    bad bytes in a file raise CorpusDecodeError with their offset."""
+    chunks = iter(lambda: src.read(1 << 20), "") if hasattr(src, "read") else read_text_chunks(src)
+    n = 0
+    buf = ""
+    for chunk in chunks:
+        parts = (buf + chunk).split("\n")
+        buf = parts.pop()
+        yield from enumerate(parts, n + 1)
+        n += len(parts)
+    if buf:
+        yield n + 1, buf
+
+
+def write_lines(dest: str | TextIO, lines: Iterable[str]) -> None:
+    """Write each line plus '\n' to a path (UTF-8) or a text handle, 65536 lines per write."""
+    own = not hasattr(dest, "write")
+    with open(dest, "w", encoding="utf-8", newline="\n") if own else nullcontext(dest) as f:
+        it = iter(lines)
+        while batch := list(islice(it, 65536)):
+            f.write("\n".join(batch) + "\n")
 
 
 def encode_file(

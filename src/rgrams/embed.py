@@ -16,13 +16,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .corpus import read_text_chunks, substitute_digits
+from .corpus import read_lines, substitute_digits, write_lines
 from .errors import DomainError, VectorFileError
-from .grammar import _raw_lines, escape_token, read_segmented, unescape_token
+from .grammar import escape_token, read_segmented, unescape_token
 
 log = logging.getLogger(__name__)
 
@@ -393,36 +394,33 @@ def export_vectors(m: EmbeddingMatrix | VectorSet, path: str) -> None:
     vs = m.to_vectors() if isinstance(m, EmbeddingMatrix) else m
     if not np.isfinite(vs.matrix).all():
         raise DomainError("vectors have non-finite components; nothing written")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"{len(vs.tokens)} {vs.matrix.shape[1]}\n")
-        for tok, row in zip(vs.tokens, vs.matrix):
-            f.write(escape_token(tok))
-            f.write(" ")
-            f.write(" ".join("%.9g" % x for x in row))
-            f.write("\n")
+    rows = (
+        escape_token(tok) + " " + " ".join("%.9g" % x for x in row)
+        for tok, row in zip(vs.tokens, vs.matrix)
+    )
+    write_lines(path, chain([f"{len(vs.tokens)} {vs.matrix.shape[1]}"], rows))
 
 
 def import_vectors(path: str) -> VectorSet:
-    """Read an export_vectors file; bad bytes raise CorpusDecodeError."""
-    lines = _raw_lines(read_text_chunks(path))
-    parts = next(lines, "").split()
+    """Read an export_vectors file; only blank lines may follow the declared
+    rows. A parse error raises VectorFileError naming its 1-based line; bad
+    bytes raise CorpusDecodeError."""
+    lines = read_lines(path)
+    lineno, header = next(lines, (1, ""))
+    parts = header.split()
     if len(parts) != 2:
-        raise VectorFileError(1, "header must be '<count> <dim>'")
+        raise VectorFileError(lineno, "header must be '<count> <dim>'")
     try:
         count, dim = int(parts[0]), int(parts[1])
     except ValueError:
-        raise VectorFileError(1, "non-integer header") from None
+        raise VectorFileError(lineno, "non-integer header") from None
     if count < 0 or dim < 1:
-        raise VectorFileError(1, "invalid header values")
+        raise VectorFileError(lineno, "invalid header values")
     tokens: list[str] = []
     # rows grow as they are read: the header alone must not size an allocation
     rows: list[list[float]] = []
     seen: set[str] = set()
-    for r in range(count):
-        lineno = r + 2
-        line = next(lines, None)
-        if line is None:
-            raise VectorFileError(lineno, "truncated file")
+    for lineno, line in islice(lines, count):
         cols = line.split(" ")
         if len(cols) != dim + 1:
             raise VectorFileError(lineno, f"expected {dim + 1} fields, got {len(cols)}")
@@ -435,16 +433,19 @@ def import_vectors(path: str) -> VectorSet:
         seen.add(tok)
         tokens.append(tok)
         try:
-            rows.append([float(x) for x in cols[1:]])
+            row = list(map(float, cols[1:]))
         except ValueError:
             raise VectorFileError(lineno, "malformed float") from None
-    if next(lines, "").strip():
-        raise VectorFileError(count + 2, "trailing content after declared rows")
+        if not all(map(math.isfinite, row)):
+            raise VectorFileError(lineno, "non-finite component")
+        rows.append(row)
+    if len(rows) < count:
+        raise VectorFileError(lineno + 1, "truncated file")
+    for lineno, line in lines:
+        if line.strip():
+            raise VectorFileError(lineno, "trailing content after declared rows")
     try:
         matrix = np.array(rows, dtype=np.float64).reshape(count, dim)
     except ValueError:  # only an empty file can declare a dim numpy cannot shape
         raise VectorFileError(1, "invalid header values") from None
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-    if bad.size:
-        raise VectorFileError(int(bad[0]) + 2, "non-finite component")
     return VectorSet(tokens, matrix)

@@ -31,29 +31,30 @@ class UnknownSymbolError(DomainError):
         self.symbol_id = symbol_id
 
 
-class GrammarFileError(ToolError):
-    """Grammar file could not be parsed; line is 1-based."""
+class LineError(ToolError):
+    """A line-oriented file could not be parsed; line is 1-based."""
 
     def __init__(self, line: int, reason: str):
         super().__init__(f"line {line}: {reason}")
         self.line = line
+
+
+class GrammarFileError(LineError):
+    """Grammar file could not be parsed."""
 
 
 class GrammarVersionError(GrammarFileError):
     """Grammar file declares a format version this code does not read."""
 
-
-class SegmentedFileError(ToolError):
-    """Segmented-corpus file could not be parsed; line is 1-based."""
-
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
-        self.line = line
+    def __init__(self, found: int, supported: int):
+        super().__init__(1, f"format version {found} is not supported; this build reads {supported}")
+        self.found = found
+        self.supported = supported
 
 
-class VectorFileError(ToolError):
-    """Vector file could not be parsed; line is 1-based."""
+class SegmentedFileError(LineError):
+    """Segmented-corpus file could not be parsed."""
 
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
-        self.line = line
+
+class VectorFileError(LineError):
+    """Vector file could not be parsed."""

@@ -8,14 +8,13 @@ terms excluded from the candidates.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import read_text_chunks
+from .corpus import read_lines
 from .embed import VectorSet
 from .errors import DomainError
 from .grammar import unescape_token
@@ -196,12 +195,6 @@ def similarity_suite(
 # -- suite files ---------------------------------------------------------------
 
 
-def _suite_lines(path: str) -> Iterator[tuple[int, str]]:
-    """Numbered lines of a UTF-8 suite file, universal newlines; bad bytes
-    raise CorpusDecodeError."""
-    return enumerate(io.StringIO("".join(read_text_chunks(path)), newline=None), start=1)
-
-
 def _unescape_fields(fields: Sequence[str], path: str, lineno: int) -> list[str]:
     try:
         return [unescape_token(t) for t in fields]
@@ -217,7 +210,7 @@ def read_analogies(path: str) -> tuple[list[AnalogyQuery], list[str]]:
     """
     queries: list[AnalogyQuery] = []
     sections: list[str] = []
-    for lineno, line in _suite_lines(path):
+    for lineno, line in read_lines(path):
         s = line.strip()
         if not s:
             continue
@@ -234,11 +227,10 @@ def read_analogies(path: str) -> tuple[list[AnalogyQuery], list[str]]:
 def read_similarity(path: str) -> list[tuple[str, str, float]]:
     """TSV: token1<TAB>token2<TAB>gold-score, tokens escaped; scores finite."""
     pairs: list[tuple[str, str, float]] = []
-    for lineno, line in _suite_lines(path):
-        s = line.rstrip("\n")
-        if not s.strip():
+    for lineno, line in read_lines(path):
+        if not line.strip():
             continue
-        parts = s.split("\t")
+        parts = line.split("\t")
         if len(parts) != 3:
             raise DomainError(f"{path}:{lineno}: expected 3 tab-separated fields")
         try:

@@ -18,11 +18,12 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Iterator, TextIO
+from itertools import islice
+from typing import Iterator, TextIO
 
 import numpy as np
 
-from .corpus import BoundedSequence, SymbolTable, read_text_chunks
+from .corpus import BoundedSequence, SymbolTable, read_lines, write_lines
 from .errors import (
     DomainError,
     GrammarFileError,
@@ -378,52 +379,49 @@ def save(g: Grammar, path: str) -> None:
         lines.append(f"t\t{sid}\t{ord(ch)}")
     for r in g.rules:
         lines.append(f"r\t{r.id}\t{r.left}\t{r.right}\t{r.freq_at_merge}")
-    lines.append("")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines))
-
-
-def _int_field(parts: list[str], idx: int, lineno: int, what: str) -> int:
-    try:
-        return int(parts[idx])
-    except (IndexError, ValueError):
-        raise GrammarFileError(lineno, f"malformed {what}") from None
+    write_lines(path, lines)
 
 
 def load(path: str) -> Grammar:
-    lines = "".join(read_text_chunks(path)).split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise GrammarFileError(1, "empty file")
-    head = lines[0].split("\t")
+    """Stream a save() file: magic and version, terminal count, one 't' line
+    per terminal, one 'r' line per rule. A parse error raises
+    GrammarFileError naming its 1-based line; bad bytes CorpusDecodeError."""
+
+    def fields(lineno: int, line: str, tag: str, kind: str, names: tuple[str, ...]) -> list[int]:
+        parts = line.split("\t")
+        if len(parts) != len(names) + 1 or parts[0] != tag:
+            raise GrammarFileError(lineno, f"expected {kind} line")
+        values: list[int] = []
+        for name, text in zip(names, parts[1:]):
+            try:
+                values.append(int(text))
+            except ValueError:
+                raise GrammarFileError(lineno, f"malformed {name}") from None
+        return values
+
+    lines = read_lines(path)
+    lineno, line = next(lines, (1, None))
+    if line is None:
+        raise GrammarFileError(lineno, "empty file")
+    head = line.split("\t")
     if head[0] != MAGIC:
-        raise GrammarFileError(1, f"bad magic {lines[0]!r}")
+        raise GrammarFileError(lineno, f"bad magic {line!r}")
     # isdecimal, not isdigit: "²" is a digit that int() rejects
     if len(head) != 2 or not head[1].isdecimal():
-        raise GrammarFileError(1, "malformed version field")
+        raise GrammarFileError(lineno, "malformed version field")
     if int(head[1]) != VERSION:
         raise GrammarVersionError(int(head[1]), VERSION)
-    if len(lines) < 2:
-        raise GrammarFileError(2, "missing terminal count")
-    tline = lines[1].split("\t")
-    if len(tline) != 2 or tline[0] != "T":
-        raise GrammarFileError(2, "expected terminal count line")
-    tcount = _int_field(tline, 1, 2, "terminal count")
+    lineno, line = next(lines, (2, None))
+    if line is None:
+        raise GrammarFileError(lineno, "missing terminal count")
+    (tcount,) = fields(lineno, line, "T", "terminal count", ("terminal count",))
     if tcount < 0:
-        raise GrammarFileError(2, "negative terminal count")
-    if len(lines) < 2 + tcount:
-        raise GrammarFileError(len(lines), "truncated terminal table")
+        raise GrammarFileError(lineno, "negative terminal count")
 
     table = SymbolTable()
-    for i in range(tcount):
-        lineno = 3 + i
-        parts = lines[2 + i].split("\t")
-        if len(parts) != 3 or parts[0] != "t":
-            raise GrammarFileError(lineno, "expected terminal line")
-        sid = _int_field(parts, 1, lineno, "terminal id")
-        cp = _int_field(parts, 2, lineno, "code point")
-        if sid != i:
+    for lineno, line in islice(lines, tcount):
+        sid, cp = fields(lineno, line, "t", "terminal", ("terminal id", "code point"))
+        if sid != len(table):
             raise GrammarFileError(lineno, f"terminal ids must be consecutive; got {sid}")
         if not 0 <= cp <= 0x10FFFF:
             raise GrammarFileError(lineno, f"code point {cp} out of range")
@@ -431,18 +429,15 @@ def load(path: str) -> Grammar:
         if table.id_of(ch) is not None:
             raise GrammarFileError(lineno, f"duplicate terminal {cp}")
         table.intern(ch)
+    if len(table) < tcount:
+        raise GrammarFileError(lineno, "truncated terminal table")
 
     rules: list[Rule] = []
-    for j, raw in enumerate(lines[2 + tcount :]):
-        lineno = 3 + tcount + j
-        parts = raw.split("\t")
-        if len(parts) != 5 or parts[0] != "r":
-            raise GrammarFileError(lineno, "expected rule line")
-        rid = _int_field(parts, 1, lineno, "rule id")
-        left = _int_field(parts, 2, lineno, "left id")
-        right = _int_field(parts, 3, lineno, "right id")
-        freq = _int_field(parts, 4, lineno, "frequency")
-        if rid != tcount + j:
+    for lineno, line in lines:
+        rid, left, right, freq = fields(
+            lineno, line, "r", "rule", ("rule id", "left id", "right id", "frequency")
+        )
+        if rid != tcount + len(rules):
             raise GrammarFileError(lineno, f"rule ids must be consecutive; got {rid}")
         if not (0 <= left < rid and 0 <= right < rid):
             raise GrammarFileError(lineno, f"rule {rid} references a later or negative symbol")
@@ -509,32 +504,7 @@ def write_segmented(g: Grammar, seq: BoundedSequence, dest: str | TextIO) -> Non
                 yield ""
             yield from map(tokens.__getitem__, syms[lo:hi])
 
-    own = isinstance(dest, str)
-    f = open(dest, "w", encoding="utf-8", newline="\n") if own else dest
-    try:
-        buf: list[str] = []
-        for ln in lines():
-            buf.append(ln)
-            if len(buf) >= 65536:
-                f.write("\n".join(buf) + "\n")
-                buf.clear()
-        if buf:
-            f.write("\n".join(buf) + "\n")
-    finally:
-        if own:
-            f.close()
-
-
-def _raw_lines(chunks: Iterable[str]) -> Iterator[str]:
-    """Split text chunks on '\\n' only; tolerate a missing final newline."""
-    buf = ""
-    for chunk in chunks:
-        buf += chunk
-        parts = buf.split("\n")
-        buf = parts.pop()
-        yield from parts
-    if buf:
-        yield buf
+    write_lines(dest, lines())
 
 
 def read_segmented(src: str | TextIO) -> Iterator[list[str]]:
@@ -542,12 +512,8 @@ def read_segmented(src: str | TextIO) -> Iterator[list[str]]:
 
     A path is read as UTF-8; bad bytes raise CorpusDecodeError.
     """
-    if isinstance(src, str):
-        chunks = read_text_chunks(src)
-    else:
-        chunks = iter(lambda: src.read(1 << 20), "")
     sentence: list[str] = []
-    for lineno, raw in enumerate(_raw_lines(chunks), start=1):
+    for lineno, raw in read_lines(src):
         if raw == "":
             yield sentence
             sentence = []

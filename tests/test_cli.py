@@ -92,7 +92,7 @@ class TestExitCodes:
         assert rc == 1
         assert "--top" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("escape", ["\\", "\\x4"])
+    @pytest.mark.parametrize("escape", ["\\", "\\x4", "\\q"])
     @pytest.mark.parametrize("command", ["train", "apply", "stats", "decode"])
     def test_bad_escape_is_usage_error(self, tmp_path, corpus, trained, capsys, command, escape):
         g, s = trained

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,8 +10,10 @@ from rgrams.corpus import (
     encode,
     encode_file,
     normalize,
+    read_lines,
     read_text_chunks,
     substitute_digits,
+    write_lines,
 )
 from rgrams.errors import CorpusDecodeError, DomainError
 
@@ -184,3 +188,48 @@ class TestFiles:
         p.write_text("世界 abc", encoding="utf-8")
         text = "".join(read_text_chunks(str(p), chunk_bytes=2))
         assert text == "世界 abc"
+
+
+class _Trickle:
+    """A text handle whose read() returns a few characters whatever the size asked."""
+
+    def __init__(self, text: str, sizes: list[int]):
+        self.text, self.sizes, self.pos, self.calls = text, sizes, 0, 0
+
+    def read(self, _size: int) -> str:
+        step = self.sizes[self.calls % len(self.sizes)]
+        self.calls += 1
+        out = self.text[self.pos : self.pos + step]
+        self.pos += len(out)
+        return out
+
+
+class TestLines:
+    @given(
+        st.text(st.characters() | st.sampled_from("\n\r"), max_size=60),
+        st.lists(st.integers(1, 7), min_size=1),
+    )
+    def test_short_reads_split_like_str_split(self, text, sizes):
+        want = text.split("\n")
+        if want[-1] == "":
+            want.pop()
+        assert list(read_lines(_Trickle(text, sizes))) == list(enumerate(want, 1))
+
+    def test_path_and_handle_agree(self, tmp_path):
+        p = tmp_path / "l.txt"
+        write_lines(str(p), ["a", "", "b\r"])
+        assert p.read_bytes() == b"a\n\nb\r\n"
+        buf = io.StringIO()
+        write_lines(buf, ["a", "", "b\r"])
+        assert buf.getvalue().encode() == p.read_bytes()
+        assert list(read_lines(str(p))) == [(1, "a"), (2, ""), (3, "b\r")]
+
+    def test_missing_final_newline(self):
+        assert list(read_lines(io.StringIO("a\nb"))) == [(1, "a"), (2, "b")]
+
+    def test_bad_utf8_offset(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"ab\ncd\xff\n")
+        with pytest.raises(CorpusDecodeError) as info:
+            list(read_lines(str(p)))
+        assert info.value.byte_offset == 5

@@ -338,6 +338,15 @@ class TestVectorFiles:
     def test_extra_rows(self, tmp_path):
         self._attempt(tmp_path, "1 2\na 1 2\nb 3 4\n")
 
+    def test_extra_rows_after_blank_line(self, tmp_path):
+        e = self._attempt(tmp_path, "1 2\na 1 2\n\nb 3 4\n")
+        assert e.line == 4
+
+    def test_blank_lines_after_rows(self, tmp_path):
+        p = tmp_path / "ok.vec"
+        p.write_text("1 2\na 1 2\n\n \n", encoding="utf-8")
+        assert import_vectors(str(p)).tokens == ["a"]
+
     def test_bad_float(self, tmp_path):
         e = self._attempt(tmp_path, "1 2\na one 2\n")
         assert e.line == 2

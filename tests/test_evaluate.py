@@ -311,3 +311,23 @@ class TestReaders:
         p.write_text("a\tb\n", encoding="utf-8")
         with pytest.raises(DomainError):
             read_similarity(str(p))
+
+    @pytest.mark.parametrize(
+        "reader, body",
+        [
+            (read_analogies, ": family\nboy girl king queen\n\nnew_york york old_york york\n"),
+            (read_similarity, "cat\tfeline\t9.5\n\nnew_york\tcity\t7.25\n"),
+        ],
+        ids=["analogy", "similarity"],
+    )
+    def test_crlf_parses_like_lf(self, tmp_path, reader, body):
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        lf.write_bytes(body.encode("utf-8"))
+        crlf.write_bytes(body.replace("\n", "\r\n").encode("utf-8"))
+        assert reader(str(crlf)) == reader(str(lf))
+
+    def test_bare_cr_is_not_a_line_end(self, tmp_path):
+        p = tmp_path / "s.tsv"
+        p.write_bytes(b"cat\tfeline\t9.5\rdog\tcanine\t8\r")
+        with pytest.raises(DomainError, match=r"s\.tsv:1: expected 3 tab-separated fields"):
+            read_similarity(str(p))

@@ -271,6 +271,7 @@ class TestSaveLoad:
         with pytest.raises(GrammarVersionError) as info:
             load(self._write(tmp_path, "RGRAM\t9\nT\t0\n"))
         assert "9" in str(info.value) and "1" in str(info.value)
+        assert info.value.line == 1
 
     def test_truncated(self, tmp_path):
         with pytest.raises(GrammarFileError):
