@@ -137,18 +137,9 @@ def analogy_suite(vs: VectorSet, queries: Sequence[AnalogyQuery]) -> SuiteResult
 def average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the average of their positions."""
     a = np.asarray(values, dtype=np.float64)
-    order = np.argsort(a, kind="stable")
-    ranks = np.empty(len(a), dtype=np.float64)
-    i = 0
-    n = len(a)
-    sa = a[order]
-    while i < n:
-        j = i
-        while j + 1 < n and sa[j + 1] == sa[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(a, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # a tie group spans sorted positions ends - counts .. ends - 1
+    return ((ends - counts + ends - 1) / 2.0 + 1.0)[inverse]
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:

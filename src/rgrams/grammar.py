@@ -15,6 +15,7 @@ is the literal rule-by-rule replay that apply() is checked against.
 
 from __future__ import annotations
 
+import re
 from array import array
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -382,10 +383,22 @@ def save(g: Grammar, path: str) -> None:
     write_lines(path, lines)
 
 
+def _canonical_int(text: str) -> int | None:
+    """text as an int when it is the decimal str() writes, else None; so
+    '097', '+1', '-0', ' 9', '9_7' and non-ASCII digits are all refused."""
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if str(value) == text else None
+
+
 def load(path: str) -> Grammar:
     """Stream a save() file: magic and version, terminal count, one 't' line
     per terminal, one 'r' line per rule. A parse error raises
-    GrammarFileError naming its 1-based line; bad bytes CorpusDecodeError."""
+    GrammarFileError naming its 1-based line; bad bytes CorpusDecodeError.
+    Every integer must be written as save() writes it, so saving a loaded
+    grammar reproduces its file."""
 
     def fields(lineno: int, line: str, tag: str, kind: str, names: tuple[str, ...]) -> list[int]:
         parts = line.split("\t")
@@ -393,10 +406,10 @@ def load(path: str) -> Grammar:
             raise GrammarFileError(lineno, f"expected {kind} line")
         values: list[int] = []
         for name, text in zip(names, parts[1:]):
-            try:
-                values.append(int(text))
-            except ValueError:
-                raise GrammarFileError(lineno, f"malformed {name}") from None
+            value = _canonical_int(text)
+            if value is None:
+                raise GrammarFileError(lineno, f"malformed {name}")
+            values.append(value)
         return values
 
     lines = read_lines(path)
@@ -406,11 +419,11 @@ def load(path: str) -> Grammar:
     head = line.split("\t")
     if head[0] != MAGIC:
         raise GrammarFileError(lineno, f"bad magic {line!r}")
-    # isdecimal, not isdigit: "²" is a digit that int() rejects
-    if len(head) != 2 or not head[1].isdecimal():
+    version = _canonical_int(head[1]) if len(head) == 2 else None
+    if version is None or version < 0:
         raise GrammarFileError(lineno, "malformed version field")
-    if int(head[1]) != VERSION:
-        raise GrammarVersionError(int(head[1]), VERSION)
+    if version != VERSION:
+        raise GrammarVersionError(version, VERSION)
     lineno, line = next(lines, (2, None))
     if line is None:
         raise GrammarFileError(lineno, "missing terminal count")
@@ -455,30 +468,21 @@ def escape_token(token: str) -> str:
     return token.replace("\\", "\\\\").replace("_", "\\_").replace(" ", "_")
 
 
+_ESCAPE = re.compile(r"\\(.?)|_", re.DOTALL)
+
+
+def _unescape_one(m: re.Match[str]) -> str:
+    c = m.group(1)
+    if c is None:
+        return " "
+    if c == "\\" or c == "_":
+        return c
+    raise ValueError(f"bad escape \\{c}" if c else "dangling escape")
+
+
 def unescape_token(token: str) -> str:
-    out: list[str] = []
-    i = 0
-    n = len(token)
-    while i < n:
-        c = token[i]
-        if c == "\\":
-            if i + 1 >= n:
-                raise ValueError("dangling escape")
-            nxt = token[i + 1]
-            if nxt == "\\":
-                out.append("\\")
-            elif nxt == "_":
-                out.append("_")
-            else:
-                raise ValueError(f"bad escape \\{nxt}")
-            i += 2
-        elif c == "_":
-            out.append(" ")
-            i += 1
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    """Invert escape_token; ValueError on a dangling or unknown escape."""
+    return _ESCAPE.sub(_unescape_one, token)
 
 
 def write_segmented(g: Grammar, seq: BoundedSequence, dest: str | TextIO) -> None:

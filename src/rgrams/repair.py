@@ -28,6 +28,7 @@ from .errors import DomainError
 from .grammar import DEAD, SHIFT, Grammar, Rule, engine_array, from_engine, greedy_replace, linked
 
 NIL = -1  # end of an occurrence list
+OFF = -2  # pocc of a slot that heads no indexed occurrence
 _MASK = (1 << SHIFT) - 1
 
 
@@ -56,7 +57,8 @@ class PairMerger:
     active pair, the indexed occurrences are exactly the greedy left-to-right
     non-overlapping occurrences in the current sequence, kept in position
     order. A position heads at most one indexed occurrence (of the pair it
-    starts), recorded in a per-position flag, so membership tests are O(1).
+    starts); pocc is OFF exactly at the positions that head none, so
+    membership tests are O(1).
 
     The occurrence-list splices stay inline in _replace_all and _reindex_run
     rather than in link/unlink helpers: a call per splice costs about a
@@ -68,10 +70,8 @@ class PairMerger:
         a = engine_array(seq)
         n = int(a.size)
         self._alphabet = seq.alphabet
-        self._terminal_count = len(seq.alphabet)
         self._rules: list[Rule] = []  # the merge log
         self._replacements = 0
-        self._heap: list[tuple[int, int, int]] | None = None  # built by _select
         self._sym, self._nxt, self._prv = linked(a)
 
         # Greedy head mask. Distinct-symbol pairs never overlap themselves;
@@ -88,9 +88,10 @@ class PairMerger:
         head = (pairv & ~eq) | (eq & (offset[:-1] % 2 == 0))
 
         nocc = np.full(n, NIL, dtype=np.int32)
-        pocc = np.full(n, NIL, dtype=np.int32)
+        pocc = np.full(n, OFF, dtype=np.int32)
         pairs: dict[int, list[int]] = {}
         hp = np.nonzero(head)[0]
+        pocc[hp] = NIL
         keys = (a[hp] << SHIFT) | a[hp + 1]
         order = np.argsort(keys, kind="stable")
         sp = hp[order]
@@ -109,10 +110,9 @@ class PairMerger:
             pairs[int(sk[s_])] = [int(e_ - s_), int(sp[s_]), int(sp[e_ - 1])]
         self._nocc = array("i", nocc.tobytes())
         self._pocc = array("i", pocc.tobytes())
-        ism = np.zeros(n, dtype=np.uint8)
-        ism[hp] = 1
-        self._is_head = bytearray(ism.tobytes())
         self._pairs = pairs
+        self._heap = [(-rec[0], rec[1], key) for key, rec in pairs.items() if rec[0] >= 2]
+        heapify(self._heap)
 
     # -- public state -----------------------------------------------------
 
@@ -122,7 +122,7 @@ class PairMerger:
 
     @property
     def vocab_size(self) -> int:
-        return self._terminal_count + len(self._rules)
+        return len(self._alphabet) + len(self._rules)
 
     @property
     def replacements(self) -> int:
@@ -148,10 +148,6 @@ class PairMerger:
         """
         heap = self._heap
         pairs = self._pairs
-        if heap is None:
-            heap = [(-rec[0], rec[1], key) for key, rec in pairs.items() if rec[0] >= 2]
-            heapify(heap)
-            self._heap = heap
         while heap:
             negc, fp, key = heap[0]
             if -negc < min_frequency:
@@ -176,6 +172,7 @@ class PairMerger:
         rule = Rule(self.vocab_size, key >> SHIFT, key & _MASK, rec[0])
         created = self._replace_all(rule.left, rule.right, rule.id)
         self._rules.append(rule)
+        self._replacements += rule.freq_at_merge
         heap = self._heap
         pairs = self._pairs
         for k in created:
@@ -214,17 +211,13 @@ class PairMerger:
         prv = self._prv
         nocc = self._nocc
         pocc = self._pocc
-        is_head = self._is_head
         pairs = self._pairs
         S = SHIFT
         key = (left << S) | right
-        rec = pairs.pop(key, None)
-        if rec is None:
-            return {}
+        rec = pairs.pop(key)
         same = left == right
         created: dict[int, None] = {}
         pos = rec[1]
-        nrep = 0
         while pos != NIL:
             nextpos = nocc[pos]
             p = pos
@@ -232,7 +225,7 @@ class PairMerger:
             x = prv[p]
             xs = sym[x]
             # pair (xs, left) ending at p dies with p's symbol
-            if xs >= 0 and is_head[x]:
+            if xs >= 0 and pocc[x] != OFF:
                 kx = (xs << S) | left
                 rx = pairs[kx]
                 pz = pocc[x]
@@ -250,12 +243,12 @@ class PairMerger:
                     rx[0] = c
                 else:
                     del pairs[kx]
-                is_head[x] = 0
+                pocc[x] = OFF
             # pair (right, ys) headed at q dies with q
             y = nxt[q]
             reidx = NIL
             reidx_after = NIL
-            if is_head[q]:
+            if pocc[q] != OFF:
                 ys = sym[y]
                 kq = (right << S) | ys
                 rq = pairs[kq]
@@ -274,7 +267,7 @@ class PairMerger:
                     rq[0] = c
                 else:
                     del pairs[kq]
-                is_head[q] = 0
+                pocc[q] = OFF
                 if ys == right and not same:
                     # run of `right` lost its first element; realign heads
                     reidx = y
@@ -284,14 +277,13 @@ class PairMerger:
             prv[y] = p
             sym[q] = DEAD
             sym[p] = new_id
-            is_head[p] = 0
-            nrep += 1
+            pocc[p] = OFF
             if reidx != NIL:
                 self._reindex_run(right, reidx, reidx_after)
             # fresh pair on the left, unless x is the second half of a
             # (new_id, new_id) occurrence that already heads at w
             if xs >= 0 and not (
-                xs == new_id and sym[w := prv[x]] == new_id and is_head[w]
+                xs == new_id and sym[w := prv[x]] == new_id and pocc[w] != OFF
             ):
                 kn = (xs << S) | new_id
                 rn = pairs.get(kn)
@@ -306,7 +298,6 @@ class PairMerger:
                     nocc[x] = NIL
                     rn[2] = x
                     rn[0] += 1
-                is_head[x] = 1
                 created[kn] = None
             # fresh pair on the right
             ys = sym[y]
@@ -324,10 +315,8 @@ class PairMerger:
                     nocc[p] = NIL
                     rn[2] = p
                     rn[0] += 1
-                is_head[p] = 1
                 created[kn] = None
             pos = nextpos
-        self._replacements += nrep
         return created
 
     def _reindex_run(self, u: int, start: int, ins_after: int) -> None:
@@ -341,7 +330,6 @@ class PairMerger:
         nxt = self._nxt
         nocc = self._nocc
         pocc = self._pocc
-        is_head = self._is_head
         pairs = self._pairs
         key = (u << SHIFT) | u
         cursor = ins_after
@@ -351,7 +339,7 @@ class PairMerger:
             s = nxt[r]
             paired = sym[s] == u
             if paired and free:
-                if not is_head[r]:
+                if pocc[r] == OFF:
                     rec = pairs.get(key)
                     if rec is None:
                         pairs[key] = [1, r, r]
@@ -374,11 +362,10 @@ class PairMerger:
                             else:
                                 rec[2] = r
                         rec[0] += 1
-                    is_head[r] = 1
                 cursor = r
                 free = False
             else:
-                if paired and is_head[r]:
+                if paired and pocc[r] != OFF:
                     rec = pairs[key]
                     pz = pocc[r]
                     nz = nocc[r]
@@ -395,7 +382,7 @@ class PairMerger:
                         rec[0] = c
                     else:
                         del pairs[key]
-                    is_head[r] = 0
+                    pocc[r] = OFF
                 if not paired:
                     break
                 free = True
@@ -442,9 +429,9 @@ class PairMerger:
         if expected != actual:
             raise AssertionError(f"index mismatch: expected {expected}, got {actual}")
         heads = {z for occ in actual.values() for z in occ}
-        for z in live:
-            if bool(self._is_head[z]) != (z in heads):
-                raise AssertionError(f"is_head flag wrong at position {z}")
+        for z in range(len(sym)):
+            if (self._pocc[z] != OFF) != (z in heads):
+                raise AssertionError(f"slot {z}: pocc must be OFF exactly off the occurrence lists")
 
 
 def train(
@@ -453,10 +440,11 @@ def train(
     """Learn a merge grammar; returns (grammar, compressed sequence).
 
     grammar.rules is the merge log. An empty sequence yields an empty grammar
-    and empty output. The full input sequence is held in memory: about 22
-    bytes per symbol once the engine is built, growing with the pair index as
-    merges run (about 45 after 4000 merges on 1 MB of text), with a peak near
-    126 while it is built.
+    and empty output. The full input sequence is held in memory: five int32
+    arrays, 20 bytes per slot, plus the pair index, about 21.4 bytes per
+    character once the engine is built, growing with the pair index as merges
+    run (about 44 after 4000 merges on 1 MB of text), with a peak near 126
+    while it is built.
     """
     stop.validate()
     merger = PairMerger(seq)

@@ -1,0 +1,62 @@
+"""Training-engine memory on 1 MB of corpus_gen text, in bytes per character.
+
+`tracemalloc` counts what PairMerger(seq) holds once built and the peak
+while it is built; the input sequence is built before tracing starts. Run
+as a script to print the figures the README quotes, optionally also after
+some merges:
+
+    PYTHONPATH=src python tests/test_engine_memory.py --merges 4000
+"""
+
+from __future__ import annotations
+
+import argparse
+import tracemalloc
+
+import pytest
+
+import corpus_gen
+from rgrams.corpus import encode, normalize
+from rgrams.repair import PairMerger, StopCriteria
+
+CHARS = 1_000_000
+SEED = 42
+
+
+def engine_bytes_per_char(merges: int = 0) -> dict[str, float]:
+    text = normalize(corpus_gen.generate(CHARS, seed=SEED))
+    seq = encode(text)
+    n = len(text)
+    tracemalloc.start()
+    try:
+        merger = PairMerger(seq)
+        held, peak = tracemalloc.get_traced_memory()
+        out = {"chars": n, "after_init": held / n, "setup_peak": peak / n}
+        if merges:
+            merger.run(StopCriteria(max_merges=merges))
+            out["merges"] = merger.merges
+            out["after_merges"] = tracemalloc.get_traced_memory()[0] / n
+    finally:
+        tracemalloc.stop()
+    return out
+
+
+@pytest.fixture(scope="module")
+def measured() -> dict[str, float]:
+    return engine_bytes_per_char()
+
+
+def test_engine_after_init(measured):
+    # five int32 arrays are 20 bytes per slot; the rest is the pair index and heap
+    assert measured["after_init"] <= 21.5
+
+
+def test_engine_setup_peak(measured):
+    assert measured["setup_peak"] <= 130
+
+
+if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--merges", type=int, default=0, help="also measure after this many merges")
+    for k, v in engine_bytes_per_char(ap.parse_args().merges).items():
+        print(f"{k}\t{v:.2f}" if isinstance(v, float) else f"{k}\t{v}")

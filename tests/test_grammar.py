@@ -301,6 +301,26 @@ class TestSaveLoad:
             load(self._write(tmp_path, body))
         assert info.value.line == 5
 
+    def test_non_canonical_grammar_file(self, tmp_path):
+        # int() reads this as terminals a, b and rule 2 -> (0, 1); save()
+        # would write it back as 97, 1, 98 and 0
+        body = "RGRAM\t1\nT\t2\nt\t0\t9_7\nt\t+1\t 98\nr\t2\t٠\t1\t3\n"
+        with pytest.raises(GrammarFileError, match="malformed code point") as info:
+            load(self._write(tmp_path, body))
+        assert info.value.line == 3
+
+    @pytest.mark.parametrize("text", ["9_7", "+97", " 97", "97 ", "٩٧", "097", "-0"])
+    def test_non_canonical_field(self, tmp_path, text):
+        with pytest.raises(GrammarFileError, match="malformed code point") as info:
+            load(self._write(tmp_path, f"RGRAM\t1\nT\t1\nt\t0\t{text}\n"))
+        assert info.value.line == 3
+
+    @pytest.mark.parametrize("version", ["١", "01", "+1", "-1"])
+    def test_non_canonical_version(self, tmp_path, version):
+        with pytest.raises(GrammarFileError, match="malformed version field") as info:
+            load(self._write(tmp_path, f"RGRAM\t{version}\nT\t0\n"))
+        assert info.value.line == 1
+
 
 class TestEscaping:
     CASES = ["ab", "a b", "_", "a_b", "\\", "a\\_b", " ", "", "嗯 哼"]

@@ -7,7 +7,7 @@ that the reader either succeeds or raises a ToolError.
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rgrams.cli import main
 from rgrams.corpus import encode
@@ -182,3 +182,21 @@ class TestFuzzReaders:
             READERS[name](str(path))
         except ToolError:
             pass
+
+
+@example(ops=[(6, "insert", ord("0"))])  # version "01"
+@example(ops=[(10, "insert", ord("0"))])  # terminal count "0N"
+@given(ops=MUTATIONS)
+def test_saving_a_loaded_grammar_reproduces_it(valid_dir, ops):
+    # every field must be the decimal save() writes; only a missing final
+    # newline is restored
+    data = mutate((valid_dir / "g.rgram").read_bytes(), ops)
+    path = valid_dir / "mutated-resave.rgram"
+    path.write_bytes(data)
+    try:
+        g = load(str(path))
+    except ToolError:
+        return
+    out = valid_dir / "resaved.rgram"
+    save(g, str(out))
+    assert out.read_bytes() in (data, data + b"\n")

@@ -7,6 +7,7 @@ from rgrams.corpus import decode_terminals, encode
 from rgrams.errors import DomainError
 from rgrams.grammar import apply, decode
 from rgrams.repair import (
+    NIL,
     PairMerger,
     StopCriteria,
     pair_count,
@@ -148,6 +149,19 @@ class TestEventProperties:
         assert ev is not None and ev.freq_at_merge == 4
         assert m.replacements == 4
 
+    @settings(max_examples=40)
+    @given(
+        st.lists(st.sampled_from(["a", "aa", "aaaaa", "b", "ab", "bbb", "\n"]), max_size=60),
+        st.one_of(st.none(), st.integers(0, 8)),
+    )
+    def test_replacements_are_the_merge_counts(self, words, max_merges):
+        # every replacement removes one slot, and a merge replaces its count
+        seq = encode("".join(words), NL)
+        m = PairMerger(seq)
+        m.run(StopCriteria(max_merges=max_merges))
+        freqs = sum(r.freq_at_merge for r in m.grammar().rules)
+        assert m.replacements == freqs == len(seq) - len(m.sequence())
+
 
 class TestNaiveEquivalence:
     def assert_same(self, text, stop):
@@ -220,6 +234,14 @@ class TestNaiveEquivalence:
         m.check_invariants()
         m._sym[1] = 0  # slot 1 was merged away
         with pytest.raises(AssertionError, match="DEAD"):
+            m.check_invariants()
+
+    def test_invariants_catch_a_stray_occurrence_link(self):
+        m = PairMerger(encode("abab", NL))
+        m.merge_once()
+        m.check_invariants()
+        m._pocc[2] = NIL  # live slot 2 heads no occurrence of (X, X)
+        with pytest.raises(AssertionError, match="pocc"):
             m.check_invariants()
 
     def test_invariants_hold_during_training(self):
