@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -66,6 +67,8 @@ class TrainConfig:
                 raise DomainError("subword_buckets must be >= 1")
         if self.min_token_count < 1:
             raise DomainError("min_token_count must be >= 1")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
 
 
 class EmbedVocab:
@@ -103,11 +106,11 @@ def _sentences(source: str | TextIO | Iterable[list[str]]) -> Iterable[list[str]
 
 def build_vocab(source: str | TextIO | Iterable[list[str]], min_token_count: int = 1) -> EmbedVocab:
     """Count normalized tokens of a segmented corpus and index the keepers."""
-    counts: dict[str, int] = {}
-    for sent in _sentences(source):
-        for raw in sent:
-            t = normalize_token(raw)
-            counts[t] = counts.get(t, 0) + 1
+    counts = Counter(normalize_token(raw) for sent in _sentences(source) for raw in sent)
+    return _vocab_from_counts(counts, min_token_count)
+
+
+def _vocab_from_counts(counts: Mapping[str, int], min_token_count: int) -> EmbedVocab:
     kept = [(t, c) for t, c in counts.items() if c >= min_token_count]
     kept.sort(key=lambda tc: (-tc[1], tc[0]))
     return EmbedVocab([t for t, _ in kept], [c for _, c in kept])
@@ -131,62 +134,56 @@ def subword_hashes(token: str, nmin: int, nmax: int, buckets: int) -> list[int]:
     return out
 
 
-class NegativeSampler:
-    """Draws token indices with probability proportional to count^0.75."""
+def subword_rows(vocab: EmbedVocab, ngrams: tuple[int, int], buckets: int) -> list[np.ndarray]:
+    """Each token's input rows: its own row i, then V + h for each n-gram bucket h."""
+    lo, hi = ngrams
+    V = len(vocab)
+    return [
+        np.asarray([i] + [V + h for h in subword_hashes(t, lo, hi, buckets)], dtype=np.int64)
+        for i, t in enumerate(vocab.tokens)
+    ]
 
-    def __init__(self, counts: np.ndarray, rng: np.random.Generator):
-        w = np.asarray(counts, dtype=np.float64) ** 0.75
-        total = float(w.sum())
-        if total <= 0:
-            raise DomainError("negative sampler needs positive counts")
-        self._cum = np.cumsum(w)
-        self._total = self._cum[-1]
-        self._rng = rng
-        self._buf = np.empty(0, dtype=np.int64)
-        self._pos = 0
 
-    def draw(self) -> int:
-        if self._pos >= len(self._buf):
-            u = self._rng.random(8192) * self._total
-            self._buf = np.searchsorted(self._cum, u, side="right")
-            self._pos = 0
-        v = int(self._buf[self._pos])
-        self._pos += 1
-        return v
+def negative_draws(counts: np.ndarray, rng: np.random.Generator) -> Iterator[int]:
+    """Endless token indices drawn with probability proportional to count^0.75."""
+    w = np.asarray(counts, dtype=np.float64) ** 0.75
+    if w.sum() <= 0:
+        raise DomainError("negative sampler needs positive counts")
+    cum = np.cumsum(w)
+
+    def draws() -> Iterator[int]:
+        while True:
+            yield from np.searchsorted(cum, rng.random(8192) * cum[-1], side="right").tolist()
+
+    return draws()
 
 
 @dataclass
 class EmbeddingMatrix:
-    """input rows: vocab then subword buckets; output rows: vocab only."""
+    """input rows: vocab then subword buckets; output rows: vocab only.
+
+    rows[i] lists the input rows whose mean is token i's vector (subword_rows);
+    rows is None without subwords, when that vector is input row i.
+    """
 
     input: np.ndarray
     output: np.ndarray
     vocab: EmbedVocab
-    subword_ngrams: tuple[int, int] | None = None
-    subword_buckets: int = 0
-
-    def _rows(self, i: int) -> list[int]:
-        """Input rows whose mean is token i's vector; training updates these rows."""
-        rows = [i]
-        if self.subword_ngrams is not None:
-            lo, hi = self.subword_ngrams
-            V = len(self.vocab)
-            rows.extend(V + h for h in subword_hashes(self.vocab.tokens[i], lo, hi, self.subword_buckets))
-        return rows
+    rows: list[np.ndarray] | None = None
 
     def vector(self, token: str) -> np.ndarray | None:
         i = self.vocab.index.get(token)
         if i is None:
             return None
-        rows = self._rows(i)
-        return self.input[rows].mean(axis=0)
+        if self.rows is None:
+            return self.input[i].copy()
+        return self.input[self.rows[i]].mean(axis=0)
 
     def to_vectors(self) -> "VectorSet":
-        V = len(self.vocab)
-        dim = self.input.shape[1]
-        m = np.empty((V, dim), dtype=np.float64)
-        for i in range(V):
-            m[i] = self.input[self._rows(i)].mean(axis=0)
+        if self.rows is None:
+            m = self.input[: len(self.vocab)].copy()
+        else:
+            m = np.array([self.input[rows].mean(axis=0) for rows in self.rows])
         return VectorSet(list(self.vocab.tokens), m)
 
 
@@ -260,9 +257,12 @@ def train_skipgram(
     """Train embeddings; deterministic for a given (corpus, config).
 
     corpus is a segmented file (path or handle) or an iterable of token
-    lists. Tokens below min_token_count are dropped from sentences before
-    windowing; so are tokens removed by subsampling. pair_log, if given,
-    collects every (center, context) token pair actually trained on.
+    lists; each token is normalized once and the vocabulary is counted from
+    those. Tokens below min_token_count are dropped from sentences before
+    windowing; so are tokens removed by subsampling. With subwords, each
+    token's input rows are hashed once (subword_rows). All negatives come
+    from one negative_draws stream. pair_log, if given, collects every
+    (center, context) token pair actually trained on.
     DomainError when an epoch's loss is not finite or when the whole run
     trains no pair, which would leave the vectors untrained.
     """
@@ -270,39 +270,34 @@ def train_skipgram(
     sents_raw: list[list[str]] = [
         [normalize_token(t) for t in sent] for sent in _sentences(corpus) if sent
     ]
-    # normalize_token is idempotent, so re-normalizing here is harmless
-    vocab = build_vocab(sents_raw, config.min_token_count)
+    vocab = _vocab_from_counts(Counter(chain.from_iterable(sents_raw)), config.min_token_count)
     V = len(vocab)
     if V == 0:
         raise DomainError("empty vocabulary")
 
+    # every kept token occurs in the corpus, so train_words > 0
+    train_words = int(vocab.counts.sum())
     index = vocab.index
     sentences: list[np.ndarray] = []
-    train_words = 0
     for sent in sents_raw:
         ids = [index[t] for t in sent if t in index]
         if ids:
             sentences.append(np.asarray(ids, dtype=np.int64))
-            train_words += len(ids)
     del sents_raw
-    if train_words == 0:
-        raise DomainError("corpus has no in-vocabulary tokens")
 
     ss = np.random.SeedSequence(config.seed)
     init_ss, neg_ss = ss.spawn(2)
     rng = np.random.Generator(np.random.PCG64(init_ss))
-    sampler = NegativeSampler(vocab.counts, np.random.Generator(np.random.PCG64(neg_ss)))
+    draw = negative_draws(vocab.counts, np.random.Generator(np.random.PCG64(neg_ss))).__next__
 
-    B = config.subword_buckets if config.subword_ngrams is not None else 0
+    ngrams = config.subword_ngrams
+    B = config.subword_buckets if ngrams is not None else 0
+    rows = None if ngrams is None else subword_rows(vocab, ngrams, B)
     dim = config.dim
     inp = (rng.random((V + B, dim)) - 0.5) / dim
     out = np.zeros((V, dim), dtype=np.float64)
     # training updates inp and out in place
-    matrix = EmbeddingMatrix(inp, out, vocab, config.subword_ngrams, B)
-
-    rows_for: list[np.ndarray] | None = None
-    if config.subword_ngrams is not None:
-        rows_for = [np.asarray(matrix._rows(i), dtype=np.int64) for i in range(V)]
+    matrix = EmbeddingMatrix(inp, out, vocab, rows)
 
     keep_prob: np.ndarray | None = None
     t = config.subsample_threshold
@@ -340,8 +335,8 @@ def train_skipgram(
                 hi_j = i + window + 1
                 if hi_j > L:
                     hi_j = L
-                if rows_for is not None:
-                    crows = rows_for[c]
+                if rows is not None:
+                    crows = rows[c]
                     h = inp[crows].mean(axis=0)
                 else:
                     h = inp[c]
@@ -353,10 +348,10 @@ def train_skipgram(
                         pair_log.append((tokens[c], tokens[ctx]))
                     negs = []
                     for _ in range(negatives):
-                        cand = sampler.draw()
+                        cand = draw()
                         tries = 0
                         while cand == ctx and tries < 100:
-                            cand = sampler.draw()
+                            cand = draw()
                             tries += 1
                         if cand != ctx:
                             negs.append(cand)
@@ -366,7 +361,7 @@ def train_skipgram(
                     if negs:
                         np.add.at(out, negs, np.outer(-alpha * gn, h))
                     out[ctx] = vpos - alpha * gpos * h
-                    if rows_for is not None:
+                    if rows is not None:
                         # repeated n-gram rows must accumulate their share
                         np.subtract.at(inp, crows, (alpha / len(crows)) * gu)
                     else:

@@ -74,6 +74,8 @@ def nearest_neighbors(
     vs: VectorSet, query: str, k: int = 5
 ) -> list[tuple[str, float]] | None:
     """Top-k tokens by cosine, query excluded; None when query is OOV."""
+    if k < 0:
+        raise DomainError("k must be >= 0")
     qi = vs.index.get(query)
     if qi is None:
         return None
@@ -87,6 +89,8 @@ def nearest_neighbors(
 
 def analogy(vs: VectorSet, q: AnalogyQuery, k: int = 5) -> list[tuple[str, float]] | None:
     """3CosAdd candidates, best first; None when a, b, or c is OOV."""
+    if k < 0:
+        raise DomainError("k must be >= 0")
     ia = vs.index.get(q.a)
     ib = vs.index.get(q.b)
     ic = vs.index.get(q.c)

@@ -102,6 +102,8 @@ def checkpoint_curves(
         raise DomainError("checkpoints must be strictly ascending")
     if any(k < 0 for k in merge_checkpoints):
         raise DomainError("checkpoints must be non-negative")
+    if top < 0:
+        raise DomainError("top must be >= 0")
     stop = StopCriteria(min_frequency=min_frequency)
     stop.validate()
     merger = PairMerger(seq)

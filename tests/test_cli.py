@@ -457,6 +457,13 @@ class TestEmbedEval:
         assert not v.exists()
         capsys.readouterr()
 
+    def test_negative_seed_is_usage_error(self, trained, tmp_path, capsys):
+        _, s = trained
+        v = tmp_path / "v.vec"
+        assert main(["embed", str(s), "--vectors-out", str(v), "--seed", "-1"]) == 1
+        assert not v.exists()
+        assert "seed must be >= 0" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "extra",

@@ -8,12 +8,12 @@ import pytest
 from rgrams.embed import (
     WS_TOKEN,
     EmbedVocab,
-    NegativeSampler,
     TrainConfig,
     VectorSet,
     build_vocab,
     export_vectors,
     import_vectors,
+    negative_draws,
     normalize_token,
     pair_gradients,
     pair_loss,
@@ -127,16 +127,32 @@ class TestNegativeSampler:
     def test_distribution_matches_power_law(self):
         counts = np.array([1000, 500, 250, 100, 50, 25, 10, 5, 2, 1], dtype=np.int64)
         rng = np.random.default_rng(123)
-        s = NegativeSampler(counts, rng)
+        s = negative_draws(counts, rng)
         want = counts.astype(float) ** 0.75
         want /= want.sum()
         n = 1_000_000
-        got = np.bincount([s.draw() for _ in range(n)], minlength=len(counts)) / n
+        got = np.bincount([next(s) for _ in range(n)], minlength=len(counts)) / n
         assert np.all(np.abs(got - want) < 0.01)
 
     def test_single_token(self):
-        s = NegativeSampler(np.array([5]), np.random.default_rng(0))
-        assert s.draw() == 0
+        s = negative_draws(np.array([5]), np.random.default_rng(0))
+        assert next(s) == 0
+
+    def test_matches_blockwise_searchsorted(self):
+        # 8192 uniforms per refill; 20000 draws cross two refills
+        counts = np.array([40, 7, 7, 300, 1, 12], dtype=np.int64)
+        s = negative_draws(counts, np.random.default_rng(5))
+        got = [next(s) for _ in range(20_000)]
+        cum = np.cumsum(counts.astype(np.float64) ** 0.75)
+        ref = np.random.default_rng(5)
+        blocks = [
+            np.searchsorted(cum, ref.random(8192) * cum[-1], side="right") for _ in range(3)
+        ]
+        assert got == np.concatenate(blocks)[:20_000].tolist()
+
+    def test_zero_counts_rejected(self):
+        with pytest.raises(DomainError, match="positive counts"):
+            negative_draws(np.zeros(4, dtype=np.int64), np.random.default_rng(0))
 
 
 class TestTraining:
@@ -210,6 +226,7 @@ class TestTraining:
             dict(min_token_count=0),
             dict(subword_ngrams=(0, 3)),
             dict(subword_ngrams=(4, 3)),
+            dict(seed=-1),
         ):
             with pytest.raises(DomainError):
                 tiny_config(**bad).validate()
@@ -276,9 +293,29 @@ class TestSubword:
         v = m.vector("cat")
         assert v is not None
         # composed vector is the mean of word row + ngram rows
-        rows = m._rows(m.vocab.index["cat"])
+        rows = m.rows[m.vocab.index["cat"]]
         manual = (m.input[rows]).mean(axis=0)
         assert np.allclose(v, manual)
+
+    def test_rows_table(self):
+        assert train_skipgram(SENTS, tiny_config(epochs=1)).rows is None
+        cfg = tiny_config(epochs=1, subword_ngrams=(3, 4), subword_buckets=512)
+        m = train_skipgram(SENTS, cfg)
+        V = len(m.vocab)
+        assert m.input.shape[0] == V + 512
+        for i, t in enumerate(m.vocab.tokens):
+            assert m.rows[i][0] == i
+            assert m.rows[i][1:].tolist() == [V + h for h in subword_hashes(t, 3, 4, 512)]
+
+    @pytest.mark.parametrize("subword", [None, (3, 4)])
+    def test_to_vectors_equals_vector(self, subword):
+        cfg = tiny_config(epochs=1, subword_ngrams=subword, subword_buckets=512)
+        m = train_skipgram(SENTS, cfg)
+        vs = m.to_vectors()
+        assert vs.tokens == m.vocab.tokens
+        assert not np.shares_memory(vs.matrix, m.input)
+        for t in m.vocab.tokens:
+            assert vs.vector(t).tobytes() == m.vector(t).tobytes()
 
     def test_subword_changes_vectors(self):
         plain = train_skipgram(SENTS, tiny_config(epochs=1))

@@ -69,6 +69,10 @@ class TestNearestNeighbors:
     def test_oov_returns_none(self):
         assert nearest_neighbors(self.VS, "west") is None
 
+    def test_negative_k_rejected(self):
+        with pytest.raises(DomainError, match="k must be >= 0"):
+            nearest_neighbors(self.VS, "north", k=-1)
+
     def test_tie_break_alphabetical(self):
         vs = vecs([("q", [1.0, 0.0]), ("bb", [0.0, 1.0]), ("aa", [0.0, 1.0])])
         got = nearest_neighbors(vs, "q", k=2)
@@ -118,6 +122,11 @@ class TestAnalogy:
     def test_parallelogram(self):
         got = analogy(self.VS, AnalogyQuery(a="man", b="woman", c="king", gold="queen"))
         assert got[0][0] == "queen"
+
+    def test_negative_k_rejected(self):
+        q = AnalogyQuery(a="man", b="woman", c="king", gold="queen")
+        with pytest.raises(DomainError, match="k must be >= 0"):
+            analogy(self.VS, q, k=-2)
 
     def test_query_terms_excluded(self):
         got = analogy(self.VS, AnalogyQuery(a="man", b="woman", c="king", gold="queen"), k=10)

@@ -71,6 +71,10 @@ class TestCheckpointCurves:
         with pytest.raises(DomainError, match="min_frequency"):
             checkpoint_curves(encode("abab"), [0, 3], min_frequency=mf)
 
+    def test_negative_top_rejected(self):
+        with pytest.raises(DomainError, match="top must be >= 0"):
+            checkpoint_curves(encode("abababab\nabab"), [0, 1], top=-1)
+
     def test_zero_checkpoint_is_raw_distribution(self):
         seq = encode("aaaa")
         rows, achieved, g = checkpoint_curves(seq, [0])
