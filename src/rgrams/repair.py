@@ -30,6 +30,10 @@ from .grammar import DEAD, SHIFT, Grammar, Rule, engine_array, from_engine, gree
 NIL = -1  # end of an occurrence list
 OFF = -2  # pocc of a slot that heads no indexed occurrence
 _MASK = (1 << SHIFT) - 1
+# A merge of at least this many occurrences (and left != right) replaces its
+# simple occurrences in one vectorized pass; fewer do not repay numpy's
+# per-call overhead.
+_BULK_MIN = 300
 
 
 @dataclass(frozen=True)
@@ -41,12 +45,26 @@ class StopCriteria:
     max_merges: int | None = None
 
     def validate(self) -> None:
-        if not isinstance(self.min_frequency, int) or self.min_frequency < 2:
+        if not _is_int(self.min_frequency) or self.min_frequency < 2:
             raise DomainError("min_frequency must be an integer >= 2")
-        if self.max_vocabulary is not None and self.max_vocabulary < 0:
-            raise DomainError("max_vocabulary must be >= 0")
-        if self.max_merges is not None and self.max_merges < 0:
-            raise DomainError("max_merges must be >= 0")
+        for name in ("max_vocabulary", "max_merges"):
+            v = getattr(self, name)
+            if v is not None and (not _is_int(v) or v < 0):
+                raise DomainError(f"{name} must be an integer >= 0")
+
+
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _groups(joined: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of each group of consecutive items, where
+    joined[i] says that item i + 1 is in item i's group."""
+    cut = ~joined
+    return (
+        np.flatnonzero(np.concatenate(([True], cut))),
+        np.flatnonzero(np.concatenate((cut, [True]))),
+    )
 
 
 class PairMerger:
@@ -60,10 +78,13 @@ class PairMerger:
     starts); pocc is OFF exactly at the positions that head none, so
     membership tests are O(1).
 
-    The occurrence-list splices stay inline in _replace_all and _reindex_run
-    rather than in link/unlink helpers: a call per splice costs about a
-    quarter more bytecode per replacement, and this loop is where training
-    spends its time.
+    The per-node occurrence-list splices stay inline in _replace_all and
+    _reindex_run rather than in helpers: a call per splice costs about a
+    quarter more bytecode per replacement, and this loop is where small
+    merges spend their time. A merge of at least _BULK_MIN occurrences of
+    two different symbols runs the loop only over its coupled occurrences
+    and replaces the rest with numpy (_replace_simple), reaching the same
+    state; bulk_replacements counts the replacements made that way.
     """
 
     def __init__(self, seq: BoundedSequence):
@@ -87,31 +108,18 @@ class PairMerger:
         offset = idx - runstart
         head = (pairv & ~eq) | (eq & (offset[:-1] % 2 == 0))
 
-        nocc = np.full(n, NIL, dtype=np.int32)
-        pocc = np.full(n, OFF, dtype=np.int32)
-        pairs: dict[int, list[int]] = {}
-        hp = np.nonzero(head)[0]
-        pocc[hp] = NIL
-        keys = (a[hp] << SHIFT) | a[hp + 1]
-        order = np.argsort(keys, kind="stable")
-        sp = hp[order]
-        sk = keys[order]
-        samegrp = np.empty(len(sk), bool)
-        samegrp[:1] = False
-        samegrp[1:] = sk[1:] == sk[:-1]
-        link = samegrp[1:]
-        src = sp[:-1][link]
-        dst = sp[1:][link]
-        nocc[src] = dst
-        pocc[dst] = src
-        gstart = np.nonzero(~samegrp)[0]
-        gend = np.append(gstart[1:], len(sk))
-        for s_, e_ in zip(gstart, gend):
-            pairs[int(sk[s_])] = [int(e_ - s_), int(sp[s_]), int(sp[e_ - 1])]
-        self._nocc = array("i", nocc.tobytes())
-        self._pocc = array("i", pocc.tobytes())
-        self._pairs = pairs
-        self._heap = [(-rec[0], rec[1], key) for key, rec in pairs.items() if rec[0] >= 2]
+        self._nocc = array("i", [NIL]) * n
+        self._pocc = array("i", [OFF]) * n
+        # zero-copy numpy views of the five lists, which are never resized
+        self._views = tuple(
+            np.frombuffer(v, dtype=np.int32)
+            for v in (self._sym, self._nxt, self._prv, self._nocc, self._pocc)
+        )
+        self.bulk_replacements = 0  # of replacements, those made by _replace_simple
+        self._pairs: dict[int, list[int]] = {}
+        hp = np.flatnonzero(head)
+        self._link(hp, (a[hp] << SHIFT) | a[hp + 1], {})
+        self._heap = [(-rec[0], rec[1], key) for key, rec in self._pairs.items() if rec[0] >= 2]
         heapify(self._heap)
 
     # -- public state -----------------------------------------------------
@@ -200,11 +208,13 @@ class PairMerger:
     def _replace_all(self, left: int, right: int, new_id: int) -> dict[int, None]:
         """Replace every indexed occurrence of (left, right) with new_id.
 
-        Walks the pair's occurrence list in position order. Replacing (p, q)
+        Walks the pair's occurrences in position order. Replacing (p, q)
         kills q, rewrites p, and touches at most the two neighbouring pairs;
         a same-symbol run of `right` that loses its left edge is realigned in
-        place (_reindex_run). Returns the keys of pairs that gained
-        occurrences, all of which involve new_id.
+        place (_reindex_run). A merge of at least _BULK_MIN occurrences with
+        left != right walks only its coupled occurrences here and replaces
+        the rest in one vectorized pass (_replace_simple). Returns the keys
+        of pairs that gained occurrences, all of which involve new_id.
         """
         sym = self._sym
         nxt = self._nxt
@@ -216,11 +226,12 @@ class PairMerger:
         key = (left << S) | right
         rec = pairs.pop(key)
         same = left == right
+        occ = self._occurrences(rec[1])
+        simple = None
+        if rec[0] >= _BULK_MIN and not same:
+            occ, simple = self._split(occ, right)
         created: dict[int, None] = {}
-        pos = rec[1]
-        while pos != NIL:
-            nextpos = nocc[pos]
-            p = pos
+        for p in occ:
             q = nxt[p]
             x = prv[p]
             xs = sym[x]
@@ -316,8 +327,155 @@ class PairMerger:
                     rn[2] = p
                     rn[0] += 1
                 created[kn] = None
-            pos = nextpos
+        if simple is not None:
+            self._replace_simple(*simple, left, right, new_id, created)
         return created
+
+    def _split(self, occ: list[int], right: int) -> tuple[list[int], tuple[np.ndarray, ...]]:
+        """Split the occurrences of a (left, right) pair, left != right, into
+        the coupled ones, as a position list, and the slots (p, q, y, x) of
+        the simple ones.
+
+        An occurrence is coupled when its y is the next occurrence's p (the
+        two share a slot) or when y starts a run of `right` that _reindex_run
+        realigns. No other replacement reads or writes what a simple one
+        does, so the simple ones can all be replaced after the coupled ones.
+        """
+        sym, nxt, prv = self._views[:3]
+        p = np.array(occ, dtype=np.int32)
+        q = nxt[p]
+        y = nxt[q]
+        x = prv[p]
+        coupled = sym[y] == right
+        adjacent = y[:-1] == p[1:]
+        coupled[:-1] |= adjacent
+        coupled[1:] |= adjacent
+        simple = ~coupled
+        return p[coupled].tolist(), (p[simple], q[simple], y[simple], x[simple])
+
+    def _replace_simple(
+        self,
+        p: np.ndarray,
+        q: np.ndarray,
+        y: np.ndarray,
+        x: np.ndarray,
+        left: int,
+        right: int,
+        new_id: int,
+        created: dict[int, None],
+    ) -> None:
+        """What the per-occurrence loop of _replace_all does to each simple
+        occurrence (p, q) between x and y, for all of them at once.
+
+        Index -1 (x of slot 0) reads the trailing SENT, as it does in the loop.
+        """
+        sym, nxt, prv, nocc, pocc = self._views
+        pairs = self._pairs
+        S = SHIFT
+        xs = sym[x].astype(np.int64)
+        ys = sym[y].astype(np.int64)
+        # pairs (xs, left) at x and (right, ys) at q die; pocc is OFF at
+        # every slot that heads no pair, negative symbols included
+        lx = pocc[x] != OFF
+        lq = pocc[q] != OFF
+        self._unlink(
+            np.concatenate((x[lx], q[lq])),
+            np.concatenate(((xs[lx] << S) | left, (right << S) | ys[lq])),
+        )
+        # splice out q, rewrite p
+        nxt[p] = y
+        prv[y] = p
+        sym[q] = DEAD
+        sym[p] = new_id
+        pocc[p] = OFF
+        # fresh pairs (xs, new_id) at x and (new_id, ys) at p (x is no other
+        # occurrence's p, so xs != new_id); a key the coupled occurrences
+        # already made is rebuilt with their nodes in it
+        cx = xs >= 0
+        cy = ys >= 0
+        nodes = [x[cx], p[cy]]
+        keys = [(xs[cx] << S) | new_id, (new_id << S) | ys[cy]]
+        for k in created:
+            rec = pairs.pop(k, None)
+            if rec is not None:
+                z = self._occurrences(rec[1])
+                nodes.append(np.array(z, dtype=np.int32))
+                keys.append(np.full(len(z), k, dtype=np.int64))
+        self._link(np.concatenate(nodes), np.concatenate(keys), created)
+        self.bulk_replacements += int(p.size)
+
+    def _unlink(self, z: np.ndarray, k: np.ndarray) -> None:
+        """Remove nodes z from the occurrence lists of their keys k.
+
+        Removed nodes that follow each other in one list form a chain, and
+        each chain is bridged in one step from its predecessor to its
+        successor.
+        """
+        if not z.size:
+            return
+        nocc, pocc = self._views[3:]
+        pairs = self._pairs
+        order = np.lexsort((z, k))
+        z = z[order]
+        k = k[order]
+        nz = nocc[z]
+        first, last = _groups((k[1:] == k[:-1]) & (nz[:-1] == z[1:]))
+        before = pocc[z[first]]
+        after = nz[last]
+        ck = k[first]
+        inner = before != NIL
+        nocc[before[inner]] = after[inner]
+        inner = after != NIL
+        pocc[after[inner]] = before[inner]
+        pocc[z] = OFF
+        head = before == NIL
+        for key, h in zip(ck[head].tolist(), after[head].tolist()):
+            pairs[key][1] = h
+        tail = after == NIL
+        for key, t in zip(ck[tail].tolist(), before[tail].tolist()):
+            pairs[key][2] = t
+        keys, lost = np.unique(k, return_counts=True)
+        for key, c in zip(keys.tolist(), lost.tolist()):
+            rec = pairs[key]
+            c = rec[0] - c
+            if c:
+                rec[0] = c
+            else:
+                del pairs[key]
+
+    def _link(self, z: np.ndarray, k: np.ndarray, created: dict[int, None]) -> None:
+        """Build the occurrence list of each key in k from its nodes z; no
+        key in k has a list yet. Each key is recorded in created.
+
+        Builds the whole index at set-up, and the new pairs of a bulk merge.
+        """
+        if not z.size:
+            return
+        nocc, pocc = self._views[3:]
+        pairs = self._pairs
+        order = np.lexsort((z, k))
+        z = z[order]
+        k = k[order]
+        samekey = k[1:] == k[:-1]
+        nocc[z[:-1][samekey]] = z[1:][samekey]
+        pocc[z[1:][samekey]] = z[:-1][samekey]
+        first, last = _groups(samekey)
+        pocc[z[first]] = NIL
+        nocc[z[last]] = NIL
+        for key, c, h, t in zip(
+            k[first].tolist(), (last - first + 1).tolist(), z[first].tolist(), z[last].tolist()
+        ):
+            pairs[key] = [c, h, t]
+            created[key] = None
+
+    def _occurrences(self, pos: int) -> list[int]:
+        """The occurrence list that starts at pos, in position order."""
+        nocc = self._nocc
+        occ = []
+        while pos != NIL:
+            occ.append(pos)
+            pos = nocc[pos]
+        return occ
 
     def _reindex_run(self, u: int, start: int, ins_after: int) -> None:
         """Realign greedy heads of (u, u) over the run now starting at `start`.
@@ -414,11 +572,7 @@ class PairMerger:
         }
         actual: dict[int, list[int]] = {}
         for k, rec in self._pairs.items():
-            occ = []
-            z = rec[1]
-            while z != NIL:
-                occ.append(z)
-                z = self._nocc[z]
+            occ = self._occurrences(rec[1])
             if len(occ) != rec[0]:
                 raise AssertionError(f"count mismatch for key {k}: {len(occ)} != {rec[0]}")
             if occ and (occ[0] != rec[1] or occ[-1] != rec[2]):
@@ -441,10 +595,11 @@ def train(
 
     grammar.rules is the merge log. An empty sequence yields an empty grammar
     and empty output. The full input sequence is held in memory: five int32
-    arrays, 20 bytes per slot, plus the pair index, about 21.4 bytes per
+    arrays, 20 bytes per slot, plus the pair index, about 20.9 bytes per
     character once the engine is built, growing with the pair index as merges
-    run (about 44 after 4000 merges on 1 MB of text), with a peak near 126
-    while it is built.
+    run (about 44 after 4000 merges on 1 MB of text), with a peak near 105
+    while it is built. Frequent merges are replaced in bulk (see PairMerger);
+    the result is the same as one occurrence at a time.
     """
     stop.validate()
     merger = PairMerger(seq)

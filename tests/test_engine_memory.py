@@ -1,9 +1,9 @@
 """Training-engine memory on 1 MB of corpus_gen text, in bytes per character.
 
-`tracemalloc` counts what PairMerger(seq) holds once built and the peak
-while it is built; the input sequence is built before tracing starts. Run
-as a script to print the figures the README quotes, optionally also after
-some merges:
+`tracemalloc` counts what PairMerger(seq) holds once built, the peak
+while it is built and what it holds after MERGES merges; the input sequence
+is built before tracing starts. Run as a script to print the figures the
+README quotes, optionally also after some merges:
 
     PYTHONPATH=src python tests/test_engine_memory.py --merges 4000
 """
@@ -21,6 +21,7 @@ from rgrams.repair import PairMerger, StopCriteria
 
 CHARS = 1_000_000
 SEED = 42
+MERGES = 4000
 
 
 def engine_bytes_per_char(merges: int = 0) -> dict[str, float]:
@@ -43,7 +44,7 @@ def engine_bytes_per_char(merges: int = 0) -> dict[str, float]:
 
 @pytest.fixture(scope="module")
 def measured() -> dict[str, float]:
-    return engine_bytes_per_char()
+    return engine_bytes_per_char(MERGES)
 
 
 def test_engine_after_init(measured):
@@ -53,6 +54,12 @@ def test_engine_after_init(measured):
 
 def test_engine_setup_peak(measured):
     assert measured["setup_peak"] <= 130
+
+
+def test_engine_after_merges(measured):
+    # the pair index grows with the merges; bulk merges keep no scratch arrays
+    assert measured["merges"] == MERGES
+    assert measured["after_merges"] <= 46
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rgrams.corpus import decode_terminals, encode
+import corpus_gen
+from rgrams import repair
+from rgrams.corpus import decode_terminals, encode, normalize
 from rgrams.errors import DomainError
 from rgrams.grammar import apply, decode
 from rgrams.repair import (
@@ -122,10 +125,10 @@ class TestStopCriteria:
         assert len(g2.rules) == 0
 
     def test_bad_fields(self):
-        with pytest.raises(DomainError):
-            StopCriteria(max_merges=-1).validate()
-        with pytest.raises(DomainError):
-            StopCriteria(max_vocabulary=-1).validate()
+        for field in ("max_merges", "max_vocabulary"):
+            for value in (-1, 2.5, float("nan"), True):
+                with pytest.raises(DomainError, match=field):
+                    StopCriteria(**{field: value}).validate()
 
 
 class TestEventProperties:
@@ -253,6 +256,94 @@ class TestNaiveEquivalence:
             m.check_invariants()
             while m.merge_once() is not None:
                 m.check_invariants()
+
+
+@contextmanager
+def bulk_min(n):
+    """Merges of at least n occurrences take the bulk path inside this block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repair, "_BULK_MIN", n)
+        yield
+
+
+class TestBulkReplacement:
+    """The vectorized path for frequent merges, forced on small inputs."""
+
+    def run_checked(self, text, min_frequency=2):
+        # threshold 2: every merge with left != right goes through the bulk path
+        with bulk_min(2):
+            m = PairMerger(encode(text, NL))
+            m.check_invariants()
+            while m.merge_once(min_frequency) is not None:
+                m.check_invariants()
+        g, out = train_naive(encode(text, NL), StopCriteria(min_frequency=min_frequency))
+        assert m.grammar().rules == g.rules
+        assert list(m.sequence().symbols) == list(out.symbols)
+        assert m.sequence().boundaries == out.boundaries
+        return m
+
+    @settings(max_examples=60)
+    @given(
+        st.lists(
+            st.sampled_from(["a", "b", "c", "ab", "abab", "bbb", "aaa", "cab", "ba", " ", "\n"]),
+            max_size=60,
+        ),
+        st.sampled_from([2, 3]),
+    )
+    def test_matches_oracle(self, words, mf):
+        self.run_checked("".join(words), mf)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "abababab",  # adjacent occurrences: every one is coupled
+            "abbbbxab",  # a run of `right` after q is realigned
+            "aaaab ab ab ab ab",  # a lost (a, a) head at x in a run of `left`
+            "ab\nab\nab",  # slot 0 (x reads the trailing SENT) and boundaries
+            "xab xab xab ab ab",  # three lost (x, a) nodes in a row in one list
+            "cabab cab cab",  # (c, new) made by coupled and simple occurrences
+        ],
+    )
+    def test_edge_cases(self, text):
+        g = self.run_checked(text).grammar()
+        assert g.expand(g.rules[0].id) == "ab"
+
+    def test_counter(self):
+        m = PairMerger(encode("ab ab ab", NL))
+        m.merge_once()  # count 3, below _BULK_MIN
+        assert (m.replacements, m.bulk_replacements) == (3, 0)
+        with bulk_min(2):
+            m = PairMerger(encode("ab ab ab", NL))
+            m.merge_once()
+        assert (m.replacements, m.bulk_replacements) == (3, 3)
+
+    def test_coupled_only_merge_is_not_bulk(self):
+        with bulk_min(2):
+            m = PairMerger(encode("abababab", NL))
+            m.run(StopCriteria())
+        assert m.replacements == 6 and m.bulk_replacements == 0
+
+    def test_same_bytes_as_sequential(self):
+        # tier-1 guard: the default threshold changes nothing on real text
+        text = normalize(corpus_gen.generate(300_000, seed=5))
+
+        def run(n):
+            with bulk_min(n):
+                m = PairMerger(encode(text))
+                m.run(StopCriteria(max_merges=1500))
+            out = m.sequence()
+            return m.grammar().rules, list(out.symbols), out.boundaries, m.bulk_replacements
+
+        *bulk_out, bulk = run(repair._BULK_MIN)
+        *loop_out, none = run(1 << 62)  # above every count: the loop alone
+        assert bulk > 0 and none == 0
+        assert bulk_out == loop_out
+
+    def test_bulk_share_on_bench_corpus(self):
+        # most replacements fall in frequent merges (0.84 of them at threshold 300)
+        m = PairMerger(encode(normalize(corpus_gen.generate(1_000_000, seed=42))))
+        m.run(StopCriteria(max_merges=4000))
+        assert m.bulk_replacements / m.replacements >= 0.8
 
 
 class TestSizeEdges:
