@@ -6,9 +6,10 @@ digits replaced by 'N'; an all-whitespace token becomes the reserved
 "<ws>". Windows never cross segment boundaries because segments arrive as
 separate sentences.
 
-Within one (center, context) pair the gradient is taken of the whole pair
-loss at the pre-update parameter values and then applied; this matches
-pair_gradients exactly, which is what the finite-difference check verifies.
+Training is per-pair SGNS (Mikolov et al. 2013): each (center, context)
+pair is one fused step (_pair_step) over its stacked output rows
+[context, negatives...] at the pre-update parameters. pair_loss and
+pair_gradients wrap that step, so the finite-difference check covers it.
 """
 
 from __future__ import annotations
@@ -209,46 +210,45 @@ class VectorSet:
         return None if i is None else self.matrix[i]
 
 
-def _pair_terms(
-    u: np.ndarray, v_pos: np.ndarray, v_negs: np.ndarray
-) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """One SGNS pair at fixed parameters: (loss, g_pos, g_negs, gu).
+def _pair_step(h: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One SGNS pair at fixed parameters: (signed scores, g, gu).
 
-    g_pos and g_negs are the loss derivatives w.r.t. the scores u.v_pos and
-    u.v_neg; gu is the gradient w.r.t. u. Training and pair_loss /
-    pair_gradients all go through here.
+    W stacks the context's output row over the negatives' rows. g holds the
+    loss derivatives w.r.t. the scores W @ h, and gu the gradient w.r.t. h;
+    the pair loss is logaddexp(0, signed scores).sum(), where the positive
+    score enters negated. Training and pair_loss / pair_gradients all go
+    through here.
     """
-    s = float(u @ v_pos)
-    g_pos = _sigmoid(s) - 1.0
-    gu = g_pos * v_pos
-    loss = float(np.logaddexp(0.0, -s))
-    if len(v_negs):
-        sn = v_negs @ u
-        g_negs = _sigmoid(sn)
-        gu = gu + g_negs @ v_negs
-        loss += float(np.logaddexp(0.0, sn).sum())
-    else:
-        g_negs = np.zeros(0)
-    return loss, g_pos, g_negs, gu
+    scores = W @ h
+    # for very negative scores exp overflows to inf, which gives the exact
+    # sigmoid limit 0; callers run under np.errstate(over="ignore")
+    g = 1.0 / (1.0 + np.exp(-scores))
+    g[0] -= 1.0
+    gu = g @ W
+    scores[0] = -scores[0]
+    return scores, g, gu
 
 
+def _stacked(v_pos: np.ndarray, v_negs: np.ndarray) -> np.ndarray:
+    return np.vstack([v_pos, np.reshape(v_negs, (-1, len(v_pos)))])
+
+
+@np.errstate(over="ignore")
 def pair_loss(u: np.ndarray, v_pos: np.ndarray, v_negs: np.ndarray) -> float:
     """-log sigmoid(u.v_pos) - sum log sigmoid(-u.v_neg); numerically stable."""
-    return _pair_terms(u, v_pos, np.asarray(v_negs))[0]
+    return float(np.logaddexp(0.0, _pair_step(u, _stacked(v_pos, v_negs))[0]).sum())
 
 
+@np.errstate(over="ignore")
 def pair_gradients(
     u: np.ndarray, v_pos: np.ndarray, v_negs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analytic gradients of pair_loss w.r.t. (u, v_pos, each v_neg)."""
-    _, g_pos, g_negs, gu = _pair_terms(u, v_pos, np.asarray(v_negs))
-    return gu, g_pos * u, np.outer(g_negs, u)
+    _, g, gu = _pair_step(u, _stacked(v_pos, v_negs))
+    return gu, g[0] * u, np.outer(g[1:], u)
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-
-
+@np.errstate(over="ignore")
 def train_skipgram(
     corpus: str | TextIO | Iterable[list[str]],
     config: TrainConfig = TrainConfig(),
@@ -261,8 +261,11 @@ def train_skipgram(
     those. Tokens below min_token_count are dropped from sentences before
     windowing; so are tokens removed by subsampling. With subwords, each
     token's input rows are hashed once (subword_rows). All negatives come
-    from one negative_draws stream. pair_log, if given, collects every
-    (center, context) token pair actually trained on.
+    from one negative_draws stream. Each pair is one _pair_step, taken at a
+    hidden vector recomputed per pair with subwords (as fastText does); the
+    logged loss takes one logaddexp per sentence over the pairs' signed
+    scores. pair_log, if given, collects every (center, context) token pair
+    actually trained on.
     DomainError when an epoch's loss is not finite or when the whole run
     trains no pair, which would leave the vectors untrained.
     """
@@ -324,29 +327,21 @@ def train_skipgram(
             alpha = lr0 * (1.0 - processed / denom)
             if alpha < lr_floor:
                 alpha = lr_floor
-            if keep_prob is not None:
-                s = sent[keep_prob[sent] > rng.random(len(sent))]
-            else:
-                s = sent
+            s = sent if keep_prob is None else sent[keep_prob[sent] > rng.random(len(sent))]
             L = len(s)
+            signed = []  # each pair's signed scores; the loss is taken once per sentence
             for i in range(L):
                 c = int(s[i])
                 lo_j = i - window if i >= window else 0
-                hi_j = i + window + 1
-                if hi_j > L:
-                    hi_j = L
-                if rows is not None:
-                    crows = rows[c]
-                    h = inp[crows].mean(axis=0)
-                else:
-                    h = inp[c]
+                hi_j = min(i + window + 1, L)
+                crows = None if rows is None else rows[c]
                 for j in range(lo_j, hi_j):
                     if j == i:
                         continue
                     ctx = int(s[j])
                     if pair_log is not None:
                         pair_log.append((tokens[c], tokens[ctx]))
-                    negs = []
+                    orows = [ctx]
                     for _ in range(negatives):
                         cand = draw()
                         tries = 0
@@ -354,19 +349,24 @@ def train_skipgram(
                             cand = draw()
                             tries += 1
                         if cand != ctx:
-                            negs.append(cand)
-                    vpos = out[ctx]
-                    loss, gpos, gn, gu = _pair_terms(h, vpos, out[negs])
-                    ep_loss += loss
-                    if negs:
-                        np.add.at(out, negs, np.outer(-alpha * gn, h))
-                    out[ctx] = vpos - alpha * gpos * h
-                    if rows is not None:
+                            orows.append(cand)
+                    h = inp[c] if crows is None else inp[crows].mean(axis=0)
+                    W = out[orows]
+                    sc, g, gu = _pair_step(h, W)
+                    signed.append(sc)
+                    step = (alpha * g)[:, None] * h
+                    if len(set(orows)) == len(orows):
+                        out[orows] = W - step
+                    else:  # a repeated negative must accumulate its updates
+                        np.subtract.at(out, orows, step)
+                    if crows is not None:
                         # repeated n-gram rows must accumulate their share
                         np.subtract.at(inp, crows, (alpha / len(crows)) * gu)
                     else:
                         inp[c] = h - alpha * gu
-                    ep_pairs += 1
+            if signed:
+                ep_loss += float(np.logaddexp(0.0, np.concatenate(signed)).sum())
+                ep_pairs += len(signed)
         summary = f"mean pair loss {ep_loss / ep_pairs:.6f}" if ep_pairs else "0 pairs"
         log.info("epoch %d/%d lr %.6f %s", epoch + 1, config.epochs, alpha, summary)
         if not math.isfinite(ep_loss):

@@ -63,8 +63,16 @@ def _top_k(
     excluded, by cosine descending then token; zero rows (~ok) rank last."""
     sims = np.clip(unit @ target, -1.0, 1.0)
     sims[~ok] = -np.inf  # zero rows have no defined similarity
+    # only rows scoring at least the (k + |banned|)-th best cosine can make
+    # the cut; ties at that cosine all stay in for the token tie-break
+    n = k + len(banned)
+    if n < len(sims):
+        cut = np.partition(sims, len(sims) - n)[len(sims) - n]
+        cands = np.flatnonzero(sims >= cut).tolist()
+    else:
+        cands = range(len(sims))
     order = sorted(
-        (i for i in range(len(vs.tokens)) if i not in banned),
+        (i for i in cands if i not in banned),
         key=lambda i: (-sims[i], vs.tokens[i]),
     )
     return [(vs.tokens[i], float(sims[i])) for i in order[:k]]
@@ -91,12 +99,18 @@ def analogy(vs: VectorSet, q: AnalogyQuery, k: int = 5) -> list[tuple[str, float
     """3CosAdd candidates, best first; None when a, b, or c is OOV."""
     if k < 0:
         raise DomainError("k must be >= 0")
+    return _analogy(vs, *_unit_rows(vs.matrix), q, k)
+
+
+def _analogy(
+    vs: VectorSet, unit: np.ndarray, ok: np.ndarray, q: AnalogyQuery, k: int
+) -> list[tuple[str, float]] | None:
+    """analogy() over rows already normalized by _unit_rows(vs.matrix)."""
     ia = vs.index.get(q.a)
     ib = vs.index.get(q.b)
     ic = vs.index.get(q.c)
     if ia is None or ib is None or ic is None:
         return None
-    unit, ok = _unit_rows(vs.matrix)
     if not (ok[ia] and ok[ib] and ok[ic]):
         raise DomainError("analogy over a zero vector is undefined")
     target = unit[ib] - unit[ia] + unit[ic]
@@ -114,10 +128,11 @@ def analogy_suite(vs: VectorSet, queries: Sequence[AnalogyQuery]) -> SuiteResult
     attempted = 0
     correct = 0
     near: list[tuple[AnalogyQuery, str]] = []
+    unit, ok = _unit_rows(vs.matrix)
     for q in queries:
         if q.gold not in vs.index:
             continue
-        cands = analogy(vs, q, k=1)
+        cands = _analogy(vs, unit, ok, q, 1)
         if cands is None:
             continue
         attempted += 1

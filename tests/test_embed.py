@@ -232,6 +232,95 @@ class TestTraining:
                 tiny_config(**bad).validate()
 
 
+def reference_train(sents, cfg):
+    """Literal per-pair SGNS: train_skipgram's vocabulary, random streams and
+    learning-rate schedule, with one pair_gradients call per (center,
+    context) pair and every row updated one at a time."""
+    normed = [[normalize_token(t) for t in sent] for sent in sents if sent]
+    vocab = build_vocab(normed, cfg.min_token_count)
+    V = len(vocab)
+    train_words = int(vocab.counts.sum())
+    sentences = [ids for ids in ([vocab.index[t] for t in s if t in vocab] for s in normed) if ids]
+    init_ss, neg_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    rng = np.random.Generator(np.random.PCG64(init_ss))
+    draws = negative_draws(vocab.counts, np.random.Generator(np.random.PCG64(neg_ss)))
+    rows = None
+    B = 0
+    if cfg.subword_ngrams is not None:
+        B = cfg.subword_buckets
+        rows = [
+            [i] + [V + h for h in subword_hashes(t, *cfg.subword_ngrams, B)]
+            for i, t in enumerate(vocab.tokens)
+        ]
+    inp = (rng.random((V + B, cfg.dim)) - 0.5) / cfg.dim
+    out = np.zeros((V, cfg.dim))
+    keep = None
+    if cfg.subsample_threshold > 0:
+        ratio = cfg.subsample_threshold / (vocab.counts / train_words)
+        keep = np.minimum(1.0, np.sqrt(ratio) + ratio)
+    processed = 0
+    for _ in range(cfg.epochs):
+        for sent in sentences:
+            processed += len(sent)
+            frac = 1.0 - processed / (cfg.epochs * train_words + 1)
+            alpha = max(cfg.initial_lr * frac, cfg.initial_lr * 1e-4)
+            if keep is not None:
+                u = rng.random(len(sent))
+                sent = [t for t, r in zip(sent, u) if keep[t] > r]
+            for i, c in enumerate(sent):
+                for j in range(max(0, i - cfg.window), min(len(sent), i + cfg.window + 1)):
+                    if j == i:
+                        continue
+                    ctx = sent[j]
+                    negs = []
+                    for _ in range(cfg.negatives):
+                        cand = next(draws)
+                        tries = 0
+                        while cand == ctx and tries < 100:
+                            cand = next(draws)
+                            tries += 1
+                        if cand != ctx:
+                            negs.append(cand)
+                    crows = [c] if rows is None else rows[c]
+                    h = inp[crows].mean(axis=0)
+                    gu, gvp, gvn = pair_gradients(h, out[ctx], out[negs])
+                    out[ctx] -= alpha * gvp
+                    for n, gn in zip(negs, gvn):
+                        out[n] -= alpha * gn
+                    for r in crows:
+                        inp[r] -= (alpha / len(crows)) * gu
+    return vocab, inp, out
+
+
+class TestTrainingOracle:
+    WORDS = [["the", "cat", "sat", "on", "the", "mat"], ["a", "cat", "ran"], ["the", "dog", "sat"]]
+
+    @pytest.mark.parametrize("subword", [None, (2, 4)], ids=["plain", "subword"])
+    @pytest.mark.parametrize("subsample", [0.0, 0.05], ids=["all", "subsampled"])
+    @pytest.mark.parametrize(
+        "sents, kw",
+        [
+            (WORDS * 4, dict(negatives=3, epochs=2)),
+            # three tokens and eight negatives: every pair draws some negative
+            # twice, so the output rows go through the accumulating update
+            ([["x", "y", "z", "x", "y"]] * 3, dict(negatives=8, epochs=2)),
+            # one token: every negative equals the context and is rejected
+            ([["a", "a", "a"]], dict(negatives=2, epochs=2)),
+        ],
+        ids=["words", "repeated-negatives", "one-token"],
+    )
+    def test_matches_per_pair_reference(self, sents, kw, subsample, subword):
+        cfg = tiny_config(
+            subsample_threshold=subsample, subword_ngrams=subword, subword_buckets=16, **kw
+        )
+        vocab, inp, out = reference_train(sents, cfg)
+        m = train_skipgram(sents, cfg)
+        assert m.vocab.tokens == vocab.tokens
+        assert np.abs(m.input - inp).max() <= 1e-12
+        assert np.abs(m.output - out).max() <= 1e-12
+        assert np.abs(m.output).max() > 0
+
+
 class TestNonFinite:
     @pytest.mark.parametrize(
         "bad",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, strategies as st
 
 from rgrams.embed import VectorSet
 from rgrams.errors import DomainError
@@ -197,6 +198,77 @@ class TestAnalogySuite:
     def test_empty_suite_rejected(self):
         with pytest.raises(DomainError):
             analogy_suite(self.VS, [])
+
+
+def reference_unit_rows(m):
+    norms = np.linalg.norm(m, axis=1)
+    ok = norms > 0
+    return m / np.where(ok, norms, 1.0)[:, None], ok
+
+
+def reference_rank(vs, target, banned, k):
+    """The ranking as a plain sort of every row: cosine descending, then
+    token string ascending; zero rows last."""
+    unit, ok = reference_unit_rows(vs.matrix)
+    sims = np.clip(unit @ target, -1.0, 1.0)
+    sims[~ok] = -np.inf
+    order = sorted(
+        (i for i in range(len(vs.tokens)) if i not in banned),
+        key=lambda i: (-sims[i], vs.tokens[i]),
+    )
+    return [(vs.tokens[i], float(sims[i])) for i in order[:k]]
+
+
+@st.composite
+def tie_heavy_sets(draw):
+    """Small vector sets full of exact cosine ties: components from a tiny
+    set (with -0.0), so rows repeat or vanish, and tokens that differ only
+    by trailing NULs."""
+    tokens = draw(
+        st.lists(
+            st.sampled_from(["a", "a\0", "a\0\0", "\0", "", "b", "ab", "a b", "é"]),
+            min_size=4,
+            max_size=9,
+            unique=True,
+        )
+    )
+    dim = draw(st.integers(1, 3))
+    comps = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5])
+    row = st.lists(comps, min_size=dim, max_size=dim)
+    rows = draw(st.lists(row, min_size=len(tokens), max_size=len(tokens)))
+    return VectorSet(tokens, np.array(rows, dtype=np.float64))
+
+
+class TestRankingTies:
+    @given(vs=tie_heavy_sets(), data=st.data())
+    def test_neighbors_match_reference(self, vs, data):
+        qi = data.draw(st.integers(0, len(vs) - 1))
+        k = data.draw(st.sampled_from([0, 1, 2, len(vs) - 1, len(vs), len(vs) + 3]))
+        q = vs.matrix[qi]
+        if not np.linalg.norm(q):
+            with pytest.raises(DomainError):
+                nearest_neighbors(vs, vs.tokens[qi], k=k)
+            return
+        want = reference_rank(vs, q / np.linalg.norm(q), {qi}, k)
+        assert nearest_neighbors(vs, vs.tokens[qi], k=k) == want
+
+    @given(vs=tie_heavy_sets(), data=st.data())
+    def test_analogy_matches_reference(self, vs, data):
+        ia, ib, ic, ig = data.draw(st.permutations(range(len(vs))))[:4]
+        k = data.draw(st.sampled_from([0, 1, 3, len(vs), len(vs) + 3]))
+        q = AnalogyQuery(vs.tokens[ia], vs.tokens[ib], vs.tokens[ic], vs.tokens[ig])
+        unit, ok = reference_unit_rows(vs.matrix)
+        if not ok[[ia, ib, ic]].all():
+            for call in (lambda: analogy(vs, q, k=k), lambda: analogy_suite(vs, [q])):
+                with pytest.raises(DomainError):
+                    call()
+            return
+        target = unit[ib] - unit[ia] + unit[ic]
+        tn = np.linalg.norm(target)
+        ranked = reference_rank(vs, target / tn, {ia, ib, ic}, len(vs)) if tn else []
+        assert analogy(vs, q, k=k) == ranked[:k]
+        top1 = [t for t, _ in ranked[:1]]
+        assert analogy_suite(vs, [q]).correct == (top1 == [q.gold])
 
 
 class TestSpearman:
