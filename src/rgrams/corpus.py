@@ -171,8 +171,7 @@ class ChunkEncoder:
             starts = np.nonzero(mask & ~prev)[0]
             keep = ~mask
             kept_before = np.concatenate(([0], np.cumsum(keep)))
-            for i in starts:
-                self._boundaries.append(self._count + int(kept_before[i]))
+            self._boundaries.extend((self._count + kept_before[starts]).tolist())
             self._in_sep_run = bool(mask[-1])
             cps = cps[keep]
         else:
@@ -190,8 +189,8 @@ class ChunkEncoder:
 
     def finish(self) -> BoundedSequence:
         symbols = array("i")
-        if self._parts:
-            symbols.frombytes(np.concatenate(self._parts).astype(np.int32).tobytes())
+        for part in self._parts:  # int32 already
+            symbols.frombytes(part.view(np.uint8))
         return BoundedSequence(symbols, self._boundaries, self._table)
 
 

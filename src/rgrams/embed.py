@@ -189,9 +189,12 @@ class EmbeddingMatrix:
 
 
 class VectorSet:
-    """Plain token -> vector table; what export/import and eval work on."""
+    """Plain token -> vector table; what export/import and eval work on.
 
-    __slots__ = ("tokens", "matrix", "index")
+    Treat it as immutable: unit_rows() keeps what it derives from matrix.
+    """
+
+    __slots__ = ("tokens", "matrix", "index", "_unit")
 
     def __init__(self, tokens: list[str], matrix: np.ndarray):
         if len(tokens) != matrix.shape[0]:
@@ -201,6 +204,7 @@ class VectorSet:
         self.index = {t: i for i, t in enumerate(tokens)}
         if len(self.index) != len(tokens):
             raise DomainError("duplicate token in vector set")
+        self._unit: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -208,6 +212,16 @@ class VectorSet:
     def vector(self, token: str) -> np.ndarray | None:
         i = self.index.get(token)
         return None if i is None else self.matrix[i]
+
+    def unit_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(unit, ok): matrix with each row scaled to unit length, and the
+        mask of rows with nonzero norm (the rest stay zero in unit).
+        Computed on first use and kept."""
+        if self._unit is None:
+            norms = np.linalg.norm(self.matrix, axis=1)
+            ok = norms > 0
+            self._unit = self.matrix / np.where(ok, norms, 1.0)[:, None], ok
+        return self._unit
 
 
 def _pair_step(h: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -48,19 +48,10 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.clip(float(u @ v) / (nu * nv), -1.0, 1.0))
 
 
-def _unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-normalized copy plus a mask of rows that had nonzero norm."""
-    norms = np.linalg.norm(m, axis=1)
-    ok = norms > 0
-    safe = np.where(ok, norms, 1.0)
-    return m / safe[:, None], ok
-
-
-def _top_k(
-    vs: VectorSet, unit: np.ndarray, ok: np.ndarray, target: np.ndarray, banned: set[int], k: int
-) -> list[tuple[str, float]]:
+def _top_k(vs: VectorSet, target: np.ndarray, banned: set[int], k: int) -> list[tuple[str, float]]:
     """The k best (token, cosine) against unit-length target, banned rows
-    excluded, by cosine descending then token; zero rows (~ok) rank last."""
+    excluded, by cosine descending then token; zero rows rank last."""
+    unit, ok = vs.unit_rows()
     sims = np.clip(unit @ target, -1.0, 1.0)
     sims[~ok] = -np.inf  # zero rows have no defined similarity
     # only rows scoring at least the (k + |banned|)-th best cosine can make
@@ -91,33 +82,26 @@ def nearest_neighbors(
     qn = float(np.linalg.norm(q))
     if qn == 0.0:
         raise DomainError("query vector has zero norm")
-    unit, ok = _unit_rows(vs.matrix)
-    return _top_k(vs, unit, ok, q / qn, {qi}, k)
+    return _top_k(vs, q / qn, {qi}, k)
 
 
 def analogy(vs: VectorSet, q: AnalogyQuery, k: int = 5) -> list[tuple[str, float]] | None:
     """3CosAdd candidates, best first; None when a, b, or c is OOV."""
     if k < 0:
         raise DomainError("k must be >= 0")
-    return _analogy(vs, *_unit_rows(vs.matrix), q, k)
-
-
-def _analogy(
-    vs: VectorSet, unit: np.ndarray, ok: np.ndarray, q: AnalogyQuery, k: int
-) -> list[tuple[str, float]] | None:
-    """analogy() over rows already normalized by _unit_rows(vs.matrix)."""
     ia = vs.index.get(q.a)
     ib = vs.index.get(q.b)
     ic = vs.index.get(q.c)
     if ia is None or ib is None or ic is None:
         return None
+    unit, ok = vs.unit_rows()
     if not (ok[ia] and ok[ib] and ok[ic]):
         raise DomainError("analogy over a zero vector is undefined")
     target = unit[ib] - unit[ia] + unit[ic]
     tn = float(np.linalg.norm(target))
     if tn == 0.0:
         return []
-    return _top_k(vs, unit, ok, target / tn, {ia, ib, ic}, k)
+    return _top_k(vs, target / tn, {ia, ib, ic}, k)
 
 
 def analogy_suite(vs: VectorSet, queries: Sequence[AnalogyQuery]) -> SuiteResult:
@@ -128,11 +112,10 @@ def analogy_suite(vs: VectorSet, queries: Sequence[AnalogyQuery]) -> SuiteResult
     attempted = 0
     correct = 0
     near: list[tuple[AnalogyQuery, str]] = []
-    unit, ok = _unit_rows(vs.matrix)
     for q in queries:
         if q.gold not in vs.index:
             continue
-        cands = _analogy(vs, unit, ok, q, 1)
+        cands = analogy(vs, q, 1)
         if cands is None:
             continue
         attempted += 1

@@ -87,7 +87,9 @@ class Grammar:
                 raise DomainError(f"rule {r.id} references a later or negative symbol")
         self.terminals = terminals
         self.rules = tuple(rules)
-        self._exp: list[str | None] = [None] * (T + len(rules))
+        # per-symbol tables, each filled on first use by one forward pass
+        # over the rules (rules only reference earlier ids)
+        self._exp: list[str] = []
         self._depth: list[int] = []
         self._rank: _RankTable | None = None
 
@@ -106,54 +108,32 @@ class Grammar:
         return f"Grammar({len(self.terminals)} terminals, {len(self.rules)} rules)"
 
     def expand(self, s: int) -> str:
-        """Terminal string a symbol stands for; memoized, iterative."""
+        """Terminal string a symbol stands for."""
         if s >= OOV_BASE:
             return chr(s - OOV_BASE)
         exp = self._exp
+        if not exp:
+            exp = list(self.terminals.chars())
+            for r in self.rules:
+                exp.append(exp[r.left] + exp[r.right])
+            self._exp = exp
         if not 0 <= s < len(exp):
             raise UnknownSymbolError(s)
-        got = exp[s]
-        if got is not None:
-            return got
-        T = len(self.terminals)
-        rules = self.rules
-        stack = [s]
-        while stack:
-            t = stack[-1]
-            if exp[t] is not None:
-                stack.pop()
-                continue
-            if t < T:
-                exp[t] = self.terminals.char_of(t)
-                stack.pop()
-                continue
-            r = rules[t - T]
-            le = exp[r.left]
-            ri = exp[r.right]
-            if le is not None and ri is not None:
-                exp[t] = le + ri
-                stack.pop()
-            else:
-                if le is None:
-                    stack.append(r.left)
-                if ri is None:
-                    stack.append(r.right)
-        return exp[s]  # type: ignore[return-value]
+        return exp[s]
 
     def depth(self, s: int) -> int:
         """0 for terminals, else 1 + max over the two constituents."""
         if s >= OOV_BASE:
             return 0
-        T = len(self.terminals)
-        if not 0 <= s < T + len(self.rules):
-            raise UnknownSymbolError(s)
-        if not self._depth:
-            # one forward pass suffices: rules only reference earlier ids
-            d = [0] * (T + len(self.rules))
+        d = self._depth
+        if not d:
+            d = [0] * len(self.terminals)
             for r in self.rules:
-                d[r.id] = 1 + max(d[r.left], d[r.right])
+                d.append(1 + max(d[r.left], d[r.right]))
             self._depth = d
-        return self._depth[s]
+        if not 0 <= s < len(d):
+            raise UnknownSymbolError(s)
+        return d[s]
 
     def _rank_table(self) -> _RankTable:
         """apply's lookups, built once: (rank, keys, ids, left, right).
@@ -185,8 +165,10 @@ def engine_array(seq: BoundedSequence, lut: np.ndarray | None = None) -> np.ndar
     """int64 engine array of seq: its terminal ids, SENT at each boundary, SENT last.
 
     lut, when given, maps every terminal id first (apply moves ids into a
-    grammar's id space with it).
+    grammar's id space with it). Boundaries outside [0, len(seq)] or not
+    strictly increasing raise DomainError.
     """
+    seq.validate()
     syms = np.asarray(seq.symbols, dtype=np.int64)
     if syms.size and (syms.min() < 0 or syms.max() >= len(seq.alphabet)):
         raise DomainError("sequence contains non-terminal symbols")
@@ -226,7 +208,9 @@ def from_engine(symbols: array | list[int] | np.ndarray, alphabet: SymbolTable) 
     a = a[~sent]
     oov = a < 0
     a[oov] = OOV_BASE - 2 - a[oov]
-    return BoundedSequence(a.tolist(), (bpos - np.arange(bpos.size)).tolist(), alphabet)
+    out = array("q")  # 64-bit: OOV ids are OOV_BASE + codepoint
+    out.frombytes(a.view(np.uint8))
+    return BoundedSequence(out, (bpos - np.arange(bpos.size)).tolist(), alphabet)
 
 
 def apply(g: Grammar, seq: BoundedSequence) -> BoundedSequence:

@@ -4,11 +4,16 @@ Sampling is Zipf-weighted over a fixed word list plus a set of frequent
 collocations, so merged symbols that span spaces emerge the way they do in
 natural text. Output lines are single sentences separated by single
 newlines (no separator runs), which keeps encode/decode round trips exact.
+
+The spaceless mode rewrites the same sentences the way a language without
+word spaces looks: every word becomes a fixed string of 1-3 ideographs and
+the spaces go, so nothing word-like is marked in the input.
 """
 
 from __future__ import annotations
 
 import random
+import re
 
 _BASE_WORDS = """
 the of and to a in is was for on that by with as it at from his he this be
@@ -73,6 +78,13 @@ _COLLOCATIONS = [
 ]
 
 
+# Ideographs for the spaceless mode: CJK Unified Ideographs from the BMP and
+# from Extension B, above U+FFFF (four UTF-8 bytes, a surrogate pair in UTF-16).
+IDEOGRAPHS = [chr(c) for c in range(0x4E00, 0x4E00 + 48)] + [
+    chr(c) for c in range(0x20000, 0x20000 + 16)
+]
+
+
 def _word_list() -> list[str]:
     words = _BASE_WORDS.split()
     for w in _SUFFIXED:
@@ -86,12 +98,13 @@ def _word_list() -> list[str]:
     return list(seen)
 
 
-def generate(target_bytes: int, seed: int = 1) -> str:
+def generate(target_bytes: int, seed: int = 1, spaceless: bool = False) -> str:
     """English-like text of roughly target_bytes UTF-8 bytes.
 
-    Same (target_bytes, seed) always gives the same string. Lines are
-    sentences; the text ends with one trailing newline and contains no
-    consecutive newlines.
+    Same (target_bytes, seed, spaceless) always gives the same string. Lines
+    are sentences; the text ends with one trailing newline and contains no
+    consecutive newlines. spaceless=True returns the same sentences with each
+    word lowercased and written in IDEOGRAPHS, and no spaces.
     """
     rng = random.Random(seed)
     words = _word_list()
@@ -131,4 +144,20 @@ def generate(target_bytes: int, seed: int = 1) -> str:
             sentence += "."
         lines.append(sentence)
         size += len(sentence) + 1
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    return _spaceless(text, seed) if spaceless else text
+
+
+def _spaceless(text: str, seed: int) -> str:
+    """text with each distinct word mapped to 1-3 seeded IDEOGRAPHS, in
+    order of first appearance, and every space removed."""
+    rng = random.Random(seed)
+    spelling: dict[str, str] = {}
+
+    def ideographs(m: re.Match[str]) -> str:
+        word = m.group()
+        if word not in spelling:
+            spelling[word] = "".join(rng.choices(IDEOGRAPHS, k=rng.randint(1, 3)))
+        return spelling[word]
+
+    return re.sub(r"[a-z']+", ideographs, text.lower()).replace(" ", "")

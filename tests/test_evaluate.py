@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from rgrams.embed import VectorSet
 from rgrams.errors import DomainError
@@ -269,6 +269,35 @@ class TestRankingTies:
         assert analogy(vs, q, k=k) == ranked[:k]
         top1 = [t for t, _ in ranked[:1]]
         assert analogy_suite(vs, [q]).correct == (top1 == [q.gold])
+
+    def test_unit_rows_are_computed_once(self):
+        vs = vecs([("a", [3.0, 4.0]), ("b", [0.0, 0.0])])
+        unit, ok = vs.unit_rows()
+        assert vs.unit_rows() is vs.unit_rows()
+        assert unit.tolist() == [[0.6, 0.8], [0.0, 0.0]] and ok.tolist() == [True, False]
+
+    @given(vs=tie_heavy_sets(), data=st.data())
+    def test_queries_after_the_first_match_reference(self, vs, data):
+        """A query builds the shared unit rows; later queries of every kind
+        still rank as the reference does."""
+        unit, ok = reference_unit_rows(vs.matrix)
+        first, second = data.draw(st.permutations(range(len(vs))))[:2]
+        assume(ok[first] and ok[second])
+        nearest_neighbors(vs, vs.tokens[first], k=1)
+        built = vs.unit_rows()
+        q = vs.matrix[second]
+        want = reference_rank(vs, q / np.linalg.norm(q), {second}, 3)
+        assert nearest_neighbors(vs, vs.tokens[second], k=3) == want
+        ia, ib, ic, ig = data.draw(st.permutations(range(len(vs))))[:4]
+        query = AnalogyQuery(vs.tokens[ia], vs.tokens[ib], vs.tokens[ic], vs.tokens[ig])
+        if ok[[ia, ib, ic]].all():
+            target = unit[ib] - unit[ia] + unit[ic]
+            tn = np.linalg.norm(target)
+            ranked = reference_rank(vs, target / tn, {ia, ib, ic}, 3) if tn else []
+            assert analogy(vs, query, k=3) == ranked
+            top1 = [t for t, _ in ranked[:1]]
+            assert analogy_suite(vs, [query]).correct == (top1 == [query.gold])
+        assert vs.unit_rows() is built
 
 
 class TestSpearman:

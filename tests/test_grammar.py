@@ -3,7 +3,7 @@ import io
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rgrams.corpus import SymbolTable, encode
+from rgrams.corpus import BoundedSequence, SymbolTable, encode
 from rgrams.errors import (
     DomainError,
     GrammarFileError,
@@ -28,7 +28,7 @@ from rgrams.grammar import (
     unescape_token,
     write_segmented,
 )
-from rgrams.repair import StopCriteria, train
+from rgrams.repair import PairMerger, StopCriteria, train, train_naive
 
 NL = frozenset("\n")
 
@@ -72,6 +72,21 @@ PIECES = st.lists(
 ).map("".join)
 
 
+@st.composite
+def grammars(draw):
+    """Valid grammars over 1-3 terminals; a rule may repeat an earlier pair."""
+    T = draw(st.integers(1, 3))
+    pairs: list[tuple[int, int]] = []
+    for _ in range(draw(st.integers(0, 12))):
+        n = T + len(pairs)
+        if pairs and draw(st.booleans()):
+            pairs.append(draw(st.sampled_from(pairs)))
+        else:
+            pairs.append((draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))))
+    rules = [Rule(T + i, left, right, 2) for i, (left, right) in enumerate(pairs)]
+    return Grammar(SymbolTable("xyz"[:T]), rules)
+
+
 class TestExpand:
     def test_terminal(self):
         g, _ = trained("abc")
@@ -113,6 +128,25 @@ class TestExpand:
         assert g.depth(2) == 1
         assert g.depth(3) == 2
         assert g.depth(OOV_BASE + ord("z")) == 0
+
+    @given(grammar=grammars())
+    def test_tables_follow_the_rules(self, grammar):
+        for r in grammar.rules:
+            assert grammar.expand(r.id) == grammar.expand(r.left) + grammar.expand(r.right)
+            assert grammar.depth(r.id) == 1 + max(grammar.depth(r.left), grammar.depth(r.right))
+
+    @pytest.mark.parametrize("built", [False, True])
+    @pytest.mark.parametrize("table", ["expand", "depth"])
+    def test_out_of_range_before_and_after_build(self, table, built):
+        g = abab_grammar()
+        lookup = getattr(g, table)
+        if built:
+            lookup(0)
+        for s in (-1, g.vocab_size):
+            with pytest.raises(UnknownSymbolError):
+                lookup(s)
+        assert g.expand(OOV_BASE + 0x20000) == "\U00020000"
+        assert g.depth(OOV_BASE + ord("Q")) == 0
 
 
 class TestConstruction:
@@ -216,6 +250,26 @@ class TestApply:
 
 
 class TestEngineFormat:
+    ENTRY_POINTS = {
+        "PairMerger": PairMerger,
+        "train": train,
+        "train_naive": train_naive,
+        "apply": lambda seq: apply(abab_grammar(), seq),
+        "apply_naive": lambda seq: apply_naive(abab_grammar(), seq),
+    }
+
+    @pytest.mark.parametrize("boundaries", [[5], [2, 1], [1, 1]])
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_bad_boundaries_rejected(self, entry, boundaries):
+        seq = BoundedSequence([0, 1, 0, 1], boundaries, SymbolTable("ab"))
+        with pytest.raises(DomainError, match="boundar"):
+            self.ENTRY_POINTS[entry](seq)
+
+    def test_returned_sequences_compare_by_content(self):
+        seq = encode("ab\nba\U00020000")
+        assert train(seq, StopCriteria(max_merges=0))[1] == seq
+        assert apply(Grammar(seq.alphabet.clone(), []), seq) == seq
+
     @given(st.text(alphabet="ab\n", max_size=40))
     @example("")
     @example("\n")
