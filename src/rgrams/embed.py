@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 import numpy as np
 
 from .corpus import read_lines, substitute_digits, write_lines
-from .errors import DomainError, VectorFileError
+from .errors import DomainError, VectorFileError, require_int
 from .grammar import escape_token, read_segmented, unescape_token
 
 log = logging.getLogger(__name__)
@@ -50,26 +50,18 @@ class TrainConfig:
     seed: int = 1
 
     def validate(self) -> None:
-        if self.window < 1:
-            raise DomainError("window must be >= 1")
-        if self.negatives < 1:
-            raise DomainError("negatives must be >= 1")
-        if self.dim < 1 or self.epochs < 1:
-            raise DomainError("dim and epochs must be >= 1")
+        for name in ("dim", "window", "negatives", "epochs", "min_token_count"):
+            require_int(name, getattr(self, name), 1)
+        require_int("seed", self.seed, 0)
         if not (math.isfinite(self.initial_lr) and self.initial_lr > 0):
             raise DomainError("initial_lr must be finite and positive")
         if not (math.isfinite(self.subsample_threshold) and self.subsample_threshold >= 0):
             raise DomainError("subsample_threshold must be finite and >= 0")
         if self.subword_ngrams is not None:
             lo, hi = self.subword_ngrams
-            if not 1 <= lo <= hi:
-                raise DomainError("subword_ngrams must satisfy 1 <= min <= max")
-            if self.subword_buckets < 1:
-                raise DomainError("subword_buckets must be >= 1")
-        if self.min_token_count < 1:
-            raise DomainError("min_token_count must be >= 1")
-        if self.seed < 0:
-            raise DomainError("seed must be >= 0")
+            require_int("subword_ngrams min", lo, 1)
+            require_int("subword_ngrams max", hi, lo)
+            require_int("subword_buckets", self.subword_buckets, 1)
 
 
 class EmbedVocab:

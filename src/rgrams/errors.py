@@ -23,6 +23,14 @@ class DomainError(ToolError):
     """An operation was called on a value outside its domain."""
 
 
+def require_int(name: str, value: object, minimum: int) -> None:
+    """Raise DomainError unless value is an int (a bool is not) >= minimum."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, not {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}")
+
+
 class UnknownSymbolError(DomainError):
     """Symbol id does not resolve to a terminal or rule."""
 

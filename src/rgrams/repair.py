@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import BoundedSequence
-from .errors import DomainError
+from .errors import require_int
 from .grammar import DEAD, SHIFT, Grammar, Rule, engine_array, from_engine, greedy_replace, linked
 
 NIL = -1  # end of an occurrence list
@@ -32,8 +32,9 @@ OFF = -2  # pocc of a slot that heads no indexed occurrence
 _MASK = (1 << SHIFT) - 1
 # A merge of at least this many occurrences (and left != right) replaces its
 # simple occurrences in one vectorized pass; fewer do not repay numpy's
-# per-call overhead.
-_BULK_MIN = 300
+# per-call overhead. Of 100/150/200/300, 100 ran the merge loop fastest on 1 MB
+# of English-like and of spaceless ideographic text (2-core VM, CHANGES.md).
+_BULK_MIN = 100
 
 
 @dataclass(frozen=True)
@@ -45,16 +46,11 @@ class StopCriteria:
     max_merges: int | None = None
 
     def validate(self) -> None:
-        if not _is_int(self.min_frequency) or self.min_frequency < 2:
-            raise DomainError("min_frequency must be an integer >= 2")
+        require_int("min_frequency", self.min_frequency, 2)
         for name in ("max_vocabulary", "max_merges"):
             v = getattr(self, name)
-            if v is not None and (not _is_int(v) or v < 0):
-                raise DomainError(f"{name} must be an integer >= 0")
-
-
-def _is_int(v: object) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+            if v is not None:
+                require_int(name, v, 0)
 
 
 def _groups(joined: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -78,13 +74,12 @@ class PairMerger:
     starts); pocc is OFF exactly at the positions that head none, so
     membership tests are O(1).
 
-    The per-node occurrence-list splices stay inline in _replace_all and
-    _reindex_run rather than in helpers: a call per splice costs about a
-    quarter more bytecode per replacement, and this loop is where small
-    merges spend their time. A merge of at least _BULK_MIN occurrences of
-    two different symbols runs the loop only over its coupled occurrences
-    and replaces the rest with numpy (_replace_simple), reaching the same
-    state; bulk_replacements counts the replacements made that way.
+    One node at a time, occurrence lists change only through _drop and
+    _insert; _replace_all and _reindex_run splice with nothing else. A
+    merge of at least _BULK_MIN occurrences of two different symbols runs
+    the per-occurrence loop only over its coupled occurrences and replaces
+    the rest with numpy (_replace_simple), reaching the same state;
+    bulk_replacements counts the replacements made that way.
     """
 
     def __init__(self, seq: BoundedSequence):
@@ -219,12 +214,11 @@ class PairMerger:
         sym = self._sym
         nxt = self._nxt
         prv = self._prv
-        nocc = self._nocc
         pocc = self._pocc
-        pairs = self._pairs
+        drop = self._drop
+        insert = self._insert
         S = SHIFT
-        key = (left << S) | right
-        rec = pairs.pop(key)
+        rec = self._pairs.pop((left << S) | right)
         same = left == right
         occ = self._occurrences(rec[1])
         simple = None
@@ -237,95 +231,34 @@ class PairMerger:
             xs = sym[x]
             # pair (xs, left) ending at p dies with p's symbol
             if xs >= 0 and pocc[x] != OFF:
-                kx = (xs << S) | left
-                rx = pairs[kx]
-                pz = pocc[x]
-                nz = nocc[x]
-                if pz != NIL:
-                    nocc[pz] = nz
-                else:
-                    rx[1] = nz
-                if nz != NIL:
-                    pocc[nz] = pz
-                else:
-                    rx[2] = pz
-                c = rx[0] - 1
-                if c:
-                    rx[0] = c
-                else:
-                    del pairs[kx]
-                pocc[x] = OFF
+                drop((xs << S) | left, x)
             # pair (right, ys) headed at q dies with q
             y = nxt[q]
-            reidx = NIL
-            reidx_after = NIL
-            if pocc[q] != OFF:
-                ys = sym[y]
-                kq = (right << S) | ys
-                rq = pairs[kq]
-                insafter = pocc[q]
-                nz = nocc[q]
-                if insafter != NIL:
-                    nocc[insafter] = nz
-                else:
-                    rq[1] = nz
-                if nz != NIL:
-                    pocc[nz] = insafter
-                else:
-                    rq[2] = insafter
-                c = rq[0] - 1
-                if c:
-                    rq[0] = c
-                else:
-                    del pairs[kq]
-                pocc[q] = OFF
-                if ys == right and not same:
-                    # run of `right` lost its first element; realign heads
-                    reidx = y
-                    reidx_after = insafter
+            ys = sym[y]
+            before = pocc[q]
+            if before != OFF:
+                drop((right << S) | ys, q)
             # splice out q, rewrite p
             nxt[p] = y
             prv[y] = p
             sym[q] = DEAD
             sym[p] = new_id
             pocc[p] = OFF
-            if reidx != NIL:
-                self._reindex_run(right, reidx, reidx_after)
+            if ys == right and before != OFF and not same:
+                # run of `right` lost its first element; realign heads
+                self._reindex_run(right, y, before)
             # fresh pair on the left, unless x is the second half of a
             # (new_id, new_id) occurrence that already heads at w
             if xs >= 0 and not (
                 xs == new_id and sym[w := prv[x]] == new_id and pocc[w] != OFF
             ):
                 kn = (xs << S) | new_id
-                rn = pairs.get(kn)
-                if rn is None:
-                    pairs[kn] = [1, x, x]
-                    pocc[x] = NIL
-                    nocc[x] = NIL
-                else:
-                    t = rn[2]
-                    nocc[t] = x
-                    pocc[x] = t
-                    nocc[x] = NIL
-                    rn[2] = x
-                    rn[0] += 1
+                insert(kn, x)
                 created[kn] = None
             # fresh pair on the right
-            ys = sym[y]
             if ys >= 0:
                 kn = (new_id << S) | ys
-                rn = pairs.get(kn)
-                if rn is None:
-                    pairs[kn] = [1, p, p]
-                    pocc[p] = NIL
-                    nocc[p] = NIL
-                else:
-                    t = rn[2]
-                    nocc[t] = p
-                    pocc[p] = t
-                    nocc[p] = NIL
-                    rn[2] = p
-                    rn[0] += 1
+                insert(kn, p)
                 created[kn] = None
         if simple is not None:
             self._replace_simple(*simple, left, right, new_id, created)
@@ -477,6 +410,55 @@ class PairMerger:
             pos = nocc[pos]
         return occ
 
+    def _drop(self, key: int, z: int) -> None:
+        """Unlink node z from key's occurrence list; a list left empty
+        deletes its key."""
+        nocc = self._nocc
+        pocc = self._pocc
+        rec = self._pairs[key]
+        pz = pocc[z]
+        nz = nocc[z]
+        if pz != NIL:
+            nocc[pz] = nz
+        else:
+            rec[1] = nz
+        if nz != NIL:
+            pocc[nz] = pz
+        else:
+            rec[2] = pz
+        if rec[0] > 1:
+            rec[0] -= 1
+        else:
+            del self._pairs[key]
+        pocc[z] = OFF
+
+    def _insert(self, key: int, z: int, after: int | None = None) -> None:
+        """Link node z into key's occurrence list behind node `after`: None
+        is the tail, NIL the head. A key with no list starts one at z."""
+        nocc = self._nocc
+        pocc = self._pocc
+        rec = self._pairs.get(key)
+        if rec is None:
+            self._pairs[key] = [1, z, z]
+            pocc[z] = NIL
+            nocc[z] = NIL
+            return
+        if after is None:
+            after = rec[2]
+        if after == NIL:
+            nz = rec[1]
+            rec[1] = z
+        else:
+            nz = nocc[after]
+            nocc[after] = z
+        pocc[z] = after
+        nocc[z] = nz
+        if nz != NIL:
+            pocc[nz] = z
+        else:
+            rec[2] = z
+        rec[0] += 1
+
     def _reindex_run(self, u: int, start: int, ins_after: int) -> None:
         """Realign greedy heads of (u, u) over the run now starting at `start`.
 
@@ -486,9 +468,7 @@ class PairMerger:
         """
         sym = self._sym
         nxt = self._nxt
-        nocc = self._nocc
         pocc = self._pocc
-        pairs = self._pairs
         key = (u << SHIFT) | u
         cursor = ins_after
         r = start
@@ -498,51 +478,14 @@ class PairMerger:
             paired = sym[s] == u
             if paired and free:
                 if pocc[r] == OFF:
-                    rec = pairs.get(key)
-                    if rec is None:
-                        pairs[key] = [1, r, r]
-                        pocc[r] = NIL
-                        nocc[r] = NIL
-                    else:
-                        if cursor == NIL:
-                            h = rec[1]
-                            nocc[r] = h
-                            pocc[r] = NIL
-                            pocc[h] = r
-                            rec[1] = r
-                        else:
-                            after = nocc[cursor]
-                            nocc[cursor] = r
-                            pocc[r] = cursor
-                            nocc[r] = after
-                            if after != NIL:
-                                pocc[after] = r
-                            else:
-                                rec[2] = r
-                        rec[0] += 1
+                    self._insert(key, r, cursor)
                 cursor = r
                 free = False
             else:
-                if paired and pocc[r] != OFF:
-                    rec = pairs[key]
-                    pz = pocc[r]
-                    nz = nocc[r]
-                    if pz != NIL:
-                        nocc[pz] = nz
-                    else:
-                        rec[1] = nz
-                    if nz != NIL:
-                        pocc[nz] = pz
-                    else:
-                        rec[2] = pz
-                    c = rec[0] - 1
-                    if c:
-                        rec[0] = c
-                    else:
-                        del pairs[key]
-                    pocc[r] = OFF
                 if not paired:
                     break
+                if pocc[r] != OFF:
+                    self._drop(key, r)
                 free = True
             r = s
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .corpus import BoundedSequence
-from .errors import DomainError
+from .errors import DomainError, require_int
 from .repair import PairMerger, StopCriteria
 
 
@@ -98,12 +98,11 @@ def checkpoint_curves(
     what the corpus supports reports the final state, visible as achieved <
     asked), and grammar is the final rule set for rendering token ids.
     """
+    for k in merge_checkpoints:
+        require_int("checkpoint", k, 0)
     if list(merge_checkpoints) != sorted(set(merge_checkpoints)):
         raise DomainError("checkpoints must be strictly ascending")
-    if any(k < 0 for k in merge_checkpoints):
-        raise DomainError("checkpoints must be non-negative")
-    if top < 0:
-        raise DomainError("top must be >= 0")
+    require_int("top", top, 0)
     stop = StopCriteria(min_frequency=min_frequency)
     stop.validate()
     merger = PairMerger(seq)

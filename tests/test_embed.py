@@ -231,6 +231,33 @@ class TestTraining:
             with pytest.raises(DomainError):
                 tiny_config(**bad).validate()
 
+    @pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "dim",
+            "window",
+            "negatives",
+            "epochs",
+            "min_token_count",
+            "seed",
+            "subword_buckets",
+            "subword_ngrams_min",
+            "subword_ngrams_max",
+        ],
+    )
+    def test_config_rejects_non_integer(self, field, value):
+        # subword settings are validated only with subword_ngrams set
+        kw = {"subword_ngrams": (2, 3)}
+        if field == "subword_ngrams_min":
+            kw["subword_ngrams"] = (value, 3)
+        elif field == "subword_ngrams_max":
+            kw["subword_ngrams"] = (2, value)
+        else:
+            kw[field] = value
+        with pytest.raises(DomainError, match="must be an integer"):
+            train_skipgram(SENTS, tiny_config(**kw))
+
 
 def reference_train(sents, cfg):
     """Literal per-pair SGNS: train_skipgram's vocabulary, random streams and

@@ -9,10 +9,11 @@ from __future__ import annotations
 import pytest
 
 import corpus_gen
+from rgrams import repair
 from rgrams.cli import main
 from rgrams.corpus import encode
 from rgrams.grammar import apply, apply_naive, apply_with_report, decode
-from rgrams.repair import StopCriteria, train, train_naive
+from rgrams.repair import PairMerger, StopCriteria, train, train_naive
 
 NL = frozenset("\n")
 UNSEEN = "龠\U0002a700"  # ideographs outside corpus_gen.IDEOGRAPHS
@@ -38,6 +39,20 @@ def test_train_matches_naive(seed):
     assert (g, out) == train_naive(encode(text, NL), stop)
     assert decode(g, out) == text
     assert any(len(g.expand(r.id)) >= 3 for r in g.rules)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bulk_path_matches_naive(seed, monkeypatch):
+    # threshold 2: every merge with left != right goes through the bulk path
+    monkeypatch.setattr(repair, "_BULK_MIN", 2)
+    text = spaceless(4000, seed)
+    m = PairMerger(encode(text, NL))
+    m.check_invariants()
+    while m.merges < 150 and m.merge_once() is not None:
+        m.check_invariants()
+    g, out = train_naive(encode(text, NL), StopCriteria(max_merges=150))
+    assert m.bulk_replacements > 0
+    assert (m.grammar(), m.sequence()) == (g, out)
 
 
 def test_apply_matches_naive():

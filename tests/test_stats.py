@@ -75,6 +75,14 @@ class TestCheckpointCurves:
         with pytest.raises(DomainError, match="top must be >= 0"):
             checkpoint_curves(encode("abababab\nabab"), [0, 1], top=-1)
 
+    @pytest.mark.parametrize(
+        "bad", [dict(merge_checkpoints=[1.5]), dict(merge_checkpoints=[0, True]), dict(top=2.5)]
+    )
+    def test_non_integer_rejected(self, bad):
+        kw = {"merge_checkpoints": [0, 1], "top": 2, **bad}
+        with pytest.raises(DomainError, match="must be an integer"):
+            checkpoint_curves(encode("abababab\nabab"), **kw)
+
     def test_zero_checkpoint_is_raw_distribution(self):
         seq = encode("aaaa")
         rows, achieved, g = checkpoint_curves(seq, [0])
