@@ -1,6 +1,9 @@
 """Command-line pipeline: train, apply, decode, stats, embed, eval.
 
 Exit codes: 0 success, 1 usage, 2 I/O failure, 3 data/validation failure.
+A flag that sets a TrainConfig or StopCriteria field has the field's name as
+its dest and the field's default; the library type checks the value, and a
+value it rejects (ParameterError) is a usage error.
 Identical flags and seed give byte-identical outputs.
 """
 
@@ -10,7 +13,7 @@ import argparse
 import logging
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import chain
 
 from . import embed as embed_mod
@@ -18,7 +21,8 @@ from . import evaluate as eval_mod
 from . import grammar as grammar_mod
 from . import stats as stats_mod
 from .corpus import NormalizationOptions, encode_file, write_lines
-from .errors import ToolError
+from .embed import TrainConfig
+from .errors import ParameterError, ToolError
 from .repair import PairMerger, StopCriteria
 from .stats import RankedDistribution, compression_ratio, flatness, rank_frequency
 
@@ -52,6 +56,25 @@ def _separators(arg: str, parser: _Parser) -> frozenset[str]:
     return frozenset(s)
 
 
+def _subword(arg: str) -> tuple[int, int]:
+    """--subword MIN,MAX as TrainConfig.subword_ngrams; validate checks the values."""
+    try:
+        lo, hi = (int(x) for x in arg.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected MIN,MAX, not {arg!r}") from None
+    return lo, hi
+
+
+def _field_flag(p: argparse.ArgumentParser, cls, flag: str, field: str, type, **kw) -> None:
+    """A flag that sets `field` of the dataclass cls: its dest and its default."""
+    p.add_argument(flag, dest=field, type=type, default=getattr(cls, field), **kw)
+
+
+def _from_args(cls, args):
+    """The dataclass cls built from the flags whose dests are its field names."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+
+
 def _checkpoint_list(arg: str, parser: _Parser) -> list[int]:
     try:
         ck = [int(x) for x in arg.split(",") if x != ""]
@@ -80,15 +103,8 @@ def _dump80(merger: PairMerger, limit: int = 80) -> str:
 
 
 def cmd_train(args, parser: _Parser) -> int:
-    stop = StopCriteria(
-        min_frequency=args.min_freq,
-        max_vocabulary=args.max_vocab,
-        max_merges=args.max_merges,
-    )
-    try:
-        stop.validate()
-    except ToolError as exc:
-        parser.error(str(exc))
+    stop = _from_args(StopCriteria, args)
+    stop.validate()  # PairMerger.run does not; before reading the corpus
     seps = _separators(args.separators, parser)
     opts = NormalizationOptions(lowercase=not args.no_lowercase, digits_to_N=args.digits_to_n)
     checkpoints = _checkpoint_list(args.checkpoints, parser) if args.checkpoints else []
@@ -152,7 +168,10 @@ def cmd_decode(args, parser: _Parser) -> int:
     return 0
 
 
-def _flatness_stderr(dist: RankedDistribution) -> None:
+def _print_ranked(dist: RankedDistribution, top: int, token=lambda tok: tok) -> None:
+    """The top ranks as TSV on stdout, the flatness summary on stderr."""
+    for rank, (tok, cnt) in enumerate(dist.entries[:top], start=1):
+        print(f"-\t{rank}\t{grammar_mod.escape_token(token(tok))}\t{cnt}")
     if not dist.entries:
         print("empty distribution", file=sys.stderr)
         return
@@ -174,18 +193,11 @@ def cmd_stats(args, parser: _Parser) -> int:
         parser.error("--segmented takes neither --grammar nor --checkpoints")
     if args.top < 0:
         parser.error("--top must be >= 0")
-    try:
-        StopCriteria(min_frequency=args.min_freq).validate()
-    except ToolError as exc:
-        parser.error(str(exc))
+    StopCriteria(min_frequency=args.min_frequency).validate()  # in every mode, as --top is
 
     if args.segmented:
-        dist = rank_frequency(
-            tok for sent in grammar_mod.read_segmented(args.segmented) for tok in sent
-        )
-        for rank, (tok, cnt) in enumerate(dist.entries[: args.top], start=1):
-            print(f"-\t{rank}\t{grammar_mod.escape_token(tok)}\t{cnt}")
-        _flatness_stderr(dist)
+        dist = rank_frequency(chain.from_iterable(grammar_mod.read_segmented(args.segmented)))
+        _print_ranked(dist, args.top)
         return 0
 
     seps = _separators(args.separators, parser)
@@ -196,14 +208,12 @@ def cmd_stats(args, parser: _Parser) -> int:
         g = grammar_mod.load(args.grammar)
         out = grammar_mod.apply(g, seq)
         dist = rank_frequency(out.symbols)
-        for rank, (tok, cnt) in enumerate(dist.entries[: args.top], start=1):
-            print(f"-\t{rank}\t{grammar_mod.escape_token(g.expand(tok))}\t{cnt}")
-        _flatness_stderr(dist)
+        _print_ranked(dist, args.top, g.expand)
         return 0
 
     checkpoints = _checkpoint_list(args.checkpoints, parser)
     rows, achieved, g = stats_mod.checkpoint_curves(
-        seq, checkpoints, min_frequency=args.min_freq, top=args.top
+        seq, checkpoints, min_frequency=args.min_frequency, top=args.top
     )
     for row in rows:
         print(
@@ -216,32 +226,9 @@ def cmd_stats(args, parser: _Parser) -> int:
     return 0
 
 
-def cmd_embed(args, parser: _Parser) -> int:
-    subword = None
-    if args.subword:
-        try:
-            lo, hi = (int(x) for x in args.subword.split(","))
-        except ValueError:
-            parser.error(f"bad --subword {args.subword!r}; expected MIN,MAX")
-        subword = (lo, hi)
-    config = embed_mod.TrainConfig(
-        dim=args.dim,
-        window=args.window,
-        negatives=args.negatives,
-        epochs=args.epochs,
-        initial_lr=args.lr,
-        subsample_threshold=args.subsample,
-        subword_ngrams=subword,
-        subword_buckets=args.buckets,
-        min_token_count=args.min_count,
-        seed=args.seed,
-    )
-    try:
-        config.validate()
-    except ToolError as exc:
-        parser.error(str(exc))
+def cmd_embed(args, _parser: _Parser) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
-    matrix = embed_mod.train_skipgram(args.corpus, config)
+    matrix = embed_mod.train_skipgram(args.corpus, _from_args(TrainConfig, args))
     embed_mod.export_vectors(matrix, args.vectors_out)
     return 0
 
@@ -296,9 +283,9 @@ def build_parser() -> _Parser:
     p.add_argument("--grammar-out", required=True)
     p.add_argument("--segmented-out")
     p.add_argument("--events-out", help="merge log TSV")
-    p.add_argument("--min-freq", type=int, default=2)
-    p.add_argument("--max-vocab", type=int, default=None)
-    p.add_argument("--max-merges", type=int, default=None)
+    _field_flag(p, StopCriteria, "--min-freq", "min_frequency", int)
+    _field_flag(p, StopCriteria, "--max-vocab", "max_vocabulary", int)
+    _field_flag(p, StopCriteria, "--max-merges", "max_merges", int)
     p.add_argument("--separators", default="\\n", help="escaped characters, e.g. '\\n'")
     p.add_argument("--no-lowercase", action="store_true")
     p.add_argument("--digits-to-n", action="store_true")
@@ -328,7 +315,7 @@ def build_parser() -> _Parser:
     mode.add_argument("--raw", help="raw text; needs --grammar or --checkpoints")
     p.add_argument("--grammar")
     p.add_argument("--checkpoints", help="comma list of merge counts")
-    p.add_argument("--min-freq", type=int, default=2)
+    _field_flag(p, StopCriteria, "--min-freq", "min_frequency", int)
     p.add_argument("--top", type=int, default=100)
     p.add_argument("--separators", default="\\n")
     p.add_argument("--no-lowercase", action="store_true")
@@ -338,16 +325,18 @@ def build_parser() -> _Parser:
     p = sub.add_parser("embed", help="train skipgram vectors on a segmented corpus")
     p.add_argument("corpus", help="segmented corpus")
     p.add_argument("--vectors-out", required=True)
-    p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--window", type=int, default=2)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.025)
-    p.add_argument("--subsample", type=float, default=1e-4)
-    p.add_argument("--min-count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--subword", help="MIN,MAX char n-gram lengths (off by default)")
-    p.add_argument("--buckets", type=int, default=1 << 21)
+    _field_flag(p, TrainConfig, "--dim", "dim", int)
+    _field_flag(p, TrainConfig, "--window", "window", int)
+    _field_flag(p, TrainConfig, "--negatives", "negatives", int)
+    _field_flag(p, TrainConfig, "--epochs", "epochs", int)
+    _field_flag(p, TrainConfig, "--lr", "initial_lr", float)
+    _field_flag(p, TrainConfig, "--subsample", "subsample_threshold", float)
+    _field_flag(p, TrainConfig, "--min-count", "min_token_count", int)
+    _field_flag(p, TrainConfig, "--seed", "seed", int)
+    _field_flag(
+        p, TrainConfig, "--subword", "subword_ngrams", _subword, help="MIN,MAX char n-gram lengths"
+    )
+    _field_flag(p, TrainConfig, "--buckets", "subword_buckets", int)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("eval", help="evaluate exported vectors")
@@ -376,11 +365,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse prints its own message
-        return int(exc.code or 0)
-    try:
-        return args.func(args, parser)
-    except SystemExit as exc:  # parser.error inside a command
+        try:
+            return args.func(args, parser)
+        except ParameterError as exc:  # a library type rejected a flag's value
+            parser.error(str(exc))
+    except SystemExit as exc:  # argparse and parser.error print their own message
         return int(exc.code or 0)
     except ToolError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,12 +19,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
+from numbers import Real
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .corpus import read_lines, substitute_digits, write_lines
-from .errors import DomainError, VectorFileError, require_int
+from .errors import DomainError, ParameterError, VectorFileError, require_int
 from .grammar import escape_token, read_segmented, unescape_token
 
 log = logging.getLogger(__name__)
@@ -34,6 +35,11 @@ WS_TOKEN = "<ws>"
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+
+
+def _finite(value: object) -> bool:
+    """A finite real number; a bool is not one."""
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -53,11 +59,15 @@ class TrainConfig:
         for name in ("dim", "window", "negatives", "epochs", "min_token_count"):
             require_int(name, getattr(self, name), 1)
         require_int("seed", self.seed, 0)
-        if not (math.isfinite(self.initial_lr) and self.initial_lr > 0):
-            raise DomainError("initial_lr must be finite and positive")
-        if not (math.isfinite(self.subsample_threshold) and self.subsample_threshold >= 0):
-            raise DomainError("subsample_threshold must be finite and >= 0")
+        if not (_finite(self.initial_lr) and self.initial_lr > 0):
+            raise ParameterError("initial_lr must be finite and positive")
+        if not (_finite(self.subsample_threshold) and self.subsample_threshold >= 0):
+            raise ParameterError("subsample_threshold must be finite and >= 0")
         if self.subword_ngrams is not None:
+            if not (isinstance(self.subword_ngrams, tuple) and len(self.subword_ngrams) == 2):
+                raise ParameterError(
+                    f"subword_ngrams must be a (min, max) pair, not {self.subword_ngrams!r}"
+                )
             lo, hi = self.subword_ngrams
             require_int("subword_ngrams min", lo, 1)
             require_int("subword_ngrams max", hi, lo)

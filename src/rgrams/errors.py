@@ -1,7 +1,11 @@
 """Exception types shared across the toolkit.
 
-The CLI maps these onto exit codes: anything derived from ToolError is a
-data/validation failure (exit 3), plain OSError is an I/O failure (exit 2).
+The CLI maps these onto exit codes:
+
+- ParameterError: a usage error (exit 1), reported with the usage line, as
+  argparse reports a bad flag;
+- any other ToolError: a data/validation failure (exit 3);
+- plain OSError: an I/O failure (exit 2).
 """
 
 from __future__ import annotations
@@ -23,12 +27,16 @@ class DomainError(ToolError):
     """An operation was called on a value outside its domain."""
 
 
+class ParameterError(DomainError):
+    """An argument is outside what the operation accepts."""
+
+
 def require_int(name: str, value: object, minimum: int) -> None:
-    """Raise DomainError unless value is an int (a bool is not) >= minimum."""
+    """Raise ParameterError unless value is an int (a bool is not) >= minimum."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise DomainError(f"{name} must be an integer, not {value!r}")
+        raise ParameterError(f"{name} must be an integer, not {value!r}")
     if value < minimum:
-        raise DomainError(f"{name} must be >= {minimum}")
+        raise ParameterError(f"{name} must be >= {minimum}")
 
 
 class UnknownSymbolError(DomainError):

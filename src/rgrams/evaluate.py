@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import read_lines
 from .embed import VectorSet
-from .errors import DomainError
+from .errors import DomainError, require_int
 from .grammar import unescape_token
 
 
@@ -73,8 +73,7 @@ def nearest_neighbors(
     vs: VectorSet, query: str, k: int = 5
 ) -> list[tuple[str, float]] | None:
     """Top-k tokens by cosine, query excluded; None when query is OOV."""
-    if k < 0:
-        raise DomainError("k must be >= 0")
+    require_int("k", k, 0)
     qi = vs.index.get(query)
     if qi is None:
         return None
@@ -87,8 +86,7 @@ def nearest_neighbors(
 
 def analogy(vs: VectorSet, q: AnalogyQuery, k: int = 5) -> list[tuple[str, float]] | None:
     """3CosAdd candidates, best first; None when a, b, or c is OOV."""
-    if k < 0:
-        raise DomainError("k must be >= 0")
+    require_int("k", k, 0)
     ia = vs.index.get(q.a)
     ib = vs.index.get(q.b)
     ic = vs.index.get(q.c)

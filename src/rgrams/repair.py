@@ -30,10 +30,10 @@ from .grammar import DEAD, SHIFT, Grammar, Rule, engine_array, from_engine, gree
 NIL = -1  # end of an occurrence list
 OFF = -2  # pocc of a slot that heads no indexed occurrence
 _MASK = (1 << SHIFT) - 1
-# A merge of at least this many occurrences (and left != right) replaces its
-# simple occurrences in one vectorized pass; fewer do not repay numpy's
-# per-call overhead. Of 100/150/200/300, 100 ran the merge loop fastest on 1 MB
-# of English-like and of spaceless ideographic text (2-core VM, CHANGES.md).
+# A merge of at least this many occurrences replaces its simple occurrences
+# in one vectorized pass; fewer do not repay numpy's per-call overhead. Of
+# 100/150/200/300, 100 ran the merge loop fastest on 1 MB of English-like and
+# of spaceless ideographic text (2-core VM, CHANGES.md).
 _BULK_MIN = 100
 
 
@@ -76,9 +76,9 @@ class PairMerger:
 
     One node at a time, occurrence lists change only through _drop and
     _insert; _replace_all and _reindex_run splice with nothing else. A
-    merge of at least _BULK_MIN occurrences of two different symbols runs
-    the per-occurrence loop only over its coupled occurrences and replaces
-    the rest with numpy (_replace_simple), reaching the same state;
+    merge of at least _BULK_MIN occurrences runs the per-occurrence loop
+    only over its coupled occurrences and replaces the rest with numpy
+    (_replace_simple), reaching the same state;
     bulk_replacements counts the replacements made that way.
     """
 
@@ -91,17 +91,17 @@ class PairMerger:
         self._sym, self._nxt, self._prv = linked(a)
 
         # Greedy head mask. Distinct-symbol pairs never overlap themselves;
-        # for same-symbol runs the heads sit at even offsets from the run start.
+        # the same-symbol pairs of a run have consecutive positions e, and
+        # their heads sit at even offsets from the run start.
         valid = a >= 0
         pairv = valid[:-1] & valid[1:]
         eq = pairv & (a[:-1] == a[1:])
-        newrun = np.empty(n, bool)
-        newrun[:1] = True
-        newrun[1:] = (a[1:] != a[:-1]) | ~valid[1:] | ~valid[:-1]
-        idx = np.arange(n)
-        runstart = np.maximum.accumulate(np.where(newrun, idx, 0))
-        offset = idx - runstart
-        head = (pairv & ~eq) | (eq & (offset[:-1] % 2 == 0))
+        head = pairv & ~eq
+        e = np.flatnonzero(eq)
+        first, last = _groups(e[1:] == e[:-1] + 1)
+        offset = np.arange(e.size) - np.repeat(first, last - first + 1)
+        head[e[offset % 2 == 0]] = True
+        del valid, pairv, eq, e, first, last, offset  # not held through _link's peak
 
         self._nocc = array("i", [NIL]) * n
         self._pocc = array("i", [OFF]) * n
@@ -206,10 +206,10 @@ class PairMerger:
         Walks the pair's occurrences in position order. Replacing (p, q)
         kills q, rewrites p, and touches at most the two neighbouring pairs;
         a same-symbol run of `right` that loses its left edge is realigned in
-        place (_reindex_run). A merge of at least _BULK_MIN occurrences with
-        left != right walks only its coupled occurrences here and replaces
-        the rest in one vectorized pass (_replace_simple). Returns the keys
-        of pairs that gained occurrences, all of which involve new_id.
+        place (_reindex_run). A merge of at least _BULK_MIN occurrences walks
+        only its coupled occurrences here and replaces the rest in one
+        vectorized pass (_replace_simple). Returns the keys of pairs that
+        gained occurrences, all of which involve new_id.
         """
         sym = self._sym
         nxt = self._nxt
@@ -219,10 +219,9 @@ class PairMerger:
         insert = self._insert
         S = SHIFT
         rec = self._pairs.pop((left << S) | right)
-        same = left == right
         occ = self._occurrences(rec[1])
         simple = None
-        if rec[0] >= _BULK_MIN and not same:
+        if rec[0] >= _BULK_MIN:
             occ, simple = self._split(occ, right)
         created: dict[int, None] = {}
         for p in occ:
@@ -244,8 +243,10 @@ class PairMerger:
             sym[q] = DEAD
             sym[p] = new_id
             pocc[p] = OFF
-            if ys == right and before != OFF and not same:
-                # run of `right` lost its first element; realign heads
+            if ys == right and before != OFF:
+                # run of `right` lost its first element; realign heads (when
+                # left == right, q sits at an odd offset of its run and heads
+                # no (right, right) pair)
                 self._reindex_run(right, y, before)
             # fresh pair on the left, unless x is the second half of a
             # (new_id, new_id) occurrence that already heads at w
@@ -265,14 +266,16 @@ class PairMerger:
         return created
 
     def _split(self, occ: list[int], right: int) -> tuple[list[int], tuple[np.ndarray, ...]]:
-        """Split the occurrences of a (left, right) pair, left != right, into
-        the coupled ones, as a position list, and the slots (p, q, y, x) of
-        the simple ones.
+        """Split the occurrences of a (left, right) pair into the coupled
+        ones, as a position list, and the slots (p, q, y, x) of the simple
+        ones.
 
         An occurrence is coupled when its y is the next occurrence's p (the
         two share a slot) or when y starts a run of `right` that _reindex_run
         realigns. No other replacement reads or writes what a simple one
         does, so the simple ones can all be replaced after the coupled ones.
+        When left == right, any neighbouring `right` makes an occurrence
+        coupled, so a simple one has xs != left and ys != right.
         """
         sym, nxt, prv = self._views[:3]
         p = np.array(occ, dtype=np.int32)
@@ -540,7 +543,7 @@ def train(
     and empty output. The full input sequence is held in memory: five int32
     arrays, 20 bytes per slot, plus the pair index, about 20.9 bytes per
     character once the engine is built, growing with the pair index as merges
-    run (about 44 after 4000 merges on 1 MB of text), with a peak near 105
+    run (about 44 after 4000 merges on 1 MB of text), with a peak near 77
     while it is built. Frequent merges are replaced in bulk (see PairMerger);
     the result is the same as one occurrence at a time.
     """

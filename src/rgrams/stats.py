@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .corpus import BoundedSequence
-from .errors import DomainError, require_int
+from .errors import DomainError, ParameterError, require_int
 from .repair import PairMerger, StopCriteria
 
 
@@ -101,7 +101,7 @@ def checkpoint_curves(
     for k in merge_checkpoints:
         require_int("checkpoint", k, 0)
     if list(merge_checkpoints) != sorted(set(merge_checkpoints)):
-        raise DomainError("checkpoints must be strictly ascending")
+        raise ParameterError("checkpoints must be strictly ascending")
     require_int("top", top, 0)
     stop = StopCriteria(min_frequency=min_frequency)
     stop.validate()

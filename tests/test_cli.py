@@ -1,11 +1,16 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from rgrams.cli import main
+from rgrams import embed as embed_mod
+from rgrams.cli import build_parser, main
+from rgrams.embed import TrainConfig
+from rgrams.errors import DomainError, ParameterError
+from rgrams.repair import StopCriteria
 
 
 @pytest.fixture
@@ -495,3 +500,55 @@ class TestEmbedEval:
         )
         assert rc == 1
         capsys.readouterr()
+
+
+class TestParameters:
+    """Flags that set a TrainConfig or StopCriteria field: defaults and errors."""
+
+    @staticmethod
+    def parsed(cls, argv):
+        args = build_parser().parse_args(argv)
+        return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+
+    def test_embed_defaults_are_train_config(self):
+        assert self.parsed(TrainConfig, ["embed", "c", "--vectors-out", "v"]) == TrainConfig()
+
+    def test_train_defaults_are_stop_criteria(self):
+        assert self.parsed(StopCriteria, ["train", "c", "--grammar-out", "g"]) == StopCriteria()
+        args = build_parser().parse_args(["stats", "--raw", "c", "--checkpoints", "1"])
+        assert args.min_frequency == StopCriteria().min_frequency
+
+    def test_flags_set_their_fields(self):
+        argv = ["embed", "c", "--vectors-out", "v", "--lr", "0.5", "--subsample", "0"]
+        argv += ["--min-count", "3", "--subword", "2,4", "--buckets", "64"]
+        got = self.parsed(TrainConfig, argv)
+        want = TrainConfig(
+            initial_lr=0.5,
+            subsample_threshold=0.0,
+            min_token_count=3,
+            subword_ngrams=(2, 4),
+            subword_buckets=64,
+        )
+        assert got == want
+
+    def test_rejected_value_is_usage_error(self, trained, tmp_path, capsys):
+        _, s = trained
+        v = tmp_path / "v.vec"
+        assert main(["embed", str(s), "--vectors-out", str(v), "--subword", "3,2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rgrams")
+        assert "error: subword_ngrams max must be >= 3" in err
+        assert not v.exists()
+
+    @pytest.mark.parametrize(
+        "error, code, usage", [(ParameterError, 1, True), (DomainError, 3, False)]
+    )
+    def test_exit_code_of_a_library_error(self, monkeypatch, capsys, error, code, usage):
+        def fail(*_args, **_kw):
+            raise error("out of range")
+
+        monkeypatch.setattr(embed_mod, "train_skipgram", fail)
+        assert main(["embed", "c", "--vectors-out", "v"]) == code
+        err = capsys.readouterr().err
+        assert "out of range" in err
+        assert ("usage: rgrams" in err) == usage

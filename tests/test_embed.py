@@ -20,7 +20,7 @@ from rgrams.embed import (
     subword_hashes,
     train_skipgram,
 )
-from rgrams.errors import DomainError, VectorFileError
+from rgrams.errors import DomainError, ParameterError, VectorFileError
 
 SENTS = [
     ["the", "cat", "sat"],
@@ -257,6 +257,17 @@ class TestTraining:
             kw[field] = value
         with pytest.raises(DomainError, match="must be an integer"):
             train_skipgram(SENTS, tiny_config(**kw))
+
+    @pytest.mark.parametrize("ngrams", [(2,), (2, 3, 4)])
+    def test_subword_ngrams_must_be_a_pair(self, ngrams):
+        with pytest.raises(ParameterError, match="subword_ngrams must be a"):
+            tiny_config(subword_ngrams=ngrams).validate()
+
+    @pytest.mark.parametrize("value", ["0.1", None, True, float("inf")])
+    @pytest.mark.parametrize("field", ["initial_lr", "subsample_threshold"])
+    def test_rates_must_be_finite_numbers(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            tiny_config(**{field: value}).validate()
 
 
 def reference_train(sents, cfg):

@@ -53,7 +53,7 @@ def test_engine_after_init(measured):
 
 
 def test_engine_setup_peak(measured):
-    assert measured["setup_peak"] <= 130
+    assert measured["setup_peak"] <= 90
 
 
 def test_engine_after_merges(measured):

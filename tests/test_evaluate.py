@@ -6,7 +6,7 @@ import scipy.stats
 from hypothesis import assume, given, strategies as st
 
 from rgrams.embed import VectorSet
-from rgrams.errors import DomainError
+from rgrams.errors import DomainError, ParameterError
 from rgrams.evaluate import (
     AnalogyQuery,
     analogy,
@@ -158,6 +158,15 @@ class TestAnalogy:
         assert got is not None
         for tok, sim in got:
             assert -1.0 <= sim <= 1.0
+
+
+@pytest.mark.parametrize("k", [2.5, True, -1])
+def test_k_must_be_a_non_negative_integer(k):
+    vs = TestAnalogy.VS
+    with pytest.raises(ParameterError, match="k must be"):
+        nearest_neighbors(vs, "man", k=k)
+    with pytest.raises(ParameterError, match="k must be"):
+        analogy(vs, AnalogyQuery(a="man", b="woman", c="king", gold="queen"), k=k)
 
 
 class TestAnalogySuite:

@@ -317,6 +317,21 @@ class TestBulkReplacement:
             m.merge_once()
         assert (m.replacements, m.bulk_replacements) == (3, 3)
 
+    def test_same_symbol_merge_is_bulk(self):
+        # (a, a) occurs _BULK_MIN times or more, isolated and in runs of 3-5
+        rng = random.Random(7)
+        words = ["aa", "aa", "aaa", "aaaa", "aaaaa", "b"]
+        text = " ".join(rng.choice(words) for _ in range(300))
+        m = PairMerger(encode(text, NL))
+        rule = m.merge_once()
+        assert m.grammar().expand(rule.id) == "aa"
+        assert rule.freq_at_merge >= repair._BULK_MIN
+        assert 0 < m.bulk_replacements < rule.freq_at_merge  # runs of 3-5 are coupled
+        m.check_invariants()
+        m.run(StopCriteria())
+        g, out = train_naive(encode(text, NL))
+        assert (m.grammar(), m.sequence()) == (g, out)
+
     def test_coupled_only_merge_is_not_bulk(self):
         with bulk_min(2):
             m = PairMerger(encode("abababab", NL))
