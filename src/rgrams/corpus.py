@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .errors import CorpusDecodeError, DomainError, UnknownSymbolError
+from .errors import CorpusDecodeError, DomainError, UnknownSymbolError, require_int
 
 DEFAULT_SEPARATORS = frozenset("\n")
 
@@ -219,7 +219,9 @@ def decode_terminals(seq: BoundedSequence, separator: str = "\n") -> str:
 
 
 def read_text_chunks(path, chunk_bytes: int = 1 << 20) -> Iterator[str]:
-    """Stream a UTF-8 file as str chunks; bad bytes raise with their offset."""
+    """Stream a UTF-8 file as str chunks of at most chunk_bytes bytes each;
+    bad bytes raise with their offset."""
+    require_int("chunk_bytes", chunk_bytes, 1)
     dec = codecs.getincrementaldecoder("utf-8")()
     consumed = 0
     with open(path, "rb") as fh:
@@ -267,9 +269,13 @@ def encode_file(
     path,
     separators: frozenset[str] = DEFAULT_SEPARATORS,
     options: NormalizationOptions | None = None,
-    chunk_bytes: int = 1 << 20,
+    chunk_bytes: int = 1 << 16,
 ) -> BoundedSequence:
-    """Stream-normalize and encode a file in fixed-size chunks."""
+    """Stream-normalize and encode a file in fixed-size chunks.
+
+    Each chunk's scratch arrays take tens of bytes per character, so the
+    chunk size bounds the peak above the encoded sequence itself.
+    """
     enc = ChunkEncoder(separators)
     for chunk in read_text_chunks(path, chunk_bytes):
         enc.feed(normalize(chunk, options) if options else chunk)

@@ -30,10 +30,12 @@ from .grammar import DEAD, SHIFT, Grammar, Rule, engine_array, from_engine, gree
 NIL = -1  # end of an occurrence list
 OFF = -2  # pocc of a slot that heads no indexed occurrence
 _MASK = (1 << SHIFT) - 1
+_NODE_MASK = (1 << 31) - 1  # a node id within a packed (code << 31) | node
 # A merge of at least this many occurrences replaces its simple occurrences
-# in one vectorized pass; fewer do not repay numpy's per-call overhead. Of
-# 100/150/200/300, 100 ran the merge loop fastest on 1 MB of English-like and
-# of spaceless ideographic text (2-core VM, CHANGES.md).
+# in one vectorized pass; fewer do not repay numpy's per-call overhead. On
+# 1 MB of English-like and of spaceless ideographic text, 100 ran the merge
+# loop faster than 150/200/300, and 30 and 50 ran it no faster than 100
+# (medians of 7-9 rounds per setting on a 2-core VM, CHANGES.md).
 _BULK_MIN = 100
 
 
@@ -63,6 +65,37 @@ def _groups(joined: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _pair_order(
+    z: np.ndarray, codes: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sort nodes z by their pairs, then by position.
+
+    z holds int32 nodes, and codes[i] is left * width + right for the pair
+    (left, right) of node z[i], with every id in [0, width); both arrays
+    are overwritten. Returns the sorted nodes; same, where same[i] says
+    z[i + 1] has z[i]'s pair; the first and last index of each pair's run
+    (_groups); and each run's pair key (left << SHIFT) | right.
+    """
+    if not z.size:
+        return z, np.zeros(0, dtype=bool), z, z, z
+    if width <= 1 << 16:
+        # codes < 2**32 and nodes < 2**31, so (code << 31) | node is an
+        # exact int64 and one in-place sort orders by code, then node
+        codes <<= 31
+        codes |= z
+        codes.sort()
+        np.bitwise_and(codes, _NODE_MASK, out=z, casting="unsafe")
+        codes >>= 31
+    else:
+        order = np.lexsort((z, codes))
+        z = z[order]
+        codes = codes[order]
+    same = codes[1:] == codes[:-1]
+    first, last = _groups(same)
+    c = codes[first]
+    return z, same, first, last, ((c // width) << SHIFT) | (c % width)
+
+
 class PairMerger:
     """Incremental training state: sequence, pair index, lazy selection heap.
 
@@ -83,26 +116,11 @@ class PairMerger:
     """
 
     def __init__(self, seq: BoundedSequence):
-        a = engine_array(seq)
-        n = int(a.size)
         self._alphabet = seq.alphabet
         self._rules: list[Rule] = []  # the merge log
         self._replacements = 0
-        self._sym, self._nxt, self._prv = linked(a)
-
-        # Greedy head mask. Distinct-symbol pairs never overlap themselves;
-        # the same-symbol pairs of a run have consecutive positions e, and
-        # their heads sit at even offsets from the run start.
-        valid = a >= 0
-        pairv = valid[:-1] & valid[1:]
-        eq = pairv & (a[:-1] == a[1:])
-        head = pairv & ~eq
-        e = np.flatnonzero(eq)
-        first, last = _groups(e[1:] == e[:-1] + 1)
-        offset = np.arange(e.size) - np.repeat(first, last - first + 1)
-        head[e[offset % 2 == 0]] = True
-        del valid, pairv, eq, e, first, last, offset  # not held through _link's peak
-
+        self._sym, self._nxt, self._prv = linked(engine_array(seq))
+        n = len(self._sym)
         self._nocc = array("i", [NIL]) * n
         self._pocc = array("i", [OFF]) * n
         # zero-copy numpy views of the five lists, which are never resized
@@ -112,8 +130,25 @@ class PairMerger:
         )
         self.bulk_replacements = 0  # of replacements, those made by _replace_simple
         self._pairs: dict[int, list[int]] = {}
-        hp = np.flatnonzero(head)
-        self._link(hp, (a[hp] << SHIFT) | a[hp + 1], {})
+
+        # Greedy head mask. Distinct-symbol pairs never overlap themselves;
+        # the same-symbol pairs of a run have consecutive positions e, and
+        # their heads sit at even offsets from the run start.
+        a = self._views[0]
+        valid = a >= 0
+        pairv = valid[:-1] & valid[1:]
+        eq = pairv & (a[:-1] == a[1:])
+        head = pairv & ~eq
+        e = np.flatnonzero(eq)
+        first, last = _groups(e[1:] == e[:-1] + 1)
+        offset = np.arange(e.size) - np.repeat(first, last - first + 1)
+        head[e[offset % 2 == 0]] = True
+        del valid, pairv, eq, e, first, last, offset  # not held through _link's peak
+        hp = np.flatnonzero(head).astype(np.int32)
+        del head
+        codes = np.multiply(a[hp], self.vocab_size + 1, dtype=np.int64)
+        codes += a[1:][hp]
+        self._link(hp, codes, {})
         self._heap = [(-rec[0], rec[1], key) for key, rec in self._pairs.items() if rec[0] >= 2]
         heapify(self._heap)
 
@@ -307,7 +342,7 @@ class PairMerger:
         """
         sym, nxt, prv, nocc, pocc = self._views
         pairs = self._pairs
-        S = SHIFT
+        W = self.vocab_size + 1  # new_id is the largest id
         xs = sym[x].astype(np.int64)
         ys = sym[y].astype(np.int64)
         # pairs (xs, left) at x and (right, ys) at q die; pocc is OFF at
@@ -316,7 +351,7 @@ class PairMerger:
         lq = pocc[q] != OFF
         self._unlink(
             np.concatenate((x[lx], q[lq])),
-            np.concatenate(((xs[lx] << S) | left, (right << S) | ys[lq])),
+            np.concatenate((xs[lx] * W + left, ys[lq] + right * W)),
         )
         # splice out q, rewrite p
         nxt[p] = y
@@ -330,18 +365,19 @@ class PairMerger:
         cx = xs >= 0
         cy = ys >= 0
         nodes = [x[cx], p[cy]]
-        keys = [(xs[cx] << S) | new_id, (new_id << S) | ys[cy]]
+        codes = [xs[cx] * W + new_id, ys[cy] + new_id * W]
         for k in created:
             rec = pairs.pop(k, None)
             if rec is not None:
                 z = self._occurrences(rec[1])
                 nodes.append(np.array(z, dtype=np.int32))
-                keys.append(np.full(len(z), k, dtype=np.int64))
-        self._link(np.concatenate(nodes), np.concatenate(keys), created)
+                codes.append(np.full(len(z), (k >> SHIFT) * W + (k & _MASK), dtype=np.int64))
+        self._link(np.concatenate(nodes), np.concatenate(codes), created)
         self.bulk_replacements += int(p.size)
 
-    def _unlink(self, z: np.ndarray, k: np.ndarray) -> None:
-        """Remove nodes z from the occurrence lists of their keys k.
+    def _unlink(self, z: np.ndarray, codes: np.ndarray) -> None:
+        """Remove nodes z from the occurrence lists of their pairs, coded
+        as in _pair_order.
 
         Removed nodes that follow each other in one list form a chain, and
         each chain is bridged in one step from its predecessor to its
@@ -351,14 +387,12 @@ class PairMerger:
             return
         nocc, pocc = self._views[3:]
         pairs = self._pairs
-        order = np.lexsort((z, k))
-        z = z[order]
-        k = k[order]
+        z, same, first, last, keys = _pair_order(z, codes, self.vocab_size + 1)
         nz = nocc[z]
-        first, last = _groups((k[1:] == k[:-1]) & (nz[:-1] == z[1:]))
-        before = pocc[z[first]]
-        after = nz[last]
-        ck = k[first]
+        cfirst, clast = _groups(same & (nz[:-1] == z[1:]))
+        before = pocc[z[cfirst]]
+        after = nz[clast]
+        ck = keys[np.searchsorted(first, cfirst, side="right") - 1]
         inner = before != NIL
         nocc[before[inner]] = after[inner]
         inner = after != NIL
@@ -370,8 +404,7 @@ class PairMerger:
         tail = after == NIL
         for key, t in zip(ck[tail].tolist(), before[tail].tolist()):
             pairs[key][2] = t
-        keys, lost = np.unique(k, return_counts=True)
-        for key, c in zip(keys.tolist(), lost.tolist()):
+        for key, c in zip(keys.tolist(), (last - first + 1).tolist()):
             rec = pairs[key]
             c = rec[0] - c
             if c:
@@ -379,27 +412,23 @@ class PairMerger:
             else:
                 del pairs[key]
 
-    def _link(self, z: np.ndarray, k: np.ndarray, created: dict[int, None]) -> None:
-        """Build the occurrence list of each key in k from its nodes z; no
-        key in k has a list yet. Each key is recorded in created.
+    def _link(self, z: np.ndarray, codes: np.ndarray, created: dict[int, None]) -> None:
+        """Build the occurrence list of each pair from its nodes z, with
+        the pairs coded as in _pair_order; no such pair has a list yet.
+        Each pair's key is recorded in created.
 
         Builds the whole index at set-up, and the new pairs of a bulk merge.
         """
-        if not z.size:
-            return
         nocc, pocc = self._views[3:]
         pairs = self._pairs
-        order = np.lexsort((z, k))
-        z = z[order]
-        k = k[order]
-        samekey = k[1:] == k[:-1]
-        nocc[z[:-1][samekey]] = z[1:][samekey]
-        pocc[z[1:][samekey]] = z[:-1][samekey]
-        first, last = _groups(samekey)
-        pocc[z[first]] = NIL
+        z, _, first, last, keys = _pair_order(z, codes, self.vocab_size + 1)
+        # chain every node to the next, then cut the chain between pairs
+        nocc[z[:-1]] = z[1:]
+        pocc[z[1:]] = z[:-1]
         nocc[z[last]] = NIL
+        pocc[z[first]] = NIL
         for key, c, h, t in zip(
-            k[first].tolist(), (last - first + 1).tolist(), z[first].tolist(), z[last].tolist()
+            keys.tolist(), (last - first + 1).tolist(), z[first].tolist(), z[last].tolist()
         ):
             pairs[key] = [c, h, t]
             created[key] = None
@@ -543,7 +572,7 @@ def train(
     and empty output. The full input sequence is held in memory: five int32
     arrays, 20 bytes per slot, plus the pair index, about 20.9 bytes per
     character once the engine is built, growing with the pair index as merges
-    run (about 44 after 4000 merges on 1 MB of text), with a peak near 77
+    run (about 44 after 4000 merges on 1 MB of text), with a peak near 36
     while it is built. Frequent merges are replaced in bulk (see PairMerger);
     the result is the same as one occurrence at a time.
     """

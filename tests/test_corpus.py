@@ -15,7 +15,7 @@ from rgrams.corpus import (
     substitute_digits,
     write_lines,
 )
-from rgrams.errors import CorpusDecodeError, DomainError
+from rgrams.errors import CorpusDecodeError, DomainError, ParameterError
 
 NL = frozenset("\n")
 BOTH = NormalizationOptions(lowercase=True, digits_to_N=True)
@@ -175,6 +175,37 @@ class TestFiles:
         assert list(via_file.symbols) == list(direct.symbols)
         assert via_file.boundaries == direct.boundaries
         assert via_file.alphabet == direct.alphabet
+
+    # ASCII, Latin-1 and astral characters, in words between separator runs
+    _CHARS = (
+        st.characters(max_codepoint=0x7F, exclude_characters="\n")
+        | st.characters(min_codepoint=0x80, max_codepoint=0xFF)
+        | st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF)
+    )
+
+    @given(
+        pieces=st.lists(st.tuples(st.text(_CHARS, max_size=6), st.text("\n", max_size=3))),
+        chunk_bytes=st.sampled_from([1, 2, 3, 5, None]),
+    )
+    def test_encode_file_any_chunking(self, tmp_path_factory, pieces, chunk_bytes):
+        text = "".join(w + sep for w, sep in pieces)
+        p = tmp_path_factory.getbasetemp() / "chunked.txt"
+        p.write_bytes(text.encode("utf-8"))
+        sized = {} if chunk_bytes is None else {"chunk_bytes": chunk_bytes}
+        via_file = encode_file(str(p), NL, NormalizationOptions(), **sized)
+        direct = encode(normalize(text), NL)
+        assert list(via_file.symbols) == list(direct.symbols)
+        assert via_file.boundaries == direct.boundaries
+        assert via_file.alphabet.chars() == direct.alphabet.chars()
+
+    @pytest.mark.parametrize("chunk_bytes", [0, -1, 2.5, True])
+    def test_chunk_size_must_be_a_positive_integer(self, tmp_path, chunk_bytes):
+        p = tmp_path / "c.txt"
+        p.write_text("ab\ncd", encoding="utf-8")
+        with pytest.raises(ParameterError, match="chunk_bytes"):
+            encode_file(str(p), chunk_bytes=chunk_bytes)
+        with pytest.raises(ParameterError, match="chunk_bytes"):
+            list(read_text_chunks(str(p), chunk_bytes))
 
     def test_bad_utf8_offset(self, tmp_path):
         p = tmp_path / "bad.txt"

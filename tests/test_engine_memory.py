@@ -2,8 +2,9 @@
 
 `tracemalloc` counts what PairMerger(seq) holds once built, the peak
 while it is built and what it holds after MERGES merges; the input sequence
-is built before tracing starts. Run as a script to print the figures the
-README quotes, optionally also after some merges:
+is built before tracing starts. It also counts the peak of encode_file
+reading the same text from a file, as `rgrams train` does. Run as a script
+to print the figures the README quotes, optionally also after some merges:
 
     PYTHONPATH=src python tests/test_engine_memory.py --merges 4000
 """
@@ -11,12 +12,14 @@ README quotes, optionally also after some merges:
 from __future__ import annotations
 
 import argparse
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import corpus_gen
-from rgrams.corpus import encode, normalize
+from rgrams.corpus import DEFAULT_SEPARATORS, NormalizationOptions, encode, encode_file, normalize
 from rgrams.repair import PairMerger, StopCriteria
 
 CHARS = 1_000_000
@@ -42,6 +45,19 @@ def engine_bytes_per_char(merges: int = 0) -> dict[str, float]:
     return out
 
 
+def encode_peak_per_char(workdir: Path) -> float:
+    text = corpus_gen.generate(CHARS, seed=SEED)
+    path = workdir / "corpus.txt"
+    path.write_text(text, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        encode_file(str(path), DEFAULT_SEPARATORS, NormalizationOptions())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / len(text)
+
+
 @pytest.fixture(scope="module")
 def measured() -> dict[str, float]:
     return engine_bytes_per_char(MERGES)
@@ -53,7 +69,13 @@ def test_engine_after_init(measured):
 
 
 def test_engine_setup_peak(measured):
-    assert measured["setup_peak"] <= 90
+    assert measured["setup_peak"] <= 40
+
+
+def test_encode_peak(tmp_path):
+    # the encoded sequence is 4 bytes per character; each chunk's scratch
+    # arrays are bounded by encode_file's chunk size, not by the file
+    assert encode_peak_per_char(tmp_path) <= 12
 
 
 def test_engine_after_merges(measured):
@@ -67,3 +89,5 @@ if __name__ == "__main__":
     ap.add_argument("--merges", type=int, default=0, help="also measure after this many merges")
     for k, v in engine_bytes_per_char(ap.parse_args().merges).items():
         print(f"{k}\t{v:.2f}" if isinstance(v, float) else f"{k}\t{v}")
+    with tempfile.TemporaryDirectory() as tmp:
+        print(f"encode_peak\t{encode_peak_per_char(Path(tmp)):.2f}")

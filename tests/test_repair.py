@@ -1,8 +1,9 @@
 import random
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import corpus_gen
 from rgrams import repair
@@ -363,6 +364,45 @@ class TestBulkReplacement:
         m = PairMerger(encode(normalize(corpus_gen.generate(1_000_000, seed=42))))
         m.run(StopCriteria(max_merges=4000))
         assert m.bulk_replacements / m.replacements >= 0.8
+
+
+# pair ids on both sides of the packed-sort limit: a width above 2**16 takes
+# the lexsort branch of _pair_order
+_IDS = st.integers(0, (1 << 16) - 1) | st.integers(1 << 16, 1 << 20)
+
+
+class TestPairOrder:
+    """repair._pair_order against np.lexsort over (pair key, node)."""
+
+    @given(
+        pool=st.lists(st.tuples(_IDS, _IDS), min_size=1, max_size=4),
+        nodes=st.lists(st.integers(0, (1 << 31) - 1), max_size=30, unique=True),
+        picks=st.lists(st.integers(0, 3), min_size=30, max_size=30),
+        pad=st.integers(0, 2),
+    )
+    @example(pool=[(0, 0)], nodes=[], picks=[0] * 30, pad=0)  # empty input
+    @example(pool=[(5, 9)], nodes=[7], picks=[0] * 30, pad=0)  # a single node
+    @example(pool=[((1 << 16) - 1, 3)], nodes=[2, 1], picks=[0] * 30, pad=0)  # widest packed
+    @example(pool=[(1 << 16, 3)], nodes=[2, 1], picks=[0] * 30, pad=0)  # narrowest lexsort
+    def test_matches_lexsort(self, pool, nodes, picks, pad):
+        pairs = [pool[i % len(pool)] for i in picks[: len(nodes)]]
+        left = np.array([a for a, _ in pairs], dtype=np.int64)
+        right = np.array([b for _, b in pairs], dtype=np.int64)
+        z = np.array(nodes, dtype=np.int32)
+        width = max([0, *left.tolist(), *right.tolist()]) + 1 + pad
+        k = (left << repair.SHIFT) | right
+        order = np.lexsort((z, k))
+        want_z = z[order]
+        want_k = k[order]
+        want_same = want_k[1:] == want_k[:-1]
+
+        got_z, same, first, last, keys = repair._pair_order(z, left * width + right, width)
+        assert got_z.tolist() == want_z.tolist()
+        assert same.tolist() == want_same.tolist()
+        starts = [i for i in range(len(nodes)) if i == 0 or not want_same[i - 1]]
+        ends = [i - 1 for i in starts[1:] + [len(nodes)]] if nodes else []
+        assert (first.tolist(), last.tolist()) == (starts, ends)
+        assert keys.tolist() == want_k[starts].tolist()
 
 
 class TestSizeEdges:
