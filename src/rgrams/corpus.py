@@ -189,8 +189,10 @@ class ChunkEncoder:
 
     def finish(self) -> BoundedSequence:
         symbols = array("i")
-        for part in self._parts:  # int32 already
-            symbols.frombytes(part.view(np.uint8))
+        parts = self._parts
+        parts.reverse()
+        while parts:  # each int32 part is freed once copied
+            symbols.frombytes(parts.pop().view(np.uint8))
         return BoundedSequence(symbols, self._boundaries, self._table)
 
 

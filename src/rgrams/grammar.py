@@ -201,11 +201,11 @@ def from_engine(symbols: array | list[int] | np.ndarray, alphabet: SymbolTable) 
     Every other SENT becomes a boundary and an unknown character
     -(codepoint + 2) (see _engine_input) becomes OOV_BASE + codepoint.
     """
-    a = np.asarray(symbols, dtype=np.int64)
+    a = np.asarray(symbols)  # an array("i") is read in place, at int32
     a = a[a != DEAD][:-1]
     sent = a == SENT
     bpos = np.flatnonzero(sent)
-    a = a[~sent]
+    a = a[~sent].astype(np.int64)
     oov = a < 0
     a[oov] = OOV_BASE - 2 - a[oov]
     out = array("q")  # 64-bit: OOV ids are OOV_BASE + codepoint

@@ -77,7 +77,7 @@ def _pair_order(
     (_groups); and each run's pair key (left << SHIFT) | right.
     """
     if not z.size:
-        return z, np.zeros(0, dtype=bool), z, z, z
+        return z, np.zeros(0, dtype=bool), z, z, codes
     if width <= 1 << 16:
         # codes < 2**32 and nodes < 2**31, so (code << 31) | node is an
         # exact int64 and one in-place sort orders by code, then node
@@ -100,12 +100,16 @@ class PairMerger:
     """Incremental training state: sequence, pair index, lazy selection heap.
 
     The sequence is in the engine format of grammar.engine_array and
-    grammar.linked. The invariant carried through every mutation: for each
-    active pair, the indexed occurrences are exactly the greedy left-to-right
-    non-overlapping occurrences in the current sequence, kept in position
-    order. A position heads at most one indexed occurrence (of the pair it
-    starts); pocc is OFF exactly at the positions that head none, so
-    membership tests are O(1).
+    grammar.linked. The invariant carried through every mutation: a pair is
+    indexed if and only if its count is at least 2 or its two symbols are
+    the same, and an indexed pair's occurrences are exactly its greedy
+    left-to-right non-overlapping occurrences in the current sequence, kept
+    in position order. A distinct-symbol pair that falls to count 1 can
+    never be selected again (_select), so it is pruned. A position heads at
+    most one indexed occurrence (of the pair it starts); pocc is OFF
+    exactly at the positions that head none, so membership tests are O(1).
+    Same-symbol pairs stay indexed at any count because _reindex_run and
+    the (new_id, new_id) test of _replace_all read their heads.
 
     One node at a time, occurrence lists change only through _drop and
     _insert; _replace_all and _reindex_run splice with nothing else. A
@@ -166,6 +170,11 @@ class PairMerger:
     def replacements(self) -> int:
         return self._replacements
 
+    @property
+    def pair_keys(self) -> int:
+        """How many pairs the index holds (see the class invariant)."""
+        return len(self._pairs)
+
     def grammar(self) -> Grammar:
         return Grammar(self._alphabet.clone(), self._rules)
 
@@ -182,7 +191,11 @@ class PairMerger:
         falls after its creation pass and its first position only moves
         right, so a stale entry ranks too high and is fixed when it reaches
         the top. No two live pairs share a first position, so the key never
-        decides between two up-to-date entries.
+        decides between two up-to-date entries. Every pair made after
+        set-up involves the new symbol of its creation pass, so a
+        distinct-symbol pair never gains occurrences after that pass; one
+        at count 1 can never reach min_frequency again, which is why the
+        index prunes it.
         """
         heap = self._heap
         pairs = self._pairs
@@ -213,10 +226,16 @@ class PairMerger:
         self._replacements += rule.freq_at_merge
         heap = self._heap
         pairs = self._pairs
+        pocc = self._pocc
         for k in created:
             r = pairs.get(k)
-            if r is not None and r[0] >= 2:
+            if r is None:
+                continue
+            if r[0] >= 2:
                 heappush(heap, (-r[0], r[1], k))
+            elif k >> SHIFT != k & _MASK:
+                del pairs[k]
+                pocc[r[1]] = OFF
         return rule
 
     def run(self, stop: StopCriteria) -> None:
@@ -244,7 +263,8 @@ class PairMerger:
         place (_reindex_run). A merge of at least _BULK_MIN occurrences walks
         only its coupled occurrences here and replaces the rest in one
         vectorized pass (_replace_simple). Returns the keys of pairs that
-        gained occurrences, all of which involve new_id.
+        gained occurrences, all of which involve new_id; merge_once prunes
+        those left at count 1.
         """
         sym = self._sym
         nxt = self._nxt
@@ -381,7 +401,7 @@ class PairMerger:
 
         Removed nodes that follow each other in one list form a chain, and
         each chain is bridged in one step from its predecessor to its
-        successor.
+        successor. A distinct-symbol pair left with one node is pruned.
         """
         if not z.size:
             return
@@ -407,15 +427,18 @@ class PairMerger:
         for key, c in zip(keys.tolist(), (last - first + 1).tolist()):
             rec = pairs[key]
             c = rec[0] - c
-            if c:
+            if c > 1 or (c and key >> SHIFT == key & _MASK):
                 rec[0] = c
             else:
                 del pairs[key]
+                if c:
+                    pocc[rec[1]] = OFF
 
     def _link(self, z: np.ndarray, codes: np.ndarray, created: dict[int, None]) -> None:
         """Build the occurrence list of each pair from its nodes z, with
         the pairs coded as in _pair_order; no such pair has a list yet.
-        Each pair's key is recorded in created.
+        Each indexed pair's key is recorded in created; a distinct-symbol
+        pair with one node is not indexed.
 
         Builds the whole index at set-up, and the new pairs of a bulk merge.
         """
@@ -427,8 +450,12 @@ class PairMerger:
         pocc[z[1:]] = z[:-1]
         nocc[z[last]] = NIL
         pocc[z[first]] = NIL
+        keep = (first != last) | (keys >> SHIFT == keys & _MASK)
+        pocc[z[first[~keep]]] = OFF
+        first = first[keep]
+        last = last[keep]
         for key, c, h, t in zip(
-            keys.tolist(), (last - first + 1).tolist(), z[first].tolist(), z[last].tolist()
+            keys[keep].tolist(), (last - first + 1).tolist(), z[first].tolist(), z[last].tolist()
         ):
             pairs[key] = [c, h, t]
             created[key] = None
@@ -444,7 +471,9 @@ class PairMerger:
 
     def _drop(self, key: int, z: int) -> None:
         """Unlink node z from key's occurrence list; a list left empty
-        deletes its key."""
+        deletes its key, and so does a distinct-symbol pair left with one
+        node, unless it holds the symbol that _replace_all is making: that
+        pair may grow again in the same pass, and merge_once prunes it."""
         nocc = self._nocc
         pocc = self._pocc
         rec = self._pairs[key]
@@ -458,10 +487,15 @@ class PairMerger:
             pocc[nz] = pz
         else:
             rec[2] = pz
-        if rec[0] > 1:
-            rec[0] -= 1
+        c = rec[0] - 1
+        if c > 1 or (
+            c and ((a := key >> SHIFT) == (b := key & _MASK) or self.vocab_size in (a, b))
+        ):
+            rec[0] = c
         else:
             del self._pairs[key]
+            if c:
+                pocc[rec[1]] = OFF
         pocc[z] = OFF
 
     def _insert(self, key: int, z: int, after: int | None = None) -> None:
@@ -524,7 +558,9 @@ class PairMerger:
     # -- test support -------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Recompute the greedy index from the live sequence and compare.
+        """Recompute the greedy index from the live sequence and compare:
+        the indexed pairs are exactly those with a count of at least 2 or
+        two equal symbols, each with its greedy occurrences.
 
         Also checks that DEAD marks exactly the slots off the live walk.
         O(n + pairs); meant for tests on small inputs after each merge.
@@ -544,6 +580,7 @@ class PairMerger:
         expected = {
             (a << SHIFT) | b: [live[i] for i in occ]
             for (a, b), occ in greedy_pairs([sym[z] for z in live]).items()
+            if len(occ) >= 2 or a == b
         }
         actual: dict[int, list[int]] = {}
         for k, rec in self._pairs.items():
@@ -572,7 +609,7 @@ def train(
     and empty output. The full input sequence is held in memory: five int32
     arrays, 20 bytes per slot, plus the pair index, about 20.9 bytes per
     character once the engine is built, growing with the pair index as merges
-    run (about 44 after 4000 merges on 1 MB of text), with a peak near 36
+    run (about 29 after 4000 merges on 1 MB of text), with a peak near 36
     while it is built. Frequent merges are replaced in bulk (see PairMerger);
     the result is the same as one occurrence at a time.
     """

@@ -1,10 +1,12 @@
 """Training-engine memory on 1 MB of corpus_gen text, in bytes per character.
 
 `tracemalloc` counts what PairMerger(seq) holds once built, the peak
-while it is built and what it holds after MERGES merges; the input sequence
-is built before tracing starts. It also counts the peak of encode_file
-reading the same text from a file, as `rgrams train` does. Run as a script
-to print the figures the README quotes, optionally also after some merges:
+while it is built, what it holds after MERGES merges and the peak of
+sequence() then; the input sequence is built before tracing starts. The
+same is measured after merges on the spaceless twin of the text. It also
+counts the peak of encode_file reading the text from a file, as
+`rgrams train` does. Run as a script to print the figures the README
+quotes, optionally also after some merges:
 
     PYTHONPATH=src python tests/test_engine_memory.py --merges 4000
 """
@@ -27,8 +29,10 @@ SEED = 42
 MERGES = 4000
 
 
-def engine_bytes_per_char(merges: int = 0) -> dict[str, float]:
-    text = normalize(corpus_gen.generate(CHARS, seed=SEED))
+def engine_bytes_per_char(merges: int = 0, spaceless: bool = False) -> dict[str, float]:
+    text = corpus_gen.generate(CHARS, seed=SEED, spaceless=spaceless)
+    if not spaceless:
+        text = normalize(text)
     seq = encode(text)
     n = len(text)
     tracemalloc.start()
@@ -39,7 +43,11 @@ def engine_bytes_per_char(merges: int = 0) -> dict[str, float]:
         if merges:
             merger.run(StopCriteria(max_merges=merges))
             out["merges"] = merger.merges
+            out["pair_keys"] = merger.pair_keys
             out["after_merges"] = tracemalloc.get_traced_memory()[0] / n
+            tracemalloc.reset_peak()
+            merger.sequence()
+            out["sequence_peak"] = tracemalloc.get_traced_memory()[1] / n
     finally:
         tracemalloc.stop()
     return out
@@ -63,6 +71,11 @@ def measured() -> dict[str, float]:
     return engine_bytes_per_char(MERGES)
 
 
+@pytest.fixture(scope="module")
+def measured_spaceless() -> dict[str, float]:
+    return engine_bytes_per_char(MERGES, spaceless=True)
+
+
 def test_engine_after_init(measured):
     # five int32 arrays are 20 bytes per slot; the rest is the pair index and heap
     assert measured["after_init"] <= 21.5
@@ -75,19 +88,37 @@ def test_engine_setup_peak(measured):
 def test_encode_peak(tmp_path):
     # the encoded sequence is 4 bytes per character; each chunk's scratch
     # arrays are bounded by encode_file's chunk size, not by the file
-    assert encode_peak_per_char(tmp_path) <= 12
+    assert encode_peak_per_char(tmp_path) <= 9
 
 
 def test_engine_after_merges(measured):
-    # the pair index grows with the merges; bulk merges keep no scratch arrays
+    # the index holds only pairs that can still merge; bulk merges keep no
+    # scratch arrays
     assert measured["merges"] == MERGES
-    assert measured["after_merges"] <= 46
+    assert measured["after_merges"] <= 34
+    assert measured["pair_keys"] <= 15_000
+
+
+def test_engine_after_merges_spaceless(measured_spaceless):
+    # a large alphabet makes many more distinct pairs that occur once
+    assert measured_spaceless["merges"] == MERGES
+    assert measured_spaceless["after_merges"] <= 42
+    assert measured_spaceless["pair_keys"] <= 15_000
+
+
+def test_sequence_peak(measured):
+    # sequence() reads the engine at int32 and widens only the live output
+    assert measured["sequence_peak"] <= 36
 
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--merges", type=int, default=0, help="also measure after this many merges")
-    for k, v in engine_bytes_per_char(ap.parse_args().merges).items():
+    merges = ap.parse_args().merges
+    for k, v in engine_bytes_per_char(merges).items():
         print(f"{k}\t{v:.2f}" if isinstance(v, float) else f"{k}\t{v}")
+    if merges:
+        for k, v in engine_bytes_per_char(merges, spaceless=True).items():
+            print(f"spaceless_{k}\t{v:.2f}" if isinstance(v, float) else f"spaceless_{k}\t{v}")
     with tempfile.TemporaryDirectory() as tmp:
         print(f"encode_peak\t{encode_peak_per_char(Path(tmp)):.2f}")

@@ -248,15 +248,58 @@ class TestNaiveEquivalence:
         with pytest.raises(AssertionError, match="pocc"):
             m.check_invariants()
 
+    def test_invariants_catch_a_stray_count_one_pair(self):
+        m = PairMerger(encode("abab", NL))
+        m.check_invariants()
+        b, a = m._sym[1], m._sym[2]
+        m._pairs[(b << repair.SHIFT) | a] = [1, 1, 1]  # (b, a) occurs once
+        m._nocc[1] = m._pocc[1] = NIL
+        with pytest.raises(AssertionError, match="index mismatch"):
+            m.check_invariants()
+
+    def test_invariants_catch_a_missing_pair(self):
+        m = PairMerger(encode("abab", NL))
+        m.check_invariants()
+        del m._pairs[(m._sym[0] << repair.SHIFT) | m._sym[1]]  # (a, b) occurs twice
+        with pytest.raises(AssertionError, match="index mismatch"):
+            m.check_invariants()
+
     def test_invariants_hold_during_training(self):
-        rng = random.Random(3)
-        for _ in range(15):
-            n = rng.randint(10, 120)
-            text = "".join(rng.choice("abcd\n") for _ in range(n))
+        def run_checked(text):
             m = PairMerger(encode(text, NL))
             m.check_invariants()
             while m.merge_once() is not None:
                 m.check_invariants()
+
+        rng = random.Random(3)
+        for _ in range(15):
+            n = rng.randint(10, 120)
+            run_checked("".join(rng.choice("abcd\n") for _ in range(n)))
+        # same-symbol runs, with every merge of left != right in bulk
+        with bulk_min(2):
+            for _ in range(15):
+                n = rng.randint(10, 60)
+                words = rng.choices(["a", "aa", "aaa", "ab", "b", " "], k=n)
+                run_checked("".join(words))
+
+    @pytest.mark.parametrize("threshold", [repair._BULK_MIN, 2])
+    def test_new_pair_regrows_in_its_pass(self, threshold):
+        # merging (a, b) into X takes (X, a) from 2 occurrences to 1 and back
+        # to 2 within the pass, so it is not pruned until the pass ends
+        text = "aba abab aba"
+        with bulk_min(threshold):
+            m = PairMerger(encode(text, NL))
+            while m.merge_once() is not None:
+                m.check_invariants()
+        assert (m.grammar(), m.sequence()) == train_naive(encode(text, NL))
+
+    def test_pair_keys_counts_indexed_pairs(self):
+        # (a, b) occurs twice and (a, a) is a same-symbol pair; (b, a),
+        # (b, " ") and (" ", a) occur once and are not indexed
+        m = PairMerger(encode("abab aa", NL))
+        assert m.pair_keys == 2
+        m.merge_once()  # X = ab leaves "XX aa": (X, X) and (a, a)
+        assert m.pair_keys == 2
 
 
 @contextmanager
