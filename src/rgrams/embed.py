@@ -10,6 +10,9 @@ Training is per-pair SGNS (Mikolov et al. 2013): each (center, context)
 pair is one fused step (_pair_step) over its stacked output rows
 [context, negatives...] at the pre-update parameters. pair_loss and
 pair_gradients wrap that step, so the finite-difference check covers it.
+A pair's row indices, score derivatives and output-row step live in
+buffers allocated once per training call, and its negatives come from the
+draw stream as one list slice when none equals the context.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
 from numbers import Real
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -107,13 +110,28 @@ def _sentences(source: str | TextIO | Iterable[list[str]]) -> Iterable[list[str]
     return source
 
 
+class _Normalized(dict):
+    """raw token -> normalize_token(raw), computed on the first lookup."""
+
+    def __missing__(self, raw: str) -> str:
+        tok = self[raw] = normalize_token(raw)
+        return tok
+
+
+def _normalized_sentences(source: str | TextIO | Iterable[list[str]]) -> list[list[str]]:
+    """The non-empty sentences of source, each token normalized; every
+    distinct raw token is normalized once."""
+    norm = _Normalized().__getitem__
+    return [list(map(norm, sent)) for sent in _sentences(source) if sent]
+
+
 def build_vocab(source: str | TextIO | Iterable[list[str]], min_token_count: int = 1) -> EmbedVocab:
     """Count normalized tokens of a segmented corpus and index the keepers."""
-    counts = Counter(normalize_token(raw) for sent in _sentences(source) for raw in sent)
-    return _vocab_from_counts(counts, min_token_count)
+    return _vocab(_normalized_sentences(source), min_token_count)
 
 
-def _vocab_from_counts(counts: Mapping[str, int], min_token_count: int) -> EmbedVocab:
+def _vocab(sentences: list[list[str]], min_token_count: int) -> EmbedVocab:
+    counts = Counter(chain.from_iterable(sentences))
     kept = [(t, c) for t, c in counts.items() if c >= min_token_count]
     kept.sort(key=lambda tc: (-tc[1], tc[0]))
     return EmbedVocab([t for t, _ in kept], [c for _, c in kept])
@@ -147,18 +165,67 @@ def subword_rows(vocab: EmbedVocab, ngrams: tuple[int, int], buckets: int) -> li
     ]
 
 
-def negative_draws(counts: np.ndarray, rng: np.random.Generator) -> Iterator[int]:
+def negative_draws(counts: np.ndarray, rng: np.random.Generator) -> "NegativeDraws":
     """Endless token indices drawn with probability proportional to count^0.75."""
     w = np.asarray(counts, dtype=np.float64) ** 0.75
     if w.sum() <= 0:
         raise DomainError("negative sampler needs positive counts")
-    cum = np.cumsum(w)
+    return NegativeDraws(np.cumsum(w), rng)
 
-    def draws() -> Iterator[int]:
-        while True:
-            yield from np.searchsorted(cum, rng.random(8192) * cum[-1], side="right").tolist()
 
-    return draws()
+class NegativeDraws:
+    """The negative-sample stream: blocks of 8192 uniforms, each mapped
+    through the cumulative weights by searchsorted.
+
+    next() takes one draw; take() takes a pair's negatives. Both read the
+    same stream, so mixing them never skips or repeats a draw.
+    """
+
+    __slots__ = ("_cum", "_rng", "_block", "_pos")
+
+    def __init__(self, cum: np.ndarray, rng: np.random.Generator):
+        self._cum = cum
+        self._rng = rng
+        self._block: list[int] = []
+        self._pos = 0
+
+    def _refill(self) -> None:
+        """Append the next block to the draws not yet taken."""
+        cum = self._cum
+        fresh = np.searchsorted(cum, self._rng.random(8192) * cum[-1], side="right").tolist()
+        self._block = self._block[self._pos :] + fresh
+        self._pos = 0
+
+    def __iter__(self) -> "NegativeDraws":
+        return self
+
+    def __next__(self) -> int:
+        if self._pos == len(self._block):
+            self._refill()
+        self._pos += 1
+        return self._block[self._pos - 1]
+
+    def take(self, n: int, avoid: int) -> list[int]:
+        """The next n negatives for context avoid, as n next() calls under the
+        rejection rule would give them: a draw equal to avoid is redrawn up
+        to 100 times, then dropped, so fewer than n may come back."""
+        while self._pos + n > len(self._block):
+            self._refill()
+        p = self._pos
+        draws = self._block[p : p + n]
+        if avoid not in draws:
+            self._pos = p + n
+            return draws
+        negs = []
+        for _ in range(n):
+            cand = next(self)
+            tries = 0
+            while cand == avoid and tries < 100:
+                cand = next(self)
+                tries += 1
+            if cand != avoid:
+                negs.append(cand)
+        return negs
 
 
 @dataclass
@@ -226,21 +293,29 @@ class VectorSet:
         return self._unit
 
 
-def _pair_step(h: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pair_step(
+    h: np.ndarray, W: np.ndarray, g: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One SGNS pair at fixed parameters: (signed scores, g, gu).
 
     W stacks the context's output row over the negatives' rows. g holds the
     loss derivatives w.r.t. the scores W @ h, and gu the gradient w.r.t. h;
     the pair loss is logaddexp(0, signed scores).sum(), where the positive
     score enters negated. Training and pair_loss / pair_gradients all go
-    through here.
+    through here. A given g (len(W) floats) is filled in place.
     """
-    scores = W @ h
-    # for very negative scores exp overflows to inf, which gives the exact
-    # sigmoid limit 0; callers run under np.errstate(over="ignore")
-    g = 1.0 / (1.0 + np.exp(-scores))
+    scores = np.dot(W, h)
+    if g is None:
+        g = np.empty_like(scores)
+    # g = 1 / (1 + exp(-scores)); for very negative scores exp overflows to
+    # inf, which gives the exact sigmoid limit 0; callers run under
+    # np.errstate(over="ignore")
+    np.negative(scores, out=g)
+    np.exp(g, out=g)
+    np.add(g, 1.0, out=g)
+    np.divide(1.0, g, out=g)
     g[0] -= 1.0
-    gu = g @ W
+    gu = np.dot(g, W)
     scores[0] = -scores[0]
     return scores, g, gu
 
@@ -273,12 +348,13 @@ def train_skipgram(
     """Train embeddings; deterministic for a given (corpus, config).
 
     corpus is a segmented file (path or handle) or an iterable of token
-    lists; each token is normalized once and the vocabulary is counted from
-    those. Tokens below min_token_count are dropped from sentences before
-    windowing; so are tokens removed by subsampling. With subwords, each
-    token's input rows are hashed once (subword_rows). All negatives come
-    from one negative_draws stream. Each pair is one _pair_step, taken at a
-    hidden vector recomputed per pair with subwords (as fastText does); the
+    lists; each distinct token is normalized once and the vocabulary is
+    counted from those. Tokens below min_token_count are dropped from
+    sentences before windowing; so are tokens removed by subsampling. With
+    subwords, each token's input rows are hashed once (subword_rows). All
+    negatives come from one negative_draws stream. Each pair is one
+    _pair_step, taken at a hidden vector recomputed per pair with subwords
+    (as fastText does), and works in buffers allocated once per call; the
     logged loss takes one logaddexp per sentence over the pairs' signed
     scores. pair_log, if given, collects every (center, context) token pair
     actually trained on.
@@ -286,10 +362,8 @@ def train_skipgram(
     trains no pair, which would leave the vectors untrained.
     """
     config.validate()
-    sents_raw: list[list[str]] = [
-        [normalize_token(t) for t in sent] for sent in _sentences(corpus) if sent
-    ]
-    vocab = _vocab_from_counts(Counter(chain.from_iterable(sents_raw)), config.min_token_count)
+    sents_raw = _normalized_sentences(corpus)
+    vocab = _vocab(sents_raw, config.min_token_count)
     V = len(vocab)
     if V == 0:
         raise DomainError("empty vocabulary")
@@ -307,7 +381,7 @@ def train_skipgram(
     ss = np.random.SeedSequence(config.seed)
     init_ss, neg_ss = ss.spawn(2)
     rng = np.random.Generator(np.random.PCG64(init_ss))
-    draw = negative_draws(vocab.counts, np.random.Generator(np.random.PCG64(neg_ss))).__next__
+    take = negative_draws(vocab.counts, np.random.Generator(np.random.PCG64(neg_ss))).take
 
     ngrams = config.subword_ngrams
     B = config.subword_buckets if ngrams is not None else 0
@@ -334,6 +408,12 @@ def train_skipgram(
     processed = 0
     total_pairs = 0
     alpha = lr0
+    # one pair's output rows [context, negatives...], its score derivatives
+    # and its output-row step; sliced only when a negative was dropped
+    full = 1 + negatives
+    idx_buf = np.empty(full, dtype=np.intp)
+    g_buf = np.empty(full)
+    step_buf = np.empty((full, dim))
 
     for epoch in range(config.epochs):
         ep_loss = 0.0
@@ -343,43 +423,49 @@ def train_skipgram(
             alpha = lr0 * (1.0 - processed / denom)
             if alpha < lr_floor:
                 alpha = lr_floor
-            s = sent if keep_prob is None else sent[keep_prob[sent] > rng.random(len(sent))]
+            if keep_prob is not None:
+                sent = sent[keep_prob[sent] > rng.random(len(sent))]
+            s = sent.tolist()
             L = len(s)
             signed = []  # each pair's signed scores; the loss is taken once per sentence
-            for i in range(L):
-                c = int(s[i])
+            for i, c in enumerate(s):
                 lo_j = i - window if i >= window else 0
                 hi_j = min(i + window + 1, L)
                 crows = None if rows is None else rows[c]
+                h = inp[c]  # a view: the in-place center update below writes inp[c]
                 for j in range(lo_j, hi_j):
                     if j == i:
                         continue
-                    ctx = int(s[j])
+                    ctx = s[j]
                     if pair_log is not None:
                         pair_log.append((tokens[c], tokens[ctx]))
-                    orows = [ctx]
-                    for _ in range(negatives):
-                        cand = draw()
-                        tries = 0
-                        while cand == ctx and tries < 100:
-                            cand = draw()
-                            tries += 1
-                        if cand != ctx:
-                            orows.append(cand)
-                    h = inp[c] if crows is None else inp[crows].mean(axis=0)
-                    W = out[orows]
-                    sc, g, gu = _pair_step(h, W)
+                    negs = take(negatives, ctx)
+                    k = 1 + len(negs)
+                    if k == full:
+                        idx, g, step = idx_buf, g_buf, step_buf
+                    else:
+                        idx, g, step = idx_buf[:k], g_buf[:k], step_buf[:k]
+                    idx[0] = ctx
+                    idx[1:] = negs
+                    if crows is not None:
+                        h = inp[crows].mean(axis=0)
+                    W = out.take(idx, axis=0)
+                    sc, _, gu = _pair_step(h, W, g)
                     signed.append(sc)
-                    step = (alpha * g)[:, None] * h
-                    if len(set(orows)) == len(orows):
-                        out[orows] = W - step
+                    np.multiply(g, alpha, out=g)
+                    np.multiply(g[:, None], h, out=step)
+                    # take() never returns the context, so only a negative can repeat
+                    if len(set(negs)) == len(negs):
+                        np.subtract(W, step, out=W)
+                        out[idx] = W
                     else:  # a repeated negative must accumulate its updates
-                        np.subtract.at(out, orows, step)
+                        np.subtract.at(out, idx, step)
                     if crows is not None:
                         # repeated n-gram rows must accumulate their share
                         np.subtract.at(inp, crows, (alpha / len(crows)) * gu)
                     else:
-                        inp[c] = h - alpha * gu
+                        np.multiply(gu, alpha, out=gu)
+                        np.subtract(h, gu, out=h)
             if signed:
                 ep_loss += float(np.logaddexp(0.0, np.concatenate(signed)).sum())
                 ep_pairs += len(signed)
@@ -405,9 +491,10 @@ def export_vectors(m: EmbeddingMatrix | VectorSet, path: str) -> None:
     vs = m.to_vectors() if isinstance(m, EmbeddingMatrix) else m
     if not np.isfinite(vs.matrix).all():
         raise DomainError("vectors have non-finite components; nothing written")
+    fmt = "%.9g".__mod__
     rows = (
-        escape_token(tok) + " " + " ".join("%.9g" % x for x in row)
-        for tok, row in zip(vs.tokens, vs.matrix)
+        escape_token(tok) + " " + " ".join(map(fmt, row))
+        for tok, row in zip(vs.tokens, vs.matrix.tolist())
     )
     write_lines(path, chain([f"{len(vs.tokens)} {vs.matrix.shape[1]}"], rows))
 

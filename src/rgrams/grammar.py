@@ -498,16 +498,22 @@ def write_segmented(g: Grammar, seq: BoundedSequence, dest: str | TextIO) -> Non
 def read_segmented(src: str | TextIO) -> Iterator[list[str]]:
     """Yield one list of tokens per segment; k boundaries give k+1 lists.
 
-    A path is read as UTF-8; bad bytes raise CorpusDecodeError.
+    A path is read as UTF-8; bad bytes raise CorpusDecodeError. Each
+    distinct line is unescaped once, so repeated tokens come back as one
+    shared string.
     """
+    unescaped: dict[str, str] = {}  # successes only: a bad line raises with its own number
     sentence: list[str] = []
     for lineno, raw in read_lines(src):
         if raw == "":
             yield sentence
             sentence = []
-        else:
+            continue
+        tok = unescaped.get(raw)
+        if tok is None:
             try:
-                sentence.append(unescape_token(raw))
+                tok = unescaped[raw] = unescape_token(raw)
             except ValueError as exc:
                 raise SegmentedFileError(lineno, str(exc)) from None
+        sentence.append(tok)
     yield sentence

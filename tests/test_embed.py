@@ -72,6 +72,16 @@ class TestBuildVocab:
         with pytest.raises(DomainError):
             EmbedVocab(["a", "a"], [1, 1])
 
+    def test_same_as_training_vocabulary(self, tmp_path):
+        p = tmp_path / "c.seg"
+        p.write_text(" the\ncat\n7\n\nthe \n \n12\ncat\n\n\nthe\n8\n", encoding="utf-8")
+        for min_count in (1, 2):
+            v = build_vocab(str(p), min_count)
+            m = train_skipgram(str(p), tiny_config(min_token_count=min_count))
+            assert v.tokens == m.vocab.tokens
+            assert v.counts.tolist() == m.vocab.counts.tolist()
+        assert build_vocab(str(p)).tokens == ["the", "N", "cat", "<ws>", "NN"]
+
 
 class TestLossAndGradients:
     def test_initial_loss_is_log2_per_term(self):
@@ -149,6 +159,27 @@ class TestNegativeSampler:
             np.searchsorted(cum, ref.random(8192) * cum[-1], side="right") for _ in range(3)
         ]
         assert got == np.concatenate(blocks)[:20_000].tolist()
+
+    @pytest.mark.parametrize("n", [1, 5, 50])
+    def test_take_matches_per_draw_rejection(self, n):
+        # take() must return what n next() calls under the rejection rule
+        # give, from the same stream position, across several refills
+        counts = np.array([900, 30, 5, 60, 1], dtype=np.int64)
+        fast = negative_draws(counts, np.random.default_rng(9))
+        slow = negative_draws(counts, np.random.default_rng(9))
+        for k in range(1500):
+            avoid = k % 5
+            want = []
+            for _ in range(n):
+                cand = next(slow)
+                tries = 0
+                while cand == avoid and tries < 100:
+                    cand = next(slow)
+                    tries += 1
+                if cand != avoid:
+                    want.append(cand)
+            assert fast.take(n, avoid) == want
+        assert next(fast) == next(slow)
 
     def test_zero_counts_rejected(self):
         with pytest.raises(DomainError, match="positive counts"):
@@ -344,8 +375,10 @@ class TestTrainingOracle:
             ([["x", "y", "z", "x", "y"]] * 3, dict(negatives=8, epochs=2)),
             # one token: every negative equals the context and is rejected
             ([["a", "a", "a"]], dict(negatives=2, epochs=2)),
+            # over 8192 negatives: pairs take their draws across a refill
+            ([WORDS[0] + WORDS[2]] * 6, dict(negatives=50, epochs=2)),
         ],
-        ids=["words", "repeated-negatives", "one-token"],
+        ids=["words", "repeated-negatives", "one-token", "refill"],
     )
     def test_matches_per_pair_reference(self, sents, kw, subsample, subword):
         cfg = tiny_config(
@@ -470,6 +503,14 @@ class TestVectorFiles:
         assert "new_york " in body
         vs = import_vectors(str(p))
         assert vs.vector("new york") is not None
+
+    def test_components_formatted_as_9_significant_digits(self, tmp_path):
+        values = [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e300, 0.1 + 0.2, -1 / 3]
+        p = tmp_path / "v.vec"
+        export_vectors(VectorSet(["a"], np.array([values])), str(p))
+        row = p.read_text(encoding="utf-8").splitlines()[1]
+        assert row == "a " + " ".join("%.9g" % x for x in values)
+        assert row.split(" ")[1:5] == ["-0", "4.94065646e-324", "7.41691286e-309", "1e+300"]
 
     def test_header(self, tmp_path):
         m = train_skipgram(SENTS, tiny_config())

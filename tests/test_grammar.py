@@ -453,3 +453,14 @@ class TestSegmentedIO:
     def test_underscore_means_space(self):
         segs = list(read_segmented(io.StringIO("of_the\n")))
         assert segs == [["of the"]]
+
+    def test_repeated_token_then_bad_escape_names_its_line(self):
+        # "a\_b" is unescaped once and reused; the bad line must still fail
+        # with its own number, not be served from what was read before
+        body = "a\\_b\n" * 50 + "\n" + "a\\_b\nc\\q\n"
+        segs = read_segmented(io.StringIO(body))
+        first = next(segs)
+        assert first == ["a_b"] * 50
+        with pytest.raises(SegmentedFileError) as info:
+            next(segs)
+        assert info.value.line == 53
