@@ -8,9 +8,12 @@ Application replays the rules over new text in creation order (the usual
 BPE convention) instead of re-ranking pairs by frequency; characters the
 grammar has never seen pass through as fresh single-character symbols with
 ids OOV_BASE + codepoint. apply() does this by rule rank: a per-grammar
-table maps each rule's pair to its id, and a small heap per segment pops
-the pairs that are rule keys in (rule id, position) order. apply_naive()
-is the literal rule-by-rule replay that apply() is checked against.
+table maps each rule's pair to its id. On inputs of at least
+_BATCH_MIN_CHARS characters, a batch phase first replays the lowest rules
+in numpy passes, a run of rules at a time that read none of each other's
+ids. A small heap per segment then pops the remaining pairs that are rule
+keys in (rule id, position) order. apply_naive() is the literal
+rule-by-rule replay that apply() is checked against.
 """
 
 from __future__ import annotations
@@ -48,8 +51,17 @@ SENT = -1  # boundary sentinel; never pairable
 DEAD = -(1 << 31)  # a merged-away slot; no unknown character encodes to it
 _KEY_END = np.iinfo(np.int64).max  # above every pair key
 
-# Grammar._rank_table: (rank, keys, ids, left, right)
-_RankTable = tuple[dict[int, int], np.ndarray, np.ndarray, list[int], list[int]]
+# Grammar._rank_table: (rank, keys, ids, left, right, reach)
+_RankTable = tuple[dict[int, int], np.ndarray, np.ndarray, list[int], list[int], np.ndarray]
+
+# apply's batch phase runs on inputs of at least _BATCH_MIN_CHARS characters
+# and ends at the first batch with fewer than _BATCH_MIN_CANDIDATES candidate
+# pairs; the heap replays the rest. A batch costs a few numpy passes over the
+# whole input however few pairs it merges, so below these sizes the heap is
+# faster (threshold sweep and per-length latencies in CHANGES.md).
+_BATCH_MIN_CHARS = 1024
+_BATCH_MIN_CANDIDATES = 16
+_NO_RULE = np.iinfo(np.int32).max  # apply's rule id of a pair that is no rule key
 
 MAGIC = "RGRAM"
 VERSION = 1
@@ -65,12 +77,14 @@ class Rule:
 
 @dataclass(frozen=True)
 class ApplyReport:
-    """Diagnostics from apply: what fell outside the grammar's alphabet."""
+    """Diagnostics from apply: what fell outside the grammar's alphabet, and
+    how many merges the batch phase made."""
 
     unknown_chars: dict[str, int]
     unknown_total: int
     input_len: int
     output_len: int
+    batch_merges: int  # merges made in the batch phase's numpy passes
 
 
 class Grammar:
@@ -136,37 +150,43 @@ class Grammar:
         return d[s]
 
     def _rank_table(self) -> _RankTable:
-        """apply's lookups, built once: (rank, keys, ids, left, right).
+        """apply's lookups, built once: (rank, keys, ids, left, right, reach).
 
         rank maps a pair key (left << SHIFT) | right to its rule id; a key
         repeated in several rules maps to its lowest id, because in-order
         replay leaves no occurrence of the pair for a later copy to merge.
-        keys holds the same keys sorted, ids their rule ids; keys ends in
-        _KEY_END so that searchsorted always returns a valid index. left[k]
-        and right[k] are rule k's pair (terminal slots hold SENT).
+        keys holds the same keys sorted, ids their int32 rule ids; keys ends
+        in _KEY_END so that searchsorted always returns a valid index.
+        left[k] and right[k] are rule k's pair (terminal slots hold SENT).
+        reach[k] is the running maximum of max(left, right) over ids up to
+        k, so the first rule that reads an id >= m is searchsorted(reach, m).
         """
         if self._rank is None:
             rank = {(r.left << SHIFT) | r.right: r.id for r in reversed(self.rules)}
             keys = np.fromiter(rank, dtype=np.int64, count=len(rank))
-            ids = np.fromiter(rank.values(), dtype=np.int64, count=len(rank))
+            ids = np.fromiter(rank.values(), dtype=np.int32, count=len(rank))
             order = np.argsort(keys)
             pad = [SENT] * len(self.terminals)
+            left = pad + [r.left for r in self.rules]
+            right = pad + [r.right for r in self.rules]
             self._rank = (
                 rank,
                 np.append(keys[order], _KEY_END),
-                np.append(ids[order], 0),
-                pad + [r.left for r in self.rules],
-                pad + [r.right for r in self.rules],
+                np.append(ids[order], np.int32(0)),
+                left,
+                right,
+                np.maximum.accumulate(np.maximum(left, right)),
             )
         return self._rank
 
 
 def engine_array(seq: BoundedSequence, lut: np.ndarray | None = None) -> np.ndarray:
-    """int64 engine array of seq: its terminal ids, SENT at each boundary, SENT last.
+    """Engine array of seq: its terminal ids, SENT at each boundary, SENT last.
 
-    lut, when given, maps every terminal id first (apply moves ids into a
-    grammar's id space with it). Boundaries outside [0, len(seq)] or not
-    strictly increasing raise DomainError.
+    It is int64, or lut's dtype when lut is given: lut maps every terminal
+    id first (apply moves ids into a grammar's id space with it).
+    Boundaries outside [0, len(seq)] or not strictly increasing raise
+    DomainError.
     """
     seq.validate()
     syms = np.asarray(seq.symbols, dtype=np.int64)
@@ -218,7 +238,7 @@ def apply(g: Grammar, seq: BoundedSequence) -> BoundedSequence:
 
 
 def _engine_input(g: Grammar, seq: BoundedSequence) -> tuple[np.ndarray, dict[str, int]]:
-    """seq as an engine array in g's id space, and the count of each
+    """seq as an int32 engine array in g's id space, and the count of each
     character g has never seen.
 
     Such a character becomes -(codepoint + 2): negative, so it never pairs,
@@ -226,7 +246,7 @@ def _engine_input(g: Grammar, seq: BoundedSequence) -> tuple[np.ndarray, dict[st
     """
     alphabet = seq.alphabet
     terminals = g.terminals
-    lut = np.empty(max(len(alphabet), 1), dtype=np.int64)
+    lut = np.empty(max(len(alphabet), 1), dtype=np.int32)
     unknown_sids = []
     for sid in range(len(alphabet)):
         ch = alphabet.char_of(sid)
@@ -254,25 +274,30 @@ def apply_with_report(g: Grammar, seq: BoundedSequence) -> tuple[BoundedSequence
     into the grammar's id space first. Unknown characters become untouchable
     pass-through symbols and are tallied in the report.
 
-    Replay goes by rule rank. Only adjacent pairs that are rule keys enter
-    a heap, one heap per segment, popped in (rule id, position) order. A pop
-    whose pair has changed since the push is skipped; a merge pushes the at
-    most two new neighbour pairs that are rule keys. A merge only creates
-    pairs that contain its new id, and only later rules use that id, so this
-    is in-order replay with one greedy left-to-right pass per rule
-    (apply_naive), same-symbol runs included ("aaa" gives "Xa").
+    Replay goes by rule rank: one vectorized lookup gives every adjacent
+    pair's rule id. On inputs of at least _BATCH_MIN_CHARS characters the
+    batch phase (_replay_batches) then replays the lowest rules in numpy
+    passes and keeps the rule ids of the pairs it leaves up to date. The
+    pairs that are still rule keys then enter a heap, one heap per segment,
+    popped in (rule id, position) order. A pop whose pair has changed since
+    the push is skipped; a merge pushes the at most two new neighbour pairs
+    that are rule keys. A merge only creates pairs that contain its new id,
+    and only later rules use that id, so this is in-order replay with one
+    greedy left-to-right pass per rule (apply_naive), same-symbol runs
+    included ("aaa" gives "Xa").
     """
-    rank, rank_keys, rank_ids, left, right = g._rank_table()
+    rank, rank_keys, rank_ids, left, right, reach = g._rank_table()
     a, unknown_chars = _engine_input(g, seq)
+    rid = _rule_ids(a[:-1], a[1:], rank_keys, rank_ids)
+    batch_merges = 0
+    if len(seq) >= _BATCH_MIN_CHARS:
+        a, rid, batch_merges = _replay_batches(a, rid, rank_keys, rank_ids, reach)
     S = SHIFT
 
-    # Seed entries (rule id << S) | position, one per rule-key pair. A pair
-    # with a boundary or an unknown character in it has a negative key.
-    keys = (a[:-1] << S) | a[1:]
-    at = np.searchsorted(rank_keys, keys)
-    pos = np.flatnonzero(rank_keys[at] == keys)
-    entries = (rank_ids[at[pos]] << S) | pos
-    del keys, at
+    # Seed entries (rule id << S) | position, one per rule-key pair.
+    pos = np.flatnonzero(rid != _NO_RULE)
+    entries = (rid[pos].astype(np.int64) << S) | pos
+    del rid
     # entries[lo:hi] of consecutive cuts are one segment's; the last cut is
     # the trailing sentinel's, len(entries)
     cuts = np.searchsorted(pos, np.flatnonzero(a == SENT)).tolist()
@@ -313,8 +338,87 @@ def apply_with_report(g: Grammar, seq: BoundedSequence) -> tuple[BoundedSequence
         unknown_total=sum(unknown_chars.values()),
         input_len=len(seq),
         output_len=len(out),
+        batch_merges=batch_merges,
     )
     return out, report
+
+
+def _rule_ids(
+    left: np.ndarray, right: np.ndarray, rank_keys: np.ndarray, rank_ids: np.ndarray
+) -> np.ndarray:
+    """int32 rule id of each pair (left[i], right[i]), _NO_RULE where the
+    pair is no rule key. A pair with a boundary or an unknown character in
+    it has a negative key and matches none."""
+    keys = (left.astype(np.int64) << SHIFT) | right
+    at = np.searchsorted(rank_keys, keys)
+    return np.where(rank_keys[at] == keys, rank_ids[at], _NO_RULE)
+
+
+def _replay_batches(
+    a: np.ndarray, rid: np.ndarray, rank_keys: np.ndarray, rank_ids: np.ndarray, reach: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Replay the lowest rules over engine array a in numpy passes.
+
+    rid[i] is the rule id of the pair (a[i], a[i + 1]). Each batch is the
+    rules [m, end): m is the lowest rule id among the pairs, and end is the
+    first rule that reads an id >= m. No rule in the batch reads an id the
+    batch makes, and no rule below m has a pair, so the batch's candidates,
+    its pairs with ids below end, are fixed while it runs; _replay_order
+    picks the ones in-order replay merges. Then a is compacted and rid is
+    looked up again for the two pairs around each merge. The phase ends at
+    the first batch with fewer than _BATCH_MIN_CANDIDATES candidates.
+    Returns the compacted a and rid and the number of merges made.
+    """
+    merges = 0
+    while rid.size:
+        m = rid.min()
+        if m == _NO_RULE:
+            break
+        cand = np.flatnonzero(rid < np.searchsorted(reach, m))
+        if cand.size < _BATCH_MIN_CANDIDATES:
+            break
+        t = cand[_replay_order(cand, rid[cand])]
+        a[t] = rid[t]  # each merged pair's left slot takes its rule id
+        keep = np.ones(a.size, dtype=bool)
+        keep[t + 1] = False  # t + 1 is never the trailing SENT
+        a = a[keep]
+        rid = rid[keep[:-1]]
+        u = t - np.arange(t.size)  # where the merged symbols now sit
+        q = np.concatenate((u[u > 0] - 1, u))
+        rid[q] = _rule_ids(a[q], a[q + 1], rank_keys, rank_ids)
+        merges += t.size
+    return a, rid, merges
+
+
+def _replay_order(pos: np.ndarray, rid: np.ndarray) -> np.ndarray:
+    """Which of a batch's candidate pairs in-order replay merges.
+
+    pos holds the candidates' sorted positions and rid their rule ids.
+    Replay takes candidates in (rule id, position) order and merges each one
+    whose overlapping neighbours, at pos - 1 and pos + 1, it has not merged:
+    the greedy independent set of the path the overlaps make. Rounds of
+    local minima (Blelloch, Fineman and Shun, SPAA 2012) compute it exactly;
+    on a path their outcome has a closed form. A local minimum, a candidate
+    that goes before its overlapping neighbours, is merged. From it, replay
+    alternates along the stretch that rises to its right (or left): the
+    candidate after a merged one loses its slot, the one after that is
+    merged. A candidate that goes after both neighbours is merged when both
+    lose, which the same alternation says from either side. So a candidate
+    is merged unless it lies an odd number of steps up a rising stretch
+    from the local minimum that stretch starts at.
+    """
+    n = pos.size
+    idx = np.arange(n)
+    overlap = pos[1:] == pos[:-1] + 1
+    first = rid[:-1] <= rid[1:]  # j goes before j + 1: a lower id, or the same id to its left
+    below_left = np.zeros(n, dtype=bool)  # j - 1 overlaps j and goes before it
+    below_left[1:] = overlap & first
+    below_right = np.zeros(n, dtype=bool)
+    below_right[:-1] = overlap & ~first
+    minimum = ~(below_left | below_right)
+    up_left = idx - np.maximum.accumulate(np.where(minimum, idx, 0))
+    up_right = np.minimum.accumulate(np.where(minimum, idx, n)[::-1])[::-1] - idx
+    return ~((below_left & (up_left % 2 == 1)) | (below_right & (up_right % 2 == 1)))
 
 
 def apply_naive(g: Grammar, seq: BoundedSequence) -> BoundedSequence:

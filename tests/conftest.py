@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import corpus_gen
+from rgrams import grammar
 from rgrams.corpus import encode, normalize
 from rgrams.grammar import Grammar, write_segmented
 from rgrams.repair import PairMerger, StopCriteria
@@ -24,6 +25,14 @@ settings.register_profile(
 settings.load_profile("suite")
 
 CHECKPOINTS = (0, 100, 1000, 10000, 20000)
+
+
+@pytest.fixture
+def batched(monkeypatch):
+    """apply's batch phase runs on every input and down to one candidate
+    pair, so the heap replays only what the last batch leaves."""
+    monkeypatch.setattr(grammar, "_BATCH_MIN_CHARS", 0)
+    monkeypatch.setattr(grammar, "_BATCH_MIN_CANDIDATES", 1)
 
 
 @dataclass

@@ -1,9 +1,11 @@
 import io
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from rgrams.corpus import BoundedSequence, SymbolTable, encode
+import corpus_gen
+from rgrams.corpus import BoundedSequence, SymbolTable, encode, normalize
 from rgrams.errors import (
     DomainError,
     GrammarFileError,
@@ -15,6 +17,7 @@ from rgrams.grammar import (
     OOV_BASE,
     Grammar,
     Rule,
+    _replay_order,
     apply,
     apply_naive,
     apply_with_report,
@@ -66,6 +69,8 @@ GRAMMARS = {
 }
 
 
+NAIVE_TEXTS = ["", "\n\n", "QZ!", "a", "aa", "aaa", "aaaa", "aaaaa", "abab", "ab\nba\n\nabb", "the cat"]
+
 # texts built from overlapping pieces, so that rules compete for positions
 PIECES = st.lists(
     st.sampled_from(["a", "ab", "bc", "abc", "ca", "aa", " ", "\n", "z"]), max_size=25
@@ -85,6 +90,21 @@ def grammars(draw):
             pairs.append((draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))))
     rules = [Rule(T + i, left, right, 2) for i, (left, right) in enumerate(pairs)]
     return Grammar(SymbolTable("xyz"[:T]), rules)
+
+
+# a grammar from the text itself or from another corpus; 'z' is outside
+# every other corpus's alphabet
+NAIVE_CASES = dict(
+    corpus=PIECES.filter(lambda t: "z" not in t),
+    text=PIECES,
+    same=st.booleans(),
+    merges=st.integers(0, 25),
+)
+
+
+def assert_matches_naive(g, text):
+    seq = encode(text, NL)
+    assert apply(g, seq) == apply_naive(g, seq)
 
 
 class TestExpand:
@@ -220,33 +240,106 @@ class TestApply:
         out = apply(g, encode("aQba"))
         assert decode(g, out) == "aQba"
 
-    @pytest.mark.parametrize(
-        "text",
-        ["", "\n\n", "QZ!", "a", "aa", "aaa", "aaaa", "aaaaa", "abab", "ab\nba\n\nabb", "the cat"],
-    )
+    @pytest.mark.parametrize("text", NAIVE_TEXTS)
     @pytest.mark.parametrize("grammar", list(GRAMMARS))
     def test_matches_naive(self, tmp_path, grammar, text):
-        g = GRAMMARS[grammar](tmp_path)
-        seq = encode(text, NL)
-        assert apply(g, seq) == apply_naive(g, seq)
+        assert_matches_naive(GRAMMARS[grammar](tmp_path), text)
+
+    @pytest.mark.parametrize("text", NAIVE_TEXTS)
+    @pytest.mark.parametrize("grammar", list(GRAMMARS))
+    def test_matches_naive_batched(self, tmp_path, grammar, text, batched):
+        assert_matches_naive(GRAMMARS[grammar](tmp_path), text)
 
     def test_repeated_rule_is_a_no_op(self, tmp_path):
         g = repeated_rule_grammar(tmp_path)
         assert list(apply(g, encode("abab")).symbols) == [3]
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        corpus=PIECES.filter(lambda t: "z" not in t),
-        text=PIECES,
-        same=st.booleans(),
-        merges=st.integers(0, 25),
-    )
+    @given(**NAIVE_CASES)
     def test_matches_naive_property(self, corpus, text, same, merges):
-        """Grammars from the text itself or from another corpus; 'z' is
-        outside every other corpus's alphabet."""
-        g, _ = trained(text if same else corpus, max_merges=merges)
+        assert_matches_naive(trained(text if same else corpus, max_merges=merges)[0], text)
+
+    # the fixture only sets two module constants, which hold for every example
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(**NAIVE_CASES)
+    def test_matches_naive_property_batched(self, batched, corpus, text, same, merges):
+        assert_matches_naive(trained(text if same else corpus, max_merges=merges)[0], text)
+
+
+def runs_grammar():
+    """(a, a), X = (a, b) and (X, X), then rules over their results."""
+    return Grammar(
+        SymbolTable("ab"),
+        [Rule(2, 0, 0, 2), Rule(3, 0, 1, 2), Rule(4, 3, 3, 2), Rule(5, 2, 2, 2), Rule(6, 4, 0, 2)],
+    )
+
+
+def greedy_order(pos, rid):
+    """_replay_order's literal form: candidates in (rule id, position) order,
+    each merged unless an overlapping neighbour already was."""
+    taken = set()
+    for _, p in sorted(zip(rid, pos)):
+        if p - 1 not in taken and p + 1 not in taken:
+            taken.add(p)
+    return [p in taken for p in pos]
+
+
+class TestBatchPhase:
+    """apply's numpy batch phase against the literal replay; the batched
+    fixture forces it on for inputs below its cut-offs."""
+
+    # gaps of 1 make overlapping candidates, and few rule ids make ties
+    @given(st.lists(st.tuples(st.integers(1, 2), st.integers(0, 3)), max_size=40))
+    def test_replay_order_is_greedy(self, steps):
+        pos = np.cumsum([gap for gap, _ in steps], dtype=np.int64)
+        rid = np.array([r for _, r in steps], dtype=np.int32)
+        assert _replay_order(pos, rid).tolist() == greedy_order(pos.tolist(), rid.tolist())
+
+    @pytest.mark.parametrize("length", range(1, 10))
+    def test_same_symbol_runs(self, batched, length):
+        g = runs_grammar()
+        for text in ("a" * length, "ab" * length, "b" + "a" * length + "b", "a" * length + "ab" * length):
+            assert_matches_naive(g, text)
+
+    def test_pair_repeated_at_several_ids(self, batched):
+        rules = [Rule(2, 0, 1, 2), Rule(3, 1, 0, 2), Rule(4, 0, 1, 2), Rule(5, 2, 2, 2), Rule(6, 1, 0, 2)]
+        g = Grammar(SymbolTable("ab"), rules)
+        for text in ("abab", "babab", "ababab\nba", "aabba" * 3):
+            assert_matches_naive(g, text)
+
+    def test_batch_ends_before_a_rule_reading_its_ids(self, batched):
+        # rule 5 reads X = (a, b), so rule 6's (c, d) must wait for it: in
+        # "abcd", X takes (X, c) from rule 6
+        rules = [Rule(4, 0, 1, 2), Rule(5, 4, 2, 2), Rule(6, 2, 3, 2)]
+        g = Grammar(SymbolTable("abcd"), rules)
+        assert list(apply(g, encode("abcd")).symbols) == [5, 3]
+        for text in ("abcdabcd", "cdabcd", "abcdcd\nabcd"):
+            assert_matches_naive(g, text)
+
+    @pytest.mark.parametrize("text", ["aQa", "Qaa", "aaQ", "a\na", "ab\nab\n\nab", "\naa\n", "QabQ\nZaaZ"])
+    def test_unknown_characters_and_boundaries(self, batched, text):
+        assert_matches_naive(runs_grammar(), text)
+
+    @pytest.mark.parametrize("text", ["", "\n", "ab", "aab\nQ"])
+    def test_grammar_without_rules(self, batched, text):
+        g = Grammar(SymbolTable("ab"), [])
+        out, report = apply_with_report(g, encode(text, NL))
+        assert out == apply_naive(g, encode(text, NL))
+        assert report.batch_merges == 0
+
+    def test_empty_input(self, batched):
+        out, report = apply_with_report(runs_grammar(), encode(""))
+        assert len(out) == 0 and report.batch_merges == 0
+
+    def test_batch_merges_at_default_thresholds(self):
+        g, _ = trained(normalize(corpus_gen.generate(20_000, seed=1)), max_merges=300)
+        text = normalize(corpus_gen.generate(6_000, seed=2))
         seq = encode(text, NL)
-        assert apply(g, seq) == apply_naive(g, seq)
+        out, report = apply_with_report(g, seq)
+        assert 5_000 <= len(seq) <= 8_000 and len(g.rules) == 300
+        assert out == apply_naive(g, seq)
+        assert 0 < report.batch_merges <= len(seq) - len(out)
+        assert apply_with_report(g, encode(text[:100], NL))[1].batch_merges == 0
 
 
 class TestEngineFormat:

@@ -56,6 +56,14 @@ def test_bulk_path_matches_naive(seed, monkeypatch):
 
 
 def test_apply_matches_naive():
+    check_apply_matches_naive()
+
+
+def test_apply_matches_naive_batched(batched):
+    check_apply_matches_naive()
+
+
+def check_apply_matches_naive():
     g, _ = train(encode(spaceless(4000, 1), NL), StopCriteria(max_merges=150))
     lines = spaceless(3000, 4).splitlines()
     text = "\n".join([lines[0] + UNSEEN, *lines[1:]]) + "\n"
