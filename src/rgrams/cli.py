@@ -1,10 +1,11 @@
 """Command-line pipeline: train, apply, decode, stats, embed, eval.
 
 Exit codes: 0 success, 1 usage, 2 I/O failure, 3 data/validation failure.
-A flag that sets a TrainConfig or StopCriteria field has the field's name as
-its dest and the field's default; the library type checks the value, and a
-value it rejects (ParameterError) is a usage error.
-Identical flags and seed give byte-identical outputs.
+A flag's value is checked before any file is opened: by its argparse type as
+it is parsed, or, for a flag that sets a TrainConfig or StopCriteria field
+(the field's name is its dest, the field's default its default), by that
+library type, whose ParameterError is a usage error. Commands take the
+parsed args only. Identical flags and seed give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ import logging
 import sys
 import warnings
 from dataclasses import fields, replace
-from itertools import chain
+from itertools import chain, islice
 
 from . import embed as embed_mod
 from . import evaluate as eval_mod
 from . import grammar as grammar_mod
 from . import stats as stats_mod
-from .corpus import NormalizationOptions, encode_file, write_lines
+from .corpus import BoundedSequence, NormalizationOptions, encode_file, write_lines
 from .embed import TrainConfig
 from .errors import ParameterError, ToolError
 from .repair import PairMerger, StopCriteria
@@ -35,7 +36,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _unescape_arg(s: str, flag: str, parser: _Parser) -> str:
+def _unescape_arg(s: str) -> str:
     # robust \n, \t, \uXXXX handling without corrupting non-latin text; the
     # codec keeps an unknown escape such as \q and only warns, so the warning
     # is made an error too
@@ -44,16 +45,45 @@ def _unescape_arg(s: str, flag: str, parser: _Parser) -> str:
         try:
             return s.encode("latin-1", "backslashreplace").decode("unicode_escape")
         except UnicodeDecodeError as exc:
-            parser.error(f"bad escape in {flag} {s!r}: {exc.reason}")
+            reason = exc.reason
         except DeprecationWarning as exc:  # the codec chains the warning as __cause__
-            parser.error(f"bad escape in {flag} {s!r}: {exc.__cause__ or exc}")
+            reason = exc.__cause__ or exc
+    raise argparse.ArgumentTypeError(f"bad escape in {s!r}: {reason}")
 
 
-def _separators(arg: str, parser: _Parser) -> frozenset[str]:
-    s = _unescape_arg(arg, "--separators", parser)
-    if not s:
-        parser.error("--separators must name at least one character")
+def _separators(arg: str) -> frozenset[str]:
+    if not (s := _unescape_arg(arg)):
+        raise argparse.ArgumentTypeError("must name at least one character")
     return frozenset(s)
+
+
+def _separator(arg: str) -> str:
+    if len(sep := _unescape_arg(arg)) != 1:
+        raise argparse.ArgumentTypeError("must be exactly one character")
+    return sep
+
+
+def _non_negative(arg: str) -> int:
+    try:
+        if (n := int(arg)) >= 0:
+            return n
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, not {arg!r}")
+
+
+def _checkpoint_list(arg: str) -> list[int]:
+    ck = [_non_negative(x) for x in arg.split(",") if x != ""]
+    if ck != sorted(set(ck)):
+        raise argparse.ArgumentTypeError(f"must be strictly ascending, not {arg!r}")
+    return ck
+
+
+def _query(arg: str) -> str:
+    try:
+        return grammar_mod.unescape_token(arg)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad QUERY {arg!r}: {exc}") from None
 
 
 def _subword(arg: str) -> tuple[int, int]:
@@ -75,44 +105,27 @@ def _from_args(cls, args):
     return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
-def _checkpoint_list(arg: str, parser: _Parser) -> list[int]:
-    try:
-        ck = [int(x) for x in arg.split(",") if x != ""]
-    except ValueError:
-        parser.error(f"bad checkpoint list {arg!r}")
-    if ck != sorted(set(ck)) or (ck and ck[0] < 0):
-        parser.error("checkpoints must be ascending non-negative integers")
-    return ck
+def _read_corpus(path, args) -> BoundedSequence:
+    """A raw text file encoded with the --separators and normalization flags."""
+    opts = NormalizationOptions(lowercase=args.lowercase, digits_to_N=args.digits_to_n)
+    return encode_file(path, args.separators, opts)
 
 
-def _dump80(merger: PairMerger, limit: int = 80) -> str:
-    """First `limit` characters of the segmented stream, tokens escaped."""
-    g = merger.grammar()
-    seq = merger.sequence()
-    parts: list[str] = []
-    size = 0
-    for s in seq.symbols:
-        tok = grammar_mod.escape_token(g.expand(s))
-        if parts:
-            size += 1  # joining space
-        parts.append(tok)
-        size += len(tok)
-        if size >= limit:
-            break
-    return " ".join(parts)[:limit]
+def _dump80(merger: PairMerger) -> str:
+    """First 80 characters of the segmented stream, tokens escaped; no token
+    is empty, so 80 tokens always reach 80 characters."""
+    expand = merger.grammar().expand
+    tokens = islice(merger.sequence().symbols, 80)
+    return " ".join(grammar_mod.escape_token(expand(s)) for s in tokens)[:80]
 
 
-def cmd_train(args, parser: _Parser) -> int:
+def cmd_train(args) -> int:
     stop = _from_args(StopCriteria, args)
     stop.validate()  # PairMerger.run does not; before reading the corpus
-    seps = _separators(args.separators, parser)
-    opts = NormalizationOptions(lowercase=not args.no_lowercase, digits_to_N=args.digits_to_n)
-    checkpoints = _checkpoint_list(args.checkpoints, parser) if args.checkpoints else []
-
-    seq = encode_file(args.corpus, seps, opts)
+    seq = _read_corpus(args.corpus, args)
     original_len = len(seq)
     merger = PairMerger(seq)
-    for k in checkpoints:
+    for k in args.checkpoints or ():
         cap = k if stop.max_merges is None else min(k, stop.max_merges)
         merger.run(replace(stop, max_merges=cap))
         print(f"checkpoint\t{k}\t{merger.merges}\t{_dump80(merger)}")
@@ -138,11 +151,9 @@ def cmd_train(args, parser: _Parser) -> int:
     return 0
 
 
-def cmd_apply(args, parser: _Parser) -> int:
+def cmd_apply(args) -> int:
     g = grammar_mod.load(args.grammar)
-    seps = _separators(args.separators, parser)
-    opts = NormalizationOptions(lowercase=args.lowercase, digits_to_N=args.digits_to_n)
-    seq = encode_file(args.input, seps, opts)
+    seq = _read_corpus(args.input, args)
     out, report = grammar_mod.apply_with_report(g, seq)
     if report.unknown_total:
         chars = ", ".join(repr(c) for c in sorted(report.unknown_chars))
@@ -156,13 +167,10 @@ def cmd_apply(args, parser: _Parser) -> int:
     return 0
 
 
-def cmd_decode(args, parser: _Parser) -> int:
+def cmd_decode(args) -> int:
     grammar_mod.load(args.grammar)  # validates the file; tokens carry the text
-    sep = _unescape_arg(args.separator, "--separator", parser)
-    if len(sep) != 1:
-        parser.error("--separator must be exactly one character")
     # read all of the input first: a data error leaves no output file
-    text = sep.join("".join(segment) for segment in grammar_mod.read_segmented(args.input))
+    text = args.separator.join("".join(seg) for seg in grammar_mod.read_segmented(args.input))
     with open(args.output, "w", encoding="utf-8", newline="") as out:
         out.write(text)
     return 0
@@ -184,26 +192,21 @@ def _print_ranked(dist: RankedDistribution, top: int, token=lambda tok: tok) -> 
     )
 
 
-def cmd_stats(args, parser: _Parser) -> int:
+def cmd_stats(args) -> int:
     if args.raw and not (args.grammar or args.checkpoints):
-        parser.error("--raw needs --grammar (segment first) or --checkpoints (train)")
+        raise ParameterError("--raw needs --grammar (segment first) or --checkpoints (train)")
     if args.raw and args.grammar and args.checkpoints:
-        parser.error("--grammar and --checkpoints are mutually exclusive")
+        raise ParameterError("--grammar and --checkpoints are mutually exclusive")
     if args.segmented and (args.grammar or args.checkpoints):
-        parser.error("--segmented takes neither --grammar nor --checkpoints")
-    if args.top < 0:
-        parser.error("--top must be >= 0")
-    StopCriteria(min_frequency=args.min_frequency).validate()  # in every mode, as --top is
+        raise ParameterError("--segmented takes neither --grammar nor --checkpoints")
+    StopCriteria(min_frequency=args.min_frequency).validate()  # in every mode
 
     if args.segmented:
         dist = rank_frequency(chain.from_iterable(grammar_mod.read_segmented(args.segmented)))
         _print_ranked(dist, args.top)
         return 0
 
-    seps = _separators(args.separators, parser)
-    opts = NormalizationOptions(lowercase=not args.no_lowercase, digits_to_N=args.digits_to_n)
-    seq = encode_file(args.raw, seps, opts)
-
+    seq = _read_corpus(args.raw, args)
     if args.grammar:
         g = grammar_mod.load(args.grammar)
         out = grammar_mod.apply(g, seq)
@@ -211,9 +214,8 @@ def cmd_stats(args, parser: _Parser) -> int:
         _print_ranked(dist, args.top, g.expand)
         return 0
 
-    checkpoints = _checkpoint_list(args.checkpoints, parser)
     rows, achieved, g = stats_mod.checkpoint_curves(
-        seq, checkpoints, min_frequency=args.min_frequency, top=args.top
+        seq, args.checkpoints, min_frequency=args.min_frequency, top=args.top
     )
     for row in rows:
         print(
@@ -226,31 +228,25 @@ def cmd_stats(args, parser: _Parser) -> int:
     return 0
 
 
-def cmd_embed(args, _parser: _Parser) -> int:
+def cmd_embed(args) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     matrix = embed_mod.train_skipgram(args.corpus, _from_args(TrainConfig, args))
     embed_mod.export_vectors(matrix, args.vectors_out)
     return 0
 
 
-def cmd_eval_neighbors(args, parser: _Parser) -> int:
-    if args.k < 0:
-        parser.error("--k must be >= 0")
-    try:
-        query = grammar_mod.unescape_token(args.query)
-    except ValueError as exc:
-        parser.error(f"bad QUERY {args.query!r}: {exc}")
+def cmd_eval_neighbors(args) -> int:
     vs = embed_mod.import_vectors(args.vectors)
-    hits = eval_mod.nearest_neighbors(vs, query, k=args.k)
+    hits = eval_mod.nearest_neighbors(vs, args.query, k=args.k)
     if hits is None:
-        print(f"token {query!r} not in vocabulary", file=sys.stderr)
+        print(f"token {args.query!r} not in vocabulary", file=sys.stderr)
         return 3
     for tok, cos in hits:
         print(f"{grammar_mod.escape_token(tok)}\t{cos:.6f}")
     return 0
 
 
-def cmd_eval_analogy(args, _parser: _Parser) -> int:
+def cmd_eval_analogy(args) -> int:
     vs = embed_mod.import_vectors(args.vectors)
     queries, _sections = eval_mod.read_analogies(args.suite)
     result = eval_mod.analogy_suite(vs, queries)
@@ -265,7 +261,7 @@ def cmd_eval_analogy(args, _parser: _Parser) -> int:
     return 0
 
 
-def cmd_eval_similarity(args, _parser: _Parser) -> int:
+def cmd_eval_similarity(args) -> int:
     vs = embed_mod.import_vectors(args.vectors)
     pairs = eval_mod.read_similarity(args.suite)
     rho, coverage = eval_mod.similarity_suite(vs, pairs)
@@ -286,17 +282,21 @@ def build_parser() -> _Parser:
     _field_flag(p, StopCriteria, "--min-freq", "min_frequency", int)
     _field_flag(p, StopCriteria, "--max-vocab", "max_vocabulary", int)
     _field_flag(p, StopCriteria, "--max-merges", "max_merges", int)
-    p.add_argument("--separators", default="\\n", help="escaped characters, e.g. '\\n'")
-    p.add_argument("--no-lowercase", action="store_true")
+    p.add_argument(
+        "--separators", type=_separators, default="\\n", help="escaped characters, e.g. '\\n'"
+    )
+    p.add_argument("--no-lowercase", dest="lowercase", action="store_false")
     p.add_argument("--digits-to-n", action="store_true")
-    p.add_argument("--checkpoints", help="comma list; dumps segmented prefix at each")
+    p.add_argument(
+        "--checkpoints", type=_checkpoint_list, help="comma list; dumps segmented prefix at each"
+    )
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("apply", help="segment new text with a trained grammar")
     p.add_argument("grammar")
     p.add_argument("input")
     p.add_argument("output", help="segmented corpus out")
-    p.add_argument("--separators", default="\\n")
+    p.add_argument("--separators", type=_separators, default="\\n")
     p.add_argument("--lowercase", action="store_true", help="normalize before applying")
     p.add_argument("--digits-to-n", action="store_true")
     p.add_argument("--strict", action="store_true", help="exit 3 on out-of-alphabet characters")
@@ -306,7 +306,9 @@ def build_parser() -> _Parser:
     p.add_argument("grammar")
     p.add_argument("input", help="segmented corpus")
     p.add_argument("output")
-    p.add_argument("--separator", default="\\n", help="single character per boundary")
+    p.add_argument(
+        "--separator", type=_separator, default="\\n", help="single character per boundary"
+    )
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("stats", help="rank/frequency tables (TSV to stdout)")
@@ -314,11 +316,11 @@ def build_parser() -> _Parser:
     mode.add_argument("--segmented", help="segmented corpus to count")
     mode.add_argument("--raw", help="raw text; needs --grammar or --checkpoints")
     p.add_argument("--grammar")
-    p.add_argument("--checkpoints", help="comma list of merge counts")
+    p.add_argument("--checkpoints", type=_checkpoint_list, help="comma list of merge counts")
     _field_flag(p, StopCriteria, "--min-freq", "min_frequency", int)
-    p.add_argument("--top", type=int, default=100)
-    p.add_argument("--separators", default="\\n")
-    p.add_argument("--no-lowercase", action="store_true")
+    p.add_argument("--top", type=_non_negative, default=100)
+    p.add_argument("--separators", type=_separators, default="\\n")
+    p.add_argument("--no-lowercase", dest="lowercase", action="store_false")
     p.add_argument("--digits-to-n", action="store_true")
     p.set_defaults(func=cmd_stats)
 
@@ -344,8 +346,8 @@ def build_parser() -> _Parser:
 
     q = esub.add_parser("neighbors", help="nearest neighbors of one token")
     q.add_argument("vectors")
-    q.add_argument("query", help="token, escaped form (spaces as _)")
-    q.add_argument("--k", type=int, default=5)
+    q.add_argument("query", type=_query, help="token, escaped form (spaces as _)")
+    q.add_argument("--k", type=_non_negative, default=5)
     q.set_defaults(func=cmd_eval_neighbors)
 
     q = esub.add_parser("analogy", help="score an analogy suite")
@@ -366,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         try:
-            return args.func(args, parser)
+            return args.func(args)
         except ParameterError as exc:  # a library type rejected a flag's value
             parser.error(str(exc))
     except SystemExit as exc:  # argparse and parser.error print their own message

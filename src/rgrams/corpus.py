@@ -16,9 +16,12 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .errors import CorpusDecodeError, DomainError, UnknownSymbolError, require_int
+from .errors import CorpusDecodeError, DomainError, UnknownSymbolError
 
 DEFAULT_SEPARATORS = frozenset("\n")
+# bytes read from a file (characters from a text handle) at a time; it bounds
+# encode_file's per-chunk scratch arrays, tens of bytes per character
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -220,15 +223,14 @@ def decode_terminals(seq: BoundedSequence, separator: str = "\n") -> str:
     return separator.join("".join(chars[lo:hi]) for lo, hi in seq.segments())
 
 
-def read_text_chunks(path, chunk_bytes: int = 1 << 20) -> Iterator[str]:
-    """Stream a UTF-8 file as str chunks of at most chunk_bytes bytes each;
+def read_text_chunks(path) -> Iterator[str]:
+    """Stream a UTF-8 file as str chunks of at most _CHUNK bytes each;
     bad bytes raise with their offset."""
-    require_int("chunk_bytes", chunk_bytes, 1)
     dec = codecs.getincrementaldecoder("utf-8")()
     consumed = 0
     with open(path, "rb") as fh:
         while True:
-            blob = fh.read(chunk_bytes)
+            blob = fh.read(_CHUNK)
             final = not blob
             try:
                 text = dec.decode(blob, final)
@@ -246,7 +248,7 @@ def read_lines(src: str | TextIO) -> Iterator[tuple[int, str]]:
     """Yield (lineno, line), numbered from 1, from a UTF-8 file path or a text
     handle. Lines split on '\n' only; a missing final newline is accepted;
     bad bytes in a file raise CorpusDecodeError with their offset."""
-    chunks = iter(lambda: src.read(1 << 20), "") if hasattr(src, "read") else read_text_chunks(src)
+    chunks = iter(lambda: src.read(_CHUNK), "") if hasattr(src, "read") else read_text_chunks(src)
     n = 0
     buf = ""
     for chunk in chunks:
@@ -271,14 +273,9 @@ def encode_file(
     path,
     separators: frozenset[str] = DEFAULT_SEPARATORS,
     options: NormalizationOptions | None = None,
-    chunk_bytes: int = 1 << 16,
 ) -> BoundedSequence:
-    """Stream-normalize and encode a file in fixed-size chunks.
-
-    Each chunk's scratch arrays take tens of bytes per character, so the
-    chunk size bounds the peak above the encoded sequence itself.
-    """
+    """Stream-normalize and encode a file in _CHUNK-byte chunks."""
     enc = ChunkEncoder(separators)
-    for chunk in read_text_chunks(path, chunk_bytes):
+    for chunk in read_text_chunks(path):
         enc.feed(normalize(chunk, options) if options else chunk)
     return enc.finish()

@@ -501,8 +501,9 @@ def export_vectors(m: EmbeddingMatrix | VectorSet, path: str) -> None:
 
 def import_vectors(path: str) -> VectorSet:
     """Read an export_vectors file; only blank lines may follow the declared
-    rows. A parse error raises VectorFileError naming its 1-based line; bad
-    bytes raise CorpusDecodeError."""
+    rows. A parse error, or a row whose sum of squared components overflows
+    (its norm would too), raises VectorFileError naming its 1-based line;
+    bad bytes raise CorpusDecodeError."""
     lines = read_lines(path)
     lineno, header = next(lines, (1, ""))
     parts = header.split()
@@ -546,4 +547,9 @@ def import_vectors(path: str) -> VectorSet:
         matrix = np.array(rows, dtype=np.float64).reshape(count, dim)
     except ValueError:  # only an empty file can declare a dim numpy cannot shape
         raise VectorFileError(1, "invalid header values") from None
+    # unit_rows would turn such a row into zeros (every cosine 0), not a unit row
+    with np.errstate(over="ignore"):
+        overflows = ~np.isfinite((matrix * matrix).sum(axis=1))
+    if overflows.any():  # row i is on line i + 2
+        raise VectorFileError(int(overflows.argmax()) + 2, "squared norm overflows")
     return VectorSet(tokens, matrix)

@@ -552,3 +552,75 @@ class TestParameters:
         err = capsys.readouterr().err
         assert "out of range" in err
         assert ("usage: rgrams" in err) == usage
+
+
+class TestParseTimeRejection:
+    """A bad flag value exits 1 before any file is opened: every input here is missing."""
+
+    CASES = {
+        "train --separators": ["train", "{in}", "--grammar-out", "{out}", "--separators", ""],
+        "train --checkpoints": ["train", "{in}", "--grammar-out", "{out}", "--checkpoints", "3,1"],
+        "apply --separators": ["apply", "{g}", "{in}", "{out}", "--separators", "\\q"],
+        "stats --separators": ["stats", "--raw", "{in}", "--grammar", "{g}", "--separators", ""],
+        "stats --checkpoints": ["stats", "--raw", "{in}", "--checkpoints", "3,1"],
+        "stats --top": ["stats", "--segmented", "{in}", "--top", "-1"],
+        "decode --separator": ["decode", "{g}", "{in}", "{out}", "--separator", "ab"],
+        "eval --k": ["eval", "neighbors", "{in}", "the", "--k", "-2"],
+        "eval QUERY": ["eval", "neighbors", "{in}", "the\\q"],
+    }
+
+    @staticmethod
+    def rejected(tmp_path, capsys, argv):
+        paths = {"in": tmp_path / "absent.txt", "g": tmp_path / "absent.rgram"}
+        paths["out"] = tmp_path / "out"
+        assert main([a.format(**paths) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and list(tmp_path.iterdir()) == []  # no file written
+        return captured.err
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_names_the_flag(self, tmp_path, capsys, case):
+        err = self.rejected(tmp_path, capsys, self.CASES[case])
+        assert case.split()[1] in err
+
+    @pytest.mark.parametrize("value", ["-1", "x", "0,,x", "5,5", "2,1,3"])
+    @pytest.mark.parametrize("command", ["train", "stats"])
+    def test_bad_checkpoints(self, tmp_path, capsys, command, value):
+        argv = self.CASES[f"{command} --checkpoints"]
+        err = self.rejected(tmp_path, capsys, [*argv[:-1], value])
+        assert "argument --checkpoints" in err
+
+    @pytest.mark.parametrize("flag", ["--top", "--k"])
+    @pytest.mark.parametrize("value", ["-1", "x", "1.5"])
+    def test_bad_count(self, tmp_path, capsys, flag, value):
+        argv = self.CASES["stats --top" if flag == "--top" else "eval --k"]
+        err = self.rejected(tmp_path, capsys, [*argv[:-1], value])
+        assert f"argument {flag}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "--raw", "{in}"],
+            ["stats", "--raw", "{in}", "--grammar", "{g}", "--checkpoints", "1"],
+            ["stats", "--segmented", "{in}", "--grammar", "{g}"],
+            ["stats", "--segmented", "{in}", "--checkpoints", "1"],
+        ],
+    )
+    def test_stats_flag_combinations(self, tmp_path, capsys, argv):
+        err = self.rejected(tmp_path, capsys, argv)
+        assert err.startswith("usage: rgrams")
+
+    def test_default_separators_pass_the_converters(self):
+        args = build_parser().parse_args(["train", "c", "--grammar-out", "g"])
+        assert args.separators == frozenset("\n") and args.checkpoints is None
+        args = build_parser().parse_args(["decode", "g", "s", "o"])
+        assert args.separator == "\n"
+
+
+def test_overflowing_vector_norm_is_data_error(tmp_path, capsys):
+    vec = tmp_path / "big.vec"
+    vec.write_text("3 2\na 1e200 1e200\nb 1e200 -1e200\nc 1 1\n", encoding="utf-8")
+    assert main(["eval", "neighbors", str(vec), "a"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 2: squared norm overflows" in captured.err

@@ -3,6 +3,7 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
+from rgrams import corpus
 from rgrams.corpus import (
     ChunkEncoder,
     NormalizationOptions,
@@ -15,7 +16,7 @@ from rgrams.corpus import (
     substitute_digits,
     write_lines,
 )
-from rgrams.errors import CorpusDecodeError, DomainError, ParameterError
+from rgrams.errors import CorpusDecodeError, DomainError
 
 NL = frozenset("\n")
 BOTH = NormalizationOptions(lowercase=True, digits_to_N=True)
@@ -166,11 +167,12 @@ class TestValidate:
 
 
 class TestFiles:
-    def test_encode_file_matches_encode(self, tmp_path):
+    def test_encode_file_matches_encode(self, tmp_path, monkeypatch):
         text = "The Cat\nSat 99 Times\n"
         p = tmp_path / "c.txt"
         p.write_text(text, encoding="utf-8")
-        via_file = encode_file(str(p), NL, BOTH, chunk_bytes=4)
+        monkeypatch.setattr(corpus, "_CHUNK", 4)
+        via_file = encode_file(str(p), NL, BOTH)
         direct = encode(normalize(text, BOTH), NL)
         assert list(via_file.symbols) == list(direct.symbols)
         assert via_file.boundaries == direct.boundaries
@@ -191,33 +193,29 @@ class TestFiles:
         text = "".join(w + sep for w, sep in pieces)
         p = tmp_path_factory.getbasetemp() / "chunked.txt"
         p.write_bytes(text.encode("utf-8"))
-        sized = {} if chunk_bytes is None else {"chunk_bytes": chunk_bytes}
-        via_file = encode_file(str(p), NL, NormalizationOptions(), **sized)
+        # @given cannot take the function-scoped monkeypatch fixture: patch per example
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk_bytes is not None:
+                mp.setattr(corpus, "_CHUNK", chunk_bytes)
+            via_file = encode_file(str(p), NL, NormalizationOptions())
         direct = encode(normalize(text), NL)
         assert list(via_file.symbols) == list(direct.symbols)
         assert via_file.boundaries == direct.boundaries
         assert via_file.alphabet.chars() == direct.alphabet.chars()
 
-    @pytest.mark.parametrize("chunk_bytes", [0, -1, 2.5, True])
-    def test_chunk_size_must_be_a_positive_integer(self, tmp_path, chunk_bytes):
-        p = tmp_path / "c.txt"
-        p.write_text("ab\ncd", encoding="utf-8")
-        with pytest.raises(ParameterError, match="chunk_bytes"):
-            encode_file(str(p), chunk_bytes=chunk_bytes)
-        with pytest.raises(ParameterError, match="chunk_bytes"):
-            list(read_text_chunks(str(p), chunk_bytes))
-
-    def test_bad_utf8_offset(self, tmp_path):
+    def test_bad_utf8_offset(self, tmp_path, monkeypatch):
         p = tmp_path / "bad.txt"
         p.write_bytes(b"abcd\xff\xfeef")
+        monkeypatch.setattr(corpus, "_CHUNK", 3)
         with pytest.raises(CorpusDecodeError) as info:
-            list(read_text_chunks(str(p), chunk_bytes=3))
+            list(read_text_chunks(str(p)))
         assert info.value.byte_offset == 4
 
-    def test_multibyte_across_chunk_boundary(self, tmp_path):
+    def test_multibyte_across_chunk_boundary(self, tmp_path, monkeypatch):
         p = tmp_path / "multi.txt"
         p.write_text("世界 abc", encoding="utf-8")
-        text = "".join(read_text_chunks(str(p), chunk_bytes=2))
+        monkeypatch.setattr(corpus, "_CHUNK", 2)
+        text = "".join(read_text_chunks(str(p)))
         assert text == "世界 abc"
 
 

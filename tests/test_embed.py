@@ -561,6 +561,19 @@ class TestVectorFiles:
         e = self._attempt(tmp_path, f"2 2\na 1 2\nb {row}\n")
         assert e.line == 3
 
+    def test_squared_norm_overflow(self, tmp_path):
+        # each component is finite, but the norm would overflow and unit_rows
+        # would give every cosine as 0
+        body = "4 2\na 1e150 1e150\nb 1 2\nc 1e200 -1e200\nd 1e200 1e200\n"
+        e = self._attempt(tmp_path, body)
+        assert e.line == 4 and "overflows" in str(e)
+
+    def test_large_finite_norm_is_accepted(self, tmp_path):
+        p = tmp_path / "ok.vec"
+        p.write_text("2 2\na 1e153 1e153\nb 1 0\n", encoding="utf-8")
+        unit, ok = import_vectors(str(p)).unit_rows()
+        assert ok.all() and np.allclose(unit[0], [2**-0.5, 2**-0.5])
+
     def test_header_count_beyond_file(self, tmp_path):
         # would need terabytes if the header sized an allocation up front
         e = self._attempt(tmp_path, "999999999999 100\na " + "0 " * 99 + "0\n")
