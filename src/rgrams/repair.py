@@ -31,6 +31,7 @@ NIL = -1  # end of an occurrence list
 OFF = -2  # pocc of a slot that heads no indexed occurrence
 _MASK = (1 << SHIFT) - 1
 _NODE_MASK = (1 << 31) - 1  # a node id within a packed (code << 31) | node
+_KEY_MASK = (1 << 64) - 1
 # A merge of at least this many occurrences replaces its simple occurrences
 # in one vectorized pass; fewer do not repay numpy's per-call overhead. On
 # 1 MB of English-like and of spaceless ideographic text, 100 ran the merge
@@ -53,6 +54,13 @@ class StopCriteria:
             v = getattr(self, name)
             if v is not None:
                 require_int(name, v, 0)
+
+
+def _entry(key: int, rec: list[int]) -> int:
+    """The selection-heap entry of a pair with record [count, first, last]:
+    one int that sorts like (-count, first, key). Counts and nodes fit in
+    31 bits and keys in 63, so the three fields never overlap."""
+    return (((1 << 31) - rec[0]) << 95) | (rec[1] << 64) | key
 
 
 def _groups(joined: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,15 +116,19 @@ class PairMerger:
     never be selected again (_select), so it is pruned. A position heads at
     most one indexed occurrence (of the pair it starts); pocc is OFF
     exactly at the positions that head none, so membership tests are O(1).
-    Same-symbol pairs stay indexed at any count because _reindex_run and
-    the (new_id, new_id) test of _replace_all read their heads.
+    Same-symbol pairs stay indexed at any count because _reindex_run reads
+    their heads.
 
-    One node at a time, occurrence lists change only through _drop and
-    _insert; _replace_all and _reindex_run splice with nothing else. A
-    merge of at least _BULK_MIN occurrences runs the per-occurrence loop
-    only over its coupled occurrences and replaces the rest with numpy
-    (_replace_simple), reaching the same state;
-    bulk_replacements counts the replacements made that way.
+    A merge's pass indexes none of the pairs it makes while it runs: no
+    indexed pair contains the new symbol until the pass ends, when each
+    made pair is indexed once if it passes the rule above. One node at a
+    time, occurrence lists change only through _drop and _insert;
+    _replace_all and _reindex_run splice with nothing else. A merge of at
+    least _BULK_MIN occurrences runs the per-occurrence loop only over its
+    coupled occurrences and replaces the rest with numpy
+    (_replace_simple), reaching the same state; bulk_replacements counts
+    the replacements made that way. stale_pops and dead_pops count the
+    heap entries _select repairs and discards.
     """
 
     def __init__(self, seq: BoundedSequence):
@@ -133,6 +145,8 @@ class PairMerger:
             for v in (self._sym, self._nxt, self._prv, self._nocc, self._pocc)
         )
         self.bulk_replacements = 0  # of replacements, those made by _replace_simple
+        self.stale_pops = 0  # heap tops re-ranked because their pair changed
+        self.dead_pops = 0  # heap tops dropped because their pair can no longer merge
         self._pairs: dict[int, list[int]] = {}
 
         # Greedy head mask. Distinct-symbol pairs never overlap themselves;
@@ -152,8 +166,8 @@ class PairMerger:
         del head
         codes = np.multiply(a[hp], self.vocab_size + 1, dtype=np.int64)
         codes += a[1:][hp]
-        self._link(hp, codes, {})
-        self._heap = [(-rec[0], rec[1], key) for key, rec in self._pairs.items() if rec[0] >= 2]
+        pairs = self._pairs
+        self._heap = [_entry(key, pairs[key]) for key in self._link(hp, codes)]
         heapify(self._heap)
 
     # -- public state -----------------------------------------------------
@@ -187,27 +201,35 @@ class PairMerger:
     def _select(self, min_frequency: int) -> tuple[int, list[int]] | None:
         """Pop the best mergeable pair, lazily repairing stale heap entries.
 
-        The heap holds (-count, first position, key). A pair's count only
-        falls after its creation pass and its first position only moves
-        right, so a stale entry ranks too high and is fixed when it reaches
-        the top. No two live pairs share a first position, so the key never
-        decides between two up-to-date entries. Every pair made after
-        set-up involves the new symbol of its creation pass, so a
-        distinct-symbol pair never gains occurrences after that pass; one
+        The heap holds one int per pair, _entry(key, rec), which sorts like
+        (-count, first position, key); an int compares faster and is
+        smaller than that tuple. A pair's count only falls after its
+        creation pass and its first position only moves right, so a stale
+        entry ranks too high and is re-ranked when it reaches the top
+        (stale_pops); an entry whose pair is gone or below count 2 is
+        dropped (dead_pops). No two live pairs share a first position, so
+        the key never decides between two up-to-date entries. Every pair
+        made after set-up involves the new symbol of its creation pass, so
+        a distinct-symbol pair never gains occurrences after that pass; one
         at count 1 can never reach min_frequency again, which is why the
         index prunes it.
         """
         heap = self._heap
         pairs = self._pairs
         while heap:
-            negc, fp, key = heap[0]
-            if -negc < min_frequency:
+            top = heap[0]
+            if (1 << 31) - (top >> 95) < min_frequency:
                 break
+            key = top & _KEY_MASK
             rec = pairs.get(key)
             if rec is None or rec[0] < 2:
                 heappop(heap)
-            elif rec[0] != -negc or rec[1] != fp:
-                heapreplace(heap, (-rec[0], rec[1], key))
+                self.dead_pops += 1
+                continue
+            now = _entry(key, rec)
+            if now != top:
+                heapreplace(heap, now)
+                self.stale_pops += 1
             else:
                 heappop(heap)
                 return key, rec
@@ -226,16 +248,8 @@ class PairMerger:
         self._replacements += rule.freq_at_merge
         heap = self._heap
         pairs = self._pairs
-        pocc = self._pocc
         for k in created:
-            r = pairs.get(k)
-            if r is None:
-                continue
-            if r[0] >= 2:
-                heappush(heap, (-r[0], r[1], k))
-            elif k >> SHIFT != k & _MASK:
-                del pairs[k]
-                pocc[r[1]] = OFF
+            heappush(heap, _entry(k, pairs[k]))
         return rule
 
     def run(self, stop: StopCriteria) -> None:
@@ -254,37 +268,41 @@ class PairMerger:
 
     # -- mutation ----------------------------------------------------------
 
-    def _replace_all(self, left: int, right: int, new_id: int) -> dict[int, None]:
+    def _replace_all(self, left: int, right: int, new_id: int) -> list[int]:
         """Replace every indexed occurrence of (left, right) with new_id.
 
         Walks the pair's occurrences in position order. Replacing (p, q)
         kills q, rewrites p, and touches at most the two neighbouring pairs;
         a same-symbol run of `right` that loses its left edge is realigned in
-        place (_reindex_run). A merge of at least _BULK_MIN occurrences walks
+        place (_reindex_run). The pairs the pass makes, all of which involve
+        new_id, are listed as (key, node) in position order and indexed
+        once the pass ends. A merge of at least _BULK_MIN occurrences walks
         only its coupled occurrences here and replaces the rest in one
-        vectorized pass (_replace_simple). Returns the keys of pairs that
-        gained occurrences, all of which involve new_id; merge_once prunes
-        those left at count 1.
+        vectorized pass (_replace_simple). Returns the keys of the made
+        pairs with a count of at least 2.
         """
         sym = self._sym
         nxt = self._nxt
         prv = self._prv
         pocc = self._pocc
         drop = self._drop
-        insert = self._insert
         S = SHIFT
         rec = self._pairs.pop((left << S) | right)
         occ = self._occurrences(rec[1])
         simple = None
         if rec[0] >= _BULK_MIN:
             occ, simple = self._split(occ, right)
-        created: dict[int, None] = {}
+        twin = (new_id << S) | new_id
+        made: list[tuple[int, int]] = []
+        add = made.append
+        twin_head = None  # the last node made to head (new_id, new_id)
         for p in occ:
             q = nxt[p]
             x = prv[p]
             xs = sym[x]
-            # pair (xs, left) ending at p dies with p's symbol
-            if xs >= 0 and pocc[x] != OFF:
+            # pair (xs, left) ending at p dies with p's symbol; pocc is OFF
+            # at x when xs < 0 or xs == new_id
+            if pocc[x] != OFF:
                 drop((xs << S) | left, x)
             # pair (right, ys) headed at q dies with q
             y = nxt[q]
@@ -303,21 +321,35 @@ class PairMerger:
                 # left == right, q sits at an odd offset of its run and heads
                 # no (right, right) pair)
                 self._reindex_run(right, y, before)
-            # fresh pair on the left, unless x is the second half of a
-            # (new_id, new_id) occurrence that already heads at w
-            if xs >= 0 and not (
-                xs == new_id and sym[w := prv[x]] == new_id and pocc[w] != OFF
-            ):
-                kn = (xs << S) | new_id
-                insert(kn, x)
-                created[kn] = None
+            # fresh pair on the left
+            if xs == new_id:
+                # x is the previous occurrence's p: the (new_id, left) it
+                # made at x is gone, and x heads (new_id, new_id) unless
+                # prv[x] already does
+                made.pop()
+                if prv[x] != twin_head:
+                    add((twin, x))
+                    twin_head = x
+            elif xs >= 0:
+                add(((xs << S) | new_id, x))
             # fresh pair on the right
             if ys >= 0:
-                kn = (new_id << S) | ys
-                insert(kn, p)
-                created[kn] = None
+                add(((new_id << S) | ys, p))
         if simple is not None:
-            self._replace_simple(*simple, left, right, new_id, created)
+            return self._replace_simple(*simple, made, left, right, new_id)
+        # index each made pair with 2 nodes or more, and (new_id, new_id)
+        nodes: dict[int, list[int]] = {}
+        for k, z in made:
+            nodes.setdefault(k, []).append(z)
+        insert = self._insert
+        created = []
+        for k, at in nodes.items():
+            if len(at) > 1:
+                created.append(k)
+            elif k != twin:
+                continue
+            for z in at:
+                insert(k, z)
         return created
 
     def _split(self, occ: list[int], right: int) -> tuple[list[int], tuple[np.ndarray, ...]]:
@@ -350,18 +382,20 @@ class PairMerger:
         q: np.ndarray,
         y: np.ndarray,
         x: np.ndarray,
+        made: list[tuple[int, int]],
         left: int,
         right: int,
         new_id: int,
-        created: dict[int, None],
-    ) -> None:
+    ) -> list[int]:
         """What the per-occurrence loop of _replace_all does to each simple
-        occurrence (p, q) between x and y, for all of them at once.
+        occurrence (p, q) between x and y, for all of them at once, then
+        the index of every pair made in the pass: the simple occurrences'
+        and the coupled ones', listed as (key, node) in made. Returns the
+        keys of the made pairs with a count of at least 2.
 
         Index -1 (x of slot 0) reads the trailing SENT, as it does in the loop.
         """
         sym, nxt, prv, nocc, pocc = self._views
-        pairs = self._pairs
         W = self.vocab_size + 1  # new_id is the largest id
         xs = sym[x].astype(np.int64)
         ys = sym[y].astype(np.int64)
@@ -380,20 +414,17 @@ class PairMerger:
         sym[p] = new_id
         pocc[p] = OFF
         # fresh pairs (xs, new_id) at x and (new_id, ys) at p (x is no other
-        # occurrence's p, so xs != new_id); a key the coupled occurrences
-        # already made is rebuilt with their nodes in it
+        # occurrence's p, so xs != new_id), and the coupled occurrences'
         cx = xs >= 0
         cy = ys >= 0
-        nodes = [x[cx], p[cy]]
-        codes = [xs[cx] * W + new_id, ys[cy] + new_id * W]
-        for k in created:
-            rec = pairs.pop(k, None)
-            if rec is not None:
-                z = self._occurrences(rec[1])
-                nodes.append(np.array(z, dtype=np.int32))
-                codes.append(np.full(len(z), (k >> SHIFT) * W + (k & _MASK), dtype=np.int64))
-        self._link(np.concatenate(nodes), np.concatenate(codes), created)
+        mk, mz = np.array(made, dtype=np.int64).reshape(-1, 2).T
         self.bulk_replacements += int(p.size)
+        return self._link(
+            np.concatenate((x[cx], p[cy], mz.astype(np.int32))),
+            np.concatenate(
+                (xs[cx] * W + new_id, ys[cy] + new_id * W, (mk >> SHIFT) * W + (mk & _MASK))
+            ),
+        )
 
     def _unlink(self, z: np.ndarray, codes: np.ndarray) -> None:
         """Remove nodes z from the occurrence lists of their pairs, coded
@@ -434,13 +465,14 @@ class PairMerger:
                 if c:
                     pocc[rec[1]] = OFF
 
-    def _link(self, z: np.ndarray, codes: np.ndarray, created: dict[int, None]) -> None:
+    def _link(self, z: np.ndarray, codes: np.ndarray) -> list[int]:
         """Build the occurrence list of each pair from its nodes z, with
-        the pairs coded as in _pair_order; no such pair has a list yet.
-        Each indexed pair's key is recorded in created; a distinct-symbol
-        pair with one node is not indexed.
+        the pairs coded as in _pair_order; no such pair has a list yet. A
+        distinct-symbol pair with one node is not indexed. Returns the keys
+        of the pairs with at least 2 nodes.
 
-        Builds the whole index at set-up, and the new pairs of a bulk merge.
+        Builds the whole index at set-up, and all the pairs a bulk merge
+        makes, in one call.
         """
         nocc, pocc = self._views[3:]
         pairs = self._pairs
@@ -450,7 +482,8 @@ class PairMerger:
         pocc[z[1:]] = z[:-1]
         nocc[z[last]] = NIL
         pocc[z[first]] = NIL
-        keep = (first != last) | (keys >> SHIFT == keys & _MASK)
+        many = first != last
+        keep = many | (keys >> SHIFT == keys & _MASK)
         pocc[z[first[~keep]]] = OFF
         first = first[keep]
         last = last[keep]
@@ -458,7 +491,7 @@ class PairMerger:
             keys[keep].tolist(), (last - first + 1).tolist(), z[first].tolist(), z[last].tolist()
         ):
             pairs[key] = [c, h, t]
-            created[key] = None
+        return keys[many].tolist()
 
     def _occurrences(self, pos: int) -> list[int]:
         """The occurrence list that starts at pos, in position order."""
@@ -472,8 +505,7 @@ class PairMerger:
     def _drop(self, key: int, z: int) -> None:
         """Unlink node z from key's occurrence list; a list left empty
         deletes its key, and so does a distinct-symbol pair left with one
-        node, unless it holds the symbol that _replace_all is making: that
-        pair may grow again in the same pass, and merge_once prunes it."""
+        node."""
         nocc = self._nocc
         pocc = self._pocc
         rec = self._pairs[key]
@@ -488,9 +520,7 @@ class PairMerger:
         else:
             rec[2] = pz
         c = rec[0] - 1
-        if c > 1 or (
-            c and ((a := key >> SHIFT) == (b := key & _MASK) or self.vocab_size in (a, b))
-        ):
+        if c > 1 or (c and key >> SHIFT == key & _MASK):
             rec[0] = c
         else:
             del self._pairs[key]
@@ -609,7 +639,7 @@ def train(
     and empty output. The full input sequence is held in memory: five int32
     arrays, 20 bytes per slot, plus the pair index, about 20.9 bytes per
     character once the engine is built, growing with the pair index as merges
-    run (about 29 after 4000 merges on 1 MB of text), with a peak near 36
+    run (about 26.7 after 4000 merges on 1 MB of text), with a peak near 36
     while it is built. Frequent merges are replaced in bulk (see PairMerger);
     the result is the same as one occurrence at a time.
     """

@@ -47,6 +47,8 @@ def engine_bytes_per_char(merges: int = 0, spaceless: bool = False) -> dict[str,
             merger.run(StopCriteria(max_merges=merges))
             out["merges"] = merger.merges
             out["pair_keys"] = merger.pair_keys
+            out["stale_pops"] = merger.stale_pops
+            out["dead_pops"] = merger.dead_pops
             out["after_merges"] = tracemalloc.get_traced_memory()[0] / n
             tracemalloc.reset_peak()
             merger.sequence()
@@ -102,16 +104,18 @@ def test_encode_peak(tmp_path):
 
 def test_engine_after_merges(measured):
     # the index holds only pairs that can still merge; bulk merges keep no
-    # scratch arrays
+    # scratch arrays, and the selection heap holds one int per pair
+    # (26.7 measured)
     assert measured["merges"] == MERGES
-    assert measured["after_merges"] <= 34
+    assert measured["after_merges"] <= 29.5
     assert measured["pair_keys"] <= 15_000
 
 
 def test_engine_after_merges_spaceless(measured_spaceless):
-    # a large alphabet makes many more distinct pairs that occur once
+    # a large alphabet makes many more distinct pairs that occur once (33.3
+    # measured)
     assert measured_spaceless["merges"] == MERGES
-    assert measured_spaceless["after_merges"] <= 42
+    assert measured_spaceless["after_merges"] <= 36.5
     assert measured_spaceless["pair_keys"] <= 15_000
 
 

@@ -284,8 +284,9 @@ class TestNaiveEquivalence:
 
     @pytest.mark.parametrize("threshold", [repair._BULK_MIN, 2])
     def test_new_pair_regrows_in_its_pass(self, threshold):
-        # merging (a, b) into X takes (X, a) from 2 occurrences to 1 and back
-        # to 2 within the pass, so it is not pruned until the pass ends
+        # merging (a, b) into X makes (X, a) at slots 0 and 4, unmakes it at
+        # 4 when the (a, b) at 6 is replaced, and makes it again at 9: it
+        # ends the pass at count 2 and is indexed only then
         text = "aba abab aba"
         with bulk_min(threshold):
             m = PairMerger(encode(text, NL))
@@ -308,6 +309,93 @@ def bulk_min(n):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(repair, "_BULK_MIN", n)
         yield
+
+
+# heap-entry fields at their extremes: counts of mergeable pairs, and
+# positions and symbol ids, which fit in 31 bits
+_COUNT = st.integers(2, (1 << 31) - 1)
+_ID = st.integers(0, (1 << 31) - 1)
+
+
+class TestPassEndIndex:
+    """A merge indexes the pairs its pass made once the pass ends."""
+
+    @pytest.mark.parametrize("threshold", [repair._BULK_MIN, 2])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "abababab",  # adjacent occurrences: (X, a) is made, then unmade
+            "abababab ab",
+            # runs of X of lengths 1-7: greedy (X, X) heads at even offsets
+            " ".join("ab" * n for n in range(1, 8)),
+            "\n".join("ab" * n for n in range(7, 0, -1)),
+            "aaaa aaa aa aaaaaaa a aaaaa",  # (a, a) merges over runs
+            "aaaaaaa\naa\naaa",
+        ],
+    )
+    def test_matches_oracle(self, text, threshold):
+        with bulk_min(threshold):
+            m = PairMerger(encode(text, NL))
+            m.check_invariants()
+            while m.merge_once() is not None:
+                m.check_invariants()
+        assert (m.grammar(), m.sequence()) == train_naive(encode(text, NL))
+
+    @pytest.mark.parametrize("threshold", [repair._BULK_MIN, 2])
+    def test_twin_pair_made_once_is_indexed(self, threshold):
+        # X = ab leaves "XX X": (X, X) occurs once and stays indexed, as a
+        # same-symbol pair must; (X, " ") and (" ", X) occur once and are not
+        with bulk_min(threshold):
+            m = PairMerger(encode("abab ab", NL))
+            x = m.merge_once().id
+        assert m._pairs[(x << repair.SHIFT) | x][0] == 1
+        assert m.pair_keys == 1
+        m.check_invariants()
+
+    @given(st.lists(st.tuples(_COUNT, _ID, _ID, _ID), min_size=2, max_size=12))
+    @example([(2, 0, 0, 0), ((1 << 31) - 1, (1 << 31) - 1, (1 << 31) - 1, (1 << 31) - 1)])
+    @example([((1 << 31) - 1, 0, 0, 0), (2, (1 << 31) - 1, (1 << 31) - 1, (1 << 31) - 1)])
+    @example([(5, 7, 1, 2), (5, 7, 1, 3), (5, 7, 2, 0), (5, 6, (1 << 31) - 1, 0)])
+    def test_heap_entry_sorts_like_the_tuple(self, recs):
+        # (count, first, left, right) records, compared as (-count, first, key)
+        keyed = [(c, f, (a << repair.SHIFT) | b) for c, f, a, b in recs]
+        by_tuple = sorted(keyed, key=lambda r: (-r[0], r[1], r[2]))
+        by_entry = sorted(keyed, key=lambda r: repair._entry(r[2], [r[0], r[1], r[1]]))
+        assert by_entry == by_tuple
+        for c, f, k in keyed:
+            # _select reads the count and the key back out of the entry
+            e = repair._entry(k, [c, f, f])
+            assert ((1 << 31) - (e >> 95), e & repair._KEY_MASK) == (c, k)
+
+
+class TestSelectionCounters:
+    def test_known_values(self):
+        # set-up heaps (a, b) 5@0, (b, c) 5@1, (c, " ") 4@2, (" ", a) 4@3,
+        # (b, " ") 2@13 and (" ", b) 2@17. X = ab leaves (b, c) at 2@18 and
+        # takes every (" ", a) and (b, " "); then:
+        # - merge 2 re-ranks (b, c) (stale) and takes (c, " ") 4@2 = Y,
+        #   which kills (X, c) 3@0 and (" ", X) 4@3 made by merge 1;
+        # - merge 3 drops (" ", a), (" ", X) and (X, c) (dead) and takes
+        #   (X, Y) 3@0 = Z, which kills (Y, X) 3@2;
+        # - merge 4 drops (Y, X) (dead) and takes (X, " ") 2@12
+        m = PairMerger(encode("abc abc abc ab ab bc bc", NL))
+        seen = [(m.stale_pops, m.dead_pops)]
+        while m.merge_once() is not None:
+            seen.append((m.stale_pops, m.dead_pops))
+        assert [r.freq_at_merge for r in m.grammar().rules] == [5, 4, 3, 2]
+        assert seen == [(0, 0), (0, 0), (1, 0), (1, 3), (1, 4)]
+
+    def test_repeatable(self):
+        text = normalize(corpus_gen.generate(60_000, seed=9))
+
+        def counters():
+            m = PairMerger(encode(text))
+            m.run(StopCriteria(max_merges=300))
+            return m.stale_pops, m.dead_pops
+
+        first = counters()
+        assert min(first) > 0
+        assert counters() == first
 
 
 class TestBulkReplacement:
