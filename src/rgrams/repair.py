@@ -57,9 +57,9 @@ class StopCriteria:
 
 
 def _entry(key: int, rec: list[int]) -> int:
-    """The selection-heap entry of a pair with record [count, first, last]:
-    one int that sorts like (-count, first, key). Counts and nodes fit in
-    31 bits and keys in 63, so the three fields never overlap."""
+    """The selection-heap entry of a pair with record [count, first]: one
+    int that sorts like (-count, first, key). Counts and nodes fit in 31
+    bits and keys in 63, so the three fields never overlap."""
     return (((1 << 31) - rec[0]) << 95) | (rec[1] << 64) | key
 
 
@@ -112,12 +112,12 @@ class PairMerger:
     indexed if and only if its count is at least 2 or its two symbols are
     the same, and an indexed pair's occurrences are exactly its greedy
     left-to-right non-overlapping occurrences in the current sequence, kept
-    in position order. A distinct-symbol pair that falls to count 1 can
-    never be selected again (_select), so it is pruned. A position heads at
-    most one indexed occurrence (of the pair it starts); pocc is OFF
-    exactly at the positions that head none, so membership tests are O(1).
-    Same-symbol pairs stay indexed at any count because _reindex_run reads
-    their heads.
+    in position order: its record is [count, first], and nocc and pocc
+    link the rest. A distinct-symbol pair that falls to count 1 can never
+    be selected again (_select), so it is pruned. A position heads at most
+    one indexed occurrence (of the pair it starts); pocc is OFF exactly at
+    the positions that head none, so membership tests are O(1). Same-symbol
+    pairs stay indexed at any count because _reindex_run reads their heads.
 
     A merge's pass indexes none of the pairs it makes while it runs: no
     indexed pair contains the new symbol until the pass ends, when each
@@ -128,13 +128,13 @@ class PairMerger:
     coupled occurrences and replaces the rest with numpy
     (_replace_simple), reaching the same state; bulk_replacements counts
     the replacements made that way. stale_pops and dead_pops count the
-    heap entries _select repairs and discards.
+    heap entries _select repairs and discards, heap_rebuilds the heaps
+    merge_once rebuilds from the index (_rebuild_heap).
     """
 
     def __init__(self, seq: BoundedSequence):
         self._alphabet = seq.alphabet
         self._rules: list[Rule] = []  # the merge log
-        self._replacements = 0
         self._sym, self._nxt, self._prv = linked(engine_array(seq))
         n = len(self._sym)
         self._nocc = array("i", [NIL]) * n
@@ -147,6 +147,7 @@ class PairMerger:
         self.bulk_replacements = 0  # of replacements, those made by _replace_simple
         self.stale_pops = 0  # heap tops re-ranked because their pair changed
         self.dead_pops = 0  # heap tops dropped because their pair can no longer merge
+        self.heap_rebuilds = 0  # of merges, those that rebuilt the heap from the index
         self._pairs: dict[int, list[int]] = {}
 
         # Greedy head mask. Distinct-symbol pairs never overlap themselves;
@@ -166,9 +167,8 @@ class PairMerger:
         del head
         codes = np.multiply(a[hp], self.vocab_size + 1, dtype=np.int64)
         codes += a[1:][hp]
-        pairs = self._pairs
-        self._heap = [_entry(key, pairs[key]) for key in self._link(hp, codes)]
-        heapify(self._heap)
+        self._link(hp, codes)
+        self._rebuild_heap()
 
     # -- public state -----------------------------------------------------
 
@@ -182,7 +182,7 @@ class PairMerger:
 
     @property
     def replacements(self) -> int:
-        return self._replacements
+        return sum(r.freq_at_merge for r in self._rules)
 
     @property
     def pair_keys(self) -> int:
@@ -201,9 +201,9 @@ class PairMerger:
     def _select(self, min_frequency: int) -> tuple[int, list[int]] | None:
         """Pop the best mergeable pair, lazily repairing stale heap entries.
 
-        The heap holds one int per pair, _entry(key, rec), which sorts like
-        (-count, first position, key); an int compares faster and is
-        smaller than that tuple. A pair's count only falls after its
+        A heap entry is one int, _entry(key, rec), which sorts like
+        (-count, first position, key); each pair that can merge has one at
+        or above its exact rank. A pair's count only falls after its
         creation pass and its first position only moves right, so a stale
         entry ranks too high and is re-ranked when it reaches the top
         (stale_pops); an entry whose pair is gone or below count 2 is
@@ -245,12 +245,20 @@ class PairMerger:
         rule = Rule(self.vocab_size, key >> SHIFT, key & _MASK, rec[0])
         created = self._replace_all(rule.left, rule.right, rule.id)
         self._rules.append(rule)
-        self._replacements += rule.freq_at_merge
-        heap = self._heap
-        pairs = self._pairs
         for k in created:
-            heappush(heap, _entry(k, pairs[k]))
+            heappush(self._heap, _entry(k, self._pairs[k]))
+        if len(self._heap) > 2 * len(self._pairs):
+            self._rebuild_heap()
+            self.heap_rebuilds += 1
         return rule
+
+    def _rebuild_heap(self) -> None:
+        """Heap the exact entry of each pair with a count of at least 2,
+        which selects as the lazy heap would. A rebuild at P pairs costs
+        O(P) and keeps at most P entries, so merge_once's next, at P', comes
+        after more than 2P' - P pushes: O(1) per push amortized."""
+        self._heap = [_entry(k, rec) for k, rec in self._pairs.items() if rec[0] > 1]
+        heapify(self._heap)
 
     def run(self, stop: StopCriteria) -> None:
         """Merge until max_merges or max_vocabulary is hit or no pair is left.
@@ -348,8 +356,8 @@ class PairMerger:
                 created.append(k)
             elif k != twin:
                 continue
-            for z in at:
-                insert(k, z)
+            for after, z in zip([NIL] + at, at):
+                insert(k, z, after)
         return created
 
     def _split(self, occ: list[int], right: int) -> tuple[list[int], tuple[np.ndarray, ...]]:
@@ -452,9 +460,6 @@ class PairMerger:
         head = before == NIL
         for key, h in zip(ck[head].tolist(), after[head].tolist()):
             pairs[key][1] = h
-        tail = after == NIL
-        for key, t in zip(ck[tail].tolist(), before[tail].tolist()):
-            pairs[key][2] = t
         for key, c in zip(keys.tolist(), (last - first + 1).tolist()):
             rec = pairs[key]
             c = rec[0] - c
@@ -487,10 +492,8 @@ class PairMerger:
         pocc[z[first[~keep]]] = OFF
         first = first[keep]
         last = last[keep]
-        for key, c, h, t in zip(
-            keys[keep].tolist(), (last - first + 1).tolist(), z[first].tolist(), z[last].tolist()
-        ):
-            pairs[key] = [c, h, t]
+        for key, c, h in zip(keys[keep].tolist(), (last - first + 1).tolist(), z[first].tolist()):
+            pairs[key] = [c, h]
         return keys[many].tolist()
 
     def _occurrences(self, pos: int) -> list[int]:
@@ -517,8 +520,6 @@ class PairMerger:
             rec[1] = nz
         if nz != NIL:
             pocc[nz] = pz
-        else:
-            rec[2] = pz
         c = rec[0] - 1
         if c > 1 or (c and key >> SHIFT == key & _MASK):
             rec[0] = c
@@ -528,19 +529,13 @@ class PairMerger:
                 pocc[rec[1]] = OFF
         pocc[z] = OFF
 
-    def _insert(self, key: int, z: int, after: int | None = None) -> None:
-        """Link node z into key's occurrence list behind node `after`: None
-        is the tail, NIL the head. A key with no list starts one at z."""
+    def _insert(self, key: int, z: int, after: int) -> None:
+        """Link node z into key's occurrence list behind node `after`, or
+        at its head when `after` is NIL. A key with no list starts one at
+        z."""
         nocc = self._nocc
         pocc = self._pocc
-        rec = self._pairs.get(key)
-        if rec is None:
-            self._pairs[key] = [1, z, z]
-            pocc[z] = NIL
-            nocc[z] = NIL
-            return
-        if after is None:
-            after = rec[2]
+        rec = self._pairs.setdefault(key, [0, NIL])
         if after == NIL:
             nz = rec[1]
             rec[1] = z
@@ -551,8 +546,6 @@ class PairMerger:
         nocc[z] = nz
         if nz != NIL:
             pocc[nz] = z
-        else:
-            rec[2] = z
         rec[0] += 1
 
     def _reindex_run(self, u: int, start: int, ins_after: int) -> None:
@@ -590,10 +583,11 @@ class PairMerger:
     def check_invariants(self) -> None:
         """Recompute the greedy index from the live sequence and compare:
         the indexed pairs are exactly those with a count of at least 2 or
-        two equal symbols, each with its greedy occurrences.
+        two equal symbols, each with its greedy occurrences linked both ways.
 
-        Also checks that DEAD marks exactly the slots off the live walk.
-        O(n + pairs); meant for tests on small inputs after each merge.
+        Also checks that DEAD marks exactly the slots off the live walk and
+        the heap's bound on each pair (_select). O(n + pairs + heap); meant
+        for tests on small inputs after each merge.
         """
         sym = self._sym
         nxt = self._nxt
@@ -617,10 +611,8 @@ class PairMerger:
             occ = self._occurrences(rec[1])
             if len(occ) != rec[0]:
                 raise AssertionError(f"count mismatch for key {k}: {len(occ)} != {rec[0]}")
-            if occ and (occ[0] != rec[1] or occ[-1] != rec[2]):
-                raise AssertionError(f"head/tail mismatch for key {k}")
-            if occ != sorted(occ):
-                raise AssertionError(f"occurrence list not sorted for key {k}")
+            if [self._pocc[z] for z in occ] != [NIL] + occ[:-1]:
+                raise AssertionError(f"pocc does not link key {k}'s occurrences backwards")
             actual[k] = occ
         if expected != actual:
             raise AssertionError(f"index mismatch: expected {expected}, got {actual}")
@@ -628,6 +620,10 @@ class PairMerger:
         for z in range(len(sym)):
             if (self._pocc[z] != OFF) != (z in heads):
                 raise AssertionError(f"slot {z}: pocc must be OFF exactly off the occurrence lists")
+        best = {e & _KEY_MASK: e for e in sorted(self._heap, reverse=True)}  # each key's top
+        for k, rec in self._pairs.items():
+            if rec[0] > 1 and (k not in best or best[k] > _entry(k, rec)):
+                raise AssertionError(f"heap: no entry for key {k} ranks at or above its record")
 
 
 def train(
@@ -637,10 +633,10 @@ def train(
 
     grammar.rules is the merge log. An empty sequence yields an empty grammar
     and empty output. The full input sequence is held in memory: five int32
-    arrays, 20 bytes per slot, plus the pair index, about 20.9 bytes per
-    character once the engine is built, growing with the pair index as merges
-    run (about 26.7 after 4000 merges on 1 MB of text), with a peak near 36
-    while it is built. Frequent merges are replaced in bulk (see PairMerger);
+    arrays, 20 bytes per slot, plus the pair index and a heap of at most
+    twice its size, about 20.9 bytes per character once the engine is built,
+    growing as merges run (about 24.9 after 4000 merges on 1 MB of text),
+    with a peak near 36 while it is built. Frequent merges are replaced in bulk (see PairMerger);
     the result is the same as one occurrence at a time.
     """
     stop.validate()

@@ -1,3 +1,4 @@
+import heapq
 import random
 from contextlib import contextmanager
 
@@ -252,7 +253,7 @@ class TestNaiveEquivalence:
         m = PairMerger(encode("abab", NL))
         m.check_invariants()
         b, a = m._sym[1], m._sym[2]
-        m._pairs[(b << repair.SHIFT) | a] = [1, 1, 1]  # (b, a) occurs once
+        m._pairs[(b << repair.SHIFT) | a] = [1, 1]  # (b, a) occurs once
         m._nocc[1] = m._pocc[1] = NIL
         with pytest.raises(AssertionError, match="index mismatch"):
             m.check_invariants()
@@ -262,6 +263,15 @@ class TestNaiveEquivalence:
         m.check_invariants()
         del m._pairs[(m._sym[0] << repair.SHIFT) | m._sym[1]]  # (a, b) occurs twice
         with pytest.raises(AssertionError, match="index mismatch"):
+            m.check_invariants()
+
+    def test_invariants_catch_a_live_pair_off_the_heap(self):
+        m = PairMerger(encode("abab", NL))
+        m.check_invariants()
+        key = (m._sym[0] << repair.SHIFT) | m._sym[1]  # (a, b) occurs twice
+        m._heap = [e for e in m._heap if e & repair._KEY_MASK != key]
+        heapq.heapify(m._heap)
+        with pytest.raises(AssertionError, match="heap"):
             m.check_invariants()
 
     def test_invariants_hold_during_training(self):
@@ -360,30 +370,33 @@ class TestPassEndIndex:
         # (count, first, left, right) records, compared as (-count, first, key)
         keyed = [(c, f, (a << repair.SHIFT) | b) for c, f, a, b in recs]
         by_tuple = sorted(keyed, key=lambda r: (-r[0], r[1], r[2]))
-        by_entry = sorted(keyed, key=lambda r: repair._entry(r[2], [r[0], r[1], r[1]]))
+        by_entry = sorted(keyed, key=lambda r: repair._entry(r[2], [r[0], r[1]]))
         assert by_entry == by_tuple
         for c, f, k in keyed:
             # _select reads the count and the key back out of the entry
-            e = repair._entry(k, [c, f, f])
+            e = repair._entry(k, [c, f])
             assert ((1 << 31) - (e >> 95), e & repair._KEY_MASK) == (c, k)
 
 
 class TestSelectionCounters:
     def test_known_values(self):
         # set-up heaps (a, b) 5@0, (b, c) 5@1, (c, " ") 4@2, (" ", a) 4@3,
-        # (b, " ") 2@13 and (" ", b) 2@17. X = ab leaves (b, c) at 2@18 and
-        # takes every (" ", a) and (b, " "); then:
+        # (b, " ") 2@13 and (" ", b) 2@17: 6 entries for 6 pairs. X = ab
+        # leaves (b, c) at 2@18, takes every (" ", a) and (b, " ") and
+        # pushes (X, c) 3@0, (" ", X) 4@3 and (X, " ") 2@12: 8 entries for
+        # 6 pairs; then:
         # - merge 2 re-ranks (b, c) (stale) and takes (c, " ") 4@2 = Y,
-        #   which kills (X, c) 3@0 and (" ", X) 4@3 made by merge 1;
-        # - merge 3 drops (" ", a), (" ", X) and (X, c) (dead) and takes
-        #   (X, Y) 3@0 = Z, which kills (Y, X) 3@2;
+        #   which kills (X, c) and (" ", X) and leaves (b, c) and (" ", b)
+        #   at count 1. It pushes (X, Y) 3@0 and (Y, X) 3@2: 9 entries for
+        #   3 pairs, so the heap is rebuilt to those 3, all exact;
+        # - merge 3 takes (X, Y) 3@0 = Z, which kills (Y, X) 3@2;
         # - merge 4 drops (Y, X) (dead) and takes (X, " ") 2@12
         m = PairMerger(encode("abc abc abc ab ab bc bc", NL))
-        seen = [(m.stale_pops, m.dead_pops)]
+        seen = [(m.stale_pops, m.dead_pops, m.heap_rebuilds)]
         while m.merge_once() is not None:
-            seen.append((m.stale_pops, m.dead_pops))
+            seen.append((m.stale_pops, m.dead_pops, m.heap_rebuilds))
         assert [r.freq_at_merge for r in m.grammar().rules] == [5, 4, 3, 2]
-        assert seen == [(0, 0), (0, 0), (1, 0), (1, 3), (1, 4)]
+        assert seen == [(0, 0, 0), (0, 0, 0), (1, 0, 1), (1, 0, 1), (1, 1, 1)]
 
     def test_repeatable(self):
         text = normalize(corpus_gen.generate(60_000, seed=9))
@@ -395,6 +408,21 @@ class TestSelectionCounters:
 
         first = counters()
         assert min(first) > 0
+        assert counters() == first
+
+    def test_heap_bound(self):
+        # a large alphabet prunes many pairs; without rebuilds the lazy heap
+        # peaks at 2.43 entries per indexed pair on this text
+        text = corpus_gen.generate(60_000, seed=9, spaceless=True)
+
+        def counters():
+            m = PairMerger(encode(text))
+            while m.merges < 300 and m.merge_once() is not None:
+                assert len(m._heap) <= 2 * m.pair_keys
+            return m.heap_rebuilds, m.dead_pops
+
+        first = counters()
+        assert first[0] >= 1
         assert counters() == first
 
 
