@@ -269,13 +269,9 @@ def write_lines(dest: str | TextIO, lines: Iterable[str]) -> None:
             f.write("\n".join(batch) + "\n")
 
 
-def encode_file(
-    path,
-    separators: frozenset[str] = DEFAULT_SEPARATORS,
-    options: NormalizationOptions | None = None,
-) -> BoundedSequence:
+def encode_file(path, separators: frozenset[str], options: NormalizationOptions) -> BoundedSequence:
     """Stream-normalize and encode a file in _CHUNK-byte chunks."""
     enc = ChunkEncoder(separators)
     for chunk in read_text_chunks(path):
-        enc.feed(normalize(chunk, options) if options else chunk)
+        enc.feed(normalize(chunk, options))
     return enc.finish()

@@ -109,19 +109,18 @@ class PairMerger:
 
     The sequence is in the engine format of grammar.engine_array and
     grammar.linked. The invariant carried through every mutation: a pair is
-    indexed if and only if its count is at least 2 or its two symbols are
-    the same, and an indexed pair's occurrences are exactly its greedy
-    left-to-right non-overlapping occurrences in the current sequence, kept
-    in position order: its record is [count, first], and nocc and pocc
-    link the rest. A distinct-symbol pair that falls to count 1 can never
-    be selected again (_select), so it is pruned. A position heads at most
-    one indexed occurrence (of the pair it starts); pocc is OFF exactly at
-    the positions that head none, so membership tests are O(1). Same-symbol
-    pairs stay indexed at any count because _reindex_run reads their heads.
+    indexed if and only if its count is at least 2, and an indexed pair's
+    occurrences are exactly its greedy left-to-right non-overlapping
+    occurrences in the current sequence, kept in position order: its record
+    is [count, first], and nocc and pocc link the rest. A pair that falls
+    to count 1 can never be selected again (_select), so it is pruned. A
+    position heads at most one indexed occurrence (of the pair it starts);
+    pocc is OFF exactly at the positions that head none, so membership
+    tests are O(1).
 
     A merge's pass indexes none of the pairs it makes while it runs: no
     indexed pair contains the new symbol until the pass ends, when each
-    made pair is indexed once if it passes the rule above. One node at a
+    made pair with 2 occurrences or more is indexed once. One node at a
     time, occurrence lists change only through _drop and _insert;
     _replace_all and _reindex_run splice with nothing else. A merge of at
     least _BULK_MIN occurrences runs the per-occurrence loop only over its
@@ -202,17 +201,16 @@ class PairMerger:
         """Pop the best mergeable pair, lazily repairing stale heap entries.
 
         A heap entry is one int, _entry(key, rec), which sorts like
-        (-count, first position, key); each pair that can merge has one at
-        or above its exact rank. A pair's count only falls after its
-        creation pass and its first position only moves right, so a stale
-        entry ranks too high and is re-ranked when it reaches the top
-        (stale_pops); an entry whose pair is gone or below count 2 is
-        dropped (dead_pops). No two live pairs share a first position, so
-        the key never decides between two up-to-date entries. Every pair
-        made after set-up involves the new symbol of its creation pass, so
-        a distinct-symbol pair never gains occurrences after that pass; one
-        at count 1 can never reach min_frequency again, which is why the
-        index prunes it.
+        (-count, first position, key); each indexed pair has one at or
+        above its exact rank. A pair's count only falls after its creation
+        pass and its first position only moves right, so a stale entry
+        ranks too high and is re-ranked when it reaches the top
+        (stale_pops); an entry whose pair is no longer indexed is dropped
+        (dead_pops). No two live pairs share a first position, so the key
+        never decides between two up-to-date entries. Every pair made after
+        set-up involves the new symbol of its creation pass, so a pair
+        never gains occurrences after that pass; one at count 1 can never
+        reach min_frequency again, which is why the index prunes it.
         """
         heap = self._heap
         pairs = self._pairs
@@ -222,7 +220,7 @@ class PairMerger:
                 break
             key = top & _KEY_MASK
             rec = pairs.get(key)
-            if rec is None or rec[0] < 2:
+            if rec is None:
                 heappop(heap)
                 self.dead_pops += 1
                 continue
@@ -253,11 +251,11 @@ class PairMerger:
         return rule
 
     def _rebuild_heap(self) -> None:
-        """Heap the exact entry of each pair with a count of at least 2,
-        which selects as the lazy heap would. A rebuild at P pairs costs
-        O(P) and keeps at most P entries, so merge_once's next, at P', comes
-        after more than 2P' - P pushes: O(1) per push amortized."""
-        self._heap = [_entry(k, rec) for k, rec in self._pairs.items() if rec[0] > 1]
+        """Heap the exact entry of each indexed pair, which selects as the
+        lazy heap would. A rebuild at P pairs costs O(P) and keeps P
+        entries, so merge_once's next, at P', comes after more than 2P' - P
+        pushes: O(1) per push amortized."""
+        self._heap = [_entry(k, rec) for k, rec in self._pairs.items()]
         heapify(self._heap)
 
     def run(self, stop: StopCriteria) -> None:
@@ -281,8 +279,9 @@ class PairMerger:
 
         Walks the pair's occurrences in position order. Replacing (p, q)
         kills q, rewrites p, and touches at most the two neighbouring pairs;
-        a same-symbol run of `right` that loses its left edge is realigned in
-        place (_reindex_run). The pairs the pass makes, all of which involve
+        a same-symbol run of `right` that loses its first head q is realigned
+        in place (_reindex_run) before q is dropped, so no pair's count falls
+        below its final value. The pairs the pass makes, all of which involve
         new_id, are listed as (key, node) in position order and indexed
         once the pass ends. A merge of at least _BULK_MIN occurrences walks
         only its coupled occurrences here and replaces the rest in one
@@ -312,11 +311,13 @@ class PairMerger:
             # at x when xs < 0 or xs == new_id
             if pocc[x] != OFF:
                 drop((xs << S) | left, x)
-            # pair (right, ys) headed at q dies with q
+            # pair (right, ys) headed at q dies with q, after the run of
+            # `right` that q heads is realigned
             y = nxt[q]
             ys = sym[y]
-            before = pocc[q]
-            if before != OFF:
+            if pocc[q] != OFF:
+                if ys == right:
+                    self._reindex_run(q)
                 drop((right << S) | ys, q)
             # splice out q, rewrite p
             nxt[p] = y
@@ -324,11 +325,6 @@ class PairMerger:
             sym[q] = DEAD
             sym[p] = new_id
             pocc[p] = OFF
-            if ys == right and before != OFF:
-                # run of `right` lost its first element; realign heads (when
-                # left == right, q sits at an odd offset of its run and heads
-                # no (right, right) pair)
-                self._reindex_run(right, y, before)
             # fresh pair on the left
             if xs == new_id:
                 # x is the previous occurrence's p: the (new_id, left) it
@@ -345,17 +341,14 @@ class PairMerger:
                 add(((new_id << S) | ys, p))
         if simple is not None:
             return self._replace_simple(*simple, made, left, right, new_id)
-        # index each made pair with 2 nodes or more, and (new_id, new_id)
+        # index each made pair with 2 nodes or more
         nodes: dict[int, list[int]] = {}
         for k, z in made:
             nodes.setdefault(k, []).append(z)
         insert = self._insert
-        created = []
-        for k, at in nodes.items():
-            if len(at) > 1:
-                created.append(k)
-            elif k != twin:
-                continue
+        created = [k for k, at in nodes.items() if len(at) > 1]
+        for k in created:
+            at = nodes[k]
             for after, z in zip([NIL] + at, at):
                 insert(k, z, after)
         return created
@@ -440,7 +433,7 @@ class PairMerger:
 
         Removed nodes that follow each other in one list form a chain, and
         each chain is bridged in one step from its predecessor to its
-        successor. A distinct-symbol pair left with one node is pruned.
+        successor. A pair left with one node or none is pruned.
         """
         if not z.size:
             return
@@ -463,7 +456,7 @@ class PairMerger:
         for key, c in zip(keys.tolist(), (last - first + 1).tolist()):
             rec = pairs[key]
             c = rec[0] - c
-            if c > 1 or (c and key >> SHIFT == key & _MASK):
+            if c > 1:
                 rec[0] = c
             else:
                 del pairs[key]
@@ -473,8 +466,8 @@ class PairMerger:
     def _link(self, z: np.ndarray, codes: np.ndarray) -> list[int]:
         """Build the occurrence list of each pair from its nodes z, with
         the pairs coded as in _pair_order; no such pair has a list yet. A
-        distinct-symbol pair with one node is not indexed. Returns the keys
-        of the pairs with at least 2 nodes.
+        pair with one node is not indexed. Returns the keys of the pairs
+        indexed.
 
         Builds the whole index at set-up, and all the pairs a bulk merge
         makes, in one call.
@@ -488,13 +481,13 @@ class PairMerger:
         nocc[z[last]] = NIL
         pocc[z[first]] = NIL
         many = first != last
-        keep = many | (keys >> SHIFT == keys & _MASK)
-        pocc[z[first[~keep]]] = OFF
-        first = first[keep]
-        last = last[keep]
-        for key, c, h in zip(keys[keep].tolist(), (last - first + 1).tolist(), z[first].tolist()):
+        pocc[z[first[~many]]] = OFF
+        first = first[many]
+        last = last[many]
+        keys = keys[many].tolist()
+        for key, c, h in zip(keys, (last - first + 1).tolist(), z[first].tolist()):
             pairs[key] = [c, h]
-        return keys[many].tolist()
+        return keys
 
     def _occurrences(self, pos: int) -> list[int]:
         """The occurrence list that starts at pos, in position order."""
@@ -506,9 +499,9 @@ class PairMerger:
         return occ
 
     def _drop(self, key: int, z: int) -> None:
-        """Unlink node z from key's occurrence list; a list left empty
-        deletes its key, and so does a distinct-symbol pair left with one
-        node."""
+        """Unlink node z from key's occurrence list; a pair left with one
+        node is pruned. Every indexed pair has at least 2 nodes, so one is
+        always left."""
         nocc = self._nocc
         pocc = self._pocc
         rec = self._pairs[key]
@@ -521,12 +514,11 @@ class PairMerger:
         if nz != NIL:
             pocc[nz] = pz
         c = rec[0] - 1
-        if c > 1 or (c and key >> SHIFT == key & _MASK):
+        if c > 1:
             rec[0] = c
         else:
             del self._pairs[key]
-            if c:
-                pocc[rec[1]] = OFF
+            pocc[rec[1]] = OFF
         pocc[z] = OFF
 
     def _insert(self, key: int, z: int, after: int) -> None:
@@ -548,42 +540,37 @@ class PairMerger:
             pocc[nz] = z
         rec[0] += 1
 
-    def _reindex_run(self, u: int, start: int, ins_after: int) -> None:
-        """Realign greedy heads of (u, u) over the run now starting at `start`.
+    def _reindex_run(self, q: int) -> None:
+        """Realign the greedy heads of (u, u) over the run of u after q,
+        where q is the run's first head and is about to be dropped.
 
-        ins_after is the occurrence-list node preceding the run's old first
-        head (NIL for list head); new heads are spliced in behind it so the
-        list stays position-sorted.
+        q starts the run, so its old heads sit at even offsets from q and
+        its new ones at odd offsets. Each new head is linked in behind the
+        one before it (the first behind q) before the old head that follows
+        it is dropped, so the pair's count never falls below its final
+        value and the list stays position-sorted.
         """
         sym = self._sym
         nxt = self._nxt
-        pocc = self._pocc
+        u = sym[q]
         key = (u << SHIFT) | u
-        cursor = ins_after
-        r = start
-        free = True
-        while sym[r] == u:
-            s = nxt[r]
-            paired = sym[s] == u
-            if paired and free:
-                if pocc[r] == OFF:
-                    self._insert(key, r, cursor)
-                cursor = r
-                free = False
-            else:
-                if not paired:
-                    break
-                if pocc[r] != OFF:
-                    self._drop(key, r)
-                free = True
-            r = s
+        head = q
+        r = nxt[q]
+        while sym[nxt[r]] == u:
+            self._insert(key, r, head)
+            head = r
+            old = nxt[r]
+            r = nxt[old]
+            if sym[r] != u:
+                break
+            self._drop(key, old)
 
     # -- test support -------------------------------------------------------
 
     def check_invariants(self) -> None:
         """Recompute the greedy index from the live sequence and compare:
-        the indexed pairs are exactly those with a count of at least 2 or
-        two equal symbols, each with its greedy occurrences linked both ways.
+        the indexed pairs are exactly those with a count of at least 2, each
+        with its greedy occurrences linked both ways.
 
         Also checks that DEAD marks exactly the slots off the live walk and
         the heap's bound on each pair (_select). O(n + pairs + heap); meant
@@ -604,7 +591,7 @@ class PairMerger:
         expected = {
             (a << SHIFT) | b: [live[i] for i in occ]
             for (a, b), occ in greedy_pairs([sym[z] for z in live]).items()
-            if len(occ) >= 2 or a == b
+            if len(occ) >= 2
         }
         actual: dict[int, list[int]] = {}
         for k, rec in self._pairs.items():
@@ -622,7 +609,7 @@ class PairMerger:
                 raise AssertionError(f"slot {z}: pocc must be OFF exactly off the occurrence lists")
         best = {e & _KEY_MASK: e for e in sorted(self._heap, reverse=True)}  # each key's top
         for k, rec in self._pairs.items():
-            if rec[0] > 1 and (k not in best or best[k] > _entry(k, rec)):
+            if k not in best or best[k] > _entry(k, rec):
                 raise AssertionError(f"heap: no entry for key {k} ranks at or above its record")
 
 

@@ -105,10 +105,10 @@ def test_encode_peak(tmp_path):
 
 
 def test_engine_after_merges(measured):
-    # the index holds only pairs that can still merge; bulk merges keep no
-    # scratch arrays, and the selection heap holds one int per entry and is
-    # rebuilt from the index when it outgrows twice the index (24.9
-    # measured, 11,375 heap entries after 2 rebuilds)
+    # the index holds only pairs that occur at least twice; bulk merges
+    # keep no scratch arrays, and the selection heap holds one int per entry
+    # and is rebuilt from the index when it outgrows twice the index (24.9
+    # measured, 11,371 pair keys and 11,464 heap entries after 2 rebuilds)
     assert measured["merges"] == MERGES
     assert measured["after_merges"] <= 27.5
     assert measured["pair_keys"] <= 15_000
@@ -117,7 +117,7 @@ def test_engine_after_merges(measured):
 
 def test_engine_after_merges_spaceless(measured_spaceless):
     # a large alphabet makes many more distinct pairs that occur once (30.8
-    # measured, 13,378 heap entries after 1 rebuild)
+    # measured, 9,444 pair keys and 13,462 heap entries after 1 rebuild)
     assert measured_spaceless["merges"] == MERGES
     assert measured_spaceless["after_merges"] <= 33.8
     assert measured_spaceless["pair_keys"] <= 15_000
@@ -132,9 +132,12 @@ def test_apply_peak(measured, measured_spaceless):
     assert measured_spaceless["apply_peak"] <= 33
 
 
-def test_sequence_peak(measured):
+def test_sequence_peak(measured, measured_spaceless):
     # sequence() reads the engine at int32 and widens only the live output
+    # (28.0 measured); the spaceless twin's engine already holds 30.8 per
+    # character, so its peak is higher (38.2 measured)
     assert measured["sequence_peak"] <= 36
+    assert measured_spaceless["sequence_peak"] <= 42
 
 
 if __name__ == "__main__":

@@ -305,12 +305,14 @@ class TestNaiveEquivalence:
         assert (m.grammar(), m.sequence()) == train_naive(encode(text, NL))
 
     def test_pair_keys_counts_indexed_pairs(self):
-        # (a, b) occurs twice and (a, a) is a same-symbol pair; (b, a),
-        # (b, " ") and (" ", a) occur once and are not indexed
+        # (a, b) occurs twice; (b, a), (b, " "), (" ", a) and (a, a) occur
+        # once and are not indexed
         m = PairMerger(encode("abab aa", NL))
-        assert m.pair_keys == 2
-        m.merge_once()  # X = ab leaves "XX aa": (X, X) and (a, a)
-        assert m.pair_keys == 2
+        assert m.pair_keys == 1
+        # X = ab leaves "XX aa": (X, X), (X, " "), (" ", a) and (a, a) each
+        # occur once
+        m.merge_once()
+        assert m.pair_keys == 0
 
 
 @contextmanager
@@ -341,6 +343,9 @@ class TestPassEndIndex:
             "\n".join("ab" * n for n in range(7, 0, -1)),
             "aaaa aaa aa aaaaaaa a aaaaa",  # (a, a) merges over runs
             "aaaaaaa\naa\naaa",
+            # (b, b) heads slots 1 and 5; replacing the (a, b) at 0 realigns
+            # the run at 1 to head slot 2, so (b, b) ends the pass at count 2
+            "abbb bb ab ab",
         ],
     )
     def test_matches_oracle(self, text, threshold):
@@ -352,14 +357,14 @@ class TestPassEndIndex:
         assert (m.grammar(), m.sequence()) == train_naive(encode(text, NL))
 
     @pytest.mark.parametrize("threshold", [repair._BULK_MIN, 2])
-    def test_twin_pair_made_once_is_indexed(self, threshold):
-        # X = ab leaves "XX X": (X, X) occurs once and stays indexed, as a
-        # same-symbol pair must; (X, " ") and (" ", X) occur once and are not
+    def test_twin_pair_made_once_is_not_indexed(self, threshold):
+        # X = ab leaves "XX X": (X, X), (X, " ") and (" ", X) each occur
+        # once, so none is indexed
         with bulk_min(threshold):
             m = PairMerger(encode("abab ab", NL))
             x = m.merge_once().id
-        assert m._pairs[(x << repair.SHIFT) | x][0] == 1
-        assert m.pair_keys == 1
+        assert (x << repair.SHIFT) | x not in m._pairs
+        assert m.pair_keys == 0
         m.check_invariants()
 
     @given(st.lists(st.tuples(_COUNT, _ID, _ID, _ID), min_size=2, max_size=12))
