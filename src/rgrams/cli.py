@@ -338,7 +338,6 @@ def build_parser() -> _Parser:
     _field_flag(
         p, TrainConfig, "--subword", "subword_ngrams", _subword, help="MIN,MAX char n-gram lengths"
     )
-    _field_flag(p, TrainConfig, "--buckets", "subword_buckets", int)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("eval", help="evaluate exported vectors")

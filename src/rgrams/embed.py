@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
 from numbers import Real
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -35,9 +36,8 @@ log = logging.getLogger(__name__)
 
 WS_TOKEN = "<ws>"
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
+# a segmented file (path or text handle) or its sentences as token lists
+Corpus = Union[str, os.PathLike, TextIO, Iterable[list[str]]]
 
 
 def _finite(value: object) -> bool:
@@ -54,7 +54,6 @@ class TrainConfig:
     initial_lr: float = 0.025
     subsample_threshold: float = 1e-4  # 0 disables
     subword_ngrams: tuple[int, int] | None = None
-    subword_buckets: int = 1 << 21
     min_token_count: int = 1
     seed: int = 1
 
@@ -74,7 +73,6 @@ class TrainConfig:
             lo, hi = self.subword_ngrams
             require_int("subword_ngrams min", lo, 1)
             require_int("subword_ngrams max", hi, lo)
-            require_int("subword_buckets", self.subword_buckets, 1)
 
 
 class EmbedVocab:
@@ -104,12 +102,6 @@ def normalize_token(raw: str) -> str:
     return substitute_digits(t)
 
 
-def _sentences(source: str | TextIO | Iterable[list[str]]) -> Iterable[list[str]]:
-    if isinstance(source, str) or hasattr(source, "read"):
-        return read_segmented(source)  # type: ignore[arg-type]
-    return source
-
-
 class _Normalized(dict):
     """raw token -> normalize_token(raw), computed on the first lookup."""
 
@@ -118,14 +110,16 @@ class _Normalized(dict):
         return tok
 
 
-def _normalized_sentences(source: str | TextIO | Iterable[list[str]]) -> list[list[str]]:
+def _normalized_sentences(source: Corpus) -> list[list[str]]:
     """The non-empty sentences of source, each token normalized; every
     distinct raw token is normalized once."""
+    if isinstance(source, (str, os.PathLike)) or hasattr(source, "read"):
+        source = read_segmented(source)  # type: ignore[arg-type]
     norm = _Normalized().__getitem__
-    return [list(map(norm, sent)) for sent in _sentences(source) if sent]
+    return [list(map(norm, sent)) for sent in source if sent]
 
 
-def build_vocab(source: str | TextIO | Iterable[list[str]], min_token_count: int = 1) -> EmbedVocab:
+def build_vocab(source: Corpus, min_token_count: int = 1) -> EmbedVocab:
     """Count normalized tokens of a segmented corpus and index the keepers."""
     return _vocab(_normalized_sentences(source), min_token_count)
 
@@ -137,32 +131,24 @@ def _vocab(sentences: list[list[str]], min_token_count: int) -> EmbedVocab:
     return EmbedVocab([t for t, _ in kept], [c for _, c in kept])
 
 
-def subword_hashes(token: str, nmin: int, nmax: int, buckets: int) -> list[int]:
-    """FNV-1a bucket ids of the character n-grams of '<token>'.
+def subword_rows(vocab: EmbedVocab, ngrams: tuple[int, int]) -> tuple[list[np.ndarray], int]:
+    """(rows, size): each token's input rows, and the input table's row count.
 
-    Boundary markers are part of the n-grams; repeats keep their
-    multiplicity (bag semantics).
+    Token i's rows are its own row i, then one row per character n-gram of
+    '<token>' (boundary markers included), by n ascending, then position.
+    Each distinct n-gram has its own row, numbered V, V+1, ... in order of
+    first use over the vocabulary; a repeated n-gram repeats its row
+    (bag semantics). size is V plus the number of distinct n-grams.
     """
-    marked = "<" + token + ">"
-    out: list[int] = []
-    # n-grams over characters, hashed over their UTF-8 bytes
-    for n in range(nmin, nmax + 1):
-        for i in range(len(marked) - n + 1):
-            h = _FNV_OFFSET
-            for b in marked[i : i + n].encode("utf-8"):
-                h = ((h ^ b) * _FNV_PRIME) & _MASK64
-            out.append(h % buckets)
-    return out
-
-
-def subword_rows(vocab: EmbedVocab, ngrams: tuple[int, int], buckets: int) -> list[np.ndarray]:
-    """Each token's input rows: its own row i, then V + h for each n-gram bucket h."""
     lo, hi = ngrams
     V = len(vocab)
-    return [
-        np.asarray([i] + [V + h for h in subword_hashes(t, lo, hi, buckets)], dtype=np.int64)
-        for i, t in enumerate(vocab.tokens)
-    ]
+    row: dict[str, int] = {}  # n-gram -> its input row
+    rows = []
+    for i, t in enumerate(vocab.tokens):
+        w = "<" + t + ">"
+        grams = [w[p : p + n] for n in range(lo, hi + 1) for p in range(len(w) - n + 1)]
+        rows.append(np.array([i] + [row.setdefault(g, V + len(row)) for g in grams]))
+    return rows, V + len(row)
 
 
 def negative_draws(counts: np.ndarray, rng: np.random.Generator) -> "NegativeDraws":
@@ -230,7 +216,8 @@ class NegativeDraws:
 
 @dataclass
 class EmbeddingMatrix:
-    """input rows: vocab then subword buckets; output rows: vocab only.
+    """input rows: vocab, then one per distinct subword n-gram; output rows:
+    vocab only.
 
     rows[i] lists the input rows whose mean is token i's vector (subword_rows);
     rows is None without subwords, when that vector is input row i.
@@ -341,7 +328,7 @@ def pair_gradients(
 
 @np.errstate(over="ignore")
 def train_skipgram(
-    corpus: str | TextIO | Iterable[list[str]],
+    corpus: Corpus,
     config: TrainConfig = TrainConfig(),
     pair_log: list | None = None,
 ) -> EmbeddingMatrix:
@@ -351,7 +338,8 @@ def train_skipgram(
     lists; each distinct token is normalized once and the vocabulary is
     counted from those. Tokens below min_token_count are dropped from
     sentences before windowing; so are tokens removed by subsampling. With
-    subwords, each token's input rows are hashed once (subword_rows). All
+    subwords, each token's input rows are listed once (subword_rows), and
+    the input table has one row per token and per distinct n-gram. All
     negatives come from one negative_draws stream. Each pair is one
     _pair_step, taken at a hidden vector recomputed per pair with subwords
     (as fastText does), and works in buffers allocated once per call; the
@@ -384,10 +372,9 @@ def train_skipgram(
     take = negative_draws(vocab.counts, np.random.Generator(np.random.PCG64(neg_ss))).take
 
     ngrams = config.subword_ngrams
-    B = config.subword_buckets if ngrams is not None else 0
-    rows = None if ngrams is None else subword_rows(vocab, ngrams, B)
+    rows, size = (None, V) if ngrams is None else subword_rows(vocab, ngrams)
     dim = config.dim
-    inp = (rng.random((V + B, dim)) - 0.5) / dim
+    inp = (rng.random((size, dim)) - 0.5) / dim
     out = np.zeros((V, dim), dtype=np.float64)
     # training updates inp and out in place
     matrix = EmbeddingMatrix(inp, out, vocab, rows)
@@ -487,8 +474,12 @@ def train_skipgram(
 
 def export_vectors(m: EmbeddingMatrix | VectorSet, path: str) -> None:
     """Text format: header '<count> <dim>', then token + 9-significant-digit
-    components per line; token escaped as in the segmented format."""
+    components per line; token escaped as in the segmented format. A token
+    with a newline, or a non-finite component, raises DomainError before
+    path is opened."""
     vs = m.to_vectors() if isinstance(m, EmbeddingMatrix) else m
+    if any("\n" in tok for tok in vs.tokens):
+        raise DomainError("a token contains a newline; it cannot be written one per line")
     if not np.isfinite(vs.matrix).all():
         raise DomainError("vectors have non-finite components; nothing written")
     fmt = "%.9g".__mod__

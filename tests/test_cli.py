@@ -520,14 +520,10 @@ class TestParameters:
 
     def test_flags_set_their_fields(self):
         argv = ["embed", "c", "--vectors-out", "v", "--lr", "0.5", "--subsample", "0"]
-        argv += ["--min-count", "3", "--subword", "2,4", "--buckets", "64"]
+        argv += ["--min-count", "3", "--subword", "2,4"]
         got = self.parsed(TrainConfig, argv)
         want = TrainConfig(
-            initial_lr=0.5,
-            subsample_threshold=0.0,
-            min_token_count=3,
-            subword_ngrams=(2, 4),
-            subword_buckets=64,
+            initial_lr=0.5, subsample_threshold=0.0, min_token_count=3, subword_ngrams=(2, 4)
         )
         assert got == want
 

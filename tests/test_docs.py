@@ -1,6 +1,8 @@
 """The README's examples are tested: its Quick start commands parse with the
-real argument parser, and its library example runs."""
+real argument parser, every flag it names exists, and its library example
+runs."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -41,3 +43,44 @@ def test_quick_start_command_parses(command):
 def test_library_example_runs():
     [example] = _blocks(README, "python")
     exec(compile(example, "README.md", "exec"), {})
+
+
+_CODE = re.compile(r"```\w*\n(.*?)```|`([^`]+)`", re.S)
+_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+
+
+def _readme_commands() -> list[str]:
+    """The prose outside code, each line of a code block, and each inline span."""
+    out = [_CODE.sub("", README)]
+    for block, span in _CODE.findall(README):
+        out += block.replace("\\\n", " ").splitlines() if block else [span]
+    return out
+
+
+def _runs_pip_or_python(command: str) -> bool:
+    words = command.split()
+    while words and "=" in words[0]:  # environment assignments
+        words.pop(0)
+    return words[:1] in (["pip"], ["python"])
+
+
+def _options(parser: argparse.ArgumentParser) -> set[str]:
+    """Every option string of parser and of its subcommands, at any depth."""
+    opts: set[str] = set()
+    for action in parser._actions:
+        opts.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                opts |= _options(sub)
+    return opts
+
+
+def test_readme_flags_are_parser_options():
+    named = {
+        flag
+        for command in _readme_commands()
+        if not _runs_pip_or_python(command)
+        for flag in _FLAG.findall(command)
+    }
+    assert "--vectors-out" in named
+    assert named - _options(build_parser()) == set()

@@ -1,6 +1,7 @@
 import io
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from rgrams.embed import (
     normalize_token,
     pair_gradients,
     pair_loss,
-    subword_hashes,
+    subword_rows,
     train_skipgram,
 )
 from rgrams.errors import DomainError, ParameterError, VectorFileError
@@ -81,6 +82,13 @@ class TestBuildVocab:
             assert v.tokens == m.vocab.tokens
             assert v.counts.tolist() == m.vocab.counts.tolist()
         assert build_vocab(str(p)).tokens == ["the", "N", "cat", "<ws>", "NN"]
+
+    def test_path_like_corpus(self, tmp_path):
+        p = tmp_path / "c.seg"
+        p.write_text("the\ncat\nsat\n\nthe\ndog\n", encoding="utf-8")
+        assert build_vocab(p).tokens == build_vocab(str(p)).tokens
+        m = train_skipgram(p, tiny_config(epochs=1))
+        assert m.input.tobytes() == train_skipgram(str(p), tiny_config(epochs=1)).input.tobytes()
 
 
 class TestLossAndGradients:
@@ -272,7 +280,6 @@ class TestTraining:
             "epochs",
             "min_token_count",
             "seed",
-            "subword_buckets",
             "subword_ngrams_min",
             "subword_ngrams_max",
         ],
@@ -314,14 +321,20 @@ def reference_train(sents, cfg):
     rng = np.random.Generator(np.random.PCG64(init_ss))
     draws = negative_draws(vocab.counts, np.random.Generator(np.random.PCG64(neg_ss)))
     rows = None
-    B = 0
+    ngram_row: dict[str, int] = {}  # each distinct n-gram's input row, from V up
     if cfg.subword_ngrams is not None:
-        B = cfg.subword_buckets
-        rows = [
-            [i] + [V + h for h in subword_hashes(t, *cfg.subword_ngrams, B)]
-            for i, t in enumerate(vocab.tokens)
-        ]
-    inp = (rng.random((V + B, cfg.dim)) - 0.5) / cfg.dim
+        lo, hi = cfg.subword_ngrams
+        rows = []
+        for i, t in enumerate(vocab.tokens):
+            rows.append([i])
+            marked = "<" + t + ">"
+            for n in range(lo, hi + 1):
+                for p in range(len(marked) - n + 1):
+                    gram = marked[p : p + n]
+                    if gram not in ngram_row:
+                        ngram_row[gram] = V + len(ngram_row)
+                    rows[i].append(ngram_row[gram])
+    inp = (rng.random((V + len(ngram_row), cfg.dim)) - 0.5) / cfg.dim
     out = np.zeros((V, cfg.dim))
     keep = None
     if cfg.subsample_threshold > 0:
@@ -373,17 +386,20 @@ class TestTrainingOracle:
             # three tokens and eight negatives: every pair draws some negative
             # twice, so the output rows go through the accumulating update
             ([["x", "y", "z", "x", "y"]] * 3, dict(negatives=8, epochs=2)),
-            # one token: every negative equals the context and is rejected
-            ([["a", "a", "a"]], dict(negatives=2, epochs=2)),
+            # one token: every negative equals the context and is rejected;
+            # subsampling keeps each "a" with probability 0.27, and two
+            # segments of eight keep some pair on all but about 1% of streams
+            ([["a"] * 8] * 2, dict(negatives=2, epochs=2)),
             # over 8192 negatives: pairs take their draws across a refill
             ([WORDS[0] + WORDS[2]] * 6, dict(negatives=50, epochs=2)),
+            # "<abab>" has the 2-gram "ab" twice: with subwords its center
+            # lists one input row twice, which must accumulate both shares
+            ([["abab", "baba", "ab", "abab"]] * 3, dict(negatives=3, epochs=2)),
         ],
-        ids=["words", "repeated-negatives", "one-token", "refill"],
+        ids=["words", "repeated-negatives", "one-token", "refill", "repeated-ngrams"],
     )
     def test_matches_per_pair_reference(self, sents, kw, subsample, subword):
-        cfg = tiny_config(
-            subsample_threshold=subsample, subword_ngrams=subword, subword_buckets=16, **kw
-        )
+        cfg = tiny_config(subsample_threshold=subsample, subword_ngrams=subword, **kw)
         vocab, inp, out = reference_train(sents, cfg)
         m = train_skipgram(sents, cfg)
         assert m.vocab.tokens == vocab.tokens
@@ -427,28 +443,36 @@ class TestNonFinite:
         assert not path.exists()
 
 
+def ngram_rows(tokens, ngrams):
+    """subword_rows over a vocabulary of tokens, in that order, as lists."""
+    rows, size = subword_rows(EmbedVocab(tokens, [1] * len(tokens)), ngrams)
+    return [r.tolist() for r in rows], size
+
+
 class TestSubword:
-    def test_hashes_deterministic_and_in_range(self):
-        a = subword_hashes("where", 3, 5, 1 << 21)
-        b = subword_hashes("where", 3, 5, 1 << 21)
-        assert a == b
-        assert all(0 <= h < (1 << 21) for h in a)
+    def test_shared_ngram_shares_row(self):
+        # "<cat>" and "<cab>" share "<ca" and "<cab>" adds "cab" and "ab>":
+        # V = 2, so cat's n-grams take rows 2..4 and cab's new ones 5 and 6
+        rows, size = ngram_rows(["cat", "cab"], (3, 3))
+        assert rows == [[0, 2, 3, 4], [1, 2, 5, 6]]
+        assert size == 7
 
     def test_ngram_count(self):
         # "<ab>" has length 4: two 3-grams and one 4-gram
-        assert len(subword_hashes("ab", 3, 4, 97)) == 3
+        rows, size = ngram_rows(["ab"], (3, 4))
+        assert rows == [[0, 1, 2, 3]] and size == 4
 
     def test_bag_semantics_keeps_repeats(self):
-        hs = subword_hashes("aaaa", 3, 3, 1 << 21)
-        # "<aaaa>" 3-grams: <aa aaa aaa aa> ; "aaa" occurs twice
-        assert len(hs) == 4
-        assert len(set(hs)) < len(hs)
+        # "<aaaa>" 3-grams: <aa aaa aaa aa>; "aaa" occurs twice, so its row does
+        rows, size = ngram_rows(["aaaa"], (3, 3))
+        assert rows == [[0, 1, 2, 2, 3]] and size == 4
 
     def test_short_token_has_no_ngrams_below_min(self):
-        assert subword_hashes("a", 4, 5, 97) == []
+        # "<a>" has length 3, shorter than every n-gram asked for
+        assert ngram_rows(["a"], (4, 5)) == ([[0]], 1)
 
     def test_training_with_subwords(self):
-        cfg = tiny_config(subword_ngrams=(3, 4), subword_buckets=512, epochs=1)
+        cfg = tiny_config(subword_ngrams=(3, 4), epochs=1)
         m = train_skipgram(SENTS, cfg)
         v = m.vector("cat")
         assert v is not None
@@ -459,17 +483,29 @@ class TestSubword:
 
     def test_rows_table(self):
         assert train_skipgram(SENTS, tiny_config(epochs=1)).rows is None
-        cfg = tiny_config(epochs=1, subword_ngrams=(3, 4), subword_buckets=512)
+        cfg = tiny_config(epochs=1, subword_ngrams=(3, 4))
         m = train_skipgram(SENTS, cfg)
         V = len(m.vocab)
-        assert m.input.shape[0] == V + 512
-        for i, t in enumerate(m.vocab.tokens):
-            assert m.rows[i][0] == i
-            assert m.rows[i][1:].tolist() == [V + h for h in subword_hashes(t, 3, 4, 512)]
+        marked = ["<" + t + ">" for t in m.vocab.tokens]
+        grams = {w[p : p + n] for w in marked for n in (3, 4) for p in range(len(w) - n + 1)}
+        assert m.input.shape == (V + len(grams), 8)
+        want, _ = ngram_rows(m.vocab.tokens, (3, 4))
+        assert [r.tolist() for r in m.rows] == want
+
+    def test_input_memory_fits_the_corpus(self):
+        # a table of 2^21 hashed rows at dim 100 would take about 1.68 GB;
+        # these 5 tokens have 29 distinct 3- to 6-grams, so 34 input rows
+        tracemalloc.start()
+        try:
+            train_skipgram(SENTS, tiny_config(dim=100, epochs=1, subword_ngrams=(3, 6)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     @pytest.mark.parametrize("subword", [None, (3, 4)])
     def test_to_vectors_equals_vector(self, subword):
-        cfg = tiny_config(epochs=1, subword_ngrams=subword, subword_buckets=512)
+        cfg = tiny_config(epochs=1, subword_ngrams=subword)
         m = train_skipgram(SENTS, cfg)
         vs = m.to_vectors()
         assert vs.tokens == m.vocab.tokens
@@ -479,13 +515,21 @@ class TestSubword:
 
     def test_subword_changes_vectors(self):
         plain = train_skipgram(SENTS, tiny_config(epochs=1))
-        sub = train_skipgram(
-            SENTS, tiny_config(epochs=1, subword_ngrams=(3, 4), subword_buckets=512)
-        )
+        sub = train_skipgram(SENTS, tiny_config(epochs=1, subword_ngrams=(3, 4)))
         assert not np.allclose(plain.vector("cat"), sub.vector("cat"))
 
 
 class TestVectorFiles:
+    def test_newline_token_refused_and_nothing_written(self, tmp_path):
+        path = tmp_path / "v.vec"
+        vs = VectorSet(["a\nb", "c"], np.ones((2, 2)))
+        # training keeps an inner newline, which no vector line can hold
+        m = train_skipgram([["x\ny", "z", "x\ny"]], tiny_config(epochs=1))
+        for source in (vs, m):
+            with pytest.raises(DomainError, match="newline"):
+                export_vectors(source, str(path))
+            assert not path.exists()
+
     def test_round_trip_within_tolerance(self, tmp_path):
         m = train_skipgram(SENTS, tiny_config())
         p = tmp_path / "v.vec"
