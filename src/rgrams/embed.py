@@ -6,13 +6,17 @@ digits replaced by 'N'; an all-whitespace token becomes the reserved
 "<ws>". Windows never cross segment boundaries because segments arrive as
 separate sentences.
 
-Training is per-pair SGNS (Mikolov et al. 2013): each (center, context)
-pair is one fused step (_pair_step) over its stacked output rows
-[context, negatives...] at the pre-update parameters. pair_loss and
-pair_gradients wrap that step, so the finite-difference check covers it.
-A pair's row indices, score derivatives and output-row step live in
-buffers allocated once per training call, and its negatives come from the
-draw stream as one list slice when none equals the context.
+Training is SGNS (Mikolov et al. 2013) in sub-batches. The kept tokens
+are walked in short blocks of whole sentences (_BLOCK), and each window
+offset of a block is one sub-batch: one fused step (_pair_step) over every
+pair's stacked output rows [context, negatives...], all read at the
+sub-batch's start, then one scatter of the steps in which repeated rows
+add up. Each center position occurs once per sub-batch, so a token's
+input rows take one stale step per occurrence in the block, not one per
+context (Hogwild, Recht et al. 2011: SGD with stale reads converges when
+the updates in flight rarely share rows). A negative equal to its pair's
+context is skipped, as in word2vec.c. pair_loss and pair_gradients run
+the same step on a batch of one, so the finite-difference check covers it.
 """
 
 from __future__ import annotations
@@ -20,11 +24,12 @@ from __future__ import annotations
 import logging
 import math
 import os
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
 from numbers import Real
-from typing import Iterable, Sequence, TextIO, Union
+from typing import Iterable, Iterator, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -163,8 +168,8 @@ class NegativeDraws:
     """The negative-sample stream: blocks of 8192 uniforms, each mapped
     through the cumulative weights by searchsorted.
 
-    next() takes one draw; take() takes a pair's negatives. Both read the
-    same stream, so mixing them never skips or repeats a draw.
+    next() takes one draw and take(n) the next n. Both read the same
+    stream, so mixing them never skips or repeats a draw.
     """
 
     __slots__ = ("_cum", "_rng", "_block", "_pos")
@@ -172,14 +177,14 @@ class NegativeDraws:
     def __init__(self, cum: np.ndarray, rng: np.random.Generator):
         self._cum = cum
         self._rng = rng
-        self._block: list[int] = []
+        self._block = np.empty(0, dtype=np.intp)
         self._pos = 0
 
     def _refill(self) -> None:
         """Append the next block to the draws not yet taken."""
         cum = self._cum
-        fresh = np.searchsorted(cum, self._rng.random(8192) * cum[-1], side="right").tolist()
-        self._block = self._block[self._pos :] + fresh
+        fresh = np.searchsorted(cum, self._rng.random(8192) * cum[-1], side="right")
+        self._block = np.concatenate([self._block[self._pos :], fresh])
         self._pos = 0
 
     def __iter__(self) -> "NegativeDraws":
@@ -189,29 +194,15 @@ class NegativeDraws:
         if self._pos == len(self._block):
             self._refill()
         self._pos += 1
-        return self._block[self._pos - 1]
+        return int(self._block[self._pos - 1])
 
-    def take(self, n: int, avoid: int) -> list[int]:
-        """The next n negatives for context avoid, as n next() calls under the
-        rejection rule would give them: a draw equal to avoid is redrawn up
-        to 100 times, then dropped, so fewer than n may come back."""
+    def take(self, n: int) -> np.ndarray:
+        """The next n draws."""
         while self._pos + n > len(self._block):
             self._refill()
         p = self._pos
-        draws = self._block[p : p + n]
-        if avoid not in draws:
-            self._pos = p + n
-            return draws
-        negs = []
-        for _ in range(n):
-            cand = next(self)
-            tries = 0
-            while cand == avoid and tries < 100:
-                cand = next(self)
-                tries += 1
-            if cand != avoid:
-                negs.append(cand)
-        return negs
+        self._pos = p + n
+        return self._block[p : p + n]
 
 
 @dataclass
@@ -281,40 +272,45 @@ class VectorSet:
 
 
 def _pair_step(
-    h: np.ndarray, W: np.ndarray, g: np.ndarray | None = None
+    h: np.ndarray, W: np.ndarray, skip: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One SGNS pair at fixed parameters: (signed scores, g, gu).
+    """P SGNS pairs at fixed parameters: (signed scores, g, gu).
 
-    W stacks the context's output row over the negatives' rows. g holds the
-    loss derivatives w.r.t. the scores W @ h, and gu the gradient w.r.t. h;
-    the pair loss is logaddexp(0, signed scores).sum(), where the positive
-    score enters negated. Training and pair_loss / pair_gradients all go
-    through here. A given g (len(W) floats) is filled in place.
+    h is (P, dim), one hidden vector per pair; W is (P, K, dim), each pair's
+    context output row stacked over its negatives' rows. g (P, K) holds the
+    loss derivatives w.r.t. the scores W @ h, and gu (P, dim) the gradients
+    w.r.t. h; a pair's loss is logaddexp(0, signed scores).sum(), where the
+    positive score enters negated. skip (P, K), if given, marks rows that do
+    not count: their g is 0 and their signed score -inf, so they add nothing
+    to a loss or a gradient. Training and pair_loss / pair_gradients all go
+    through here.
     """
-    scores = np.dot(W, h)
-    if g is None:
-        g = np.empty_like(scores)
+    scores = np.matmul(W, h[:, :, None])[:, :, 0]
     # g = 1 / (1 + exp(-scores)); for very negative scores exp overflows to
     # inf, which gives the exact sigmoid limit 0; callers run under
     # np.errstate(over="ignore")
-    np.negative(scores, out=g)
+    g = np.negative(scores)
     np.exp(g, out=g)
     np.add(g, 1.0, out=g)
     np.divide(1.0, g, out=g)
-    g[0] -= 1.0
-    gu = np.dot(g, W)
-    scores[0] = -scores[0]
+    g[:, 0] -= 1.0
+    scores[:, 0] *= -1.0
+    if skip is not None:
+        g[skip] = 0.0
+        scores[skip] = -np.inf
+    gu = np.matmul(g[:, None, :], W)[:, 0, :]
     return scores, g, gu
 
 
 def _stacked(v_pos: np.ndarray, v_negs: np.ndarray) -> np.ndarray:
-    return np.vstack([v_pos, np.reshape(v_negs, (-1, len(v_pos)))])
+    """One pair's W: v_pos over the rows of v_negs, as a batch of one."""
+    return np.vstack([v_pos, np.reshape(v_negs, (-1, len(v_pos)))])[None]
 
 
 @np.errstate(over="ignore")
 def pair_loss(u: np.ndarray, v_pos: np.ndarray, v_negs: np.ndarray) -> float:
     """-log sigmoid(u.v_pos) - sum log sigmoid(-u.v_neg); numerically stable."""
-    return float(np.logaddexp(0.0, _pair_step(u, _stacked(v_pos, v_negs))[0]).sum())
+    return float(np.logaddexp(0.0, _pair_step(u[None], _stacked(v_pos, v_negs))[0]).sum())
 
 
 @np.errstate(over="ignore")
@@ -322,8 +318,35 @@ def pair_gradients(
     u: np.ndarray, v_pos: np.ndarray, v_negs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analytic gradients of pair_loss w.r.t. (u, v_pos, each v_neg)."""
-    _, g, gu = _pair_step(u, _stacked(v_pos, v_negs))
-    return gu, g[0] * u, np.outer(g[1:], u)
+    _, g, gu = _pair_step(u[None], _stacked(v_pos, v_negs))
+    return gu[0], g[0, 0] * u, np.outer(g[0, 1:], u)
+
+
+# Training walks the kept tokens in blocks: a block of whole sentences closes
+# once it holds at least _BLOCK tokens, and a sentence that would take it to
+# 2 * _BLOCK is cut there. Each window offset of a block is one sub-batch,
+# trained against the rows as they stood at its start. Larger blocks are
+# faster but pile more stale steps on a frequent token's rows: on the
+# benchmark's embed workload (seeds 1-10, against one-pair-at-a-time
+# training with the same streams) held-out loss rose by at most 0.44% at
+# 16, 0.62% at 32 and 0.77% at 64.
+_BLOCK = 16
+
+
+def _blocks(sid: np.ndarray) -> Iterator[tuple[int, int]]:
+    """(start, stop) of each block over kept tokens whose sentence numbers,
+    in order, are sid."""
+    n = len(sid)
+    ends = (np.flatnonzero(sid[1:] != sid[:-1]) + 1).tolist()
+    ends.append(n)
+    b0 = 0
+    while b0 < n:
+        if b0 + _BLOCK >= n:
+            b1 = n
+        else:
+            b1 = min(ends[bisect_left(ends, b0 + _BLOCK)], b0 + 2 * _BLOCK)
+        yield b0, b1
+        b0 = b1
 
 
 @np.errstate(over="ignore")
@@ -337,15 +360,22 @@ def train_skipgram(
     corpus is a segmented file (path or handle) or an iterable of token
     lists; each distinct token is normalized once and the vocabulary is
     counted from those. Tokens below min_token_count are dropped from
-    sentences before windowing; so are tokens removed by subsampling. With
-    subwords, each token's input rows are listed once (subword_rows), and
-    the input table has one row per token and per distinct n-gram. All
-    negatives come from one negative_draws stream. Each pair is one
-    _pair_step, taken at a hidden vector recomputed per pair with subwords
-    (as fastText does), and works in buffers allocated once per call; the
-    logged loss takes one logaddexp per sentence over the pairs' signed
-    scores. pair_log, if given, collects every (center, context) token pair
-    actually trained on.
+    sentences before windowing; so are tokens removed by subsampling, whose
+    uniforms come from their own stream. With subwords, each token's input
+    rows are listed once (subword_rows), and the input table has one row per
+    token and per distinct n-gram.
+
+    The kept tokens are walked in blocks of whole sentences (_BLOCK), and
+    each window offset d is one sub-batch: every pair (i, i + d) whose
+    center i is in the block and whose context is in the same sentence. A
+    sub-batch is one _pair_step over rows read at its start, and each
+    center position occurs in it once; its negatives are the next
+    P * negatives draws of one negative_draws stream, and a negative equal
+    to its pair's context is skipped, as word2vec.c does. Repeated rows
+    accumulate their steps (np.subtract.at). With subwords a center's
+    hidden vector is the mean of its rows and each row takes an equal share
+    of its gradient. The learning rate decays linearly per block. pair_log,
+    if given, collects every (center, context) token pair trained on.
     DomainError when an epoch's loss is not finite or when the whole run
     trains no pair, which would leave the vectors untrained.
     """
@@ -359,16 +389,20 @@ def train_skipgram(
     # every kept token occurs in the corpus, so train_words > 0
     train_words = int(vocab.counts.sum())
     index = vocab.index
-    sentences: list[np.ndarray] = []
-    for sent in sents_raw:
-        ids = [index[t] for t in sent if t in index]
-        if ids:
-            sentences.append(np.asarray(ids, dtype=np.int64))
+    kept = [ids for ids in ([index[t] for t in sent if t in index] for sent in sents_raw) if ids]
     del sents_raw
+    lens = list(map(len, kept))
+    # the corpus as one array of token ids, each with its sentence number
+    flat = np.fromiter(chain.from_iterable(kept), dtype=np.intp, count=sum(lens))
+    del kept
+    sent_of = np.repeat(np.arange(len(lens)), lens)
+    # tokens processed by the end of each sentence, for the rate schedule
+    done = np.cumsum(lens)
 
     ss = np.random.SeedSequence(config.seed)
-    init_ss, neg_ss = ss.spawn(2)
+    init_ss, neg_ss, sub_ss = ss.spawn(3)
     rng = np.random.Generator(np.random.PCG64(init_ss))
+    sub_rng = np.random.Generator(np.random.PCG64(sub_ss))
     take = negative_draws(vocab.counts, np.random.Generator(np.random.PCG64(neg_ss))).take
 
     ngrams = config.subword_ngrams
@@ -378,6 +412,14 @@ def train_skipgram(
     out = np.zeros((V, dim), dtype=np.float64)
     # training updates inp and out in place
     matrix = EmbeddingMatrix(inp, out, vocab, rows)
+    # ufunc.at is fastest on a 1-D array: output steps go through out's flat view
+    out_flat = out.reshape(-1)
+    cols = np.arange(dim)
+    if rows is not None:
+        # token i's rows are row_flat[row_start[i] : row_start[i] + row_len[i]]
+        row_len = np.array(list(map(len, rows)))
+        row_start = np.cumsum(row_len) - row_len
+        row_flat = np.concatenate(rows)
 
     keep_prob: np.ndarray | None = None
     t = config.subsample_threshold
@@ -387,75 +429,72 @@ def train_skipgram(
         keep_prob = np.minimum(1.0, np.sqrt(ratio) + ratio)
 
     window = config.window
+    offsets = [d for d in range(-window, window + 1) if d]
     negatives = config.negatives
+    full = 1 + negatives
     lr0 = config.initial_lr
     lr_floor = lr0 * 1e-4
     denom = config.epochs * train_words + 1
     tokens = vocab.tokens
-    processed = 0
     total_pairs = 0
     alpha = lr0
-    # one pair's output rows [context, negatives...], its score derivatives
-    # and its output-row step; sliced only when a negative was dropped
-    full = 1 + negatives
-    idx_buf = np.empty(full, dtype=np.intp)
-    g_buf = np.empty(full)
-    step_buf = np.empty((full, dim))
 
     for epoch in range(config.epochs):
+        if keep_prob is None:
+            toks, sid = flat, sent_of
+        else:
+            keep = keep_prob[flat] > sub_rng.random(len(flat))
+            toks, sid = flat[keep], sent_of[keep]
+        n = len(toks)
         ep_loss = 0.0
         ep_pairs = 0
-        for sent in sentences:
-            processed += len(sent)
-            alpha = lr0 * (1.0 - processed / denom)
+        for b0, b1 in _blocks(sid):
+            alpha = lr0 * (1.0 - (epoch * train_words + int(done[sid[b1 - 1]])) / denom)
             if alpha < lr_floor:
                 alpha = lr_floor
-            if keep_prob is not None:
-                sent = sent[keep_prob[sent] > rng.random(len(sent))]
-            s = sent.tolist()
-            L = len(s)
-            signed = []  # each pair's signed scores; the loss is taken once per sentence
-            for i, c in enumerate(s):
-                lo_j = i - window if i >= window else 0
-                hi_j = min(i + window + 1, L)
-                crows = None if rows is None else rows[c]
-                h = inp[c]  # a view: the in-place center update below writes inp[c]
-                for j in range(lo_j, hi_j):
-                    if j == i:
-                        continue
-                    ctx = s[j]
-                    if pair_log is not None:
-                        pair_log.append((tokens[c], tokens[ctx]))
-                    negs = take(negatives, ctx)
-                    k = 1 + len(negs)
-                    if k == full:
-                        idx, g, step = idx_buf, g_buf, step_buf
-                    else:
-                        idx, g, step = idx_buf[:k], g_buf[:k], step_buf[:k]
-                    idx[0] = ctx
-                    idx[1:] = negs
-                    if crows is not None:
-                        h = inp[crows].mean(axis=0)
-                    W = out.take(idx, axis=0)
-                    sc, _, gu = _pair_step(h, W, g)
-                    signed.append(sc)
-                    np.multiply(g, alpha, out=g)
-                    np.multiply(g[:, None], h, out=step)
-                    # take() never returns the context, so only a negative can repeat
-                    if len(set(negs)) == len(negs):
-                        np.subtract(W, step, out=W)
-                        out[idx] = W
-                    else:  # a repeated negative must accumulate its updates
-                        np.subtract.at(out, idx, step)
-                    if crows is not None:
-                        # repeated n-gram rows must accumulate their share
-                        np.subtract.at(inp, crows, (alpha / len(crows)) * gu)
-                    else:
-                        np.multiply(gu, alpha, out=gu)
-                        np.subtract(h, gu, out=h)
+            signed = []  # each sub-batch's signed scores; the loss is taken once per block
+            for d in offsets:
+                lo = max(b0, -d)
+                hi = min(b1, n - d)
+                if lo >= hi:
+                    continue
+                same = sid[lo:hi] == sid[lo + d : hi + d]
+                c = toks[lo:hi][same]
+                P = len(c)
+                if not P:
+                    continue
+                idx = np.empty((P, full), dtype=np.intp)
+                idx[:, 0] = x = toks[lo + d : hi + d][same]
+                idx[:, 1:] = take(P * negatives).reshape(P, negatives)
+                skip = idx == x[:, None]
+                skip[:, 0] = False
+                if pair_log is not None:
+                    pair_log.extend((tokens[i], tokens[j]) for i, j in zip(c.tolist(), x.tolist()))
+                if rows is None:
+                    crows = c
+                    h = inp[c]
+                else:
+                    clen = row_len[c]
+                    first = np.cumsum(clen) - clen
+                    pos = np.repeat(row_start[c] - first, clen) + np.arange(int(clen.sum()))
+                    crows = row_flat[pos]
+                    h = np.add.reduceat(inp[crows], first) / clen[:, None]
+                W = out[idx]
+                sc, g, gu = _pair_step(h, W, skip)
+                signed.append(sc)
+                np.multiply(g, alpha, out=g)
+                # repeated rows (a negative drawn twice, a center or n-gram
+                # twice) must accumulate their steps
+                step = g[:, :, None] * h[:, None, :]
+                np.subtract.at(out_flat, (idx[:, :, None] * dim + cols).ravel(), step.ravel())
+                if rows is None:
+                    np.multiply(gu, alpha, out=gu)
+                else:
+                    gu = np.repeat(gu * (alpha / clen)[:, None], clen, axis=0)
+                np.subtract.at(inp, crows, gu)
+                ep_pairs += P
             if signed:
-                ep_loss += float(np.logaddexp(0.0, np.concatenate(signed)).sum())
-                ep_pairs += len(signed)
+                ep_loss += float(np.logaddexp(0.0, np.concatenate(signed, axis=None)).sum())
         summary = f"mean pair loss {ep_loss / ep_pairs:.6f}" if ep_pairs else "0 pairs"
         log.info("epoch %d/%d lr %.6f %s", epoch + 1, config.epochs, alpha, summary)
         if not math.isfinite(ep_loss):

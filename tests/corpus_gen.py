@@ -161,3 +161,61 @@ def _spaceless(text: str, seed: int) -> str:
         return spelling[word]
 
     return re.sub(r"[a-z']+", ideographs, text.lower()).replace(" ", "")
+
+
+def generate_classes(
+    target_bytes: int, seed: int = 1, spaceless: bool = False
+) -> tuple[str, dict[str, int], dict[str, str]]:
+    """Text with planted word classes: (text, word -> class, word -> spelling).
+
+    16 classes of 25 distinct random lowercase words (3-8 letters). Each
+    class has 3 successor classes. A sentence of 6-14 words walks the class
+    chain: the next word's class is one of the current class's successors
+    with probability 0.85 and any class otherwise, and a word is drawn from
+    its class by a Zipf law. Words of one class share their contexts, so
+    good embeddings put them near each other.
+
+    Lines are sentences, as in generate(), and the English text holds about
+    target_bytes UTF-8 bytes. spaceless=True writes the same sentences with
+    each word spelled as its 1-3 IDEOGRAPHS and no spaces, and returns the
+    word -> spelling map (distinct spellings); it is empty otherwise. The
+    same (target_bytes, seed) always gives the same result.
+    """
+    rng = random.Random(seed)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    n_classes, per_class = 16, 25
+    words: list[str] = []
+    while len(words) < n_classes * per_class:
+        w = "".join(rng.choices(letters, k=rng.randint(3, 8)))
+        if w not in words:
+            words.append(w)
+    members = [words[k * per_class : (k + 1) * per_class] for k in range(n_classes)]
+    successors = [rng.sample(range(n_classes), 3) for _ in range(n_classes)]
+    zipf = [1.0 / (r + 1) for r in range(per_class)]
+    spellings: dict[str, str] = {}
+    taken: set[str] = set()
+    for w in words:
+        s = "".join(rng.choices(IDEOGRAPHS, k=rng.randint(1, 3)))
+        while s in taken:
+            s = "".join(rng.choices(IDEOGRAPHS, k=rng.randint(1, 3)))
+        taken.add(s)
+        spellings[w] = s
+
+    lines: list[list[str]] = []
+    size = 0
+    cls = rng.randrange(n_classes)
+    while size < target_bytes:
+        sentence = []
+        for _ in range(rng.randint(6, 14)):
+            if rng.random() < 0.85:
+                cls = rng.choice(successors[cls])
+            else:
+                cls = rng.randrange(n_classes)
+            sentence.append(rng.choices(members[cls], weights=zipf)[0])
+        lines.append(sentence)
+        size += sum(map(len, sentence)) + len(sentence)
+    word_class = {w: k for k, ws in enumerate(members) for w in ws}
+    if not spaceless:
+        return "".join(" ".join(s) + "\n" for s in lines), word_class, {}
+    text = "".join("".join(spellings[w] for w in s) + "\n" for s in lines)
+    return text, word_class, spellings

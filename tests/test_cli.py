@@ -473,8 +473,11 @@ class TestEmbedEval:
     @pytest.mark.parametrize(
         "extra",
         # without subsampling the loss overflows first; with it (the default)
-        # the loss stays finite while the last updates overflow the vectors
-        [["--subsample", "0"], []],
+        # the loss stays finite while the last updates overflow the vectors.
+        # The default keeps a pair or two per run of this corpus, and they
+        # overflow only if a later sub-batch reads a row an earlier one
+        # stepped: at seed 3 they do, at the default seed 1 they do not.
+        [["--subsample", "0"], ["--seed", "3"]],
     )
     def test_diverging_training_writes_nothing(self, trained, tmp_path, capsys, extra):
         _, s = trained

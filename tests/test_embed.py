@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rgrams import embed
 from rgrams.embed import (
     WS_TOKEN,
     EmbedVocab,
@@ -168,25 +169,15 @@ class TestNegativeSampler:
         ]
         assert got == np.concatenate(blocks)[:20_000].tolist()
 
-    @pytest.mark.parametrize("n", [1, 5, 50])
-    def test_take_matches_per_draw_rejection(self, n):
-        # take() must return what n next() calls under the rejection rule
-        # give, from the same stream position, across several refills
+    @pytest.mark.parametrize("n", [1, 5, 50, 9000])
+    def test_take_equals_next_calls(self, n):
+        # 8192 draws per refill: every n crosses several refills, and 9000
+        # needs two within one take()
         counts = np.array([900, 30, 5, 60, 1], dtype=np.int64)
         fast = negative_draws(counts, np.random.default_rng(9))
         slow = negative_draws(counts, np.random.default_rng(9))
-        for k in range(1500):
-            avoid = k % 5
-            want = []
-            for _ in range(n):
-                cand = next(slow)
-                tries = 0
-                while cand == avoid and tries < 100:
-                    cand = next(slow)
-                    tries += 1
-                if cand != avoid:
-                    want.append(cand)
-            assert fast.take(n, avoid) == want
+        for _ in range(30_000 // n + 1):
+            assert fast.take(n).tolist() == [next(slow) for _ in range(n)]
         assert next(fast) == next(slow)
 
     def test_zero_counts_rejected(self):
@@ -243,6 +234,25 @@ class TestTraining:
         cfg = tiny_config(epochs=1, min_token_count=4, window=2)
         train_skipgram(sents, cfg, pair_log=log)
         assert all(c == "common" and x == "common" for c, x in log)
+
+    def test_long_segment_memory_is_bounded(self):
+        # One 100k-token segment at dim 64. Training holds a few arrays of
+        # the corpus's length (token ids, sentence numbers, subsampling
+        # draws: under 1 MB each), but a sub-batch holds at most 2 * _BLOCK
+        # pairs: the peak is about 3.2 MB. One block over the whole segment
+        # would gather 6 output rows for each of its ~110k pairs at once: a
+        # 280 MB peak.
+        rng = np.random.default_rng(0)
+        words = [a + b for a in "abcdefghij" for b in "vwxyz"]
+        seg = [words[k] for k in rng.integers(0, 50, 100_000)]
+        tracemalloc.start()
+        try:
+            cfg = tiny_config(dim=64, epochs=1, negatives=5, subsample_threshold=1e-3)
+            train_skipgram([seg], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
     def test_vector_lookup(self):
         m = train_skipgram(SENTS, tiny_config())
@@ -308,16 +318,45 @@ class TestTraining:
             tiny_config(**{field: value}).validate()
 
 
-def reference_train(sents, cfg):
-    """Literal per-pair SGNS: train_skipgram's vocabulary, random streams and
-    learning-rate schedule, with one pair_gradients call per (center,
-    context) pair and every row updated one at a time."""
+def kept_sentences(sents, cfg):
+    """(vocab, per epoch the kept sentences as token-id lists, and each one's
+    count of tokens processed by its end), drawn as train_skipgram draws
+    them: min-count filtering, then subsampling from the third SeedSequence
+    child, one uniform per filtered token."""
     normed = [[normalize_token(t) for t in sent] for sent in sents if sent]
     vocab = build_vocab(normed, cfg.min_token_count)
-    V = len(vocab)
     train_words = int(vocab.counts.sum())
     sentences = [ids for ids in ([vocab.index[t] for t in s if t in vocab] for s in normed) if ids]
-    init_ss, neg_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    sub_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed).spawn(3)[2]))
+    keep = None
+    if cfg.subsample_threshold > 0:
+        ratio = cfg.subsample_threshold / (vocab.counts / train_words)
+        keep = np.minimum(1.0, np.sqrt(ratio) + ratio)
+    epochs = []
+    for epoch in range(cfg.epochs):
+        processed = epoch * train_words
+        kept = []
+        for sent in sentences:
+            processed += len(sent)
+            if keep is not None:
+                u = sub_rng.random(len(sent))
+                sent = [t for t, r in zip(sent, u) if keep[t] > r]
+            kept.append((sent, processed))
+        epochs.append(kept)
+    return vocab, epochs
+
+
+def reference_train(sents, cfg):
+    """Literal per-pair form of train_skipgram's batched SGNS: its
+    vocabulary, random streams, blocks and learning-rate schedule. Within
+    each block and window offset, every (center, context) pair takes one
+    pair_gradients call on the rows as they stood when that offset's
+    sub-batch began, without the negatives that equal its context; then
+    each of its rows is updated one at a time."""
+    vocab, epochs = kept_sentences(sents, cfg)
+    V = len(vocab)
+    train_words = int(vocab.counts.sum())
+    init_ss, neg_ss, _ = np.random.SeedSequence(cfg.seed).spawn(3)
     rng = np.random.Generator(np.random.PCG64(init_ss))
     draws = negative_draws(vocab.counts, np.random.Generator(np.random.PCG64(neg_ss)))
     rows = None
@@ -336,36 +375,34 @@ def reference_train(sents, cfg):
                     rows[i].append(ngram_row[gram])
     inp = (rng.random((V + len(ngram_row), cfg.dim)) - 0.5) / cfg.dim
     out = np.zeros((V, cfg.dim))
-    keep = None
-    if cfg.subsample_threshold > 0:
-        ratio = cfg.subsample_threshold / (vocab.counts / train_words)
-        keep = np.minimum(1.0, np.sqrt(ratio) + ratio)
-    processed = 0
-    for _ in range(cfg.epochs):
-        for sent in sentences:
-            processed += len(sent)
-            frac = 1.0 - processed / (cfg.epochs * train_words + 1)
+    B = embed._BLOCK
+    offsets = [d for d in range(-cfg.window, cfg.window + 1) if d]
+    for kept in epochs:
+        # (token, sentence number, tokens processed by its sentence's end)
+        stream = [(t, s, done) for s, (sent, done) in enumerate(kept) for t in sent]
+        blocks = []
+        start = 0
+        for i in range(len(stream)):
+            size = i + 1 - start
+            last = i + 1 == len(stream)
+            sentence_end = last or stream[i + 1][1] != stream[i][1]
+            if (sentence_end and size >= B) or size == 2 * B or last:
+                blocks.append((start, i + 1))
+                start = i + 1
+        for b0, b1 in blocks:
+            frac = 1.0 - stream[b1 - 1][2] / (cfg.epochs * train_words + 1)
             alpha = max(cfg.initial_lr * frac, cfg.initial_lr * 1e-4)
-            if keep is not None:
-                u = rng.random(len(sent))
-                sent = [t for t, r in zip(sent, u) if keep[t] > r]
-            for i, c in enumerate(sent):
-                for j in range(max(0, i - cfg.window), min(len(sent), i + cfg.window + 1)):
-                    if j == i:
+            for d in offsets:
+                inp0, out0 = inp.copy(), out.copy()
+                for i in range(b0, b1):
+                    j = i + d
+                    if not 0 <= j < len(stream) or stream[j][1] != stream[i][1]:
                         continue
-                    ctx = sent[j]
-                    negs = []
-                    for _ in range(cfg.negatives):
-                        cand = next(draws)
-                        tries = 0
-                        while cand == ctx and tries < 100:
-                            cand = next(draws)
-                            tries += 1
-                        if cand != ctx:
-                            negs.append(cand)
+                    c, ctx = stream[i][0], stream[j][0]
+                    negs = [n for n in (next(draws) for _ in range(cfg.negatives)) if n != ctx]
                     crows = [c] if rows is None else rows[c]
-                    h = inp[crows].mean(axis=0)
-                    gu, gvp, gvn = pair_gradients(h, out[ctx], out[negs])
+                    h = inp0[crows].mean(axis=0)
+                    gu, gvp, gvn = pair_gradients(h, out0[ctx], out0[negs])
                     out[ctx] -= alpha * gvp
                     for n, gn in zip(negs, gvn):
                         out[n] -= alpha * gn
@@ -377,20 +414,18 @@ def reference_train(sents, cfg):
 class TestTrainingOracle:
     WORDS = [["the", "cat", "sat", "on", "the", "mat"], ["a", "cat", "ran"], ["the", "dog", "sat"]]
 
-    @pytest.mark.parametrize("subword", [None, (2, 4)], ids=["plain", "subword"])
-    @pytest.mark.parametrize("subsample", [0.0, 0.05], ids=["all", "subsampled"])
-    @pytest.mark.parametrize(
+    CASES = pytest.mark.parametrize(
         "sents, kw",
         [
             (WORDS * 4, dict(negatives=3, epochs=2)),
             # three tokens and eight negatives: every pair draws some negative
             # twice, so the output rows go through the accumulating update
             ([["x", "y", "z", "x", "y"]] * 3, dict(negatives=8, epochs=2)),
-            # one token: every negative equals the context and is rejected;
+            # one token: every negative equals the context and is skipped;
             # subsampling keeps each "a" with probability 0.27, and two
             # segments of eight keep some pair on all but about 1% of streams
             ([["a"] * 8] * 2, dict(negatives=2, epochs=2)),
-            # over 8192 negatives: pairs take their draws across a refill
+            # over 8192 negatives: sub-batches take their draws across a refill
             ([WORDS[0] + WORDS[2]] * 6, dict(negatives=50, epochs=2)),
             # "<abab>" has the 2-gram "ab" twice: with subwords its center
             # lists one input row twice, which must accumulate both shares
@@ -398,14 +433,62 @@ class TestTrainingOracle:
         ],
         ids=["words", "repeated-negatives", "one-token", "refill", "repeated-ngrams"],
     )
-    def test_matches_per_pair_reference(self, sents, kw, subsample, subword):
-        cfg = tiny_config(subsample_threshold=subsample, subword_ngrams=subword, **kw)
+
+    @staticmethod
+    def check(sents, cfg):
         vocab, inp, out = reference_train(sents, cfg)
         m = train_skipgram(sents, cfg)
         assert m.vocab.tokens == vocab.tokens
         assert np.abs(m.input - inp).max() <= 1e-12
         assert np.abs(m.output - out).max() <= 1e-12
         assert np.abs(m.output).max() > 0
+
+    @pytest.mark.parametrize("subword", [None, (2, 4)], ids=["plain", "subword"])
+    @pytest.mark.parametrize("subsample", [0.0, 0.05], ids=["all", "subsampled"])
+    @CASES
+    def test_matches_per_pair_reference(self, sents, kw, subsample, subword):
+        self.check(sents, tiny_config(subsample_threshold=subsample, subword_ngrams=subword, **kw))
+
+    @pytest.mark.parametrize("subword", [None, (2, 4)], ids=["plain", "subword"])
+    @pytest.mark.parametrize("subsample", [0.0, 0.05], ids=["all", "subsampled"])
+    @CASES
+    def test_short_blocks_match_reference(self, sents, kw, subsample, subword, monkeypatch):
+        # blocks of 3 split every corpus above into many blocks, and cut each
+        # nine-token "refill" segment after six tokens when a block starts at it
+        monkeypatch.setattr(embed, "_BLOCK", 3)
+        self.check(sents, tiny_config(subsample_threshold=subsample, subword_ngrams=subword, **kw))
+
+    def test_pairs_are_the_window_enumeration(self):
+        # 60-token segments keep 39 to 51 tokens each after subsampling, so
+        # each spans several blocks and is cut where a block would pass 32
+        rng = np.random.default_rng(4)
+        words = [a + b for a in "abcdef" for b in "vwxyz"]
+        p = 1.0 / np.arange(1, 31)
+        sents = [[words[k] for k in rng.choice(30, 60, p=p / p.sum())] for _ in range(20)]
+        cfg = tiny_config(subsample_threshold=0.02, window=3, epochs=2)
+        vocab, epochs = kept_sentences(sents, cfg)
+        want = []
+        for kept in epochs:
+            for ids, _ in kept:
+                s = [vocab.tokens[t] for t in ids]
+                for i, c in enumerate(s):
+                    for j in range(max(0, i - cfg.window), min(len(s), i + cfg.window + 1)):
+                        if j != i:
+                            want.append((c, s[j]))
+        lens = [len(ids) for kept in epochs for ids, _ in kept]
+        assert min(lens) > embed._BLOCK and max(lens) > 2 * embed._BLOCK and max(lens) < 60
+        got = []
+        train_skipgram(sents, cfg, pair_log=got)
+        assert sorted(got) == sorted(want)
+
+    def test_subsampling_ignores_the_input_table(self):
+        # subsampling has its own stream: the n-gram rows drawn for the input
+        # table do not change which tokens are kept
+        plain, sub = [], []
+        train_skipgram(self.WORDS * 4, tiny_config(subsample_threshold=0.05), pair_log=plain)
+        cfg = tiny_config(subsample_threshold=0.05, subword_ngrams=(2, 4))
+        train_skipgram(self.WORDS * 4, cfg, pair_log=sub)
+        assert plain and plain == sub
 
 
 class TestNonFinite:
