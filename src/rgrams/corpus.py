@@ -8,6 +8,7 @@ run of separators collapses into one boundary between segments.
 from __future__ import annotations
 
 import codecs
+import re
 from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -63,9 +64,12 @@ def normalize(text: str, options: NormalizationOptions = NormalizationOptions())
     return text
 
 
+_DIGIT = re.compile("[0-9]")
+
+
 def substitute_digits(text: str) -> str:
     """ASCII digits 0-9 become 'N'; everything else is untouched."""
-    return text.translate(_DIGITS_ONLY)
+    return _DIGIT.sub("N", text)
 
 
 class SymbolTable:
@@ -244,20 +248,30 @@ def read_text_chunks(path) -> Iterator[str]:
                 return
 
 
-def read_lines(src: str | TextIO) -> Iterator[tuple[int, str]]:
-    """Yield (lineno, line), numbered from 1, from a UTF-8 file path or a text
-    handle. Lines split on '\n' only; a missing final newline is accepted;
-    bad bytes in a file raise CorpusDecodeError with their offset."""
+def read_line_chunks(src: str | TextIO) -> Iterator[tuple[int, list[str]]]:
+    """Yield (first_lineno, lines): the complete lines of each _CHUNK read,
+    numbered from 1, from a UTF-8 file path or a text handle. Lines split
+    on '\n' only; a missing final newline is accepted; bad bytes in a file
+    raise CorpusDecodeError with their offset. Every line reader goes
+    through here."""
     chunks = iter(lambda: src.read(_CHUNK), "") if hasattr(src, "read") else read_text_chunks(src)
     n = 0
     buf = ""
     for chunk in chunks:
         parts = (buf + chunk).split("\n")
         buf = parts.pop()
-        yield from enumerate(parts, n + 1)
-        n += len(parts)
+        if parts:
+            yield n + 1, parts
+            n += len(parts)
     if buf:
-        yield n + 1, buf
+        yield n + 1, [buf]
+
+
+def read_lines(src: str | TextIO) -> Iterator[tuple[int, str]]:
+    """Yield (lineno, line), numbered from 1: read_line_chunks one line at a
+    time."""
+    for first, lines in read_line_chunks(src):
+        yield from enumerate(lines, first)
 
 
 def write_lines(dest: str | TextIO, lines: Iterable[str]) -> None:

@@ -17,6 +17,12 @@ context (Hogwild, Recht et al. 2011: SGD with stale reads converges when
 the updates in flight rarely share rows). A negative equal to its pair's
 context is skipped, as in word2vec.c. pair_loss and pair_gradients run
 the same step on a batch of one, so the finite-difference check covers it.
+What a run of _RUN blocks trains (pairs, negatives, skips, rates) is
+planned in a few vectorized calls before its sub-batches run (_plan).
+
+The corpus is read straight into one int array of token codes
+(_corpus_codes): each distinct line of a segmented file is unescaped and
+normalized once, and numpy counts, filters and numbers the rest.
 """
 
 from __future__ import annotations
@@ -24,18 +30,19 @@ from __future__ import annotations
 import logging
 import math
 import os
+import time
+from array import array
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
 from numbers import Real
-from typing import Iterable, Iterator, Sequence, TextIO, Union
+from typing import Callable, Iterable, Sequence, TextIO, Union
 
 import numpy as np
 
-from .corpus import read_lines, substitute_digits, write_lines
-from .errors import DomainError, ParameterError, VectorFileError, require_int
-from .grammar import escape_token, read_segmented, unescape_token
+from .corpus import read_line_chunks, read_lines, substitute_digits, write_lines
+from .errors import DomainError, ParameterError, SegmentedFileError, VectorFileError, require_int
+from .grammar import escape_token, unescape_token
 
 log = logging.getLogger(__name__)
 
@@ -107,33 +114,100 @@ def normalize_token(raw: str) -> str:
     return substitute_digits(t)
 
 
-class _Normalized(dict):
-    """raw token -> normalize_token(raw), computed on the first lookup."""
+class _TokenCodes(dict):
+    """raw token -> code of its normalized form, computed on the first lookup.
 
-    def __missing__(self, raw: str) -> str:
-        tok = self[raw] = normalize_token(raw)
-        return tok
+    norms maps each distinct normalized token to its code, numbered in order
+    of first appearance. With unescape, a raw token is a segmented-file line
+    and is unescaped first.
+    """
+
+    def __init__(self, unescape: Callable[[str], str] | None = None):
+        super().__init__()
+        self.norms: dict[str, int] = {}
+        self._unescape = unescape
+
+    def __missing__(self, raw: str) -> int:
+        norms = self.norms
+        tok = normalize_token(raw if self._unescape is None else self._unescape(raw))
+        code = self[raw] = norms.setdefault(tok, len(norms))
+        return code
 
 
-def _normalized_sentences(source: Corpus) -> list[list[str]]:
-    """The non-empty sentences of source, each token normalized; every
-    distinct raw token is normalized once."""
+def _corpus_codes(source: Corpus) -> tuple[np.ndarray, list[str]]:
+    """(codes, norms): the corpus as one int32 array of token codes with -1
+    after each sentence, and the distinct normalized tokens by code.
+
+    A file is read a chunk of lines at a time (read_line_chunks), and each
+    distinct line is unescaped and normalized once; a blank line ends a
+    sentence. A bad escape raises SegmentedFileError naming its line.
+    """
     if isinstance(source, (str, os.PathLike)) or hasattr(source, "read"):
-        source = read_segmented(source)  # type: ignore[arg-type]
-    norm = _Normalized().__getitem__
-    return [list(map(norm, sent)) for sent in source if sent]
+        codes = _TokenCodes(unescape_token)
+        codes[""] = -1
+        get = codes.__getitem__
+        parts = []
+        for first, lines in read_line_chunks(source):  # type: ignore[arg-type]
+            try:
+                parts.append(np.fromiter(map(get, lines), dtype=np.int32, count=len(lines)))
+            except ValueError as exc:
+                # only successes become keys: the bad line is the first that is not one
+                k = next(k for k, raw in enumerate(lines) if raw not in codes)
+                raise SegmentedFileError(first + k, str(exc)) from None
+        flat = np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
+    else:
+        codes = _TokenCodes()
+        get = codes.__getitem__
+        buf = array("i")
+        for sent in source:
+            buf.extend(map(get, sent))
+            buf.append(-1)
+        flat = np.frombuffer(buf, dtype=np.int32)
+    return flat, list(codes.norms)
+
+
+def _vocab(
+    codes: np.ndarray, norms: list[str], min_token_count: int
+) -> tuple[EmbedVocab, np.ndarray]:
+    """(vocab, remap): the tokens counted at least min_token_count times, by
+    (count desc, token asc), and remap[code] = the token's vocab id, -2 for a
+    dropped token; remap[-1] = -1, so remap[codes] keeps sentence ends."""
+    counts = np.bincount(codes + 1, minlength=len(norms) + 1)[1:].tolist()
+    kept = [i for i, c in enumerate(counts) if c >= min_token_count]
+    kept.sort(key=lambda i: (-counts[i], norms[i]))
+    remap = np.full(len(norms) + 1, -2, dtype=np.int32)
+    remap[kept] = np.arange(len(kept), dtype=np.int32)
+    remap[-1] = -1
+    return EmbedVocab([norms[i] for i in kept], [counts[i] for i in kept]), remap
 
 
 def build_vocab(source: Corpus, min_token_count: int = 1) -> EmbedVocab:
     """Count normalized tokens of a segmented corpus and index the keepers."""
-    return _vocab(_normalized_sentences(source), min_token_count)
+    return _vocab(*_corpus_codes(source), min_token_count)[0]
 
 
-def _vocab(sentences: list[list[str]], min_token_count: int) -> EmbedVocab:
-    counts = Counter(chain.from_iterable(sentences))
-    kept = [(t, c) for t, c in counts.items() if c >= min_token_count]
-    kept.sort(key=lambda tc: (-tc[1], tc[0]))
-    return EmbedVocab([t for t, _ in kept], [c for _, c in kept])
+def _corpus_ids(source: Corpus, min_token_count: int) -> tuple[EmbedVocab, np.ndarray, np.ndarray]:
+    """(vocab, ids, sid): the kept tokens in corpus order as vocab ids
+    (intp), and each one's sentence number (int32), counting only the
+    sentences that keep a token."""
+    codes, norms = _corpus_codes(source)
+    vocab, remap = _vocab(codes, norms, min_token_count)
+    ids = remap[codes]
+    del codes
+    sent = np.cumsum(ids == -1, dtype=np.int32)
+    keep = ids >= 0
+    sid = sent[keep]
+    del sent
+    ids = ids[keep].astype(np.intp)
+    del keep
+    if len(sid):
+        # renumber: a sentence that lost all its tokens leaves no gap
+        new = np.empty(len(sid), dtype=bool)
+        new[0] = True
+        np.not_equal(sid[1:], sid[:-1], out=new[1:])
+        sid = np.cumsum(new, dtype=np.int32)
+        sid -= 1
+    return vocab, ids, sid
 
 
 def subword_rows(vocab: EmbedVocab, ngrams: tuple[int, int]) -> tuple[list[np.ndarray], int]:
@@ -331,22 +405,88 @@ def pair_gradients(
 # training with the same streams) held-out loss rose by at most 0.44% at
 # 16, 0.62% at 32 and 0.77% at 64.
 _BLOCK = 16
+# The sub-batches of _RUN blocks at a time are planned together (_plan). A
+# run holds at most 2 * _BLOCK * _RUN tokens, and its plan a few arrays of
+# 1 + negatives entries per pair. The run size changes no result; on the
+# benchmark's embed workload 32 to 128 blocks train equally fast, and 32
+# raises the peak of one 100k-token segment at dim 64 from 3.2 to 3.5 MB.
+_RUN = 32
 
 
-def _blocks(sid: np.ndarray) -> Iterator[tuple[int, int]]:
-    """(start, stop) of each block over kept tokens whose sentence numbers,
-    in order, are sid."""
+def _block_bounds(sid: np.ndarray) -> list[int]:
+    """Start of each block over kept tokens whose sentence numbers, in order,
+    are sid, then len(sid)."""
     n = len(sid)
     ends = (np.flatnonzero(sid[1:] != sid[:-1]) + 1).tolist()
     ends.append(n)
+    bounds = [0]
     b0 = 0
     while b0 < n:
         if b0 + _BLOCK >= n:
-            b1 = n
+            b0 = n
         else:
-            b1 = min(ends[bisect_left(ends, b0 + _BLOCK)], b0 + 2 * _BLOCK)
-        yield b0, b1
-        b0 = b1
+            b0 = min(ends[bisect_left(ends, b0 + _BLOCK)], b0 + 2 * _BLOCK)
+        bounds.append(b0)
+    return bounds
+
+
+def _plan(
+    toks: np.ndarray,
+    sid: np.ndarray,
+    bounds: list[int],
+    offsets: list[int],
+    take: Callable[[int], np.ndarray],
+    negatives: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, int, int, bool]], list[int]] | None:
+    """The pairs of the run of blocks bounds[0]:bounds[1], ...,
+    bounds[-2]:bounds[-1] over the kept tokens toks (sentence numbers sid),
+    in training order: block by block, in a block by window offset, then by
+    center. None if the run has no pair, else (c, idx, skip, subs, ends):
+
+    - c (P,) and idx (P, 1 + negatives): each pair's center, and its output
+      rows [context, negatives...], the negatives the next draws of take;
+    - skip: the negatives equal to their pair's context (column 0 is never
+      set);
+    - subs: per sub-batch (start, stop, block of the run, whether any of its
+      negatives is skipped);
+    - ends: the pair each block of the run ends at.
+    """
+    r0, r1 = bounds[0], bounds[-1]
+    n = len(toks)
+    nd = len(offsets)
+    same = np.zeros((nd, r1 - r0), dtype=bool)
+    for k, d in enumerate(offsets):
+        lo, hi = max(r0, -d), min(r1, n - d)
+        if lo < hi:
+            np.equal(sid[lo:hi], sid[lo + d : hi + d], out=same[k, lo - r0 : hi - r0])
+    k, i = np.nonzero(same)  # by offset, then center
+    P = len(i)
+    if not P:
+        return None
+    # each pair's sub-batch, numbered in training order
+    key = np.repeat(np.arange(len(bounds) - 1) * nd, np.diff(bounds))[i] + k
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    i = i[order] + r0
+    c = toks[i]
+    idx = np.empty((P, 1 + negatives), dtype=np.intp)
+    idx[:, 0] = toks[i + np.array(offsets)[k[order]]]
+    idx[:, 1:] = take(P * negatives).reshape(P, negatives)
+    skip = idx == idx[:, :1]
+    skip[:, 0] = False
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(key)) + 1))
+    has_skip = np.logical_or.reduceat(skip.any(axis=1), starts)
+    stops = [*starts[1:].tolist(), P]
+    subs = list(zip(starts.tolist(), stops, (key[starts] // nd).tolist(), has_skip.tolist()))
+    ends = np.searchsorted(key, np.arange(1, len(bounds)) * nd).tolist()
+    return c, idx, skip, subs, ends
+
+
+def _overflowing_rows(m: np.ndarray) -> np.ndarray:
+    """Mask of the rows of m whose sum of squared components is not finite:
+    their norm overflows too, and unit_rows would turn them into zeros."""
+    with np.errstate(over="ignore"):
+        return ~np.isfinite((m * m).sum(axis=1))
 
 
 @np.errstate(over="ignore")
@@ -358,12 +498,15 @@ def train_skipgram(
     """Train embeddings; deterministic for a given (corpus, config).
 
     corpus is a segmented file (path or handle) or an iterable of token
-    lists; each distinct token is normalized once and the vocabulary is
-    counted from those. Tokens below min_token_count are dropped from
-    sentences before windowing; so are tokens removed by subsampling, whose
+    lists. A file is read a chunk of lines at a time, and each distinct line
+    is unescaped and normalized once; the corpus is then one int array of
+    token codes, from which numpy counts the vocabulary, drops tokens below
+    min_token_count and numbers the sentences, so memory is O(tokens) ints
+    and no string is held per token. A bad escape raises SegmentedFileError
+    naming its line. Tokens removed by subsampling are dropped too; their
     uniforms come from their own stream. With subwords, each token's input
-    rows are listed once (subword_rows), and the input table has one row per
-    token and per distinct n-gram.
+    rows are listed once (subword_rows), and the input table has one row
+    per token and per distinct n-gram.
 
     The kept tokens are walked in blocks of whole sentences (_BLOCK), and
     each window offset d is one sub-batch: every pair (i, i + d) whose
@@ -371,33 +514,29 @@ def train_skipgram(
     sub-batch is one _pair_step over rows read at its start, and each
     center position occurs in it once; its negatives are the next
     P * negatives draws of one negative_draws stream, and a negative equal
-    to its pair's context is skipped, as word2vec.c does. Repeated rows
-    accumulate their steps (np.subtract.at). With subwords a center's
-    hidden vector is the mean of its rows and each row takes an equal share
-    of its gradient. The learning rate decays linearly per block. pair_log,
-    if given, collects every (center, context) token pair trained on.
-    DomainError when an epoch's loss is not finite or when the whole run
-    trains no pair, which would leave the vectors untrained.
+    to its pair's context is skipped, as word2vec.c does. The pairs,
+    negatives and skips of _RUN blocks at a time are planned in a few
+    vectorized calls (_plan); the loop over their sub-batches then only
+    gathers rows, steps and scatters. Repeated rows accumulate their steps
+    (np.subtract.at). With subwords a center's hidden vector is the mean of
+    its rows and each row takes an equal share of its gradient. The
+    learning rate decays linearly per block. pair_log, if given, collects
+    every (center, context) token pair trained on. Each epoch logs its
+    rate, pairs, pairs/s and mean pair loss. DomainError when an epoch's
+    loss is not finite, when a row of either table has a squared norm that
+    overflows after an epoch, or when the whole run trains no pair, which
+    would leave the vectors untrained.
     """
     config.validate()
-    sents_raw = _normalized_sentences(corpus)
-    vocab = _vocab(sents_raw, config.min_token_count)
+    vocab, flat, sent_of = _corpus_ids(corpus, config.min_token_count)
     V = len(vocab)
     if V == 0:
         raise DomainError("empty vocabulary")
 
     # every kept token occurs in the corpus, so train_words > 0
-    train_words = int(vocab.counts.sum())
-    index = vocab.index
-    kept = [ids for ids in ([index[t] for t in sent if t in index] for sent in sents_raw) if ids]
-    del sents_raw
-    lens = list(map(len, kept))
-    # the corpus as one array of token ids, each with its sentence number
-    flat = np.fromiter(chain.from_iterable(kept), dtype=np.intp, count=sum(lens))
-    del kept
-    sent_of = np.repeat(np.arange(len(lens)), lens)
+    train_words = len(flat)
     # tokens processed by the end of each sentence, for the rate schedule
-    done = np.cumsum(lens)
+    done = np.append(np.flatnonzero(np.diff(sent_of)) + 1, train_words)
 
     ss = np.random.SeedSequence(config.seed)
     init_ss, neg_ss, sub_ss = ss.spawn(3)
@@ -412,7 +551,8 @@ def train_skipgram(
     out = np.zeros((V, dim), dtype=np.float64)
     # training updates inp and out in place
     matrix = EmbeddingMatrix(inp, out, vocab, rows)
-    # ufunc.at is fastest on a 1-D array: output steps go through out's flat view
+    # ufunc.at is fastest on a 1-D array: steps go through the flat views
+    inp_flat = inp.reshape(-1)
     out_flat = out.reshape(-1)
     cols = np.arange(dim)
     if rows is not None:
@@ -440,65 +580,83 @@ def train_skipgram(
     alpha = lr0
 
     for epoch in range(config.epochs):
+        clock = time.perf_counter()
         if keep_prob is None:
             toks, sid = flat, sent_of
         else:
             keep = keep_prob[flat] > sub_rng.random(len(flat))
             toks, sid = flat[keep], sent_of[keep]
-        n = len(toks)
+        bounds = _block_bounds(sid)
+        # each block's rate, by the tokens processed at its last sentence's end
+        last = done[sid[np.array(bounds[1:], dtype=np.intp) - 1]]
+        rates = np.maximum(lr0 * (1.0 - (epoch * train_words + last) / denom), lr_floor).tolist()
+        if rates:
+            alpha = rates[-1]
         ep_loss = 0.0
         ep_pairs = 0
-        for b0, b1 in _blocks(sid):
-            alpha = lr0 * (1.0 - (epoch * train_words + int(done[sid[b1 - 1]])) / denom)
-            if alpha < lr_floor:
-                alpha = lr_floor
-            signed = []  # each sub-batch's signed scores; the loss is taken once per block
-            for d in offsets:
-                lo = max(b0, -d)
-                hi = min(b1, n - d)
-                if lo >= hi:
-                    continue
-                same = sid[lo:hi] == sid[lo + d : hi + d]
-                c = toks[lo:hi][same]
-                P = len(c)
-                if not P:
-                    continue
-                idx = np.empty((P, full), dtype=np.intp)
-                idx[:, 0] = x = toks[lo + d : hi + d][same]
-                idx[:, 1:] = take(P * negatives).reshape(P, negatives)
-                skip = idx == x[:, None]
-                skip[:, 0] = False
-                if pair_log is not None:
-                    pair_log.extend((tokens[i], tokens[j]) for i, j in zip(c.tolist(), x.tolist()))
-                if rows is None:
-                    crows = c
-                    h = inp[c]
-                else:
-                    clen = row_len[c]
-                    first = np.cumsum(clen) - clen
-                    pos = np.repeat(row_start[c] - first, clen) + np.arange(int(clen.sum()))
-                    crows = row_flat[pos]
-                    h = np.add.reduceat(inp[crows], first) / clen[:, None]
-                W = out[idx]
-                sc, g, gu = _pair_step(h, W, skip)
+        for r in range(0, len(bounds) - 1, _RUN):
+            plan = _plan(toks, sid, bounds[r : r + _RUN + 1], offsets, take, negatives)
+            if plan is None:
+                continue
+            c, idx, skip, subs, ends = plan
+            if pair_log is not None:
+                ctx = idx[:, 0].tolist()
+                pair_log.extend(zip([tokens[i] for i in c.tolist()], [tokens[j] for j in ctx]))
+            # each pair's center rows, in pair order: pair p's are
+            # crow[rbound[p] : rbound[p + 1]]
+            if rows is None:
+                crow, rbound = c, range(len(c) + 1)
+            else:
+                clen = row_len[c]
+                rend = np.cumsum(clen)
+                rfirst = rend - clen
+                crow = row_flat[np.repeat(row_start[c] - rfirst, clen) + np.arange(int(rend[-1]))]
+                rbound = rfirst.tolist()
+                rbound.append(int(rend[-1]))
+            # flat positions of the rows' first components, for the scatters
+            crow_at = crow * dim
+            idx_at = idx * dim
+            signed = []  # each sub-batch's signed scores, for the loss
+            for s0, s1, b, has_skip in subs:
+                a = rates[r + b]
+                ix = idx[s0:s1]
+                q0, q1 = rbound[s0], rbound[s1]
+                h = inp.take(crow[q0:q1], axis=0)
+                if rows is not None:
+                    cl = clen[s0:s1]
+                    h = np.add.reduceat(h, rfirst[s0:s1] - q0) / cl[:, None]
+                sc, g, gu = _pair_step(h, out.take(ix, axis=0), skip[s0:s1] if has_skip else None)
                 signed.append(sc)
-                np.multiply(g, alpha, out=g)
+                np.multiply(g, a, out=g)
                 # repeated rows (a negative drawn twice, a center or n-gram
                 # twice) must accumulate their steps
                 step = g[:, :, None] * h[:, None, :]
-                np.subtract.at(out_flat, (idx[:, :, None] * dim + cols).ravel(), step.ravel())
+                np.subtract.at(out_flat, (idx_at[s0:s1, :, None] + cols).ravel(), step.ravel())
                 if rows is None:
-                    np.multiply(gu, alpha, out=gu)
+                    np.multiply(gu, a, out=gu)
                 else:
-                    gu = np.repeat(gu * (alpha / clen)[:, None], clen, axis=0)
-                np.subtract.at(inp, crows, gu)
-                ep_pairs += P
-            if signed:
-                ep_loss += float(np.logaddexp(0.0, np.concatenate(signed, axis=None)).sum())
-        summary = f"mean pair loss {ep_loss / ep_pairs:.6f}" if ep_pairs else "0 pairs"
+                    gu = np.repeat(gu * (a / cl)[:, None], cl, axis=0)
+                np.subtract.at(inp_flat, (crow_at[q0:q1, None] + cols).ravel(), gu.ravel())
+            # the loss is summed per block, over the block's scores in order
+            loss = np.logaddexp(0.0, np.concatenate(signed, axis=None))
+            p0 = 0
+            for p1 in ends:
+                if p0 < p1:
+                    ep_loss += float(loss[p0 * full : p1 * full].sum())
+                p0 = p1
+            ep_pairs += len(c)
+        if ep_pairs:
+            rate = ep_pairs / max(time.perf_counter() - clock, 1e-9)
+            summary = f"{ep_pairs} pairs {rate:.0f} pairs/s mean pair loss {ep_loss / ep_pairs:.6f}"
+        else:
+            summary = "0 pairs"
         log.info("epoch %d/%d lr %.6f %s", epoch + 1, config.epochs, alpha, summary)
         if not math.isfinite(ep_loss):
             raise DomainError(f"epoch {epoch + 1} loss is not finite; lower the learning rate")
+        if _overflowing_rows(inp).any() or _overflowing_rows(out).any():
+            raise DomainError(
+                f"epoch {epoch + 1}: a vector's squared norm is not finite; lower the learning rate"
+            )
         total_pairs += ep_pairs
     if not total_pairs:
         raise DomainError(
@@ -512,28 +670,37 @@ def train_skipgram(
 
 
 def export_vectors(m: EmbeddingMatrix | VectorSet, path: str) -> None:
-    """Text format: header '<count> <dim>', then token + 9-significant-digit
-    components per line; token escaped as in the segmented format. A token
-    with a newline, or a non-finite component, raises DomainError before
-    path is opened."""
+    """Text format: header '<count> <dim>', then per line the token and its
+    components, each formatted '%.9g' (9 significant digits), one '%'
+    format per row; token escaped as in the segmented format. A token with
+    a newline, or a non-finite component, raises DomainError before path is
+    opened."""
     vs = m.to_vectors() if isinstance(m, EmbeddingMatrix) else m
     if any("\n" in tok for tok in vs.tokens):
         raise DomainError("a token contains a newline; it cannot be written one per line")
     if not np.isfinite(vs.matrix).all():
         raise DomainError("vectors have non-finite components; nothing written")
-    fmt = "%.9g".__mod__
-    rows = (
-        escape_token(tok) + " " + " ".join(map(fmt, row))
-        for tok, row in zip(vs.tokens, vs.matrix.tolist())
-    )
-    write_lines(path, chain([f"{len(vs.tokens)} {vs.matrix.shape[1]}"], rows))
+    count, dim = vs.matrix.shape
+    fmt = "%s" + " %.9g" * dim
+    rows = (fmt % (escape_token(tok), *row) for tok, row in zip(vs.tokens, vs.matrix.tolist()))
+    write_lines(path, chain([f"{count} {dim}"], rows))
+
+
+# import_vectors converts the components of rows in batches of at least this
+# many fields. Each field is a string of about 60 bytes until then; on the
+# benchmark's vectors (1,800 rows of 16) batches of 4096 fields hold 0.8 MB at
+# the peak, against 2.2 MB for one batch over the whole file.
+_FIELDS = 1 << 12
 
 
 def import_vectors(path: str) -> VectorSet:
     """Read an export_vectors file; only blank lines may follow the declared
-    rows. A parse error, or a row whose sum of squared components overflows
-    (its norm would too), raises VectorFileError naming its 1-based line;
-    bad bytes raise CorpusDecodeError."""
+    rows. Rows are collected as text and their components converted in one
+    map(float, ...) per _FIELDS fields; finiteness is checked in numpy. A
+    parse error, or a row whose sum of squared components overflows (its
+    norm would too), raises VectorFileError naming its 1-based line, the
+    first such line when read top to bottom; bad bytes raise
+    CorpusDecodeError."""
     lines = read_lines(path)
     lineno, header = next(lines, (1, ""))
     parts = header.split()
@@ -546,40 +713,68 @@ def import_vectors(path: str) -> VectorSet:
     if count < 0 or dim < 1:
         raise VectorFileError(lineno, "invalid header values")
     tokens: list[str] = []
-    # rows grow as they are read: the header alone must not size an allocation
-    rows: list[list[float]] = []
     seen: set[str] = set()
-    for lineno, line in islice(lines, count):
-        cols = line.split(" ")
-        if len(cols) != dim + 1:
-            raise VectorFileError(lineno, f"expected {dim + 1} fields, got {len(cols)}")
+    # values grow as rows are read: the header alone must not size an allocation
+    values = array("d")
+    pending: list[str] = []  # the component text of rows not yet converted; row k is on line k + 2
+
+    def convert() -> None:
+        if not pending:
+            return
+        n = len(values)
         try:
-            tok = unescape_token(cols[0])
+            values.extend(map(float, " ".join(pending).split(" ")))
+        except ValueError:
+            del values[n:]
+            raise first_error(lineno, "malformed float") from None
+        pending.clear()
+
+    def first_error(line: int, reason: str) -> VectorFileError:
+        """The error a row-by-row reader meets first: a malformed or
+        non-finite component on a row read so far, else reason on line."""
+        done = np.array(values).reshape(-1, dim)
+        bad = ~np.isfinite(done).all(axis=1)
+        if bad.any():
+            return VectorFileError(int(bad.argmax()) + 2, "non-finite component")
+        for k, text in enumerate(pending, len(done) + 2):
+            try:
+                row = list(map(float, text.split(" ")))
+            except ValueError:
+                return VectorFileError(k, "malformed float")
+            if not all(map(math.isfinite, row)):
+                return VectorFileError(k, "non-finite component")
+        return VectorFileError(line, reason)
+
+    for lineno, line in islice(lines, count):
+        raw, _, text = line.partition(" ")
+        fields = line.count(" ") + 1
+        if fields != dim + 1:
+            raise first_error(lineno, f"expected {dim + 1} fields, got {fields}")
+        try:
+            tok = unescape_token(raw)
         except ValueError as exc:
-            raise VectorFileError(lineno, str(exc)) from None
+            raise first_error(lineno, str(exc)) from None
         if tok in seen:
-            raise VectorFileError(lineno, f"duplicate token {tok!r}")
+            raise first_error(lineno, f"duplicate token {tok!r}")
         seen.add(tok)
         tokens.append(tok)
-        try:
-            row = list(map(float, cols[1:]))
-        except ValueError:
-            raise VectorFileError(lineno, "malformed float") from None
-        if not all(map(math.isfinite, row)):
-            raise VectorFileError(lineno, "non-finite component")
-        rows.append(row)
-    if len(rows) < count:
-        raise VectorFileError(lineno + 1, "truncated file")
+        pending.append(text)
+        if len(pending) * dim >= _FIELDS:
+            convert()
+    convert()
+    if len(tokens) < count:
+        raise first_error(lineno + 1, "truncated file")
+    try:
+        matrix = np.frombuffer(values, dtype=np.float64).reshape(count, dim)
+    except ValueError:  # only an empty file can declare a dim numpy cannot shape
+        raise VectorFileError(1, "invalid header values") from None
+    if not np.isfinite(matrix).all():
+        raise first_error(lineno, "non-finite component")
     for lineno, line in lines:
         if line.strip():
             raise VectorFileError(lineno, "trailing content after declared rows")
-    try:
-        matrix = np.array(rows, dtype=np.float64).reshape(count, dim)
-    except ValueError:  # only an empty file can declare a dim numpy cannot shape
-        raise VectorFileError(1, "invalid header values") from None
     # unit_rows would turn such a row into zeros (every cosine 0), not a unit row
-    with np.errstate(over="ignore"):
-        overflows = ~np.isfinite((matrix * matrix).sum(axis=1))
+    overflows = _overflowing_rows(matrix)
     if overflows.any():  # row i is on line i + 2
         raise VectorFileError(int(overflows.argmax()) + 2, "squared norm overflows")
     return VectorSet(tokens, matrix)

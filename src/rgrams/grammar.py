@@ -570,6 +570,8 @@ def _unescape_one(m: re.Match[str]) -> str:
 
 def unescape_token(token: str) -> str:
     """Invert escape_token; ValueError on a dangling or unknown escape."""
+    if "\\" not in token:  # only '_' can need replacing
+        return token.replace("_", " ")
     return _ESCAPE.sub(_unescape_one, token)
 
 

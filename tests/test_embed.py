@@ -2,6 +2,7 @@ import io
 import logging
 import math
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from rgrams.embed import (
     subword_rows,
     train_skipgram,
 )
-from rgrams.errors import DomainError, ParameterError, VectorFileError
+from rgrams.errors import DomainError, ParameterError, SegmentedFileError, VectorFileError
+from rgrams.grammar import read_segmented
 
 SENTS = [
     ["the", "cat", "sat"],
@@ -90,6 +92,107 @@ class TestBuildVocab:
         assert build_vocab(p).tokens == build_vocab(str(p)).tokens
         m = train_skipgram(p, tiny_config(epochs=1))
         assert m.input.tobytes() == train_skipgram(str(p), tiny_config(epochs=1)).input.tobytes()
+
+
+# A segmented corpus with every case the reader must handle: escaped '_' and
+# '\', a space ('_'), digit tokens, an all-space token ('__' -> <ws>), runs of
+# blank lines (empty sentences), and no final newline. Repeated past one
+# read chunk (64 KiB), so lines and sentences straddle chunk ends.
+PREP_LINES = [
+    "new_york", "a\\_b", "back\\\\slash", "x\\\\\\_y", "", "born_1949", "7", "__", "",
+    "", "", "the", "new_york", "12", "_the_", "", "a\\_b", "the", "n\\\\",
+]
+
+
+def prep_text(repeats=1):
+    return "\n".join(PREP_LINES * repeats)
+
+
+def prep_sentences(text):
+    """The corpus as token lists, unescaped by hand."""
+    sents = [[]]
+    for line in text.split("\n"):
+        if line:
+            tok = line.replace("\\\\", "\0").replace("\\_", "\1").replace("_", " ")
+            sents[-1].append(tok.replace("\0", "\\").replace("\1", "_"))
+        else:
+            sents.append([])
+    return sents
+
+
+class TestCorpusPrep:
+    """A path, a text handle and token lists read to the same corpus."""
+
+    SOURCES = ["path", "handle", "lists"]
+
+    @pytest.fixture
+    def text(self):
+        text = prep_text(3000)
+        assert len(text) > 2 * 65536 and not text.endswith("\n")
+        return text
+
+    @staticmethod
+    def source(kind, text, tmp_path):
+        if kind == "path":
+            p = tmp_path / "c.seg"
+            p.write_text(text, encoding="utf-8")
+            return str(p)
+        if kind == "handle":
+            return io.StringIO(text)
+        return prep_sentences(text)
+
+    def test_hand_unescaping_matches_the_reader(self, text):
+        assert prep_sentences(text) == list(read_segmented(io.StringIO(text)))
+
+    # every token occurs at least 3000 times; those that occur once per
+    # repeat fall below 3001, and so does one whole sentence
+    @pytest.mark.parametrize("min_count", [1, 3001])
+    @pytest.mark.parametrize("kind", SOURCES)
+    def test_ids_match_a_per_token_reference(self, text, tmp_path, kind, min_count):
+        vocab, ids, sid = embed._corpus_ids(self.source(kind, text, tmp_path), min_count)
+        sents = [[normalize_token(t) for t in s] for s in prep_sentences(text)]
+        counts = {}
+        for s in sents:
+            for t in s:
+                counts[t] = counts.get(t, 0) + 1
+        kept = sorted((t for t in counts if counts[t] >= min_count), key=lambda t: (-counts[t], t))
+        assert vocab.tokens == kept and vocab.counts.tolist() == [counts[t] for t in kept]
+        once = {"born NNNN", "N", WS_TOKEN, "NN", "x\\_y", "back\\slash", "n\\"}
+        assert set(kept) == {"new york", "a_b", "the"} | (once if min_count == 1 else set())
+        want = [[vocab.index[t] for t in s if t in vocab] for s in sents]
+        want = [w for w in want if w]
+        assert ids.tolist() == [t for w in want for t in w]
+        assert sid.tolist() == [k for k, w in enumerate(want) for _ in w]
+
+    @pytest.mark.parametrize("kind", SOURCES[1:])
+    def test_same_vocabulary_and_vectors(self, text, tmp_path, kind):
+        cfg = tiny_config(epochs=1, subsample_threshold=0.05)
+        want_log, got_log = [], []
+        want = train_skipgram(self.source("path", text, tmp_path), cfg, pair_log=want_log)
+        got = train_skipgram(self.source(kind, text, tmp_path), cfg, pair_log=got_log)
+        assert got.vocab.tokens == want.vocab.tokens
+        assert got.vocab.counts.tolist() == want.vocab.counts.tolist()
+        assert build_vocab(self.source(kind, text, tmp_path)).tokens == want.vocab.tokens
+        assert got.input.tobytes() == want.input.tobytes()
+        assert got.output.tobytes() == want.output.tobytes()
+        assert got_log == want_log and want_log
+
+    @pytest.mark.parametrize("bad", ["a\\xb", "dangling\\"])
+    @pytest.mark.parametrize("kind", ["path", "handle"])
+    def test_bad_escape_names_its_line(self, text, tmp_path, kind, bad):
+        # the bad line sits past the first chunk, after many good lines
+        lines = text.split("\n")
+        k = len(lines) - 40
+        lines.insert(k - 1, bad)
+        broken = "\n".join(lines)
+        for read in (
+            lambda src: train_skipgram(src, tiny_config(epochs=1)),
+            lambda src: build_vocab(src),
+            lambda src: list(read_segmented(src)),
+        ):
+            with pytest.raises(SegmentedFileError) as info:
+                read(self.source(kind, broken, tmp_path))
+            assert info.value.line == k
 
 
 class TestLossAndGradients:
@@ -253,6 +356,43 @@ class TestTraining:
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20
+
+    def test_corpus_memory_is_bounded(self, tmp_path):
+        # about 200k tokens in 20k sentences, read from a segmented file. The
+        # corpus is held as int arrays, never as one string per token: the
+        # peak is 5.84 MB, against 6.84 MB when every sentence was a list of
+        # token strings. Strong subsampling keeps the traced loop short; the
+        # peak comes before it, in reading and subsampling the corpus.
+        rng = np.random.default_rng(0)
+        words = [a + b + c for a in "abcdefghij" for b in "klmnopqrst" for c in "uvwxyz"]
+        p = 1.0 / np.arange(1, len(words) + 1)
+        lens = rng.integers(2, 19, 20_000)
+        toks = iter(rng.choice(len(words), int(lens.sum()), p=p / p.sum()).tolist())
+        lines = []
+        for n in lens.tolist():
+            lines += [words[k] for k in islice(toks, n)]
+            lines.append("")
+        path = tmp_path / "c.seg"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        del lines
+        tracemalloc.start()
+        try:
+            cfg = tiny_config(epochs=1, window=1, negatives=1, subsample_threshold=1e-5)
+            train_skipgram(str(path), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.8 * 2**20
+
+    def test_epoch_line_reports_pairs_and_rate(self, caplog):
+        log = []
+        with caplog.at_level(logging.INFO, logger="rgrams.embed"):
+            train_skipgram(SENTS * 4, tiny_config(epochs=1), pair_log=log)
+        (line,) = [r.message for r in caplog.records if r.message.startswith("epoch ")]
+        fields = line.split(" ")
+        assert fields[:2] == ["epoch", "1/1"] and fields[4:6] == [str(len(log)), "pairs"]
+        assert float(fields[6]) > 0 and fields[7] == "pairs/s"
+        assert fields[8:11] == ["mean", "pair", "loss"] and len(fields) == 12
 
     def test_vector_lookup(self):
         m = train_skipgram(SENTS, tiny_config())
@@ -491,6 +631,42 @@ class TestTrainingOracle:
         assert plain and plain == sub
 
 
+class TestPlannedRuns:
+    """The run size (_RUN blocks planned at once) changes no result."""
+
+    @pytest.fixture(scope="class")
+    def sents(self):
+        # 400 Zipf sentences of 2-12 tokens, 2,781 tokens in all
+        rng = np.random.default_rng(11)
+        words = [a + b for a in "abcdefg" for b in "uvwxyz"]
+        p = 1.0 / np.arange(1, len(words) + 1)
+        return [
+            [words[k] for k in rng.choice(len(words), n, p=p / p.sum())]
+            for n in rng.integers(2, 13, 400)
+        ]
+
+    @staticmethod
+    def trained(sents, cfg):
+        log = []
+        m = train_skipgram(sents, cfg, pair_log=log)
+        return m.input.tobytes(), m.output.tobytes(), log
+
+    @pytest.mark.parametrize("run", [1, 10**9], ids=["one-block", "whole-epoch"])
+    @pytest.mark.parametrize("subword", [None, (2, 4)], ids=["plain", "subword"])
+    @pytest.mark.parametrize("subsample", [0.0, 0.01], ids=["all", "subsampled"])
+    def test_run_size_changes_nothing(self, sents, subsample, subword, run, monkeypatch):
+        cfg = tiny_config(subsample_threshold=subsample, subword_ngrams=subword, window=3)
+        _, flat, sid = embed._corpus_ids(sents, cfg.min_token_count)
+        # 141 blocks, about 100 after subsampling: the default plans more
+        # than one run per epoch
+        assert len(embed._block_bounds(sid)) - 1 > 2 * embed._RUN
+        want = self.trained(sents, cfg)
+        monkeypatch.setattr(embed, "_RUN", run)
+        got = self.trained(sents, cfg)
+        assert got[0] == want[0] and got[1] == want[1]
+        assert got[2] == want[2] and want[2]
+
+
 class TestNonFinite:
     @pytest.mark.parametrize(
         "bad",
@@ -705,3 +881,47 @@ class TestVectorFiles:
         # would need terabytes if the header sized an allocation up front
         e = self._attempt(tmp_path, "999999999999 100\na " + "0 " * 99 + "0\n")
         assert e.line == 3
+
+    def test_golden_bytes(self, tmp_path):
+        vs = VectorSet(
+            ["a b", "x_y", "back\\slash"],
+            np.array([[-0.0, 1e-05, 5e-324], [123456789.5, 1.0, -2.5], [0.1, 1e150, -1 / 3]]),
+        )
+        p = tmp_path / "v.vec"
+        export_vectors(vs, str(p))
+        assert p.read_bytes() == (
+            b"3 3\n"
+            b"a_b -0 1e-05 4.94065646e-324\n"
+            b"x\\_y 123456790 1 -2.5\n"
+            b"back\\\\slash 0.1 1e+150 -0.333333333\n"
+        )
+        back = import_vectors(str(p))
+        assert back.tokens == vs.tokens
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("c 1 x2", "malformed float"),
+            ("c 1 nan", "non-finite component"),
+            ("c 1 2 3", "expected 3 fields, got 4"),
+            ("c\\q 1 2", "bad escape"),
+            ("a 1 2", "duplicate token"),
+        ],
+        ids=["malformed", "non-finite", "field-count", "bad-escape", "duplicate"],
+    )
+    def test_error_on_row_3_names_line_4(self, tmp_path, row, reason):
+        # rows before and after the bad one are good; later rows never mask it
+        e = self._attempt(tmp_path, f"5 2\na 1 2\nb 3 4\n{row}\nd 5 6\ne 7 8\n")
+        assert e.line == 4 and reason in str(e)
+
+    def test_first_bad_line_wins_across_conversions(self, tmp_path, monkeypatch):
+        # components are converted a few rows at a time here; a non-finite
+        # row in an early batch still wins over a malformed one after it
+        monkeypatch.setattr(embed, "_FIELDS", 4)
+        body = "6 2\na 1 2\nb 3 4\nc inf 1\nd 5 6\ne x 1\nf 1 1\n"
+        e = self._attempt(tmp_path, body)
+        assert e.line == 4 and "non-finite" in str(e)
+        body = "6 2\na 1 2\nb 3 4\nc 1 1\nd 5 6\ne x 1\nf 1 1\n"
+        e = self._attempt(tmp_path, body)
+        assert e.line == 6 and "malformed" in str(e)
+
