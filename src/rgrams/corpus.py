@@ -8,7 +8,6 @@ run of separators collapses into one boundary between segments.
 from __future__ import annotations
 
 import codecs
-import re
 from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -64,12 +63,9 @@ def normalize(text: str, options: NormalizationOptions = NormalizationOptions())
     return text
 
 
-_DIGIT = re.compile("[0-9]")
-
-
 def substitute_digits(text: str) -> str:
     """ASCII digits 0-9 become 'N'; everything else is untouched."""
-    return _DIGIT.sub("N", text)
+    return text.translate(_DIGITS_ONLY)
 
 
 class SymbolTable:

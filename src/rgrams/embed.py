@@ -210,73 +210,48 @@ def _corpus_ids(source: Corpus, min_token_count: int) -> tuple[EmbedVocab, np.nd
     return vocab, ids, sid
 
 
-def subword_rows(vocab: EmbedVocab, ngrams: tuple[int, int]) -> tuple[list[np.ndarray], int]:
-    """(rows, size): each token's input rows, and the input table's row count.
+def subword_rows(vocab: EmbedVocab, ngrams: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """(flat, start): token i's input rows are flat[start[i] : start[i + 1]].
 
-    Token i's rows are its own row i, then one row per character n-gram of
-    '<token>' (boundary markers included), by n ascending, then position.
-    Each distinct n-gram has its own row, numbered V, V+1, ... in order of
-    first use over the vocabulary; a repeated n-gram repeats its row
-    (bag semantics). size is V plus the number of distinct n-grams.
+    They are its own row i, then one row per character n-gram of '<token>'
+    (boundary markers included), by n ascending, then position. Each
+    distinct n-gram has its own row, numbered V, V+1, ... in order of first
+    use over the vocabulary; a repeated n-gram repeats its row (bag
+    semantics). The input table has flat.max() + 1 rows.
     """
     lo, hi = ngrams
     V = len(vocab)
     row: dict[str, int] = {}  # n-gram -> its input row
-    rows = []
+    flat: list[int] = []
+    start = [0]
     for i, t in enumerate(vocab.tokens):
         w = "<" + t + ">"
         grams = [w[p : p + n] for n in range(lo, hi + 1) for p in range(len(w) - n + 1)]
-        rows.append(np.array([i] + [row.setdefault(g, V + len(row)) for g in grams]))
-    return rows, V + len(row)
+        flat.extend([i] + [row.setdefault(g, V + len(row)) for g in grams])
+        start.append(len(flat))
+    return np.array(flat, dtype=np.intp), np.array(start, dtype=np.intp)
 
 
-def negative_draws(counts: np.ndarray, rng: np.random.Generator) -> "NegativeDraws":
-    """Endless token indices drawn with probability proportional to count^0.75."""
+def negative_draws(counts: np.ndarray, rng: np.random.Generator) -> Callable[[int], np.ndarray]:
+    """take(n): the next n token indices, token i drawn with weight
+    counts[i] ** 0.75: blocks of 8192 uniforms searchsorted into the cumsum."""
     w = np.asarray(counts, dtype=np.float64) ** 0.75
     if w.sum() <= 0:
         raise DomainError("negative sampler needs positive counts")
-    return NegativeDraws(np.cumsum(w), rng)
+    cum = np.cumsum(w)
+    block = np.empty(0, dtype=np.intp)  # drawn, and taken up to pos
+    pos = 0
 
+    def take(n: int) -> np.ndarray:
+        nonlocal block, pos
+        while pos + n > len(block):
+            fresh = np.searchsorted(cum, rng.random(8192) * cum[-1], side="right")
+            block = np.concatenate([block[pos:], fresh])
+            pos = 0
+        pos += n
+        return block[pos - n : pos]
 
-class NegativeDraws:
-    """The negative-sample stream: blocks of 8192 uniforms, each mapped
-    through the cumulative weights by searchsorted.
-
-    next() takes one draw and take(n) the next n. Both read the same
-    stream, so mixing them never skips or repeats a draw.
-    """
-
-    __slots__ = ("_cum", "_rng", "_block", "_pos")
-
-    def __init__(self, cum: np.ndarray, rng: np.random.Generator):
-        self._cum = cum
-        self._rng = rng
-        self._block = np.empty(0, dtype=np.intp)
-        self._pos = 0
-
-    def _refill(self) -> None:
-        """Append the next block to the draws not yet taken."""
-        cum = self._cum
-        fresh = np.searchsorted(cum, self._rng.random(8192) * cum[-1], side="right")
-        self._block = np.concatenate([self._block[self._pos :], fresh])
-        self._pos = 0
-
-    def __iter__(self) -> "NegativeDraws":
-        return self
-
-    def __next__(self) -> int:
-        if self._pos == len(self._block):
-            self._refill()
-        self._pos += 1
-        return int(self._block[self._pos - 1])
-
-    def take(self, n: int) -> np.ndarray:
-        """The next n draws."""
-        while self._pos + n > len(self._block):
-            self._refill()
-        p = self._pos
-        self._pos = p + n
-        return self._block[p : p + n]
+    return take
 
 
 @dataclass
@@ -284,14 +259,14 @@ class EmbeddingMatrix:
     """input rows: vocab, then one per distinct subword n-gram; output rows:
     vocab only.
 
-    rows[i] lists the input rows whose mean is token i's vector (subword_rows);
-    rows is None without subwords, when that vector is input row i.
+    token i's vector is the mean of input rows flat[start[i] : start[i + 1]]
+    of rows = (flat, start) (subword_rows), or input row i if rows is None.
     """
 
     input: np.ndarray
     output: np.ndarray
     vocab: EmbedVocab
-    rows: list[np.ndarray] | None = None
+    rows: tuple[np.ndarray, np.ndarray] | None = None
 
     def vector(self, token: str) -> np.ndarray | None:
         i = self.vocab.index.get(token)
@@ -299,13 +274,14 @@ class EmbeddingMatrix:
             return None
         if self.rows is None:
             return self.input[i].copy()
-        return self.input[self.rows[i]].mean(axis=0)
+        flat, start = self.rows
+        return self.input[flat[start[i] : start[i + 1]]].mean(axis=0)
 
     def to_vectors(self) -> "VectorSet":
         if self.rows is None:
             m = self.input[: len(self.vocab)].copy()
         else:
-            m = np.array([self.input[rows].mean(axis=0) for rows in self.rows])
+            m = np.array([self.vector(t) for t in self.vocab.tokens])
         return VectorSet(list(self.vocab.tokens), m)
 
 
@@ -408,8 +384,9 @@ _BLOCK = 16
 # The sub-batches of _RUN blocks at a time are planned together (_plan). A
 # run holds at most 2 * _BLOCK * _RUN tokens, and its plan a few arrays of
 # 1 + negatives entries per pair. The run size changes no result; on the
-# benchmark's embed workload 32 to 128 blocks train equally fast, and 32
-# raises the peak of one 100k-token segment at dim 64 from 3.2 to 3.5 MB.
+# benchmark's embed workload 32 to 128 blocks train equally fast; the
+# tracemalloc peak of one 100k-token segment at dim 64 is 2.8 MB at 1 block,
+# 3.3 MB at 32 and 4.6 MB at 64.
 _RUN = 32
 
 
@@ -437,19 +414,18 @@ def _plan(
     offsets: list[int],
     take: Callable[[int], np.ndarray],
     negatives: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, int, int, bool]], list[int]] | None:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, int, int, bool]]] | None:
     """The pairs of the run of blocks bounds[0]:bounds[1], ...,
     bounds[-2]:bounds[-1] over the kept tokens toks (sentence numbers sid),
     in training order: block by block, in a block by window offset, then by
-    center. None if the run has no pair, else (c, idx, skip, subs, ends):
+    center. None if the run has no pair, else (c, idx, skip, subs):
 
     - c (P,) and idx (P, 1 + negatives): each pair's center, and its output
       rows [context, negatives...], the negatives the next draws of take;
     - skip: the negatives equal to their pair's context (column 0 is never
       set);
     - subs: per sub-batch (start, stop, block of the run, whether any of its
-      negatives is skipped);
-    - ends: the pair each block of the run ends at.
+      negatives is skipped).
     """
     r0, r1 = bounds[0], bounds[-1]
     n = len(toks)
@@ -478,8 +454,7 @@ def _plan(
     has_skip = np.logical_or.reduceat(skip.any(axis=1), starts)
     stops = [*starts[1:].tolist(), P]
     subs = list(zip(starts.tolist(), stops, (key[starts] // nd).tolist(), has_skip.tolist()))
-    ends = np.searchsorted(key, np.arange(1, len(bounds)) * nd).tolist()
-    return c, idx, skip, subs, ends
+    return c, idx, skip, subs
 
 
 def _overflowing_rows(m: np.ndarray) -> np.ndarray:
@@ -504,28 +479,29 @@ def train_skipgram(
     min_token_count and numbers the sentences, so memory is O(tokens) ints
     and no string is held per token. A bad escape raises SegmentedFileError
     naming its line. Tokens removed by subsampling are dropped too; their
-    uniforms come from their own stream. With subwords, each token's input
-    rows are listed once (subword_rows), and the input table has one row
-    per token and per distinct n-gram.
+    uniforms come from their own stream. With subwords, the input rows of
+    every token are listed once, in one (flat, start) table (subword_rows)
+    that training and the returned matrix share, and the input table has one
+    row per token and per distinct n-gram.
 
     The kept tokens are walked in blocks of whole sentences (_BLOCK), and
     each window offset d is one sub-batch: every pair (i, i + d) whose
     center i is in the block and whose context is in the same sentence. A
-    sub-batch is one _pair_step over rows read at its start, and each
-    center position occurs in it once; its negatives are the next
-    P * negatives draws of one negative_draws stream, and a negative equal
-    to its pair's context is skipped, as word2vec.c does. The pairs,
-    negatives and skips of _RUN blocks at a time are planned in a few
-    vectorized calls (_plan); the loop over their sub-batches then only
-    gathers rows, steps and scatters. Repeated rows accumulate their steps
-    (np.subtract.at). With subwords a center's hidden vector is the mean of
-    its rows and each row takes an equal share of its gradient. The
-    learning rate decays linearly per block. pair_log, if given, collects
-    every (center, context) token pair trained on. Each epoch logs its
-    rate, pairs, pairs/s and mean pair loss. DomainError when an epoch's
-    loss is not finite, when a row of either table has a squared norm that
-    overflows after an epoch, or when the whole run trains no pair, which
-    would leave the vectors untrained.
+    sub-batch is one _pair_step over rows read at its start, and each center
+    position occurs in it once; its negatives are the next P * negatives
+    draws of one negative_draws take function, and a negative equal to its
+    pair's context is skipped, as word2vec.c does. The pairs, negatives and
+    skips of _RUN blocks at a time are planned in a few vectorized calls
+    (_plan); the loop over their sub-batches then only gathers rows, steps
+    and scatters. Repeated rows accumulate their steps (np.subtract.at).
+    With subwords a center's hidden vector is the mean of its rows and each
+    row takes an equal share of its gradient. The learning rate decays
+    linearly per block. pair_log, if given, collects every (center, context)
+    token pair trained on. Each epoch logs its rate, pairs, pairs/s and mean
+    pair loss; the loss is one logaddexp sum per plan. DomainError when an
+    epoch's loss is not finite, when a row of either table has a squared
+    norm that overflows after an epoch, or when the whole run trains no
+    pair, which would leave the vectors untrained.
     """
     config.validate()
     vocab, flat, sent_of = _corpus_ids(corpus, config.min_token_count)
@@ -542,10 +518,11 @@ def train_skipgram(
     init_ss, neg_ss, sub_ss = ss.spawn(3)
     rng = np.random.Generator(np.random.PCG64(init_ss))
     sub_rng = np.random.Generator(np.random.PCG64(sub_ss))
-    take = negative_draws(vocab.counts, np.random.Generator(np.random.PCG64(neg_ss))).take
+    take = negative_draws(vocab.counts, np.random.Generator(np.random.PCG64(neg_ss)))
 
     ngrams = config.subword_ngrams
-    rows, size = (None, V) if ngrams is None else subword_rows(vocab, ngrams)
+    rows = None if ngrams is None else subword_rows(vocab, ngrams)
+    size = V if rows is None else int(rows[0].max()) + 1
     dim = config.dim
     inp = (rng.random((size, dim)) - 0.5) / dim
     out = np.zeros((V, dim), dtype=np.float64)
@@ -555,11 +532,6 @@ def train_skipgram(
     inp_flat = inp.reshape(-1)
     out_flat = out.reshape(-1)
     cols = np.arange(dim)
-    if rows is not None:
-        # token i's rows are row_flat[row_start[i] : row_start[i] + row_len[i]]
-        row_len = np.array(list(map(len, rows)))
-        row_start = np.cumsum(row_len) - row_len
-        row_flat = np.concatenate(rows)
 
     keep_prob: np.ndarray | None = None
     t = config.subsample_threshold
@@ -571,7 +543,6 @@ def train_skipgram(
     window = config.window
     offsets = [d for d in range(-window, window + 1) if d]
     negatives = config.negatives
-    full = 1 + negatives
     lr0 = config.initial_lr
     lr_floor = lr0 * 1e-4
     denom = config.epochs * train_words + 1
@@ -598,7 +569,7 @@ def train_skipgram(
             plan = _plan(toks, sid, bounds[r : r + _RUN + 1], offsets, take, negatives)
             if plan is None:
                 continue
-            c, idx, skip, subs, ends = plan
+            c, idx, skip, subs = plan
             if pair_log is not None:
                 ctx = idx[:, 0].tolist()
                 pair_log.extend(zip([tokens[i] for i in c.tolist()], [tokens[j] for j in ctx]))
@@ -607,12 +578,13 @@ def train_skipgram(
             if rows is None:
                 crow, rbound = c, range(len(c) + 1)
             else:
-                clen = row_len[c]
+                row_flat, row_start = rows
+                cfirst = row_start[c]
+                clen = row_start[c + 1] - cfirst
                 rend = np.cumsum(clen)
                 rfirst = rend - clen
-                crow = row_flat[np.repeat(row_start[c] - rfirst, clen) + np.arange(int(rend[-1]))]
-                rbound = rfirst.tolist()
-                rbound.append(int(rend[-1]))
+                crow = row_flat[np.repeat(cfirst - rfirst, clen) + np.arange(int(rend[-1]))]
+                rbound = [0, *rend.tolist()]
             # flat positions of the rows' first components, for the scatters
             crow_at = crow * dim
             idx_at = idx * dim
@@ -637,13 +609,7 @@ def train_skipgram(
                 else:
                     gu = np.repeat(gu * (a / cl)[:, None], cl, axis=0)
                 np.subtract.at(inp_flat, (crow_at[q0:q1, None] + cols).ravel(), gu.ravel())
-            # the loss is summed per block, over the block's scores in order
-            loss = np.logaddexp(0.0, np.concatenate(signed, axis=None))
-            p0 = 0
-            for p1 in ends:
-                if p0 < p1:
-                    ep_loss += float(loss[p0 * full : p1 * full].sum())
-                p0 = p1
+            ep_loss += float(np.logaddexp(0.0, np.concatenate(signed, axis=None)).sum())
             ep_pairs += len(c)
         if ep_pairs:
             rate = ep_pairs / max(time.perf_counter() - clock, 1e-9)
@@ -695,12 +661,12 @@ _FIELDS = 1 << 12
 
 def import_vectors(path: str) -> VectorSet:
     """Read an export_vectors file; only blank lines may follow the declared
-    rows. Rows are collected as text and their components converted in one
-    map(float, ...) per _FIELDS fields; finiteness is checked in numpy. A
-    parse error, or a row whose sum of squared components overflows (its
-    norm would too), raises VectorFileError naming its 1-based line, the
-    first such line when read top to bottom; bad bytes raise
-    CorpusDecodeError."""
+    rows. Rows are collected as text, and their components converted and
+    checked for finiteness one batch of _FIELDS fields at a time; a batch
+    that fails is scanned row by row. A parse error, or a row whose sum of
+    squared components overflows (its norm would too), raises
+    VectorFileError naming the first such 1-based line from the top; bad
+    bytes raise CorpusDecodeError."""
     lines = read_lines(path)
     lineno, header = next(lines, (1, ""))
     parts = header.split()
@@ -716,46 +682,43 @@ def import_vectors(path: str) -> VectorSet:
     seen: set[str] = set()
     # values grow as rows are read: the header alone must not size an allocation
     values = array("d")
-    pending: list[str] = []  # the component text of rows not yet converted; row k is on line k + 2
+    pending: list[str] = []  # the component text of rows not yet converted
 
+    # convert the pending rows, or raise the first malformed or non-finite
+    # one; row r is on line r + 2
     def convert() -> None:
         if not pending:
             return
         n = len(values)
         try:
             values.extend(map(float, " ".join(pending).split(" ")))
+            if np.isfinite(np.frombuffer(values)[n:]).all():
+                pending.clear()
+                return
         except ValueError:
-            del values[n:]
-            raise first_error(lineno, "malformed float") from None
-        pending.clear()
-
-    def first_error(line: int, reason: str) -> VectorFileError:
-        """The error a row-by-row reader meets first: a malformed or
-        non-finite component on a row read so far, else reason on line."""
-        done = np.array(values).reshape(-1, dim)
-        bad = ~np.isfinite(done).all(axis=1)
-        if bad.any():
-            return VectorFileError(int(bad.argmax()) + 2, "non-finite component")
-        for k, text in enumerate(pending, len(done) + 2):
+            pass
+        for k, text in enumerate(pending, n // dim + 2):
             try:
                 row = list(map(float, text.split(" ")))
             except ValueError:
-                return VectorFileError(k, "malformed float")
+                raise VectorFileError(k, "malformed float") from None
             if not all(map(math.isfinite, row)):
-                return VectorFileError(k, "non-finite component")
-        return VectorFileError(line, reason)
+                raise VectorFileError(k, "non-finite component")
 
     for lineno, line in islice(lines, count):
         raw, _, text = line.partition(" ")
         fields = line.count(" ") + 1
         if fields != dim + 1:
-            raise first_error(lineno, f"expected {dim + 1} fields, got {fields}")
+            convert()
+            raise VectorFileError(lineno, f"expected {dim + 1} fields, got {fields}")
         try:
             tok = unescape_token(raw)
         except ValueError as exc:
-            raise first_error(lineno, str(exc)) from None
+            convert()
+            raise VectorFileError(lineno, str(exc)) from None
         if tok in seen:
-            raise first_error(lineno, f"duplicate token {tok!r}")
+            convert()
+            raise VectorFileError(lineno, f"duplicate token {tok!r}")
         seen.add(tok)
         tokens.append(tok)
         pending.append(text)
@@ -763,13 +726,11 @@ def import_vectors(path: str) -> VectorSet:
             convert()
     convert()
     if len(tokens) < count:
-        raise first_error(lineno + 1, "truncated file")
+        raise VectorFileError(lineno + 1, "truncated file")
     try:
         matrix = np.frombuffer(values, dtype=np.float64).reshape(count, dim)
     except ValueError:  # only an empty file can declare a dim numpy cannot shape
         raise VectorFileError(1, "invalid header values") from None
-    if not np.isfinite(matrix).all():
-        raise first_error(lineno, "non-finite component")
     for lineno, line in lines:
         if line.strip():
             raise VectorFileError(lineno, "trailing content after declared rows")

@@ -1,7 +1,7 @@
 import io
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rgrams import corpus
 from rgrams.corpus import (
@@ -55,6 +55,14 @@ class TestNormalize:
     def test_no_uppercase_remains(self, s):
         out = normalize(s)
         assert all(c.lower() == c for c in out)
+
+    # non-ASCII digits (Arabic-Indic, Devanagari, Malayalam) are not digits
+    # to either: only 0-9 become 'N'
+    @given(st.text(max_size=200) | st.text(alphabet="a7N٣०൬ ", max_size=40))
+    @example("٣ ١٠ 42")
+    def test_substitute_digits_is_digits_only_normalize(self, s):
+        want = normalize(s, NormalizationOptions(lowercase=False, digits_to_N=True))
+        assert substitute_digits(s) == want
 
 
 class TestEncode:

@@ -1,14 +1,20 @@
 """The README's examples are tested: its Quick start commands parse with the
-real argument parser, every flag it names exists, and its library example
-runs."""
+real argument parser, every flag and every `Class.attr` it names exists, and
+its library example runs."""
 
 import argparse
+import ast
+import importlib
+import inspect
+import pkgutil
 import re
 import shlex
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import rgrams
 from rgrams.cli import build_parser
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -84,3 +90,44 @@ def test_readme_flags_are_parser_options():
     }
     assert "--vectors-out" in named
     assert named - _options(build_parser()) == set()
+
+
+_CLASS_ATTR = re.compile(r"(?<![\w.])([A-Z][a-z]\w*)\.([A-Za-z_]\w*)")
+
+
+def _classes() -> dict[str, type]:
+    """Every class defined in an rgrams submodule, by name."""
+    found = {}
+    for info in pkgutil.iter_modules(rgrams.__path__):
+        module = importlib.import_module(f"rgrams.{info.name}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                found[name] = obj
+    return found
+
+
+def _attributes(cls: type) -> set[str]:
+    """cls's class attributes and annotated fields, and every attribute its
+    methods assign on self."""
+    names = set(dir(cls)) | set(getattr(cls, "__annotations__", {}))
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(cls)))):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            names.add(node.attr)
+    return names
+
+
+def test_readme_class_attributes_exist():
+    named = {m for _, span in _CODE.findall(README) if span for m in _CLASS_ATTR.findall(span)}
+    assert ("VectorSet", "unit_rows") in named
+    classes = _classes()
+    missing = {
+        f"{cls}.{attr}"
+        for cls, attr in named
+        if cls not in classes or attr not in _attributes(classes[cls])
+    }
+    assert missing == set()

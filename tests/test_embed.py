@@ -249,22 +249,22 @@ class TestNegativeSampler:
     def test_distribution_matches_power_law(self):
         counts = np.array([1000, 500, 250, 100, 50, 25, 10, 5, 2, 1], dtype=np.int64)
         rng = np.random.default_rng(123)
-        s = negative_draws(counts, rng)
+        take = negative_draws(counts, rng)
         want = counts.astype(float) ** 0.75
         want /= want.sum()
         n = 1_000_000
-        got = np.bincount([next(s) for _ in range(n)], minlength=len(counts)) / n
+        got = np.bincount(take(n), minlength=len(counts)) / n
         assert np.all(np.abs(got - want) < 0.01)
 
     def test_single_token(self):
-        s = negative_draws(np.array([5]), np.random.default_rng(0))
-        assert next(s) == 0
+        take = negative_draws(np.array([5]), np.random.default_rng(0))
+        assert take(3).tolist() == [0, 0, 0]
 
     def test_matches_blockwise_searchsorted(self):
         # 8192 uniforms per refill; 20000 draws cross two refills
         counts = np.array([40, 7, 7, 300, 1, 12], dtype=np.int64)
-        s = negative_draws(counts, np.random.default_rng(5))
-        got = [next(s) for _ in range(20_000)]
+        take = negative_draws(counts, np.random.default_rng(5))
+        got = [int(take(1)[0]) for _ in range(20_000)]
         cum = np.cumsum(counts.astype(np.float64) ** 0.75)
         ref = np.random.default_rng(5)
         blocks = [
@@ -274,14 +274,15 @@ class TestNegativeSampler:
 
     @pytest.mark.parametrize("n", [1, 5, 50, 9000])
     def test_take_equals_next_calls(self, n):
-        # 8192 draws per refill: every n crosses several refills, and 9000
-        # needs two within one take()
+        # take(n) reads the stream that n calls of take(1) read. 8192 draws
+        # per refill: every n crosses several refills, and 9000 needs two
+        # within one take()
         counts = np.array([900, 30, 5, 60, 1], dtype=np.int64)
         fast = negative_draws(counts, np.random.default_rng(9))
         slow = negative_draws(counts, np.random.default_rng(9))
         for _ in range(30_000 // n + 1):
-            assert fast.take(n).tolist() == [next(slow) for _ in range(n)]
-        assert next(fast) == next(slow)
+            assert fast(n).tolist() == [int(slow(1)[0]) for _ in range(n)]
+        assert fast(1).tolist() == slow(1).tolist()
 
     def test_zero_counts_rejected(self):
         with pytest.raises(DomainError, match="positive counts"):
@@ -342,7 +343,7 @@ class TestTraining:
         # One 100k-token segment at dim 64. Training holds a few arrays of
         # the corpus's length (token ids, sentence numbers, subsampling
         # draws: under 1 MB each), but a sub-batch holds at most 2 * _BLOCK
-        # pairs: the peak is about 3.2 MB. One block over the whole segment
+        # pairs: the peak is about 3.3 MB. One block over the whole segment
         # would gather 6 output rows for each of its ~110k pairs at once: a
         # 280 MB peak.
         rng = np.random.default_rng(0)
@@ -498,7 +499,7 @@ def reference_train(sents, cfg):
     train_words = int(vocab.counts.sum())
     init_ss, neg_ss, _ = np.random.SeedSequence(cfg.seed).spawn(3)
     rng = np.random.Generator(np.random.PCG64(init_ss))
-    draws = negative_draws(vocab.counts, np.random.Generator(np.random.PCG64(neg_ss)))
+    take = negative_draws(vocab.counts, np.random.Generator(np.random.PCG64(neg_ss)))
     rows = None
     ngram_row: dict[str, int] = {}  # each distinct n-gram's input row, from V up
     if cfg.subword_ngrams is not None:
@@ -539,7 +540,7 @@ def reference_train(sents, cfg):
                     if not 0 <= j < len(stream) or stream[j][1] != stream[i][1]:
                         continue
                     c, ctx = stream[i][0], stream[j][0]
-                    negs = [n for n in (next(draws) for _ in range(cfg.negatives)) if n != ctx]
+                    negs = [n for n in take(cfg.negatives).tolist() if n != ctx]
                     crows = [c] if rows is None else rows[c]
                     h = inp0[crows].mean(axis=0)
                     gu, gvp, gvn = pair_gradients(h, out0[ctx], out0[negs])
@@ -646,25 +647,37 @@ class TestPlannedRuns:
         ]
 
     @staticmethod
-    def trained(sents, cfg):
+    def trained(sents, cfg, caplog):
+        """(input bytes, output bytes, pair_log, each epoch's logged mean
+        pair loss)."""
         log = []
-        m = train_skipgram(sents, cfg, pair_log=log)
-        return m.input.tobytes(), m.output.tobytes(), log
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="rgrams.embed"):
+            m = train_skipgram(sents, cfg, pair_log=log)
+        losses = [
+            float(r.message.rsplit(" ", 1)[-1])
+            for r in caplog.records
+            if "mean pair loss" in r.message
+        ]
+        return m.input.tobytes(), m.output.tobytes(), log, losses
 
     @pytest.mark.parametrize("run", [1, 10**9], ids=["one-block", "whole-epoch"])
     @pytest.mark.parametrize("subword", [None, (2, 4)], ids=["plain", "subword"])
     @pytest.mark.parametrize("subsample", [0.0, 0.01], ids=["all", "subsampled"])
-    def test_run_size_changes_nothing(self, sents, subsample, subword, run, monkeypatch):
+    def test_run_size_changes_nothing(self, sents, subsample, subword, run, monkeypatch, caplog):
         cfg = tiny_config(subsample_threshold=subsample, subword_ngrams=subword, window=3)
         _, flat, sid = embed._corpus_ids(sents, cfg.min_token_count)
         # 141 blocks, about 100 after subsampling: the default plans more
         # than one run per epoch
         assert len(embed._block_bounds(sid)) - 1 > 2 * embed._RUN
-        want = self.trained(sents, cfg)
+        want = self.trained(sents, cfg, caplog)
         monkeypatch.setattr(embed, "_RUN", run)
-        got = self.trained(sents, cfg)
+        got = self.trained(sents, cfg, caplog)
         assert got[0] == want[0] and got[1] == want[1]
         assert got[2] == want[2] and want[2]
+        # the loss is summed once per run, so only its rounding may differ
+        assert len(got[3]) == len(want[3]) == cfg.epochs
+        assert got[3] == pytest.approx(want[3], rel=1e-9, abs=0)
 
 
 class TestNonFinite:
@@ -702,10 +715,17 @@ class TestNonFinite:
         assert not path.exists()
 
 
+def row_lists(rows):
+    """A (flat, start) row table as one list of input rows per token."""
+    flat, start = rows
+    return [flat[a:b].tolist() for a, b in zip(start[:-1], start[1:])]
+
+
 def ngram_rows(tokens, ngrams):
-    """subword_rows over a vocabulary of tokens, in that order, as lists."""
-    rows, size = subword_rows(EmbedVocab(tokens, [1] * len(tokens)), ngrams)
-    return [r.tolist() for r in rows], size
+    """subword_rows over a vocabulary of tokens, in that order, as lists,
+    and the input table's row count."""
+    rows = subword_rows(EmbedVocab(tokens, [1] * len(tokens)), ngrams)
+    return row_lists(rows), int(rows[0].max()) + 1
 
 
 class TestSubword:
@@ -736,7 +756,7 @@ class TestSubword:
         v = m.vector("cat")
         assert v is not None
         # composed vector is the mean of word row + ngram rows
-        rows = m.rows[m.vocab.index["cat"]]
+        rows = row_lists(m.rows)[m.vocab.index["cat"]]
         manual = (m.input[rows]).mean(axis=0)
         assert np.allclose(v, manual)
 
@@ -749,7 +769,7 @@ class TestSubword:
         grams = {w[p : p + n] for w in marked for n in (3, 4) for p in range(len(w) - n + 1)}
         assert m.input.shape == (V + len(grams), 8)
         want, _ = ngram_rows(m.vocab.tokens, (3, 4))
-        assert [r.tolist() for r in m.rows] == want
+        assert row_lists(m.rows) == want
 
     def test_input_memory_fits_the_corpus(self):
         # a table of 2^21 hashed rows at dim 100 would take about 1.68 GB;
@@ -915,7 +935,7 @@ class TestVectorFiles:
         assert e.line == 4 and reason in str(e)
 
     def test_first_bad_line_wins_across_conversions(self, tmp_path, monkeypatch):
-        # components are converted a few rows at a time here; a non-finite
+        # components are converted two rows at a time here; a non-finite
         # row in an early batch still wins over a malformed one after it
         monkeypatch.setattr(embed, "_FIELDS", 4)
         body = "6 2\na 1 2\nb 3 4\nc inf 1\nd 5 6\ne x 1\nf 1 1\n"
@@ -924,4 +944,18 @@ class TestVectorFiles:
         body = "6 2\na 1 2\nb 3 4\nc 1 1\nd 5 6\ne x 1\nf 1 1\n"
         e = self._attempt(tmp_path, body)
         assert e.line == 6 and "malformed" in str(e)
+        # an error in a row's structure, or a missing row, on line 5 comes
+        # after a bad row on line 3 (its batch converted) or line 4 (pending)
+        structural = ["c 1 2 3\n", "c\\q 1 2\n", "a 5 6\n", ""]
+        for rows, line, reason in [
+            ("a 1 2\nb inf 4\nz 1 1\n", 3, "non-finite"),
+            ("a 1 2\nb 3 4\nz x 1\n", 4, "malformed"),
+        ]:
+            for bad in structural:
+                e = self._attempt(tmp_path, f"5 2\n{rows}{bad}y 1 1\n" if bad else f"5 2\n{rows}")
+                assert e.line == line and reason in str(e), (rows, bad)
+        # a non-finite row in the final, partial batch
+        body = "5 2\na 1 2\nb 3 4\nc 5 6\nd 7 8\ne 1 -inf\n"
+        e = self._attempt(tmp_path, body)
+        assert e.line == 6 and "non-finite" in str(e)
 
