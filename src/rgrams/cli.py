@@ -155,12 +155,10 @@ def cmd_apply(args) -> int:
     g = grammar_mod.load(args.grammar)
     seq = _read_corpus(args.input, args)
     out, report = grammar_mod.apply_with_report(g, seq)
-    if report.unknown_total:
+    if report.unknown_chars:
+        total = sum(report.unknown_chars.values())
         chars = ", ".join(repr(c) for c in sorted(report.unknown_chars))
-        print(
-            f"{report.unknown_total} character(s) outside the grammar alphabet: {chars}",
-            file=sys.stderr,
-        )
+        print(f"{total} character(s) outside the grammar alphabet: {chars}", file=sys.stderr)
         if args.strict:
             return 3  # before writing: a data error leaves no output file
     grammar_mod.write_segmented(g, out, args.output)
@@ -248,7 +246,7 @@ def cmd_eval_neighbors(args) -> int:
 
 def cmd_eval_analogy(args) -> int:
     vs = embed_mod.import_vectors(args.vectors)
-    queries, _sections = eval_mod.read_analogies(args.suite)
+    queries = eval_mod.read_analogies(args.suite)
     result = eval_mod.analogy_suite(vs, queries)
     print(f"score\t{result.score:.6f}")
     print(f"coverage\t{result.coverage:.6f}")

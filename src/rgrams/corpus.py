@@ -206,26 +206,12 @@ def encode(text: str, separators: frozenset[str] = DEFAULT_SEPARATORS) -> Bounde
     return enc.finish()
 
 
-def decode_terminals(seq: BoundedSequence, separator: str = "\n") -> str:
-    """Inverse of encode up to separator-run collapsing.
-
-    Every symbol must be a terminal of seq.alphabet; a rule id (or anything
-    else outside the alphabet) is a domain error.
-    """
-    table = seq.alphabet
-    limit = len(table)
-    chars = []
-    for s in seq.symbols:
-        if 0 <= s < limit:
-            chars.append(table.char_of(s))
-        else:
-            raise DomainError(f"symbol {s} is not a terminal of this sequence")
-    return separator.join("".join(chars[lo:hi]) for lo, hi in seq.segments())
-
-
 def read_text_chunks(path) -> Iterator[str]:
-    """Stream a UTF-8 file as str chunks of at most _CHUNK bytes each;
-    bad bytes raise with their offset."""
+    """Stream a UTF-8 file as str chunks of at most _CHUNK bytes each.
+
+    Bad bytes raise CorpusDecodeError with their offset, after the text
+    before them is yielded, so a line reader names a bad line above them
+    first."""
     dec = codecs.getincrementaldecoder("utf-8")()
     consumed = 0
     with open(path, "rb") as fh:
@@ -235,7 +221,9 @@ def read_text_chunks(path) -> Iterator[str]:
             try:
                 text = dec.decode(blob, final)
             except UnicodeDecodeError as exc:
+                # exc.object is the decoder's pending bytes plus blob
                 offset = consumed + len(blob) - len(exc.object) + exc.start
+                yield exc.object[: exc.start].decode("utf-8")
                 raise CorpusDecodeError(offset) from exc
             consumed += len(blob)
             if text:
@@ -248,8 +236,8 @@ def read_line_chunks(src: str | TextIO) -> Iterator[tuple[int, list[str]]]:
     """Yield (first_lineno, lines): the complete lines of each _CHUNK read,
     numbered from 1, from a UTF-8 file path or a text handle. Lines split
     on '\n' only; a missing final newline is accepted; bad bytes in a file
-    raise CorpusDecodeError with their offset. Every line reader goes
-    through here."""
+    raise CorpusDecodeError with their offset once the complete lines
+    before them are yielded. Every line reader goes through here."""
     chunks = iter(lambda: src.read(_CHUNK), "") if hasattr(src, "read") else read_text_chunks(src)
     n = 0
     buf = ""

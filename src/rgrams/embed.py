@@ -20,9 +20,9 @@ the same step on a batch of one, so the finite-difference check covers it.
 What a run of _RUN blocks trains (pairs, negatives, skips, rates) is
 planned in a few vectorized calls before its sub-batches run (_plan).
 
-The corpus is read straight into one int array of token codes
-(_corpus_codes): each distinct line of a segmented file is unescaped and
-normalized once, and numpy counts, filters and numbers the rest.
+The corpus is a segmented file (path or handle), read straight into one
+int array of token codes (_corpus_codes): each distinct line is unescaped
+and normalized once, and numpy counts, filters and numbers the rest.
 """
 
 from __future__ import annotations
@@ -36,20 +36,27 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, islice
 from numbers import Real
-from typing import Callable, Iterable, Sequence, TextIO, Union
+from typing import Callable, Sequence, TextIO, Union
 
 import numpy as np
 
 from .corpus import read_line_chunks, read_lines, substitute_digits, write_lines
-from .errors import DomainError, ParameterError, SegmentedFileError, VectorFileError, require_int
+from .errors import (
+    CorpusDecodeError,
+    DomainError,
+    ParameterError,
+    SegmentedFileError,
+    VectorFileError,
+    require_int,
+)
 from .grammar import escape_token, unescape_token
 
 log = logging.getLogger(__name__)
 
 WS_TOKEN = "<ws>"
 
-# a segmented file (path or text handle) or its sentences as token lists
-Corpus = Union[str, os.PathLike, TextIO, Iterable[list[str]]]
+# a segmented file: a path or a text handle
+Corpus = Union[str, os.PathLike, TextIO]
 
 
 def _finite(value: object) -> bool:
@@ -115,54 +122,44 @@ def normalize_token(raw: str) -> str:
 
 
 class _TokenCodes(dict):
-    """raw token -> code of its normalized form, computed on the first lookup.
+    """segmented-file line -> code of its unescaped, normalized token,
+    computed on the first lookup.
 
     norms maps each distinct normalized token to its code, numbered in order
-    of first appearance. With unescape, a raw token is a segmented-file line
-    and is unescaped first.
+    of first appearance.
     """
 
-    def __init__(self, unescape: Callable[[str], str] | None = None):
+    def __init__(self):
         super().__init__()
         self.norms: dict[str, int] = {}
-        self._unescape = unescape
 
     def __missing__(self, raw: str) -> int:
         norms = self.norms
-        tok = normalize_token(raw if self._unescape is None else self._unescape(raw))
-        code = self[raw] = norms.setdefault(tok, len(norms))
+        code = self[raw] = norms.setdefault(normalize_token(unescape_token(raw)), len(norms))
         return code
 
 
 def _corpus_codes(source: Corpus) -> tuple[np.ndarray, list[str]]:
-    """(codes, norms): the corpus as one int32 array of token codes with -1
-    after each sentence, and the distinct normalized tokens by code.
+    """(codes, norms): the segmented file as one int32 array of token codes
+    with -1 for each blank line (a sentence end), and the distinct
+    normalized tokens by code.
 
-    A file is read a chunk of lines at a time (read_line_chunks), and each
-    distinct line is unescaped and normalized once; a blank line ends a
-    sentence. A bad escape raises SegmentedFileError naming its line.
+    The file is read a chunk of lines at a time (read_line_chunks), and each
+    distinct line is unescaped and normalized once. A bad escape raises
+    SegmentedFileError naming its line.
     """
-    if isinstance(source, (str, os.PathLike)) or hasattr(source, "read"):
-        codes = _TokenCodes(unescape_token)
-        codes[""] = -1
-        get = codes.__getitem__
-        parts = []
-        for first, lines in read_line_chunks(source):  # type: ignore[arg-type]
-            try:
-                parts.append(np.fromiter(map(get, lines), dtype=np.int32, count=len(lines)))
-            except ValueError as exc:
-                # only successes become keys: the bad line is the first that is not one
-                k = next(k for k, raw in enumerate(lines) if raw not in codes)
-                raise SegmentedFileError(first + k, str(exc)) from None
-        flat = np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
-    else:
-        codes = _TokenCodes()
-        get = codes.__getitem__
-        buf = array("i")
-        for sent in source:
-            buf.extend(map(get, sent))
-            buf.append(-1)
-        flat = np.frombuffer(buf, dtype=np.int32)
+    codes = _TokenCodes()
+    codes[""] = -1
+    get = codes.__getitem__
+    parts = []
+    for first, lines in read_line_chunks(source):
+        try:
+            parts.append(np.fromiter(map(get, lines), dtype=np.int32, count=len(lines)))
+        except ValueError as exc:
+            # only successes become keys: the bad line is the first that is not one
+            k = next(k for k, raw in enumerate(lines) if raw not in codes)
+            raise SegmentedFileError(first + k, str(exc)) from None
+    flat = np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
     return flat, list(codes.norms)
 
 
@@ -182,7 +179,8 @@ def _vocab(
 
 
 def build_vocab(source: Corpus, min_token_count: int = 1) -> EmbedVocab:
-    """Count normalized tokens of a segmented corpus and index the keepers."""
+    """Count the normalized tokens of a segmented file (path or handle) and
+    index those counted at least min_token_count times."""
     return _vocab(*_corpus_codes(source), min_token_count)[0]
 
 
@@ -472,17 +470,17 @@ def train_skipgram(
 ) -> EmbeddingMatrix:
     """Train embeddings; deterministic for a given (corpus, config).
 
-    corpus is a segmented file (path or handle) or an iterable of token
-    lists. A file is read a chunk of lines at a time, and each distinct line
-    is unescaped and normalized once; the corpus is then one int array of
-    token codes, from which numpy counts the vocabulary, drops tokens below
-    min_token_count and numbers the sentences, so memory is O(tokens) ints
-    and no string is held per token. A bad escape raises SegmentedFileError
-    naming its line. Tokens removed by subsampling are dropped too; their
-    uniforms come from their own stream. With subwords, the input rows of
-    every token are listed once, in one (flat, start) table (subword_rows)
-    that training and the returned matrix share, and the input table has one
-    row per token and per distinct n-gram.
+    corpus is a segmented file (path or handle). It is read a chunk of
+    lines at a time, and each distinct line is unescaped and normalized
+    once; the corpus is then one int array of token codes, from which numpy
+    counts the vocabulary, drops tokens below min_token_count and numbers
+    the sentences, so memory is O(tokens) ints and no string is held per
+    token. A bad escape raises SegmentedFileError naming its line. Tokens
+    removed by subsampling are dropped too; their uniforms come from their
+    own stream. With subwords, the input rows of every token are listed
+    once, in one (flat, start) table (subword_rows) that training and the
+    returned matrix share, and the input table has one row per token and
+    per distinct n-gram.
 
     The kept tokens are walked in blocks of whole sentences (_BLOCK), and
     each window offset d is one sub-batch: every pair (i, i + d) whose
@@ -666,7 +664,7 @@ def import_vectors(path: str) -> VectorSet:
     that fails is scanned row by row. A parse error, or a row whose sum of
     squared components overflows (its norm would too), raises
     VectorFileError naming the first such 1-based line from the top; bad
-    bytes raise CorpusDecodeError."""
+    bytes raise CorpusDecodeError, unless a row above them is bad."""
     lines = read_lines(path)
     lineno, header = next(lines, (1, ""))
     parts = header.split()
@@ -685,7 +683,8 @@ def import_vectors(path: str) -> VectorSet:
     pending: list[str] = []  # the component text of rows not yet converted
 
     # convert the pending rows, or raise the first malformed or non-finite
-    # one; row r is on line r + 2
+    # one; row r is on line r + 2. A failed call leaves values and pending
+    # as they were, so a second call raises the same error.
     def convert() -> None:
         if not pending:
             return
@@ -697,6 +696,7 @@ def import_vectors(path: str) -> VectorSet:
                 return
         except ValueError:
             pass
+        del values[n:]
         for k, text in enumerate(pending, n // dim + 2):
             try:
                 row = list(map(float, text.split(" ")))
@@ -705,25 +705,26 @@ def import_vectors(path: str) -> VectorSet:
             if not all(map(math.isfinite, row)):
                 raise VectorFileError(k, "non-finite component")
 
-    for lineno, line in islice(lines, count):
-        raw, _, text = line.partition(" ")
-        fields = line.count(" ") + 1
-        if fields != dim + 1:
-            convert()
-            raise VectorFileError(lineno, f"expected {dim + 1} fields, got {fields}")
-        try:
-            tok = unescape_token(raw)
-        except ValueError as exc:
-            convert()
-            raise VectorFileError(lineno, str(exc)) from None
-        if tok in seen:
-            convert()
-            raise VectorFileError(lineno, f"duplicate token {tok!r}")
-        seen.add(tok)
-        tokens.append(tok)
-        pending.append(text)
-        if len(pending) * dim >= _FIELDS:
-            convert()
+    try:
+        for lineno, line in islice(lines, count):
+            raw, _, text = line.partition(" ")
+            fields = line.count(" ") + 1
+            if fields != dim + 1:
+                raise VectorFileError(lineno, f"expected {dim + 1} fields, got {fields}")
+            try:
+                tok = unescape_token(raw)
+            except ValueError as exc:
+                raise VectorFileError(lineno, str(exc)) from None
+            if tok in seen:
+                raise VectorFileError(lineno, f"duplicate token {tok!r}")
+            seen.add(tok)
+            tokens.append(tok)
+            pending.append(text)
+            if len(pending) * dim >= _FIELDS:
+                convert()
+    except (VectorFileError, CorpusDecodeError):
+        convert()  # a bad row above the error, or above bad bytes, comes first
+        raise
     convert()
     if len(tokens) < count:
         raise VectorFileError(lineno + 1, "truncated file")
@@ -731,11 +732,11 @@ def import_vectors(path: str) -> VectorSet:
         matrix = np.frombuffer(values, dtype=np.float64).reshape(count, dim)
     except ValueError:  # only an empty file can declare a dim numpy cannot shape
         raise VectorFileError(1, "invalid header values") from None
-    for lineno, line in lines:
-        if line.strip():
-            raise VectorFileError(lineno, "trailing content after declared rows")
     # unit_rows would turn such a row into zeros (every cosine 0), not a unit row
     overflows = _overflowing_rows(matrix)
     if overflows.any():  # row i is on line i + 2
         raise VectorFileError(int(overflows.argmax()) + 2, "squared norm overflows")
+    for lineno, line in lines:
+        if line.strip():
+            raise VectorFileError(lineno, "trailing content after declared rows")
     return VectorSet(tokens, matrix)

@@ -74,3 +74,7 @@ class SegmentedFileError(LineError):
 
 class VectorFileError(LineError):
     """Vector file could not be parsed."""
+
+
+class SuiteFileError(LineError):
+    """Analogy or similarity suite file could not be parsed."""

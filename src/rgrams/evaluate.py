@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import read_lines
 from .embed import VectorSet
-from .errors import DomainError, require_int
+from .errors import DomainError, SuiteFileError, require_int
 from .grammar import unescape_token
 
 
@@ -186,50 +186,45 @@ def similarity_suite(
 # -- suite files ---------------------------------------------------------------
 
 
-def _unescape_fields(fields: Sequence[str], path: str, lineno: int) -> list[str]:
+def _unescape_fields(fields: Sequence[str], lineno: int) -> list[str]:
     try:
         return [unescape_token(t) for t in fields]
     except ValueError as exc:
-        raise DomainError(f"{path}:{lineno}: {exc}") from None
+        raise SuiteFileError(lineno, str(exc)) from None
 
 
-def read_analogies(path: str) -> tuple[list[AnalogyQuery], list[str]]:
-    """Four whitespace-separated (escaped) tokens per line.
-
-    Lines starting with ':' are section headers, returned separately and
-    not scored.
-    """
+def read_analogies(path: str) -> list[AnalogyQuery]:
+    """Four whitespace-separated (escaped) tokens per line. Lines starting
+    with ':' are section headers and are skipped. A parse error raises
+    SuiteFileError naming its line."""
     queries: list[AnalogyQuery] = []
-    sections: list[str] = []
     for lineno, line in read_lines(path):
         s = line.strip()
-        if not s:
-            continue
-        if s.startswith(":"):
-            sections.append(s[1:].strip())
+        if not s or s.startswith(":"):
             continue
         parts = s.split()
         if len(parts) != 4:
-            raise DomainError(f"{path}:{lineno}: expected 4 tokens, got {len(parts)}")
-        queries.append(AnalogyQuery(*_unescape_fields(parts, path, lineno)))
-    return queries, sections
+            raise SuiteFileError(lineno, f"expected 4 tokens, got {len(parts)}")
+        queries.append(AnalogyQuery(*_unescape_fields(parts, lineno)))
+    return queries
 
 
 def read_similarity(path: str) -> list[tuple[str, str, float]]:
-    """TSV: token1<TAB>token2<TAB>gold-score, tokens escaped; scores finite."""
+    """TSV: token1<TAB>token2<TAB>gold-score, tokens escaped; scores finite.
+    A parse error raises SuiteFileError naming its line."""
     pairs: list[tuple[str, str, float]] = []
     for lineno, line in read_lines(path):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 3:
-            raise DomainError(f"{path}:{lineno}: expected 3 tab-separated fields")
+            raise SuiteFileError(lineno, "expected 3 tab-separated fields")
         try:
             gold = float(parts[2])
         except ValueError:
-            raise DomainError(f"{path}:{lineno}: malformed score") from None
+            raise SuiteFileError(lineno, "malformed score") from None
         if not math.isfinite(gold):
-            raise DomainError(f"{path}:{lineno}: non-finite score")
-        t1, t2 = _unescape_fields(parts[:2], path, lineno)
+            raise SuiteFileError(lineno, "non-finite score")
+        t1, t2 = _unescape_fields(parts[:2], lineno)
         pairs.append((t1, t2, gold))
     return pairs

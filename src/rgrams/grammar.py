@@ -77,13 +77,10 @@ class Rule:
 
 @dataclass(frozen=True)
 class ApplyReport:
-    """Diagnostics from apply: what fell outside the grammar's alphabet, and
-    how many merges the batch phase made."""
+    """Diagnostics from apply: each character outside the grammar's alphabet
+    with its count, and how many merges the batch phase made."""
 
     unknown_chars: dict[str, int]
-    unknown_total: int
-    input_len: int
-    output_len: int
     batch_merges: int  # merges made in the batch phase's numpy passes
 
 
@@ -333,14 +330,7 @@ def apply_with_report(g: Grammar, seq: BoundedSequence) -> tuple[BoundedSequence
                 heappush(heap, (r << S) | p)
 
     out = from_engine(sym, g.terminals.clone())
-    report = ApplyReport(
-        unknown_chars=unknown_chars,
-        unknown_total=sum(unknown_chars.values()),
-        input_len=len(seq),
-        output_len=len(out),
-        batch_merges=batch_merges,
-    )
-    return out, report
+    return out, ApplyReport(unknown_chars, batch_merges)
 
 
 def _rule_ids(

@@ -449,7 +449,7 @@ class TestEmbedEval:
         )
         assert main(["eval", "similarity", str(vectors), str(suite)]) == 3
         captured = capsys.readouterr()
-        assert f"{suite}:1: non-finite score" in captured.err
+        assert "line 1: non-finite score" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize(

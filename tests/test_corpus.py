@@ -7,7 +7,6 @@ from rgrams import corpus
 from rgrams.corpus import (
     ChunkEncoder,
     NormalizationOptions,
-    decode_terminals,
     encode,
     encode_file,
     normalize,
@@ -17,6 +16,7 @@ from rgrams.corpus import (
     write_lines,
 )
 from rgrams.errors import CorpusDecodeError, DomainError
+from rgrams.grammar import Grammar, decode
 
 NL = frozenset("\n")
 BOTH = NormalizationOptions(lowercase=True, digits_to_N=True)
@@ -123,10 +123,16 @@ class TestSymbolTable:
         assert table.chars() == ("a", "b", "c")
 
 
+def decode_terminals(seq):
+    """decode over a grammar with no rules: the inverse of encode up to
+    separator-run collapsing."""
+    return decode(Grammar(seq.alphabet, []), seq)
+
+
 class TestDecodeTerminals:
     def test_boundary_restored(self):
         seq = encode("a\nb", NL)
-        assert decode_terminals(seq, "\n") == "a\nb"
+        assert decode_terminals(seq) == "a\nb"
 
     def test_no_boundary_round_trip(self):
         s = "hello world"
@@ -215,9 +221,12 @@ class TestFiles:
         p = tmp_path / "bad.txt"
         p.write_bytes(b"abcd\xff\xfeef")
         monkeypatch.setattr(corpus, "_CHUNK", 3)
+        chunks = []
         with pytest.raises(CorpusDecodeError) as info:
-            list(read_text_chunks(str(p)))
+            for chunk in read_text_chunks(str(p)):
+                chunks.append(chunk)
         assert info.value.byte_offset == 4
+        assert chunks == ["abc", "d"]  # the text before the bad byte comes first
 
     def test_multibyte_across_chunk_boundary(self, tmp_path, monkeypatch):
         p = tmp_path / "multi.txt"

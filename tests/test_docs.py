@@ -1,6 +1,6 @@
 """The README's examples are tested: its Quick start commands parse with the
 real argument parser, every flag and every `Class.attr` it names exists, and
-its library example runs."""
+its library example runs. The package's export list is checked too."""
 
 import argparse
 import ast
@@ -131,3 +131,17 @@ def test_readme_class_attributes_exist():
         if cls not in classes or attr not in _attributes(classes[cls])
     }
     assert missing == set()
+
+
+def test_all_matches_init_imports():
+    # a name removed from a module must leave __all__ too
+    tree = ast.parse(Path(rgrams.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert sorted(rgrams.__all__) == sorted(imported)
+    for name in rgrams.__all__:
+        assert hasattr(rgrams, name), name

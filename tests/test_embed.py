@@ -10,6 +10,7 @@ import pytest
 from rgrams import embed
 from rgrams.embed import (
     WS_TOKEN,
+    EmbeddingMatrix,
     EmbedVocab,
     TrainConfig,
     VectorSet,
@@ -24,13 +25,19 @@ from rgrams.embed import (
     train_skipgram,
 )
 from rgrams.errors import DomainError, ParameterError, SegmentedFileError, VectorFileError
-from rgrams.grammar import read_segmented
+from rgrams.grammar import escape_token, read_segmented
 
 SENTS = [
     ["the", "cat", "sat"],
     ["the", "dog", "sat"],
     ["the", "cat", "ran"],
 ]
+
+
+def segmented(sents):
+    """Token lists as a segmented file's text handle: one escaped token per
+    line, each sentence ended by a blank line."""
+    return io.StringIO("\n".join(line for s in sents for line in [*map(escape_token, s), ""]))
 
 
 def tiny_config(**kw):
@@ -53,17 +60,17 @@ class TestNormalizeToken:
 
 class TestBuildVocab:
     def test_counts_and_order(self):
-        v = build_vocab(SENTS)
+        v = build_vocab(segmented(SENTS))
         assert v.tokens[0] == "the" and v.counts[0] == 3
         # sat and cat both occur twice; ties order alphabetically
         assert v.tokens[1:3] == ["cat", "sat"]
 
     def test_min_count(self):
-        v = build_vocab(SENTS, min_token_count=2)
+        v = build_vocab(segmented(SENTS), min_token_count=2)
         assert set(v.tokens) == {"the", "cat", "sat"}
 
     def test_normalization_merges(self):
-        v = build_vocab([["Cat ", "cat"], [" cat"]])
+        v = build_vocab(segmented([["Cat ", "cat"], [" cat"]]))
         # normalize_token trims but keeps case; "Cat" stays separate
         assert v.index["cat"] is not None
         assert v.counts[v.index["cat"]] == 2
@@ -121,9 +128,9 @@ def prep_sentences(text):
 
 
 class TestCorpusPrep:
-    """A path, a text handle and token lists read to the same corpus."""
+    """A path and a text handle read to the same corpus."""
 
-    SOURCES = ["path", "handle", "lists"]
+    SOURCES = ["path", "handle"]
 
     @pytest.fixture
     def text(self):
@@ -137,9 +144,7 @@ class TestCorpusPrep:
             p = tmp_path / "c.seg"
             p.write_text(text, encoding="utf-8")
             return str(p)
-        if kind == "handle":
-            return io.StringIO(text)
-        return prep_sentences(text)
+        return io.StringIO(text)
 
     def test_hand_unescaping_matches_the_reader(self, text):
         assert prep_sentences(text) == list(read_segmented(io.StringIO(text)))
@@ -291,14 +296,14 @@ class TestNegativeSampler:
 
 class TestTraining:
     def test_deterministic(self):
-        a = train_skipgram(SENTS, tiny_config())
-        b = train_skipgram(SENTS, tiny_config())
+        a = train_skipgram(segmented(SENTS), tiny_config())
+        b = train_skipgram(segmented(SENTS), tiny_config())
         assert np.array_equal(a.input, b.input)
         assert np.array_equal(a.output, b.output)
 
     def test_seed_changes_result(self):
-        a = train_skipgram(SENTS, tiny_config(seed=3))
-        b = train_skipgram(SENTS, tiny_config(seed=4))
+        a = train_skipgram(segmented(SENTS), tiny_config(seed=3))
+        b = train_skipgram(segmented(SENTS), tiny_config(seed=4))
         assert not np.array_equal(a.input, b.input)
 
     def test_loss_decreases_over_epochs(self, caplog):
@@ -306,7 +311,7 @@ class TestTraining:
 
         sents = [["alpha", "beta", "gamma", "alpha", "beta"] for _ in range(30)]
         with caplog.at_level(logging.INFO, logger="rgrams.embed"):
-            train_skipgram(sents, tiny_config(epochs=4, seed=9))
+            train_skipgram(segmented(sents), tiny_config(epochs=4, seed=9))
         losses = [
             float(r.message.rsplit(" ", 1)[-1])
             for r in caplog.records
@@ -318,7 +323,7 @@ class TestTraining:
     def test_no_pairs_across_boundaries(self):
         log = []
         train_skipgram(
-            [["aa", "bb"], ["cc", "dd"]],
+            segmented([["aa", "bb"], ["cc", "dd"]]),
             tiny_config(epochs=1, window=5),
             pair_log=log,
         )
@@ -327,16 +332,15 @@ class TestTraining:
 
     def test_window_limits_pairs(self):
         log = []
-        train_skipgram(
-            [["ta", "tb", "tc", "td"]], tiny_config(epochs=1, window=1), pair_log=log
-        )
+        sents = [["ta", "tb", "tc", "td"]]
+        train_skipgram(segmented(sents), tiny_config(epochs=1, window=1), pair_log=log)
         assert ("ta", "tc") not in log and ("ta", "tb") in log
 
     def test_min_count_drops_tokens_from_context(self):
         log = []
         sents = [["common", "rare", "common"]] * 3
         cfg = tiny_config(epochs=1, min_token_count=4, window=2)
-        train_skipgram(sents, cfg, pair_log=log)
+        train_skipgram(segmented(sents), cfg, pair_log=log)
         assert all(c == "common" and x == "common" for c, x in log)
 
     def test_long_segment_memory_is_bounded(self):
@@ -348,11 +352,11 @@ class TestTraining:
         # 280 MB peak.
         rng = np.random.default_rng(0)
         words = [a + b for a in "abcdefghij" for b in "vwxyz"]
-        seg = [words[k] for k in rng.integers(0, 50, 100_000)]
+        segment = [words[k] for k in rng.integers(0, 50, 100_000)]
         tracemalloc.start()
         try:
             cfg = tiny_config(dim=64, epochs=1, negatives=5, subsample_threshold=1e-3)
-            train_skipgram([seg], cfg)
+            train_skipgram(segmented([segment]), cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -388,7 +392,7 @@ class TestTraining:
     def test_epoch_line_reports_pairs_and_rate(self, caplog):
         log = []
         with caplog.at_level(logging.INFO, logger="rgrams.embed"):
-            train_skipgram(SENTS * 4, tiny_config(epochs=1), pair_log=log)
+            train_skipgram(segmented(SENTS * 4), tiny_config(epochs=1), pair_log=log)
         (line,) = [r.message for r in caplog.records if r.message.startswith("epoch ")]
         fields = line.split(" ")
         assert fields[:2] == ["epoch", "1/1"] and fields[4:6] == [str(len(log)), "pairs"]
@@ -396,14 +400,14 @@ class TestTraining:
         assert fields[8:11] == ["mean", "pair", "loss"] and len(fields) == 12
 
     def test_vector_lookup(self):
-        m = train_skipgram(SENTS, tiny_config())
+        m = train_skipgram(segmented(SENTS), tiny_config())
         v = m.vector("the")
         assert v is not None and v.shape == (8,)
         assert m.vector("absent") is None
 
     def test_rejects_empty_vocab(self):
         with pytest.raises(DomainError):
-            train_skipgram([], tiny_config())
+            train_skipgram(segmented([]), tiny_config())
 
     def test_config_validation(self):
         for bad in (
@@ -445,7 +449,7 @@ class TestTraining:
         else:
             kw[field] = value
         with pytest.raises(DomainError, match="must be an integer"):
-            train_skipgram(SENTS, tiny_config(**kw))
+            train_skipgram(segmented(SENTS), tiny_config(**kw))
 
     @pytest.mark.parametrize("ngrams", [(2,), (2, 3, 4)])
     def test_subword_ngrams_must_be_a_pair(self, ngrams):
@@ -465,7 +469,7 @@ def kept_sentences(sents, cfg):
     them: min-count filtering, then subsampling from the third SeedSequence
     child, one uniform per filtered token."""
     normed = [[normalize_token(t) for t in sent] for sent in sents if sent]
-    vocab = build_vocab(normed, cfg.min_token_count)
+    vocab = build_vocab(segmented(normed), cfg.min_token_count)
     train_words = int(vocab.counts.sum())
     sentences = [ids for ids in ([vocab.index[t] for t in s if t in vocab] for s in normed) if ids]
     sub_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed).spawn(3)[2]))
@@ -578,7 +582,7 @@ class TestTrainingOracle:
     @staticmethod
     def check(sents, cfg):
         vocab, inp, out = reference_train(sents, cfg)
-        m = train_skipgram(sents, cfg)
+        m = train_skipgram(segmented(sents), cfg)
         assert m.vocab.tokens == vocab.tokens
         assert np.abs(m.input - inp).max() <= 1e-12
         assert np.abs(m.output - out).max() <= 1e-12
@@ -619,16 +623,17 @@ class TestTrainingOracle:
         lens = [len(ids) for kept in epochs for ids, _ in kept]
         assert min(lens) > embed._BLOCK and max(lens) > 2 * embed._BLOCK and max(lens) < 60
         got = []
-        train_skipgram(sents, cfg, pair_log=got)
+        train_skipgram(segmented(sents), cfg, pair_log=got)
         assert sorted(got) == sorted(want)
 
     def test_subsampling_ignores_the_input_table(self):
         # subsampling has its own stream: the n-gram rows drawn for the input
         # table do not change which tokens are kept
         plain, sub = [], []
-        train_skipgram(self.WORDS * 4, tiny_config(subsample_threshold=0.05), pair_log=plain)
+        cfg = tiny_config(subsample_threshold=0.05)
+        train_skipgram(segmented(self.WORDS * 4), cfg, pair_log=plain)
         cfg = tiny_config(subsample_threshold=0.05, subword_ngrams=(2, 4))
-        train_skipgram(self.WORDS * 4, cfg, pair_log=sub)
+        train_skipgram(segmented(self.WORDS * 4), cfg, pair_log=sub)
         assert plain and plain == sub
 
 
@@ -653,7 +658,7 @@ class TestPlannedRuns:
         log = []
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="rgrams.embed"):
-            m = train_skipgram(sents, cfg, pair_log=log)
+            m = train_skipgram(segmented(sents), cfg, pair_log=log)
         losses = [
             float(r.message.rsplit(" ", 1)[-1])
             for r in caplog.records
@@ -666,7 +671,7 @@ class TestPlannedRuns:
     @pytest.mark.parametrize("subsample", [0.0, 0.01], ids=["all", "subsampled"])
     def test_run_size_changes_nothing(self, sents, subsample, subword, run, monkeypatch, caplog):
         cfg = tiny_config(subsample_threshold=subsample, subword_ngrams=subword, window=3)
-        _, flat, sid = embed._corpus_ids(sents, cfg.min_token_count)
+        _, flat, sid = embed._corpus_ids(segmented(sents), cfg.min_token_count)
         # 141 blocks, about 100 after subsampling: the default plans more
         # than one run per epoch
         assert len(embed._block_bounds(sid)) - 1 > 2 * embed._RUN
@@ -697,14 +702,14 @@ class TestNonFinite:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_epoch_raises(self):
         with pytest.raises(DomainError, match="loss is not finite"):
-            train_skipgram(SENTS, tiny_config(initial_lr=1e308))
+            train_skipgram(segmented(SENTS), tiny_config(initial_lr=1e308))
 
     def test_run_without_pairs_raises(self, caplog):
         # an epoch with no pairs sums to a finite 0.0; the run then fails
         # because nothing was trained, not because the loss diverged
         caplog.set_level(logging.INFO, logger="rgrams.embed")
         with pytest.raises(DomainError, match="no \\(center, context\\) pairs"):
-            train_skipgram([["the"], ["cat"]], tiny_config(initial_lr=1e308))
+            train_skipgram(segmented([["the"], ["cat"]]), tiny_config(initial_lr=1e308))
         assert "0 pairs" in caplog.text and "nan" not in caplog.text
 
     def test_export_refuses_and_writes_nothing(self, tmp_path):
@@ -752,7 +757,7 @@ class TestSubword:
 
     def test_training_with_subwords(self):
         cfg = tiny_config(subword_ngrams=(3, 4), epochs=1)
-        m = train_skipgram(SENTS, cfg)
+        m = train_skipgram(segmented(SENTS), cfg)
         v = m.vector("cat")
         assert v is not None
         # composed vector is the mean of word row + ngram rows
@@ -761,9 +766,9 @@ class TestSubword:
         assert np.allclose(v, manual)
 
     def test_rows_table(self):
-        assert train_skipgram(SENTS, tiny_config(epochs=1)).rows is None
+        assert train_skipgram(segmented(SENTS), tiny_config(epochs=1)).rows is None
         cfg = tiny_config(epochs=1, subword_ngrams=(3, 4))
-        m = train_skipgram(SENTS, cfg)
+        m = train_skipgram(segmented(SENTS), cfg)
         V = len(m.vocab)
         marked = ["<" + t + ">" for t in m.vocab.tokens]
         grams = {w[p : p + n] for w in marked for n in (3, 4) for p in range(len(w) - n + 1)}
@@ -776,7 +781,8 @@ class TestSubword:
         # these 5 tokens have 29 distinct 3- to 6-grams, so 34 input rows
         tracemalloc.start()
         try:
-            train_skipgram(SENTS, tiny_config(dim=100, epochs=1, subword_ngrams=(3, 6)))
+            cfg = tiny_config(dim=100, epochs=1, subword_ngrams=(3, 6))
+            train_skipgram(segmented(SENTS), cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -785,7 +791,7 @@ class TestSubword:
     @pytest.mark.parametrize("subword", [None, (3, 4)])
     def test_to_vectors_equals_vector(self, subword):
         cfg = tiny_config(epochs=1, subword_ngrams=subword)
-        m = train_skipgram(SENTS, cfg)
+        m = train_skipgram(segmented(SENTS), cfg)
         vs = m.to_vectors()
         assert vs.tokens == m.vocab.tokens
         assert not np.shares_memory(vs.matrix, m.input)
@@ -793,8 +799,8 @@ class TestSubword:
             assert vs.vector(t).tobytes() == m.vector(t).tobytes()
 
     def test_subword_changes_vectors(self):
-        plain = train_skipgram(SENTS, tiny_config(epochs=1))
-        sub = train_skipgram(SENTS, tiny_config(epochs=1, subword_ngrams=(3, 4)))
+        plain = train_skipgram(segmented(SENTS), tiny_config(epochs=1))
+        sub = train_skipgram(segmented(SENTS), tiny_config(epochs=1, subword_ngrams=(3, 4)))
         assert not np.allclose(plain.vector("cat"), sub.vector("cat"))
 
 
@@ -802,15 +808,14 @@ class TestVectorFiles:
     def test_newline_token_refused_and_nothing_written(self, tmp_path):
         path = tmp_path / "v.vec"
         vs = VectorSet(["a\nb", "c"], np.ones((2, 2)))
-        # training keeps an inner newline, which no vector line can hold
-        m = train_skipgram([["x\ny", "z", "x\ny"]], tiny_config(epochs=1))
+        m = EmbeddingMatrix(np.ones((2, 2)), np.ones((2, 2)), EmbedVocab(["x\ny", "z"], [2, 1]))
         for source in (vs, m):
             with pytest.raises(DomainError, match="newline"):
                 export_vectors(source, str(path))
             assert not path.exists()
 
     def test_round_trip_within_tolerance(self, tmp_path):
-        m = train_skipgram(SENTS, tiny_config())
+        m = train_skipgram(segmented(SENTS), tiny_config())
         p = tmp_path / "v.vec"
         export_vectors(m, str(p))
         vs = import_vectors(str(p))
@@ -819,7 +824,8 @@ class TestVectorFiles:
             assert np.max(np.abs(vs.vector(t) - m.vector(t))) < 1e-8
 
     def test_tokens_with_spaces_escaped(self, tmp_path):
-        m = train_skipgram([["new york", "city"], ["new york", "harbor"]], tiny_config())
+        sents = [["new york", "city"], ["new york", "harbor"]]
+        m = train_skipgram(segmented(sents), tiny_config())
         p = tmp_path / "v.vec"
         export_vectors(m, str(p))
         body = p.read_text(encoding="utf-8")
@@ -836,7 +842,7 @@ class TestVectorFiles:
         assert row.split(" ")[1:5] == ["-0", "4.94065646e-324", "7.41691286e-309", "1e+300"]
 
     def test_header(self, tmp_path):
-        m = train_skipgram(SENTS, tiny_config())
+        m = train_skipgram(segmented(SENTS), tiny_config())
         p = tmp_path / "v.vec"
         export_vectors(m, str(p))
         first = p.read_text(encoding="utf-8").splitlines()[0]
@@ -890,6 +896,14 @@ class TestVectorFiles:
         body = "4 2\na 1e150 1e150\nb 1 2\nc 1e200 -1e200\nd 1e200 1e200\n"
         e = self._attempt(tmp_path, body)
         assert e.line == 4 and "overflows" in str(e)
+
+    @pytest.mark.parametrize("tail", ["\nz 1 1\n", "z\xff\n"], ids=["content", "bad-bytes"])
+    def test_overflow_named_before_what_follows_the_rows(self, tmp_path, tail):
+        p = tmp_path / "bad.vec"
+        p.write_bytes(b"2 2\na 1e200 1e200\nb 1 1\n" + tail.encode("latin-1"))
+        with pytest.raises(VectorFileError, match="overflows") as info:
+            import_vectors(str(p))
+        assert info.value.line == 2
 
     def test_large_finite_norm_is_accepted(self, tmp_path):
         p = tmp_path / "ok.vec"

@@ -11,8 +11,8 @@ from hypothesis import example, given, strategies as st
 
 from rgrams.cli import main
 from rgrams.corpus import encode
-from rgrams.embed import VectorSet, export_vectors, import_vectors
-from rgrams.errors import ToolError
+from rgrams.embed import VectorSet, build_vocab, export_vectors, import_vectors
+from rgrams.errors import LineError, ToolError
 from rgrams.evaluate import read_analogies, read_similarity
 from rgrams.grammar import load, read_segmented, save, write_segmented
 from rgrams.repair import train
@@ -93,7 +93,7 @@ class TestBadEscape:
         suite = tmp_path / "suite.txt"
         suite.write_text(body, encoding="utf-8")
         assert main(["eval", kind, str(vec), str(suite)]) == 3
-        assert f"{suite}:1: bad escape" in capsys.readouterr().err
+        assert "line 1: bad escape" in capsys.readouterr().err
 
     def test_query_is_usage_error(self, files, capsys):
         *_, vec = files
@@ -116,6 +116,30 @@ class TestMalformedHeader:
         src.write_text("a\n", encoding="utf-8")
         assert main(["apply", str(g), str(src), str(tmp_path / "out")]) == 3
         assert "line 1: malformed version field" in capsys.readouterr().err
+
+
+class TestBadLineAboveBadBytes:
+    """The lines above bad bytes are parsed first: a bad one among them is
+    the error, not the bytes, as when the file were read a line at a time."""
+
+    @pytest.mark.parametrize(
+        "reader, body, line, reason",
+        [
+            (import_vectors, b"3 2\na 1 x\nb 1 2\nc \xff 2\n", 2, "malformed float"),
+            (load, b"RGRAM\t1\nT\tx\nt\t0\t97\n\xff\n", 2, "malformed terminal count"),
+            (lambda p: list(read_segmented(p)), b"a\nb\\q\nc\xff\n", 2, "bad escape"),
+            (build_vocab, b"a\nb\\q\nc\xff\n", 2, "bad escape"),
+            (read_similarity, b"a\tb\tx\nc\td\t\xff\n", 1, "malformed score"),
+            (read_analogies, b"a b c\n\xff\n", 1, "expected 4 tokens"),
+        ],
+        ids=["vectors", "grammar", "segmented", "embed-corpus", "similarity", "analogy"],
+    )
+    def test_line_error_wins(self, tmp_path, reader, body, line, reason):
+        p = tmp_path / "bad"
+        p.write_bytes(body)
+        with pytest.raises(LineError, match=reason) as info:
+            reader(str(p))
+        assert info.value.line == line
 
 
 # -- fuzzing -------------------------------------------------------------------

@@ -8,9 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import corpus_gen
 from rgrams import repair
-from rgrams.corpus import decode_terminals, encode, normalize
+from rgrams.corpus import encode, normalize
 from rgrams.errors import DomainError
-from rgrams.grammar import apply, decode
+from rgrams.grammar import Grammar, apply, decode
 from rgrams.repair import (
     NIL,
     PairMerger,
@@ -579,13 +579,13 @@ class TestSizeEdges:
         g2, out2 = train_naive(encode(text, NL))
         assert g == g2
         assert (list(out.symbols), out.boundaries) == (list(out2.symbols), out2.boundaries)
-        assert decode(g, out) == decode_terminals(seq)
+        assert decode(g, out) == decode(Grammar(seq.alphabet, []), seq)
         replayed = apply(g, encode(text, NL))
         assert list(replayed.symbols) == list(out.symbols)
         assert replayed.boundaries == out.boundaries
         # no input character is in this grammar's alphabet
         other, _ = train(encode("zzzz"))
-        assert decode(other, apply(other, seq)) == decode_terminals(seq)
+        assert decode(other, apply(other, seq)) == decode(Grammar(seq.alphabet, []), seq)
 
 
 class TestDeterminism:
