@@ -43,11 +43,17 @@ def _unescape_arg(s: str) -> str:
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         try:
-            return s.encode("latin-1", "backslashreplace").decode("unicode_escape")
+            out = s.encode("latin-1", "backslashreplace").decode("unicode_escape")
         except UnicodeDecodeError as exc:
             reason = exc.reason
         except DeprecationWarning as exc:  # the codec chains the warning as __cause__
             reason = exc.__cause__ or exc
+        else:
+            # a surrogate (from '\ud800', or a raw invalid byte in argv) can
+            # match no UTF-8 text and cannot be written as UTF-8
+            if not any("\ud800" <= c <= "\udfff" for c in out):
+                return out
+            raise argparse.ArgumentTypeError(f"{s!r} names a surrogate code point (U+D800-U+DFFF)")
     raise argparse.ArgumentTypeError(f"bad escape in {s!r}: {reason}")
 
 

@@ -292,6 +292,8 @@ class VectorSet:
     __slots__ = ("tokens", "matrix", "index", "_unit")
 
     def __init__(self, tokens: list[str], matrix: np.ndarray):
+        if not (isinstance(matrix, np.ndarray) and matrix.ndim == 2 and matrix.shape[1] >= 1):
+            raise DomainError("vectors must be a 2-D array with at least one column")
         if len(tokens) != matrix.shape[0]:
             raise DomainError("token count does not match matrix rows")
         self.tokens = tokens
@@ -650,19 +652,11 @@ def export_vectors(m: EmbeddingMatrix | VectorSet, path: str) -> None:
     write_lines(path, chain([f"{count} {dim}"], rows))
 
 
-# import_vectors converts the components of rows in batches of at least this
-# many fields. Each field is a string of about 60 bytes until then; on the
-# benchmark's vectors (1,800 rows of 16) batches of 4096 fields hold 0.8 MB at
-# the peak, against 2.2 MB for one batch over the whole file.
-_FIELDS = 1 << 12
-
-
 def import_vectors(path: str) -> VectorSet:
     """Read an export_vectors file; only blank lines may follow the declared
-    rows. Rows are collected as text, and their components converted and
-    checked for finiteness one batch of _FIELDS fields at a time; a batch
-    that fails is scanned row by row. A parse error, or a row whose sum of
-    squared components overflows (its norm would too), raises
+    rows. Each row is split once and its components converted as it is
+    read. A parse error, a non-finite component, or a row whose sum of
+    squared components overflows (its norm would too) raises
     VectorFileError naming the first such 1-based line from the top; bad
     bytes raise CorpusDecodeError, unless a row above them is bad."""
     lines = read_lines(path)
@@ -680,62 +674,47 @@ def import_vectors(path: str) -> VectorSet:
     seen: set[str] = set()
     # values grow as rows are read: the header alone must not size an allocation
     values = array("d")
-    pending: list[str] = []  # the component text of rows not yet converted
 
-    # convert the pending rows, or raise the first malformed or non-finite
-    # one; row r is on line r + 2. A failed call leaves values and pending
-    # as they were, so a second call raises the same error.
-    def convert() -> None:
-        if not pending:
+    # raise the first whole row read so far that is non-finite or whose norm
+    # overflows; row r is on line r + 2. A row cut short by a malformed float
+    # is not whole.
+    def check_rows() -> None:
+        if not (rows := len(values) // dim):
             return
-        n = len(values)
-        try:
-            values.extend(map(float, " ".join(pending).split(" ")))
-            if np.isfinite(np.frombuffer(values)[n:]).all():
-                pending.clear()
-                return
-        except ValueError:
-            pass
-        del values[n:]
-        for k, text in enumerate(pending, n // dim + 2):
-            try:
-                row = list(map(float, text.split(" ")))
-            except ValueError:
-                raise VectorFileError(k, "malformed float") from None
-            if not all(map(math.isfinite, row)):
-                raise VectorFileError(k, "non-finite component")
+        m = np.frombuffer(values, count=rows * dim).reshape(rows, dim)
+        bad = _overflowing_rows(m)
+        if bad.any():
+            r = int(bad.argmax())
+            reason = "squared norm overflows" if np.isfinite(m[r]).all() else "non-finite component"
+            raise VectorFileError(r + 2, reason)
 
     try:
         for lineno, line in islice(lines, count):
-            raw, _, text = line.partition(" ")
-            fields = line.count(" ") + 1
-            if fields != dim + 1:
-                raise VectorFileError(lineno, f"expected {dim + 1} fields, got {fields}")
+            fields = line.split(" ")
+            if len(fields) != dim + 1:
+                raise VectorFileError(lineno, f"expected {dim + 1} fields, got {len(fields)}")
             try:
-                tok = unescape_token(raw)
+                tok = unescape_token(fields[0])
             except ValueError as exc:
                 raise VectorFileError(lineno, str(exc)) from None
             if tok in seen:
                 raise VectorFileError(lineno, f"duplicate token {tok!r}")
             seen.add(tok)
             tokens.append(tok)
-            pending.append(text)
-            if len(pending) * dim >= _FIELDS:
-                convert()
+            try:
+                values.extend(map(float, fields[1:]))
+            except ValueError:
+                raise VectorFileError(lineno, "malformed float") from None
     except (VectorFileError, CorpusDecodeError):
-        convert()  # a bad row above the error, or above bad bytes, comes first
+        check_rows()  # a bad row above the error, or above bad bytes, comes first
         raise
-    convert()
+    check_rows()
     if len(tokens) < count:
         raise VectorFileError(lineno + 1, "truncated file")
     try:
         matrix = np.frombuffer(values, dtype=np.float64).reshape(count, dim)
     except ValueError:  # only an empty file can declare a dim numpy cannot shape
         raise VectorFileError(1, "invalid header values") from None
-    # unit_rows would turn such a row into zeros (every cosine 0), not a unit row
-    overflows = _overflowing_rows(matrix)
-    if overflows.any():  # row i is on line i + 2
-        raise VectorFileError(int(overflows.argmax()) + 2, "squared norm overflows")
     for lineno, line in lines:
         if line.strip():
             raise VectorFileError(lineno, "trailing content after declared rows")

@@ -18,8 +18,8 @@ class ToolError(Exception):
 class CorpusDecodeError(ToolError):
     """Input bytes are not valid UTF-8; byte_offset points at the bad byte."""
 
-    def __init__(self, byte_offset: int, reason: str = "invalid UTF-8"):
-        super().__init__(f"{reason} at byte offset {byte_offset}")
+    def __init__(self, byte_offset: int):
+        super().__init__(f"invalid UTF-8 at byte offset {byte_offset}")
         self.byte_offset = byte_offset
 
 

@@ -439,13 +439,11 @@ def greedy_replace(s: list[int], rule: Rule) -> list[int]:
     return out
 
 
-def decode(g: Grammar, seq: BoundedSequence, separator: str = "\n") -> str:
-    """Expand every symbol and re-insert one separator per boundary."""
-    if len(separator) != 1:
-        raise DomainError("separator must be a single character")
+def decode(g: Grammar, seq: BoundedSequence) -> str:
+    """Expand every symbol and re-insert one newline per boundary."""
     exp = g.expand
     syms = seq.symbols
-    return separator.join("".join(map(exp, syms[lo:hi])) for lo, hi in seq.segments())
+    return "\n".join("".join(map(exp, syms[lo:hi])) for lo, hi in seq.segments())
 
 
 # -- grammar files -----------------------------------------------------------

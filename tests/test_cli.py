@@ -97,20 +97,33 @@ class TestExitCodes:
         assert rc == 1
         assert "--top" in capsys.readouterr().err
 
+    @staticmethod
+    def _separator_argv(command, value, corpus, trained, out):
+        g, s = trained
+        return {
+            "train": ["train", str(corpus), "--grammar-out", str(out), "--separators", value],
+            "apply": ["apply", str(g), str(corpus), str(out), "--separators", value],
+            "stats": ["stats", "--raw", str(corpus), "--grammar", str(g), "--separators", value],
+            "decode": ["decode", str(g), str(s), str(out), "--separator", value],
+        }[command]
+
     @pytest.mark.parametrize("escape", ["\\", "\\x4", "\\q"])
     @pytest.mark.parametrize("command", ["train", "apply", "stats", "decode"])
     def test_bad_escape_is_usage_error(self, tmp_path, corpus, trained, capsys, command, escape):
-        g, s = trained
         out = tmp_path / "out.txt"
-        argv = {
-            "train": ["train", str(corpus), "--grammar-out", str(out), "--separators", escape],
-            "apply": ["apply", str(g), str(corpus), str(out), "--separators", escape],
-            "stats": ["stats", "--raw", str(corpus), "--grammar", str(g), "--separators", escape],
-            "decode": ["decode", str(g), str(s), str(out), "--separator", escape],
-        }[command]
-        assert main(argv) == 1
+        assert main(self._separator_argv(command, escape, corpus, trained, out)) == 1
         captured = capsys.readouterr()
         assert "bad escape" in captured.err and captured.out == ""
+        assert not out.exists()
+
+    # '\udcff' is how a raw invalid byte in argv (0xff) reaches Python
+    @pytest.mark.parametrize("value", ["\\ud800", "\udcff"], ids=["escape", "raw-byte"])
+    @pytest.mark.parametrize("command", ["train", "apply", "stats", "decode"])
+    def test_surrogate_is_usage_error(self, tmp_path, corpus, trained, capsys, command, value):
+        out = tmp_path / "out.txt"
+        assert main(self._separator_argv(command, value, corpus, trained, out)) == 1
+        captured = capsys.readouterr()
+        assert repr(value) in captured.err and "surrogate" in captured.err and captured.out == ""
         assert not out.exists()
 
     def test_help_exits_zero(self, capsys):

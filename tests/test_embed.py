@@ -6,6 +6,8 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rgrams import embed
 from rgrams.embed import (
@@ -25,7 +27,7 @@ from rgrams.embed import (
     train_skipgram,
 )
 from rgrams.errors import DomainError, ParameterError, SegmentedFileError, VectorFileError
-from rgrams.grammar import escape_token, read_segmented
+from rgrams.grammar import escape_token, read_segmented, unescape_token
 
 SENTS = [
     ["the", "cat", "sat"],
@@ -804,6 +806,78 @@ class TestSubword:
         assert not np.allclose(plain.vector("cat"), sub.vector("cat"))
 
 
+# finite texts first, then overflowing, non-finite and malformed ones
+_COMPONENT = st.sampled_from(
+    ["0", "-1", "2.5", "1e-300", "1e153"] * 4
+    + ["1e200", "-1e200", "1e400", "nan", "-inf", "x", "--1", ""]
+)
+
+
+@st.composite
+def vec_texts(draw):
+    """Small .vec texts, valid or broken anywhere: header, field counts,
+    escapes, duplicates, floats, overflowing norms, missing rows, trailing
+    lines; always valid UTF-8."""
+    count = draw(st.integers(0, 5))
+    dim = draw(st.integers(1, 3))
+    header = draw(
+        st.sampled_from([f"{count} {dim}"] * 8 + ["", "x 2", "2", "-1 2", "1 0", "1 2 3"])
+    )
+    lines = [header]
+    for _ in range(count + draw(st.integers(-2, 1))):
+        tok = draw(st.sampled_from(["a", "b", "c", "a_b", "x\\_", "\\q", "é"]))
+        width = dim + draw(st.sampled_from([0] * 8 + [-1, 1]))
+        comps = draw(st.lists(_COMPONENT, min_size=width, max_size=width))
+        lines.append(" ".join([tok, *comps]))
+    lines += draw(st.lists(st.sampled_from(["", " ", "\t", "z 1"]), max_size=2))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def reference_import(text):
+    """What a reader that takes the lines of text one at a time, in file
+    order, and stops at the first failure gives: (tokens, rows), or the
+    error message."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    header = lines[0].split() if lines else []
+    if len(header) != 2:
+        return "line 1: header must be '<count> <dim>'"
+    try:
+        count, dim = int(header[0]), int(header[1])
+    except ValueError:
+        return "line 1: non-integer header"
+    if count < 0 or dim < 1:
+        return "line 1: invalid header values"
+    tokens, rows = [], []
+    for lineno in range(2, count + 2):
+        if lineno > len(lines):
+            return f"line {lineno}: truncated file"
+        fields = lines[lineno - 1].split(" ")
+        if len(fields) != dim + 1:
+            return f"line {lineno}: expected {dim + 1} fields, got {len(fields)}"
+        try:
+            tok = unescape_token(fields[0])
+        except ValueError as exc:
+            return f"line {lineno}: {exc}"
+        if tok in tokens:
+            return f"line {lineno}: duplicate token {tok!r}"
+        try:
+            row = [float(x) for x in fields[1:]]
+        except ValueError:
+            return f"line {lineno}: malformed float"
+        if not all(map(math.isfinite, row)):
+            return f"line {lineno}: non-finite component"
+        if embed._overflowing_rows(np.array([row]))[0]:
+            return f"line {lineno}: squared norm overflows"
+        tokens.append(tok)
+        rows.append(row)
+    for lineno in range(count + 2, len(lines) + 1):
+        if lines[lineno - 1].strip():
+            return f"line {lineno}: trailing content after declared rows"
+    return tokens, rows
+
+
 class TestVectorFiles:
     def test_newline_token_refused_and_nothing_written(self, tmp_path):
         path = tmp_path / "v.vec"
@@ -813,6 +887,15 @@ class TestVectorFiles:
             with pytest.raises(DomainError, match="newline"):
                 export_vectors(source, str(path))
             assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "matrix", [np.zeros((2, 0)), np.ones((2, 2, 2))], ids=["no-columns", "3-d"]
+    )
+    def test_vector_set_needs_a_2d_matrix_with_columns(self, tmp_path, matrix):
+        path = tmp_path / "v.vec"
+        with pytest.raises(DomainError, match="2-D"):
+            export_vectors(VectorSet(["a", "b"], matrix), str(path))
+        assert not path.exists()
 
     def test_round_trip_within_tolerance(self, tmp_path):
         m = train_skipgram(segmented(SENTS), tiny_config())
@@ -948,10 +1031,8 @@ class TestVectorFiles:
         e = self._attempt(tmp_path, f"5 2\na 1 2\nb 3 4\n{row}\nd 5 6\ne 7 8\n")
         assert e.line == 4 and reason in str(e)
 
-    def test_first_bad_line_wins_across_conversions(self, tmp_path, monkeypatch):
-        # components are converted two rows at a time here; a non-finite
-        # row in an early batch still wins over a malformed one after it
-        monkeypatch.setattr(embed, "_FIELDS", 4)
+    def test_first_bad_line_wins_across_conversions(self, tmp_path):
+        # a non-finite row still wins over a malformed one after it
         body = "6 2\na 1 2\nb 3 4\nc inf 1\nd 5 6\ne x 1\nf 1 1\n"
         e = self._attempt(tmp_path, body)
         assert e.line == 4 and "non-finite" in str(e)
@@ -959,7 +1040,7 @@ class TestVectorFiles:
         e = self._attempt(tmp_path, body)
         assert e.line == 6 and "malformed" in str(e)
         # an error in a row's structure, or a missing row, on line 5 comes
-        # after a bad row on line 3 (its batch converted) or line 4 (pending)
+        # after a bad row on line 3 or line 4
         structural = ["c 1 2 3\n", "c\\q 1 2\n", "a 5 6\n", ""]
         for rows, line, reason in [
             ("a 1 2\nb inf 4\nz 1 1\n", 3, "non-finite"),
@@ -968,8 +1049,37 @@ class TestVectorFiles:
             for bad in structural:
                 e = self._attempt(tmp_path, f"5 2\n{rows}{bad}y 1 1\n" if bad else f"5 2\n{rows}")
                 assert e.line == line and reason in str(e), (rows, bad)
-        # a non-finite row in the final, partial batch
+        # a non-finite last row
         body = "5 2\na 1 2\nb 3 4\nc 5 6\nd 7 8\ne 1 -inf\n"
         e = self._attempt(tmp_path, body)
         assert e.line == 6 and "non-finite" in str(e)
 
+    @pytest.mark.parametrize(
+        "later",
+        ["a 1 1\n", "c x 1\n", "c nan 1\n", "c 1 1 1\n", ""],
+        ids=["duplicate", "malformed", "non-finite", "field-count", "missing"],
+    )
+    def test_overflow_named_before_a_later_bad_row(self, tmp_path, later):
+        e = self._attempt(tmp_path, f"3 2\na 1e200 1e200\nb 1 1\n{later}")
+        assert e.line == 2 and "squared norm overflows" in str(e)
+
+    def test_non_finite_named_before_bad_bytes(self, tmp_path):
+        p = tmp_path / "bad.vec"
+        p.write_bytes(b"3 2\na 1 1\nb 1 -inf\nc\xff 1 1\n")
+        with pytest.raises(VectorFileError, match="non-finite component") as info:
+            import_vectors(str(p))
+        assert info.value.line == 3
+
+    @settings(max_examples=300)
+    @given(vec_texts())
+    def test_matches_a_row_by_row_reference(self, text):
+        want = reference_import(text)
+        try:
+            vs = import_vectors(io.StringIO(text))
+        except VectorFileError as e:
+            assert isinstance(want, str), (text, str(e))
+            assert str(e) == want, text
+        else:
+            assert not isinstance(want, str), (text, want)
+            tokens, rows = want
+            assert vs.tokens == tokens and vs.matrix.tolist() == rows
