@@ -336,7 +336,15 @@ def build_parser() -> _Parser:
     _field_flag(p, TrainConfig, "--negatives", "negatives", int)
     _field_flag(p, TrainConfig, "--epochs", "epochs", int)
     _field_flag(p, TrainConfig, "--lr", "initial_lr", float)
-    _field_flag(p, TrainConfig, "--subsample", "subsample_threshold", float)
+    _field_flag(
+        p,
+        TrainConfig,
+        "--subsample",
+        "subsample_threshold",
+        float,
+        help="word2vec's frequent-token threshold, 0 to keep every token (default %(default)g); "
+        "on about 1 MB of text 1e-4 left planted classes at chance, 1e-3 or 0 recovered them",
+    )
     _field_flag(p, TrainConfig, "--min-count", "min_token_count", int)
     _field_flag(p, TrainConfig, "--seed", "seed", int)
     _field_flag(

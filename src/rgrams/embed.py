@@ -14,10 +14,12 @@ sub-batch's start, then one scatter of the steps in which repeated rows
 add up. Each center position occurs once per sub-batch, so a token's
 input rows take one stale step per occurrence in the block, not one per
 context (Hogwild, Recht et al. 2011: SGD with stale reads converges when
-the updates in flight rarely share rows). A negative equal to its pair's
-context is skipped, as in word2vec.c. pair_loss and pair_gradients run
-the same step on a batch of one, so the finite-difference check covers it.
-What a run of _RUN blocks trains (pairs, negatives, skips, rates) is
+the updates in flight rarely share rows). Negatives are drawn in corpus
+order, by center and then by window offset, so the pairs' draws depend on
+the kept tokens and the window, not on the blocks. A negative equal to its
+pair's context is skipped, as in word2vec.c. pair_loss and pair_gradients
+run the same step on a batch of one, so the finite-difference check covers
+it. What a run of _RUN blocks trains (pairs, negatives, skips, rates) is
 planned in a few vectorized calls before its sub-batches run (_plan).
 
 The corpus is a segmented file (path or handle), read straight into one
@@ -324,16 +326,17 @@ class VectorSet:
 def _pair_step(
     h: np.ndarray, W: np.ndarray, skip: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """P SGNS pairs at fixed parameters: (signed scores, g, gu).
+    """P SGNS pairs at fixed parameters: (scores, g, gu).
 
     h is (P, dim), one hidden vector per pair; W is (P, K, dim), each pair's
-    context output row stacked over its negatives' rows. g (P, K) holds the
-    loss derivatives w.r.t. the scores W @ h, and gu (P, dim) the gradients
-    w.r.t. h; a pair's loss is logaddexp(0, signed scores).sum(), where the
-    positive score enters negated. skip (P, K), if given, marks rows that do
-    not count: their g is 0 and their signed score -inf, so they add nothing
-    to a loss or a gradient. Training and pair_loss / pair_gradients all go
-    through here.
+    context output row stacked over its negatives' rows. scores (P, K) are
+    W @ h, g (P, K) the loss derivatives w.r.t. them, and gu (P, dim) the
+    gradients w.r.t. h; a pair's loss is logaddexp(0, signed scores).sum(),
+    where the signed scores are the scores with the positive one negated.
+    skip (P, K), if given, marks rows that do not count: their g is 0, so
+    they add nothing to a gradient, and a caller summing the loss sets
+    their signed score to -inf. Training and pair_loss / pair_gradients all
+    go through here.
     """
     scores = np.matmul(W, h[:, :, None])[:, :, 0]
     # g = 1 / (1 + exp(-scores)); for very negative scores exp overflows to
@@ -344,10 +347,8 @@ def _pair_step(
     np.add(g, 1.0, out=g)
     np.divide(1.0, g, out=g)
     g[:, 0] -= 1.0
-    scores[:, 0] *= -1.0
     if skip is not None:
         g[skip] = 0.0
-        scores[skip] = -np.inf
     gu = np.matmul(g[:, None, :], W)[:, 0, :]
     return scores, g, gu
 
@@ -360,7 +361,9 @@ def _stacked(v_pos: np.ndarray, v_negs: np.ndarray) -> np.ndarray:
 @np.errstate(over="ignore")
 def pair_loss(u: np.ndarray, v_pos: np.ndarray, v_negs: np.ndarray) -> float:
     """-log sigmoid(u.v_pos) - sum log sigmoid(-u.v_neg); numerically stable."""
-    return float(np.logaddexp(0.0, _pair_step(u[None], _stacked(v_pos, v_negs))[0]).sum())
+    scores = _pair_step(u[None], _stacked(v_pos, v_negs))[0][0]
+    scores[0] *= -1.0
+    return float(np.logaddexp(0.0, scores).sum())
 
 
 @np.errstate(over="ignore")
@@ -376,18 +379,21 @@ def pair_gradients(
 # once it holds at least _BLOCK tokens, and a sentence that would take it to
 # 2 * _BLOCK is cut there. Each window offset of a block is one sub-batch,
 # trained against the rows as they stood at its start. Larger blocks are
-# faster but pile more stale steps on a frequent token's rows: on the
-# benchmark's embed workload (seeds 1-10, against one-pair-at-a-time
-# training with the same streams) held-out loss rose by at most 0.44% at
-# 16, 0.62% at 32 and 0.77% at 64.
-_BLOCK = 16
+# faster but pile more stale steps on a frequent token's rows. On the
+# benchmark's embed workload (dim 16, seeds 1-10), on the same negative and
+# subsampling streams, mean held-out loss against 16-token blocks moved by
+# -0.06% at 8, +0.13% at 32 (+0.08% to +0.16% per seed) and +0.35% at 64,
+# while train_skipgram took about 0.73 of the time at 32 and 0.62 at 64.
+# Every window offset of a block in one sub-batch was faster still, but
+# cost +3.6% in held-out loss.
+_BLOCK = 32
 # The sub-batches of _RUN blocks at a time are planned together (_plan). A
 # run holds at most 2 * _BLOCK * _RUN tokens, and its plan a few arrays of
 # 1 + negatives entries per pair. The run size changes no result; on the
-# benchmark's embed workload 32 to 128 blocks train equally fast; the
-# tracemalloc peak of one 100k-token segment at dim 64 is 2.8 MB at 1 block,
-# 3.3 MB at 32 and 4.6 MB at 64.
-_RUN = 32
+# benchmark's embed workload 8 to 32 blocks train equally fast (within 2%);
+# the tracemalloc peak of one 100k-token segment at dim 64 is 4.0 MB at 1
+# block, 4.7 MB at 16 and 6.2 MB at 32.
+_RUN = 16
 
 
 def _block_bounds(sid: np.ndarray) -> list[int]:
@@ -421,7 +427,9 @@ def _plan(
     center. None if the run has no pair, else (c, idx, skip, subs):
 
     - c (P,) and idx (P, 1 + negatives): each pair's center, and its output
-      rows [context, negatives...], the negatives the next draws of take;
+      rows [context, negatives...]. The negatives are the next P * negatives
+      draws of take, dealt to the pairs in corpus order (by center, then
+      offset), so a pair's draws do not depend on the blocks or the run;
     - skip: the negatives equal to their pair's context (column 0 is never
       set);
     - subs: per sub-batch (start, stop, block of the run, whether any of its
@@ -430,16 +438,17 @@ def _plan(
     r0, r1 = bounds[0], bounds[-1]
     n = len(toks)
     nd = len(offsets)
-    same = np.zeros((nd, r1 - r0), dtype=bool)
+    same = np.zeros((r1 - r0, nd), dtype=bool)
     for k, d in enumerate(offsets):
         lo, hi = max(r0, -d), min(r1, n - d)
         if lo < hi:
-            np.equal(sid[lo:hi], sid[lo + d : hi + d], out=same[k, lo - r0 : hi - r0])
-    k, i = np.nonzero(same)  # by offset, then center
+            np.equal(sid[lo:hi], sid[lo + d : hi + d], out=same[lo - r0 : hi - r0, k])
+    i, k = np.nonzero(same)  # corpus order: by center, then offset
     P = len(i)
     if not P:
         return None
-    # each pair's sub-batch, numbered in training order
+    # each pair's sub-batch, numbered in training order; the stable sort
+    # keeps a sub-batch's pairs by center
     key = np.repeat(np.arange(len(bounds) - 1) * nd, np.diff(bounds))[i] + k
     order = np.argsort(key, kind="stable")
     key = key[order]
@@ -447,7 +456,7 @@ def _plan(
     c = toks[i]
     idx = np.empty((P, 1 + negatives), dtype=np.intp)
     idx[:, 0] = toks[i + np.array(offsets)[k[order]]]
-    idx[:, 1:] = take(P * negatives).reshape(P, negatives)
+    idx[:, 1:] = take(P * negatives).reshape(P, negatives)[order]  # drawn in corpus order
     skip = idx == idx[:, :1]
     skip[:, 0] = False
     starts = np.concatenate(([0], np.flatnonzero(np.diff(key)) + 1))
@@ -488,12 +497,14 @@ def train_skipgram(
     each window offset d is one sub-batch: every pair (i, i + d) whose
     center i is in the block and whose context is in the same sentence. A
     sub-batch is one _pair_step over rows read at its start, and each center
-    position occurs in it once; its negatives are the next P * negatives
-    draws of one negative_draws take function, and a negative equal to its
+    position occurs in it once. The negatives come from one negative_draws
+    take function, in corpus order: each epoch deals its draws to the pairs
+    by center, then offset, whatever the blocks. A negative equal to its
     pair's context is skipped, as word2vec.c does. The pairs, negatives and
     skips of _RUN blocks at a time are planned in a few vectorized calls
     (_plan); the loop over their sub-batches then only gathers rows, steps
-    and scatters. Repeated rows accumulate their steps (np.subtract.at).
+    and scatters, and the run's loss is signed and summed once.
+    Repeated rows accumulate their steps (np.subtract.at).
     With subwords a center's hidden vector is the mean of its rows and each
     row takes an equal share of its gradient. The learning rate decays
     linearly per block. pair_log, if given, collects every (center, context)
@@ -588,7 +599,7 @@ def train_skipgram(
             # flat positions of the rows' first components, for the scatters
             crow_at = crow * dim
             idx_at = idx * dim
-            signed = []  # each sub-batch's signed scores, for the loss
+            scores = []  # each sub-batch's scores, for the loss
             for s0, s1, b, has_skip in subs:
                 a = rates[r + b]
                 ix = idx[s0:s1]
@@ -598,7 +609,7 @@ def train_skipgram(
                     cl = clen[s0:s1]
                     h = np.add.reduceat(h, rfirst[s0:s1] - q0) / cl[:, None]
                 sc, g, gu = _pair_step(h, out.take(ix, axis=0), skip[s0:s1] if has_skip else None)
-                signed.append(sc)
+                scores.append(sc)
                 np.multiply(g, a, out=g)
                 # repeated rows (a negative drawn twice, a center or n-gram
                 # twice) must accumulate their steps
@@ -609,7 +620,10 @@ def train_skipgram(
                 else:
                     gu = np.repeat(gu * (a / cl)[:, None], cl, axis=0)
                 np.subtract.at(inp_flat, (crow_at[q0:q1, None] + cols).ravel(), gu.ravel())
-            ep_loss += float(np.logaddexp(0.0, np.concatenate(signed, axis=None)).sum())
+            signed = np.concatenate(scores)
+            signed[:, 0] *= -1.0
+            signed[skip] = -np.inf
+            ep_loss += float(np.logaddexp(0.0, signed).sum())
             ep_pairs += len(c)
         if ep_pairs:
             rate = ep_pairs / max(time.perf_counter() - clock, 1e-9)

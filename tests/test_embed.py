@@ -349,9 +349,10 @@ class TestTraining:
         # One 100k-token segment at dim 64. Training holds a few arrays of
         # the corpus's length (token ids, sentence numbers, subsampling
         # draws: under 1 MB each), but a sub-batch holds at most 2 * _BLOCK
-        # pairs: the peak is about 3.3 MB. One block over the whole segment
-        # would gather 6 output rows for each of its ~110k pairs at once: a
-        # 280 MB peak.
+        # pairs and a plan _RUN blocks: the peak is about 4.7 MB (4.0 MB
+        # with one block per plan, 6.2 MB with 32). One block over the
+        # whole segment would gather 6 output rows for each of its ~110k
+        # pairs at once: a 280 MB peak.
         rng = np.random.default_rng(0)
         words = [a + b for a in "abcdefghij" for b in "vwxyz"]
         segment = [words[k] for k in rng.integers(0, 50, 100_000)]
@@ -495,11 +496,13 @@ def kept_sentences(sents, cfg):
 
 def reference_train(sents, cfg):
     """Literal per-pair form of train_skipgram's batched SGNS: its
-    vocabulary, random streams, blocks and learning-rate schedule. Within
-    each block and window offset, every (center, context) pair takes one
-    pair_gradients call on the rows as they stood when that offset's
-    sub-batch began, without the negatives that equal its context; then
-    each of its rows is updated one at a time."""
+    vocabulary, random streams, blocks and learning-rate schedule. Each
+    epoch first draws every (center, context) pair's negatives in corpus
+    order: by center, then by window offset. Then, within each block and
+    window offset, every pair takes one pair_gradients call on the rows as
+    they stood when that offset's sub-batch began, without the negatives
+    that equal its context; then each of its rows is updated one at a
+    time."""
     vocab, epochs = kept_sentences(sents, cfg)
     V = len(vocab)
     train_words = int(vocab.counts.sum())
@@ -527,6 +530,12 @@ def reference_train(sents, cfg):
     for kept in epochs:
         # (token, sentence number, tokens processed by its sentence's end)
         stream = [(t, s, done) for s, (sent, done) in enumerate(kept) for t in sent]
+        pairs = {}  # (center, offset) -> (context, negatives), in corpus order
+        for i in range(len(stream)):
+            for d in offsets:
+                j = i + d
+                if 0 <= j < len(stream) and stream[j][1] == stream[i][1]:
+                    pairs[i, d] = stream[j][0], take(cfg.negatives).tolist()
         blocks = []
         start = 0
         for i in range(len(stream)):
@@ -542,11 +551,10 @@ def reference_train(sents, cfg):
             for d in offsets:
                 inp0, out0 = inp.copy(), out.copy()
                 for i in range(b0, b1):
-                    j = i + d
-                    if not 0 <= j < len(stream) or stream[j][1] != stream[i][1]:
+                    if (i, d) not in pairs:
                         continue
-                    c, ctx = stream[i][0], stream[j][0]
-                    negs = [n for n in take(cfg.negatives).tolist() if n != ctx]
+                    c, (ctx, drawn) = stream[i][0], pairs[i, d]
+                    negs = [n for n in drawn if n != ctx]
                     crows = [c] if rows is None else rows[c]
                     h = inp0[crows].mean(axis=0)
                     gu, gvp, gvn = pair_gradients(h, out0[ctx], out0[negs])
@@ -606,12 +614,12 @@ class TestTrainingOracle:
         self.check(sents, tiny_config(subsample_threshold=subsample, subword_ngrams=subword, **kw))
 
     def test_pairs_are_the_window_enumeration(self):
-        # 60-token segments keep 39 to 51 tokens each after subsampling, so
-        # each spans several blocks and is cut where a block would pass 32
+        # 160-token segments keep 113 to 131 tokens each after subsampling, so
+        # each spans several blocks and is cut where a block would pass 64
         rng = np.random.default_rng(4)
         words = [a + b for a in "abcdef" for b in "vwxyz"]
         p = 1.0 / np.arange(1, 31)
-        sents = [[words[k] for k in rng.choice(30, 60, p=p / p.sum())] for _ in range(20)]
+        sents = [[words[k] for k in rng.choice(30, 160, p=p / p.sum())] for _ in range(20)]
         cfg = tiny_config(subsample_threshold=0.02, window=3, epochs=2)
         vocab, epochs = kept_sentences(sents, cfg)
         want = []
@@ -623,7 +631,7 @@ class TestTrainingOracle:
                         if j != i:
                             want.append((c, s[j]))
         lens = [len(ids) for kept in epochs for ids, _ in kept]
-        assert min(lens) > embed._BLOCK and max(lens) > 2 * embed._BLOCK and max(lens) < 60
+        assert min(lens) > 2 * embed._BLOCK and max(lens) < 160
         got = []
         train_skipgram(segmented(sents), cfg, pair_log=got)
         assert sorted(got) == sorted(want)
@@ -640,7 +648,8 @@ class TestTrainingOracle:
 
 
 class TestPlannedRuns:
-    """The run size (_RUN blocks planned at once) changes no result."""
+    """The run size (_RUN blocks planned at once) changes no result, and no
+    schedule changes which negatives a pair draws."""
 
     @pytest.fixture(scope="class")
     def sents(self):
@@ -685,6 +694,48 @@ class TestPlannedRuns:
         # the loss is summed once per run, so only its rounding may differ
         assert len(got[3]) == len(want[3]) == cfg.epochs
         assert got[3] == pytest.approx(want[3], rel=1e-9, abs=0)
+
+    @staticmethod
+    def planned(toks, sid, cfg):
+        """Every pair one epoch's plans hold, as (center position, offset,
+        context, negatives, skips), checked against the window walk of each
+        block in training order: by offset, then by center."""
+        offsets = [d for d in range(-cfg.window, cfg.window + 1) if d]
+        take = negative_draws(np.bincount(toks), np.random.default_rng(cfg.seed))
+        bounds = embed._block_bounds(sid)
+        got = []
+        for r in range(0, len(bounds) - 1, embed._RUN):
+            run = bounds[r : r + embed._RUN + 1]
+            plan = embed._plan(toks, sid, run, offsets, take, cfg.negatives)
+            c, idx, skip, _ = plan
+            walk = [
+                (i, d)
+                for b0, b1 in zip(run, run[1:])
+                for d in offsets
+                for i in range(b0, b1)
+                if 0 <= i + d < len(toks) and sid[i + d] == sid[i]
+            ]
+            assert len(walk) == len(c)
+            for (i, d), center, row, sk in zip(walk, c.tolist(), idx.tolist(), skip.tolist()):
+                assert center == toks[i] and row[0] == toks[i + d] and not sk[0]
+                assert sk[1:] == [n == row[0] for n in row[1:]]
+                got.append((i, d, row[0], tuple(row[1:]), tuple(sk)))
+        return got
+
+    @pytest.mark.parametrize("run", [1, None], ids=["one-block", "default-run"])
+    @pytest.mark.parametrize("block", [3, None], ids=["block-3", "default-block"])
+    def test_negatives_do_not_depend_on_the_schedule(self, sents, block, run, monkeypatch):
+        # negatives are drawn in corpus order (by center, then offset), so
+        # each pair's draws are the same under any blocks and runs
+        cfg = tiny_config(window=3, negatives=4)
+        _, toks, sid = embed._corpus_ids(segmented(sents), cfg.min_token_count)
+        want = sorted(self.planned(toks, sid, cfg))
+        if block is not None:
+            monkeypatch.setattr(embed, "_BLOCK", block)
+        if run is not None:
+            monkeypatch.setattr(embed, "_RUN", run)
+        got = self.planned(toks, sid, cfg)
+        assert len(got) == len(want) and sorted(got) == want
 
 
 class TestNonFinite:
