@@ -1,11 +1,14 @@
 """Command-line pipeline: train, apply, decode, stats, embed, eval.
 
-Exit codes: 0 success, 1 usage, 2 I/O failure, 3 data/validation failure.
-A flag's value is checked before any file is opened: by its argparse type as
-it is parsed, or, for a flag that sets a TrainConfig or StopCriteria field
-(the field's name is its dest, the field's default its default), by that
-library type, whose ParameterError is a usage error. Commands take the
-parsed args only. Identical flags and seed give byte-identical outputs.
+Exit codes: 0 success, 1 usage, 2 I/O failure or out of memory, 3
+data/validation failure. A flag's value is checked before any file is
+opened: by its argparse type as it is parsed, or, for a flag that sets a
+TrainConfig or StopCriteria field (the field's name is its dest, the
+field's default its default), by that library type, whose ParameterError
+is a usage error; embed's --dim and --negatives are also a usage error
+when, once the corpus is read, they ask for an array numpy cannot make.
+Commands take the parsed args only. Identical flags and seed give
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -389,6 +392,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy names the array it could not allocate
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 2
 
 

@@ -148,62 +148,50 @@ class BoundedSequence:
         yield lo, len(self.symbols)
 
 
-class ChunkEncoder:
-    """Incremental encoder: feed text chunks, then finish() once.
+def _encode_chunks(chunks: Iterable[str], separators: frozenset[str]) -> BoundedSequence:
+    """Encode text chunks as one text; separator runs become boundaries.
 
     Chunk splits never change the result; separator-run state carries over.
     """
-
-    def __init__(self, separators: frozenset[str] = DEFAULT_SEPARATORS):
-        self._seps = np.sort(np.array([ord(c) for c in separators], dtype=np.uint32))
-        self._table = SymbolTable()
-        self._parts: list[np.ndarray] = []
-        self._boundaries: list[int] = []
-        self._count = 0
-        self._in_sep_run = False
-
-    def feed(self, text: str) -> None:
+    seps = np.sort(np.array([ord(c) for c in separators], dtype=np.uint32))
+    table = SymbolTable()
+    parts: list[np.ndarray] = []
+    boundaries: list[int] = []
+    count = 0
+    in_sep_run = False
+    for text in chunks:
         if not text:
-            return
+            continue
         cps = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-        mask = np.isin(cps, self._seps) if self._seps.size else np.zeros(len(cps), bool)
+        mask = np.isin(cps, seps) if seps.size else np.zeros(len(cps), bool)
         if mask.any():
-            prev = np.empty(len(cps), bool)
-            prev[0] = self._in_sep_run
-            prev[1:] = mask[:-1]
-            starts = np.nonzero(mask & ~prev)[0]
-            keep = ~mask
-            kept_before = np.concatenate(([0], np.cumsum(keep)))
-            self._boundaries.extend((self._count + kept_before[starts]).tolist())
-            self._in_sep_run = bool(mask[-1])
-            cps = cps[keep]
+            # a run starts at a separator that follows none; the characters
+            # kept before it count up to it, since it is not kept
+            starts = np.flatnonzero(mask & ~np.concatenate(([in_sep_run], mask[:-1])))
+            boundaries.extend((count + np.cumsum(~mask)[starts]).tolist())
+            in_sep_run = bool(mask[-1])
+            cps = cps[~mask]
         else:
-            self._in_sep_run = False
+            in_sep_run = False
         if cps.size:
             uniq, first, inv = np.unique(cps, return_index=True, return_inverse=True)
             lut = np.empty(len(uniq), dtype=np.int32)
-            intern = self._table.intern
             # ids must not depend on chunking, so intern new characters in
             # first-appearance order, not np.unique's sorted order
             for j in np.argsort(first, kind="stable"):
-                lut[j] = intern(chr(int(uniq[j])))
-            self._parts.append(lut[inv])
-            self._count += cps.size
-
-    def finish(self) -> BoundedSequence:
-        symbols = array("i")
-        parts = self._parts
-        parts.reverse()
-        while parts:  # each int32 part is freed once copied
-            symbols.frombytes(parts.pop().view(np.uint8))
-        return BoundedSequence(symbols, self._boundaries, self._table)
+                lut[j] = table.intern(chr(int(uniq[j])))
+            parts.append(lut[inv])
+            count += cps.size
+    symbols = array("i")
+    parts.reverse()
+    while parts:  # each int32 part is freed once copied
+        symbols.frombytes(parts.pop().view(np.uint8))
+    return BoundedSequence(symbols, boundaries, table)
 
 
 def encode(text: str, separators: frozenset[str] = DEFAULT_SEPARATORS) -> BoundedSequence:
     """Encode text into terminal ids; separator runs become boundaries."""
-    enc = ChunkEncoder(separators)
-    enc.feed(text)
-    return enc.finish()
+    return _encode_chunks([text], separators)
 
 
 def read_text_chunks(path) -> Iterator[str]:
@@ -269,7 +257,4 @@ def write_lines(dest: str | TextIO, lines: Iterable[str]) -> None:
 
 def encode_file(path, separators: frozenset[str], options: NormalizationOptions) -> BoundedSequence:
     """Stream-normalize and encode a file in _CHUNK-byte chunks."""
-    enc = ChunkEncoder(separators)
-    for chunk in read_text_chunks(path):
-        enc.feed(normalize(chunk, options))
-    return enc.finish()
+    return _encode_chunks((normalize(c, options) for c in read_text_chunks(path)), separators)

@@ -24,7 +24,8 @@ planned in a few vectorized calls before its sub-batches run (_plan).
 
 The corpus is a segmented file (path or handle), read straight into one
 int array of token codes (_corpus_codes): each distinct line is unescaped
-and normalized once, and numpy counts, filters and numbers the rest.
+and normalized once, and numpy counts and filters the rest. Each kept
+token keeps its sentence's number in the file (_corpus_ids).
 """
 
 from __future__ import annotations
@@ -165,49 +166,32 @@ def _corpus_codes(source: Corpus) -> tuple[np.ndarray, list[str]]:
     return flat, list(codes.norms)
 
 
-def _vocab(
-    codes: np.ndarray, norms: list[str], min_token_count: int
-) -> tuple[EmbedVocab, np.ndarray]:
-    """(vocab, remap): the tokens counted at least min_token_count times, by
-    (count desc, token asc), and remap[code] = the token's vocab id, -2 for a
-    dropped token; remap[-1] = -1, so remap[codes] keeps sentence ends."""
-    counts = np.bincount(codes + 1, minlength=len(norms) + 1)[1:].tolist()
-    kept = [i for i, c in enumerate(counts) if c >= min_token_count]
-    kept.sort(key=lambda i: (-counts[i], norms[i]))
-    remap = np.full(len(norms) + 1, -2, dtype=np.int32)
-    remap[kept] = np.arange(len(kept), dtype=np.int32)
-    remap[-1] = -1
-    return EmbedVocab([norms[i] for i in kept], [counts[i] for i in kept]), remap
-
-
 def build_vocab(source: Corpus, min_token_count: int = 1) -> EmbedVocab:
     """Count the normalized tokens of a segmented file (path or handle) and
-    index those counted at least min_token_count times."""
-    return _vocab(*_corpus_codes(source), min_token_count)[0]
+    index those counted at least min_token_count times (_corpus_ids)."""
+    return _corpus_ids(source, min_token_count)[0]
 
 
 def _corpus_ids(source: Corpus, min_token_count: int) -> tuple[EmbedVocab, np.ndarray, np.ndarray]:
-    """(vocab, ids, sid): the kept tokens in corpus order as vocab ids
-    (intp), and each one's sentence number (int32), counting only the
-    sentences that keep a token."""
+    """(vocab, ids, sid): the tokens counted at least min_token_count times,
+    by (count desc, token asc); the kept tokens in corpus order as vocab ids
+    (intp); and each one's sentence number in the file (int32): the count of
+    blank lines above it, so a sentence that keeps no token leaves a gap."""
     codes, norms = _corpus_codes(source)
-    vocab, remap = _vocab(codes, norms, min_token_count)
+    counts = np.bincount(codes + 1, minlength=len(norms) + 1)[1:].tolist()
+    kept = [i for i, c in enumerate(counts) if c >= min_token_count]
+    kept.sort(key=lambda i: (-counts[i], norms[i]))
+    vocab = EmbedVocab([norms[i] for i in kept], [counts[i] for i in kept])
+    # remap[code] = the token's vocab id, -2 for a dropped token; remap[-1] =
+    # -1, so remap[codes] keeps sentence ends
+    remap = np.full(len(norms) + 1, -2, dtype=np.int32)
+    remap[kept] = np.arange(len(kept), dtype=np.int32)
+    remap[-1] = -1
     ids = remap[codes]
     del codes
-    sent = np.cumsum(ids == -1, dtype=np.int32)
+    sid = np.cumsum(ids == -1, dtype=np.int32)
     keep = ids >= 0
-    sid = sent[keep]
-    del sent
-    ids = ids[keep].astype(np.intp)
-    del keep
-    if len(sid):
-        # renumber: a sentence that lost all its tokens leaves no gap
-        new = np.empty(len(sid), dtype=bool)
-        new[0] = True
-        np.not_equal(sid[1:], sid[:-1], out=new[1:])
-        sid = np.cumsum(new, dtype=np.int32)
-        sid -= 1
-    return vocab, ids, sid
+    return vocab, ids[keep].astype(np.intp), sid[keep]
 
 
 def subword_rows(vocab: EmbedVocab, ngrams: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -234,22 +218,16 @@ def subword_rows(vocab: EmbedVocab, ngrams: tuple[int, int]) -> tuple[np.ndarray
 
 def negative_draws(counts: np.ndarray, rng: np.random.Generator) -> Callable[[int], np.ndarray]:
     """take(n): the next n token indices, token i drawn with weight
-    counts[i] ** 0.75: blocks of 8192 uniforms searchsorted into the cumsum."""
+    counts[i] ** 0.75: n uniforms of rng searchsorted into the cumsum."""
     w = np.asarray(counts, dtype=np.float64) ** 0.75
     if w.sum() <= 0:
         raise DomainError("negative sampler needs positive counts")
     cum = np.cumsum(w)
-    block = np.empty(0, dtype=np.intp)  # drawn, and taken up to pos
-    pos = 0
 
+    # a Generator's float64 stream does not depend on how it is requested,
+    # so one take(n) draws what n calls of take(1) draw
     def take(n: int) -> np.ndarray:
-        nonlocal block, pos
-        while pos + n > len(block):
-            fresh = np.searchsorted(cum, rng.random(8192) * cum[-1], side="right")
-            block = np.concatenate([block[pos:], fresh])
-            pos = 0
-        pos += n
-        return block[pos - n : pos]
+        return np.searchsorted(cum, rng.random(n) * cum[-1], side="right")
 
     return take
 
@@ -420,7 +398,7 @@ def _plan(
     offsets: list[int],
     take: Callable[[int], np.ndarray],
     negatives: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, int, int, bool]]] | None:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, int, int]]] | None:
     """The pairs of the run of blocks bounds[0]:bounds[1], ...,
     bounds[-2]:bounds[-1] over the kept tokens toks (sentence numbers sid),
     in training order: block by block, in a block by window offset, then by
@@ -432,8 +410,7 @@ def _plan(
       offset), so a pair's draws do not depend on the blocks or the run;
     - skip: the negatives equal to their pair's context (column 0 is never
       set);
-    - subs: per sub-batch (start, stop, block of the run, whether any of its
-      negatives is skipped).
+    - subs: per sub-batch (start, stop, block of the run).
     """
     r0, r1 = bounds[0], bounds[-1]
     n = len(toks)
@@ -459,10 +436,8 @@ def _plan(
     idx[:, 1:] = take(P * negatives).reshape(P, negatives)[order]  # drawn in corpus order
     skip = idx == idx[:, :1]
     skip[:, 0] = False
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(key)) + 1))
-    has_skip = np.logical_or.reduceat(skip.any(axis=1), starts)
-    stops = [*starts[1:].tolist(), P]
-    subs = list(zip(starts.tolist(), stops, (key[starts] // nd).tolist(), has_skip.tolist()))
+    starts = [0, *(np.flatnonzero(np.diff(key)) + 1).tolist()]
+    subs = list(zip(starts, [*starts[1:], P], (key[starts] // nd).tolist()))
     return c, idx, skip, subs
 
 
@@ -484,22 +459,23 @@ def train_skipgram(
     corpus is a segmented file (path or handle). It is read a chunk of
     lines at a time, and each distinct line is unescaped and normalized
     once; the corpus is then one int array of token codes, from which numpy
-    counts the vocabulary, drops tokens below min_token_count and numbers
-    the sentences, so memory is O(tokens) ints and no string is held per
-    token. A bad escape raises SegmentedFileError naming its line. Tokens
-    removed by subsampling are dropped too; their uniforms come from their
-    own stream. With subwords, the input rows of every token are listed
-    once, in one (flat, start) table (subword_rows) that training and the
-    returned matrix share, and the input table has one row per token and
-    per distinct n-gram.
+    counts the vocabulary and drops tokens below min_token_count; each kept
+    token keeps its sentence's number in the file. Memory is O(tokens) ints
+    and no string is held per token. A bad escape raises SegmentedFileError
+    naming its line. Tokens removed by subsampling are dropped too; their
+    uniforms come from their own stream. With subwords, the input rows of
+    every token are listed once, in one (flat, start) table (subword_rows)
+    that training and the returned matrix share, and the input table has
+    one row per token and per distinct n-gram.
 
     The kept tokens are walked in blocks of whole sentences (_BLOCK), and
     each window offset d is one sub-batch: every pair (i, i + d) whose
-    center i is in the block and whose context is in the same sentence. A
-    sub-batch is one _pair_step over rows read at its start, and each center
-    position occurs in it once. The negatives come from one negative_draws
-    take function, in corpus order: each epoch deals its draws to the pairs
-    by center, then offset, whatever the blocks. A negative equal to its
+    center i is in the block and whose context is in the same sentence (a
+    window wider than the longest sentence is narrowed to it). A sub-batch
+    is one _pair_step over rows read at its start, and each center position
+    occurs in it once. The negatives come from one negative_draws take
+    function, in corpus order: each epoch deals its draws to the pairs by
+    center, then offset, whatever the blocks. A negative equal to its
     pair's context is skipped, as word2vec.c does. The pairs, negatives and
     skips of _RUN blocks at a time are planned in a few vectorized calls
     (_plan); the loop over their sub-batches then only gathers rows, steps
@@ -512,7 +488,9 @@ def train_skipgram(
     pair loss; the loss is one logaddexp sum per plan. DomainError when an
     epoch's loss is not finite, when a row of either table has a squared
     norm that overflows after an epoch, or when the whole run trains no
-    pair, which would leave the vectors untrained.
+    pair, which would leave the vectors untrained; ParameterError, before
+    any table is made, when dim or negatives asks numpy for an array of
+    more than intp.max bytes.
     """
     config.validate()
     vocab, flat, sent_of = _corpus_ids(corpus, config.min_token_count)
@@ -522,8 +500,14 @@ def train_skipgram(
 
     # every kept token occurs in the corpus, so train_words > 0
     train_words = len(flat)
-    # tokens processed by the end of each sentence, for the rate schedule
-    done = np.append(np.flatnonzero(np.diff(sent_of)) + 1, train_words)
+    # tokens in each file sentence, and processed by its end (the rate schedule)
+    lens = np.bincount(sent_of)
+    done = np.cumsum(lens)
+    # no pair spans more than the longest sentence: a larger window would
+    # only add offsets that pair nothing
+    window = min(config.window, int(lens.max()) - 1)
+    offsets = [d for d in range(-window, window + 1) if d]
+    negatives = config.negatives
 
     ss = np.random.SeedSequence(config.seed)
     init_ss, neg_ss, sub_ss = ss.spawn(3)
@@ -535,6 +519,13 @@ def train_skipgram(
     rows = None if ngrams is None else subword_rows(vocab, ngrams)
     size = V if rows is None else int(rows[0].max()) + 1
     dim = config.dim
+    # numpy refuses an array of more than intp.max bytes: name the setting
+    # that asks for one before anything is allocated
+    limit = np.iinfo(np.intp).max // 8
+    if size * dim > limit:
+        raise ParameterError(f"dim {dim} asks for an input table of {size} x {dim} values")
+    if (per_plan := 2 * _BLOCK * _RUN * len(offsets) * (1 + negatives)) > limit:
+        raise ParameterError(f"negatives {negatives} asks for plans of up to {per_plan} values")
     inp = (rng.random((size, dim)) - 0.5) / dim
     out = np.zeros((V, dim), dtype=np.float64)
     # training updates inp and out in place
@@ -551,9 +542,6 @@ def train_skipgram(
         ratio = t / f
         keep_prob = np.minimum(1.0, np.sqrt(ratio) + ratio)
 
-    window = config.window
-    offsets = [d for d in range(-window, window + 1) if d]
-    negatives = config.negatives
     lr0 = config.initial_lr
     lr_floor = lr0 * 1e-4
     denom = config.epochs * train_words + 1
@@ -600,7 +588,7 @@ def train_skipgram(
             crow_at = crow * dim
             idx_at = idx * dim
             scores = []  # each sub-batch's scores, for the loss
-            for s0, s1, b, has_skip in subs:
+            for s0, s1, b in subs:
                 a = rates[r + b]
                 ix = idx[s0:s1]
                 q0, q1 = rbound[s0], rbound[s1]
@@ -608,7 +596,7 @@ def train_skipgram(
                 if rows is not None:
                     cl = clen[s0:s1]
                     h = np.add.reduceat(h, rfirst[s0:s1] - q0) / cl[:, None]
-                sc, g, gu = _pair_step(h, out.take(ix, axis=0), skip[s0:s1] if has_skip else None)
+                sc, g, gu = _pair_step(h, out.take(ix, axis=0), skip[s0:s1])
                 scores.append(sc)
                 np.multiply(g, a, out=g)
                 # repeated rows (a negative drawn twice, a center or n-gram

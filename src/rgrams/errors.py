@@ -5,7 +5,7 @@ The CLI maps these onto exit codes:
 - ParameterError: a usage error (exit 1), reported with the usage line, as
   argparse reports a bad flag;
 - any other ToolError: a data/validation failure (exit 3);
-- plain OSError: an I/O failure (exit 2).
+- plain OSError: an I/O failure, and MemoryError: out of memory (both exit 2).
 """
 
 from __future__ import annotations

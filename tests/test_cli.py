@@ -516,6 +516,18 @@ class TestEmbedEval:
         assert not v.exists()
         assert "no (center, context) pairs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--dim", "--negatives"])
+    def test_unallocatable_size_is_usage_error(self, tmp_path, capsys, flag):
+        # 4e18 values of 8 bytes pass intp.max: numpy would refuse the array
+        # without touching memory; training names the setting first
+        s = tmp_path / "three.seg"
+        s.write_text("the\ncat\nsat\n", encoding="utf-8")
+        v = tmp_path / "v.vec"
+        assert main(["embed", str(s), "--vectors-out", str(v), flag, str(4 * 10**18)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {flag[2:]} {4 * 10**18} asks for" in err
+        assert not v.exists()
+
     def test_bad_subword_spec(self, trained, tmp_path, capsys):
         _, s = trained
         rc = main(
@@ -560,7 +572,8 @@ class TestParameters:
         assert not v.exists()
 
     @pytest.mark.parametrize(
-        "error, code, usage", [(ParameterError, 1, True), (DomainError, 3, False)]
+        "error, code, usage",
+        [(ParameterError, 1, True), (DomainError, 3, False), (MemoryError, 2, False)],
     )
     def test_exit_code_of_a_library_error(self, monkeypatch, capsys, error, code, usage):
         def fail(*_args, **_kw):
@@ -571,6 +584,8 @@ class TestParameters:
         err = capsys.readouterr().err
         assert "out of range" in err
         assert ("usage: rgrams" in err) == usage
+        if error is MemoryError:
+            assert err == "error: out of memory: out of range\n"
 
 
 class TestParseTimeRejection:

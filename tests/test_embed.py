@@ -166,10 +166,14 @@ class TestCorpusPrep:
         assert vocab.tokens == kept and vocab.counts.tolist() == [counts[t] for t in kept]
         once = {"born NNNN", "N", WS_TOKEN, "NN", "x\\_y", "back\\slash", "n\\"}
         assert set(kept) == {"new york", "a_b", "the"} | (once if min_count == 1 else set())
+        # a kept token's sentence number is its sentence's in the file, so a
+        # sentence left empty, in the file or by the min-count filter, keeps
+        # its number
         want = [[vocab.index[t] for t in s if t in vocab] for s in sents]
-        want = [w for w in want if w]
         assert ids.tolist() == [t for w in want for t in w]
         assert sid.tolist() == [k for k, w in enumerate(want) for _ in w]
+        emptied = [k for k, (s, w) in enumerate(zip(sents, want)) if s and not w]
+        assert bool(emptied) == (min_count > 1)
 
     @pytest.mark.parametrize("kind", SOURCES[1:])
     def test_same_vocabulary_and_vectors(self, text, tmp_path, kind):
@@ -268,7 +272,8 @@ class TestNegativeSampler:
         assert take(3).tolist() == [0, 0, 0]
 
     def test_matches_blockwise_searchsorted(self):
-        # 8192 uniforms per refill; 20000 draws cross two refills
+        # a Generator's uniforms do not depend on how they are requested:
+        # 20000 calls of take(1) draw what blocks of 8192 at once draw
         counts = np.array([40, 7, 7, 300, 1, 12], dtype=np.int64)
         take = negative_draws(counts, np.random.default_rng(5))
         got = [int(take(1)[0]) for _ in range(20_000)]
@@ -281,9 +286,8 @@ class TestNegativeSampler:
 
     @pytest.mark.parametrize("n", [1, 5, 50, 9000])
     def test_take_equals_next_calls(self, n):
-        # take(n) reads the stream that n calls of take(1) read. 8192 draws
-        # per refill: every n crosses several refills, and 9000 needs two
-        # within one take()
+        # take(n) reads the stream that n calls of take(1) read, from one
+        # draw a call to 9000
         counts = np.array([900, 30, 5, 60, 1], dtype=np.int64)
         fast = negative_draws(counts, np.random.default_rng(9))
         slow = negative_draws(counts, np.random.default_rng(9))
@@ -344,6 +348,24 @@ class TestTraining:
         cfg = tiny_config(epochs=1, min_token_count=4, window=2)
         train_skipgram(segmented(sents), cfg, pair_log=log)
         assert all(c == "common" and x == "common" for c, x in log)
+
+    def test_window_past_the_longest_sentence_changes_nothing(self):
+        # the longest sentence has 6 tokens, so window 10**5 trains as window
+        # 5 does. It peaks at about 60 KB; a plan with a mask column and a
+        # list entry for each of the 2 * 10**5 offsets would take 19 MB.
+        sents = TestTrainingOracle.WORDS * 4
+        want_log, got_log = [], []
+        want = train_skipgram(segmented(sents), tiny_config(window=5), pair_log=want_log)
+        tracemalloc.start()
+        try:
+            got = train_skipgram(segmented(sents), tiny_config(window=10**5), pair_log=got_log)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.input.tobytes() == want.input.tobytes()
+        assert got.output.tobytes() == want.output.tobytes()
+        assert got_log == want_log and want_log
+        assert peak < 1 << 20
 
     def test_long_segment_memory_is_bounded(self):
         # One 100k-token segment at dim 64. Training holds a few arrays of
@@ -580,13 +602,26 @@ class TestTrainingOracle:
             # subsampling keeps each "a" with probability 0.27, and two
             # segments of eight keep some pair on all but about 1% of streams
             ([["a"] * 8] * 2, dict(negatives=2, epochs=2)),
-            # over 8192 negatives: sub-batches take their draws across a refill
+            # 50 negatives a pair: each plan takes thousands of draws at once
             ([WORDS[0] + WORDS[2]] * 6, dict(negatives=50, epochs=2)),
             # "<abab>" has the 2-gram "ab" twice: with subwords its center
             # lists one input row twice, which must accumulate both shares
             ([["abab", "baba", "ab", "abab"]] * 3, dict(negatives=3, epochs=2)),
+            # min count 2 empties the middle sentence: the sentences after it
+            # keep their file numbers, and their rates must not change
+            (
+                WORDS * 2 + [["lone", "pair"]] + WORDS * 2,
+                dict(negatives=3, epochs=2, min_token_count=2),
+            ),
         ],
-        ids=["words", "repeated-negatives", "one-token", "refill", "repeated-ngrams"],
+        ids=[
+            "words",
+            "repeated-negatives",
+            "one-token",
+            "refill",
+            "repeated-ngrams",
+            "emptied-sentence",
+        ],
     )
 
     @staticmethod
