@@ -19,8 +19,9 @@ import numpy as np
 from .errors import CorpusDecodeError, DomainError, UnknownSymbolError
 
 DEFAULT_SEPARATORS = frozenset("\n")
-# bytes read from a file (characters from a text handle) at a time; it bounds
-# encode_file's per-chunk scratch arrays, tens of bytes per character
+# bytes read from a file (characters from a text handle, or of encode's text)
+# at a time; it bounds the encoder's per-chunk scratch arrays, tens of bytes
+# per character
 _CHUNK = 1 << 16
 
 
@@ -152,8 +153,10 @@ def _encode_chunks(chunks: Iterable[str], separators: frozenset[str]) -> Bounded
     """Encode text chunks as one text; separator runs become boundaries.
 
     Chunk splits never change the result; separator-run state carries over.
+    Each chunk's characters are numbered through a table indexed by code
+    point, so no step sorts the text; a chunk holds fewer than 2**31 of them.
     """
-    seps = np.sort(np.array([ord(c) for c in separators], dtype=np.uint32))
+    seps = [ord(c) for c in separators]
     table = SymbolTable()
     parts: list[np.ndarray] = []
     boundaries: list[int] = []
@@ -163,7 +166,9 @@ def _encode_chunks(chunks: Iterable[str], separators: frozenset[str]) -> Bounded
         if not text:
             continue
         cps = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-        mask = np.isin(cps, seps) if seps.size else np.zeros(len(cps), bool)
+        mask = np.zeros(cps.size, dtype=bool)
+        for s in seps:
+            mask |= cps == s
         if mask.any():
             # a run starts at a separator that follows none; the characters
             # kept before it count up to it, since it is not kept
@@ -174,13 +179,17 @@ def _encode_chunks(chunks: Iterable[str], separators: frozenset[str]) -> Bounded
         else:
             in_sep_run = False
         if cps.size:
-            uniq, first, inv = np.unique(cps, return_index=True, return_inverse=True)
-            lut = np.empty(len(uniq), dtype=np.int32)
+            # slot[c] is len(cps) minus the position where c first appears,
+            # 0 where c does not; only the pages of this zeroed table that
+            # present code points fall in are touched
+            slot = np.zeros(int(cps.max()) + 1, dtype=np.int32)
+            back = np.arange(cps.size, 0, -1, dtype=np.int32)
+            np.maximum.at(slot, cps, back)
             # ids must not depend on chunking, so intern new characters in
-            # first-appearance order, not np.unique's sorted order
-            for j in np.argsort(first, kind="stable"):
-                lut[j] = table.intern(chr(int(uniq[j])))
-            parts.append(lut[inv])
+            # first-appearance order
+            firsts = cps[slot[cps] == back]
+            slot[firsts] = [table.intern(chr(c)) for c in firsts.tolist()]
+            parts.append(slot[cps])
             count += cps.size
     symbols = array("i")
     parts.reverse()
@@ -190,8 +199,11 @@ def _encode_chunks(chunks: Iterable[str], separators: frozenset[str]) -> Bounded
 
 
 def encode(text: str, separators: frozenset[str] = DEFAULT_SEPARATORS) -> BoundedSequence:
-    """Encode text into terminal ids; separator runs become boundaries."""
-    return _encode_chunks([text], separators)
+    """Encode text into terminal ids; separator runs become boundaries.
+
+    The text is encoded _CHUNK characters at a time, which bounds the
+    scratch arrays as encode_file's chunks do."""
+    return _encode_chunks((text[i : i + _CHUNK] for i in range(0, len(text), _CHUNK)), separators)
 
 
 def read_text_chunks(path) -> Iterator[str]:

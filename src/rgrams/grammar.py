@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import re
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import islice
-from typing import Iterator, TextIO
+from itertools import chain
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
-from .corpus import BoundedSequence, SymbolTable, read_lines, write_lines
+from .corpus import BoundedSequence, SymbolTable, read_line_chunks, read_lines, write_lines
 from .errors import (
     DomainError,
     GrammarFileError,
@@ -62,6 +63,13 @@ _RankTable = tuple[dict[int, int], np.ndarray, np.ndarray, list[int], list[int],
 _BATCH_MIN_CHARS = 1024
 _BATCH_MIN_CANDIDATES = 16
 _NO_RULE = np.iinfo(np.int32).max  # apply's rule id of a pair that is no rule key
+# write_segmented and decode gather the strings of _GATHER symbols at a time,
+# as many as write_lines writes at once
+_GATHER = 1 << 16
+_NEWLINE_TOKEN = (
+    "token expansion contains a newline; it cannot be written "
+    "one-token-per-line (use a different separator set)"
+)
 
 MAGIC = "RGRAM"
 VERSION = 1
@@ -87,7 +95,7 @@ class ApplyReport:
 class Grammar:
     """Immutable after construction; safe to share across threads."""
 
-    __slots__ = ("terminals", "rules", "_exp", "_depth", "_rank")
+    __slots__ = ("terminals", "rules", "_exp", "_tok", "_newline", "_depth", "_rank")
 
     def __init__(self, terminals: SymbolTable, rules: list[Rule]):
         T = len(terminals)
@@ -99,8 +107,11 @@ class Grammar:
         self.terminals = terminals
         self.rules = tuple(rules)
         # per-symbol tables, each filled on first use by one forward pass
-        # over the rules (rules only reference earlier ids)
-        self._exp: list[str] = []
+        # over the rules (rules only reference earlier ids): expansions,
+        # their escaped tokens and whether each contains a newline
+        self._exp: np.ndarray | None = None
+        self._tok: np.ndarray | None = None
+        self._newline: np.ndarray | None = None
         self._depth: list[int] = []
         self._rank: _RankTable | None = None
 
@@ -120,17 +131,30 @@ class Grammar:
 
     def expand(self, s: int) -> str:
         """Terminal string a symbol stands for."""
-        if s >= OOV_BASE:
+        if OOV_BASE <= s <= OOV_BASE + 0x10FFFF:
             return chr(s - OOV_BASE)
-        exp = self._exp
-        if not exp:
+        if not 0 <= s < self.vocab_size:
+            raise UnknownSymbolError(s)
+        return self._expansions()[s]
+
+    def _expansions(self) -> np.ndarray:
+        """Object array: the terminal string of every symbol, by id."""
+        if self._exp is None:
             exp = list(self.terminals.chars())
             for r in self.rules:
                 exp.append(exp[r.left] + exp[r.right])
-            self._exp = exp
-        if not 0 <= s < len(exp):
-            raise UnknownSymbolError(s)
-        return exp[s]
+            self._exp = np.array(exp, dtype=object)
+        return self._exp
+
+    def _tokens(self) -> tuple[np.ndarray, np.ndarray]:
+        """(escaped, newline): every symbol's expansion as escape_token
+        writes it (object array), and whether the expansion contains a
+        newline (bool array), by id."""
+        if self._tok is None:
+            exp = self._expansions().tolist()
+            self._newline = np.array(["\n" in t for t in exp], dtype=bool)
+            self._tok = np.array([escape_token(t) for t in exp], dtype=object)
+        return self._tok, self._newline
 
     def depth(self, s: int) -> int:
         """0 for terminals, else 1 + max over the two constituents."""
@@ -439,11 +463,54 @@ def greedy_replace(s: list[int], rule: Rule) -> list[int]:
     return out
 
 
+def _symbol_array(seq: BoundedSequence) -> np.ndarray:
+    """seq's symbols as an int array; an array("i") or array("q") is read in
+    place."""
+    syms = seq.symbols
+    return np.asarray(syms, dtype=np.int64) if isinstance(syms, list) else np.asarray(syms)
+
+
+def _gathered(
+    a: np.ndarray, boundaries: list[int], table: np.ndarray, text_of: Callable[[int], str], blank: str
+) -> Iterator[list[str]]:
+    """table[s] for each symbol s of a, with blank at each boundary, as one
+    list per _GATHER symbols.
+
+    An id that indexes no entry of table (a pass-through character, or no
+    symbol) takes text_of(id) instead. text_of runs once per distinct such
+    id, and may raise, before this returns.
+    """
+    n = a.size
+    v = len(table)
+    u = a.view(f"u{a.itemsize}")  # a negative id reads as one >= v
+    other = None
+    if n and u.max() >= v:
+        outside = [a[lo : lo + _GATHER][u[lo : lo + _GATHER] >= v] for lo in range(0, n, _GATHER)]
+        other = np.unique(np.concatenate(outside))
+        table = np.concatenate((table, np.array([text_of(int(s)) for s in other], dtype=object)))
+
+    def pieces() -> Iterator[list[str]]:
+        j = 0
+        for lo in range(0, max(n, 1), _GATHER):
+            hi = lo + _GATHER
+            c = a[lo:hi]
+            if other is not None:
+                c = np.where(u[lo:hi] >= v, v + np.searchsorted(other, c), c)
+            piece = table[c]
+            # a boundary at b is a blank before symbol b
+            k = bisect_left(boundaries, hi) if hi < n else len(boundaries)
+            if k > j:
+                piece = np.insert(piece, np.subtract(boundaries[j:k], lo), blank)
+                j = k
+            yield piece.tolist()
+
+    return pieces()
+
+
 def decode(g: Grammar, seq: BoundedSequence) -> str:
     """Expand every symbol and re-insert one newline per boundary."""
-    exp = g.expand
-    syms = seq.symbols
-    return "\n".join("".join(map(exp, syms[lo:hi])) for lo, hi in seq.segments())
+    pieces = _gathered(_symbol_array(seq), seq.boundaries, g._expansions(), g.expand, "\n")
+    return "".join(chain.from_iterable(pieces))
 
 
 # -- grammar files -----------------------------------------------------------
@@ -469,6 +536,13 @@ def _canonical_int(text: str) -> int | None:
     return value if str(value) == text else None
 
 
+# A rule line as save() writes it, with every number below 10**18 so that it
+# fits int64; load parses a chunk of lines this refuses line by line.
+_NUMBER = r"(?:0|[1-9][0-9]{0,17})"
+_RULE = rf"r\t{_NUMBER}\t{_NUMBER}\t{_NUMBER}\t{_NUMBER}"
+_RULE_LINES = re.compile(rf"{_RULE}(?:\n{_RULE})*")
+
+
 def load(path: str) -> Grammar:
     """Stream a save() file: magic and version, terminal count, one 't' line
     per terminal, one 'r' line per rule. A parse error raises
@@ -488,10 +562,24 @@ def load(path: str) -> Grammar:
             values.append(value)
         return values
 
-    lines = read_lines(path)
-    lineno, line = next(lines, (1, None))
-    if line is None:
-        raise GrammarFileError(lineno, "empty file")
+    chunks = read_line_chunks(path)
+    first, block = 1, []
+    at = 0  # lines of block read
+
+    def next_line() -> tuple[int, str] | None:
+        nonlocal first, block, at
+        while at == len(block):
+            nxt = next(chunks, None)
+            if nxt is None:
+                return None
+            (first, block), at = nxt, 0
+        at += 1
+        return first + at - 1, block[at - 1]
+
+    got = next_line()
+    if got is None:
+        raise GrammarFileError(1, "empty file")
+    lineno, line = got
     head = line.split("\t")
     if head[0] != MAGIC:
         raise GrammarFileError(lineno, f"bad magic {line!r}")
@@ -500,15 +588,17 @@ def load(path: str) -> Grammar:
         raise GrammarFileError(lineno, "malformed version field")
     if version != VERSION:
         raise GrammarVersionError(version, VERSION)
-    lineno, line = next(lines, (2, None))
-    if line is None:
-        raise GrammarFileError(lineno, "missing terminal count")
+    got = next_line()
+    if got is None:
+        raise GrammarFileError(2, "missing terminal count")
+    lineno, line = got
     (tcount,) = fields(lineno, line, "T", "terminal count", ("terminal count",))
     if tcount < 0:
         raise GrammarFileError(lineno, "negative terminal count")
 
     table = SymbolTable()
-    for lineno, line in islice(lines, tcount):
+    while len(table) < tcount and (got := next_line()) is not None:
+        lineno, line = got
         sid, cp = fields(lineno, line, "t", "terminal", ("terminal id", "code point"))
         if sid != len(table):
             raise GrammarFileError(lineno, f"terminal ids must be consecutive; got {sid}")
@@ -522,17 +612,41 @@ def load(path: str) -> Grammar:
         raise GrammarFileError(lineno, "truncated terminal table")
 
     rules: list[Rule] = []
-    for lineno, line in lines:
-        rid, left, right, freq = fields(
-            lineno, line, "r", "rule", ("rule id", "left id", "right id", "frequency")
-        )
-        if rid != tcount + len(rules):
-            raise GrammarFileError(lineno, f"rule ids must be consecutive; got {rid}")
-        if not (0 <= left < rid and 0 <= right < rid):
-            raise GrammarFileError(lineno, f"rule {rid} references a later or negative symbol")
-        if freq < 0:
-            raise GrammarFileError(lineno, f"rule {rid} has negative frequency {freq}")
-        rules.append(Rule(rid, left, right, freq))
+
+    def rule_lines(lineno: int, lines: list[str]) -> None:
+        for lineno, line in enumerate(lines, lineno):
+            rid, left, right, freq = fields(
+                lineno, line, "r", "rule", ("rule id", "left id", "right id", "frequency")
+            )
+            if rid != tcount + len(rules):
+                raise GrammarFileError(lineno, f"rule ids must be consecutive; got {rid}")
+            if not (0 <= left < rid and 0 <= right < rid):
+                raise GrammarFileError(lineno, f"rule {rid} references a later or negative symbol")
+            if freq < 0:
+                raise GrammarFileError(lineno, f"rule {rid} has negative frequency {freq}")
+            rules.append(Rule(rid, left, right, freq))
+
+    def rule_chunk(lineno: int, lines: list[str]) -> None:
+        """Parse a chunk of rule lines at once when every line is well formed
+        and passes every check; otherwise rule_lines parses it line by line
+        and reports the first bad line."""
+        text = "\n".join(lines)
+        if _RULE_LINES.fullmatch(text):
+            v = np.fromstring(text.replace("r\t", "").replace("\n", "\t"), dtype=np.int64, sep="\t")
+            rid, left, right, freq = v.reshape(-1, 4).T
+            if (
+                (rid == tcount + len(rules) + np.arange(rid.size)).all()
+                and (left < rid).all()
+                and (right < rid).all()
+            ):
+                rules.extend(map(Rule, rid.tolist(), left.tolist(), right.tolist(), freq.tolist()))
+                return
+        rule_lines(lineno, lines)
+
+    if at < len(block):
+        rule_chunk(first + at, block[at:])
+    for first, block in chunks:
+        rule_chunk(first, block)
     return Grammar(table, rules)
 
 
@@ -566,27 +680,25 @@ def unescape_token(token: str) -> str:
 def write_segmented(g: Grammar, seq: BoundedSequence, dest: str | TextIO) -> None:
     """One expanded token per line, blank line per boundary.
 
-    Every distinct symbol is expanded and checked before dest is opened, so
-    a token that cannot be written leaves no file behind.
+    Every symbol is checked before dest is opened, so a token that cannot
+    be written leaves no file behind.
     """
-    syms = seq.symbols
-    tokens: dict[int, str] = {}
-    for s in set(syms):
+    tokens, newline = g._tokens()
+    a = _symbol_array(seq)
+    if newline.any():
+        v = newline.size
+        for lo in range(0, a.size, _GATHER):
+            c = a[lo : lo + _GATHER]
+            if newline[c[(c >= 0) & (c < v)]].any():
+                raise DomainError(_NEWLINE_TOKEN)
+
+    def escaped(s: int) -> str:
         t = g.expand(s)
         if "\n" in t:
-            raise DomainError(
-                "token expansion contains a newline; it cannot be written "
-                "one-token-per-line (use a different separator set)"
-            )
-        tokens[s] = escape_token(t)
+            raise DomainError(_NEWLINE_TOKEN)
+        return escape_token(t)
 
-    def lines() -> Iterator[str]:
-        for k, (lo, hi) in enumerate(seq.segments()):
-            if k:
-                yield ""
-            yield from map(tokens.__getitem__, syms[lo:hi])
-
-    write_lines(dest, lines())
+    write_lines(dest, chain.from_iterable(_gathered(a, seq.boundaries, tokens, escaped, "")))
 
 
 def read_segmented(src: str | TextIO) -> Iterator[list[str]]:

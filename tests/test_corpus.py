@@ -109,6 +109,67 @@ class TestEncode:
             assert got.alphabet == whole.alphabet
 
 
+def encode_reference(text, separators):
+    """The literal encoding: each kept character interned in order of first
+    appearance, each maximal run of separators one boundary."""
+    chars, ids, symbols, boundaries = [], {}, [], []
+    in_run = False
+    for ch in text:
+        if ch in separators:
+            if not in_run:
+                boundaries.append(len(symbols))
+            in_run = True
+            continue
+        in_run = False
+        if ch not in ids:
+            ids[ch] = len(chars)
+            chars.append(ch)
+        symbols.append(ids[ch])
+    return symbols, boundaries, chars
+
+
+def assert_encodes_like_reference(got, text, separators):
+    symbols, boundaries, chars = encode_reference(text, separators)
+    assert list(got.symbols) == symbols
+    assert got.boundaries == boundaries
+    assert got.alphabet.chars() == tuple(chars)
+
+
+# ASCII, Latin-1, astral code points up to U+10FFFF and lone surrogates, and
+# a few characters that the separator sets below draw from
+_CHARS = st.one_of(
+    st.sampled_from("ab \n|\t\x00é\U0010ffff"),
+    st.characters(max_codepoint=0xFF, exclude_categories=()),
+    st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF, exclude_categories=()),
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, exclude_categories=()),
+)
+
+
+class TestEncodeReference:
+    @given(
+        text=st.text(alphabet=_CHARS, max_size=60),
+        separators=st.frozensets(st.sampled_from("\n|\t \x00é\U0010ffff"), min_size=1, max_size=3),
+        cut=st.integers(0, 60),
+    )
+    def test_matches_reference(self, text, separators, cut):
+        assert_encodes_like_reference(encode(text, separators), text, separators)
+        got = corpus._encode_chunks([text[:cut], text[cut:]], separators)
+        assert_encodes_like_reference(got, text, separators)
+
+    def test_lowest_and_highest_code_points(self):
+        text = "\U0010ffffa\x00\n\x00\U0010ffff\n\n\ud800"
+        seq = encode(text, NL)
+        assert_encodes_like_reference(seq, text, NL)
+        assert seq.alphabet.chars() == ("\U0010ffff", "a", "\x00", "\ud800")
+        assert list(seq.symbols) == [0, 1, 2, 2, 0, 3]
+        assert seq.boundaries == [3, 5]
+
+    def test_text_longer_than_a_chunk(self, monkeypatch):
+        monkeypatch.setattr(corpus, "_CHUNK", 5)
+        text = "ab\n\ncd\U0010ffff\n\nefgha\n\n\nb"
+        assert_encodes_like_reference(encode(text, NL), text, NL)
+
+
 class TestSymbolTable:
     def test_clone_is_independent(self):
         table = encode("abc").alphabet

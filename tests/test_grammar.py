@@ -1,10 +1,13 @@
 import io
+import re
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import corpus_gen
+from rgrams import grammar as grammar_mod
 from rgrams.corpus import BoundedSequence, SymbolTable, encode, normalize
 from rgrams.errors import (
     DomainError,
@@ -468,6 +471,49 @@ class TestSaveLoad:
             load(self._write(tmp_path, f"RGRAM\t{version}\nT\t0\n"))
         assert info.value.line == 1
 
+    # A file of 7000 rules, about 120 KB: load reads it in 64 KiB chunks and
+    # parses a chunk of well-formed rule lines at once. Line 5003 is rule
+    # 5000, about 88 KB in, so a bad line there is in the second chunk.
+    LONG_RULES = 7000
+    BAD_LINE = 5003
+
+    def _long_lines(self):
+        rules = [Rule(2, 0, 1, 9)]
+        rules += [Rule(i, i - 1, i % 2, i * 7 % 1000) for i in range(3, self.LONG_RULES + 2)]
+        lines = ["RGRAM\t1", "T\t2", "t\t0\t97", "t\t1\t98"]
+        lines += [f"r\t{r.id}\t{r.left}\t{r.right}\t{r.freq_at_merge}" for r in rules]
+        return lines
+
+    def test_long_file_resaves_byte_for_byte(self, tmp_path):
+        body = "\n".join(self._long_lines()) + "\n"
+        assert len(body.encode()) > 1 << 16
+        g = load(self._write(tmp_path, body))
+        assert len(g.rules) == self.LONG_RULES
+        out = tmp_path / "resaved.rgram"
+        save(g, str(out))
+        assert out.read_text(encoding="utf-8") == body
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("r\t5000\tx\t1\t3", "malformed left id"),
+            ("r\t5000\t+1\t1\t3", "malformed left id"),
+            ("r\t5000\t4999\t1\t01", "malformed frequency"),
+            ("r\t5000\t4999\t1\t-3", "negative frequency -3"),
+            ("r\t5001\t4999\t1\t3", "rule ids must be consecutive; got 5001"),
+            ("r\t5000\t5000\t1\t3", "references a later or negative symbol"),
+        ],
+        ids=["malformed", "plus", "leading-zero", "negative-frequency", "id", "forward-reference"],
+    )
+    def test_bad_rule_past_the_first_chunk(self, tmp_path, line, reason):
+        lines = self._long_lines()
+        assert lines[self.BAD_LINE - 1].startswith("r\t5000\t")
+        assert len("\n".join(lines[: self.BAD_LINE]).encode()) > 1 << 16
+        lines[self.BAD_LINE - 1] = line
+        with pytest.raises(GrammarFileError, match=reason) as info:
+            load(self._write(tmp_path, "\n".join(lines) + "\n"))
+        assert info.value.line == self.BAD_LINE
+
 
 class TestEscaping:
     CASES = ["ab", "a b", "_", "a_b", "\\", "a\\_b", " ", "", "嗯 哼"]
@@ -531,6 +577,66 @@ class TestSegmentedIO:
         buf = io.StringIO()
         with pytest.raises(DomainError):
             write_segmented(g, seq, buf)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [-1, 4, OOV_BASE - 1, OOV_BASE + 0x110000],
+        ids=["negative", "vocab-size", "below-oov", "above-unicode"],
+    )
+    def test_unknown_symbol_writes_nothing(self, tmp_path, bad):
+        g = abab_grammar()
+        assert g.vocab_size == 4
+        seq = BoundedSequence([2, 0, bad, OOV_BASE + ord("z")], [1], g.terminals)
+        with pytest.raises(UnknownSymbolError):
+            decode(g, seq)
+        p = tmp_path / "seg.txt"
+        with pytest.raises(UnknownSymbolError):
+            write_segmented(g, seq, str(p))
+        assert not p.exists()
+
+    def test_pass_through_newline(self, tmp_path):
+        # "|" separates, so "\n" is kept; the grammar has never seen it, so
+        # apply passes it through as OOV_BASE + 10, which no line can hold
+        text = "ab\nab|ba"
+        g = abab_grammar()
+        out = apply(g, encode(text, frozenset("|")))
+        assert OOV_BASE + ord("\n") in list(out.symbols)
+        p = tmp_path / "seg.txt"
+        with pytest.raises(DomainError, match="newline"):
+            write_segmented(g, out, str(p))
+        assert not p.exists()
+        assert decode(g, out) == "ab\nab\nba"
+
+    def test_symbol_containers_write_the_same_bytes(self):
+        g, out = trained("abab ab ba\nbaab\n\nab ab\n")
+        written = []
+        for symbols in (list(out.symbols), array("i", out.symbols), array("q", out.symbols)):
+            buf = io.StringIO()
+            write_segmented(g, BoundedSequence(symbols, out.boundaries, out.alphabet), buf)
+            written.append(buf.getvalue())
+        assert written[0] == written[1] == written[2]
+
+    def test_matches_a_per_symbol_reference(self, monkeypatch):
+        # a corpus_gen document with boundaries at both ends and unknown
+        # characters; small gather steps put boundaries on step edges
+        text = "\n" + corpus_gen.generate(6000, seed=3) + "Ωβ\n\n"
+        g, _ = trained(corpus_gen.generate(4000, seed=5), max_merges=200)
+        out = apply(g, encode(text, NL))
+        unknown = {g.expand(s) for s in out.symbols if s >= OOV_BASE}
+        assert unknown >= {"Ω", "β"} and out.boundaries[0] == 0
+        lines = []
+        for k, (lo, hi) in enumerate(out.segments()):
+            if k:
+                lines.append("")
+            lines += [escape_token(g.expand(s)) for s in out.symbols[lo:hi]]
+        want = "".join(line + "\n" for line in lines)
+        expanded = "\n".join("".join(g.expand(s) for s in out.symbols[lo:hi]) for lo, hi in out.segments())
+        for step in (1 << 16, 7, 1):
+            monkeypatch.setattr(grammar_mod, "_GATHER", step)
+            buf = io.StringIO()
+            write_segmented(g, out, buf)
+            assert buf.getvalue() == want
+            assert decode(g, out) == expanded == re.sub("\n+", "\n", text)
 
     def test_file_path_io(self, tmp_path):
         g, out = trained("round and round and round\nwe go\n")
