@@ -37,6 +37,7 @@ import time
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice
 from numbers import Real
 from typing import Callable, Sequence, TextIO, Union
@@ -166,12 +167,6 @@ def _corpus_codes(source: Corpus) -> tuple[np.ndarray, list[str]]:
     return flat, list(codes.norms)
 
 
-def build_vocab(source: Corpus, min_token_count: int = 1) -> EmbedVocab:
-    """Count the normalized tokens of a segmented file (path or handle) and
-    index those counted at least min_token_count times (_corpus_ids)."""
-    return _corpus_ids(source, min_token_count)[0]
-
-
 def _corpus_ids(source: Corpus, min_token_count: int) -> tuple[EmbedVocab, np.ndarray, np.ndarray]:
     """(vocab, ids, sid): the tokens counted at least min_token_count times,
     by (count desc, token asc); the kept tokens in corpus order as vocab ids
@@ -266,10 +261,8 @@ class EmbeddingMatrix:
 class VectorSet:
     """Plain token -> vector table; what export/import and eval work on.
 
-    Treat it as immutable: unit_rows() keeps what it derives from matrix.
+    Treat it as immutable: unit_rows keeps what it derives from matrix.
     """
-
-    __slots__ = ("tokens", "matrix", "index", "_unit")
 
     def __init__(self, tokens: list[str], matrix: np.ndarray):
         if not (isinstance(matrix, np.ndarray) and matrix.ndim == 2 and matrix.shape[1] >= 1):
@@ -281,7 +274,6 @@ class VectorSet:
         self.index = {t: i for i, t in enumerate(tokens)}
         if len(self.index) != len(tokens):
             raise DomainError("duplicate token in vector set")
-        self._unit: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -290,15 +282,14 @@ class VectorSet:
         i = self.index.get(token)
         return None if i is None else self.matrix[i]
 
+    @cached_property
     def unit_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(unit, ok): matrix with each row scaled to unit length, and the
         mask of rows with nonzero norm (the rest stay zero in unit).
         Computed on first use and kept."""
-        if self._unit is None:
-            norms = np.linalg.norm(self.matrix, axis=1)
-            ok = norms > 0
-            self._unit = self.matrix / np.where(ok, norms, 1.0)[:, None], ok
-        return self._unit
+        norms = np.linalg.norm(self.matrix, axis=1)
+        ok = norms > 0
+        return self.matrix / np.where(ok, norms, 1.0)[:, None], ok
 
 
 def _pair_step(

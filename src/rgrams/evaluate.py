@@ -51,7 +51,7 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 def _top_k(vs: VectorSet, target: np.ndarray, banned: set[int], k: int) -> list[tuple[str, float]]:
     """The k best (token, cosine) against unit-length target, banned rows
     excluded, by cosine descending then token; zero rows rank last."""
-    unit, ok = vs.unit_rows()
+    unit, ok = vs.unit_rows
     sims = np.clip(unit @ target, -1.0, 1.0)
     sims[~ok] = -np.inf  # zero rows have no defined similarity
     # only rows scoring at least the (k + |banned|)-th best cosine can make
@@ -92,7 +92,7 @@ def analogy(vs: VectorSet, q: AnalogyQuery, k: int = 5) -> list[tuple[str, float
     ic = vs.index.get(q.c)
     if ia is None or ib is None or ic is None:
         return None
-    unit, ok = vs.unit_rows()
+    unit, ok = vs.unit_rows
     if not (ok[ia] and ok[ib] and ok[ic]):
         raise DomainError("analogy over a zero vector is undefined")
     target = unit[ib] - unit[ia] + unit[ic]

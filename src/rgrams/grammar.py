@@ -21,15 +21,18 @@ from __future__ import annotations
 import re
 from array import array
 from bisect import bisect_left
+from contextlib import suppress
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from typing import Callable, Iterator, TextIO
+from typing import Callable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
 from .corpus import BoundedSequence, SymbolTable, read_line_chunks, read_lines, write_lines
 from .errors import (
+    CorpusDecodeError,
     DomainError,
     GrammarFileError,
     GrammarVersionError,
@@ -75,8 +78,7 @@ MAGIC = "RGRAM"
 VERSION = 1
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     id: int
     left: int
     right: int
@@ -93,27 +95,21 @@ class ApplyReport:
 
 
 class Grammar:
-    """Immutable after construction; safe to share across threads."""
-
-    __slots__ = ("terminals", "rules", "_exp", "_tok", "_newline", "_depth", "_rank")
+    """Immutable after construction; safe to share across threads. Each
+    per-symbol table is built on first use and cached; two threads may each
+    build one once, and the results are equal."""
 
     def __init__(self, terminals: SymbolTable, rules: list[Rule]):
         T = len(terminals)
-        for i, r in enumerate(rules):
-            if r.id != T + i:
-                raise DomainError(f"rule ids must be consecutive from {T}; got {r.id}")
-            if not (0 <= r.left < r.id and 0 <= r.right < r.id):
-                raise DomainError(f"rule {r.id} references a later or negative symbol")
+        for want, (rid, left, right, freq) in enumerate(rules, T):
+            if rid != want:
+                raise DomainError(f"rule ids must be consecutive from {T}; got {rid}")
+            if not (0 <= left < rid and 0 <= right < rid):
+                raise DomainError(f"rule {rid} references a later or negative symbol")
+            if freq < 0:
+                raise DomainError(f"rule {rid} has negative frequency {freq}")
         self.terminals = terminals
         self.rules = tuple(rules)
-        # per-symbol tables, each filled on first use by one forward pass
-        # over the rules (rules only reference earlier ids): expansions,
-        # their escaped tokens and whether each contains a newline
-        self._exp: np.ndarray | None = None
-        self._tok: np.ndarray | None = None
-        self._newline: np.ndarray | None = None
-        self._depth: list[int] = []
-        self._rank: _RankTable | None = None
 
     @property
     def vocab_size(self) -> int:
@@ -135,43 +131,44 @@ class Grammar:
             return chr(s - OOV_BASE)
         if not 0 <= s < self.vocab_size:
             raise UnknownSymbolError(s)
-        return self._expansions()[s]
+        return self._expansions[s]
 
+    @cached_property
     def _expansions(self) -> np.ndarray:
         """Object array: the terminal string of every symbol, by id."""
-        if self._exp is None:
-            exp = list(self.terminals.chars())
-            for r in self.rules:
-                exp.append(exp[r.left] + exp[r.right])
-            self._exp = np.array(exp, dtype=object)
-        return self._exp
+        exp = list(self.terminals.chars())
+        for r in self.rules:
+            exp.append(exp[r.left] + exp[r.right])
+        return np.array(exp, dtype=object)
 
+    @cached_property
     def _tokens(self) -> tuple[np.ndarray, np.ndarray]:
         """(escaped, newline): every symbol's expansion as escape_token
         writes it (object array), and whether the expansion contains a
         newline (bool array), by id."""
-        if self._tok is None:
-            exp = self._expansions().tolist()
-            self._newline = np.array(["\n" in t for t in exp], dtype=bool)
-            self._tok = np.array([escape_token(t) for t in exp], dtype=object)
-        return self._tok, self._newline
+        exp = self._expansions.tolist()
+        escaped = np.array([escape_token(t) for t in exp], dtype=object)
+        return escaped, np.array(["\n" in t for t in exp], dtype=bool)
+
+    @cached_property
+    def _depths(self) -> list[int]:
+        d = [0] * len(self.terminals)
+        for r in self.rules:
+            d.append(1 + max(d[r.left], d[r.right]))
+        return d
 
     def depth(self, s: int) -> int:
         """0 for terminals, else 1 + max over the two constituents."""
         if s >= OOV_BASE:
             return 0
-        d = self._depth
-        if not d:
-            d = [0] * len(self.terminals)
-            for r in self.rules:
-                d.append(1 + max(d[r.left], d[r.right]))
-            self._depth = d
+        d = self._depths
         if not 0 <= s < len(d):
             raise UnknownSymbolError(s)
         return d[s]
 
+    @cached_property
     def _rank_table(self) -> _RankTable:
-        """apply's lookups, built once: (rank, keys, ids, left, right, reach).
+        """apply's lookups: (rank, keys, ids, left, right, reach).
 
         rank maps a pair key (left << SHIFT) | right to its rule id; a key
         repeated in several rules maps to its lowest id, because in-order
@@ -182,23 +179,21 @@ class Grammar:
         reach[k] is the running maximum of max(left, right) over ids up to
         k, so the first rule that reads an id >= m is searchsorted(reach, m).
         """
-        if self._rank is None:
-            rank = {(r.left << SHIFT) | r.right: r.id for r in reversed(self.rules)}
-            keys = np.fromiter(rank, dtype=np.int64, count=len(rank))
-            ids = np.fromiter(rank.values(), dtype=np.int32, count=len(rank))
-            order = np.argsort(keys)
-            pad = [SENT] * len(self.terminals)
-            left = pad + [r.left for r in self.rules]
-            right = pad + [r.right for r in self.rules]
-            self._rank = (
-                rank,
-                np.append(keys[order], _KEY_END),
-                np.append(ids[order], np.int32(0)),
-                left,
-                right,
-                np.maximum.accumulate(np.maximum(left, right)),
-            )
-        return self._rank
+        rank = {(r.left << SHIFT) | r.right: r.id for r in reversed(self.rules)}
+        keys = np.fromiter(rank, dtype=np.int64, count=len(rank))
+        ids = np.fromiter(rank.values(), dtype=np.int32, count=len(rank))
+        order = np.argsort(keys)
+        pad = [SENT] * len(self.terminals)
+        left = pad + [r.left for r in self.rules]
+        right = pad + [r.right for r in self.rules]
+        return (
+            rank,
+            np.append(keys[order], _KEY_END),
+            np.append(ids[order], np.int32(0)),
+            left,
+            right,
+            np.maximum.accumulate(np.maximum(left, right)),
+        )
 
 
 def engine_array(seq: BoundedSequence, lut: np.ndarray | None = None) -> np.ndarray:
@@ -307,7 +302,7 @@ def apply_with_report(g: Grammar, seq: BoundedSequence) -> tuple[BoundedSequence
     greedy left-to-right pass per rule (apply_naive), same-symbol runs
     included ("aaa" gives "Xa").
     """
-    rank, rank_keys, rank_ids, left, right, reach = g._rank_table()
+    rank, rank_keys, rank_ids, left, right, reach = g._rank_table
     a, unknown_chars = _engine_input(g, seq)
     rid = _rule_ids(a[:-1], a[1:], rank_keys, rank_ids)
     batch_merges = 0
@@ -509,7 +504,7 @@ def _gathered(
 
 def decode(g: Grammar, seq: BoundedSequence) -> str:
     """Expand every symbol and re-insert one newline per boundary."""
-    pieces = _gathered(_symbol_array(seq), seq.boundaries, g._expansions(), g.expand, "\n")
+    pieces = _gathered(_symbol_array(seq), seq.boundaries, g._expansions, g.expand, "\n")
     return "".join(chain.from_iterable(pieces))
 
 
@@ -536,70 +531,83 @@ def _canonical_int(text: str) -> int | None:
     return value if str(value) == text else None
 
 
-# A rule line as save() writes it, with every number below 10**18 so that it
-# fits int64; load parses a chunk of lines this refuses line by line.
+def _fields(lineno: int, line: str, tag: str, kind: str, names: tuple[str, ...]) -> list[int]:
+    """The numbers of line tag<TAB>n1<TAB>..., one per name, as save() writes them."""
+    parts = line.split("\t")
+    if len(parts) != len(names) + 1 or parts[0] != tag:
+        raise GrammarFileError(lineno, f"expected {kind} line")
+    values: list[int] = []
+    for name, text in zip(names, parts[1:]):
+        value = _canonical_int(text)
+        if value is None:
+            raise GrammarFileError(lineno, f"malformed {name}")
+        values.append(value)
+    return values
+
+
+def _parse_rules(lineno: int, lines: list[str], first_id: int) -> list[Rule]:
+    """Rule lines from lineno on, one at a time; the first bad one raises GrammarFileError."""
+    rules: list[Rule] = []
+    for lineno, line in enumerate(lines, lineno):
+        rid, left, right, freq = _fields(
+            lineno, line, "r", "rule", ("rule id", "left id", "right id", "frequency")
+        )
+        if rid != first_id + len(rules):
+            raise GrammarFileError(lineno, f"rule ids must be consecutive; got {rid}")
+        if not (0 <= left < rid and 0 <= right < rid):
+            raise GrammarFileError(lineno, f"rule {rid} references a later or negative symbol")
+        if freq < 0:
+            raise GrammarFileError(lineno, f"rule {rid} has negative frequency {freq}")
+        rules.append(Rule(rid, left, right, freq))
+    return rules
+
+
+# The start of the first line that is not a rule line as save() writes it
+# with every number below 10**18, so that it fits int64; load parses a rule
+# section that has one line by line. A search keeps no state per line; a
+# match of the whole section by a repeated group would keep about 550 bytes
+# of backtracking state per line.
 _NUMBER = r"(?:0|[1-9][0-9]{0,17})"
-_RULE = rf"r\t{_NUMBER}\t{_NUMBER}\t{_NUMBER}\t{_NUMBER}"
-_RULE_LINES = re.compile(rf"{_RULE}(?:\n{_RULE})*")
+_NOT_A_RULE = re.compile(rf"^(?!r\t{_NUMBER}\t{_NUMBER}\t{_NUMBER}\t{_NUMBER}$)", re.MULTILINE)
 
 
 def load(path: str) -> Grammar:
-    """Stream a save() file: magic and version, terminal count, one 't' line
+    """Read a save() file: magic and version, terminal count, one 't' line
     per terminal, one 'r' line per rule. A parse error raises
-    GrammarFileError naming its 1-based line; bad bytes CorpusDecodeError.
-    Every integer must be written as save() writes it, so saving a loaded
-    grammar reproduces its file."""
+    GrammarFileError naming its 1-based line; bad bytes CorpusDecodeError,
+    after any bad line above them. Every integer must be written as save()
+    writes it, so saving a loaded grammar reproduces its file.
 
-    def fields(lineno: int, line: str, tag: str, kind: str, names: tuple[str, ...]) -> list[int]:
-        parts = line.split("\t")
-        if len(parts) != len(names) + 1 or parts[0] != tag:
-            raise GrammarFileError(lineno, f"expected {kind} line")
-        values: list[int] = []
-        for name, text in zip(names, parts[1:]):
-            value = _canonical_int(text)
-            if value is None:
-                raise GrammarFileError(lineno, f"malformed {name}")
-            values.append(value)
-        return values
+    All lines are read, then parsed front to back. One regex search, one
+    np.fromstring and Grammar's check read a valid rule section; any other
+    is parsed line by line (_parse_rules), which names its first bad line."""
+    lines: list[str] = []
+    bad_bytes: CorpusDecodeError | None = None
+    try:
+        for _, block in read_line_chunks(path):
+            lines += block
+    except CorpusDecodeError as exc:
+        bad_bytes = exc  # raised where the lines run out, or after the last rule
 
-    chunks = read_line_chunks(path)
-    first, block = 1, []
-    at = 0  # lines of block read
-
-    def next_line() -> tuple[int, str] | None:
-        nonlocal first, block, at
-        while at == len(block):
-            nxt = next(chunks, None)
-            if nxt is None:
-                return None
-            (first, block), at = nxt, 0
-        at += 1
-        return first + at - 1, block[at - 1]
-
-    got = next_line()
-    if got is None:
-        raise GrammarFileError(1, "empty file")
-    lineno, line = got
-    head = line.split("\t")
+    if not lines:
+        raise bad_bytes or GrammarFileError(1, "empty file")
+    head = lines[0].split("\t")
     if head[0] != MAGIC:
-        raise GrammarFileError(lineno, f"bad magic {line!r}")
+        raise GrammarFileError(1, f"bad magic {lines[0]!r}")
     version = _canonical_int(head[1]) if len(head) == 2 else None
     if version is None or version < 0:
-        raise GrammarFileError(lineno, "malformed version field")
+        raise GrammarFileError(1, "malformed version field")
     if version != VERSION:
         raise GrammarVersionError(version, VERSION)
-    got = next_line()
-    if got is None:
-        raise GrammarFileError(2, "missing terminal count")
-    lineno, line = got
-    (tcount,) = fields(lineno, line, "T", "terminal count", ("terminal count",))
+    if len(lines) < 2:
+        raise bad_bytes or GrammarFileError(2, "missing terminal count")
+    (tcount,) = _fields(2, lines[1], "T", "terminal count", ("terminal count",))
     if tcount < 0:
-        raise GrammarFileError(lineno, "negative terminal count")
+        raise GrammarFileError(2, "negative terminal count")
 
     table = SymbolTable()
-    while len(table) < tcount and (got := next_line()) is not None:
-        lineno, line = got
-        sid, cp = fields(lineno, line, "t", "terminal", ("terminal id", "code point"))
+    for lineno, line in enumerate(lines[2 : 2 + tcount], 3):
+        sid, cp = _fields(lineno, line, "t", "terminal", ("terminal id", "code point"))
         if sid != len(table):
             raise GrammarFileError(lineno, f"terminal ids must be consecutive; got {sid}")
         if not 0 <= cp <= 0x10FFFF:
@@ -609,45 +617,20 @@ def load(path: str) -> Grammar:
             raise GrammarFileError(lineno, f"duplicate terminal {cp}")
         table.intern(ch)
     if len(table) < tcount:
-        raise GrammarFileError(lineno, "truncated terminal table")
+        raise bad_bytes or GrammarFileError(len(lines), "truncated terminal table")
 
-    rules: list[Rule] = []
-
-    def rule_lines(lineno: int, lines: list[str]) -> None:
-        for lineno, line in enumerate(lines, lineno):
-            rid, left, right, freq = fields(
-                lineno, line, "r", "rule", ("rule id", "left id", "right id", "frequency")
-            )
-            if rid != tcount + len(rules):
-                raise GrammarFileError(lineno, f"rule ids must be consecutive; got {rid}")
-            if not (0 <= left < rid and 0 <= right < rid):
-                raise GrammarFileError(lineno, f"rule {rid} references a later or negative symbol")
-            if freq < 0:
-                raise GrammarFileError(lineno, f"rule {rid} has negative frequency {freq}")
-            rules.append(Rule(rid, left, right, freq))
-
-    def rule_chunk(lineno: int, lines: list[str]) -> None:
-        """Parse a chunk of rule lines at once when every line is well formed
-        and passes every check; otherwise rule_lines parses it line by line
-        and reports the first bad line."""
-        text = "\n".join(lines)
-        if _RULE_LINES.fullmatch(text):
-            v = np.fromstring(text.replace("r\t", "").replace("\n", "\t"), dtype=np.int64, sep="\t")
-            rid, left, right, freq = v.reshape(-1, 4).T
-            if (
-                (rid == tcount + len(rules) + np.arange(rid.size)).all()
-                and (left < rid).all()
-                and (right < rid).all()
-            ):
-                rules.extend(map(Rule, rid.tolist(), left.tolist(), right.tolist(), freq.tolist()))
-                return
-        rule_lines(lineno, lines)
-
-    if at < len(block):
-        rule_chunk(first + at, block[at:])
-    for first, block in chunks:
-        rule_chunk(first, block)
-    return Grammar(table, rules)
+    section = lines[2 + tcount :]
+    text = "\n".join(section)
+    g = None
+    if not _NOT_A_RULE.search(text):
+        v = np.fromstring(text.replace("r\t", "").replace("\n", "\t"), dtype=np.int64, sep="\t")
+        with suppress(DomainError):  # _parse_rules names the line Grammar refuses
+            g = Grammar(table, list(map(Rule, *v.reshape(-1, 4).T.tolist())))
+    if g is None:
+        g = Grammar(table, _parse_rules(3 + tcount, section, tcount))
+    if bad_bytes is not None:
+        raise bad_bytes
+    return g
 
 
 # -- segmented corpus files ---------------------------------------------------
@@ -683,7 +666,7 @@ def write_segmented(g: Grammar, seq: BoundedSequence, dest: str | TextIO) -> Non
     Every symbol is checked before dest is opened, so a token that cannot
     be written leaves no file behind.
     """
-    tokens, newline = g._tokens()
+    tokens, newline = g._tokens
     a = _symbol_array(seq)
     if newline.any():
         v = newline.size

@@ -56,7 +56,7 @@ def vectors(text: str, merges: int, config: TrainConfig) -> tuple[VectorSet, flo
 def whole_words(vs: VectorSet, word_of: dict[str, str]) -> tuple[list[str], np.ndarray]:
     """(the planted words that are tokens of vs, their unit vectors); word_of
     maps a token to the word it spells."""
-    unit = vs.unit_rows()[0]
+    unit = vs.unit_rows[0]
     found = sorted((word_of[t], i) for t, i in vs.index.items() if t in word_of)
     return [w for w, _ in found], unit[[i for _, i in found]].reshape(len(found), -1)
 

@@ -16,7 +16,6 @@ from rgrams.embed import (
     EmbedVocab,
     TrainConfig,
     VectorSet,
-    build_vocab,
     export_vectors,
     import_vectors,
     negative_draws,
@@ -62,23 +61,23 @@ class TestNormalizeToken:
 
 class TestBuildVocab:
     def test_counts_and_order(self):
-        v = build_vocab(segmented(SENTS))
+        v = embed._corpus_ids(segmented(SENTS), 1)[0]
         assert v.tokens[0] == "the" and v.counts[0] == 3
         # sat and cat both occur twice; ties order alphabetically
         assert v.tokens[1:3] == ["cat", "sat"]
 
     def test_min_count(self):
-        v = build_vocab(segmented(SENTS), min_token_count=2)
+        v = embed._corpus_ids(segmented(SENTS), 2)[0]
         assert set(v.tokens) == {"the", "cat", "sat"}
 
     def test_normalization_merges(self):
-        v = build_vocab(segmented([["Cat ", "cat"], [" cat"]]))
+        v = embed._corpus_ids(segmented([["Cat ", "cat"], [" cat"]]), 1)[0]
         # normalize_token trims but keeps case; "Cat" stays separate
         assert v.index["cat"] is not None
         assert v.counts[v.index["cat"]] == 2
 
     def test_segmented_file_input(self):
-        v = build_vocab(io.StringIO("a\nb\n\na\n"))
+        v = embed._corpus_ids(io.StringIO("a\nb\n\na\n"), 1)[0]
         assert v.counts[v.index["a"]] == 2
 
     def test_duplicate_rejected(self):
@@ -89,16 +88,16 @@ class TestBuildVocab:
         p = tmp_path / "c.seg"
         p.write_text(" the\ncat\n7\n\nthe \n \n12\ncat\n\n\nthe\n8\n", encoding="utf-8")
         for min_count in (1, 2):
-            v = build_vocab(str(p), min_count)
+            v = embed._corpus_ids(str(p), min_count)[0]
             m = train_skipgram(str(p), tiny_config(min_token_count=min_count))
             assert v.tokens == m.vocab.tokens
             assert v.counts.tolist() == m.vocab.counts.tolist()
-        assert build_vocab(str(p)).tokens == ["the", "N", "cat", "<ws>", "NN"]
+        assert embed._corpus_ids(str(p), 1)[0].tokens == ["the", "N", "cat", "<ws>", "NN"]
 
     def test_path_like_corpus(self, tmp_path):
         p = tmp_path / "c.seg"
         p.write_text("the\ncat\nsat\n\nthe\ndog\n", encoding="utf-8")
-        assert build_vocab(p).tokens == build_vocab(str(p)).tokens
+        assert embed._corpus_ids(p, 1)[0].tokens == embed._corpus_ids(str(p), 1)[0].tokens
         m = train_skipgram(p, tiny_config(epochs=1))
         assert m.input.tobytes() == train_skipgram(str(p), tiny_config(epochs=1)).input.tobytes()
 
@@ -183,7 +182,7 @@ class TestCorpusPrep:
         got = train_skipgram(self.source(kind, text, tmp_path), cfg, pair_log=got_log)
         assert got.vocab.tokens == want.vocab.tokens
         assert got.vocab.counts.tolist() == want.vocab.counts.tolist()
-        assert build_vocab(self.source(kind, text, tmp_path)).tokens == want.vocab.tokens
+        assert embed._corpus_ids(self.source(kind, text, tmp_path), 1)[0].tokens == want.vocab.tokens
         assert got.input.tobytes() == want.input.tobytes()
         assert got.output.tobytes() == want.output.tobytes()
         assert got_log == want_log and want_log
@@ -198,7 +197,7 @@ class TestCorpusPrep:
         broken = "\n".join(lines)
         for read in (
             lambda src: train_skipgram(src, tiny_config(epochs=1)),
-            lambda src: build_vocab(src),
+            lambda src: embed._corpus_ids(src, 1),
             lambda src: list(read_segmented(src)),
         ):
             with pytest.raises(SegmentedFileError) as info:
@@ -494,7 +493,7 @@ def kept_sentences(sents, cfg):
     them: min-count filtering, then subsampling from the third SeedSequence
     child, one uniform per filtered token."""
     normed = [[normalize_token(t) for t in sent] for sent in sents if sent]
-    vocab = build_vocab(segmented(normed), cfg.min_token_count)
+    vocab = embed._corpus_ids(segmented(normed), cfg.min_token_count)[0]
     train_words = int(vocab.counts.sum())
     sentences = [ids for ids in ([vocab.index[t] for t in s if t in vocab] for s in normed) if ids]
     sub_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed).spawn(3)[2]))
@@ -1077,7 +1076,7 @@ class TestVectorFiles:
     def test_large_finite_norm_is_accepted(self, tmp_path):
         p = tmp_path / "ok.vec"
         p.write_text("2 2\na 1e153 1e153\nb 1 0\n", encoding="utf-8")
-        unit, ok = import_vectors(str(p)).unit_rows()
+        unit, ok = import_vectors(str(p)).unit_rows
         assert ok.all() and np.allclose(unit[0], [2**-0.5, 2**-0.5])
 
     def test_header_count_beyond_file(self, tmp_path):

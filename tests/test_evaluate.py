@@ -281,8 +281,8 @@ class TestRankingTies:
 
     def test_unit_rows_are_computed_once(self):
         vs = vecs([("a", [3.0, 4.0]), ("b", [0.0, 0.0])])
-        unit, ok = vs.unit_rows()
-        assert vs.unit_rows() is vs.unit_rows()
+        unit, ok = vs.unit_rows
+        assert vs.unit_rows is vs.unit_rows
         assert unit.tolist() == [[0.6, 0.8], [0.0, 0.0]] and ok.tolist() == [True, False]
 
     @given(vs=tie_heavy_sets(), data=st.data())
@@ -293,7 +293,7 @@ class TestRankingTies:
         first, second = data.draw(st.permutations(range(len(vs))))[:2]
         assume(ok[first] and ok[second])
         nearest_neighbors(vs, vs.tokens[first], k=1)
-        built = vs.unit_rows()
+        built = vs.unit_rows
         q = vs.matrix[second]
         want = reference_rank(vs, q / np.linalg.norm(q), {second}, 3)
         assert nearest_neighbors(vs, vs.tokens[second], k=3) == want
@@ -306,7 +306,7 @@ class TestRankingTies:
             assert analogy(vs, query, k=3) == ranked
             top1 = [t for t, _ in ranked[:1]]
             assert analogy_suite(vs, [query]).correct == (top1 == [query.gold])
-        assert vs.unit_rows() is built
+        assert vs.unit_rows is built
 
 
 class TestSpearman:

@@ -187,6 +187,13 @@ class TestConstruction:
         with pytest.raises(DomainError):
             Grammar(t, [Rule(1, 0, 2, 2)])
 
+    def test_frequency_must_not_be_negative(self):
+        # save() would write a file that load() refuses
+        t = SymbolTable()
+        t.intern("a")
+        with pytest.raises(DomainError, match="negative frequency -1"):
+            Grammar(t, [Rule(1, 0, 0, -1)])
+
 
 class TestApply:
     def test_compresses_new_text(self):
@@ -471,9 +478,10 @@ class TestSaveLoad:
             load(self._write(tmp_path, f"RGRAM\t{version}\nT\t0\n"))
         assert info.value.line == 1
 
-    # A file of 7000 rules, about 120 KB: load reads it in 64 KiB chunks and
-    # parses a chunk of well-formed rule lines at once. Line 5003 is rule
-    # 5000, about 88 KB in, so a bad line there is in the second chunk.
+    # A file of 7000 rules, about 120 KB, more than one 64 KiB read: load
+    # parses a rule section of well-formed lines at once and one with a bad
+    # line line by line. Line 5003 is rule 5000, about 88 KB in, so a bad
+    # line there is past the first read.
     LONG_RULES = 7000
     BAD_LINE = 5003
 

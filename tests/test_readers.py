@@ -10,11 +10,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from rgrams.cli import main
-from rgrams.corpus import encode
-from rgrams.embed import VectorSet, build_vocab, export_vectors, import_vectors
-from rgrams.errors import LineError, ToolError
+from rgrams.corpus import SymbolTable, encode
+from rgrams.embed import VectorSet, _corpus_ids, export_vectors, import_vectors
+from rgrams.errors import CorpusDecodeError, LineError, ToolError
 from rgrams.evaluate import read_analogies, read_similarity
-from rgrams.grammar import load, read_segmented, save, write_segmented
+from rgrams.grammar import Grammar, Rule, load, read_segmented, save, write_segmented
 from rgrams.repair import train
 
 TEXT = "the cat sat on the mat\nthe dog sat on the rug\n" * 4
@@ -127,12 +127,13 @@ class TestBadLineAboveBadBytes:
         [
             (import_vectors, b"3 2\na 1 x\nb 1 2\nc \xff 2\n", 2, "malformed float"),
             (load, b"RGRAM\t1\nT\tx\nt\t0\t97\n\xff\n", 2, "malformed terminal count"),
+            (load, b"RGRAM\t1\nT\t1\nt\t0\t97\nr\t1\t0\t0\t2\nr\t3\t0\t0\t2\n\xff\n", 5, "consecutive"),
             (lambda p: list(read_segmented(p)), b"a\nb\\q\nc\xff\n", 2, "bad escape"),
-            (build_vocab, b"a\nb\\q\nc\xff\n", 2, "bad escape"),
+            (lambda p: _corpus_ids(p, 1)[0], b"a\nb\\q\nc\xff\n", 2, "bad escape"),
             (read_similarity, b"a\tb\tx\nc\td\t\xff\n", 1, "malformed score"),
             (read_analogies, b"a b c\n\xff\n", 1, "expected 4 tokens"),
         ],
-        ids=["vectors", "grammar", "segmented", "embed-corpus", "similarity", "analogy"],
+        ids=["vectors", "grammar", "grammar-rule", "segmented", "embed-corpus", "similarity", "analogy"],
     )
     def test_line_error_wins(self, tmp_path, reader, body, line, reason):
         p = tmp_path / "bad"
@@ -140,6 +141,29 @@ class TestBadLineAboveBadBytes:
         with pytest.raises(LineError, match=reason) as info:
             reader(str(p))
         assert info.value.line == line
+
+
+class TestBadBytesBelowValidLines:
+    """Bad bytes below lines that parse are never dropped: the grammar
+    reader raises them where its lines run out, or after the last rule."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"\xffRGRAM\t1\n",
+            b"RGRAM\t1\n\xff",
+            b"RGRAM\t1\nT\t2\nt\t0\t97\nt\t1\xff\t98\n",
+            b"RGRAM\t1\nT\t0\n\xff\n",
+            b"RGRAM\t1\nT\t1\nt\t0\t97\nr\t1\t0\t0\t2\n\xff\n",
+        ],
+        ids=["first-line", "no-terminal-count", "in-terminal-table", "no-rules", "after-rules"],
+    )
+    def test_bytes_error(self, tmp_path, body):
+        p = tmp_path / "bad.rgram"
+        p.write_bytes(body)
+        with pytest.raises(CorpusDecodeError) as info:
+            load(str(p))
+        assert info.value.byte_offset == body.index(b"\xff")
 
 
 # -- fuzzing -------------------------------------------------------------------
@@ -170,6 +194,9 @@ def _valid_files(d):
     seq = encode(TEXT)
     g, out = train(seq)
     save(g, str(d / "g.rgram"))
+    save(Grammar(g.terminals, []), str(d / "t.rgram"))
+    # a frequency too long for int64: read by load's line-by-line parser
+    save(Grammar(SymbolTable("ab"), [Rule(2, 0, 1, 10**19), Rule(3, 2, 0, 5)]), str(d / "n.rgram"))
     write_segmented(g, out, str(d / "c.seg"))
     tokens = ["the", "c_at", "\\x", " "]
     export_vectors(VectorSet(tokens, np.arange(12.0).reshape(4, 3) / 7), str(d / "v.vec"))
@@ -208,19 +235,31 @@ class TestFuzzReaders:
             pass
 
 
-@example(ops=[(6, "insert", ord("0"))])  # version "01"
-@example(ops=[(10, "insert", ord("0"))])  # terminal count "0N"
-@given(ops=MUTATIONS)
-def test_saving_a_loaded_grammar_reproduces_it(valid_dir, ops):
-    # every field must be the decimal save() writes; only a missing final
-    # newline is restored
-    data = mutate((valid_dir / "g.rgram").read_bytes(), ops)
-    path = valid_dir / "mutated-resave.rgram"
+def _resaves_or_refuses(d, name, ops):
+    """load either refuses the mutated file or reads exactly what save()
+    writes back: every field must be the decimal save() writes; only a
+    missing final newline is restored."""
+    data = mutate((d / name).read_bytes(), ops)
+    path = d / "mutated-resave.rgram"
     path.write_bytes(data)
     try:
         g = load(str(path))
     except ToolError:
         return
-    out = valid_dir / "resaved.rgram"
+    out = d / "resaved.rgram"
     save(g, str(out))
     assert out.read_bytes() in (data, data + b"\n")
+
+
+@example(ops=[(6, "insert", ord("0"))])  # version "01"
+@example(ops=[(10, "insert", ord("0"))])  # terminal count "0N"
+@given(ops=MUTATIONS)
+def test_saving_a_loaded_grammar_reproduces_it(valid_dir, ops):
+    _resaves_or_refuses(valid_dir, "g.rgram", ops)
+
+
+@pytest.mark.parametrize("name", ["t.rgram", "n.rgram"], ids=["no-rules", "long-frequency"])
+@example(ops=[(0, "set", ord("R"))])  # unchanged
+@given(ops=MUTATIONS)
+def test_load_accepts_exactly_what_save_writes(valid_dir, name, ops):
+    _resaves_or_refuses(valid_dir, name, ops)
