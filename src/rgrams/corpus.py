@@ -1,8 +1,9 @@
 """Text ingestion: normalization, terminal encoding, sequence boundaries.
 
-Terminals are Unicode scalar values interned into a dense id space in order
-of first appearance. Separator characters never become symbols; each maximal
-run of separators collapses into one boundary between segments.
+Terminals are Unicode scalar values numbered densely in order of first
+appearance; encode builds one immutable SymbolTable of them per text.
+Separator characters never become symbols; each maximal run of separators
+collapses into one boundary between segments.
 """
 
 from __future__ import annotations
@@ -70,23 +71,22 @@ def substitute_digits(text: str) -> str:
 
 
 class SymbolTable:
-    """Bijection between terminal characters and dense ids [0, len)."""
+    """Immutable bijection between terminal characters and dense ids [0, len).
+
+    The distinct characters given are numbered in first-given order. Built
+    once (by encode or load) and then shared, never copied: a grammar, the
+    sequence it was trained on and every sequence it segments hold one table.
+    """
 
     __slots__ = ("_chars", "_ids")
 
     def __init__(self, chars: Iterable[str] = ()):
-        self._chars: list[str] = []
         self._ids: dict[str, int] = {}
         for ch in chars:
-            self.intern(ch)
-
-    def intern(self, ch: str) -> int:
-        sid = self._ids.get(ch)
-        if sid is None:
-            sid = len(self._chars)
-            self._ids[ch] = sid
-            self._chars.append(ch)
-        return sid
+            if not (isinstance(ch, str) and len(ch) == 1):
+                raise DomainError(f"a terminal is one character; got {ch!r}")
+            self._ids.setdefault(ch, len(self._ids))
+        self._chars = tuple(self._ids)
 
     def id_of(self, ch: str) -> int | None:
         return self._ids.get(ch)
@@ -97,13 +97,7 @@ class SymbolTable:
         raise UnknownSymbolError(sid)
 
     def chars(self) -> tuple[str, ...]:
-        return tuple(self._chars)
-
-    def clone(self) -> "SymbolTable":
-        t = SymbolTable()
-        t._chars = self._chars.copy()
-        t._ids = self._ids.copy()
-        return t
+        return self._chars
 
     def __len__(self) -> int:
         return len(self._chars)
@@ -157,7 +151,7 @@ def _encode_chunks(chunks: Iterable[str], separators: frozenset[str]) -> Bounded
     point, so no step sorts the text; a chunk holds fewer than 2**31 of them.
     """
     seps = [ord(c) for c in separators]
-    table = SymbolTable()
+    ids: dict[str, int] = {}
     parts: list[np.ndarray] = []
     boundaries: list[int] = []
     count = 0
@@ -185,17 +179,17 @@ def _encode_chunks(chunks: Iterable[str], separators: frozenset[str]) -> Bounded
             slot = np.zeros(int(cps.max()) + 1, dtype=np.int32)
             back = np.arange(cps.size, 0, -1, dtype=np.int32)
             np.maximum.at(slot, cps, back)
-            # ids must not depend on chunking, so intern new characters in
-            # first-appearance order
+            # ids must not depend on chunking, so new characters are numbered
+            # in first-appearance order
             firsts = cps[slot[cps] == back]
-            slot[firsts] = [table.intern(chr(c)) for c in firsts.tolist()]
+            slot[firsts] = [ids.setdefault(chr(c), len(ids)) for c in firsts.tolist()]
             parts.append(slot[cps])
             count += cps.size
     symbols = array("i")
     parts.reverse()
     while parts:  # each int32 part is freed once copied
         symbols.frombytes(parts.pop().view(np.uint8))
-    return BoundedSequence(symbols, boundaries, table)
+    return BoundedSequence(symbols, boundaries, SymbolTable(ids))
 
 
 def encode(text: str, separators: frozenset[str] = DEFAULT_SEPARATORS) -> BoundedSequence:

@@ -526,12 +526,11 @@ def train_skipgram(
     out_flat = out.reshape(-1)
     cols = np.arange(dim)
 
-    keep_prob: np.ndarray | None = None
+    # a token is kept where keep_prob > a uniform draw in [0, 1): always
+    # at threshold 0
     t = config.subsample_threshold
-    if t > 0:
-        f = vocab.counts / train_words
-        ratio = t / f
-        keep_prob = np.minimum(1.0, np.sqrt(ratio) + ratio)
+    ratio = t / (vocab.counts / train_words)
+    keep_prob = np.minimum(1.0, np.sqrt(ratio) + ratio) if t > 0 else np.ones(V)
 
     lr0 = config.initial_lr
     lr_floor = lr0 * 1e-4
@@ -542,11 +541,8 @@ def train_skipgram(
 
     for epoch in range(config.epochs):
         clock = time.perf_counter()
-        if keep_prob is None:
-            toks, sid = flat, sent_of
-        else:
-            keep = keep_prob[flat] > sub_rng.random(len(flat))
-            toks, sid = flat[keep], sent_of[keep]
+        keep = keep_prob[flat] > sub_rng.random(len(flat))
+        toks, sid = flat[keep], sent_of[keep]
         bounds = _block_bounds(sid)
         # each block's rate, by the tokens processed at its last sentence's end
         last = done[sid[np.array(bounds[1:], dtype=np.intp) - 1]]

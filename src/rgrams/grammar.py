@@ -95,7 +95,9 @@ class ApplyReport:
 
 
 class Grammar:
-    """Immutable after construction; safe to share across threads. Each
+    """Immutable after construction; safe to share across threads. Its
+    terminals are the immutable SymbolTable of the sequence it was trained
+    on or of its file, shared with every sequence apply returns. Each
     per-symbol table is built on first use and cached; two threads may each
     build one once, and the results are equal."""
 
@@ -348,7 +350,7 @@ def apply_with_report(g: Grammar, seq: BoundedSequence) -> tuple[BoundedSequence
             if r is not None:
                 heappush(heap, (r << S) | p)
 
-    out = from_engine(sym, g.terminals.clone())
+    out = from_engine(sym, g.terminals)
     return out, ApplyReport(unknown_chars, batch_merges)
 
 
@@ -438,7 +440,7 @@ def apply_naive(g: Grammar, seq: BoundedSequence) -> BoundedSequence:
     s = _engine_input(g, seq)[0].tolist()
     for rule in g.rules:
         s = greedy_replace(s, rule)
-    return from_engine(s, g.terminals.clone())
+    return from_engine(s, g.terminals)
 
 
 def greedy_replace(s: list[int], rule: Rule) -> list[int]:
@@ -605,19 +607,18 @@ def load(path: str) -> Grammar:
     if tcount < 0:
         raise GrammarFileError(2, "negative terminal count")
 
-    table = SymbolTable()
+    ids: dict[str, int] = {}
     for lineno, line in enumerate(lines[2 : 2 + tcount], 3):
         sid, cp = _fields(lineno, line, "t", "terminal", ("terminal id", "code point"))
-        if sid != len(table):
+        if sid != len(ids):
             raise GrammarFileError(lineno, f"terminal ids must be consecutive; got {sid}")
         if not 0 <= cp <= 0x10FFFF:
             raise GrammarFileError(lineno, f"code point {cp} out of range")
-        ch = chr(cp)
-        if table.id_of(ch) is not None:
+        if ids.setdefault(chr(cp), sid) != sid:
             raise GrammarFileError(lineno, f"duplicate terminal {cp}")
-        table.intern(ch)
-    if len(table) < tcount:
+    if len(ids) < tcount:
         raise bad_bytes or GrammarFileError(len(lines), "truncated terminal table")
+    table = SymbolTable(ids)
 
     section = lines[2 + tcount :]
     text = "\n".join(section)

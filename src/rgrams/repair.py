@@ -189,7 +189,7 @@ class PairMerger:
         return len(self._pairs)
 
     def grammar(self) -> Grammar:
-        return Grammar(self._alphabet.clone(), self._rules)
+        return Grammar(self._alphabet, self._rules)
 
     def sequence(self) -> BoundedSequence:
         """Snapshot of the current sequence as a BoundedSequence."""
@@ -672,7 +672,7 @@ def train_naive(
         rule = Rule(T + len(rules), *best[2], -best[0])
         s = greedy_replace(s, rule)
         rules.append(rule)
-    return Grammar(table.clone(), rules), from_engine(s, table)
+    return Grammar(table, rules), from_engine(s, table)
 
 
 def pair_count(seq: BoundedSequence, left: int, right: int) -> int:

@@ -6,6 +6,7 @@ from hypothesis import example, given, strategies as st
 from rgrams import corpus
 from rgrams.corpus import (
     NormalizationOptions,
+    SymbolTable,
     encode,
     encode_file,
     normalize,
@@ -15,7 +16,8 @@ from rgrams.corpus import (
     write_lines,
 )
 from rgrams.errors import CorpusDecodeError, DomainError
-from rgrams.grammar import Grammar, decode
+from rgrams.grammar import Grammar, apply, apply_naive, apply_with_report, decode, load, save
+from rgrams.repair import train, train_naive
 
 NL = frozenset("\n")
 BOTH = NormalizationOptions(lowercase=True, digits_to_N=True)
@@ -110,7 +112,7 @@ class TestEncode:
 
 
 def encode_reference(text, separators):
-    """The literal encoding: each kept character interned in order of first
+    """The literal encoding: each kept character numbered in order of first
     appearance, each maximal run of separators one boundary."""
     chars, ids, symbols, boundaries = [], {}, [], []
     in_run = False
@@ -171,14 +173,39 @@ class TestEncodeReference:
 
 
 class TestSymbolTable:
-    def test_clone_is_independent(self):
-        table = encode("abc").alphabet
-        copy = table.clone()
-        assert copy == table
-        assert [copy.id_of(ch) for ch in "abc"] == [0, 1, 2]
-        assert copy.intern("z") == 3
-        assert table.id_of("z") is None
+    def test_numbers_distinct_characters_in_first_given_order(self):
+        table = SymbolTable("abca")
+        assert [table.id_of(ch) for ch in "abc"] == [0, 1, 2]
         assert table.chars() == ("a", "b", "c")
+        assert len(table) == 3 and table.id_of("z") is None
+
+    @pytest.mark.parametrize(
+        "chars", [["ab", "c"], ["a", ""], ["a", 98], [["a"]]], ids=["two", "empty", "int", "list"]
+    )
+    def test_a_terminal_is_one_character(self, chars):
+        # a two-character terminal would expand as two characters and make
+        # save fail with a TypeError
+        with pytest.raises(DomainError, match="one character"):
+            SymbolTable(chars)
+
+    def test_no_stage_hands_out_a_changeable_table(self, tmp_path):
+        g, _ = train(encode("abab abab abab"))
+        path = tmp_path / "g.rgram"
+        save(g, str(path))
+        loaded = load(str(path))
+        for table in (g.terminals, apply(g, encode("ba ab")).alphabet, loaded.terminals):
+            with pytest.raises(AttributeError):
+                table.intern("z")
+        assert loaded == g
+        save(loaded, str(tmp_path / "again.rgram"))
+        assert (tmp_path / "again.rgram").read_bytes() == path.read_bytes()
+
+    def test_grammar_and_its_sequences_share_one_table(self):
+        seq = encode("abab abab abab")
+        for g, out in (train(seq), train_naive(seq)):
+            assert g.terminals is seq.alphabet and out.alphabet is seq.alphabet
+            for segment in (apply, apply_naive, lambda g, s: apply_with_report(g, s)[0]):
+                assert segment(g, encode("ba ab")).alphabet is g.terminals
 
 
 def decode_terminals(seq):

@@ -45,10 +45,7 @@ def trained(text, **stop):
 
 
 def abab_grammar():
-    t = SymbolTable()
-    t.intern("a")
-    t.intern("b")
-    return Grammar(t, [Rule(2, 0, 1, 4), Rule(3, 2, 2, 2)])
+    return Grammar(SymbolTable("ab"), [Rule(2, 0, 1, 4), Rule(3, 2, 2, 2)])
 
 
 def repeated_rule_grammar(tmp_path):
@@ -136,8 +133,7 @@ class TestExpand:
         assert g.expand(OOV_BASE + ord("Q")) == "Q"
 
     def test_deep_chain_no_recursion_limit(self):
-        t = SymbolTable()
-        t.intern("x")
+        t = SymbolTable("x")
         rules = [Rule(1, 0, 0, 2)]
         for i in range(2, 5000):
             rules.append(Rule(i, i - 1, 0, 2))
@@ -174,14 +170,12 @@ class TestExpand:
 
 class TestConstruction:
     def test_rule_ids_must_be_consecutive(self):
-        t = SymbolTable()
-        t.intern("a")
+        t = SymbolTable("a")
         with pytest.raises(DomainError):
             Grammar(t, [Rule(5, 0, 0, 2)])
 
     def test_rule_must_reference_earlier(self):
-        t = SymbolTable()
-        t.intern("a")
+        t = SymbolTable("a")
         with pytest.raises(DomainError):
             Grammar(t, [Rule(1, 0, 1, 2)])
         with pytest.raises(DomainError):
@@ -189,8 +183,7 @@ class TestConstruction:
 
     def test_frequency_must_not_be_negative(self):
         # save() would write a file that load() refuses
-        t = SymbolTable()
-        t.intern("a")
+        t = SymbolTable("a")
         with pytest.raises(DomainError, match="negative frequency -1"):
             Grammar(t, [Rule(1, 0, 0, -1)])
 
@@ -371,7 +364,7 @@ class TestEngineFormat:
     def test_returned_sequences_compare_by_content(self):
         seq = encode("ab\nba\U00020000")
         assert train(seq, StopCriteria(max_merges=0))[1] == seq
-        assert apply(Grammar(seq.alphabet.clone(), []), seq) == seq
+        assert apply(Grammar(seq.alphabet, []), seq) == seq
 
     @given(st.text(alphabet="ab\n", max_size=40))
     @example("")
@@ -576,8 +569,7 @@ class TestSegmentedIO:
         assert self.round_trip(g, out) == [[]]
 
     def test_newline_in_token_rejected(self):
-        t = SymbolTable()
-        t.intern("\n")
+        t = SymbolTable("\n")
         g = Grammar(t, [])
         seq = encode("x")
         seq.symbols = [0]

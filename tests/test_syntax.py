@@ -1,0 +1,23 @@
+"""Every source and test file parses as the oldest Python that pyproject.toml
+allows, so syntax newer than that is caught on any interpreter the suite
+runs on."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()
+    files = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+    assert files
+    refused = []
+    for path in files:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(int(major), int(minor)))
+        except SyntaxError as exc:
+            refused.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
+    assert not refused, "\n".join(refused)
