@@ -24,7 +24,7 @@ from . import embed as embed_mod
 from . import evaluate as eval_mod
 from . import grammar as grammar_mod
 from . import stats as stats_mod
-from .corpus import BoundedSequence, NormalizationOptions, encode_file, write_lines
+from .corpus import DEFAULT_SEPARATORS, BoundedSequence, NormalizationOptions, encode_file, write_lines
 from .embed import TrainConfig
 from .errors import ParameterError, ToolError
 from .repair import PairMerger, StopCriteria
@@ -280,6 +280,7 @@ def cmd_eval_similarity(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="rgrams", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    separators = {"type": _separators, "default": DEFAULT_SEPARATORS}
 
     p = sub.add_parser("train", help="learn a merge grammar from raw text")
     p.add_argument("corpus", help="UTF-8 text file")
@@ -289,9 +290,7 @@ def build_parser() -> _Parser:
     _field_flag(p, StopCriteria, "--min-freq", "min_frequency", int)
     _field_flag(p, StopCriteria, "--max-vocab", "max_vocabulary", int)
     _field_flag(p, StopCriteria, "--max-merges", "max_merges", int)
-    p.add_argument(
-        "--separators", type=_separators, default="\\n", help="escaped characters, e.g. '\\n'"
-    )
+    p.add_argument("--separators", **separators, help="escaped characters, e.g. '\\n'")
     p.add_argument("--no-lowercase", dest="lowercase", action="store_false")
     p.add_argument("--digits-to-n", action="store_true")
     p.add_argument(
@@ -303,7 +302,7 @@ def build_parser() -> _Parser:
     p.add_argument("grammar")
     p.add_argument("input")
     p.add_argument("output", help="segmented corpus out")
-    p.add_argument("--separators", type=_separators, default="\\n")
+    p.add_argument("--separators", **separators)
     p.add_argument("--lowercase", action="store_true", help="normalize before applying")
     p.add_argument("--digits-to-n", action="store_true")
     p.add_argument("--strict", action="store_true", help="exit 3 on out-of-alphabet characters")
@@ -326,7 +325,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoints", type=_checkpoint_list, help="comma list of merge counts")
     _field_flag(p, StopCriteria, "--min-freq", "min_frequency", int)
     p.add_argument("--top", type=_non_negative, default=100)
-    p.add_argument("--separators", type=_separators, default="\\n")
+    p.add_argument("--separators", **separators)
     p.add_argument("--no-lowercase", dest="lowercase", action="store_false")
     p.add_argument("--digits-to-n", action="store_true")
     p.set_defaults(func=cmd_stats)

@@ -24,6 +24,9 @@ DEFAULT_SEPARATORS = frozenset("\n")
 # at a time; it bounds the encoder's per-chunk scratch arrays, tens of bytes
 # per character
 _CHUNK = 1 << 16
+# lines write_lines joins into one write; grammar's writers gather the
+# strings of as many symbols at a time
+_GATHER = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -253,11 +256,11 @@ def read_lines(src: str | TextIO) -> Iterator[tuple[int, str]]:
 
 
 def write_lines(dest: str | TextIO, lines: Iterable[str]) -> None:
-    """Write each line plus '\n' to a path (UTF-8) or a text handle, 65536 lines per write."""
+    """Write each line plus '\n' to a path (UTF-8) or a text handle, _GATHER lines per write."""
     own = not hasattr(dest, "write")
     with open(dest, "w", encoding="utf-8", newline="\n") if own else nullcontext(dest) as f:
         it = iter(lines)
-        while batch := list(islice(it, 65536)):
+        while batch := list(islice(it, _GATHER)):
             f.write("\n".join(batch) + "\n")
 
 

@@ -23,8 +23,9 @@ it. What a run of _RUN blocks trains (pairs, negatives, skips, rates) is
 planned in a few vectorized calls before its sub-batches run (_plan).
 
 The corpus is a segmented file (path or handle), read straight into one
-int array of token codes (_corpus_codes): each distinct line is unescaped
-and normalized once, and numpy counts and filters the rest. Each kept
+int array of token codes (_corpus_codes) by grammar's segmented-file reader
+(read_segmented_chunks): each distinct line is unescaped and normalized
+once, and numpy counts and filters the rest. Each kept
 token keeps its sentence's number in the file (_corpus_ids).
 """
 
@@ -44,16 +45,9 @@ from typing import Callable, Sequence, TextIO, Union
 
 import numpy as np
 
-from .corpus import read_line_chunks, read_lines, substitute_digits, write_lines
-from .errors import (
-    CorpusDecodeError,
-    DomainError,
-    ParameterError,
-    SegmentedFileError,
-    VectorFileError,
-    require_int,
-)
-from .grammar import escape_token, unescape_token
+from .corpus import read_lines, substitute_digits, write_lines
+from .errors import CorpusDecodeError, DomainError, ParameterError, VectorFileError, require_int
+from .grammar import line_token, read_segmented_chunks, unescape_token
 
 log = logging.getLogger(__name__)
 
@@ -127,7 +121,7 @@ def normalize_token(raw: str) -> str:
 
 class _TokenCodes(dict):
     """segmented-file line -> code of its unescaped, normalized token,
-    computed on the first lookup.
+    computed on the first lookup (read_segmented_chunks' table).
 
     norms maps each distinct normalized token to its code, numbered in order
     of first appearance.
@@ -148,21 +142,13 @@ def _corpus_codes(source: Corpus) -> tuple[np.ndarray, list[str]]:
     with -1 for each blank line (a sentence end), and the distinct
     normalized tokens by code.
 
-    The file is read a chunk of lines at a time (read_line_chunks), and each
-    distinct line is unescaped and normalized once. A bad escape raises
-    SegmentedFileError naming its line.
+    The file is read a chunk of lines at a time through
+    read_segmented_chunks, and each distinct line is unescaped and
+    normalized once. A bad escape raises SegmentedFileError naming its line.
     """
     codes = _TokenCodes()
     codes[""] = -1
-    get = codes.__getitem__
-    parts = []
-    for first, lines in read_line_chunks(source):
-        try:
-            parts.append(np.fromiter(map(get, lines), dtype=np.int32, count=len(lines)))
-        except ValueError as exc:
-            # only successes become keys: the bad line is the first that is not one
-            k = next(k for k, raw in enumerate(lines) if raw not in codes)
-            raise SegmentedFileError(first + k, str(exc)) from None
+    parts = [np.array(c, dtype=np.int32) for c in read_segmented_chunks(source, codes)]
     flat = np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
     return flat, list(codes.norms)
 
@@ -627,17 +613,17 @@ def train_skipgram(
 def export_vectors(m: EmbeddingMatrix | VectorSet, path: str) -> None:
     """Text format: header '<count> <dim>', then per line the token and its
     components, each formatted '%.9g' (9 significant digits), one '%'
-    format per row; token escaped as in the segmented format. A token with
-    a newline, or a non-finite component, raises DomainError before path is
-    opened."""
+    format per row; token escaped as in the segmented format (line_token).
+    A token no line can hold, or a row import_vectors refuses (a non-finite
+    component, or a sum of squared components that overflows:
+    _overflowing_rows), raises DomainError before path is opened."""
     vs = m.to_vectors() if isinstance(m, EmbeddingMatrix) else m
-    if any("\n" in tok for tok in vs.tokens):
-        raise DomainError("a token contains a newline; it cannot be written one per line")
-    if not np.isfinite(vs.matrix).all():
-        raise DomainError("vectors have non-finite components; nothing written")
+    tokens = [line_token(tok) for tok in vs.tokens]
+    if _overflowing_rows(vs.matrix).any():
+        raise DomainError("a vector has a non-finite component or a squared norm that overflows")
     count, dim = vs.matrix.shape
     fmt = "%s" + " %.9g" * dim
-    rows = (fmt % (escape_token(tok), *row) for tok, row in zip(vs.tokens, vs.matrix.tolist()))
+    rows = (fmt % (tok, *row) for tok, row in zip(tokens, vs.matrix.tolist()))
     write_lines(path, chain([f"{count} {dim}"], rows))
 
 

@@ -14,6 +14,9 @@ in numpy passes, a run of rules at a time that read none of each other's
 ids. A small heap per segment then pops the remaining pairs that are rule
 keys in (rule id, position) order. apply_naive() is the literal
 rule-by-rule replay that apply() is checked against.
+
+It also owns the line format of tokens: line_token, which every writer
+calls, and read_segmented_chunks, the one segmented-file reader.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Callable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-from .corpus import BoundedSequence, SymbolTable, read_line_chunks, read_lines, write_lines
+from .corpus import _GATHER, BoundedSequence, SymbolTable, read_line_chunks, write_lines
 from .errors import (
     CorpusDecodeError,
     DomainError,
@@ -66,13 +69,6 @@ _RankTable = tuple[dict[int, int], np.ndarray, np.ndarray, list[int], list[int],
 _BATCH_MIN_CHARS = 1024
 _BATCH_MIN_CANDIDATES = 16
 _NO_RULE = np.iinfo(np.int32).max  # apply's rule id of a pair that is no rule key
-# write_segmented and decode gather the strings of _GATHER symbols at a time,
-# as many as write_lines writes at once
-_GATHER = 1 << 16
-_NEWLINE_TOKEN = (
-    "token expansion contains a newline; it cannot be written "
-    "one-token-per-line (use a different separator set)"
-)
 
 MAGIC = "RGRAM"
 VERSION = 1
@@ -102,14 +98,9 @@ class Grammar:
     build one once, and the results are equal."""
 
     def __init__(self, terminals: SymbolTable, rules: list[Rule]):
-        T = len(terminals)
-        for want, (rid, left, right, freq) in enumerate(rules, T):
-            if rid != want:
-                raise DomainError(f"rule ids must be consecutive from {T}; got {rid}")
-            if not (0 <= left < rid and 0 <= right < rid):
-                raise DomainError(f"rule {rid} references a later or negative symbol")
-            if freq < 0:
-                raise DomainError(f"rule {rid} has negative frequency {freq}")
+        for want, rule in enumerate(rules, len(terminals)):
+            if problem := _rule_problem(want, *rule):
+                raise DomainError(problem)
         self.terminals = terminals
         self.rules = tuple(rules)
 
@@ -145,12 +136,16 @@ class Grammar:
 
     @cached_property
     def _tokens(self) -> tuple[np.ndarray, np.ndarray]:
-        """(escaped, newline): every symbol's expansion as escape_token
-        writes it (object array), and whether the expansion contains a
-        newline (bool array), by id."""
-        exp = self._expansions.tolist()
-        escaped = np.array([escape_token(t) for t in exp], dtype=object)
-        return escaped, np.array(["\n" in t for t in exp], dtype=bool)
+        """(lines, unwritable): every symbol's expansion as line_token
+        writes it (object array), and the mask of the symbols whose
+        expansion no line can hold (their line is None), by id."""
+        lines = []
+        for t in self._expansions.tolist():
+            try:
+                lines.append(line_token(t))
+            except DomainError:
+                lines.append(None)
+        return np.array(lines, dtype=object), np.array([t is None for t in lines])
 
     @cached_property
     def _depths(self) -> list[int]:
@@ -547,20 +542,25 @@ def _fields(lineno: int, line: str, tag: str, kind: str, names: tuple[str, ...])
     return values
 
 
+def _rule_problem(want: int, rid: int, left: int, right: int, freq: int) -> str | None:
+    """Why a rule cannot be a grammar's rule want, or None (Grammar and load ask here)."""
+    if rid != want:
+        return f"rule ids must be consecutive; got {rid}"
+    if not (0 <= left < rid and 0 <= right < rid):
+        return f"rule {rid} references a later or negative symbol"
+    if freq < 0:
+        return f"rule {rid} has negative frequency {freq}"
+    return None
+
+
 def _parse_rules(lineno: int, lines: list[str], first_id: int) -> list[Rule]:
     """Rule lines from lineno on, one at a time; the first bad one raises GrammarFileError."""
     rules: list[Rule] = []
     for lineno, line in enumerate(lines, lineno):
-        rid, left, right, freq = _fields(
-            lineno, line, "r", "rule", ("rule id", "left id", "right id", "frequency")
-        )
-        if rid != first_id + len(rules):
-            raise GrammarFileError(lineno, f"rule ids must be consecutive; got {rid}")
-        if not (0 <= left < rid and 0 <= right < rid):
-            raise GrammarFileError(lineno, f"rule {rid} references a later or negative symbol")
-        if freq < 0:
-            raise GrammarFileError(lineno, f"rule {rid} has negative frequency {freq}")
-        rules.append(Rule(rid, left, right, freq))
+        rule = _fields(lineno, line, "r", "rule", ("rule id", "left id", "right id", "frequency"))
+        if problem := _rule_problem(first_id + len(rules), *rule):
+            raise GrammarFileError(lineno, problem)
+        rules.append(Rule(*rule))
     return rules
 
 
@@ -642,6 +642,15 @@ def escape_token(token: str) -> str:
     return token.replace("\\", "\\\\").replace("_", "\\_").replace(" ", "_")
 
 
+def line_token(token: str) -> str:
+    """token as a line of a segmented or vector file holds it (escape_token);
+    DomainError if it contains a newline or a lone surrogate, which UTF-8
+    cannot encode. Every writer checks its tokens here before opening."""
+    if "\n" in token or (not token.isascii() and re.search("[\ud800-\udfff]", token)):
+        raise DomainError("a token contains a newline or a lone surrogate; no UTF-8 line can hold it")
+    return escape_token(token)
+
+
 _ESCAPE = re.compile(r"\\(.?)|_", re.DOTALL)
 
 
@@ -662,48 +671,63 @@ def unescape_token(token: str) -> str:
 
 
 def write_segmented(g: Grammar, seq: BoundedSequence, dest: str | TextIO) -> None:
-    """One expanded token per line, blank line per boundary.
+    """One token per line as line_token writes it, blank line per boundary.
 
     Every symbol is checked before dest is opened, so a token that cannot
     be written leaves no file behind.
     """
-    tokens, newline = g._tokens
+    lines, unwritable = g._tokens
     a = _symbol_array(seq)
-    if newline.any():
-        v = newline.size
+    if unwritable.any():
+        v = unwritable.size
         for lo in range(0, a.size, _GATHER):
             c = a[lo : lo + _GATHER]
-            if newline[c[(c >= 0) & (c < v)]].any():
-                raise DomainError(_NEWLINE_TOKEN)
+            bad = c[(c >= 0) & (c < v)]
+            bad = bad[unwritable[bad]]
+            if bad.size:
+                line_token(g.expand(int(bad[0])))  # raises its DomainError
+    pieces = _gathered(a, seq.boundaries, lines, lambda s: line_token(g.expand(s)), "")
+    write_lines(dest, chain.from_iterable(pieces))
 
-    def escaped(s: int) -> str:
-        t = g.expand(s)
-        if "\n" in t:
-            raise DomainError(_NEWLINE_TOKEN)
-        return escape_token(t)
 
-    write_lines(dest, chain.from_iterable(_gathered(a, seq.boundaries, tokens, escaped, "")))
+class _Unescaped(dict):
+    """segmented-file line -> its token, unescaped on the first lookup."""
+
+    def __missing__(self, raw: str) -> str:
+        tok = self[raw] = unescape_token(raw)
+        return tok
+
+
+def read_segmented_chunks(src: str | TextIO, table: dict) -> Iterator[list]:
+    """Yield table[line] for the lines of each chunk read_line_chunks reads.
+    When table's __missing__ raises ValueError (a bad escape), yield the
+    values of the lines above the bad one, then raise SegmentedFileError."""
+    get = table.__getitem__
+    for first, lines in read_line_chunks(src):
+        try:
+            values = list(map(get, lines))
+        except ValueError as exc:
+            # only successes are keys: the bad line is the first that is not one
+            k = next(k for k, raw in enumerate(lines) if raw not in table)
+            yield list(map(get, lines[:k]))
+            raise SegmentedFileError(first + k, str(exc)) from None
+        yield values
 
 
 def read_segmented(src: str | TextIO) -> Iterator[list[str]]:
     """Yield one list of tokens per segment; k boundaries give k+1 lists.
 
     A path is read as UTF-8; bad bytes raise CorpusDecodeError. Each
-    distinct line is unescaped once, so repeated tokens come back as one
-    shared string.
+    distinct line is unescaped once (read_segmented_chunks), so repeated
+    tokens come back as one shared string; a bad escape raises
+    SegmentedFileError once the segments that end above it are yielded.
     """
-    unescaped: dict[str, str] = {}  # successes only: a bad line raises with its own number
     sentence: list[str] = []
-    for lineno, raw in read_lines(src):
-        if raw == "":
-            yield sentence
-            sentence = []
-            continue
-        tok = unescaped.get(raw)
-        if tok is None:
-            try:
-                tok = unescaped[raw] = unescape_token(raw)
-            except ValueError as exc:
-                raise SegmentedFileError(lineno, str(exc)) from None
-        sentence.append(tok)
+    for tokens in read_segmented_chunks(src, _Unescaped()):
+        for tok in tokens:
+            if tok:
+                sentence.append(tok)
+            else:  # a blank line ends a segment
+                yield sentence
+                sentence = []
     yield sentence

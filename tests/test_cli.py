@@ -8,6 +8,7 @@ import pytest
 
 from rgrams import embed as embed_mod
 from rgrams.cli import build_parser, main
+from rgrams.corpus import DEFAULT_SEPARATORS
 from rgrams.embed import TrainConfig
 from rgrams.errors import DomainError, ParameterError
 from rgrams.repair import StopCriteria
@@ -552,6 +553,14 @@ class TestParameters:
         assert self.parsed(StopCriteria, ["train", "c", "--grammar-out", "g"]) == StopCriteria()
         args = build_parser().parse_args(["stats", "--raw", "c", "--checkpoints", "1"])
         assert args.min_frequency == StopCriteria().min_frequency
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["train", "c", "--grammar-out", "g"], ["apply", "g", "i", "o"], ["stats", "--raw", "c"]],
+        ids=["train", "apply", "stats"],
+    )
+    def test_separators_default_is_the_library_default(self, argv):
+        assert build_parser().parse_args(argv).separators is DEFAULT_SEPARATORS
 
     def test_flags_set_their_fields(self):
         argv = ["embed", "c", "--vectors-out", "v", "--lr", "0.5", "--subsample", "0"]

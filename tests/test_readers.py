@@ -1,9 +1,16 @@
-"""Every file reader fails with a ToolError on bad input, never a traceback.
+"""Every file reader fails with a ToolError on bad input, never a traceback,
+and no writer writes what its reader refuses.
 
 Regression tests drive each reader through the CLI with invalid UTF-8 or a
 bad token escape; fuzz tests mutate the bytes of a valid file and require
-that the reader either succeeds or raises a ToolError.
+that the reader either succeeds or raises a ToolError, and that the two
+segmented-file readers agree. Property tests require that each writer
+either refuses its input, leaving no file, or writes what its reader
+returns.
 """
+
+import io
+import math
 
 import numpy as np
 import pytest
@@ -11,8 +18,8 @@ from hypothesis import example, given, strategies as st
 
 from rgrams.cli import main
 from rgrams.corpus import SymbolTable, encode
-from rgrams.embed import VectorSet, _corpus_ids, export_vectors, import_vectors
-from rgrams.errors import CorpusDecodeError, LineError, ToolError
+from rgrams.embed import VectorSet, _corpus_ids, export_vectors, import_vectors, normalize_token
+from rgrams.errors import CorpusDecodeError, DomainError, LineError, SegmentedFileError, ToolError
 from rgrams.evaluate import read_analogies, read_similarity
 from rgrams.grammar import Grammar, Rule, load, read_segmented, save, write_segmented
 from rgrams.repair import train
@@ -198,6 +205,9 @@ def _valid_files(d):
     # a frequency too long for int64: read by load's line-by-line parser
     save(Grammar(SymbolTable("ab"), [Rule(2, 0, 1, 10**19), Rule(3, 2, 0, 5)]), str(d / "n.rgram"))
     write_segmented(g, out, str(d / "c.seg"))
+    # a segmented file with what embed normalizes: digits, edge and all-space
+    # tokens, escapes and a run of blank lines
+    (d / "e.seg").write_text("new_york\n_7\\\\_\n__\n\n\nborn_1949\na\\_b\n", encoding="utf-8")
     tokens = ["the", "c_at", "\\x", " "]
     export_vectors(VectorSet(tokens, np.arange(12.0).reshape(4, 3) / 7), str(d / "v.vec"))
     (d / "a.txt").write_bytes(ANALOGY)
@@ -207,6 +217,7 @@ def _valid_files(d):
 READERS = {
     "g.rgram": load,
     "c.seg": lambda p: list(read_segmented(p)),
+    "e.seg": lambda p: _corpus_ids(p, 1),
     "v.vec": import_vectors,
     "a.txt": read_analogies,
     "s.tsv": read_similarity,
@@ -263,3 +274,121 @@ def test_saving_a_loaded_grammar_reproduces_it(valid_dir, ops):
 @given(ops=MUTATIONS)
 def test_load_accepts_exactly_what_save_writes(valid_dir, name, ops):
     _resaves_or_refuses(valid_dir, name, ops)
+
+
+def _segmented_both_ways(path):
+    """What read_segmented and embed's _corpus_ids read from path: each
+    token, normalized as embed normalizes it, with its sentence number; or
+    the error's type and its line or byte offset."""
+
+    def outcome(read):
+        try:
+            return read()
+        except (LineError, CorpusDecodeError) as exc:
+            return type(exc), getattr(exc, "line", None), getattr(exc, "byte_offset", None)
+
+    def via_read_segmented():
+        segs = read_segmented(path)
+        return [(normalize_token(t), k) for k, seg in enumerate(segs) for t in seg]
+
+    def via_corpus_ids():
+        vocab, ids, sid = _corpus_ids(path, 1)
+        return [(vocab.tokens[i], k) for i, k in zip(ids.tolist(), sid.tolist())]
+
+    return outcome(via_read_segmented), outcome(via_corpus_ids)
+
+
+@pytest.mark.parametrize("name", ["c.seg", "e.seg"])
+@given(ops=MUTATIONS)
+def test_segmented_readers_agree(valid_dir, name, ops):
+    path = valid_dir / ("mutated-both-" + name)
+    path.write_bytes(mutate((valid_dir / name).read_bytes(), ops))
+    want, got = _segmented_both_ways(str(path))
+    assert got == want
+
+
+def test_segmented_readers_agree_past_the_first_chunk(tmp_path):
+    # the bad escape is on a line past the first 64 KiB read, inside a segment
+    segment = "new_york\na\\_b\nborn_1949\n\n"
+    body = segment * 4000 + "x\nc\\q\n" + segment
+    assert body.index("c\\q") > 1 << 16
+    p = tmp_path / "c.seg"
+    p.write_text(body, encoding="utf-8")
+    segs = read_segmented(str(p))
+    for _ in range(4000):  # every segment that ends above the bad line comes first
+        assert next(segs) == ["new york", "a_b", "born 1949"]
+    with pytest.raises(SegmentedFileError) as info:
+        next(segs)
+    assert info.value.line == 4 * 4000 + 2
+    assert _segmented_both_ways(str(p)) == ((SegmentedFileError, 16002, None),) * 2
+
+
+# -- writers write only what their readers read back ---------------------------
+
+_LINE_CHARS = [" ", "_", "\\", "0", "7", "a", "\n", "\ud800"]
+
+
+def _fits_a_line(token: str) -> bool:
+    """No newline, and no lone surrogate: UTF-8 can encode it."""
+    return "\n" not in token and not any("\ud800" <= c <= "\udfff" for c in token)
+
+
+@example(text="ab\ud800ab|ab")
+@given(text=st.text(st.sampled_from([*_LINE_CHARS, "|"]), max_size=40))
+def test_segmented_writer_and_reader_agree(valid_dir, text):
+    # "|" separates, so newlines stay in the tokens
+    g, out = train(encode(text, frozenset("|")))
+    tokens = {g.expand(s) for s in out.symbols}
+    path = valid_dir / "written.seg"
+    path.unlink(missing_ok=True)
+    buf = io.StringIO()
+    try:
+        write_segmented(g, out, str(path))
+    except DomainError:
+        assert not path.exists()
+        assert not all(map(_fits_a_line, tokens))
+        with pytest.raises(DomainError):
+            write_segmented(g, out, buf)
+        assert buf.getvalue() == ""
+        return
+    want = [[g.expand(s) for s in out.symbols[lo:hi]] for lo, hi in out.segments()]
+    assert list(read_segmented(str(path))) == want
+    write_segmented(g, out, buf)
+    assert list(read_segmented(io.StringIO(buf.getvalue()))) == want
+
+
+# ordinary values first, then non-finite ones and one whose square overflows
+_COMPONENTS = st.sampled_from(
+    [0.5, -3.25, 0.0, 1 / 3, 1e-300, 1e153, math.nan, math.inf, -math.inf, 1e200]
+)
+
+
+@st.composite
+def vector_sets(draw):
+    """Small vector sets, some with a token no line holds or a row a reader refuses."""
+    dim = draw(st.integers(1, 3))
+    token = st.text(st.sampled_from(_LINE_CHARS), max_size=4)
+    tokens = draw(st.lists(token, max_size=4, unique=True))
+    rows = st.lists(_COMPONENTS, min_size=dim, max_size=dim)
+    matrix = draw(st.lists(rows, min_size=len(tokens), max_size=len(tokens)))
+    return VectorSet(tokens, np.array(matrix, dtype=np.float64).reshape(len(tokens), dim))
+
+
+@example(vs=VectorSet(["a", "b"], np.array([[1.0], [1e200]])))
+@example(vs=VectorSet(["a\ud800"], np.ones((1, 2))))
+@given(vs=vector_sets())
+def test_vector_writer_and_reader_agree(valid_dir, vs):
+    rows = vs.matrix.tolist()
+    path = valid_dir / "written.vec"
+    path.unlink(missing_ok=True)
+    try:
+        export_vectors(vs, str(path))
+    except DomainError:
+        assert not path.exists()
+        # import refuses a row with a non-finite component or square sum
+        readable = all(math.isfinite(sum(x * x for x in r)) for r in rows)
+        assert not (all(map(_fits_a_line, vs.tokens)) and readable)
+        return
+    back = import_vectors(str(path))
+    assert back.tokens == vs.tokens
+    assert back.matrix.tolist() == [[float("%.9g" % x) for x in r] for r in rows]
