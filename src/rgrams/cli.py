@@ -96,7 +96,7 @@ def _query(arg: str) -> str:
 
 
 def _subword(arg: str) -> tuple[int, int]:
-    """--subword MIN,MAX as TrainConfig.subword_ngrams; validate checks the values."""
+    """--subword MIN,MAX as TrainConfig.subword_ngrams, which checks the values."""
     try:
         lo, hi = (int(x) for x in arg.split(","))
     except ValueError:
@@ -129,8 +129,7 @@ def _dump80(merger: PairMerger) -> str:
 
 
 def cmd_train(args) -> int:
-    stop = _from_args(StopCriteria, args)
-    stop.validate()  # PairMerger.run does not; before reading the corpus
+    stop = _from_args(StopCriteria, args)  # checked before the corpus is read
     seq = _read_corpus(args.corpus, args)
     original_len = len(seq)
     merger = PairMerger(seq)
@@ -206,7 +205,7 @@ def cmd_stats(args) -> int:
         raise ParameterError("--grammar and --checkpoints are mutually exclusive")
     if args.segmented and (args.grammar or args.checkpoints):
         raise ParameterError("--segmented takes neither --grammar nor --checkpoints")
-    StopCriteria(min_frequency=args.min_frequency).validate()  # in every mode
+    StopCriteria(min_frequency=args.min_frequency)  # checks --min-freq in every mode
 
     if args.segmented:
         dist = rank_frequency(chain.from_iterable(grammar_mod.read_segmented(args.segmented)))

@@ -3,7 +3,8 @@
 Terminals are Unicode scalar values numbered densely in order of first
 appearance; encode builds one immutable SymbolTable of them per text.
 Separator characters never become symbols; each maximal run of separators
-collapses into one boundary between segments.
+collapses into one boundary between segments; a BoundedSequence checks
+its boundaries when made.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .errors import CorpusDecodeError, DomainError, UnknownSymbolError
+from .errors import CorpusDecodeError, DomainError, ParameterError, UnknownSymbolError
 
 DEFAULT_SEPARATORS = frozenset("\n")
 # bytes read from a file (characters from a text handle, or of encode's text)
@@ -112,9 +113,11 @@ class SymbolTable:
         return f"SymbolTable({len(self._chars)} terminals)"
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundedSequence:
-    """Symbol ids plus boundary positions (each in [0, len(symbols)]).
+    """Symbol ids plus boundary positions, each in [0, len(symbols)] and
+    strictly increasing, or DomainError when made. Frozen; held lists are
+    not copied and are not to be changed in place.
 
     alphabet resolves terminal ids back to characters; compressed sequences
     keep the terminal alphabet and carry rule ids above it.
@@ -127,7 +130,7 @@ class BoundedSequence:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         n = len(self.symbols)
         prev = -1
         for b in self.boundaries:
@@ -153,6 +156,9 @@ def _encode_chunks(chunks: Iterable[str], separators: frozenset[str]) -> Bounded
     Each chunk's characters are numbered through a table indexed by code
     point, so no step sorts the text; a chunk holds fewer than 2**31 of them.
     """
+    for c in separators:
+        if not (isinstance(c, str) and len(c) == 1):
+            raise ParameterError(f"a separator is one character; got {c!r}")
     seps = [ord(c) for c in separators]
     ids: dict[str, int] = {}
     parts: list[np.ndarray] = []
@@ -197,6 +203,7 @@ def _encode_chunks(chunks: Iterable[str], separators: frozenset[str]) -> Bounded
 
 def encode(text: str, separators: frozenset[str] = DEFAULT_SEPARATORS) -> BoundedSequence:
     """Encode text into terminal ids; separator runs become boundaries.
+    A separator that is not one character raises ParameterError.
 
     The text is encoded _CHUNK characters at a time, which bounds the
     scratch arrays as encode_file's chunks do."""
@@ -265,5 +272,6 @@ def write_lines(dest: str | TextIO, lines: Iterable[str]) -> None:
 
 
 def encode_file(path, separators: frozenset[str], options: NormalizationOptions) -> BoundedSequence:
-    """Stream-normalize and encode a file in _CHUNK-byte chunks."""
+    """Stream-normalize and encode a file in _CHUNK-byte chunks; separators
+    are checked as encode checks them, before the file is opened."""
     return _encode_chunks((normalize(c, options) for c in read_text_chunks(path)), separators)

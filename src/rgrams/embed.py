@@ -64,6 +64,8 @@ def _finite(value: object) -> bool:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Skipgram settings; a bad field raises ParameterError when made."""
+
     dim: int = 100
     window: int = 2
     negatives: int = 5
@@ -74,7 +76,7 @@ class TrainConfig:
     min_token_count: int = 1
     seed: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("dim", "window", "negatives", "epochs", "min_token_count"):
             require_int(name, getattr(self, name), 1)
         require_int("seed", self.seed, 0)
@@ -418,11 +420,16 @@ def _plan(
     return c, idx, skip, subs
 
 
+def _squared_norms(m: np.ndarray) -> np.ndarray:
+    """Each row's sum of squared components; inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return (m * m).sum(axis=1)
+
+
 def _overflowing_rows(m: np.ndarray) -> np.ndarray:
     """Mask of the rows of m whose sum of squared components is not finite:
     their norm overflows too, and unit_rows would turn them into zeros."""
-    with np.errstate(over="ignore"):
-        return ~np.isfinite((m * m).sum(axis=1))
+    return ~np.isfinite(_squared_norms(m))
 
 
 @np.errstate(over="ignore")
@@ -467,9 +474,8 @@ def train_skipgram(
     norm that overflows after an epoch, or when the whole run trains no
     pair, which would leave the vectors untrained; ParameterError, before
     any table is made, when dim or negatives asks numpy for an array of
-    more than intp.max bytes.
+    more than intp.max bytes; config itself was checked when made.
     """
-    config.validate()
     vocab, flat, sent_of = _corpus_ids(corpus, config.min_token_count)
     V = len(vocab)
     if V == 0:
@@ -610,16 +616,27 @@ def train_skipgram(
 # -- vector files --------------------------------------------------------------
 
 
+# '%.9g' moves a component by at most 5e-9 of itself, and a squared norm by
+# about twice that, so only a row this close to the largest float can be
+# carried over it by the rounding
+_NEAR_OVERFLOW = np.finfo(np.float64).max * (1 - 1e-7)
+
+
 def export_vectors(m: EmbeddingMatrix | VectorSet, path: str) -> None:
     """Text format: header '<count> <dim>', then per line the token and its
     components, each formatted '%.9g' (9 significant digits), one '%'
     format per row; token escaped as in the segmented format (line_token).
     A token no line can hold, or a row import_vectors refuses (a non-finite
     component, or a sum of squared components that overflows:
-    _overflowing_rows), raises DomainError before path is opened."""
+    _overflowing_rows), raises DomainError before path is opened. A row
+    whose squared norm is above _NEAR_OVERFLOW is checked again as '%.9g'
+    writes it, since the rounding may carry it over."""
     vs = m.to_vectors() if isinstance(m, EmbeddingMatrix) else m
     tokens = [line_token(tok) for tok in vs.tokens]
-    if _overflowing_rows(vs.matrix).any():
+    sq = _squared_norms(vs.matrix)
+    near = vs.matrix[sq > _NEAR_OVERFLOW]
+    written = np.array(["%.9g" % x for x in near.flat], dtype=np.float64).reshape(near.shape)
+    if not np.isfinite(sq).all() or _overflowing_rows(written).any():
         raise DomainError("a vector has a non-finite component or a squared norm that overflows")
     count, dim = vs.matrix.shape
     fmt = "%s" + " %.9g" * dim

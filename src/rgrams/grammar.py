@@ -197,11 +197,9 @@ def engine_array(seq: BoundedSequence, lut: np.ndarray | None = None) -> np.ndar
     """Engine array of seq: its terminal ids, SENT at each boundary, SENT last.
 
     It is int64, or lut's dtype when lut is given: lut maps every terminal
-    id first (apply moves ids into a grammar's id space with it).
-    Boundaries outside [0, len(seq)] or not strictly increasing raise
-    DomainError.
+    id first (apply moves ids into a grammar's id space with it). seq's
+    boundaries were checked when it was made.
     """
-    seq.validate()
     syms = np.asarray(seq.symbols, dtype=np.int64)
     if syms.size and (syms.min() < 0 or syms.max() >= len(seq.alphabet)):
         raise DomainError("sequence contains non-terminal symbols")

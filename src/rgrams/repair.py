@@ -42,13 +42,13 @@ _BULK_MIN = 100
 
 @dataclass(frozen=True)
 class StopCriteria:
-    """Training stops at the first violated criterion."""
+    """Training stops at the first violated criterion; checked when made."""
 
     min_frequency: int = 2
     max_vocabulary: int | None = None
     max_merges: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         require_int("min_frequency", self.min_frequency, 2)
         for name in ("max_vocabulary", "max_merges"):
             v = getattr(self, name)
@@ -262,7 +262,7 @@ class PairMerger:
         """Merge until max_merges or max_vocabulary is hit or no pair is left.
 
         Resumable: a later call with a larger max_merges continues the same
-        run, so checkpoints never restart training. stop is not validated.
+        run, so checkpoints never restart training.
         """
         max_m = stop.max_merges
         max_v = stop.max_vocabulary
@@ -618,15 +618,15 @@ def train(
 ) -> tuple[Grammar, BoundedSequence]:
     """Learn a merge grammar; returns (grammar, compressed sequence).
 
-    grammar.rules is the merge log. An empty sequence yields an empty grammar
-    and empty output. The full input sequence is held in memory: five int32
-    arrays, 20 bytes per slot, plus the pair index and a heap of at most
-    twice its size, about 20.9 bytes per character once the engine is built,
-    growing as merges run (about 24.9 after 4000 merges on 1 MB of text),
-    with a peak near 36 while it is built. Frequent merges are replaced in bulk (see PairMerger);
-    the result is the same as one occurrence at a time.
+    seq and stop were checked when made. grammar.rules is the merge log. An
+    empty sequence yields an empty grammar and empty output. The full input
+    sequence is held in memory: five int32 arrays, 20 bytes per slot, plus
+    the pair index and a heap of at most twice its size, about 20.9 bytes
+    per character once the engine is built, growing as merges run (about
+    24.9 after 4000 merges on 1 MB of text), with a peak near 36 while it
+    is built. Frequent merges are replaced in bulk (see PairMerger); the
+    result is the same as one occurrence at a time.
     """
-    stop.validate()
     merger = PairMerger(seq)
     merger.run(stop)
     return merger.grammar(), merger.sequence()
@@ -658,7 +658,6 @@ def train_naive(
 
     Quadratic; exists as the behavioural oracle for train().
     """
-    stop.validate()
     table = seq.alphabet
     T = len(table)
     s: list[int] = engine_array(seq).tolist()

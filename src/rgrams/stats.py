@@ -104,7 +104,6 @@ def checkpoint_curves(
         raise ParameterError("checkpoints must be strictly ascending")
     require_int("top", top, 0)
     stop = StopCriteria(min_frequency=min_frequency)
-    stop.validate()
     merger = PairMerger(seq)
     rows: list[CurveRow] = []
     achieved: dict[int, int] = {}

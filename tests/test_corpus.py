@@ -1,10 +1,12 @@
 import io
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from rgrams import corpus
 from rgrams.corpus import (
+    BoundedSequence,
     NormalizationOptions,
     SymbolTable,
     encode,
@@ -15,7 +17,7 @@ from rgrams.corpus import (
     substitute_digits,
     write_lines,
 )
-from rgrams.errors import CorpusDecodeError, DomainError
+from rgrams.errors import CorpusDecodeError, DomainError, ParameterError
 from rgrams.grammar import Grammar, apply, apply_naive, apply_with_report, decode, load, save
 from rgrams.repair import train, train_naive
 
@@ -98,7 +100,17 @@ class TestEncode:
 
     def test_doc_ids_parallel_boundaries(self):
         seq = encode("a\nb\nc")
-        seq.validate()
+        BoundedSequence(seq.symbols, seq.boundaries, seq.alphabet)
+
+    @pytest.mark.parametrize(
+        "separators", [frozenset({"ab"}), frozenset({""}), frozenset({5})], ids=["two", "empty", "int"]
+    )
+    def test_a_separator_is_one_character(self, tmp_path, separators):
+        with pytest.raises(ParameterError, match="separator is one character"):
+            encode("ab", separators)
+        # checked before the file is opened: this one does not exist
+        with pytest.raises(ParameterError, match="separator is one character"):
+            encode_file(str(tmp_path / "missing.txt"), separators, NormalizationOptions())
 
     def test_chunking_does_not_change_result(self):
         # a cut inside "\n\n" splits a separator run across two chunks
@@ -231,7 +243,7 @@ class TestDecodeTerminals:
 
     def test_rejects_nonterminal(self):
         seq = encode("ab", NL)
-        seq.symbols = list(seq.symbols) + [99]
+        seq = replace(seq, symbols=list(seq.symbols) + [99])
         with pytest.raises(DomainError):
             decode_terminals(seq)
 
@@ -250,15 +262,24 @@ class TestDecodeTerminals:
 class TestValidate:
     def test_bad_boundary_order(self):
         seq = encode("a\nb\nc", NL)
-        seq.boundaries = [2, 1]
         with pytest.raises(DomainError):
-            seq.validate()
+            replace(seq, boundaries=[2, 1])
 
     def test_boundary_out_of_range(self):
         seq = encode("ab", NL)
-        seq.boundaries = [5]
         with pytest.raises(DomainError):
-            seq.validate()
+            replace(seq, boundaries=[5])
+
+    @pytest.mark.parametrize("boundaries", [[5], [2, 1], [1, 1], [-1]])
+    def test_bad_boundaries_rejected_when_made(self, boundaries):
+        with pytest.raises(DomainError, match="boundar"):
+            BoundedSequence([0, 1, 0, 1], boundaries, SymbolTable("ab"))
+
+    @pytest.mark.parametrize("field", ["symbols", "boundaries", "alphabet"])
+    def test_fields_cannot_be_reassigned(self, field):
+        seq = encode("ab\nab", NL)
+        with pytest.raises(FrozenInstanceError):
+            setattr(seq, field, getattr(seq, field))
 
     def test_segments(self):
         seq = encode("ab\ncd\n", NL)

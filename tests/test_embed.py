@@ -2,6 +2,7 @@ import io
 import logging
 import math
 import tracemalloc
+from dataclasses import replace
 from itertools import islice
 
 import numpy as np
@@ -447,7 +448,11 @@ class TestTraining:
             dict(seed=-1),
         ):
             with pytest.raises(DomainError):
-                tiny_config(**bad).validate()
+                tiny_config(**bad)
+
+    def test_config_checked_when_replaced(self):
+        with pytest.raises(ParameterError, match="dim must be >= 1"):
+            replace(tiny_config(), dim=0)
 
     @pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
     @pytest.mark.parametrize(
@@ -478,13 +483,13 @@ class TestTraining:
     @pytest.mark.parametrize("ngrams", [(2,), (2, 3, 4)])
     def test_subword_ngrams_must_be_a_pair(self, ngrams):
         with pytest.raises(ParameterError, match="subword_ngrams must be a"):
-            tiny_config(subword_ngrams=ngrams).validate()
+            tiny_config(subword_ngrams=ngrams)
 
     @pytest.mark.parametrize("value", ["0.1", None, True, float("inf")])
     @pytest.mark.parametrize("field", ["initial_lr", "subsample_threshold"])
     def test_rates_must_be_finite_numbers(self, field, value):
         with pytest.raises(ParameterError, match=f"{field} must be finite"):
-            tiny_config(**{field: value}).validate()
+            tiny_config(**{field: value})
 
 
 def kept_sentences(sents, cfg):
@@ -784,7 +789,7 @@ class TestNonFinite:
     )
     def test_config_rejects(self, bad):
         with pytest.raises(DomainError):
-            tiny_config(**bad).validate()
+            tiny_config(**bad)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_epoch_raises(self):

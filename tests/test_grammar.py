@@ -357,9 +357,9 @@ class TestEngineFormat:
     @pytest.mark.parametrize("boundaries", [[5], [2, 1], [1, 1]])
     @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
     def test_bad_boundaries_rejected(self, entry, boundaries):
-        seq = BoundedSequence([0, 1, 0, 1], boundaries, SymbolTable("ab"))
+        # the sequence is refused when it is made, before any entry point
         with pytest.raises(DomainError, match="boundar"):
-            self.ENTRY_POINTS[entry](seq)
+            self.ENTRY_POINTS[entry](BoundedSequence([0, 1, 0, 1], boundaries, SymbolTable("ab")))
 
     def test_returned_sequences_compare_by_content(self):
         seq = encode("ab\nba\U00020000")
@@ -571,9 +571,7 @@ class TestSegmentedIO:
     def test_newline_in_token_rejected(self):
         t = SymbolTable("\n")
         g = Grammar(t, [])
-        seq = encode("x")
-        seq.symbols = [0]
-        seq.alphabet = t
+        seq = BoundedSequence([0], [], t)
         buf = io.StringIO()
         with pytest.raises(DomainError):
             write_segmented(g, seq, buf)

@@ -376,19 +376,22 @@ def vector_sets(draw):
 
 @example(vs=VectorSet(["a", "b"], np.array([[1.0], [1e200]])))
 @example(vs=VectorSet(["a\ud800"], np.ones((1, 2))))
+# the largest a with a finite 2 * a * a; '%.9g' rounds it up past that
+@example(vs=VectorSet(["x"], np.array([[9.480751908109176e153] * 2])))
 @given(vs=vector_sets())
 def test_vector_writer_and_reader_agree(valid_dir, vs):
-    rows = vs.matrix.tolist()
+    written = [[float("%.9g" % x) for x in r] for r in vs.matrix.tolist()]
     path = valid_dir / "written.vec"
     path.unlink(missing_ok=True)
     try:
         export_vectors(vs, str(path))
     except DomainError:
         assert not path.exists()
-        # import refuses a row with a non-finite component or square sum
-        readable = all(math.isfinite(sum(x * x for x in r)) for r in rows)
+        # import refuses a row with a non-finite component or square sum,
+        # as it reads the row: '%.9g' rounded
+        readable = all(math.isfinite(sum(x * x for x in r)) for r in written)
         assert not (all(map(_fits_a_line, vs.tokens)) and readable)
         return
     back = import_vectors(str(path))
     assert back.tokens == vs.tokens
-    assert back.matrix.tolist() == [[float("%.9g" % x) for x in r] for r in rows]
+    assert back.matrix.tolist() == written

@@ -1,6 +1,7 @@
 import heapq
 import random
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import corpus_gen
 from rgrams import repair
-from rgrams.corpus import encode, normalize
-from rgrams.errors import DomainError
+from rgrams.corpus import BoundedSequence, encode, normalize
+from rgrams.errors import DomainError, ParameterError
 from rgrams.grammar import Grammar, apply, decode
 from rgrams.repair import (
     NIL,
@@ -96,15 +97,15 @@ class TestSmallGrammars:
         seq = encode("abab\nabab", NL)
         g, out = train(seq)
         assert out.boundaries == [len(out.symbols) // 2]
-        out.validate()
+        BoundedSequence(out.symbols, out.boundaries, out.alphabet)
 
 
 class TestStopCriteria:
     def test_min_frequency_two_floor(self):
         with pytest.raises(DomainError):
-            StopCriteria(min_frequency=1).validate()
+            StopCriteria(min_frequency=1)
         with pytest.raises(DomainError):
-            StopCriteria(min_frequency=0).validate()
+            StopCriteria(min_frequency=0)
 
     def test_max_merges(self):
         ev = events_of("abababab", max_merges=1)
@@ -130,7 +131,21 @@ class TestStopCriteria:
         for field in ("max_merges", "max_vocabulary"):
             for value in (-1, 2.5, float("nan"), True):
                 with pytest.raises(DomainError, match=field):
-                    StopCriteria(**{field: value}).validate()
+                    StopCriteria(**{field: value})
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: StopCriteria(max_merges=-3),
+            lambda: StopCriteria(max_merges=2.5),
+            lambda: StopCriteria(min_frequency=1),
+            lambda: replace(StopCriteria(), max_merges=-1),
+        ],
+        ids=["negative", "float", "min-frequency-1", "replace"],
+    )
+    def test_checked_when_made(self, make):
+        with pytest.raises(ParameterError):
+            make()
 
 
 class TestEventProperties:

@@ -1,4 +1,4 @@
-"""Every source and test file parses as the oldest Python that pyproject.toml
+"""Every source, test and bench file parses as the oldest Python that pyproject.toml
 allows, so syntax newer than that is caught on any interpreter the suite
 runs on."""
 
@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_sources_parse_as_the_oldest_supported_python():
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     major, minor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()
-    files = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+    files = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
     assert files
     refused = []
     for path in files:
