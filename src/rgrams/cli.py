@@ -133,6 +133,7 @@ def cmd_train(args) -> int:
     seq = _read_corpus(args.corpus, args)
     original_len = len(seq)
     merger = PairMerger(seq)
+    del seq  # the engine holds no reference to it: 4 bytes per character freed
     for k in args.checkpoints or ():
         cap = k if stop.max_merges is None else min(k, stop.max_merges)
         merger.run(replace(stop, max_merges=cap))

@@ -421,9 +421,10 @@ def _plan(
 
 
 def _squared_norms(m: np.ndarray) -> np.ndarray:
-    """Each row's sum of squared components; inf where it overflows."""
+    """Each row's sum of squared components in float64, the dtype
+    import_vectors reads; inf where it overflows."""
     with np.errstate(over="ignore"):
-        return (m * m).sum(axis=1)
+        return np.square(m, dtype=np.float64).sum(axis=1)
 
 
 def _overflowing_rows(m: np.ndarray) -> np.ndarray:

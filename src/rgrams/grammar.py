@@ -196,15 +196,16 @@ class Grammar:
 def engine_array(seq: BoundedSequence, lut: np.ndarray | None = None) -> np.ndarray:
     """Engine array of seq: its terminal ids, SENT at each boundary, SENT last.
 
-    It is int64, or lut's dtype when lut is given: lut maps every terminal
-    id first (apply moves ids into a grammar's id space with it). seq's
-    boundaries were checked when it was made.
+    It is int32, or lut's dtype when lut is given: lut maps every terminal
+    id first (apply moves ids into a grammar's id space with it). The ids
+    are range-checked as stored (_symbol_array), before the cast, so an
+    array("i") gets no int64 copy and an id of 2**32 or more cannot wrap
+    into range. seq's boundaries were checked when it was made.
     """
-    syms = np.asarray(seq.symbols, dtype=np.int64)
+    syms = _symbol_array(seq)
     if syms.size and (syms.min() < 0 or syms.max() >= len(seq.alphabet)):
         raise DomainError("sequence contains non-terminal symbols")
-    if lut is not None:
-        syms = lut[syms]
+    syms = syms.astype(np.int32, copy=False) if lut is None else lut[syms]
     return np.insert(syms, [*seq.boundaries, syms.size], SENT)
 
 

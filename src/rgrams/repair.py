@@ -38,6 +38,15 @@ _KEY_MASK = (1 << 64) - 1
 # loop faster than 150/200/300, and 30 and 50 ran it no faster than 100
 # (medians of 7-9 rounds per setting on a 2-core VM, CHANGES.md).
 _BULK_MIN = 100
+# PairMerger set-up indexes the heads of this many slices of the left-symbol
+# range one at a time. On 1 MB of text, 4 slices peaked at 26.0 bytes per
+# character (1: 36.4, 2: 29.4); 8 saved 1.5 more but set up slower, since
+# each slice rescans the input and one symbol (the space) heads about 18%
+# of all pairs (CHANGES.md).
+_SETUP_SLICES = 4
+# positions per step of set-up's scans; a step's arrays stay in cache, which
+# ran the scans faster than whole-input passes at 1 MB and 10 MB
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -129,6 +138,12 @@ class PairMerger:
     the replacements made that way. stale_pops and dead_pops count the
     heap entries _select repairs and discards, heap_rebuilds the heaps
     merge_once rebuilds from the index (_rebuild_heap).
+
+    Set-up indexes the pairs of the input a slice of the left-symbol range
+    at a time (_link_heads), so its scratch arrays are bounded by a slice
+    and not by the input; the index and heap are the ones a single pass
+    over every pair builds. The engine keeps no reference to the sequence
+    it was made from.
     """
 
     def __init__(self, seq: BoundedSequence):
@@ -154,19 +169,18 @@ class PairMerger:
         # their heads sit at even offsets from the run start.
         a = self._views[0]
         valid = a >= 0
-        pairv = valid[:-1] & valid[1:]
-        eq = pairv & (a[:-1] == a[1:])
-        head = pairv & ~eq
+        head = valid[:-1] & valid[1:]
+        del valid
+        eq = a[:-1] == a[1:]
+        eq &= head
+        head ^= eq  # the distinct-symbol pairs
         e = np.flatnonzero(eq)
+        del eq
         first, last = _groups(e[1:] == e[:-1] + 1)
         offset = np.arange(e.size) - np.repeat(first, last - first + 1)
         head[e[offset % 2 == 0]] = True
-        del valid, pairv, eq, e, first, last, offset  # not held through _link's peak
-        hp = np.flatnonzero(head).astype(np.int32)
-        del head
-        codes = np.multiply(a[hp], self.vocab_size + 1, dtype=np.int64)
-        codes += a[1:][hp]
-        self._link(hp, codes)
+        del e, first, last, offset  # not held through _link_heads' peak
+        self._link_heads(head)
         self._rebuild_heap()
 
     # -- public state -----------------------------------------------------
@@ -463,14 +477,54 @@ class PairMerger:
                 if c:
                     pocc[rec[1]] = OFF
 
+    def _link_heads(self, head: np.ndarray) -> None:
+        """Index the set-up sequence from its greedy head mask, a slice of
+        the left-symbol range at a time.
+
+        The _SETUP_SLICES slices hold about equal shares of the heads, and
+        each is gathered _CHUNK positions at a time, so every scratch array
+        is bounded by a slice or a chunk, not by the input. A pair's nodes
+        share its left symbol, so each pair is linked whole within one
+        slice, and the slices index the pairs in the order one pass over
+        every head would.
+        """
+        a = self._views[0]
+        left = a[:-1]
+        right = a[1:]
+        counts = np.zeros(len(self._alphabet), dtype=np.int64)
+        for c in range(0, left.size, _CHUNK):  # bincount widens its input to int64
+            counts += np.bincount(left[c : c + _CHUNK][head[c : c + _CHUNK]], minlength=counts.size)
+        below = np.concatenate(([0], np.cumsum(counts)))  # [s]: heads of left symbols < s
+        # a symbol's heads go to the slice in which their middle falls
+        shares = np.arange(1, _SETUP_SLICES) * below[-1] / _SETUP_SLICES
+        cuts = np.searchsorted((below[:-1] + below[1:]) / 2, shares).tolist()
+        width = self.vocab_size + 1
+        for lo, hi in zip([0, *cuts], [*cuts, counts.size]):
+            if below[hi] == below[lo]:
+                continue
+            z = np.empty(below[hi] - below[lo], dtype=np.int32)
+            codes = np.empty(z.size, dtype=np.int64)
+            j = 0
+            for c in range(0, left.size, _CHUNK):
+                lc = left[c : c + _CHUNK]
+                at = np.flatnonzero(head[c : c + _CHUNK] & (lc >= lo) & (lc < hi))
+                end = j + at.size
+                z[j:end] = at + c
+                # at int64: a wide alphabet's codes overflow int32
+                np.multiply(lc[at], width, out=codes[j:end], dtype=np.int64)
+                codes[j:end] += right[c : c + _CHUNK][at]
+                j = end
+            self._link(z, codes)
+            del z, codes  # before the next slice's are made
+
     def _link(self, z: np.ndarray, codes: np.ndarray) -> list[int]:
         """Build the occurrence list of each pair from its nodes z, with
         the pairs coded as in _pair_order; no such pair has a list yet. A
         pair with one node is not indexed. Returns the keys of the pairs
         indexed.
 
-        Builds the whole index at set-up, and all the pairs a bulk merge
-        makes, in one call.
+        Builds one slice of the set-up index (_link_heads), and all the
+        pairs a bulk merge makes, in one call.
         """
         nocc, pocc = self._views[3:]
         pairs = self._pairs
@@ -623,9 +677,10 @@ def train(
     sequence is held in memory: five int32 arrays, 20 bytes per slot, plus
     the pair index and a heap of at most twice its size, about 20.9 bytes
     per character once the engine is built, growing as merges run (about
-    24.9 after 4000 merges on 1 MB of text), with a peak near 36 while it
-    is built. Frequent merges are replaced in bulk (see PairMerger); the
-    result is the same as one occurrence at a time.
+    24.9 after 4000 merges on 1 MB of text), with a peak near 26 while it
+    is built, a slice of the pairs at a time (see PairMerger). Frequent
+    merges are replaced in bulk; the result is the same as one occurrence
+    at a time.
     """
     merger = PairMerger(seq)
     merger.run(stop)

@@ -1078,6 +1078,16 @@ class TestVectorFiles:
             import_vectors(str(p))
         assert info.value.line == 2
 
+    def test_float32_row_squared_in_float64(self, tmp_path):
+        # (1e20)**2 overflows float32 but not the float64 import_vectors reads
+        p = tmp_path / "v.vec"
+        vs = VectorSet(["x"], np.array([[1e20, 1e20]], dtype=np.float32))
+        export_vectors(vs, str(p))
+        assert import_vectors(str(p)).matrix.tolist() == [[1.00000002e20, 1.00000002e20]]
+        with pytest.raises(DomainError, match="overflows"):
+            export_vectors(VectorSet(["x"], np.array([[1e200, 1.0]])), str(tmp_path / "w.vec"))
+        assert not (tmp_path / "w.vec").exists()
+
     def test_large_finite_norm_is_accepted(self, tmp_path):
         p = tmp_path / "ok.vec"
         p.write_text("2 2\na 1e153 1e153\nb 1 0\n", encoding="utf-8")

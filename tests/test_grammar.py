@@ -366,6 +366,23 @@ class TestEngineFormat:
         assert train(seq, StopCriteria(max_merges=0))[1] == seq
         assert apply(Grammar(seq.alphabet, []), seq) == seq
 
+    @pytest.mark.parametrize("boundaries", [[], [0], [2], [1, 3], [4]])
+    def test_engine_array_is_int32_from_any_symbol_storage(self, boundaries):
+        ids = [0, 2, 1, 2]
+        want = ids[:]
+        for b in reversed([*boundaries, len(ids)]):
+            want.insert(b, -1)
+        for symbols in (array("i", ids), ids, array("q", ids)):
+            a = engine_array(BoundedSequence(symbols, boundaries, SymbolTable("abc")))
+            assert a.dtype == np.int32 and a.tolist() == want
+
+    @pytest.mark.parametrize("sid", [3, -1, 1 << 31, 1 << 32, OOV_BASE + ord("a")])
+    def test_engine_array_refuses_ids_outside_the_alphabet(self, sid):
+        # checked before the cast to int32, so 2**32 cannot wrap to terminal 0
+        seq = BoundedSequence(array("q", [0, sid]), [], SymbolTable("abc"))
+        with pytest.raises(DomainError, match="non-terminal"):
+            engine_array(seq)
+
     @given(st.text(alphabet="ab\n", max_size=40))
     @example("")
     @example("\n")

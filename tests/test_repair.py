@@ -1,5 +1,7 @@
+import gc
 import heapq
 import random
+import weakref
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -582,6 +584,56 @@ class TestPairOrder:
         ends = [i - 1 for i in starts[1:] + [len(nodes)]] if nodes else []
         assert (first.tolist(), last.tolist()) == (starts, ends)
         assert keys.tolist() == want_k[starts].tolist()
+
+
+class TestSlicedSetup:
+    """PairMerger indexes its set-up heads _SETUP_SLICES slices of the
+    left-symbol range at a time. Each input builds the index a pass over
+    every head builds, in the same order, and trains as the oracle does."""
+
+    def assert_setup(self, text, stop=StopCriteria()):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(repair, "_SETUP_SLICES", 1)
+            whole = PairMerger(encode(text, NL))
+        m = PairMerger(encode(text, NL))
+        m.check_invariants()
+        assert list(m._pairs.items()) == list(whole._pairs.items())
+        assert (m._heap, m._nocc, m._pocc) == (whole._heap, whole._nocc, whole._pocc)
+        m.run(stop)
+        assert (m.grammar(), m.sequence()) == train_naive(encode(text, NL), stop)
+
+    def test_one_symbol_heads_over_half_the_pairs(self):
+        # (a, a), (a, x) and (x, a): `a` is the left symbol of 2/3 of the heads
+        rng = random.Random(11)
+        text = "".join("aa" + rng.choice("bcdefgh") for _ in range(150))
+        self.assert_setup(text)
+        self.assert_setup(text + "\n" + text[::-1])
+
+    @pytest.mark.parametrize("n", [2, 3, 37, 400])
+    def test_single_symbol_run(self, n):
+        self.assert_setup("a" * n)
+
+    @pytest.mark.parametrize("text", ["", "\n", "\n\n\n", "a", "a\nb\na\nc"])
+    def test_no_heads(self, text):
+        self.assert_setup(text)
+        assert PairMerger(encode(text, NL)).pair_keys == 0
+
+    def test_alphabet_wider_than_2_16(self):
+        # 66,000 distinct characters make the pair-code width exceed 2**16, so
+        # _pair_order takes its lexsort branch; the tail repeats a few pairs
+        text = "".join(map(chr, range(0x10000, 0x10000 + 66_000)))
+        text += "\n" + "\U00010000\U00010001\U00010002" * 5 + "\U0001a000\U00010000" * 3
+        assert len(encode(text, NL).alphabet) + 1 > 1 << 16
+        self.assert_setup(text, StopCriteria(max_merges=4))
+
+    def test_engine_keeps_no_reference_to_the_sequence(self):
+        seq = encode("abab abab\nab", NL)
+        refs = [weakref.ref(seq), weakref.ref(seq.symbols)]
+        merger = PairMerger(seq)
+        del seq
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+        assert merger.merge_once() is not None
 
 
 class TestSizeEdges:
