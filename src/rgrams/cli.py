@@ -18,7 +18,7 @@ import logging
 import sys
 import warnings
 from dataclasses import fields, replace
-from itertools import chain, islice
+from itertools import chain
 
 from . import embed as embed_mod
 from . import evaluate as eval_mod
@@ -124,7 +124,7 @@ def _dump80(merger: PairMerger) -> str:
     """First 80 characters of the segmented stream, tokens escaped; no token
     is empty, so 80 tokens always reach 80 characters."""
     expand = merger.grammar().expand
-    tokens = islice(merger.sequence().symbols, 80)
+    tokens = merger.sequence().symbols[:80].tolist()
     return " ".join(grammar_mod.escape_token(expand(s)) for s in tokens)[:80]
 
 

@@ -113,40 +113,54 @@ class SymbolTable:
         return f"SymbolTable({len(self._chars)} terminals)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundedSequence:
     """Symbol ids plus boundary positions, each in [0, len(symbols)] and
-    strictly increasing, or DomainError when made. Frozen; held lists are
-    not copied and are not to be changed in place.
+    strictly increasing, or DomainError when made. Integers in any container
+    become read-only arrays, shared if already of the kept dtype: symbols
+    int32 when every id fits, else int64 (pass-through ids are OOV_BASE +
+    codepoint); boundaries int64. Frozen, and equal by content.
 
     alphabet resolves terminal ids back to characters; compressed sequences
     keep the terminal alphabet and carry rule ids above it.
     """
 
-    symbols: array | list[int]
-    boundaries: list[int] = field(default_factory=list)
+    symbols: np.ndarray
+    boundaries: np.ndarray = ()
     alphabet: SymbolTable = field(default_factory=SymbolTable)
 
     def __len__(self) -> int:
         return len(self.symbols)
 
     def __post_init__(self) -> None:
-        n = len(self.symbols)
-        prev = -1
-        for b in self.boundaries:
-            if not 0 <= b <= n:
-                raise DomainError(f"boundary {b} outside [0, {n}]")
-            if b <= prev:
-                raise DomainError("boundaries not strictly increasing")
-            prev = b
+        syms, b = np.asarray(self.symbols), np.asarray(self.boundaries)
+        for a in (syms, b):
+            if a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
+                raise DomainError(f"ids and boundaries are 1-D integers; got {a.ndim}-D {a.dtype}")
+        if syms.dtype != np.int32:
+            fits = not syms.size or (-(1 << 31) <= syms.min() and syms.max() < 1 << 31)
+            syms = syms.astype(np.int32 if fits else np.int64, copy=False)
+        if b.size > 1 and (b[1:] <= b[:-1]).any():
+            raise DomainError("boundaries not strictly increasing")
+        if b.size and not (0 <= b[0] and b[-1] <= syms.size):  # increasing: the ends bound all
+            raise DomainError(f"boundary {b[0] if b[0] < 0 else b[-1]} outside [0, {syms.size}]")
+        for name, a in (("symbols", syms), ("boundaries", b.astype(np.int64, copy=False))):
+            a = a.view()  # a caller's own array stays writeable
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, BoundedSequence)
+            and self.alphabet == other.alphabet
+            and np.array_equal(self.symbols, other.symbols)
+            and np.array_equal(self.boundaries, other.boundaries)
+        )
 
     def segments(self) -> Iterator[tuple[int, int]]:
         """(start, end) index pairs of the boundary-free stretches."""
-        lo = 0
-        for b in self.boundaries:
-            yield lo, b
-            lo = b
-        yield lo, len(self.symbols)
+        b = self.boundaries.tolist()
+        return zip([0, *b], [*b, len(self.symbols)])
 
 
 def _encode_chunks(chunks: Iterable[str], separators: frozenset[str]) -> BoundedSequence:

@@ -275,7 +275,7 @@ class VectorSet:
         """(unit, ok): matrix with each row scaled to unit length, and the
         mask of rows with nonzero norm (the rest stay zero in unit).
         Computed on first use and kept."""
-        norms = np.linalg.norm(self.matrix, axis=1)
+        norms = np.sqrt(_squared_norms(self.matrix))
         ok = norms > 0
         return self.matrix / np.where(ok, norms, 1.0)[:, None], ok
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import re
 from array import array
-from bisect import bisect_left
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
@@ -198,15 +197,14 @@ def engine_array(seq: BoundedSequence, lut: np.ndarray | None = None) -> np.ndar
 
     It is int32, or lut's dtype when lut is given: lut maps every terminal
     id first (apply moves ids into a grammar's id space with it). The ids
-    are range-checked as stored (_symbol_array), before the cast, so an
-    array("i") gets no int64 copy and an id of 2**32 or more cannot wrap
-    into range. seq's boundaries were checked when it was made.
+    are range-checked before the cast, so an id of 2**32 or more cannot
+    wrap into range. seq's boundaries were checked when it was made.
     """
-    syms = _symbol_array(seq)
+    syms = seq.symbols
     if syms.size and (syms.min() < 0 or syms.max() >= len(seq.alphabet)):
         raise DomainError("sequence contains non-terminal symbols")
     syms = syms.astype(np.int32, copy=False) if lut is None else lut[syms]
-    return np.insert(syms, [*seq.boundaries, syms.size], SENT)
+    return np.insert(syms, np.append(seq.boundaries, syms.size), SENT)
 
 
 def _int32_array(x: np.ndarray) -> array:
@@ -231,18 +229,17 @@ def from_engine(symbols: array | list[int] | np.ndarray, alphabet: SymbolTable) 
     BoundedSequence over alphabet.
 
     Every other SENT becomes a boundary and an unknown character
-    -(codepoint + 2) (see _engine_input) becomes OOV_BASE + codepoint.
+    -(codepoint + 2) (see _engine_input) becomes OOV_BASE + codepoint; only
+    then is the output widened from the engine's int32 to int64.
     """
-    a = np.asarray(symbols)  # an array("i") is read in place, at int32
+    a = np.asarray(symbols)
     a = a[a != DEAD][:-1]
     sent = a == SENT
     bpos = np.flatnonzero(sent)
-    a = a[~sent].astype(np.int64)
-    oov = a < 0
-    a[oov] = OOV_BASE - 2 - a[oov]
-    out = array("q")  # 64-bit: OOV ids are OOV_BASE + codepoint
-    out.frombytes(a.view(np.uint8))
-    return BoundedSequence(out, (bpos - np.arange(bpos.size)).tolist(), alphabet)
+    a = a[~sent]
+    if (a < 0).any():
+        a = np.where(a < 0, OOV_BASE - 2 - a.astype(np.int64), a)
+    return BoundedSequence(a, bpos - np.arange(bpos.size), alphabet)
 
 
 def apply(g: Grammar, seq: BoundedSequence) -> BoundedSequence:
@@ -256,26 +253,12 @@ def _engine_input(g: Grammar, seq: BoundedSequence) -> tuple[np.ndarray, dict[st
     Such a character becomes -(codepoint + 2): negative, so it never pairs,
     and distinct from SENT and DEAD.
     """
-    alphabet = seq.alphabet
-    terminals = g.terminals
-    lut = np.empty(max(len(alphabet), 1), dtype=np.int32)
-    unknown_sids = []
-    for sid in range(len(alphabet)):
-        ch = alphabet.char_of(sid)
-        gid = terminals.id_of(ch)
-        if gid is None:
-            lut[sid] = -(ord(ch) + 2)
-            unknown_sids.append(sid)
-        else:
-            lut[sid] = gid
-
-    unknown_chars: dict[str, int] = {}
-    if unknown_sids:
-        counts = np.bincount(np.asarray(seq.symbols, dtype=np.int64), minlength=len(alphabet))
-        for sid in unknown_sids:
-            c = int(counts[sid])
-            if c:
-                unknown_chars[alphabet.char_of(sid)] = c
+    chars = seq.alphabet.chars()
+    gids = [g.terminals.id_of(ch) for ch in chars]
+    lut = np.array([-(ord(c) + 2) if i is None else i for c, i in zip(chars, gids)], np.int32)
+    unknown = [sid for sid, i in enumerate(gids) if i is None]
+    counts = np.bincount(seq.symbols, minlength=len(chars)) if unknown else None
+    unknown_chars = {chars[sid]: int(counts[sid]) for sid in unknown if counts[sid]}
     return engine_array(seq, lut), unknown_chars
 
 
@@ -344,8 +327,7 @@ def apply_with_report(g: Grammar, seq: BoundedSequence) -> tuple[BoundedSequence
             if r is not None:
                 heappush(heap, (r << S) | p)
 
-    out = from_engine(sym, g.terminals)
-    return out, ApplyReport(unknown_chars, batch_merges)
+    return from_engine(sym, g.terminals), ApplyReport(unknown_chars, batch_merges)
 
 
 def _rule_ids(
@@ -454,15 +436,8 @@ def greedy_replace(s: list[int], rule: Rule) -> list[int]:
     return out
 
 
-def _symbol_array(seq: BoundedSequence) -> np.ndarray:
-    """seq's symbols as an int array; an array("i") or array("q") is read in
-    place."""
-    syms = seq.symbols
-    return np.asarray(syms, dtype=np.int64) if isinstance(syms, list) else np.asarray(syms)
-
-
 def _gathered(
-    a: np.ndarray, boundaries: list[int], table: np.ndarray, text_of: Callable[[int], str], blank: str
+    a: np.ndarray, boundaries: np.ndarray, table: np.ndarray, text_of: Callable[[int], str], blank: str
 ) -> Iterator[list[str]]:
     """table[s] for each symbol s of a, with blank at each boundary, as one
     list per _GATHER symbols.
@@ -489,9 +464,9 @@ def _gathered(
                 c = np.where(u[lo:hi] >= v, v + np.searchsorted(other, c), c)
             piece = table[c]
             # a boundary at b is a blank before symbol b
-            k = bisect_left(boundaries, hi) if hi < n else len(boundaries)
+            k = int(np.searchsorted(boundaries, hi)) if hi < n else boundaries.size
             if k > j:
-                piece = np.insert(piece, np.subtract(boundaries[j:k], lo), blank)
+                piece = np.insert(piece, boundaries[j:k] - lo, blank)
                 j = k
             yield piece.tolist()
 
@@ -500,7 +475,7 @@ def _gathered(
 
 def decode(g: Grammar, seq: BoundedSequence) -> str:
     """Expand every symbol and re-insert one newline per boundary."""
-    pieces = _gathered(_symbol_array(seq), seq.boundaries, g._expansions, g.expand, "\n")
+    pieces = _gathered(seq.symbols, seq.boundaries, g._expansions, g.expand, "\n")
     return "".join(chain.from_iterable(pieces))
 
 
@@ -676,7 +651,7 @@ def write_segmented(g: Grammar, seq: BoundedSequence, dest: str | TextIO) -> Non
     be written leaves no file behind.
     """
     lines, unwritable = g._tokens
-    a = _symbol_array(seq)
+    a = seq.symbols
     if unwritable.any():
         v = unwritable.size
         for lo in range(0, a.size, _GATHER):

@@ -736,4 +736,5 @@ def pair_count(seq: BoundedSequence, left: int, right: int) -> int:
     oracle.
     """
     key = (left, right)
-    return sum(len(greedy_pairs(seq.symbols[lo:hi]).get(key, ())) for lo, hi in seq.segments())
+    s = seq.symbols.tolist()
+    return sum(len(greedy_pairs(s[lo:hi]).get(key, ())) for lo, hi in seq.segments())

@@ -12,6 +12,8 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .corpus import BoundedSequence
 from .errors import DomainError, ParameterError, require_int
 from .repair import PairMerger, StopCriteria
@@ -48,10 +50,16 @@ class CurveRow:
     count: int
 
 
-def rank_frequency(tokens: Iterable[int]) -> RankedDistribution:
-    counts = Counter(tokens)
-    entries = tuple(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
-    return RankedDistribution(entries, sum(counts.values()))
+def rank_frequency(tokens: np.ndarray | Iterable[int | str]) -> RankedDistribution:
+    """An int array is counted by np.unique, other tokens (strings) by a
+    Counter: a numpy string drops a trailing NUL."""
+    if isinstance(tokens, np.ndarray):
+        ids, counts = np.unique(tokens, return_counts=True)
+        order = np.argsort(-counts, kind="stable")  # ids ascend within a count
+        entries = tuple(zip(ids[order].tolist(), counts[order].tolist()))
+    else:
+        entries = tuple(sorted(Counter(tokens).items(), key=lambda kv: (-kv[1], kv[0])))
+    return RankedDistribution(entries, sum(c for _, c in entries))
 
 
 def flatness(d: RankedDistribution) -> FlatnessReport:

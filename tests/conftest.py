@@ -62,7 +62,7 @@ def big_run(sample_text_10mb, tmp_path_factory) -> BigRun:
     import time
 
     seq = encode(normalize(sample_text_10mb))
-    counts = Counter(seq.symbols)
+    counts = Counter(seq.symbols.tolist())
     # lazy max-heap over token counts; every count change pushes a new entry
     heap = [(-c, t) for t, c in counts.items()]
     heapq.heapify(heap)

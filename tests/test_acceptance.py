@@ -77,7 +77,7 @@ def test_criterion_01_worked_example():
             (2, 0, 0, 3),
             (3, 2, 0, 3),
         ]
-        assert list(out.symbols) == [3, 1, 3, 1, 3]
+        assert out.symbols.tolist() == [3, 1, 3, 1, 3]
         assert g.expand(2) == "ββ"
         assert g.expand(3) == "βββ"
         assert g.depth(2) == 1 and g.depth(3) == 2
@@ -98,8 +98,8 @@ def test_criterion_02_engine_matches_oracle():
             g1, o1 = train(encode(text, NL), stop)
             g2, o2 = train_naive(encode(text, NL), stop)
             assert g1.rules == g2.rules, f"event mismatch on {text!r}"
-            assert list(o1.symbols) == list(o2.symbols)
-            assert o1.boundaries == o2.boundaries
+            assert o1.symbols.tolist() == o2.symbols.tolist()
+            assert o1.boundaries.tolist() == o2.boundaries.tolist()
             assert g1 == g2
             trials += 1
         for _ in range(8):
@@ -111,7 +111,7 @@ def test_criterion_02_engine_matches_oracle():
             g1, o1 = train(encode(text, NL), stop)
             g2, o2 = train_naive(encode(text, NL), stop)
             assert g1.rules == g2.rules
-            assert list(o1.symbols) == list(o2.symbols)
+            assert o1.symbols.tolist() == o2.symbols.tolist()
             assert g1 == g2
             trials += 1
         elapsed = time.perf_counter() - t0

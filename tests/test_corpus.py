@@ -1,6 +1,7 @@
 import io
 from dataclasses import FrozenInstanceError, replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -72,18 +73,18 @@ class TestEncode:
     def test_single_newline(self):
         seq = encode("ab\ncd", NL)
         assert len(seq.symbols) == 4
-        assert seq.boundaries == [2]
+        assert seq.boundaries.tolist() == [2]
 
     def test_space_is_a_symbol(self):
         seq = encode("a b", NL)
         assert len(seq.symbols) == 3
-        assert seq.boundaries == []
+        assert seq.boundaries.tolist() == []
         assert seq.alphabet.char_of(seq.symbols[1]) == " "
 
     def test_separator_runs_collapse(self):
         seq = encode("\n\nxy\n", NL)
         assert len(seq.symbols) == 2
-        assert seq.boundaries == [0, 2]
+        assert seq.boundaries.tolist() == [0, 2]
 
     def test_first_appearance_ids(self):
         seq = encode("bca")
@@ -91,12 +92,12 @@ class TestEncode:
 
     def test_empty(self):
         seq = encode("")
-        assert len(seq) == 0 and seq.boundaries == []
+        assert len(seq) == 0 and seq.boundaries.tolist() == []
 
     def test_multiple_separator_chars(self):
         seq = encode("a\tb\nc", frozenset("\n\t"))
         assert len(seq.symbols) == 3
-        assert seq.boundaries == [1, 2]
+        assert seq.boundaries.tolist() == [1, 2]
 
     def test_doc_ids_parallel_boundaries(self):
         seq = encode("a\nb\nc")
@@ -118,8 +119,8 @@ class TestEncode:
         whole = encode(text, NL)
         for cut1 in range(len(text)):
             got = corpus._encode_chunks([text[:cut1], text[cut1:]], NL)
-            assert list(got.symbols) == list(whole.symbols)
-            assert got.boundaries == whole.boundaries
+            assert got.symbols.tolist() == whole.symbols.tolist()
+            assert got.boundaries.tolist() == whole.boundaries.tolist()
             assert got.alphabet == whole.alphabet
 
 
@@ -144,8 +145,8 @@ def encode_reference(text, separators):
 
 def assert_encodes_like_reference(got, text, separators):
     symbols, boundaries, chars = encode_reference(text, separators)
-    assert list(got.symbols) == symbols
-    assert got.boundaries == boundaries
+    assert got.symbols.tolist() == symbols
+    assert got.boundaries.tolist() == boundaries
     assert got.alphabet.chars() == tuple(chars)
 
 
@@ -175,8 +176,8 @@ class TestEncodeReference:
         seq = encode(text, NL)
         assert_encodes_like_reference(seq, text, NL)
         assert seq.alphabet.chars() == ("\U0010ffff", "a", "\x00", "\ud800")
-        assert list(seq.symbols) == [0, 1, 2, 2, 0, 3]
-        assert seq.boundaries == [3, 5]
+        assert seq.symbols.tolist() == [0, 1, 2, 2, 0, 3]
+        assert seq.boundaries.tolist() == [3, 5]
 
     def test_text_longer_than_a_chunk(self, monkeypatch):
         monkeypatch.setattr(corpus, "_CHUNK", 5)
@@ -243,7 +244,7 @@ class TestDecodeTerminals:
 
     def test_rejects_nonterminal(self):
         seq = encode("ab", NL)
-        seq = replace(seq, symbols=list(seq.symbols) + [99])
+        seq = replace(seq, symbols=seq.symbols.tolist() + [99])
         with pytest.raises(DomainError):
             decode_terminals(seq)
 
@@ -275,6 +276,29 @@ class TestValidate:
         with pytest.raises(DomainError, match="boundar"):
             BoundedSequence([0, 1, 0, 1], boundaries, SymbolTable("ab"))
 
+    def test_fields_are_read_only(self):
+        # frozen alone left the held lists open to in-place changes, which
+        # got past the boundary check and made decode raise IndexError
+        seq = encode("ab\nab", NL)
+        with pytest.raises(AttributeError):
+            seq.boundaries.append(9)
+        with pytest.raises(ValueError, match="read-only"):
+            seq.symbols[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            seq.boundaries[0] = 9
+        assert decode(Grammar(seq.alphabet, []), seq) == "ab\nab"
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0.0, 1.0], np.array([1.0]), np.array([0, 1], dtype=object), [[0, 1]], 1, "ab", [True]],
+        ids=["floats", "float-array", "objects", "2-d", "scalar", "string", "bools"],
+    )
+    def test_non_integer_ids_rejected(self, values):
+        with pytest.raises(DomainError, match="integer"):
+            BoundedSequence(values, [], SymbolTable("ab"))
+        with pytest.raises(DomainError, match="integer"):
+            BoundedSequence([0, 1, 0], values, SymbolTable("ab"))
+
     @pytest.mark.parametrize("field", ["symbols", "boundaries", "alphabet"])
     def test_fields_cannot_be_reassigned(self, field):
         seq = encode("ab\nab", NL)
@@ -294,8 +318,8 @@ class TestFiles:
         monkeypatch.setattr(corpus, "_CHUNK", 4)
         via_file = encode_file(str(p), NL, BOTH)
         direct = encode(normalize(text, BOTH), NL)
-        assert list(via_file.symbols) == list(direct.symbols)
-        assert via_file.boundaries == direct.boundaries
+        assert via_file.symbols.tolist() == direct.symbols.tolist()
+        assert via_file.boundaries.tolist() == direct.boundaries.tolist()
         assert via_file.alphabet == direct.alphabet
 
     # ASCII, Latin-1 and astral characters, in words between separator runs
@@ -319,8 +343,8 @@ class TestFiles:
                 mp.setattr(corpus, "_CHUNK", chunk_bytes)
             via_file = encode_file(str(p), NL, NormalizationOptions())
         direct = encode(normalize(text), NL)
-        assert list(via_file.symbols) == list(direct.symbols)
-        assert via_file.boundaries == direct.boundaries
+        assert via_file.symbols.tolist() == direct.symbols.tolist()
+        assert via_file.boundaries.tolist() == direct.boundaries.tolist()
         assert via_file.alphabet.chars() == direct.alphabet.chars()
 
     def test_bad_utf8_offset(self, tmp_path, monkeypatch):

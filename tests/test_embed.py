@@ -2,6 +2,7 @@ import io
 import logging
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from itertools import islice
 
@@ -1087,6 +1088,16 @@ class TestVectorFiles:
         with pytest.raises(DomainError, match="overflows"):
             export_vectors(VectorSet(["x"], np.array([[1e200, 1.0]])), str(tmp_path / "w.vec"))
         assert not (tmp_path / "w.vec").exists()
+
+    def test_float32_unit_rows_normed_in_float64(self):
+        # the float32 norm of [1e20, 1e20] overflows: its unit row came out
+        # all zeros while ok said True, with an overflow warning
+        vs = VectorSet(["x", "y"], np.array([[1e20, 1e20], [1, 0]], dtype=np.float32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unit, ok = vs.unit_rows
+        assert ok.tolist() == [True, True]
+        assert np.allclose(unit, [[2**-0.5, 2**-0.5], [1, 0]])
 
     def test_large_finite_norm_is_accepted(self, tmp_path):
         p = tmp_path / "ok.vec"

@@ -192,25 +192,25 @@ class TestApply:
     def test_compresses_new_text(self):
         g = abab_grammar()
         out = apply(g, encode("abab"))
-        assert list(out.symbols) == [3]
+        assert out.symbols.tolist() == [3]
 
     def test_partial_structure(self):
         g = abab_grammar()
         out = apply(g, encode("ba"))
-        assert list(out.symbols) == [1, 0]
+        assert out.symbols.tolist() == [1, 0]
 
     def test_mixed(self):
         g = abab_grammar()
         out = apply(g, encode("ababab"))
         # two greedy merges of ab then abab+ab
-        assert [g.expand(s) for s in out.symbols] == ["abab", "ab"]
+        assert [g.expand(s) for s in out.symbols.tolist()] == ["abab", "ab"]
 
     def test_matches_training_output(self):
         text = "in the beginning the word was the word\nthe word stayed\n"
         g, out = trained(text)
         replayed = apply(g, encode(text, NL))
-        assert list(replayed.symbols) == list(out.symbols)
-        assert replayed.boundaries == out.boundaries
+        assert replayed.symbols.tolist() == out.symbols.tolist()
+        assert replayed.boundaries.tolist() == out.boundaries.tolist()
 
     def test_unseen_chars_pass_through(self):
         g = abab_grammar()
@@ -229,8 +229,8 @@ class TestApply:
     def test_boundaries_respected(self):
         g = abab_grammar()
         out = apply(g, encode("ab\nab", NL))
-        assert [g.expand(s) for s in out.symbols] == ["ab", "ab"]
-        assert out.boundaries == [1]
+        assert [g.expand(s) for s in out.symbols.tolist()] == ["ab", "ab"]
+        assert out.boundaries.tolist() == [1]
 
     def test_decode_round_trip(self):
         text = "to be or not to be\nthat is the question\n"
@@ -255,7 +255,7 @@ class TestApply:
 
     def test_repeated_rule_is_a_no_op(self, tmp_path):
         g = repeated_rule_grammar(tmp_path)
-        assert list(apply(g, encode("abab")).symbols) == [3]
+        assert apply(g, encode("abab")).symbols.tolist() == [3]
 
     @settings(max_examples=300, deadline=None)
     @given(**NAIVE_CASES)
@@ -315,7 +315,7 @@ class TestBatchPhase:
         # "abcd", X takes (X, c) from rule 6
         rules = [Rule(4, 0, 1, 2), Rule(5, 4, 2, 2), Rule(6, 2, 3, 2)]
         g = Grammar(SymbolTable("abcd"), rules)
-        assert list(apply(g, encode("abcd")).symbols) == [5, 3]
+        assert apply(g, encode("abcd")).symbols.tolist() == [5, 3]
         for text in ("abcdabcd", "cdabcd", "abcdcd\nabcd"):
             assert_matches_naive(g, text)
 
@@ -372,9 +372,30 @@ class TestEngineFormat:
         want = ids[:]
         for b in reversed([*boundaries, len(ids)]):
             want.insert(b, -1)
-        for symbols in (array("i", ids), ids, array("q", ids)):
-            a = engine_array(BoundedSequence(symbols, boundaries, SymbolTable("abc")))
+        seqs = [
+            BoundedSequence(symbols, boundaries, SymbolTable("abc"))
+            for symbols in (array("i", ids), ids, array("q", ids), np.array(ids))
+        ]
+        for seq in seqs:
+            assert seq == seqs[0] and seq.symbols.dtype == np.int32
+            assert seq.boundaries.dtype == np.int64 and seq.boundaries.tolist() == boundaries
+            a = engine_array(seq)
             assert a.dtype == np.int32 and a.tolist() == want
+
+    def test_pass_through_ids_keep_int64(self):
+        ids = [0, OOV_BASE + ord("z"), 0]
+        for symbols in (ids, array("q", ids), np.array(ids)):
+            seq = BoundedSequence(symbols, [1], SymbolTable("a"))
+            assert seq.symbols.dtype == np.int64 and seq.symbols.tolist() == ids
+        assert apply(abab_grammar(), encode("abz")).symbols.dtype == np.int64
+        assert apply(abab_grammar(), encode("abb")).symbols.dtype == np.int32
+
+    def test_an_id_array_is_shared_not_flagged(self):
+        # the sequence's view is read-only; the caller's array is not touched
+        ids = np.array([0, 1, 0], dtype=np.int32)
+        seq = BoundedSequence(ids, [], SymbolTable("ab"))
+        assert np.shares_memory(seq.symbols, ids) and ids.flags.writeable
+        assert not seq.symbols.flags.writeable
 
     @pytest.mark.parametrize("sid", [3, -1, 1 << 31, 1 << 32, OOV_BASE + ord("a")])
     def test_engine_array_refuses_ids_outside_the_alphabet(self, sid):
@@ -390,8 +411,8 @@ class TestEngineFormat:
     def test_from_engine_inverts_engine_array(self, text):
         seq = encode(text, NL)
         back = from_engine(engine_array(seq), seq.alphabet)
-        assert list(back.symbols) == list(seq.symbols)
-        assert back.boundaries == seq.boundaries
+        assert back.symbols.tolist() == seq.symbols.tolist()
+        assert back.boundaries.tolist() == seq.boundaries.tolist()
 
 
 class TestSaveLoad:
@@ -615,7 +636,7 @@ class TestSegmentedIO:
         text = "ab\nab|ba"
         g = abab_grammar()
         out = apply(g, encode(text, frozenset("|")))
-        assert OOV_BASE + ord("\n") in list(out.symbols)
+        assert OOV_BASE + ord("\n") in out.symbols.tolist()
         p = tmp_path / "seg.txt"
         with pytest.raises(DomainError, match="newline"):
             write_segmented(g, out, str(p))
@@ -625,7 +646,7 @@ class TestSegmentedIO:
     def test_symbol_containers_write_the_same_bytes(self):
         g, out = trained("abab ab ba\nbaab\n\nab ab\n")
         written = []
-        for symbols in (list(out.symbols), array("i", out.symbols), array("q", out.symbols)):
+        for symbols in (out.symbols.tolist(), array("i", out.symbols), array("q", out.symbols)):
             buf = io.StringIO()
             write_segmented(g, BoundedSequence(symbols, out.boundaries, out.alphabet), buf)
             written.append(buf.getvalue())
@@ -637,15 +658,15 @@ class TestSegmentedIO:
         text = "\n" + corpus_gen.generate(6000, seed=3) + "Ωβ\n\n"
         g, _ = trained(corpus_gen.generate(4000, seed=5), max_merges=200)
         out = apply(g, encode(text, NL))
-        unknown = {g.expand(s) for s in out.symbols if s >= OOV_BASE}
+        unknown = {g.expand(s) for s in out.symbols.tolist() if s >= OOV_BASE}
         assert unknown >= {"Ω", "β"} and out.boundaries[0] == 0
         lines = []
         for k, (lo, hi) in enumerate(out.segments()):
             if k:
                 lines.append("")
-            lines += [escape_token(g.expand(s)) for s in out.symbols[lo:hi]]
+            lines += [escape_token(g.expand(s)) for s in out.symbols[lo:hi].tolist()]
         want = "".join(line + "\n" for line in lines)
-        expanded = "\n".join("".join(g.expand(s) for s in out.symbols[lo:hi]) for lo, hi in out.segments())
+        expanded = "\n".join("".join(g.expand(s) for s in out.symbols[lo:hi].tolist()) for lo, hi in out.segments())
         for step in (1 << 16, 7, 1):
             monkeypatch.setattr(grammar_mod, "_GATHER", step)
             buf = io.StringIO()

@@ -338,7 +338,7 @@ def _fits_a_line(token: str) -> bool:
 def test_segmented_writer_and_reader_agree(valid_dir, text):
     # "|" separates, so newlines stay in the tokens
     g, out = train(encode(text, frozenset("|")))
-    tokens = {g.expand(s) for s in out.symbols}
+    tokens = {g.expand(s) for s in out.symbols.tolist()}
     path = valid_dir / "written.seg"
     path.unlink(missing_ok=True)
     buf = io.StringIO()
@@ -351,7 +351,7 @@ def test_segmented_writer_and_reader_agree(valid_dir, text):
             write_segmented(g, out, buf)
         assert buf.getvalue() == ""
         return
-    want = [[g.expand(s) for s in out.symbols[lo:hi]] for lo, hi in out.segments()]
+    want = [[g.expand(s) for s in out.symbols[lo:hi].tolist()] for lo, hi in out.segments()]
     assert list(read_segmented(str(path))) == want
     write_segmented(g, out, buf)
     assert list(read_segmented(io.StringIO(buf.getvalue()))) == want

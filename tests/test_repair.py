@@ -34,20 +34,20 @@ def events_of(text, **stop):
 class TestPairCount:
     def test_plain(self):
         seq = encode("abab")
-        a, b = seq.symbols[0], seq.symbols[1]
+        a, b = seq.symbols[:2].tolist()
         assert pair_count(seq, a, b) == 2
         assert pair_count(seq, b, a) == 1
 
     def test_overlap_is_not_double_counted(self):
         seq = encode("bbb")
-        b = seq.symbols[0]
+        b = seq.symbols.tolist()[0]
         assert pair_count(seq, b, b) == 1
         seq4 = encode("bbbb")
-        assert pair_count(seq4, seq4.symbols[0], seq4.symbols[0]) == 2
+        assert pair_count(seq4, *seq4.symbols[:2].tolist()) == 2
 
     def test_boundary_blocks_pair(self):
         seq = encode("ab\nab", NL)
-        a, b = seq.symbols[0], seq.symbols[1]
+        a, b = seq.symbols[:2].tolist()
         assert pair_count(seq, a, b) == 2
         assert pair_count(seq, b, a) == 0
 
@@ -61,7 +61,7 @@ class TestSmallGrammars:
         g, out = train(seq, StopCriteria(min_frequency=2))
         ev = g.rules
         assert [(e.left, e.right, e.freq_at_merge) for e in ev][0] == (0, 0, 3)
-        joined = "".join(g.expand(s) for s in out.symbols)
+        joined = "".join(g.expand(s) for s in out.symbols.tolist())
         assert joined == "ββαββαββ"
 
     def test_abababab(self):
@@ -71,13 +71,13 @@ class TestSmallGrammars:
         # (a,b) x4 -> X; (X,X) x2 -> Y; leaves YY
         assert len(ev) == 2
         assert ev[0].freq_at_merge == 4 and ev[1].freq_at_merge == 2
-        assert list(out.symbols) == [ev[1].id] * 2
+        assert out.symbols.tolist() == [ev[1].id] * 2
         assert g.expand(ev[1].id) == "abab"
 
     def test_no_repeats_is_identity(self):
         seq = encode("abc")
         g, out = train(seq)
-        assert list(out.symbols) == list(seq.symbols)
+        assert out.symbols.tolist() == seq.symbols.tolist()
         assert g.rules == ()
 
     def test_empty_input(self):
@@ -86,19 +86,19 @@ class TestSmallGrammars:
 
     def test_single_symbol(self):
         g, out = train(encode("a"))
-        assert g.rules == () and list(out.symbols) == [0]
+        assert g.rules == () and out.symbols.tolist() == [0]
 
     def test_tie_breaks_by_earliest_occurrence(self):
         # "cdcd abab abab": (a,b) and (c,d) both appear twice; (c,d) first.
         seq = encode("cdcdabab")
         ev = train(seq, StopCriteria(min_frequency=2, max_merges=1))[0].rules
-        c, d = seq.symbols[0], seq.symbols[1]
+        c, d = seq.symbols[:2].tolist()
         assert (ev[0].left, ev[0].right) == (c, d)
 
     def test_boundaries_survive(self):
         seq = encode("abab\nabab", NL)
         g, out = train(seq)
-        assert out.boundaries == [len(out.symbols) // 2]
+        assert out.boundaries.tolist() == [len(out.symbols) // 2]
         BoundedSequence(out.symbols, out.boundaries, out.alphabet)
 
 
@@ -191,8 +191,8 @@ class TestNaiveEquivalence:
         g1, o1 = train(seq, stop)
         g2, o2 = train_naive(encode(text, NL), stop)
         assert g1.rules == g2.rules
-        assert list(o1.symbols) == list(o2.symbols)
-        assert o1.boundaries == o2.boundaries
+        assert o1.symbols.tolist() == o2.symbols.tolist()
+        assert o1.boundaries.tolist() == o2.boundaries.tolist()
         assert g1 == g2
 
     def test_run_heavy(self):
@@ -231,7 +231,7 @@ class TestNaiveEquivalence:
             merger.run(stop)
             g, out = train_naive(seq, stop)
             assert merger.grammar().rules == g.rules
-            assert list(merger.sequence().symbols) == list(out.symbols)
+            assert merger.sequence().symbols.tolist() == out.symbols.tolist()
 
     @settings(max_examples=40)
     @given(
@@ -248,7 +248,7 @@ class TestNaiveEquivalence:
         merger.run(StopCriteria(min_frequency=2))
         g, out = train_naive(seq, StopCriteria())
         assert merger.grammar().rules == g.rules
-        assert list(merger.sequence().symbols) == list(out.symbols)
+        assert merger.sequence().symbols.tolist() == out.symbols.tolist()
 
     def test_invariants_catch_a_live_removed_slot(self):
         m = PairMerger(encode("abab", NL))
@@ -460,8 +460,8 @@ class TestBulkReplacement:
                 m.check_invariants()
         g, out = train_naive(encode(text, NL), StopCriteria(min_frequency=min_frequency))
         assert m.grammar().rules == g.rules
-        assert list(m.sequence().symbols) == list(out.symbols)
-        assert m.sequence().boundaries == out.boundaries
+        assert m.sequence().symbols.tolist() == out.symbols.tolist()
+        assert m.sequence().boundaries.tolist() == out.boundaries.tolist()
         return m
 
     @settings(max_examples=60)
@@ -533,7 +533,7 @@ class TestBulkReplacement:
                 m = PairMerger(encode(text))
                 m.run(StopCriteria(max_merges=1500))
             out = m.sequence()
-            return m.grammar().rules, list(out.symbols), out.boundaries, m.bulk_replacements
+            return m.grammar().rules, out.symbols.tolist(), out.boundaries.tolist(), m.bulk_replacements
 
         *bulk_out, bulk = run(repair._BULK_MIN)
         *loop_out, none = run(1 << 62)  # above every count: the loop alone
@@ -645,11 +645,11 @@ class TestSizeEdges:
         g, out = train(seq)
         g2, out2 = train_naive(encode(text, NL))
         assert g == g2
-        assert (list(out.symbols), out.boundaries) == (list(out2.symbols), out2.boundaries)
+        assert (out.symbols.tolist(), out.boundaries.tolist()) == (out2.symbols.tolist(), out2.boundaries.tolist())
         assert decode(g, out) == decode(Grammar(seq.alphabet, []), seq)
         replayed = apply(g, encode(text, NL))
-        assert list(replayed.symbols) == list(out.symbols)
-        assert replayed.boundaries == out.boundaries
+        assert replayed.symbols.tolist() == out.symbols.tolist()
+        assert replayed.boundaries.tolist() == out.boundaries.tolist()
         # no input character is in this grammar's alphabet
         other, _ = train(encode("zzzz"))
         assert decode(other, apply(other, seq)) == decode(Grammar(seq.alphabet, []), seq)

@@ -1,5 +1,7 @@
+import json
 import math
 
+import numpy as np
 import pytest
 
 from rgrams.corpus import encode
@@ -29,6 +31,22 @@ class TestRankFrequency:
     def test_empty(self):
         d = rank_frequency([])
         assert d.entries == () and d.total == 0
+        assert rank_frequency(np.array([], dtype=np.int32)) == d
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_int_array_counts_like_a_list(self, dtype):
+        # ties at counts 2 and 1 are broken by id, negatives included
+        ids = [7, 3, 3, 9, 7, 1, 9, 3, -2, -2, 4]
+        d = rank_frequency(np.array(ids, dtype=dtype))
+        assert d == rank_frequency(ids)
+        assert d.entries == ((3, 3), (-2, 2), (7, 2), (9, 2), (1, 1), (4, 1))
+        assert json.dumps([d.entries, d.total]) == json.dumps([list(map(list, d.entries)), 11])
+
+    def test_string_token_ending_in_nul(self):
+        # numpy strings would drop the trailing "\0"; string tokens are
+        # counted as they are
+        d = rank_frequency(["a\0", "a", "a\0", "\0"])
+        assert d.entries == (("a\0", 2), ("\0", 1), ("a", 1))
 
 
 class TestFlatness:
