@@ -46,12 +46,16 @@ OOV_BASE = 1 << 32  # ids at OOV_BASE + cp are pass-through single characters
 
 # The engine format, shared by training (repair.PairMerger) and apply. An
 # engine array holds a sequence's symbol ids with SENT at every boundary and
-# one more SENT at the end; linked() threads int32 sym/nxt/prv lists through
-# it. The trailing SENT is the right neighbour of the last symbol and what
-# index -1 (the left neighbour of the first) reads, so neighbour lookups need
-# no bounds test. A merge marks the slot it removes DEAD. Pair keys are
-# (left << SHIFT) | right and apply's heap entries (rule id << SHIFT) |
-# position; ids and positions fit in int32.
+# one more SENT at the end; linked() makes int32 sym/nxt lists of it. The
+# trailing SENT is the right neighbour of the last symbol and what index -1
+# (the left neighbour of the first) reads, so neighbour lookups need no
+# bounds test. A merge marks the slot it removes DEAD. Only live slots'
+# nxt links are followed, so a dead run keeps the way back in its last
+# slot: merging (p, q) into p, with y = nxt[q], sets nxt[y - 1] = p, as
+# every slot after p up to y - 1 is DEAD then. The left neighbour of a
+# live slot p is therefore p - 1, or nxt[p - 1] when sym[p - 1] is DEAD.
+# Pair keys are (left << SHIFT) | right and apply's heap entries (rule id
+# << SHIFT) | position; ids and positions fit in int32.
 SHIFT = 32
 SENT = -1  # boundary sentinel; never pairable
 DEAD = -(1 << 31)  # a merged-away slot; no unknown character encodes to it
@@ -213,15 +217,12 @@ def _int32_array(x: np.ndarray) -> array:
     return out
 
 
-def linked(a: np.ndarray) -> tuple[array, array, array]:
-    """int32 (sym, nxt, prv) lists over engine array a, each slot linked to
-    its neighbours; the trailing SENT's nxt, len(a), is never followed."""
-    n = a.size
-    return (
-        _int32_array(a),
-        _int32_array(np.arange(1, n + 1, dtype=np.int32)),
-        _int32_array(np.arange(-1, n - 1, dtype=np.int32)),
-    )
+def linked(a: np.ndarray) -> tuple[array, array]:
+    """int32 (sym, nxt) lists over engine array a, each slot linked to its
+    right neighbour; the trailing SENT's nxt, len(a), is never followed. No
+    slot is DEAD yet, so each left neighbour is the slot before (the engine
+    format above)."""
+    return _int32_array(a), _int32_array(np.arange(1, a.size + 1, dtype=np.int32))
 
 
 def from_engine(symbols: array | list[int] | np.ndarray, alphabet: SymbolTable) -> BoundedSequence:
@@ -257,9 +258,10 @@ def _engine_input(g: Grammar, seq: BoundedSequence) -> tuple[np.ndarray, dict[st
     gids = [g.terminals.id_of(ch) for ch in chars]
     lut = np.array([-(ord(c) + 2) if i is None else i for c, i in zip(chars, gids)], np.int32)
     unknown = [sid for sid, i in enumerate(gids) if i is None]
+    a = engine_array(seq, lut)  # range-checks the ids before they are counted
     counts = np.bincount(seq.symbols, minlength=len(chars)) if unknown else None
     unknown_chars = {chars[sid]: int(counts[sid]) for sid in unknown if counts[sid]}
-    return engine_array(seq, lut), unknown_chars
+    return a, unknown_chars
 
 
 def apply_with_report(g: Grammar, seq: BoundedSequence) -> tuple[BoundedSequence, ApplyReport]:
@@ -298,7 +300,7 @@ def apply_with_report(g: Grammar, seq: BoundedSequence) -> tuple[BoundedSequence
     cuts = np.searchsorted(pos, np.flatnonzero(a == SENT)).tolist()
     del pos
 
-    sym, nxt, prv = linked(a)
+    sym, nxt = linked(a)
     del a
     get = rank.get
     mask = (1 << S) - 1
@@ -316,10 +318,10 @@ def apply_with_report(g: Grammar, seq: BoundedSequence) -> tuple[BoundedSequence
                 continue
             y = nxt[q]
             nxt[p] = y
-            prv[y] = p
+            nxt[y - 1] = p
             sym[q] = DEAD
             sym[p] = k
-            x = prv[p]
+            x = nxt[p - 1] if sym[p - 1] == DEAD else p - 1
             r = get((sym[x] << S) | k)
             if r is not None:
                 heappush(heap, (r << S) | x)

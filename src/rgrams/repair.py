@@ -117,15 +117,16 @@ class PairMerger:
     """Incremental training state: sequence, pair index, lazy selection heap.
 
     The sequence is in the engine format of grammar.engine_array and
-    grammar.linked. The invariant carried through every mutation: a pair is
-    indexed if and only if its count is at least 2, and an indexed pair's
-    occurrences are exactly its greedy left-to-right non-overlapping
-    occurrences in the current sequence, kept in position order: its record
-    is [count, first], and nocc and pocc link the rest. A pair that falls
-    to count 1 can never be selected again (_select), so it is pruned. A
-    position heads at most one indexed occurrence (of the pair it starts);
-    pocc is OFF exactly at the positions that head none, so membership
-    tests are O(1).
+    grammar.linked, which keeps no left links. With nocc and pocc, the
+    engine holds four int32 lists, 16 bytes per slot. The invariant carried
+    through every mutation: a pair is indexed if and only if its count is
+    at least 2, and an indexed pair's occurrences are exactly its greedy
+    left-to-right non-overlapping occurrences in the current sequence, kept
+    in position order: its record is [count, first], and nocc and pocc link
+    the rest. A pair that falls to count 1 can never be selected again
+    (_select), so it is pruned. A position heads at most one indexed
+    occurrence (of the pair it starts); pocc is OFF exactly at the
+    positions that head none, so membership tests are O(1).
 
     A merge's pass indexes none of the pairs it makes while it runs: no
     indexed pair contains the new symbol until the pass ends, when each
@@ -149,14 +150,13 @@ class PairMerger:
     def __init__(self, seq: BoundedSequence):
         self._alphabet = seq.alphabet
         self._rules: list[Rule] = []  # the merge log
-        self._sym, self._nxt, self._prv = linked(engine_array(seq))
+        self._sym, self._nxt = linked(engine_array(seq))
         n = len(self._sym)
         self._nocc = array("i", [NIL]) * n
         self._pocc = array("i", [OFF]) * n
-        # zero-copy numpy views of the five lists, which are never resized
+        # zero-copy numpy views of the four lists, which are never resized
         self._views = tuple(
-            np.frombuffer(v, dtype=np.int32)
-            for v in (self._sym, self._nxt, self._prv, self._nocc, self._pocc)
+            np.frombuffer(v, dtype=np.int32) for v in (self._sym, self._nxt, self._nocc, self._pocc)
         )
         self.bulk_replacements = 0  # of replacements, those made by _replace_simple
         self.stale_pops = 0  # heap tops re-ranked because their pair changed
@@ -304,7 +304,6 @@ class PairMerger:
         """
         sym = self._sym
         nxt = self._nxt
-        prv = self._prv
         pocc = self._pocc
         drop = self._drop
         S = SHIFT
@@ -319,7 +318,7 @@ class PairMerger:
         twin_head = None  # the last node made to head (new_id, new_id)
         for p in occ:
             q = nxt[p]
-            x = prv[p]
+            x = nxt[p - 1] if sym[p - 1] == DEAD else p - 1
             xs = sym[x]
             # pair (xs, left) ending at p dies with p's symbol; pocc is OFF
             # at x when xs < 0 or xs == new_id
@@ -335,7 +334,7 @@ class PairMerger:
                 drop((right << S) | ys, q)
             # splice out q, rewrite p
             nxt[p] = y
-            prv[y] = p
+            nxt[y - 1] = p
             sym[q] = DEAD
             sym[p] = new_id
             pocc[p] = OFF
@@ -343,9 +342,9 @@ class PairMerger:
             if xs == new_id:
                 # x is the previous occurrence's p: the (new_id, left) it
                 # made at x is gone, and x heads (new_id, new_id) unless
-                # prv[x] already does
+                # x's left neighbour already does
                 made.pop()
-                if prv[x] != twin_head:
+                if (nxt[x - 1] if sym[x - 1] == DEAD else x - 1) != twin_head:
                     add((twin, x))
                     twin_head = x
             elif xs >= 0:
@@ -379,11 +378,11 @@ class PairMerger:
         When left == right, any neighbouring `right` makes an occurrence
         coupled, so a simple one has xs != left and ys != right.
         """
-        sym, nxt, prv = self._views[:3]
+        sym, nxt = self._views[:2]
         p = np.array(occ, dtype=np.int32)
         q = nxt[p]
         y = nxt[q]
-        x = prv[p]
+        x = np.where(sym[p - 1] == DEAD, nxt[p - 1], p - 1)
         coupled = sym[y] == right
         adjacent = y[:-1] == p[1:]
         coupled[:-1] |= adjacent
@@ -410,7 +409,7 @@ class PairMerger:
 
         Index -1 (x of slot 0) reads the trailing SENT, as it does in the loop.
         """
-        sym, nxt, prv, nocc, pocc = self._views
+        sym, nxt, _, pocc = self._views
         W = self.vocab_size + 1  # new_id is the largest id
         xs = sym[x].astype(np.int64)
         ys = sym[y].astype(np.int64)
@@ -424,7 +423,7 @@ class PairMerger:
         )
         # splice out q, rewrite p
         nxt[p] = y
-        prv[y] = p
+        nxt[y - 1] = p
         sym[q] = DEAD
         sym[p] = new_id
         pocc[p] = OFF
@@ -451,7 +450,7 @@ class PairMerger:
         """
         if not z.size:
             return
-        nocc, pocc = self._views[3:]
+        nocc, pocc = self._views[2:]
         pairs = self._pairs
         z, same, first, last, keys = _pair_order(z, codes, self.vocab_size + 1)
         nz = nocc[z]
@@ -526,7 +525,7 @@ class PairMerger:
         Builds one slice of the set-up index (_link_heads), and all the
         pairs a bulk merge makes, in one call.
         """
-        nocc, pocc = self._views[3:]
+        nocc, pocc = self._views[2:]
         pairs = self._pairs
         z, _, first, last, keys = _pair_order(z, codes, self.vocab_size + 1)
         # chain every node to the next, then cut the chain between pairs
@@ -626,9 +625,11 @@ class PairMerger:
         the indexed pairs are exactly those with a count of at least 2, each
         with its greedy occurrences linked both ways.
 
-        Also checks that DEAD marks exactly the slots off the live walk and
-        the heap's bound on each pair (_select). O(n + pairs + heap); meant
-        for tests on small inputs after each merge.
+        Also checks that DEAD marks exactly the slots off the live walk, that
+        the last slot of each dead run holds the live slot before the run
+        (grammar.linked), and the heap's bound on each pair (_select).
+        O(n + pairs + heap); meant for tests on small inputs after each
+        merge.
         """
         sym = self._sym
         nxt = self._nxt
@@ -642,6 +643,9 @@ class PairMerger:
         for z in range(end):
             if (sym[z] == DEAD) == (z in alive):
                 raise AssertionError(f"slot {z}: DEAD must mark exactly the slots off the live walk")
+        for before, z in zip(live, live[1:] + [end]):
+            if sym[z - 1] == DEAD and nxt[z - 1] != before:
+                raise AssertionError(f"slot {z - 1}: a dead run's last slot must hold slot {before}")
         expected = {
             (a << SHIFT) | b: [live[i] for i in occ]
             for (a, b), occ in greedy_pairs([sym[z] for z in live]).items()
@@ -674,10 +678,10 @@ def train(
 
     seq and stop were checked when made. grammar.rules is the merge log. An
     empty sequence yields an empty grammar and empty output. The full input
-    sequence is held in memory: five int32 arrays, 20 bytes per slot, plus
-    the pair index and a heap of at most twice its size, about 20.9 bytes
+    sequence is held in memory: four int32 arrays, 16 bytes per slot, plus
+    the pair index and a heap of at most twice its size, about 16.6 bytes
     per character once the engine is built, growing as merges run (about
-    24.9 after 4000 merges on 1 MB of text), with a peak near 26 while it
+    20.6 after 4000 merges on 1 MB of text), with a peak near 21.7 while it
     is built, a slice of the pairs at a time (see PairMerger). Frequent
     merges are replaced in bulk; the result is the same as one occurrence
     at a time.

@@ -1,7 +1,8 @@
 """Training-engine memory on 1 MB of corpus_gen text, in bytes per character.
 
 `tracemalloc` counts what PairMerger(seq) holds once built, the peak
-while it is built, what it holds after MERGES merges and the peak of
+while it is built (and the ratio of the two, setup_peak_over_after_init),
+what it holds after MERGES merges and the peak of
 sequence() then; the input sequence is built before tracing starts. Then
 it counts what one apply() of the grammar those merges learned to the
 same text allocates at its peak, above what is held when the call starts.
@@ -53,6 +54,7 @@ def engine_bytes_per_char(
         merger = PairMerger(seq)
         held, peak = tracemalloc.get_traced_memory()
         out = {"chars": n, "after_init": held / n, "setup_peak": peak / n}
+        out["setup_peak_over_after_init"] = peak / held
         if merges:
             merger.run(StopCriteria(max_merges=merges))
             out["merges"] = merger.merges
@@ -111,16 +113,17 @@ def measured_spaceless() -> dict[str, float]:
 
 
 def test_engine_after_init(measured):
-    # five int32 arrays are 20 bytes per slot; the rest is the pair index and heap
-    assert measured["after_init"] <= 21.5
+    # four int32 arrays are 16 bytes per slot; the rest is the pair index and
+    # heap (16.6 measured; 20.9 with a fifth array of left links)
+    assert measured["after_init"] <= 17.2
 
 
 def test_engine_setup_peak(measured, measured_spaceless):
     # the index is built a slice of the left-symbol range at a time, so its
-    # scratch arrays are bounded by a slice (26.0 and 26.6 measured; 36.3
-    # and 35.7 when every head was indexed in one pass)
-    assert measured["setup_peak"] <= 28
-    assert measured_spaceless["setup_peak"] <= 28
+    # scratch arrays are bounded by a slice (21.7 and 22.4 measured; 10.3
+    # and 9.1 more when every head was indexed in one pass)
+    assert measured["setup_peak"] <= 23.5
+    assert measured_spaceless["setup_peak"] <= 23.5
 
 
 def test_encode_peak(tmp_path):
@@ -139,19 +142,19 @@ def test_encode_text_peak():
 def test_engine_after_merges(measured):
     # the index holds only pairs that occur at least twice; bulk merges
     # keep no scratch arrays, and the selection heap holds one int per entry
-    # and is rebuilt from the index when it outgrows twice the index (24.9
+    # and is rebuilt from the index when it outgrows twice the index (20.6
     # measured, 11,371 pair keys and 11,464 heap entries after 2 rebuilds)
     assert measured["merges"] == MERGES
-    assert measured["after_merges"] <= 27.5
+    assert measured["after_merges"] <= 22.8
     assert measured["pair_keys"] <= 15_000
     assert measured["heap_entries"] <= 2 * measured["pair_keys"]
 
 
 def test_engine_after_merges_spaceless(measured_spaceless):
-    # a large alphabet makes many more distinct pairs that occur once (30.8
+    # a large alphabet makes many more distinct pairs that occur once (26.3
     # measured, 9,444 pair keys and 13,462 heap entries after 1 rebuild)
     assert measured_spaceless["merges"] == MERGES
-    assert measured_spaceless["after_merges"] <= 33.8
+    assert measured_spaceless["after_merges"] <= 29.2
     assert measured_spaceless["pair_keys"] <= 15_000
     assert measured_spaceless["heap_entries"] <= 2 * measured_spaceless["pair_keys"]
 
@@ -166,11 +169,11 @@ def test_apply_peak(measured, measured_spaceless):
 
 def test_sequence_peak(measured, measured_spaceless):
     # sequence() reads the engine at int32 and its output stays int32 when
-    # no pass-through id is in it (26.3 measured, 27.9 when the output was
-    # int64); the spaceless twin's engine already holds 30.6 per character,
-    # so its peak is higher (33.9 measured, 37.9 at int64)
-    assert measured["sequence_peak"] <= 34
-    assert measured_spaceless["sequence_peak"] <= 37.5
+    # no pass-through id is in it (22.1 measured, 1.6 more when the output
+    # was int64); the spaceless twin's engine already holds 26.3 per
+    # character, so its peak is higher (29.6 measured, 4.0 more at int64)
+    assert measured["sequence_peak"] <= 28.5
+    assert measured_spaceless["sequence_peak"] <= 32.8
 
 
 def vm_status() -> dict[str, float] | None:

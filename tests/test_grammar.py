@@ -404,6 +404,16 @@ class TestEngineFormat:
         with pytest.raises(DomainError, match="non-terminal"):
             engine_array(seq)
 
+    @pytest.mark.parametrize("chars", ["z", "a"])
+    @pytest.mark.parametrize("sid", [-1, 1])
+    def test_apply_refuses_ids_outside_the_alphabet(self, chars, sid):
+        # the ids are range-checked before apply counts the characters the
+        # grammar has never seen ("z"), as when it knows them all ("a")
+        seq = BoundedSequence([sid, 0], [], SymbolTable(chars))
+        for entry in (apply, apply_naive):
+            with pytest.raises(DomainError, match="non-terminal"):
+                entry(Grammar(SymbolTable("ab"), []), seq)
+
     @given(st.text(alphabet="ab\n", max_size=40))
     @example("")
     @example("\n")

@@ -13,7 +13,7 @@ import corpus_gen
 from rgrams import repair
 from rgrams.corpus import BoundedSequence, encode, normalize
 from rgrams.errors import DomainError, ParameterError
-from rgrams.grammar import Grammar, apply, decode
+from rgrams.grammar import Grammar, apply, apply_naive, decode
 from rgrams.repair import (
     NIL,
     PairMerger,
@@ -398,6 +398,58 @@ class TestPassEndIndex:
             # _select reads the count and the key back out of the entry
             e = repair._entry(k, [c, f])
             assert ((1 << 31) - (e >> 95), e & repair._KEY_MASK) == (c, k)
+
+
+class TestDerivedLeftNeighbour:
+    """The engine keeps no left links: a live slot's left neighbour is the
+    slot before it, or what the last slot of the DEAD run before it holds
+    (grammar.linked). Slot 0's is the trailing SENT, at index -1."""
+
+    # Every segment starts at abcdefgh, which 7 merges of 250 occurrences
+    # build left to right from slot 0. (y, z) then merges 210 occurrences,
+    # 150 of them right after the 7 DEAD slots abcdefgh leaves.
+    AFTER_DEAD_RUN = "\n".join(["abcdefghyz"] * 150 + ["yz"] * 60 + ["abcdefgh"] * 100)
+    # abcdefgh 130 times, then (W, W), (WW, WW), ...: each twin merge finds
+    # the left neighbour of the previous occurrence's p across a DEAD run of
+    # 7, 15, 31, ... slots, and the first one's at index -1.
+    TWINS = "abcdefgh" * 130
+
+    def test_texts_reach_the_cases(self):
+        g, _ = train(encode(self.AFTER_DEAD_RUN, NL))
+        assert [g.expand(r.id) for r in g.rules[6:8]] == ["abcdefgh", "yz"]
+        assert g.rules[7].freq_at_merge >= repair._BULK_MIN
+        g, _ = train(encode(self.TWINS))
+        assert [g.expand(r.id) for r in g.rules[7:9]] == ["abcdefgh" * 2, "abcdefgh" * 4]
+
+    @pytest.mark.parametrize("text", [AFTER_DEAD_RUN, TWINS])
+    @pytest.mark.parametrize("bulk", [True, False])
+    def test_train_matches_oracle(self, text, bulk):
+        with bulk_min(repair._BULK_MIN if bulk else len(text) + 1):
+            m = PairMerger(encode(text, NL))
+            while m.merge_once() is not None:
+                m.check_invariants()
+        assert (m.grammar(), m.sequence()) == train_naive(encode(text, NL))
+        assert (m.bulk_replacements > 0) == bulk
+
+    @pytest.mark.parametrize("text", [AFTER_DEAD_RUN, TWINS])
+    @pytest.mark.parametrize("size", [500, None])
+    def test_apply_matches_oracle(self, text, size):
+        # 500 characters are replayed by the heap alone; the whole text,
+        # above _BATCH_MIN_CHARS, by the batch phase first
+        g, _ = train(encode(text, NL))
+        seq = encode(text[:size], NL)
+        assert apply(g, seq) == apply_naive(g, seq)
+
+    @pytest.mark.parametrize("slot, wrong", [(1, 2), (3, 0)])
+    def test_invariants_catch_a_wrong_dead_run_link(self, slot, wrong):
+        # X = ab at slots 0 and 2 leaves slots 1 and 3 DEAD, holding 0 and 2:
+        # the left neighbours of live slot 2 and of the trailing SENT
+        m = PairMerger(encode("abab", NL))
+        m.merge_once()
+        m.check_invariants()
+        m._nxt[slot] = wrong
+        with pytest.raises(AssertionError, match="dead run"):
+            m.check_invariants()
 
 
 class TestSelectionCounters:
