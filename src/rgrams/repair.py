@@ -138,7 +138,14 @@ class PairMerger:
     (_replace_simple), reaching the same state; bulk_replacements counts
     the replacements made that way. stale_pops and dead_pops count the
     heap entries _select repairs and discards, heap_rebuilds the heaps
-    merge_once rebuilds from the index (_rebuild_heap).
+    merge_once rebuilds from the index because they outgrew it
+    (_rebuild_heap).
+
+    Once more than half of its slots are DEAD, merge_once drops them
+    (_compact), so the four lists shrink with the live sequence: the live
+    slots are renumbered 0, 1, ... in order, so no selection changes.
+    compactions counts those merges; a compaction rebuilds the heap too,
+    so a merge that compacts rebuilds it no second time.
 
     Set-up indexes the pairs of the input a slice of the left-symbol range
     at a time (_link_heads), so its scratch arrays are bounded by a slice
@@ -154,14 +161,13 @@ class PairMerger:
         n = len(self._sym)
         self._nocc = array("i", [NIL]) * n
         self._pocc = array("i", [OFF]) * n
-        # zero-copy numpy views of the four lists, which are never resized
-        self._views = tuple(
-            np.frombuffer(v, dtype=np.int32) for v in (self._sym, self._nxt, self._nocc, self._pocc)
-        )
+        self._set_views()
+        self._dead = 0  # DEAD slots, all made since the last _compact
         self.bulk_replacements = 0  # of replacements, those made by _replace_simple
         self.stale_pops = 0  # heap tops re-ranked because their pair changed
         self.dead_pops = 0  # heap tops dropped because their pair can no longer merge
         self.heap_rebuilds = 0  # of merges, those that rebuilt the heap from the index
+        self.compactions = 0  # of merges, those that compacted the engine (_compact)
         self._pairs: dict[int, list[int]] = {}
 
         # Greedy head mask. Distinct-symbol pairs never overlap themselves;
@@ -182,6 +188,13 @@ class PairMerger:
         del e, first, last, offset  # not held through _link_heads' peak
         self._link_heads(head)
         self._rebuild_heap()
+
+    def _set_views(self) -> None:
+        """Zero-copy numpy views of the four lists, which are never resized;
+        _compact replaces the lists and then the views."""
+        self._views = tuple(
+            np.frombuffer(v, dtype=np.int32) for v in (self._sym, self._nxt, self._nocc, self._pocc)
+        )
 
     # -- public state -----------------------------------------------------
 
@@ -257,9 +270,13 @@ class PairMerger:
         rule = Rule(self.vocab_size, key >> SHIFT, key & _MASK, rec[0])
         created = self._replace_all(rule.left, rule.right, rule.id)
         self._rules.append(rule)
+        self._dead += rule.freq_at_merge
         for k in created:
             heappush(self._heap, _entry(k, self._pairs[k]))
-        if len(self._heap) > 2 * len(self._pairs):
+        if 2 * self._dead > len(self._sym):
+            self._compact()  # rebuilds the heap too
+            self.compactions += 1
+        elif len(self._heap) > 2 * len(self._pairs):
             self._rebuild_heap()
             self.heap_rebuilds += 1
         return rule
@@ -271,6 +288,45 @@ class PairMerger:
         pushes: O(1) per push amortized."""
         self._heap = [_entry(k, rec) for k, rec in self._pairs.items()]
         heapify(self._heap)
+
+    def _compact(self) -> None:
+        """Drop every DEAD slot; the live slots keep their order.
+
+        nxt is overwritten first with the remap table, the count of live
+        slots up to each slot, so live slot z moves to nxt[z] - 1; each
+        pair's first and each occurrence link are remapped through it. Each
+        list is then gathered into a fresh one of the live length, _CHUNK
+        slots at a time, and freed before the next fresh one is made; nxt
+        becomes the identity z + 1, as grammar.linked makes it. Positions
+        keep their order, so selection does not change, but heap entries
+        carry positions, so the heap is rebuilt. The engine then holds 16
+        bytes per live slot. A compaction at n slots follows more than
+        n / 2 replacements, so it costs O(1) per replacement amortized.
+        """
+        sym, nxt = self._views[:2]
+        self._views = ()
+        n = len(sym)
+        size = n - self._dead
+        total = 0
+        for c in range(0, n, _CHUNK):
+            counts = nxt[c : c + _CHUNK]
+            np.cumsum(sym[c : c + _CHUNK] != DEAD, out=counts)
+            counts += total
+            total = int(counts[-1])
+        remap = self._nxt
+        for rec in self._pairs.values():
+            rec[1] = remap[rec[1]] - 1
+        del remap
+        self._nocc = _gather_live(self._nocc, sym, size, nxt)
+        self._pocc = _gather_live(self._pocc, sym, size, nxt)
+        del nxt, self._nxt  # freed before the next list is made
+        self._sym = _gather_live(self._sym, sym, size)
+        del sym
+        self._nxt = array("i", [0]) * size
+        np.frombuffer(self._nxt, dtype=np.int32)[:] = np.arange(1, size + 1, dtype=np.int32)
+        self._set_views()
+        self._dead = 0
+        self._rebuild_heap()
 
     def run(self, stop: StopCriteria) -> None:
         """Merge until max_merges or max_vocabulary is hit or no pair is left.
@@ -627,7 +683,9 @@ class PairMerger:
 
         Also checks that DEAD marks exactly the slots off the live walk, that
         the last slot of each dead run holds the live slot before the run
-        (grammar.linked), and the heap's bound on each pair (_select).
+        (grammar.linked), that _dead counts the DEAD slots and that they
+        are at most half of all slots (_compact), and the heap's bound on
+        each pair (_select).
         O(n + pairs + heap); meant for tests on small inputs after each
         merge.
         """
@@ -646,6 +704,11 @@ class PairMerger:
         for before, z in zip(live, live[1:] + [end]):
             if sym[z - 1] == DEAD and nxt[z - 1] != before:
                 raise AssertionError(f"slot {z - 1}: a dead run's last slot must hold slot {before}")
+        dead = end - len(live)
+        if self._dead != dead:
+            raise AssertionError(f"_dead is {self._dead}, but {dead} slots are DEAD")
+        if 2 * dead > len(sym):
+            raise AssertionError(f"{dead} of {len(sym)} slots are DEAD: more than half, uncompacted")
         expected = {
             (a << SHIFT) | b: [live[i] for i in occ]
             for (a, b), occ in greedy_pairs([sym[z] for z in live]).items()
@@ -671,6 +734,29 @@ class PairMerger:
                 raise AssertionError(f"heap: no entry for key {k} ranks at or above its record")
 
 
+def _gather_live(a: array, sym: np.ndarray, size: int, remap: np.ndarray | None = None) -> array:
+    """A fresh int32 list of a's values at the slots where sym is not DEAD,
+    in order, size of them, gathered _CHUNK slots at a time. Given remap, a
+    value that is a slot (>= 0) becomes its new index, remap[value] - 1.
+
+    np.compress gathers several times faster than a boolean index; a
+    negative value reads remap from its end and is then kept as it was.
+    """
+    old = np.frombuffer(a, dtype=np.int32)
+    out = array("i", [0]) * size
+    new = np.frombuffer(out, dtype=np.int32)
+    j = 0
+    for c in range(0, old.size, _CHUNK):
+        live = sym[c : c + _CHUNK] != DEAD
+        k = j + int(np.count_nonzero(live))
+        v = new[j:k]
+        np.compress(live, old[c : c + _CHUNK], out=v)
+        if remap is not None:
+            np.copyto(v, remap[v] - 1, where=v >= 0)
+        j = k
+    return out
+
+
 def train(
     seq: BoundedSequence, stop: StopCriteria = StopCriteria()
 ) -> tuple[Grammar, BoundedSequence]:
@@ -680,11 +766,13 @@ def train(
     empty sequence yields an empty grammar and empty output. The full input
     sequence is held in memory: four int32 arrays, 16 bytes per slot, plus
     the pair index and a heap of at most twice its size, about 16.6 bytes
-    per character once the engine is built, growing as merges run (about
-    20.6 after 4000 merges on 1 MB of text), with a peak near 21.7 while it
-    is built, a slice of the pairs at a time (see PairMerger). Frequent
-    merges are replaced in bulk; the result is the same as one occurrence
-    at a time.
+    per character once the engine is built, with a peak near 21.7 while it
+    is built, a slice of the pairs at a time (see PairMerger). The engine
+    drops its merged-away slots once they are more than half of it, so it
+    shrinks as merges run: about 8.4 bytes per character after 4000
+    merges on 1 MB of text (20.6 without compaction), while the merge loop
+    peaks at about 21.7 there, as set-up does. Frequent merges are replaced
+    in bulk; the result is the same as one occurrence at a time.
     """
     merger = PairMerger(seq)
     merger.run(stop)

@@ -2,9 +2,9 @@
 
 `tracemalloc` counts what PairMerger(seq) holds once built, the peak
 while it is built (and the ratio of the two, setup_peak_over_after_init),
-what it holds after MERGES merges and the peak of
-sequence() then; the input sequence is built before tracing starts. Then
-it counts what one apply() of the grammar those merges learned to the
+the peak while it runs MERGES merges, what it holds after them and the
+peak of sequence() then; the input sequence is built before tracing
+starts. Then it counts what one apply() of the grammar those merges learned to the
 same text allocates at its peak, above what is held when the call starts.
 The same is measured after merges on the spaceless twin of the text. It
 also counts the peak of encode_file reading the text from a file, as
@@ -16,9 +16,10 @@ after some merges, on 1 MB or another size:
     PYTHONPATH=src python tests/test_engine_memory.py --chars 10000000
 
 The script first sets the engine up once untraced and prints the process's
-own VmHWM and VmRSS, in MB, before and after set-up, and the VmRSS that
-sequence() adds right after set-up, where /proc/self/status exists: the
-high-water mark never falls, so it is read before anything else runs.
+own VmHWM and VmRSS, in MB, before and after set-up, the VmRSS that
+sequence() adds right after set-up and, with --merges, the VmRSS after
+those merges, where /proc/self/status exists: the high-water mark never
+falls, so it is read before anything else runs.
 """
 
 from __future__ import annotations
@@ -56,11 +57,14 @@ def engine_bytes_per_char(
         out = {"chars": n, "after_init": held / n, "setup_peak": peak / n}
         out["setup_peak_over_after_init"] = peak / held
         if merges:
+            tracemalloc.reset_peak()
             merger.run(StopCriteria(max_merges=merges))
+            out["merge_peak"] = tracemalloc.get_traced_memory()[1] / n
             out["merges"] = merger.merges
             out["pair_keys"] = merger.pair_keys
             out["heap_entries"] = len(merger._heap)
             out["heap_rebuilds"] = merger.heap_rebuilds
+            out["compactions"] = merger.compactions
             out["stale_pops"] = merger.stale_pops
             out["dead_pops"] = merger.dead_pops
             out["after_merges"] = tracemalloc.get_traced_memory()[0] / n
@@ -140,23 +144,37 @@ def test_encode_text_peak():
 
 
 def test_engine_after_merges(measured):
-    # the index holds only pairs that occur at least twice; bulk merges
-    # keep no scratch arrays, and the selection heap holds one int per entry
-    # and is rebuilt from the index when it outgrows twice the index (20.6
-    # measured, 11,371 pair keys and 11,464 heap entries after 2 rebuilds)
+    # the engine drops its DEAD slots once they are more than half of it, so
+    # its four arrays shrink with the live sequence; the index holds only
+    # pairs that occur at least twice; bulk merges keep no scratch arrays,
+    # and the selection heap holds one int per entry and is rebuilt from the
+    # index when it outgrows twice the index (8.4 measured after 2
+    # compactions, 11,371 pair keys and 16,918 heap entries after 1 rebuild;
+    # 20.6 without compaction)
     assert measured["merges"] == MERGES
-    assert measured["after_merges"] <= 22.8
+    assert measured["compactions"] >= 1
+    assert measured["after_merges"] <= 9.4
     assert measured["pair_keys"] <= 15_000
     assert measured["heap_entries"] <= 2 * measured["pair_keys"]
 
 
 def test_engine_after_merges_spaceless(measured_spaceless):
-    # a large alphabet makes many more distinct pairs that occur once (26.3
-    # measured, 9,444 pair keys and 13,462 heap entries after 1 rebuild)
+    # a large alphabet makes many more distinct pairs that occur once, and
+    # fewer slots die (17.4 measured after 1 compaction, 9,444 pair keys
+    # and 11,686 heap entries after 1 rebuild; 26.3 without compaction)
     assert measured_spaceless["merges"] == MERGES
-    assert measured_spaceless["after_merges"] <= 29.2
+    assert measured_spaceless["compactions"] >= 1
+    assert measured_spaceless["after_merges"] <= 19.3
     assert measured_spaceless["pair_keys"] <= 15_000
     assert measured_spaceless["heap_entries"] <= 2 * measured_spaceless["pair_keys"]
+
+
+def test_merge_peak(measured, measured_spaceless):
+    # a compaction holds the old arrays and one fresh one at a time, so the
+    # merge loop peaks no higher than it did without compaction (21.7 and
+    # 30.0 measured; 24.2 and 32.2 without compaction)
+    assert measured["merge_peak"] <= 24.3
+    assert measured_spaceless["merge_peak"] <= 32.0
 
 
 def test_apply_peak(measured, measured_spaceless):
@@ -168,12 +186,13 @@ def test_apply_peak(measured, measured_spaceless):
 
 
 def test_sequence_peak(measured, measured_spaceless):
-    # sequence() reads the engine at int32 and its output stays int32 when
-    # no pass-through id is in it (22.1 measured, 1.6 more when the output
-    # was int64); the spaceless twin's engine already holds 26.3 per
-    # character, so its peak is higher (29.6 measured, 4.0 more at int64)
-    assert measured["sequence_peak"] <= 28.5
-    assert measured_spaceless["sequence_peak"] <= 32.8
+    # sequence() reads the compacted engine at int32 and its output stays
+    # int32 when no pass-through id is in it (9.9 measured; 22.1 without
+    # compaction, 1.6 more when the output was int64); the spaceless twin's
+    # engine already holds 17.4 per character, so its peak is higher (20.7
+    # measured; 29.6 without compaction, 4.0 more at int64)
+    assert measured["sequence_peak"] <= 12.7
+    assert measured_spaceless["sequence_peak"] <= 22.9
 
 
 def vm_status() -> dict[str, float] | None:
@@ -187,10 +206,11 @@ def vm_status() -> dict[str, float] | None:
     return {k: int(fields[k].split()[0]) / 1024 for k in ("VmHWM", "VmRSS")}
 
 
-def setup_rss(chars: int) -> dict[str, float]:
+def setup_rss(chars: int, merges: int = 0) -> dict[str, float]:
     """VmHWM and VmRSS before and after one untraced PairMerger set-up on
-    the encoded text, the set-up time, and the VmRSS that sequence() then
-    adds while its output is held; empty where vm_status is None."""
+    the encoded text, the set-up time, the VmRSS that sequence() then adds
+    while its output is held and, when merges is not 0, the VmRSS after
+    that many merges; empty where vm_status is None."""
     seq = encode(normalize(corpus_gen.generate(chars, seed=SEED)))
     before = vm_status()
     if before is None:
@@ -201,11 +221,14 @@ def setup_rss(chars: int) -> dict[str, float]:
     after = vm_status()
     out_seq = merger.sequence()
     added = vm_status()["VmRSS"] - after["VmRSS"]
-    del merger, out_seq
+    del out_seq
     out = {f"before_setup_{k}_mb": v for k, v in before.items()}
     out.update({f"after_setup_{k}_mb": v for k, v in after.items()})
     out["setup_s"] = setup_s
     out["sequence_adds_VmRSS_mb"] = added
+    if merges:
+        merger.run(StopCriteria(max_merges=merges))
+        out["after_merges_VmRSS_mb"] = vm_status()["VmRSS"]
     return out
 
 
@@ -215,7 +238,7 @@ if __name__ == "__main__":
     ap.add_argument("--chars", type=int, default=CHARS, help="corpus_gen characters to measure on")
     args = ap.parse_args()
     merges, chars = args.merges, args.chars
-    for k, v in setup_rss(chars).items():
+    for k, v in setup_rss(chars, merges).items():
         print(f"{k}\t{v:.2f}")
     for k, v in engine_bytes_per_char(merges, chars=chars).items():
         print(f"{k}\t{v:.2f}" if isinstance(v, float) else f"{k}\t{v}")

@@ -452,6 +452,90 @@ class TestDerivedLeftNeighbour:
             m.check_invariants()
 
 
+_RUN_WORDS = random.Random(5).choices(["aa", "aaa", "aaaa", "ab", "abab", "b"], k=400)
+
+
+class TestCompaction:
+    """merge_once drops every DEAD slot once they are more than half of
+    the engine (_compact): positions are remapped in order, so training
+    goes on as if nothing moved."""
+
+    TEXTS = [
+        # merges join ever longer units, and from merge 5 on more than half
+        # the slots are DEAD every other merge: compactions at merges 5, 7,
+        # 9, 11 and 13, the first 2 right after bulk merges
+        "abcdefgh" * 130,
+        # same-symbol runs in 20 segments: compactions at merges 4 and 15
+        "\n".join(" ".join(_RUN_WORDS[i : i + 20]) for i in range(0, 400, 20)),
+        # English-like text: compactions at merges 51 and 263 of 269
+        normalize(corpus_gen.generate(3000, seed=3)),
+    ]
+
+    @pytest.mark.parametrize("text", TEXTS, ids=["doubling", "runs", "english"])
+    @pytest.mark.parametrize("bulk", [True, False])
+    def test_train_matches_oracle(self, text, bulk):
+        with bulk_min(repair._BULK_MIN if bulk else len(text) + 1):
+            m = PairMerger(encode(text, NL))
+            m.check_invariants()
+            while m.merge_once() is not None:
+                m.check_invariants()
+        assert (m.grammar(), m.sequence()) == train_naive(encode(text, NL))
+        assert m.compactions >= 2
+        assert (m.bulk_replacements > 0) == bulk
+
+    def test_resumed_run_crosses_compactions(self):
+        seq = encode(self.TEXTS[2], NL)
+        m = PairMerger(seq)
+        seen = []
+        for k in (50, 52, 200, 264, None):
+            stop = StopCriteria(max_merges=k)
+            m.run(stop)
+            seen.append(m.compactions)
+            g, out = train_naive(seq, stop)
+            assert m.grammar().rules == g.rules
+            assert m.sequence() == out
+            m.check_invariants()
+        assert seen == [0, 1, 1, 2, 2]
+
+    def test_engine_shrinks_to_the_live_sequence(self):
+        m = PairMerger(encode("abcdefgh" * 130))
+        assert len(m._sym) == 1041
+        m.run(StopCriteria(max_merges=5))  # 520 + 130 slots merged away
+        assert m.compactions == 1
+        assert len(m._sym) == 1041 - 650
+        assert [len(v) for v in m._views] == [391] * 4
+        assert list(m._nxt) == list(range(1, 392))
+
+    def test_invariants_catch_a_wrong_dead_count(self):
+        m = PairMerger(encode("abab", NL))
+        m.merge_once()
+        m.check_invariants()
+        m._dead += 1
+        with pytest.raises(AssertionError, match="_dead"):
+            m.check_invariants()
+
+    def test_invariants_catch_a_stale_pair_first(self):
+        # a pair's first must move with the compaction
+        m = PairMerger(encode(self.TEXTS[2], NL))
+        while not m.compactions:
+            before = {k: rec[1] for k, rec in m._pairs.items()}
+            m.merge_once()
+        m.check_invariants()
+        key = next(k for k, rec in m._pairs.items() if before.get(k, rec[1]) != rec[1])
+        m._pairs[key][1] = before[key]
+        with pytest.raises(AssertionError, match="mismatch"):
+            m.check_invariants()
+
+    def test_invariants_catch_an_uncompacted_engine(self, monkeypatch):
+        monkeypatch.setattr(PairMerger, "_compact", lambda self: None)
+        m = PairMerger(encode("abcdefgh" * 130))
+        m.run(StopCriteria(max_merges=4))  # 520 of 1041 slots merged away
+        m.check_invariants()
+        m.merge_once()
+        with pytest.raises(AssertionError, match="more than half"):
+            m.check_invariants()
+
+
 class TestSelectionCounters:
     def test_known_values(self):
         # set-up heaps (a, b) 5@0, (b, c) 5@1, (c, " ") 4@2, (" ", a) 4@3,
