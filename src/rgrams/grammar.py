@@ -46,19 +46,24 @@ OOV_BASE = 1 << 32  # ids at OOV_BASE + cp are pass-through single characters
 
 # The engine format, shared by training (repair.PairMerger) and apply. An
 # engine array holds a sequence's symbol ids with SENT at every boundary and
-# one more SENT at the end; linked() makes int32 sym/nxt lists of it. The
+# one more SENT at the end; engine_list() makes the int32 list sym of it. The
 # trailing SENT is the right neighbour of the last symbol and what index -1
 # (the left neighbour of the first) reads, so neighbour lookups need no
-# bounds test. A merge marks the slot it removes DEAD. Only live slots'
-# nxt links are followed, so a dead run keeps the way back in its last
-# slot: merging (p, q) into p, with y = nxt[q], sets nxt[y - 1] = p, as
-# every slot after p up to y - 1 is DEAD then. The left neighbour of a
-# live slot p is therefore p - 1, or nxt[p - 1] when sym[p - 1] is DEAD.
-# Pair keys are (left << SHIFT) | right and apply's heap entries (rule id
-# << SHIFT) | position; ids and positions fit in int32.
+# bounds test. The engine keeps no links. A merge kills the slot it removes,
+# and each maximal run of L dead slots holds DEAD - L in its first and its
+# last slot (one slot when L = 1); its other slots hold any value up to
+# DEAD, which every live symbol is above. The right neighbour of a live slot
+# p is therefore p + 1, or p + 1 + L when sym[p + 1] is dead, and its left
+# neighbour p - 1, or p - 1 - L. Merging (p, q) into p, with y the right
+# neighbour of q, kills q and writes the joined run's length y - 1 - p at
+# p + 1 and y - 1. Slot 0 and the trailing SENT never die, and a run is
+# shorter than 2**31 + DEAD, about 2**31 - 2**20 slots; its values stay
+# small ints, which CPython adds fastest. Pair keys are (left << SHIFT) |
+# right and apply's heap entries (rule id << SHIFT) | position; ids and
+# positions fit in int32.
 SHIFT = 32
 SENT = -1  # boundary sentinel; never pairable
-DEAD = -(1 << 31)  # a merged-away slot; no unknown character encodes to it
+DEAD = -(0x10FFFF + 3)  # below every unknown character -(codepoint + 2)
 _KEY_END = np.iinfo(np.int64).max  # above every pair key
 
 # Grammar._rank_table: (rank, keys, ids, left, right, reach)
@@ -211,22 +216,15 @@ def engine_array(seq: BoundedSequence, lut: np.ndarray | None = None) -> np.ndar
     return np.insert(syms, np.append(seq.boundaries, syms.size), SENT)
 
 
-def _int32_array(x: np.ndarray) -> array:
-    out = array("i")
-    out.frombytes(np.asarray(x, dtype=np.int32).view(np.uint8))
+def engine_list(a: np.ndarray) -> array:
+    """Engine array a as the int32 list sym, in the engine format above."""
+    out = array("i", [0]) * a.size  # exact size; frombytes over-allocates by 1/16
+    np.frombuffer(out, dtype=np.int32)[:] = a
     return out
 
 
-def linked(a: np.ndarray) -> tuple[array, array]:
-    """int32 (sym, nxt) lists over engine array a, each slot linked to its
-    right neighbour; the trailing SENT's nxt, len(a), is never followed. No
-    slot is DEAD yet, so each left neighbour is the slot before (the engine
-    format above)."""
-    return _int32_array(a), _int32_array(np.arange(1, a.size + 1, dtype=np.int32))
-
-
 def from_engine(symbols: array | list[int] | np.ndarray, alphabet: SymbolTable) -> BoundedSequence:
-    """Engine symbols, DEAD slots and trailing SENT included, back to a
+    """Engine symbols, dead slots and trailing SENT included, back to a
     BoundedSequence over alphabet.
 
     Every other SENT becomes a boundary and an unknown character
@@ -234,7 +232,7 @@ def from_engine(symbols: array | list[int] | np.ndarray, alphabet: SymbolTable) 
     then is the output widened from the engine's int32 to int64.
     """
     a = np.asarray(symbols)
-    a = a[a != DEAD][:-1]
+    a = a[a > DEAD][:-1]
     sent = a == SENT
     bpos = np.flatnonzero(sent)
     a = a[~sent]
@@ -252,7 +250,7 @@ def _engine_input(g: Grammar, seq: BoundedSequence) -> tuple[np.ndarray, dict[st
     character g has never seen.
 
     Such a character becomes -(codepoint + 2): negative, so it never pairs,
-    and distinct from SENT and DEAD.
+    and distinct from SENT and from every dead slot's value.
     """
     chars = seq.alphabet.chars()
     gids = [g.terminals.id_of(ch) for ch in chars]
@@ -300,7 +298,7 @@ def apply_with_report(g: Grammar, seq: BoundedSequence) -> tuple[BoundedSequence
     cuts = np.searchsorted(pos, np.flatnonzero(a == SENT)).tolist()
     del pos
 
-    sym, nxt = linked(a)
+    sym = engine_list(a)
     del a
     get = rank.get
     mask = (1 << S) - 1
@@ -313,19 +311,32 @@ def apply_with_report(g: Grammar, seq: BoundedSequence) -> tuple[BoundedSequence
             p = e & mask
             if sym[p] != left[k]:
                 continue  # the pair changed since this entry was pushed
-            q = nxt[p]
-            if sym[q] != right[k]:
+            # read each neighbour's slot once, and once more past a dead run:
+            # the fewest reads, which this loop's speed shows
+            q = p + 1
+            s = sym[q]
+            if s <= DEAD:
+                q += DEAD - s
+                s = sym[q]
+            if s != right[k]:
                 continue
-            y = nxt[q]
-            nxt[p] = y
-            nxt[y - 1] = p
+            y = q + 1
+            ys = sym[y]
+            if ys <= DEAD:
+                y += DEAD - ys
+                ys = sym[y]
             sym[q] = DEAD
+            sym[p + 1] = sym[y - 1] = DEAD + 1 + p - y
             sym[p] = k
-            x = nxt[p - 1] if sym[p - 1] == DEAD else p - 1
-            r = get((sym[x] << S) | k)
+            x = p - 1
+            xs = sym[x]
+            if xs <= DEAD:
+                x -= DEAD - xs
+                xs = sym[x]
+            r = get((xs << S) | k)
             if r is not None:
                 heappush(heap, (r << S) | x)
-            r = get((k << S) | sym[y])
+            r = get((k << S) | ys)
             if r is not None:
                 heappush(heap, (r << S) | p)
 

@@ -1,11 +1,11 @@
 """Iterated most-frequent-pair replacement over a bounded symbol sequence.
 
-Two trainers live here. train() drives an incremental pair index (linked
-sequence, per-pair occurrence lists threaded through position arrays, one
-lazy max-heap keyed by count, then first position) and runs in amortized
-near-linear time. train_naive() is a literal rescan-and-replace reference
-with the same observable behaviour; it exists so the fast path can be
-checked against it and stays deliberately simple.
+Two trainers live here. train() drives an incremental pair index (a
+sequence whose dead runs hold their lengths, occurrence lists threaded
+through position arrays, one lazy max-heap keyed by count, then first
+position) and runs in amortized near-linear time. train_naive() is a
+literal rescan-and-replace reference with the same observable behaviour;
+it exists so the fast path can be checked against it, and stays simple.
 
 Counting convention: a pair's count is the number of replacements a single
 left-to-right pass would perform, i.e. greedy non-overlapping occurrences.
@@ -25,7 +25,7 @@ import numpy as np
 
 from .corpus import BoundedSequence
 from .errors import require_int
-from .grammar import DEAD, SHIFT, Grammar, Rule, engine_array, from_engine, greedy_replace, linked
+from .grammar import DEAD, SHIFT, Grammar, Rule, engine_array, engine_list, from_engine, greedy_replace
 
 NIL = -1  # end of an occurrence list
 OFF = -2  # pocc of a slot that heads no indexed occurrence
@@ -82,6 +82,24 @@ def _groups(joined: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _right(sym: array, p: int) -> int:
+    """The right neighbour of live slot p (grammar's engine format)."""
+    s = sym[p + 1]
+    return p + 1 if s > DEAD else p + 1 + DEAD - s
+
+
+def _neighbour(sym: np.ndarray, z: np.ndarray, d: int) -> np.ndarray:
+    """The right (d = 1) or left (d = -1) neighbour of each live slot z."""
+    z = z + d
+    s = sym[z]
+    return np.where(s > DEAD, z, z + d * (DEAD - s))
+
+
+def _codes(a, b, width: int) -> np.ndarray:
+    """int64 codes a * width + b of pairs (a, b), as _pair_order takes them."""
+    return np.add(np.multiply(a, width, dtype=np.int64), b, dtype=np.int64)
+
+
 def _pair_order(
     z: np.ndarray, codes: np.ndarray, width: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -116,17 +134,17 @@ def _pair_order(
 class PairMerger:
     """Incremental training state: sequence, pair index, lazy selection heap.
 
-    The sequence is in the engine format of grammar.engine_array and
-    grammar.linked, which keeps no left links. With nocc and pocc, the
-    engine holds four int32 lists, 16 bytes per slot. The invariant carried
-    through every mutation: a pair is indexed if and only if its count is
-    at least 2, and an indexed pair's occurrences are exactly its greedy
-    left-to-right non-overlapping occurrences in the current sequence, kept
-    in position order: its record is [count, first], and nocc and pocc link
-    the rest. A pair that falls to count 1 can never be selected again
-    (_select), so it is pruned. A position heads at most one indexed
-    occurrence (of the pair it starts); pocc is OFF exactly at the
-    positions that head none, so membership tests are O(1).
+    The sequence is in the engine format of grammar.engine_list, which
+    keeps no links; with nocc and pocc, the engine holds three int32 lists,
+    12 bytes per slot. The invariant carried through every mutation: a pair
+    is indexed if and only if its count is at least 2, and an indexed pair's
+    occurrences are exactly its greedy left-to-right non-overlapping
+    occurrences in the current sequence, kept in position order: its record
+    is [count, first], and nocc and pocc link the rest. A pair that falls to
+    count 1 can never be selected again (_select), so it is pruned. A
+    position heads at most one indexed occurrence (of the pair it starts);
+    pocc is OFF exactly at the positions that head none, so membership
+    tests are O(1).
 
     A merge's pass indexes none of the pairs it makes while it runs: no
     indexed pair contains the new symbol until the pass ends, when each
@@ -141,11 +159,10 @@ class PairMerger:
     merge_once rebuilds from the index because they outgrew it
     (_rebuild_heap).
 
-    Once more than half of its slots are DEAD, merge_once drops them
-    (_compact), so the four lists shrink with the live sequence: the live
-    slots are renumbered 0, 1, ... in order, so no selection changes.
-    compactions counts those merges; a compaction rebuilds the heap too,
-    so a merge that compacts rebuilds it no second time.
+    Once more than half of its slots are dead, merge_once drops them
+    (_compact), so the three lists shrink with the live sequence, whose
+    order no renumbering changes. compactions counts those merges, which
+    rebuild the heap once (with the compaction), not twice.
 
     Set-up indexes the pairs of the input a slice of the left-symbol range
     at a time (_link_heads), so its scratch arrays are bounded by a slice
@@ -157,12 +174,12 @@ class PairMerger:
     def __init__(self, seq: BoundedSequence):
         self._alphabet = seq.alphabet
         self._rules: list[Rule] = []  # the merge log
-        self._sym, self._nxt = linked(engine_array(seq))
+        self._sym = engine_list(engine_array(seq))
         n = len(self._sym)
         self._nocc = array("i", [NIL]) * n
         self._pocc = array("i", [OFF]) * n
         self._set_views()
-        self._dead = 0  # DEAD slots, all made since the last _compact
+        self._dead = 0  # dead slots, all made since the last _compact
         self.bulk_replacements = 0  # of replacements, those made by _replace_simple
         self.stale_pops = 0  # heap tops re-ranked because their pair changed
         self.dead_pops = 0  # heap tops dropped because their pair can no longer merge
@@ -190,11 +207,9 @@ class PairMerger:
         self._rebuild_heap()
 
     def _set_views(self) -> None:
-        """Zero-copy numpy views of the four lists, which are never resized;
+        """Zero-copy numpy views of the three lists, which are never resized;
         _compact replaces the lists and then the views."""
-        self._views = tuple(
-            np.frombuffer(v, dtype=np.int32) for v in (self._sym, self._nxt, self._nocc, self._pocc)
-        )
+        self._views = tuple(np.frombuffer(v, dtype=np.int32) for v in (self._sym, self._nocc, self._pocc))
 
     # -- public state -----------------------------------------------------
 
@@ -290,40 +305,39 @@ class PairMerger:
         heapify(self._heap)
 
     def _compact(self) -> None:
-        """Drop every DEAD slot; the live slots keep their order.
+        """Drop every dead slot; the live slots keep their order.
 
-        nxt is overwritten first with the remap table, the count of live
-        slots up to each slot, so live slot z moves to nxt[z] - 1; each
-        pair's first and each occurrence link are remapped through it. Each
-        list is then gathered into a fresh one of the live length, _CHUNK
-        slots at a time, and freed before the next fresh one is made; nxt
-        becomes the identity z + 1, as grammar.linked makes it. Positions
-        keep their order, so selection does not change, but heap entries
-        carry positions, so the heap is rebuilt. The engine then holds 16
-        bytes per live slot. A compaction at n slots follows more than
-        n / 2 replacements, so it costs O(1) per replacement amortized.
+        sym is gathered into a fresh list of the live length, _CHUNK slots
+        at a time, and its old chunks are overwritten with the new index of
+        each slot's last live slot up to it, through which each pair's first
+        and each occurrence link are remapped as nocc and pocc are gathered
+        to their own fronts (_gather_live) and cut. So one fresh list is made
+        while the old three are held. Heap entries carry positions, so the
+        heap is rebuilt. A compaction at n slots follows more than n / 2
+        replacements, so it costs O(1) per replacement amortized.
         """
-        sym, nxt = self._views[:2]
+        index = self._views[0]
         self._views = ()
-        n = len(sym)
-        size = n - self._dead
-        total = 0
-        for c in range(0, n, _CHUNK):
-            counts = nxt[c : c + _CHUNK]
-            np.cumsum(sym[c : c + _CHUNK] != DEAD, out=counts)
-            counts += total
-            total = int(counts[-1])
-        remap = self._nxt
+        remap = self._sym
+        size = len(remap) - self._dead
+        self._sym = array("i", [0]) * size
+        new = np.frombuffer(self._sym, dtype=np.int32)
+        j = 0
+        for c in range(0, len(index), _CHUNK):
+            chunk = index[c : c + _CHUNK]
+            live = chunk > DEAD
+            np.compress(live, chunk, out=new[j : j + np.count_nonzero(live)])
+            np.cumsum(live, out=chunk)
+            chunk += j - 1
+            j = int(chunk[-1]) + 1
+        del new, chunk  # chunk views the index, which is freed below
         for rec in self._pairs.values():
-            rec[1] = remap[rec[1]] - 1
-        del remap
-        self._nocc = _gather_live(self._nocc, sym, size, nxt)
-        self._pocc = _gather_live(self._pocc, sym, size, nxt)
-        del nxt, self._nxt  # freed before the next list is made
-        self._sym = _gather_live(self._sym, sym, size)
-        del sym
-        self._nxt = array("i", [0]) * size
-        np.frombuffer(self._nxt, dtype=np.int32)[:] = np.arange(1, size + 1, dtype=np.int32)
+            rec[1] = remap[rec[1]]
+        _gather_live(self._nocc, index)
+        _gather_live(self._pocc, index)
+        del index, remap
+        self._nocc = self._nocc[:size]
+        self._pocc = self._pocc[:size]
         self._set_views()
         self._dead = 0
         self._rebuild_heap()
@@ -359,7 +373,6 @@ class PairMerger:
         pairs with a count of at least 2.
         """
         sym = self._sym
-        nxt = self._nxt
         pocc = self._pocc
         drop = self._drop
         S = SHIFT
@@ -371,10 +384,12 @@ class PairMerger:
         twin = (new_id << S) | new_id
         made: list[tuple[int, int]] = []
         add = made.append
-        twin_head = None  # the last node made to head (new_id, new_id)
+        twin_p = None  # the p of the last occurrence whose x was made to head (new_id, new_id)
         for p in occ:
-            q = nxt[p]
-            x = nxt[p - 1] if sym[p - 1] == DEAD else p - 1
+            s = sym[p + 1]
+            q = p + 1 if s > DEAD else p + 1 + DEAD - s
+            s = sym[p - 1]
+            x = p - 1 if s > DEAD else p - 1 - DEAD + s
             xs = sym[x]
             # pair (xs, left) ending at p dies with p's symbol; pocc is OFF
             # at x when xs < 0 or xs == new_id
@@ -382,27 +397,27 @@ class PairMerger:
                 drop((xs << S) | left, x)
             # pair (right, ys) headed at q dies with q, after the run of
             # `right` that q heads is realigned
-            y = nxt[q]
+            s = sym[q + 1]
+            y = q + 1 if s > DEAD else q + 1 + DEAD - s
             ys = sym[y]
             if pocc[q] != OFF:
                 if ys == right:
                     self._reindex_run(q)
                 drop((right << S) | ys, q)
-            # splice out q, rewrite p
-            nxt[p] = y
-            nxt[y - 1] = p
+            # kill q, join the dead runs around it, rewrite p
             sym[q] = DEAD
+            sym[p + 1] = sym[y - 1] = DEAD + 1 + p - y
             sym[p] = new_id
             pocc[p] = OFF
             # fresh pair on the left
             if xs == new_id:
                 # x is the previous occurrence's p: the (new_id, left) it
                 # made at x is gone, and x heads (new_id, new_id) unless
-                # x's left neighbour already does
+                # the previous occurrence's x already does
                 made.pop()
-                if (nxt[x - 1] if sym[x - 1] == DEAD else x - 1) != twin_head:
+                if twin_p != x:
                     add((twin, x))
-                    twin_head = x
+                    twin_p = p
             elif xs >= 0:
                 add(((xs << S) | new_id, x))
             # fresh pair on the right
@@ -434,11 +449,11 @@ class PairMerger:
         When left == right, any neighbouring `right` makes an occurrence
         coupled, so a simple one has xs != left and ys != right.
         """
-        sym, nxt = self._views[:2]
+        sym = self._views[0]
         p = np.array(occ, dtype=np.int32)
-        q = nxt[p]
-        y = nxt[q]
-        x = np.where(sym[p - 1] == DEAD, nxt[p - 1], p - 1)
+        q = _neighbour(sym, p, 1)
+        y = _neighbour(sym, q, 1)
+        x = _neighbour(sym, p, -1)
         coupled = sym[y] == right
         adjacent = y[:-1] == p[1:]
         coupled[:-1] |= adjacent
@@ -465,22 +480,21 @@ class PairMerger:
 
         Index -1 (x of slot 0) reads the trailing SENT, as it does in the loop.
         """
-        sym, nxt, _, pocc = self._views
+        sym, _, pocc = self._views
         W = self.vocab_size + 1  # new_id is the largest id
-        xs = sym[x].astype(np.int64)
-        ys = sym[y].astype(np.int64)
+        xs = sym[x]
+        ys = sym[y]
         # pairs (xs, left) at x and (right, ys) at q die; pocc is OFF at
         # every slot that heads no pair, negative symbols included
         lx = pocc[x] != OFF
         lq = pocc[q] != OFF
         self._unlink(
             np.concatenate((x[lx], q[lq])),
-            np.concatenate((xs[lx] * W + left, ys[lq] + right * W)),
+            np.concatenate((_codes(xs[lx], left, W), _codes(right, ys[lq], W))),
         )
-        # splice out q, rewrite p
-        nxt[p] = y
-        nxt[y - 1] = p
+        # kill q, join the dead runs around it, rewrite p
         sym[q] = DEAD
+        sym[p + 1] = sym[y - 1] = DEAD + 1 + p - y
         sym[p] = new_id
         pocc[p] = OFF
         # fresh pairs (xs, new_id) at x and (new_id, ys) at p (x is no other
@@ -492,7 +506,7 @@ class PairMerger:
         return self._link(
             np.concatenate((x[cx], p[cy], mz.astype(np.int32))),
             np.concatenate(
-                (xs[cx] * W + new_id, ys[cy] + new_id * W, (mk >> SHIFT) * W + (mk & _MASK))
+                (_codes(xs[cx], new_id, W), _codes(new_id, ys[cy], W), _codes(mk >> SHIFT, mk & _MASK, W))
             ),
         )
 
@@ -506,21 +520,22 @@ class PairMerger:
         """
         if not z.size:
             return
-        nocc, pocc = self._views[2:]
+        nocc, pocc = self._views[1:]
         pairs = self._pairs
         z, same, first, last, keys = _pair_order(z, codes, self.vocab_size + 1)
+        del codes  # not read again
         nz = nocc[z]
         cfirst, clast = _groups(same & (nz[:-1] == z[1:]))
         before = pocc[z[cfirst]]
         after = nz[clast]
-        ck = keys[np.searchsorted(first, cfirst, side="right") - 1]
         inner = before != NIL
         nocc[before[inner]] = after[inner]
         inner = after != NIL
         pocc[after[inner]] = before[inner]
         pocc[z] = OFF
-        head = before == NIL
-        for key, h in zip(ck[head].tolist(), after[head].tolist()):
+        head = before == NIL  # a chain that heads its list: the pair's first moves
+        ck = keys[np.searchsorted(first, cfirst[head], side="right") - 1]
+        for key, h in zip(ck.tolist(), after[head].tolist()):
             pairs[key][1] = h
         for key, c in zip(keys.tolist(), (last - first + 1).tolist()):
             rec = pairs[key]
@@ -539,7 +554,7 @@ class PairMerger:
         The _SETUP_SLICES slices hold about equal shares of the heads, and
         each is gathered _CHUNK positions at a time, so every scratch array
         is bounded by a slice or a chunk, not by the input. A pair's nodes
-        share its left symbol, so each pair is linked whole within one
+        share its left symbol, so each pair is indexed whole within one
         slice, and the slices index the pairs in the order one pass over
         every head would.
         """
@@ -581,7 +596,7 @@ class PairMerger:
         Builds one slice of the set-up index (_link_heads), and all the
         pairs a bulk merge makes, in one call.
         """
-        nocc, pocc = self._views[2:]
+        nocc, pocc = self._views[1:]
         pairs = self._pairs
         z, _, first, last, keys = _pair_order(z, codes, self.vocab_size + 1)
         # chain every node to the next, then cut the chain between pairs
@@ -654,22 +669,21 @@ class PairMerger:
         where q is the run's first head and is about to be dropped.
 
         q starts the run, so its old heads sit at even offsets from q and
-        its new ones at odd offsets. Each new head is linked in behind the
+        its new ones at odd offsets. Each new head is inserted behind the
         one before it (the first behind q) before the old head that follows
         it is dropped, so the pair's count never falls below its final
         value and the list stays position-sorted.
         """
         sym = self._sym
-        nxt = self._nxt
         u = sym[q]
         key = (u << SHIFT) | u
         head = q
-        r = nxt[q]
-        while sym[nxt[r]] == u:
+        r = _right(sym, q)
+        while sym[_right(sym, r)] == u:
             self._insert(key, r, head)
             head = r
-            old = nxt[r]
-            r = nxt[old]
+            old = _right(sym, r)
+            r = _right(sym, old)
             if sym[r] != u:
                 break
             self._drop(key, old)
@@ -679,31 +693,20 @@ class PairMerger:
     def check_invariants(self) -> None:
         """Recompute the greedy index from the live sequence and compare:
         the indexed pairs are exactly those with a count of at least 2, each
-        with its greedy occurrences linked both ways.
+        with its greedy occurrences chained both ways.
 
-        Also checks that DEAD marks exactly the slots off the live walk, that
-        the last slot of each dead run holds the live slot before the run
-        (grammar.linked), that _dead counts the DEAD slots and that they
-        are at most half of all slots (_compact), and the heap's bound on
-        each pair (_select).
-        O(n + pairs + heap); meant for tests on small inputs after each
-        merge.
+        Also checks that each maximal dead run holds its length in its first
+        and its last slot (grammar.engine_list), that _dead counts the dead
+        slots and that they are at most half of all slots (_compact), and
+        the heap's bound on each pair (_select).
+        O(n + pairs + heap); meant for tests on small inputs after each merge.
         """
         sym = self._sym
-        nxt = self._nxt
         end = len(sym) - 1  # the trailing SENT
-        live: list[int] = []
-        pos = 0
-        while pos != end:
-            live.append(pos)
-            pos = nxt[pos]
-        alive = set(live)
-        for z in range(end):
-            if (sym[z] == DEAD) == (z in alive):
-                raise AssertionError(f"slot {z}: DEAD must mark exactly the slots off the live walk")
-        for before, z in zip(live, live[1:] + [end]):
-            if sym[z - 1] == DEAD and nxt[z - 1] != before:
-                raise AssertionError(f"slot {z - 1}: a dead run's last slot must hold slot {before}")
+        live = [z for z in range(end) if sym[z] > DEAD]
+        for before, z in zip([-1] + live, live + [end]):
+            if z - 1 > before and not sym[before + 1] == sym[z - 1] == DEAD + 1 + before - z:
+                raise AssertionError(f"slots {before + 1}-{z - 1}: a dead run must hold its length at its ends")
         dead = end - len(live)
         if self._dead != dead:
             raise AssertionError(f"_dead is {self._dead}, but {dead} slots are DEAD")
@@ -734,27 +737,23 @@ class PairMerger:
                 raise AssertionError(f"heap: no entry for key {k} ranks at or above its record")
 
 
-def _gather_live(a: array, sym: np.ndarray, size: int, remap: np.ndarray | None = None) -> array:
-    """A fresh int32 list of a's values at the slots where sym is not DEAD,
-    in order, size of them, gathered _CHUNK slots at a time. Given remap, a
-    value that is a slot (>= 0) becomes its new index, remap[value] - 1.
-
-    np.compress gathers several times faster than a boolean index; a
-    negative value reads remap from its end and is then kept as it was.
-    """
-    old = np.frombuffer(a, dtype=np.int32)
-    out = array("i", [0]) * size
-    new = np.frombuffer(out, dtype=np.int32)
+def _gather_live(a: array, index: np.ndarray) -> None:
+    """Move a's values at the live slots to its front, in order, _CHUNK
+    slots at a time. index[z] is the new index of the last live slot up to
+    slot z (PairMerger._compact): z is live where index rises, and a value
+    that is a slot (>= 0) becomes its new index. np.compress gathers faster
+    than a boolean index and buffers an output that overlaps its input."""
+    v = np.frombuffer(a, dtype=np.int32)
     j = 0
-    for c in range(0, old.size, _CHUNK):
-        live = sym[c : c + _CHUNK] != DEAD
-        k = j + int(np.count_nonzero(live))
-        v = new[j:k]
-        np.compress(live, old[c : c + _CHUNK], out=v)
-        if remap is not None:
-            np.copyto(v, remap[v] - 1, where=v >= 0)
-        j = k
-    return out
+    for c in range(0, v.size, _CHUNK):
+        chunk = index[c : c + _CHUNK]
+        live = np.empty(chunk.size, dtype=bool)
+        live[0] = chunk[0] == j
+        np.not_equal(chunk[1:], chunk[:-1], out=live[1:])
+        out = v[j : int(chunk[-1]) + 1]
+        np.compress(live, v[c : c + _CHUNK], out=out)
+        np.copyto(out, index[out], where=out >= 0)  # a negative value reads index from its end
+        j += out.size
 
 
 def train(
@@ -764,15 +763,14 @@ def train(
 
     seq and stop were checked when made. grammar.rules is the merge log. An
     empty sequence yields an empty grammar and empty output. The full input
-    sequence is held in memory: four int32 arrays, 16 bytes per slot, plus
-    the pair index and a heap of at most twice its size, about 16.6 bytes
-    per character once the engine is built, with a peak near 21.7 while it
+    sequence is held in memory: three int32 arrays, 12 bytes per slot, plus
+    the pair index and a heap of at most twice its size, about 12.1 bytes
+    per character once the engine is built, with a peak near 17.2 while it
     is built, a slice of the pairs at a time (see PairMerger). The engine
-    drops its merged-away slots once they are more than half of it, so it
-    shrinks as merges run: about 8.4 bytes per character after 4000
-    merges on 1 MB of text (20.6 without compaction), while the merge loop
-    peaks at about 21.7 there, as set-up does. Frequent merges are replaced
-    in bulk; the result is the same as one occurrence at a time.
+    drops its dead slots once they are more than half of it, so it shrinks
+    as merges run: about 7.6 bytes per character after 4000 merges on 1 MB
+    of text, and the merge loop peaks at about 15.8 there. Frequent merges
+    are replaced in bulk; the result is the same as one at a time.
     """
     merger = PairMerger(seq)
     merger.run(stop)

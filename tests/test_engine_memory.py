@@ -2,8 +2,9 @@
 
 `tracemalloc` counts what PairMerger(seq) holds once built, the peak
 while it is built (and the ratio of the two, setup_peak_over_after_init),
-the peak while it runs MERGES merges, what it holds after them and the
-peak of sequence() then; the input sequence is built before tracing
+the peak while it runs MERGES merges and, within them, the peak of the
+first compaction alone (compaction_peak), what it holds after them and
+the peak of sequence() then; the input sequence is built before tracing
 starts. Then it counts what one apply() of the grammar those merges learned to the
 same text allocates at its peak, above what is held when the call starts.
 The same is measured after merges on the spaceless twin of the text. It
@@ -58,8 +59,18 @@ def engine_bytes_per_char(
         out["setup_peak_over_after_init"] = peak / held
         if merges:
             tracemalloc.reset_peak()
+            before = []  # the merge loop's peak up to the first compaction
+
+            def first_compaction() -> None:
+                del merger._compact  # later compactions are not singled out
+                before.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+                merger._compact()
+                out["compaction_peak"] = tracemalloc.get_traced_memory()[1] / n
+
+            merger._compact = first_compaction
             merger.run(StopCriteria(max_merges=merges))
-            out["merge_peak"] = tracemalloc.get_traced_memory()[1] / n
+            out["merge_peak"] = max([tracemalloc.get_traced_memory()[1], *before]) / n
             out["merges"] = merger.merges
             out["pair_keys"] = merger.pair_keys
             out["heap_entries"] = len(merger._heap)
@@ -117,17 +128,19 @@ def measured_spaceless() -> dict[str, float]:
 
 
 def test_engine_after_init(measured):
-    # four int32 arrays are 16 bytes per slot; the rest is the pair index and
-    # heap (16.6 measured; 20.9 with a fifth array of left links)
-    assert measured["after_init"] <= 17.2
+    # three int32 arrays are 12 bytes per slot; the rest is the pair index
+    # and heap (12.1 measured; 16.6 with a fourth array of right links, 20.9
+    # with a fifth of left links)
+    assert measured["after_init"] <= 12.5
 
 
 def test_engine_setup_peak(measured, measured_spaceless):
     # the index is built a slice of the left-symbol range at a time, so its
-    # scratch arrays are bounded by a slice (21.7 and 22.4 measured; 10.3
-    # and 9.1 more when every head was indexed in one pass)
-    assert measured["setup_peak"] <= 23.5
-    assert measured_spaceless["setup_peak"] <= 23.5
+    # scratch arrays are bounded by a slice (17.2 and 17.9 measured; 21.7
+    # and 22.4 with four int32 arrays, and 10.3 and 9.1 more than that when
+    # every head was indexed in one pass)
+    assert measured["setup_peak"] <= 18.6
+    assert measured_spaceless["setup_peak"] <= 18.6
 
 
 def test_encode_peak(tmp_path):
@@ -144,37 +157,42 @@ def test_encode_text_peak():
 
 
 def test_engine_after_merges(measured):
-    # the engine drops its DEAD slots once they are more than half of it, so
-    # its four arrays shrink with the live sequence; the index holds only
+    # the engine drops its dead slots once they are more than half of it, so
+    # its three arrays shrink with the live sequence; the index holds only
     # pairs that occur at least twice; bulk merges keep no scratch arrays,
     # and the selection heap holds one int per entry and is rebuilt from the
-    # index when it outgrows twice the index (8.4 measured after 2
+    # index when it outgrows twice the index (7.4 measured after 2
     # compactions, 11,371 pair keys and 16,918 heap entries after 1 rebuild;
-    # 20.6 without compaction)
+    # 17.4 without compaction, 8.4 with four arrays)
     assert measured["merges"] == MERGES
     assert measured["compactions"] >= 1
-    assert measured["after_merges"] <= 9.4
+    assert measured["after_merges"] <= 8.2
     assert measured["pair_keys"] <= 15_000
     assert measured["heap_entries"] <= 2 * measured["pair_keys"]
 
 
 def test_engine_after_merges_spaceless(measured_spaceless):
     # a large alphabet makes many more distinct pairs that occur once, and
-    # fewer slots die (17.4 measured after 1 compaction, 9,444 pair keys
-    # and 11,686 heap entries after 1 rebuild; 26.3 without compaction)
+    # fewer slots die (15.4 measured after 1 compaction, 9,444 pair keys
+    # and 11,686 heap entries after 1 rebuild; 23.3 without compaction, 17.4
+    # with four arrays)
     assert measured_spaceless["merges"] == MERGES
     assert measured_spaceless["compactions"] >= 1
-    assert measured_spaceless["after_merges"] <= 19.3
+    assert measured_spaceless["after_merges"] <= 17.0
     assert measured_spaceless["pair_keys"] <= 15_000
     assert measured_spaceless["heap_entries"] <= 2 * measured_spaceless["pair_keys"]
 
 
 def test_merge_peak(measured, measured_spaceless):
-    # a compaction holds the old arrays and one fresh one at a time, so the
-    # merge loop peaks no higher than it did without compaction (21.7 and
-    # 30.0 measured; 24.2 and 32.2 without compaction)
-    assert measured["merge_peak"] <= 24.3
-    assert measured_spaceless["merge_peak"] <= 32.0
+    # a compaction holds the old arrays and one fresh one, so the merge loop
+    # peaks lower than it does without compaction; on English text it peaks
+    # in merge 1's bulk replacement, below set-up, and on the spaceless twin
+    # in its one compaction (15.8 and 25.5 measured, the first compaction
+    # alone 15.2 and 25.5; 18.7 and 27.0 without compaction, 21.7 and 30.0
+    # with four arrays)
+    assert measured["merge_peak"] <= 17.6
+    assert measured["merge_peak"] <= measured["setup_peak"]
+    assert measured_spaceless["merge_peak"] <= 27.2
 
 
 def test_apply_peak(measured, measured_spaceless):
@@ -187,12 +205,13 @@ def test_apply_peak(measured, measured_spaceless):
 
 def test_sequence_peak(measured, measured_spaceless):
     # sequence() reads the compacted engine at int32 and its output stays
-    # int32 when no pass-through id is in it (9.9 measured; 22.1 without
-    # compaction, 1.6 more when the output was int64); the spaceless twin's
-    # engine already holds 17.4 per character, so its peak is higher (20.7
-    # measured; 29.6 without compaction, 4.0 more at int64)
-    assert measured["sequence_peak"] <= 12.7
-    assert measured_spaceless["sequence_peak"] <= 22.9
+    # int32 when no pass-through id is in it (8.9 measured; 18.9 without
+    # compaction, 9.9 with four arrays, 1.6 more when the output was int64);
+    # the spaceless twin's engine already holds 15.4 per character, so its
+    # peak is higher (18.7 measured; 26.6 without compaction, 20.7 with four
+    # arrays, 4.0 more at int64)
+    assert measured["sequence_peak"] <= 11.4
+    assert measured_spaceless["sequence_peak"] <= 20.6
 
 
 def vm_status() -> dict[str, float] | None:

@@ -13,7 +13,7 @@ import corpus_gen
 from rgrams import repair
 from rgrams.corpus import BoundedSequence, encode, normalize
 from rgrams.errors import DomainError, ParameterError
-from rgrams.grammar import Grammar, apply, apply_naive, decode
+from rgrams.grammar import DEAD, Grammar, apply, apply_naive, decode
 from rgrams.repair import (
     NIL,
     PairMerger,
@@ -401,9 +401,10 @@ class TestPassEndIndex:
 
 
 class TestDerivedLeftNeighbour:
-    """The engine keeps no left links: a live slot's left neighbour is the
-    slot before it, or what the last slot of the DEAD run before it holds
-    (grammar.linked). Slot 0's is the trailing SENT, at index -1."""
+    """The engine keeps no links: a live slot's left neighbour is the slot
+    before it, or the slot before the dead run that ends there, whose length
+    its last slot holds (grammar.engine_list). Slot 0's is the trailing
+    SENT, at index -1."""
 
     # Every segment starts at abcdefgh, which 7 merges of 250 occurrences
     # build left to right from slot 0. (y, z) then merges 210 occurrences,
@@ -442,12 +443,73 @@ class TestDerivedLeftNeighbour:
 
     @pytest.mark.parametrize("slot, wrong", [(1, 2), (3, 0)])
     def test_invariants_catch_a_wrong_dead_run_link(self, slot, wrong):
-        # X = ab at slots 0 and 2 leaves slots 1 and 3 DEAD, holding 0 and 2:
-        # the left neighbours of live slot 2 and of the trailing SENT
+        # X = ab at slots 0 and 2 leaves dead runs of 1 at slots 1 and 3,
+        # each holding DEAD - 1: what leads to live slot 2 and to the
+        # trailing SENT. A wrong length that is still dead is caught.
         m = PairMerger(encode("abab", NL))
         m.merge_once()
         m.check_invariants()
-        m._nxt[slot] = wrong
+        m._sym[slot] = DEAD - wrong
+        with pytest.raises(AssertionError, match="dead run"):
+            m.check_invariants()
+
+
+# 1000 distinct characters: no pair in them repeats, so they keep more
+# than half of the slots live until the abcd units have doubled 4 times
+_FILLER = "".join(chr(0x4E00 + i) for i in range(1000))
+
+
+class TestDeadRunLengths:
+    """Each dead run holds its length at both ends (grammar.engine_list):
+    a merge writes the joined run's length at p + 1 and at y - 1."""
+
+    # (c, d) 300 times, then (a, b) 260: dead runs of 1, one of them next to
+    # slot 0 and one next to the trailing SENT. abcd = (ab, cd) then kills
+    # each cd between two of them, and the twin merges of abcd join runs of
+    # 3 + 1 + 3, 7 + 1 + 7, ...; the engine compacts at merge 7, and the
+    # next twin merge makes runs again.
+    JOIN = "abcd" * 260 + _FILLER + "cd" * 40
+
+    def test_text_reaches_the_cases(self):
+        m = PairMerger(encode(self.JOIN))
+        m.run(StopCriteria(max_merges=2))
+        assert m._sym[1] == m._sym[-2] == DEAD - 1
+        m.merge_once()
+        assert m.grammar().expand(m.grammar().rules[2].id) == "abcd"
+        assert m._sym[1] == m._sym[3] == DEAD - 3 and m._sym[2] <= DEAD
+        m.run(StopCriteria(max_merges=7))
+        assert m.compactions == 1 and min(m._sym) > DEAD
+        m.merge_once()
+        assert m.grammar().expand(m.grammar().rules[7].id) == "abcd" * 16
+        assert m._sym[1] == DEAD - 1
+
+    @pytest.mark.parametrize("bulk", [True, False])
+    def test_train_matches_oracle(self, bulk):
+        with bulk_min(repair._BULK_MIN if bulk else len(self.JOIN) + 1):
+            m = PairMerger(encode(self.JOIN))
+            m.check_invariants()
+            while m.merge_once() is not None:
+                m.check_invariants()
+        assert (m.grammar(), m.sequence()) == train_naive(encode(self.JOIN))
+        assert (m.bulk_replacements > 0) == bulk
+        assert m.compactions == 1
+
+    @pytest.mark.parametrize("size", [500, None])
+    def test_apply_matches_oracle(self, size):
+        # 500 characters are replayed by the heap alone; the whole text,
+        # above _BATCH_MIN_CHARS, by the batch phase first
+        g, _ = train(encode(self.JOIN))
+        seq = encode(self.JOIN[:size])
+        assert apply(g, seq) == apply_naive(g, seq)
+
+    @pytest.mark.parametrize("slot", [1, 3])
+    def test_invariants_catch_a_stale_run_end(self, slot):
+        # after abcd, slots 1-3 are one dead run of 3; neither end may keep
+        # the length of the run of 1 it was
+        m = PairMerger(encode(self.JOIN))
+        m.run(StopCriteria(max_merges=3))
+        m.check_invariants()
+        m._sym[slot] = DEAD - 1
         with pytest.raises(AssertionError, match="dead run"):
             m.check_invariants()
 
@@ -503,8 +565,8 @@ class TestCompaction:
         m.run(StopCriteria(max_merges=5))  # 520 + 130 slots merged away
         assert m.compactions == 1
         assert len(m._sym) == 1041 - 650
-        assert [len(v) for v in m._views] == [391] * 4
-        assert list(m._nxt) == list(range(1, 392))
+        assert [len(v) for v in m._views] == [391] * 3
+        assert min(m._sym) > DEAD  # no slot is dead, as in a fresh engine
 
     def test_invariants_catch_a_wrong_dead_count(self):
         m = PairMerger(encode("abab", NL))
