@@ -19,7 +19,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
-from typing import Sequence
+from itertools import chain
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,12 +33,14 @@ OFF = -2  # pocc of a slot that heads no indexed occurrence
 _MASK = (1 << SHIFT) - 1
 _NODE_MASK = (1 << 31) - 1  # a node id within a packed (code << 31) | node
 _KEY_MASK = (1 << 64) - 1
+_RIGHT_SIDE = 1 << 31  # marks a bulk merge's right-side codes (_side_keys)
 # A merge of at least this many occurrences replaces its simple occurrences
-# in one vectorized pass; fewer do not repay numpy's per-call overhead. On
-# 1 MB of English-like and of spaceless ideographic text, 100 ran the merge
-# loop faster than 150/200/300, and 30 and 50 ran it no faster than 100
-# (medians of 7-9 rounds per setting on a 2-core VM, CHANGES.md).
-_BULK_MIN = 100
+# in one vectorized pass; fewer do not repay its fixed cost, about 250 us a
+# merge against 3 us an occurrence in the loop. On 1 MB of English-like
+# text 50 ran the merge loop faster than 30, 100 and 150, and on its
+# spaceless ideographic twin as fast as 100 (interleaved runs, minimum and
+# median of 9-15 per setting on a 2-core VM, CHANGES.md).
+_BULK_MIN = 50
 # PairMerger set-up indexes the heads of this many slices of the left-symbol
 # range one at a time. On 1 MB of text, 4 slices peaked at 26.0 bytes per
 # character (1: 36.4, 2: 29.4); 8 saved 1.5 more but set up slower, since
@@ -65,21 +68,36 @@ class StopCriteria:
                 require_int(name, v, 0)
 
 
-def _entry(key: int, rec: list[int]) -> int:
-    """The selection-heap entry of a pair with record [count, first]: one
-    int that sorts like (-count, first, key). Counts and nodes fit in 31
-    bits and keys in 63, so the three fields never overlap."""
-    return (((1 << 31) - rec[0]) << 95) | (rec[1] << 64) | key
+def _entry(key: int, count: int, first: int) -> int:
+    """The selection-heap entry of a pair: one int that sorts like
+    (-count, first, key). Counts and nodes fit in 31 bits and keys in 63, so
+    the three fields never overlap."""
+    return (((1 << 31) - count) << 95) | (first << 64) | key
 
 
-def _groups(joined: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _entries(keys: list[int], count: np.ndarray, first: np.ndarray) -> list[int]:
+    """_entry of each pair, from its key and int32 counts and first nodes."""
+    high = (((1 << 31) - count.astype(np.int64)) << 31) | first
+    return [(h << 64) | k for h, k in zip(high.tolist(), keys)]
+
+
+def _groups(cut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and last index of each group of consecutive items, where
-    joined[i] says that item i + 1 is in item i's group."""
-    cut = ~joined
-    return (
-        np.flatnonzero(np.concatenate(([True], cut))),
-        np.flatnonzero(np.concatenate((cut, [True]))),
-    )
+    cut[i] says that item i + 1 starts a group; int32, like the nodes."""
+    at = cut.nonzero()[0]
+    first = np.empty(at.size + 1, dtype=np.int32)
+    first[0] = 0
+    np.add(at, 1, out=first[1:], casting="unsafe")
+    del at  # not held beside both outputs
+    last = np.empty_like(first)
+    np.subtract(first[1:], 1, out=last[:-1])
+    last[-1] = cut.size
+    return first, last
+
+
+def _runs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of each run of equal codes (_groups)."""
+    return _groups(codes[1:] != codes[:-1])
 
 
 def _right(sym: array, p: int) -> int:
@@ -92,28 +110,23 @@ def _neighbour(sym: np.ndarray, z: np.ndarray, d: int) -> np.ndarray:
     """The right (d = 1) or left (d = -1) neighbour of each live slot z."""
     z = z + d
     s = sym[z]
-    return np.where(s > DEAD, z, z + d * (DEAD - s))
+    np.subtract(DEAD, s, out=s)  # the length of a dead run, < 0 at a live slot
+    np.maximum(s, 0, out=s)
+    if d > 0:
+        z += s
+    else:
+        z -= s
+    return z
 
 
-def _codes(a, b, width: int) -> np.ndarray:
-    """int64 codes a * width + b of pairs (a, b), as _pair_order takes them."""
-    return np.add(np.multiply(a, width, dtype=np.int64), b, dtype=np.int64)
+def _pair_order(z: np.ndarray, codes: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sort nodes z by their pair codes, then by position.
 
-
-def _pair_order(
-    z: np.ndarray, codes: np.ndarray, width: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sort nodes z by their pairs, then by position.
-
-    z holds int32 nodes, and codes[i] is left * width + right for the pair
-    (left, right) of node z[i], with every id in [0, width); both arrays
-    are overwritten. Returns the sorted nodes; same, where same[i] says
-    z[i + 1] has z[i]'s pair; the first and last index of each pair's run
-    (_groups); and each run's pair key (left << SHIFT) | right.
+    z holds int32 nodes and codes their int64 codes, each below bound
+    (a negative code sorts first); both arrays are overwritten. Returns the
+    sorted nodes and codes.
     """
-    if not z.size:
-        return z, np.zeros(0, dtype=bool), z, z, codes
-    if width <= 1 << 16:
+    if bound <= 1 << 32:
         # codes < 2**32 and nodes < 2**31, so (code << 31) | node is an
         # exact int64 and one in-place sort orders by code, then node
         codes <<= 31
@@ -121,14 +134,16 @@ def _pair_order(
         codes.sort()
         np.bitwise_and(codes, _NODE_MASK, out=z, casting="unsafe")
         codes >>= 31
-    else:
-        order = np.lexsort((z, codes))
-        z = z[order]
-        codes = codes[order]
-    same = codes[1:] == codes[:-1]
-    first, last = _groups(same)
-    c = codes[first]
-    return z, same, first, last, ((c // width) << SHIFT) | (c % width)
+        return z, codes
+    order = np.lexsort((z, codes))
+    return z[order], codes[order]
+
+
+def _side_keys(codes: np.ndarray, a: int, b: int) -> list[int]:
+    """The pair keys of a bulk merge's codes (PairMerger._replace_simple):
+    (c, b) for a left-side code c, (a, c) for a right-side code c."""
+    codes = codes.astype(np.int64)
+    return np.where(codes < _RIGHT_SIDE, (codes << SHIFT) | b, (codes ^ _RIGHT_SIDE) | (a << SHIFT)).tolist()
 
 
 class PairMerger:
@@ -139,25 +154,28 @@ class PairMerger:
     12 bytes per slot. The invariant carried through every mutation: a pair
     is indexed if and only if its count is at least 2, and an indexed pair's
     occurrences are exactly its greedy left-to-right non-overlapping
-    occurrences in the current sequence, kept in position order: its record
-    is [count, first], and nocc and pocc link the rest. A pair that falls to
-    count 1 can never be selected again (_select), so it is pruned. A
-    position heads at most one indexed occurrence (of the pair it starts);
-    pocc is OFF exactly at the positions that head none, so membership
-    tests are O(1).
+    occurrences in the current sequence, kept in position order: its key
+    maps to a slot (_slot) of two int32 columns, _count and _first, which
+    hold its count and first node, and nocc and pocc link the rest. A pair
+    that falls to count 1 can never be selected again (_select), so it is
+    pruned. A position heads at most one indexed occurrence (of the pair it
+    starts); pocc is OFF exactly at the positions that head none, so
+    membership tests are O(1). A pair indexed takes the next slot; pruned
+    slots are reclaimed when the heap is rebuilt (_rebuild_heap).
 
     A merge's pass indexes none of the pairs it makes while it runs: no
     indexed pair contains the new symbol until the pass ends, when each
-    made pair with 2 occurrences or more is indexed once. One node at a
-    time, occurrence lists change only through _drop and _insert;
-    _replace_all and _reindex_run splice with nothing else. A merge of at
-    least _BULK_MIN occurrences runs the per-occurrence loop only over its
-    coupled occurrences and replaces the rest with numpy
-    (_replace_simple), reaching the same state; bulk_replacements counts
-    the replacements made that way. stale_pops and dead_pops count the
-    heap entries _select repairs and discards, heap_rebuilds the heaps
-    merge_once rebuilds from the index because they outgrew it
-    (_rebuild_heap).
+    made pair with 2 occurrences or more is indexed once, its nodes chained
+    in position order. One node at a time, existing occurrence lists change
+    only through _drop and _insert; _replace_all and _reindex_run splice
+    with nothing else. A merge of at least _BULK_MIN occurrences runs the
+    per-occurrence loop only over its coupled occurrences and replaces the
+    rest with numpy (_replace_simple), reaching the same state;
+    bulk_replacements counts the replacements made that way. stale_pops and
+    dead_pops count the heap entries _select repairs and discards,
+    heap_rebuilds the heaps merge_once rebuilds from the index because they
+    outgrew it (_rebuild_heap), and realignments the runs of (u, u) heads
+    realigned (_reindex_run).
 
     Once more than half of its slots are dead, merge_once drops them
     (_compact), so the three lists shrink with the live sequence, whose
@@ -185,7 +203,10 @@ class PairMerger:
         self.dead_pops = 0  # heap tops dropped because their pair can no longer merge
         self.heap_rebuilds = 0  # of merges, those that rebuilt the heap from the index
         self.compactions = 0  # of merges, those that compacted the engine (_compact)
-        self._pairs: dict[int, list[int]] = {}
+        self.realignments = 0  # runs of (u, u) heads realigned (_reindex_run)
+        self._slot: dict[int, int] = {}  # pair key -> its slot in _count and _first
+        self._count = array("i")
+        self._first = array("i")
 
         # Greedy head mask. Distinct-symbol pairs never overlap themselves;
         # the same-symbol pairs of a run have consecutive positions e, and
@@ -199,12 +220,12 @@ class PairMerger:
         head ^= eq  # the distinct-symbol pairs
         e = np.flatnonzero(eq)
         del eq
-        first, last = _groups(e[1:] == e[:-1] + 1)
+        first, last = _groups(e[1:] != e[:-1] + 1)
         offset = np.arange(e.size) - np.repeat(first, last - first + 1)
         head[e[offset % 2 == 0]] = True
         del e, first, last, offset  # not held through _link_heads' peak
-        self._link_heads(head)
-        self._rebuild_heap()
+        self._heap = self._link_heads(head)
+        heapify(self._heap)
 
     def _set_views(self) -> None:
         """Zero-copy numpy views of the three lists, which are never resized;
@@ -228,7 +249,7 @@ class PairMerger:
     @property
     def pair_keys(self) -> int:
         """How many pairs the index holds (see the class invariant)."""
-        return len(self._pairs)
+        return len(self._slot)
 
     def grammar(self) -> Grammar:
         return Grammar(self._alphabet, self._rules)
@@ -239,10 +260,11 @@ class PairMerger:
 
     # -- selection ---------------------------------------------------------
 
-    def _select(self, min_frequency: int) -> tuple[int, list[int]] | None:
-        """Pop the best mergeable pair, lazily repairing stale heap entries.
+    def _select(self, min_frequency: int) -> tuple[int, int] | None:
+        """Pop the best mergeable pair, lazily repairing stale heap entries;
+        returns its key and slot.
 
-        A heap entry is one int, _entry(key, rec), which sorts like
+        A heap entry is one int, _entry(key, count, first), which sorts like
         (-count, first position, key); each indexed pair has one at or
         above its exact rank. A pair's count only falls after its creation
         pass and its first position only moves right, so a stale entry
@@ -255,24 +277,26 @@ class PairMerger:
         reach min_frequency again, which is why the index prunes it.
         """
         heap = self._heap
-        pairs = self._pairs
+        slots = self._slot
+        count = self._count
+        first = self._first
         while heap:
             top = heap[0]
             if (1 << 31) - (top >> 95) < min_frequency:
                 break
             key = top & _KEY_MASK
-            rec = pairs.get(key)
-            if rec is None:
+            s = slots.get(key)
+            if s is None:
                 heappop(heap)
                 self.dead_pops += 1
                 continue
-            now = _entry(key, rec)
+            now = _entry(key, count[s], first[s])
             if now != top:
                 heapreplace(heap, now)
                 self.stale_pops += 1
             else:
                 heappop(heap)
-                return key, rec
+                return key, s
         return None
 
     def merge_once(self, min_frequency: int = 2) -> Rule | None:
@@ -281,27 +305,36 @@ class PairMerger:
         sel = self._select(min_frequency)
         if sel is None:
             return None
-        key, rec = sel
-        rule = Rule(self.vocab_size, key >> SHIFT, key & _MASK, rec[0])
-        created = self._replace_all(rule.left, rule.right, rule.id)
+        key, s = sel
+        rule = Rule(self.vocab_size, key >> SHIFT, key & _MASK, self._count[s])
+        made = self._replace_all(rule.left, rule.right, rule.id)
         self._rules.append(rule)
         self._dead += rule.freq_at_merge
-        for k in created:
-            heappush(self._heap, _entry(k, self._pairs[k]))
+        heap = self._heap
+        for e in made:
+            heappush(heap, e)
         if 2 * self._dead > len(self._sym):
             self._compact()  # rebuilds the heap too
             self.compactions += 1
-        elif len(self._heap) > 2 * len(self._pairs):
+        elif len(heap) > 2 * len(self._slot):
             self._rebuild_heap()
             self.heap_rebuilds += 1
         return rule
 
     def _rebuild_heap(self) -> None:
         """Heap the exact entry of each indexed pair, which selects as the
-        lazy heap would. A rebuild at P pairs costs O(P) and keeps P
-        entries, so merge_once's next, at P', comes after more than 2P' - P
-        pushes: O(1) per push amortized."""
-        self._heap = [_entry(k, rec) for k, rec in self._pairs.items()]
+        lazy heap would, and renumber the pairs' slots from 0 in index
+        order, which drops the pruned ones. A rebuild at P pairs costs O(P)
+        and keeps P entries, so merge_once's next, at P', comes after more
+        than 2P' - P pushes: O(1) per push amortized."""
+        keys = list(self._slot)
+        live = np.fromiter(self._slot.values(), dtype=np.intp, count=len(keys))
+        count = np.frombuffer(self._count, dtype=np.int32)[live]
+        first = np.frombuffer(self._first, dtype=np.int32)[live]
+        self._slot = dict(zip(keys, range(len(keys))))
+        self._count = array("i", count.tobytes())
+        self._first = array("i", first.tobytes())
+        self._heap = _entries(keys, count, first)
         heapify(self._heap)
 
     def _compact(self) -> None:
@@ -316,10 +349,9 @@ class PairMerger:
         heap is rebuilt. A compaction at n slots follows more than n / 2
         replacements, so it costs O(1) per replacement amortized.
         """
-        index = self._views[0]
+        index = self._views[0]  # keeps the old sym alive until freed below
         self._views = ()
-        remap = self._sym
-        size = len(remap) - self._dead
+        size = len(index) - self._dead
         self._sym = array("i", [0]) * size
         new = np.frombuffer(self._sym, dtype=np.int32)
         j = 0
@@ -331,11 +363,12 @@ class PairMerger:
             chunk += j - 1
             j = int(chunk[-1]) + 1
         del new, chunk  # chunk views the index, which is freed below
-        for rec in self._pairs.values():
-            rec[1] = remap[rec[1]]
+        first = np.frombuffer(self._first, dtype=np.int32)
+        first[:] = index[first]  # a pruned slot's first may be NIL: any slot will do
+        del first
         _gather_live(self._nocc, index)
         _gather_live(self._pocc, index)
-        del index, remap
+        del index
         self._nocc = self._nocc[:size]
         self._pocc = self._pocc[:size]
         self._set_views()
@@ -369,18 +402,19 @@ class PairMerger:
         new_id, are listed as (key, node) in position order and indexed
         once the pass ends. A merge of at least _BULK_MIN occurrences walks
         only its coupled occurrences here and replaces the rest in one
-        vectorized pass (_replace_simple). Returns the keys of the made
-        pairs with a count of at least 2.
+        vectorized pass (_replace_simple). Returns the heap entries of the
+        made pairs with a count of at least 2.
         """
         sym = self._sym
         pocc = self._pocc
         drop = self._drop
         S = SHIFT
-        rec = self._pairs.pop((left << S) | right)
-        occ = self._occurrences(rec[1])
+        s = self._slot.pop((left << S) | right)
+        n = self._count[s]
+        occ = self._occurrences(self._first[s])
         simple = None
-        if rec[0] >= _BULK_MIN:
-            occ, simple = self._split(occ, right)
+        if n >= _BULK_MIN:
+            occ, simple = self._split(occ, n, right)
         twin = (new_id << S) | new_id
         made: list[tuple[int, int]] = []
         add = made.append
@@ -425,22 +459,37 @@ class PairMerger:
                 add(((new_id << S) | ys, p))
         if simple is not None:
             return self._replace_simple(*simple, made, left, right, new_id)
-        # index each made pair with 2 nodes or more
+        # index each made pair with 2 nodes or more; none has a list yet, so
+        # its nodes, in position order, are chained as they are
         nodes: dict[int, list[int]] = {}
         for k, z in made:
             nodes.setdefault(k, []).append(z)
-        insert = self._insert
-        created = [k for k, at in nodes.items() if len(at) > 1]
-        for k in created:
-            at = nodes[k]
-            for after, z in zip([NIL] + at, at):
-                insert(k, z, after)
-        return created
+        nocc = self._nocc
+        slots = self._slot
+        count = self._count
+        first = self._first
+        entries = []
+        for k, at in nodes.items():
+            c = len(at)
+            if c > 1:
+                h = at[0]
+                slots[k] = len(count)
+                count.append(c)
+                first.append(h)
+                entries.append(_entry(k, c, h))
+                pocc[h] = NIL
+                for a, b in zip(at, at[1:]):
+                    nocc[a] = b
+                    pocc[b] = a
+                nocc[at[-1]] = NIL
+        return entries
 
-    def _split(self, occ: list[int], right: int) -> tuple[list[int], tuple[np.ndarray, ...]]:
-        """Split the occurrences of a (left, right) pair into the coupled
-        ones, as a position list, and the slots (p, q, y, x) of the simple
-        ones.
+    def _split(
+        self, occ: Iterator[int], n: int, right: int
+    ) -> tuple[list[int], tuple[np.ndarray, ...]]:
+        """Split the n occurrences of a (left, right) pair into the coupled
+        ones, as a position list, and the slots (p, q, y, x) and right
+        symbols ys of the simple ones.
 
         An occurrence is coupled when its y is the next occurrence's p (the
         two share a slot) or when y starts a run of `right` that _reindex_run
@@ -450,16 +499,19 @@ class PairMerger:
         coupled, so a simple one has xs != left and ys != right.
         """
         sym = self._views[0]
-        p = np.array(occ, dtype=np.int32)
+        p = np.fromiter(occ, dtype=np.int32, count=n)
         q = _neighbour(sym, p, 1)
         y = _neighbour(sym, q, 1)
         x = _neighbour(sym, p, -1)
-        coupled = sym[y] == right
+        ys = sym[y]
+        coupled = ys == right
         adjacent = y[:-1] == p[1:]
         coupled[:-1] |= adjacent
         coupled[1:] |= adjacent
+        if not coupled.any():
+            return [], (p, q, y, x, ys)
         simple = ~coupled
-        return p[coupled].tolist(), (p[simple], q[simple], y[simple], x[simple])
+        return p[coupled].tolist(), (p[simple], q[simple], y[simple], x[simple], ys[simple])
 
     def _replace_simple(
         self,
@@ -467,6 +519,7 @@ class PairMerger:
         q: np.ndarray,
         y: np.ndarray,
         x: np.ndarray,
+        ys: np.ndarray,
         made: list[tuple[int, int]],
         left: int,
         right: int,
@@ -476,22 +529,36 @@ class PairMerger:
         occurrence (p, q) between x and y, for all of them at once, then
         the index of every pair made in the pass: the simple occurrences'
         and the coupled ones', listed as (key, node) in made. Returns the
-        keys of the made pairs with a count of at least 2.
+        heap entries of the made pairs with a count of at least 2.
 
-        Index -1 (x of slot 0) reads the trailing SENT, as it does in the loop.
+        Each pair that dies or is made varies in one symbol: (xs, left) at
+        x gives way to (xs, new_id), and (right, ys) at q to (new_id, ys)
+        at p. So x is coded by xs and p and q by ys with _RIGHT_SIDE set,
+        and one sort of their indices orders both sides for the unlink and
+        for the link: x, p and q are each in position order. Index -1 (x of
+        slot 0) reads the trailing SENT, as it does in the loop.
         """
         sym, _, pocc = self._views
-        W = self.vocab_size + 1  # new_id is the largest id
-        xs = sym[x]
-        ys = sym[y]
+        n = p.size
+        code = np.concatenate((sym[x], ys), dtype=np.int64)
+        code[n:] |= _RIGHT_SIDE  # a SENT, -1, stays -1
+        i, code = _pair_order(np.arange(2 * n, dtype=np.int32), code, 1 << 32)
+        k = code.searchsorted(0)  # no pair has a SENT
+        i = i[k:]
+        code = code[k:].astype(np.uint32)
         # pairs (xs, left) at x and (right, ys) at q die; pocc is OFF at
-        # every slot that heads no pair, negative symbols included
-        lx = pocc[x] != OFF
-        lq = pocc[q] != OFF
-        self._unlink(
-            np.concatenate((x[lx], q[lq])),
-            np.concatenate((_codes(xs[lx], left, W), _codes(right, ys[lq], W))),
-        )
+        # every slot that heads no pair
+        u = np.concatenate((x, q))[i]
+        linked = pocc[u] != OFF
+        u = u[linked]
+        dying = code[linked]
+        twice = dying == left | _RIGHT_SIDE
+        if twice.any():
+            # (right, left) dies at x and at q: code it once, as at x
+            dying[twice] = right
+            u, dying = _pair_order(u, dying.astype(np.int64), 1 << 32)
+            dying = dying.astype(np.uint32)  # as code: merge 1 peaks in _unlink
+        self._unlink(u, dying, lambda c: _side_keys(c, right, left))
         # kill q, join the dead runs around it, rewrite p
         sym[q] = DEAD
         sym[p + 1] = sym[y - 1] = DEAD + 1 + p - y
@@ -499,57 +566,60 @@ class PairMerger:
         pocc[p] = OFF
         # fresh pairs (xs, new_id) at x and (new_id, ys) at p (x is no other
         # occurrence's p, so xs != new_id), and the coupled occurrences'
-        cx = xs >= 0
-        cy = ys >= 0
-        mk, mz = np.array(made, dtype=np.int64).reshape(-1, 2).T
-        self.bulk_replacements += int(p.size)
-        return self._link(
-            np.concatenate((x[cx], p[cy], mz.astype(np.int32))),
-            np.concatenate(
-                (_codes(xs[cx], new_id, W), _codes(new_id, ys[cy], W), _codes(mk >> SHIFT, mk & _MASK, W))
-            ),
-        )
+        z = np.concatenate((x, p))[i]
+        if made:
+            mk, mz = np.fromiter(chain.from_iterable(made), np.int64, 2 * len(made)).reshape(-1, 2).T
+            mx = mk >> SHIFT
+            mc = np.where(mx == new_id, (mk & _MASK) | _RIGHT_SIDE, mx)
+            z, code = _pair_order(np.concatenate((z, mz.astype(np.int32))), np.concatenate((code, mc)), 1 << 32)
+        self.bulk_replacements += int(n)
+        return self._link(z, code, lambda c: _side_keys(c, new_id, new_id))
 
-    def _unlink(self, z: np.ndarray, codes: np.ndarray) -> None:
-        """Remove nodes z from the occurrence lists of their pairs, coded
-        as in _pair_order.
+    def _unlink(self, z: np.ndarray, code: np.ndarray, keys_of: Callable[[np.ndarray], list[int]]) -> None:
+        """Remove nodes z, sorted as by _pair_order, from the occurrence
+        lists of their pairs; keys_of gives the pair keys of an array of
+        codes.
 
         Removed nodes that follow each other in one list form a chain, and
         each chain is bridged in one step from its predecessor to its
-        successor. A pair left with one node or none is pruned.
+        successor. Each pair's count and first node are updated in its
+        slot; a pair left with one node or none is pruned.
         """
         if not z.size:
             return
         nocc, pocc = self._views[1:]
-        pairs = self._pairs
-        z, same, first, last, keys = _pair_order(z, codes, self.vocab_size + 1)
-        del codes  # not read again
+        first, last = _runs(code)
         nz = nocc[z]
-        cfirst, clast = _groups(same & (nz[:-1] == z[1:]))
-        before = pocc[z[cfirst]]
+        # a node followed by the next node of its list is in that node's pair
+        cfirst, clast = _groups(nz[:-1] != z[1:])
         after = nz[clast]
-        inner = before != NIL
-        nocc[before[inner]] = after[inner]
-        inner = after != NIL
-        pocc[after[inner]] = before[inner]
+        del nz, clast  # not held through the peak below
+        before = pocc[z[cfirst]]
+        # a NIL end indexes slot -1, the trailing SENT, which heads nothing:
+        # its nocc is never read and its pocc is reset
+        nocc[before] = after
+        pocc[after] = before
         pocc[z] = OFF
+        pocc[-1] = OFF
+        keys = keys_of(code[first])
+        slots = self._slot
+        at = np.fromiter(map(slots.__getitem__, keys), dtype=np.intp, count=len(keys))
+        count = np.frombuffer(self._count, dtype=np.int32)
+        heads = np.frombuffer(self._first, dtype=np.int32)
         head = before == NIL  # a chain that heads its list: the pair's first moves
-        ck = keys[np.searchsorted(first, cfirst[head], side="right") - 1]
-        for key, h in zip(ck.tolist(), after[head].tolist()):
-            pairs[key][1] = h
-        for key, c in zip(keys.tolist(), (last - first + 1).tolist()):
-            rec = pairs[key]
-            c = rec[0] - c
-            if c > 1:
-                rec[0] = c
-            else:
-                del pairs[key]
-                if c:
-                    pocc[rec[1]] = OFF
+        heads[at[first.searchsorted(cfirst[head], side="right") - 1]] = after[head]
+        rest = count[at] - (last - first + 1)
+        count[at] = rest
+        gone = rest < 2
+        if gone.any():
+            for i in gone.nonzero()[0].tolist():
+                del slots[keys[i]]
+            pocc[heads[at[rest == 1]]] = OFF
 
-    def _link_heads(self, head: np.ndarray) -> None:
+    def _link_heads(self, head: np.ndarray) -> list[int]:
         """Index the set-up sequence from its greedy head mask, a slice of
-        the left-symbol range at a time.
+        the left-symbol range at a time; returns the heap entries of the
+        pairs indexed, in index order.
 
         The _SETUP_SLICES slices hold about equal shares of the heads, and
         each is gathered _CHUNK positions at a time, so every scratch array
@@ -569,6 +639,11 @@ class PairMerger:
         shares = np.arange(1, _SETUP_SLICES) * below[-1] / _SETUP_SLICES
         cuts = np.searchsorted((below[:-1] + below[1:]) / 2, shares).tolist()
         width = self.vocab_size + 1
+
+        def keys_of(c: np.ndarray) -> list[int]:
+            return (((c // width) << SHIFT) | (c % width)).tolist()
+
+        entries: list[int] = []
         for lo, hi in zip([0, *cuts], [*cuts, counts.size]):
             if below[hi] == below[lo]:
                 continue
@@ -584,21 +659,24 @@ class PairMerger:
                 np.multiply(lc[at], width, out=codes[j:end], dtype=np.int64)
                 codes[j:end] += right[c : c + _CHUNK][at]
                 j = end
-            self._link(z, codes)
+            entries += self._link(*_pair_order(z, codes, width * width), keys_of)
             del z, codes  # before the next slice's are made
+        return entries
 
-    def _link(self, z: np.ndarray, codes: np.ndarray) -> list[int]:
-        """Build the occurrence list of each pair from its nodes z, with
-        the pairs coded as in _pair_order; no such pair has a list yet. A
-        pair with one node is not indexed. Returns the keys of the pairs
-        indexed.
+    def _link(self, z: np.ndarray, code: np.ndarray, keys_of: Callable[[np.ndarray], list[int]]) -> list[int]:
+        """Build the occurrence list of each pair from its nodes z, sorted
+        as by _pair_order; keys_of gives the pair keys of an array of codes.
+        No such pair has a list yet. A pair with one node is not indexed;
+        each other takes the next slot. Returns the heap entries of the
+        pairs indexed, in code order.
 
         Builds one slice of the set-up index (_link_heads), and all the
         pairs a bulk merge makes, in one call.
         """
+        if not z.size:
+            return []
         nocc, pocc = self._views[1:]
-        pairs = self._pairs
-        z, _, first, last, keys = _pair_order(z, codes, self.vocab_size + 1)
+        first, last = _runs(code)
         # chain every node to the next, then cut the chain between pairs
         nocc[z[:-1]] = z[1:]
         pocc[z[1:]] = z[:-1]
@@ -607,20 +685,21 @@ class PairMerger:
         many = first != last
         pocc[z[first[~many]]] = OFF
         first = first[many]
-        last = last[many]
-        keys = keys[many].tolist()
-        for key, c, h in zip(keys, (last - first + 1).tolist(), z[first].tolist()):
-            pairs[key] = [c, h]
-        return keys
+        count = last[many] - first + 1
+        heads = z[first]
+        keys = keys_of(code[first])
+        s = len(self._count)
+        self._slot.update(zip(keys, range(s, s + len(keys))))
+        self._count.frombytes(count.astype(np.int32).tobytes())
+        self._first.frombytes(heads.tobytes())
+        return _entries(keys, count, heads)
 
-    def _occurrences(self, pos: int) -> list[int]:
+    def _occurrences(self, pos: int) -> Iterator[int]:
         """The occurrence list that starts at pos, in position order."""
         nocc = self._nocc
-        occ = []
         while pos != NIL:
-            occ.append(pos)
+            yield pos
             pos = nocc[pos]
-        return occ
 
     def _drop(self, key: int, z: int) -> None:
         """Unlink node z from key's occurrence list; a pair left with one
@@ -628,33 +707,33 @@ class PairMerger:
         always left."""
         nocc = self._nocc
         pocc = self._pocc
-        rec = self._pairs[key]
+        first = self._first
+        s = self._slot[key]
         pz = pocc[z]
         nz = nocc[z]
         if pz != NIL:
             nocc[pz] = nz
         else:
-            rec[1] = nz
+            first[s] = nz
         if nz != NIL:
             pocc[nz] = pz
-        c = rec[0] - 1
+        c = self._count[s] - 1
         if c > 1:
-            rec[0] = c
+            self._count[s] = c
         else:
-            del self._pairs[key]
-            pocc[rec[1]] = OFF
+            del self._slot[key]
+            pocc[first[s]] = OFF
         pocc[z] = OFF
 
     def _insert(self, key: int, z: int, after: int) -> None:
         """Link node z into key's occurrence list behind node `after`, or
-        at its head when `after` is NIL. A key with no list starts one at
-        z."""
+        at its head when `after` is NIL."""
         nocc = self._nocc
         pocc = self._pocc
-        rec = self._pairs.setdefault(key, [0, NIL])
+        s = self._slot[key]
         if after == NIL:
-            nz = rec[1]
-            rec[1] = z
+            nz = self._first[s]
+            self._first[s] = z
         else:
             nz = nocc[after]
             nocc[after] = z
@@ -662,7 +741,7 @@ class PairMerger:
         nocc[z] = nz
         if nz != NIL:
             pocc[nz] = z
-        rec[0] += 1
+        self._count[s] += 1
 
     def _reindex_run(self, q: int) -> None:
         """Realign the greedy heads of (u, u) over the run of u after q,
@@ -674,6 +753,7 @@ class PairMerger:
         it is dropped, so the pair's count never falls below its final
         value and the list stays position-sorted.
         """
+        self.realignments += 1
         sym = self._sym
         u = sym[q]
         key = (u << SHIFT) | u
@@ -718,10 +798,10 @@ class PairMerger:
             if len(occ) >= 2
         }
         actual: dict[int, list[int]] = {}
-        for k, rec in self._pairs.items():
-            occ = self._occurrences(rec[1])
-            if len(occ) != rec[0]:
-                raise AssertionError(f"count mismatch for key {k}: {len(occ)} != {rec[0]}")
+        for k, s in self._slot.items():
+            occ = list(self._occurrences(self._first[s]))
+            if len(occ) != self._count[s]:
+                raise AssertionError(f"count mismatch for key {k}: {len(occ)} != {self._count[s]}")
             if [self._pocc[z] for z in occ] != [NIL] + occ[:-1]:
                 raise AssertionError(f"pocc does not link key {k}'s occurrences backwards")
             actual[k] = occ
@@ -732,8 +812,8 @@ class PairMerger:
             if (self._pocc[z] != OFF) != (z in heads):
                 raise AssertionError(f"slot {z}: pocc must be OFF exactly off the occurrence lists")
         best = {e & _KEY_MASK: e for e in sorted(self._heap, reverse=True)}  # each key's top
-        for k, rec in self._pairs.items():
-            if k not in best or best[k] > _entry(k, rec):
+        for k, s in self._slot.items():
+            if k not in best or best[k] > _entry(k, self._count[s], self._first[s]):
                 raise AssertionError(f"heap: no entry for key {k} ranks at or above its record")
 
 
@@ -765,11 +845,11 @@ def train(
     empty sequence yields an empty grammar and empty output. The full input
     sequence is held in memory: three int32 arrays, 12 bytes per slot, plus
     the pair index and a heap of at most twice its size, about 12.1 bytes
-    per character once the engine is built, with a peak near 17.2 while it
+    per character once the engine is built, with a peak near 16.7 while it
     is built, a slice of the pairs at a time (see PairMerger). The engine
     drops its dead slots once they are more than half of it, so it shrinks
-    as merges run: about 7.6 bytes per character after 4000 merges on 1 MB
-    of text, and the merge loop peaks at about 15.8 there. Frequent merges
+    as merges run: about 5.9 bytes per character after 4000 merges on 1 MB
+    of text, and the merge loop peaks at about 15.7 there. Frequent merges
     are replaced in bulk; the result is the same as one at a time.
     """
     merger = PairMerger(seq)

@@ -24,6 +24,9 @@ from rgrams.repair import (
 )
 
 NL = frozenset("\n")
+# thresholds the small texts below run at: 100, above every count in them,
+# so the loop alone, and 2, every merge of left != right in bulk
+_THRESHOLDS = [100, 2]
 
 
 def events_of(text, **stop):
@@ -270,7 +273,9 @@ class TestNaiveEquivalence:
         m = PairMerger(encode("abab", NL))
         m.check_invariants()
         b, a = m._sym[1], m._sym[2]
-        m._pairs[(b << repair.SHIFT) | a] = [1, 1]  # (b, a) occurs once
+        m._slot[(b << repair.SHIFT) | a] = len(m._count)  # (b, a) occurs once, at slot 1
+        m._count.append(1)
+        m._first.append(1)
         m._nocc[1] = m._pocc[1] = NIL
         with pytest.raises(AssertionError, match="index mismatch"):
             m.check_invariants()
@@ -278,7 +283,7 @@ class TestNaiveEquivalence:
     def test_invariants_catch_a_missing_pair(self):
         m = PairMerger(encode("abab", NL))
         m.check_invariants()
-        del m._pairs[(m._sym[0] << repair.SHIFT) | m._sym[1]]  # (a, b) occurs twice
+        del m._slot[(m._sym[0] << repair.SHIFT) | m._sym[1]]  # (a, b) occurs twice
         with pytest.raises(AssertionError, match="index mismatch"):
             m.check_invariants()
 
@@ -309,7 +314,7 @@ class TestNaiveEquivalence:
                 words = rng.choices(["a", "aa", "aaa", "ab", "b", " "], k=n)
                 run_checked("".join(words))
 
-    @pytest.mark.parametrize("threshold", [repair._BULK_MIN, 2])
+    @pytest.mark.parametrize("threshold", _THRESHOLDS)
     def test_new_pair_regrows_in_its_pass(self, threshold):
         # merging (a, b) into X makes (X, a) at slots 0 and 4, unmakes it at
         # 4 when the (a, b) at 6 is replaced, and makes it again at 9: it
@@ -349,7 +354,7 @@ _ID = st.integers(0, (1 << 31) - 1)
 class TestPassEndIndex:
     """A merge indexes the pairs its pass made once the pass ends."""
 
-    @pytest.mark.parametrize("threshold", [repair._BULK_MIN, 2])
+    @pytest.mark.parametrize("threshold", _THRESHOLDS)
     @pytest.mark.parametrize(
         "text",
         [
@@ -373,14 +378,14 @@ class TestPassEndIndex:
                 m.check_invariants()
         assert (m.grammar(), m.sequence()) == train_naive(encode(text, NL))
 
-    @pytest.mark.parametrize("threshold", [repair._BULK_MIN, 2])
+    @pytest.mark.parametrize("threshold", _THRESHOLDS)
     def test_twin_pair_made_once_is_not_indexed(self, threshold):
         # X = ab leaves "XX X": (X, X), (X, " ") and (" ", X) each occur
         # once, so none is indexed
         with bulk_min(threshold):
             m = PairMerger(encode("abab ab", NL))
             x = m.merge_once().id
-        assert (x << repair.SHIFT) | x not in m._pairs
+        assert (x << repair.SHIFT) | x not in m._slot
         assert m.pair_keys == 0
         m.check_invariants()
 
@@ -392,12 +397,16 @@ class TestPassEndIndex:
         # (count, first, left, right) records, compared as (-count, first, key)
         keyed = [(c, f, (a << repair.SHIFT) | b) for c, f, a, b in recs]
         by_tuple = sorted(keyed, key=lambda r: (-r[0], r[1], r[2]))
-        by_entry = sorted(keyed, key=lambda r: repair._entry(r[2], [r[0], r[1]]))
+        by_entry = sorted(keyed, key=lambda r: repair._entry(r[2], r[0], r[1]))
         assert by_entry == by_tuple
         for c, f, k in keyed:
             # _select reads the count and the key back out of the entry
-            e = repair._entry(k, [c, f])
+            e = repair._entry(k, c, f)
             assert ((1 << 31) - (e >> 95), e & repair._KEY_MASK) == (c, k)
+        # _link and _rebuild_heap make the same entries from int32 columns
+        c, f, k = zip(*keyed)
+        counts, firsts = np.array(c, dtype=np.int32), np.array(f, dtype=np.int32)
+        assert repair._entries(list(k), counts, firsts) == [repair._entry(k, c, f) for c, f, k in keyed]
 
 
 class TestDerivedLeftNeighbour:
@@ -580,11 +589,11 @@ class TestCompaction:
         # a pair's first must move with the compaction
         m = PairMerger(encode(self.TEXTS[2], NL))
         while not m.compactions:
-            before = {k: rec[1] for k, rec in m._pairs.items()}
+            before = {k: m._first[s] for k, s in m._slot.items()}
             m.merge_once()
         m.check_invariants()
-        key = next(k for k, rec in m._pairs.items() if before.get(k, rec[1]) != rec[1])
-        m._pairs[key][1] = before[key]
+        key = next(k for k, s in m._slot.items() if before.get(k, m._first[s]) != m._first[s])
+        m._first[m._slot[key]] = before[key]
         with pytest.raises(AssertionError, match="mismatch"):
             m.check_invariants()
 
@@ -617,6 +626,25 @@ class TestSelectionCounters:
             seen.append((m.stale_pops, m.dead_pops, m.heap_rebuilds))
         assert [r.freq_at_merge for r in m.grammar().rules] == [5, 4, 3, 2]
         assert seen == [(0, 0, 0), (0, 0, 0), (1, 0, 1), (1, 0, 1), (1, 1, 1)]
+
+    @pytest.mark.parametrize("threshold", _THRESHOLDS)
+    @pytest.mark.parametrize(
+        "text, seen",
+        [
+            # merge 1, (a, b) at 0, takes the first (b, b) head of the run
+            # at slot 1, which is realigned to head slot 2
+            ("abbb bb ab ab", [0, 1, 1, 1]),
+            # merge 1, (a, b) at 0 and 5, takes the first head of both runs
+            ("abbb abbb ab ab ab", [0, 2, 2, 2, 2]),
+        ],
+    )
+    def test_realignments(self, text, seen, threshold):
+        with bulk_min(threshold):
+            m = PairMerger(encode(text, NL))
+            got = [m.realignments]
+            while m.merge_once() is not None:
+                got.append(m.realignments)
+        assert got == seen
 
     def test_repeatable(self):
         text = normalize(corpus_gen.generate(60_000, seed=9))
@@ -721,7 +749,8 @@ class TestBulkReplacement:
     @pytest.mark.parametrize("spaceless", [False, True], ids=["english", "spaceless"])
     def test_same_bytes_as_sequential(self, spaceless):
         # tier-1 guard: the default threshold changes nothing on real text,
-        # over a 41-character alphabet or a large one without word spaces
+        # over a 41-character alphabet or a large one without word spaces,
+        # neither the output nor the index, heap and counters
         text = corpus_gen.generate(300_000, seed=5, spaceless=spaceless)
         if not spaceless:
             text = normalize(text)
@@ -731,7 +760,9 @@ class TestBulkReplacement:
                 m = PairMerger(encode(text))
                 m.run(StopCriteria(max_merges=1500))
             out = m.sequence()
-            return m.grammar().rules, out.symbols.tolist(), out.boundaries.tolist(), m.bulk_replacements
+            # the index and heap the loop alone reaches, not only its bytes
+            state = (m.pair_keys, len(m._heap), m.stale_pops, m.dead_pops, m.heap_rebuilds, m.compactions, m.realignments)
+            return m.grammar().rules, out.symbols.tolist(), out.boundaries.tolist(), state, m.bulk_replacements
 
         *bulk_out, bulk = run(repair._BULK_MIN)
         *loop_out, none = run(1 << 62)  # above every count: the loop alone
@@ -775,13 +806,14 @@ class TestPairOrder:
         want_k = k[order]
         want_same = want_k[1:] == want_k[:-1]
 
-        got_z, same, first, last, keys = repair._pair_order(z, left * width + right, width)
+        got_z, codes = repair._pair_order(z, left * width + right, width * width)
         assert got_z.tolist() == want_z.tolist()
-        assert same.tolist() == want_same.tolist()
-        starts = [i for i in range(len(nodes)) if i == 0 or not want_same[i - 1]]
-        ends = [i - 1 for i in starts[1:] + [len(nodes)]] if nodes else []
-        assert (first.tolist(), last.tolist()) == (starts, ends)
-        assert keys.tolist() == want_k[starts].tolist()
+        assert (codes // width << repair.SHIFT | codes % width).tolist() == want_k.tolist()
+        if nodes:
+            starts = [i for i in range(len(nodes)) if i == 0 or not want_same[i - 1]]
+            ends = [i - 1 for i in starts[1:] + [len(nodes)]]
+            first, last = repair._runs(codes)
+            assert (first.tolist(), last.tolist()) == (starts, ends)
 
 
 class TestSlicedSetup:
@@ -795,7 +827,8 @@ class TestSlicedSetup:
             whole = PairMerger(encode(text, NL))
         m = PairMerger(encode(text, NL))
         m.check_invariants()
-        assert list(m._pairs.items()) == list(whole._pairs.items())
+        assert list(m._slot.items()) == list(whole._slot.items())
+        assert (m._count, m._first) == (whole._count, whole._first)
         assert (m._heap, m._nocc, m._pocc) == (whole._heap, whole._nocc, whole._pocc)
         m.run(stop)
         assert (m.grammar(), m.sequence()) == train_naive(encode(text, NL), stop)
