@@ -126,13 +126,18 @@ class Grammar:
     def __repr__(self) -> str:
         return f"Grammar({len(self.terminals)} terminals, {len(self.rules)} rules)"
 
-    def expand(self, s: int) -> str:
-        """Terminal string a symbol stands for."""
+    def _known(self, s: int) -> bool:
+        """expand's and depth's one id range: True for a symbol of this grammar,
+        False for a pass-through character (OOV_BASE + codepoint), else raises."""
         if OOV_BASE <= s <= OOV_BASE + 0x10FFFF:
-            return chr(s - OOV_BASE)
+            return False
         if not 0 <= s < self.vocab_size:
             raise UnknownSymbolError(s)
-        return self._expansions[s]
+        return True
+
+    def expand(self, s: int) -> str:
+        """Terminal string a symbol stands for."""
+        return self._expansions[s] if self._known(s) else chr(s - OOV_BASE)
 
     @cached_property
     def _expansions(self) -> np.ndarray:
@@ -164,12 +169,7 @@ class Grammar:
 
     def depth(self, s: int) -> int:
         """0 for terminals, else 1 + max over the two constituents."""
-        if s >= OOV_BASE:
-            return 0
-        d = self._depths
-        if not 0 <= s < len(d):
-            raise UnknownSymbolError(s)
-        return d[s]
+        return self._depths[s] if self._known(s) else 0
 
     @cached_property
     def _rank_table(self) -> _RankTable:
@@ -405,7 +405,8 @@ def _replay_order(pos: np.ndarray, rid: np.ndarray) -> np.ndarray:
     merged. A candidate that goes after both neighbours is merged when both
     lose, which the same alternation says from either side. So a candidate
     is merged unless it lies an odd number of steps up a rising stretch
-    from the local minimum that stretch starts at.
+    from the local minimum that stretch starts at. With one rule id, a run is
+    merged at even offsets from its start: PairMerger's set-up heads.
     """
     n = pos.size
     idx = np.arange(n)

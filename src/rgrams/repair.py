@@ -26,7 +26,7 @@ import numpy as np
 
 from .corpus import BoundedSequence
 from .errors import require_int
-from .grammar import DEAD, SHIFT, Grammar, Rule, engine_array, engine_list, from_engine, greedy_replace
+from .grammar import DEAD, SHIFT, Grammar, Rule, _replay_order, engine_array, engine_list, from_engine, greedy_replace
 
 NIL = -1  # end of an occurrence list
 OFF = -2  # pocc of a slot that heads no indexed occurrence
@@ -42,10 +42,11 @@ _RIGHT_SIDE = 1 << 31  # marks a bulk merge's right-side codes (_side_keys)
 # median of 9-15 per setting on a 2-core VM, CHANGES.md).
 _BULK_MIN = 50
 # PairMerger set-up indexes the heads of this many slices of the left-symbol
-# range one at a time. On 1 MB of text, 4 slices peaked at 26.0 bytes per
-# character (1: 36.4, 2: 29.4); 8 saved 1.5 more but set up slower, since
-# each slice rescans the input and one symbol (the space) heads about 18%
-# of all pairs (CHANGES.md).
+# range one at a time. On 1 MB of text (tracemalloc), 4 slices peaked at
+# 16.7 bytes per character (1: 25.8, 2: 19.7) and set up in 42-44 ms (best
+# of 15, three sweeps; 1 and 2 slices 47-61); 8 saved 1.3 more but took
+# 50-51 ms, since each slice rescans the input and one symbol (the space)
+# heads about 18% of all pairs (CHANGES.md).
 _SETUP_SLICES = 4
 # positions per step of set-up's scans; a step's arrays stay in cache, which
 # ran the scans faster than whole-input passes at 1 MB and 10 MB
@@ -119,24 +120,19 @@ def _neighbour(sym: np.ndarray, z: np.ndarray, d: int) -> np.ndarray:
     return z
 
 
-def _pair_order(z: np.ndarray, codes: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sort nodes z by their pair codes, then by position.
+def _pair_order(z: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort nodes z by their pair codes, then by position; returns both.
 
-    z holds int32 nodes and codes their int64 codes, each below bound
-    (a negative code sorts first); both arrays are overwritten. Returns the
-    sorted nodes and codes.
+    z holds int32 nodes, below 2**31, and codes their int64 codes, below
+    2**32 (a negative code sorts first), so one in-place sort of the exact
+    int64s (code << 31) | node orders them; both arrays are overwritten.
     """
-    if bound <= 1 << 32:
-        # codes < 2**32 and nodes < 2**31, so (code << 31) | node is an
-        # exact int64 and one in-place sort orders by code, then node
-        codes <<= 31
-        codes |= z
-        codes.sort()
-        np.bitwise_and(codes, _NODE_MASK, out=z, casting="unsafe")
-        codes >>= 31
-        return z, codes
-    order = np.lexsort((z, codes))
-    return z[order], codes[order]
+    codes <<= 31
+    codes |= z
+    codes.sort()
+    np.bitwise_and(codes, _NODE_MASK, out=z, casting="unsafe")
+    codes >>= 31
+    return z, codes
 
 
 def _side_keys(codes: np.ndarray, a: int, b: int) -> list[int]:
@@ -182,11 +178,12 @@ class PairMerger:
     order no renumbering changes. compactions counts those merges, which
     rebuild the heap once (with the compaction), not twice.
 
-    Set-up indexes the pairs of the input a slice of the left-symbol range
-    at a time (_link_heads), so its scratch arrays are bounded by a slice
-    and not by the input; the index and heap are the ones a single pass
-    over every pair builds. The engine keeps no reference to the sequence
-    it was made from.
+    Set-up marks the greedy heads of same-symbol runs with
+    grammar._replay_order and indexes the pairs of the input a slice of the
+    left-symbol range at a time (_link_heads), so its scratch arrays are
+    bounded by a slice and not by the input; the index and heap are the
+    ones a single pass over every pair builds. The engine keeps no
+    reference to the sequence it was made from.
     """
 
     def __init__(self, seq: BoundedSequence):
@@ -209,8 +206,9 @@ class PairMerger:
         self._first = array("i")
 
         # Greedy head mask. Distinct-symbol pairs never overlap themselves;
-        # the same-symbol pairs of a run have consecutive positions e, and
-        # their heads sit at even offsets from the run start.
+        # the same-symbol pairs e of a run overlap their neighbours, and
+        # _replay_order picks their greedy heads as replay does a batch of
+        # pairs of one rule.
         a = self._views[0]
         valid = a >= 0
         head = valid[:-1] & valid[1:]
@@ -220,10 +218,8 @@ class PairMerger:
         head ^= eq  # the distinct-symbol pairs
         e = np.flatnonzero(eq)
         del eq
-        first, last = _groups(e[1:] != e[:-1] + 1)
-        offset = np.arange(e.size) - np.repeat(first, last - first + 1)
-        head[e[offset % 2 == 0]] = True
-        del e, first, last, offset  # not held through _link_heads' peak
+        head[e[_replay_order(e, np.zeros(e.size, dtype=np.int32))]] = True
+        del e  # not held through _link_heads' peak
         self._heap = self._link_heads(head)
         heapify(self._heap)
 
@@ -542,7 +538,7 @@ class PairMerger:
         n = p.size
         code = np.concatenate((sym[x], ys), dtype=np.int64)
         code[n:] |= _RIGHT_SIDE  # a SENT, -1, stays -1
-        i, code = _pair_order(np.arange(2 * n, dtype=np.int32), code, 1 << 32)
+        i, code = _pair_order(np.arange(2 * n, dtype=np.int32), code)
         k = code.searchsorted(0)  # no pair has a SENT
         i = i[k:]
         code = code[k:].astype(np.uint32)
@@ -556,7 +552,7 @@ class PairMerger:
         if twice.any():
             # (right, left) dies at x and at q: code it once, as at x
             dying[twice] = right
-            u, dying = _pair_order(u, dying.astype(np.int64), 1 << 32)
+            u, dying = _pair_order(u, dying.astype(np.int64))
             dying = dying.astype(np.uint32)  # as code: merge 1 peaks in _unlink
         self._unlink(u, dying, lambda c: _side_keys(c, right, left))
         # kill q, join the dead runs around it, rewrite p
@@ -571,7 +567,7 @@ class PairMerger:
             mk, mz = np.fromiter(chain.from_iterable(made), np.int64, 2 * len(made)).reshape(-1, 2).T
             mx = mk >> SHIFT
             mc = np.where(mx == new_id, (mk & _MASK) | _RIGHT_SIDE, mx)
-            z, code = _pair_order(np.concatenate((z, mz.astype(np.int32))), np.concatenate((code, mc)), 1 << 32)
+            z, code = _pair_order(np.concatenate((z, mz.astype(np.int32))), np.concatenate((code, mc)))
         self.bulk_replacements += int(n)
         return self._link(z, code, lambda c: _side_keys(c, new_id, new_id))
 
@@ -623,10 +619,13 @@ class PairMerger:
 
         The _SETUP_SLICES slices hold about equal shares of the heads, and
         each is gathered _CHUNK positions at a time, so every scratch array
-        is bounded by a slice or a chunk, not by the input. A pair's nodes
-        share its left symbol, so each pair is indexed whole within one
-        slice, and the slices index the pairs in the order one pass over
-        every head would.
+        is bounded by a slice or a chunk, not by the input. A slice from
+        left symbol lo codes a pair as (left - lo) * width + right and spans
+        at most 2**32 // width left symbols, so its codes stay below 2**32
+        (_pair_order); below 2**16 symbols that adds no slice. A pair's
+        nodes share its left symbol, so each pair is indexed whole within
+        one slice, and the slices index the pairs in the order one pass
+        over every head would.
         """
         a = self._views[0]
         left = a[:-1]
@@ -639,12 +638,13 @@ class PairMerger:
         shares = np.arange(1, _SETUP_SLICES) * below[-1] / _SETUP_SLICES
         cuts = np.searchsorted((below[:-1] + below[1:]) / 2, shares).tolist()
         width = self.vocab_size + 1
+        bounds = sorted({*cuts, *range(0, counts.size, (1 << 32) // width), counts.size})
 
-        def keys_of(c: np.ndarray) -> list[int]:
-            return (((c // width) << SHIFT) | (c % width)).tolist()
+        def keys_of(c: np.ndarray) -> list[int]:  # of the slice from lo
+            return (((c // width + lo) << SHIFT) | (c % width)).tolist()
 
         entries: list[int] = []
-        for lo, hi in zip([0, *cuts], [*cuts, counts.size]):
+        for lo, hi in zip(bounds, bounds[1:]):
             if below[hi] == below[lo]:
                 continue
             z = np.empty(below[hi] - below[lo], dtype=np.int32)
@@ -655,11 +655,10 @@ class PairMerger:
                 at = np.flatnonzero(head[c : c + _CHUNK] & (lc >= lo) & (lc < hi))
                 end = j + at.size
                 z[j:end] = at + c
-                # at int64: a wide alphabet's codes overflow int32
-                np.multiply(lc[at], width, out=codes[j:end], dtype=np.int64)
+                np.multiply(lc[at] - lo, width, out=codes[j:end], dtype=np.int64)
                 codes[j:end] += right[c : c + _CHUNK][at]
                 j = end
-            entries += self._link(*_pair_order(z, codes, width * width), keys_of)
+            entries += self._link(*_pair_order(z, codes), keys_of)
             del z, codes  # before the next slice's are made
         return entries
 
@@ -726,22 +725,17 @@ class PairMerger:
         pocc[z] = OFF
 
     def _insert(self, key: int, z: int, after: int) -> None:
-        """Link node z into key's occurrence list behind node `after`, or
-        at its head when `after` is NIL."""
+        """Link node z into key's occurrence list behind node `after`, which
+        is on that list, so the pair's first node stays (_reindex_run)."""
         nocc = self._nocc
         pocc = self._pocc
-        s = self._slot[key]
-        if after == NIL:
-            nz = self._first[s]
-            self._first[s] = z
-        else:
-            nz = nocc[after]
-            nocc[after] = z
+        nz = nocc[after]
+        nocc[after] = z
         pocc[z] = after
         nocc[z] = nz
         if nz != NIL:
             pocc[nz] = z
-        self._count[s] += 1
+        self._count[self._slot[key]] += 1
 
     def _reindex_run(self, q: int) -> None:
         """Realign the greedy heads of (u, u) over the run of u after q,

@@ -167,6 +167,17 @@ class TestExpand:
         assert g.expand(OOV_BASE + 0x20000) == "\U00020000"
         assert g.depth(OOV_BASE + ord("Q")) == 0
 
+    @pytest.mark.parametrize("table", ["expand", "depth"])
+    def test_one_id_range(self, table):
+        # expand and depth refuse the same ids: none above the last code point
+        g = abab_grammar()
+        lookup = getattr(g, table)
+        for s in (-1, OOV_BASE + 0x110000, 1 << 63):
+            with pytest.raises(UnknownSymbolError):
+                lookup(s)
+        assert g.depth(OOV_BASE + 0x10FFFF) == 0
+        assert g.expand(OOV_BASE + 0x10FFFF) == "\U0010ffff"
+
 
 class TestConstruction:
     def test_rule_ids_must_be_consecutive(self):

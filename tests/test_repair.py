@@ -776,9 +776,9 @@ class TestBulkReplacement:
         assert m.bulk_replacements / m.replacements >= 0.8
 
 
-# pair ids on both sides of the packed-sort limit: a width above 2**16 takes
-# the lexsort branch of _pair_order
-_IDS = st.integers(0, (1 << 16) - 1) | st.integers(1 << 16, 1 << 20)
+# pair ids below 2**16, and a width of at most 2**16, so every code
+# left * width + right is below 2**32, as _pair_order asks
+_IDS = st.integers(0, (1 << 16) - 1)
 
 
 class TestPairOrder:
@@ -793,20 +793,19 @@ class TestPairOrder:
     @example(pool=[(0, 0)], nodes=[], picks=[0] * 30, pad=0)  # empty input
     @example(pool=[(5, 9)], nodes=[7], picks=[0] * 30, pad=0)  # a single node
     @example(pool=[((1 << 16) - 1, 3)], nodes=[2, 1], picks=[0] * 30, pad=0)  # widest packed
-    @example(pool=[(1 << 16, 3)], nodes=[2, 1], picks=[0] * 30, pad=0)  # narrowest lexsort
     def test_matches_lexsort(self, pool, nodes, picks, pad):
         pairs = [pool[i % len(pool)] for i in picks[: len(nodes)]]
         left = np.array([a for a, _ in pairs], dtype=np.int64)
         right = np.array([b for _, b in pairs], dtype=np.int64)
         z = np.array(nodes, dtype=np.int32)
-        width = max([0, *left.tolist(), *right.tolist()]) + 1 + pad
+        width = min(max([0, *left.tolist(), *right.tolist()]) + 1 + pad, 1 << 16)
         k = (left << repair.SHIFT) | right
         order = np.lexsort((z, k))
         want_z = z[order]
         want_k = k[order]
         want_same = want_k[1:] == want_k[:-1]
 
-        got_z, codes = repair._pair_order(z, left * width + right, width * width)
+        got_z, codes = repair._pair_order(z, left * width + right)
         assert got_z.tolist() == want_z.tolist()
         assert (codes // width << repair.SHIFT | codes % width).tolist() == want_k.tolist()
         if nodes:
@@ -851,11 +850,31 @@ class TestSlicedSetup:
 
     def test_alphabet_wider_than_2_16(self):
         # 66,000 distinct characters make the pair-code width exceed 2**16, so
-        # _pair_order takes its lexsort branch; the tail repeats a few pairs
+        # _link_heads cuts the left-symbol range to keep its codes below
+        # 2**32; the tail repeats a few pairs
         text = "".join(map(chr, range(0x10000, 0x10000 + 66_000)))
         text += "\n" + "\U00010000\U00010001\U00010002" * 5 + "\U0001a000\U00010000" * 3
         assert len(encode(text, NL).alphabet) + 1 > 1 << 16
         self.assert_setup(text, StopCriteria(max_merges=4))
+
+    def test_alphabet_needs_three_code_cuts(self):
+        # 140,000 distinct characters: a slice spans at most 2**32 // width
+        # left symbols, so the code range alone cuts the alphabet 4 times;
+        # the tail repeats one pair from every 10,000 left symbols
+        text = "".join(map(chr, range(0x10000, 0x10000 + 140_000)))
+        text += "\n" + "\n".join(chr(0x10000 + k) + chr(0x10001 + k) for k in range(0, 140_000, 10_000))
+        size = len(encode(text, NL).alphabet)
+        assert size > 3 * ((1 << 32) // (size + 1))
+        self.assert_setup(text, StopCriteria(max_merges=4))
+
+    @given(
+        st.sampled_from(["ab\n", "abc\n"]).flatmap(
+            lambda cs: st.lists(st.tuples(st.sampled_from(cs), st.integers(1, 9)), max_size=40)
+        )
+    )
+    def test_runs_and_boundaries(self, runs):
+        # same-symbol runs of every parity, between other letters and breaks
+        self.assert_setup("".join(c * n for c, n in runs))
 
     def test_engine_keeps_no_reference_to_the_sequence(self):
         seq = encode("abab abab\nab", NL)
